@@ -39,6 +39,10 @@ def service_class(dscp: int) -> int:
     return CLASS_BE
 
 
+# service_class of every six-bit codepoint, looked up once per enqueue.
+_CLASS_OF_DSCP = tuple(service_class(dscp) for dscp in range(64))
+
+
 def remark_out_of_profile(dscp: int) -> int:
     """Out-of-profile assured traffic moves to the next drop precedence."""
     if 8 <= dscp <= 39:
@@ -145,12 +149,13 @@ class RedQueue:
 
     def red_enqueue(self, pkt: Packet, rng: RngStream) -> str:
         p = self.params
-        self.avg = (1.0 - p.w_q) * self.avg + p.w_q * len(self.backlog)
-        if self.avg >= p.max_th or len(self.backlog) >= p.capacity:
+        backlog = len(self.backlog)
+        avg = self.avg = (1.0 - p.w_q) * self.avg + p.w_q * backlog
+        if avg >= p.max_th or backlog >= p.capacity:
             self.count_since_drop = 0
             return DROP
-        if self.avg >= p.min_th:
-            p_b = p.max_p * (self.avg - p.min_th) / (p.max_th - p.min_th)
+        if avg >= p.min_th:
+            p_b = p.max_p * (avg - p.min_th) / (p.max_th - p.min_th)
             denom = 1.0 - self.count_since_drop * p_b
             p_a = 1.0 if denom <= 0 else p_b / denom
             if rng.uniform() < p_a:
@@ -159,9 +164,6 @@ class RedQueue:
         self.count_since_drop += 1
         self.backlog.append(pkt)
         return ACCEPT
-
-    def pop(self) -> Optional[Packet]:
-        return self.backlog.popleft() if self.backlog else None
 
     def __len__(self) -> int:
         return len(self.backlog)
@@ -180,9 +182,6 @@ class FifoQueue:
         self.backlog.append(pkt)
         return ACCEPT
 
-    def pop(self) -> Optional[Packet]:
-        return self.backlog.popleft() if self.backlog else None
-
     def __len__(self) -> int:
         return len(self.backlog)
 
@@ -193,10 +192,13 @@ class PriorityScheduler:
     def __init__(self, red_params: RedParams, ef_capacity: int = 50):
         self.queues: list[object] = [FifoQueue(ef_capacity)]
         self.queues += [RedQueue(red_params) for _ in range(NUM_CLASSES - 1)]
+        # The class backlogs in service order; dequeue tests them directly.
+        self._backlogs = tuple(queue.backlog for queue in self.queues)
         self.drops_by_class = [0] * NUM_CLASSES
 
     def enqueue(self, pkt: Packet, rng: RngStream) -> str:
-        cls = service_class(pkt.dscp)
+        dscp = pkt.dscp
+        cls = _CLASS_OF_DSCP[dscp] if 0 <= dscp < 64 else service_class(dscp)
         queue = self.queues[cls]
         if cls == CLASS_EF:
             verdict = queue.enqueue(pkt)
@@ -207,10 +209,9 @@ class PriorityScheduler:
         return verdict
 
     def dequeue(self) -> Optional[Packet]:
-        for queue in self.queues:
-            pkt = queue.pop()
-            if pkt is not None:
-                return pkt
+        for backlog in self._backlogs:
+            if backlog:
+                return backlog.popleft()
         return None
 
     def backlog(self) -> int:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 # Simulation time is integer microseconds since run start.  Integer time keeps
@@ -75,9 +75,10 @@ class Engine:
     def schedule(self, event: SimEvent) -> None:
         if event.fire_at < self.now:
             raise PastEvent(f"fire_at {event.fire_at} < clock {self.now}")
-        event.insertion_seq = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (event.fire_at, event.insertion_seq, event))
+        seq = self._seq
+        event.insertion_seq = seq
+        self._seq = seq + 1
+        heappush(self._heap, (event.fire_at, seq, event))
 
     def schedule_in(self, delay: SimTime, target: str, kind: str, payload: object = None) -> None:
         self.schedule(SimEvent(self.now + delay, target, kind, payload))
@@ -91,15 +92,16 @@ class Engine:
         Afterwards the clock sits at the last processed fire_at, or at `end`
         when nothing fired.
         """
+        heap, handlers, trace = self._heap, self._handlers, self.trace
         processed = 0
-        while self._heap and self._heap[0][0] <= end:
-            fire_at, _, event = heapq.heappop(self._heap)
+        while heap and heap[0][0] <= end:
+            fire_at, _, event = heappop(heap)
             self.now = fire_at
             processed += 1
-            if self.trace is not None:
+            if trace is not None:
                 detail = trace_detail(event.payload)
-                self.trace.append(f"{fire_at}\t{event.target}\t{event.kind}\t{detail}")
-            handler = self._handlers.get(event.target)
+                trace.append(f"{fire_at}\t{event.target}\t{event.kind}\t{detail}")
+            handler = handlers.get(event.target)
             if handler is not None:
                 handler(event)
         self.now = end if processed == 0 else min(end, self.now)

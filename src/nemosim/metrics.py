@@ -46,7 +46,6 @@ class MetricsCollector:
         self.drops: list[Drop] = []
         self.signal_drops = 0
         self.bg_drops = 0
-        self.bg_delivered = 0
         self.rejected_bindings = 0
         self.unexpected_signals = 0
         self.nar_buffer_drops = 0

@@ -204,6 +204,9 @@ class LinkQueue:
         self.scheduler = diffserv.PriorityScheduler(red_params)
         self.on_drop = on_drop
         self.busy = False
+        self.prop_delay_us = link.prop_delay_us
+        # serialization_us per packet size; a run sends only a few sizes.
+        self._ser_us: dict[int, SimTime] = {}
         self._timer_target = f"{src}->{dst}"
         engine.register(self._timer_target, self._on_tx_done)
 
@@ -221,10 +224,12 @@ class LinkQueue:
             self.busy = False
             return
         self.busy = True
-        ser = serialization_us(pkt.size_bytes, self.link.bandwidth_bps)
+        size = pkt.size_bytes
+        ser = self._ser_us.get(size)
+        if ser is None:
+            ser = self._ser_us[size] = serialization_us(size, self.link.bandwidth_bps)
         self.engine.schedule_in(ser, self._timer_target, TIMER_EXPIRY, pkt)
 
     def _on_tx_done(self, event: SimEvent) -> None:
-        pkt = event.payload
-        self.engine.schedule_in(self.link.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
+        self.engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, event.payload)
         self._start_next()

@@ -164,28 +164,31 @@ class ArNode(Node):
 
     def on_timer(self, token) -> None:
         name = token[0]
-        if name == "beacon":
+        if name == "bg":
+            self._bg_tick()
+        elif name == "beacon":
             if self.sim.dmr_attached == self.bs_id:
                 self.send_ra(self.sim.topo.addresses["dmr"])
             self.sim.timer(self.node_id, self.sim.config.beacon_interval_us, ("beacon",))
-        elif name == "bg":
-            self._bg_tick()
         elif self.nar is not None:
             self.nar.on_timer(token)
 
     # -- background load -------------------------------------------------------
     def _bg_tick(self) -> None:
-        cfg = self.sim.config
-        pkt = Packet(src=self.address, dst=self.sim.topo.addresses[self.bs_id],
-                     size_bytes=cfg.bg_packet_bytes, kind=DATA, seq=self._bg_seq,
-                     flow=FLOW_BG, created_at=self.sim.now)
+        engine = self.sim.engine
+        pkt = Packet(src=self.address, dst=self._bg_dst, size_bytes=self._bg_bytes,
+                     kind=DATA, seq=self._bg_seq, flow=FLOW_BG, created_at=engine.now)
         self._bg_seq += 1
-        self.sim.linkqueues[(self.node_id, self.bs_id)].send(pkt)
-        interval = round(cfg.bg_packet_bytes * 8 * 1_000_000 / cfg.background_load_bps)
-        self.sim.timer(self.node_id, interval, ("bg",))
+        self._bg_queue.send(pkt)
+        engine.schedule_in(self._bg_interval_us, self.node_id, TIMER_EXPIRY, ("bg",))
 
     def on_app(self, ev: SimEvent) -> None:
-        if ev.kind == APP_START and self.sim.config.background_load_bps > 0:
+        cfg = self.sim.config
+        if ev.kind == APP_START and cfg.background_load_bps > 0:
+            self._bg_dst = self.sim.topo.addresses[self.bs_id]
+            self._bg_bytes = cfg.bg_packet_bytes
+            self._bg_queue = self.sim.linkqueues[(self.node_id, self.bs_id)]
+            self._bg_interval_us = cfg.bg_interval_us
             self._bg_tick()
 
 
@@ -194,13 +197,10 @@ class BsNode(Node):
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.bg_received = 0
         sim.engine.register(f"{node_id}@air", self.dispatch_air)
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.dst == self.address:
-            if pkt.innermost().flow == FLOW_BG:
-                self.bg_received += 1
             return
         if self.sim.dmr_attached == self.node_id:
             self.sim.wireless_to_dmr(self.node_id, pkt)

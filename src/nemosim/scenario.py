@@ -102,6 +102,25 @@ class ScenarioConfig:
             raise ConfigError("dmr_speed_kmh must be positive")
         if not (self.cbr.start_us < self.cbr.stop_us <= self.sim_end_us):
             raise ConfigError("cbr start must precede stop, and stop must not pass sim end")
+        # Rates and sizes divide or are divided into packet intervals.  The
+        # sources reschedule themselves one interval ahead, so an interval
+        # that rounds to 0 us would keep the engine at one instant forever.
+        for key, value in (("cbr.packet_bytes", self.cbr.packet_bytes),
+                           ("cbr.rate_bps", self.cbr.rate_bps),
+                           ("bg_packet_bytes", self.bg_packet_bytes),
+                           ("air_rate_bps", self.air_rate_bps)):
+            if value <= 0:
+                raise ConfigError(f"{key} must be positive")
+        if self.cbr.interval_us < 1:
+            raise ConfigError("cbr.rate_bps is too high: the packet interval rounds to 0 us")
+        if self.background_load_bps > 0 and self.bg_interval_us < 1:
+            raise ConfigError("background_load_bps is too high: "
+                              "the packet interval rounds to 0 us")
+
+    @property
+    def bg_interval_us(self) -> SimTime:
+        """Gap between background packets on each access downlink."""
+        return round(self.bg_packet_bytes * 8 * SEC / self.background_load_bps)
 
     @property
     def speed_mps(self) -> float:

@@ -263,3 +263,76 @@ def test_expedited_never_red_dropped():
         ef.dscp = EF
         assert sched.enqueue(ef, rng) == ACCEPT
     assert sched.drops_by_class[0] == 0
+
+
+class ModelScheduler:
+    """Brute-force strict priority: six lists, classes from service_class,
+    drop-tail on expedited and RED from its update formula elsewhere."""
+
+    def __init__(self, params, ef_capacity):
+        self.params = params
+        self.ef_capacity = ef_capacity
+        self.queues = [[] for _ in range(6)]
+        self.avg = [0.0] * 6
+        self.count = [0] * 6
+        self.drops_by_class = [0] * 6
+
+    def _red_accepts(self, cls, rng):
+        p, backlog = self.params, len(self.queues[cls])
+        self.avg[cls] = (1 - p.w_q) * self.avg[cls] + p.w_q * backlog
+        if self.avg[cls] >= p.max_th or backlog >= p.capacity:
+            self.count[cls] = 0
+            return False
+        if self.avg[cls] >= p.min_th:
+            p_b = p.max_p * (self.avg[cls] - p.min_th) / (p.max_th - p.min_th)
+            denom = 1.0 - self.count[cls] * p_b
+            p_a = 1.0 if denom <= 0 else p_b / denom
+            if rng.uniform() < p_a:
+                self.count[cls] = 0
+                return False
+        self.count[cls] += 1
+        return True
+
+    def enqueue(self, pkt, rng):
+        cls = service_class(pkt.dscp)
+        if cls == 0:
+            accepted = len(self.queues[0]) < self.ef_capacity
+        else:
+            accepted = self._red_accepts(cls, rng)
+        if not accepted:
+            self.drops_by_class[cls] += 1
+            return DROP
+        self.queues[cls].append(pkt)
+        return ACCEPT
+
+    def dequeue(self):
+        for queue in self.queues:
+            if queue:
+                return queue.pop(0)
+        return None
+
+
+# Codepoints outside 0-63 take service_class's own path in the scheduler.
+DSCPS = st.one_of(st.sampled_from([0, 1, 10, 12, 41, 46, 47, 63, 64, 74, 110]),
+                  st.integers(min_value=0, max_value=63))
+
+
+@given(st.lists(st.one_of(DSCPS, st.none()), min_size=1, max_size=300),
+       st.integers(min_value=0, max_value=2 ** 16))
+def test_scheduler_matches_brute_force_model(ops, seed):
+    """Each op enqueues a packet with that codepoint, or dequeues on None."""
+    params = RedParams(min_th=2, max_th=6, max_p=0.3, w_q=0.3, capacity=8)
+    sched, model = PriorityScheduler(params, ef_capacity=5), ModelScheduler(params, 5)
+    rng, model_rng = RngStream(seed), RngStream(seed)
+    for i, dscp in enumerate(ops):
+        if dscp is None:
+            assert sched.dequeue() is model.dequeue()
+            continue
+        pkt = data()
+        pkt.seq, pkt.dscp = i, dscp
+        assert sched.enqueue(pkt, rng) == model.enqueue(pkt, model_rng)
+    while (pkt := model.dequeue()) is not None:
+        assert sched.dequeue() is pkt
+    assert sched.dequeue() is None
+    assert sched.drops_by_class == model.drops_by_class
+    assert rng.uniform() == model_rng.uniform()

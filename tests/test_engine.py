@@ -37,6 +37,28 @@ def test_schedule_in_the_past_rejected():
         eng.schedule(SimEvent(1 * MS, "n", "timer_expiry"))
 
 
+def test_negative_schedule_in_delay_rejected():
+    eng = Engine()
+    eng.run_until(5 * MS)
+    with pytest.raises(PastEvent):
+        eng.schedule_in(-1, "n", "timer_expiry")
+    assert eng.pending() == 0
+
+
+def test_fifo_tie_break_across_schedule_and_schedule_in():
+    eng = Engine()
+    seen = collect(eng)
+    eng.run_until(5 * MS)
+    for i, tag in enumerate("ABCDEF"):
+        if i % 2 == 0:
+            eng.schedule(SimEvent(7 * MS, "n", "timer_expiry", tag))
+        else:
+            eng.schedule_in(2 * MS, "n", "timer_expiry", tag)
+    eng.schedule_in(0, "n", "timer_expiry", "now")
+    eng.run_until(SEC)
+    assert seen == ["now", "A", "B", "C", "D", "E", "F"]
+
+
 def test_run_until_empty_queue_advances_clock():
     eng = Engine()
     assert eng.run_until(200 * SEC) == 0

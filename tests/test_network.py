@@ -142,3 +142,29 @@ def test_position_stays_on_track_segment_ends(speed, t):
     track = MobilityTrack([(29.0, 0.0), (385.0, 0.0), (55.0, 0.0)], speed_mps=speed)
     x, y = position_at(track, t)
     assert 29.0 <= x <= 385.0 and y == 0.0
+
+
+@given(st.sampled_from([1_000_000, 2_000_000, 10_000_000, 100_000_000]),
+       st.lists(st.tuples(st.one_of(st.sampled_from([64, 104, 1000, 1040, 2000]),
+                                    st.integers(min_value=1, max_value=3000)),
+                          st.integers(min_value=0, max_value=30 * MS)),
+                min_size=1, max_size=12))
+def test_linkqueue_arrivals_match_transmit(bandwidth_bps, sends):
+    """Mixed sizes, some queued behind others: each packet leaves when the
+    one before it has serialized, and arrives when `transmit` says."""
+    eng = Engine()
+    link = Link("a", "b", bandwidth_bps, 2 * MS)
+    queue = LinkQueue(eng, link, "a", "b", RedParams(capacity=50), lambda p, w: None)
+    arrivals = {}
+    eng.register("b", lambda ev: arrivals.setdefault(ev.payload.seq, eng.now))
+    expected, free_at = {}, 0
+    for seq, (size, gap) in enumerate(sends):
+        eng.run_until(eng.now + gap)
+        pkt = Packet(src=Address(0, 0, 0), dst=Address(0, 0, 1), size_bytes=size,
+                     kind=DATA, seq=seq)
+        arrive = transmit(link, pkt, depart=max(eng.now, free_at))
+        free_at = arrive - link.prop_delay_us
+        expected[seq] = arrive
+        queue.send(pkt)
+    eng.run_until(10 * SEC)
+    assert arrivals == expected

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -47,6 +48,21 @@ def test_cbr_window_must_fit_run():
         config_from_dict({"cbr": {"start_us": 10, "stop_us": 5}})
     with pytest.raises(ConfigError):
         config_from_dict({"sim_end_us": 30 * SEC})   # default stop at 200 s
+
+
+# Each of these would hang (a source rescheduling itself at +0 us) or divide
+# by zero mid-run; validation must reject them before any event is scheduled.
+@pytest.mark.parametrize("data, key", [
+    ({"background_load_bps": 10 ** 12}, "background_load_bps"),
+    ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
+    ({"cbr": {"rate_bps": 0}}, "cbr.rate_bps"),
+    ({"cbr": {"rate_bps": 10 ** 12}}, "cbr.rate_bps"),
+    ({"cbr": {"packet_bytes": 0}}, "cbr.packet_bytes"),
+    ({"air_rate_bps": 0}, "air_rate_bps"),
+])
+def test_config_that_cannot_run_names_bad_key(data, key):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
+        config_from_dict(data)
 
 
 def test_json_round_trip(tmp_path):
