@@ -14,8 +14,8 @@ from typing import Optional
 
 from . import fsm
 from .engine import SimTime
-from .fsm import (DmrState, FsmEvent, MapState, NarState, NewMapState,
-                  fsm_step, reg_step)
+from .diff_nemo import Registration
+from .fsm import DmrState, FsmEvent, MapState, NarState, NewMapState, fsm_step
 from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind,
                       apply_type2_routing, decapsulate, encapsulate)
 
@@ -98,8 +98,7 @@ class MapAgent:
             # the previous one.
             self.sim.send_signal(self.node_id, SignalKind.LBU, self.address,
                                  self.sim.topo.addresses[old_map],
-                                 info={"teardown": True, "old_rcoa": info["old_rcoa"]},
-                                 high_priority=True)
+                                 info={"teardown": True, "old_rcoa": info["old_rcoa"]})
         elif self.fh_ctx is not None:
             self._step(FsmEvent(fsm.EV_LBU_CUT))
 
@@ -188,9 +187,6 @@ class NarAgent:
         self.ctx: Optional[dict] = None
         self.buffer: list[Packet] = []
 
-    def active_nlcoa(self) -> Optional[Address]:
-        return self.ctx["nlcoa"] if self.ctx else None
-
     def on_hi(self, pkt: Packet) -> None:
         self.ctx = dict(pkt.info)
         self.state = NarState.IDLE
@@ -277,12 +273,13 @@ class NarAgent:
 class FhDmr:
     """Mobile-router side of the fast hierarchical scheme."""
 
+    RR_TIMEOUT = "fh_rr_timeout"
+
     def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address):
         self.sim = sim
         self.hoa = hoa
         self.mnp = mnp
         self.ha = ha
-        self.cn = cn
         self.node_component = 100
         self.lcoa: Optional[Address] = None
         self.rcoa: Optional[Address] = None
@@ -294,13 +291,17 @@ class FhDmr:
         self.ctx: Optional[FhHandoverCtx] = None
         self.epoch = 0
         self.handover_count = 0
-        # Registration machine (home agent, return routability, correspondent).
-        self.reg_state = fsm.REG_IDLE
-        self.reg_tokens: dict = {}
-        self.reg_retries = 0
-        self.reg_seq = 0
+        self.reg = Registration(sim, hoa, mnp, ha, cn, lambda: self.rcoa, self.RR_TIMEOUT)
         self.cn_bound = False
         self._initial_prefix_seen = False
+        # NA is absent: initial DAD collisions are not exercised for this variant.
+        self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
+                                SignalKind.PR_RT_ADV: self.handle_prrtadv,
+                                SignalKind.FBACK: self._on_fback,
+                                SignalKind.LBACK: self._on_lback,
+                                SignalKind.NAACK: self._on_naack,
+                                SignalKind.BA: self._on_ba}
+        self.signal_handlers.update(dict.fromkeys(Registration.TOKEN_EVENTS, self.reg.on_token))
 
     # -- address bookkeeping -------------------------------------------------
     def addresses(self) -> set[Address]:
@@ -380,7 +381,7 @@ class FhDmr:
                 ctx.fbu_sent = True
                 self.sim.send_signal("dmr", SignalKind.FBU, self.lcoa,
                                      self.sim.topo.addresses[ctx.old_map],
-                                     info=self._fbu_info(), high_priority=True)
+                                     info=self._fbu_info())
             elif sig == SignalKind.RS:
                 self.sim.send_signal("dmr", SignalKind.RS, self.lcoa,
                                      self.sim.topo.addresses[ctx.nar])
@@ -408,9 +409,7 @@ class FhDmr:
 
     def _do(self, op: str) -> None:
         ctx = self.ctx
-        if op == "configure_ncoa":
-            pass  # handled in on_prrtadv, which knows the advertised prefixes
-        elif op == "send_fna_with_fbu":
+        if op == "send_fna_with_fbu":
             fbu = self.sim.make_signal(SignalKind.FBU, self.lcoa,
                                        self.sim.topo.addresses[ctx.old_map],
                                        info=self._fbu_info())
@@ -422,30 +421,14 @@ class FhDmr:
             self.sim.send_signal_packet("dmr", fna)
         elif op == "adopt_alternative":
             ctx.fna_attempt += 1
-        elif op == "configure_ncoa_from_ra":
-            pass  # handled in on_router_advertisement
         elif op == "start_macro_registration":
-            self.start_registration()
+            self.reg.start()
 
     # -- signal handling -------------------------------------------------------
     def on_signal(self, pkt: Packet) -> None:
-        sig = pkt.signal
-        if sig == SignalKind.RA:
-            self.on_router_advertisement(pkt)
-        elif sig == SignalKind.PR_RT_ADV:
-            self.handle_prrtadv(pkt)
-        elif sig == SignalKind.FBACK:
-            if self.ctx is not None:
-                self.ctx.fback_received = True
-            self._step(FsmEvent(fsm.EV_FBACK))
-        elif sig == SignalKind.LBACK:
-            self._on_lback()
-        elif sig == SignalKind.NAACK:
-            self._on_naack(pkt)
-        elif sig in (SignalKind.BA, SignalKind.HOT, SignalKind.COT, SignalKind.NPT):
-            self._reg_signal(pkt)
-        elif sig == SignalKind.NA:
-            pass  # initial DAD collisions are not exercised for this variant
+        handler = self.signal_handlers.get(pkt.signal)
+        if handler is not None:
+            handler(pkt)
 
     def handle_prrtadv(self, pkt: Packet) -> None:
         """Anticipatory address configuration from the proxied advertisement."""
@@ -489,6 +472,11 @@ class FhDmr:
             self._promote_lcoa()
             self._step(FsmEvent(fsm.EV_RA, macro=ctx.macro))
 
+    def _on_fback(self, pkt: Packet) -> None:
+        if self.ctx is not None:
+            self.ctx.fback_received = True
+        self._step(FsmEvent(fsm.EV_FBACK))
+
     def _on_naack(self, pkt: Packet) -> None:
         if self.ctx is None:
             return
@@ -500,22 +488,25 @@ class FhDmr:
     def _send_lbu(self) -> None:
         ctx = self.ctx
         old_rcoa = self.rcoa
-        old_map = ctx.old_map
         if ctx.macro:
             self.prev_rcoa = self.rcoa
             self.rcoa = ctx.nrcoa
             self.serving_map = ctx.new_map
+        self._send_lbu_to_serving_map(ctx.old_map, old_rcoa)
+
+    def _send_lbu_to_serving_map(self, old_map: Optional[str],
+                                 old_rcoa: Optional[Address]) -> None:
+        """Local binding update; a different `old_map` tears its tunnel down."""
         self.sim.send_signal("dmr", SignalKind.LBU, self.lcoa,
                              self.sim.topo.addresses[self.serving_map],
                              info={"rcoa": self.rcoa, "lcoa": self.lcoa,
                                    "mnp": self.mnp, "old_map": old_map,
-                                   "old_rcoa": old_rcoa},
-                             high_priority=True)
+                                   "old_rcoa": old_rcoa})
 
-    def _on_lback(self) -> None:
+    def _on_lback(self, pkt: Packet) -> None:
         if self.ctx is None:
-            if self.reg_seq == 0:
-                self.start_registration()
+            if self.reg.seq == 0:
+                self.reg.start()
             return
         macro = self.ctx.macro
         self._step(FsmEvent(fsm.EV_LBACK, macro=macro))
@@ -523,58 +514,11 @@ class FhDmr:
             self.ctx = None
             self.fsm_state = DmrState.IDLE
 
-    # -- registration machine ----------------------------------------------------
-    def start_registration(self) -> None:
-        self.reg_seq += 1
-        self.reg_tokens = {}
-        self.reg_retries = 0
-        self.reg_state = fsm.REG_IDLE
-        self._reg_step(fsm.EV_REG_START)
-
-    def _reg_step(self, event: str) -> None:
-        self.reg_state, actions = reg_step(self.reg_state, event)
-        for action in actions:
-            if not isinstance(action, fsm.Emit):
-                continue
-            if action.signal == SignalKind.BU and action.dest == "ha":
-                self.sim.send_signal("dmr", SignalKind.BU, self.rcoa, self.ha,
-                                     info={"hoa": self.hoa, "coa": self.rcoa,
-                                           "mnps": [self.mnp],
-                                           "lifetime": self.sim.config.binding_lifetime_us},
-                                     high_priority=True)
-            elif action.signal == SignalKind.BU and action.dest == "cn":
-                self.sim.send_signal("dmr", SignalKind.BU, self.rcoa, self.cn,
-                                     info={"hoa": self.hoa, "coa": self.rcoa,
-                                           "mnps": [self.mnp],
-                                           "tokens": dict(self.reg_tokens),
-                                           "lifetime": self.sim.config.binding_lifetime_us},
-                                     high_priority=True)
-            elif action.signal == SignalKind.HOTI:
-                self.sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
-                                     info={"hoa": self.hoa},
-                                     encap_to=self.ha, encap_src=self.rcoa)
-                self.sim.timer("dmr", self.sim.config.rr_timeout_us,
-                               ("fh_rr_timeout", self.reg_seq, self.reg_retries))
-            elif action.signal == SignalKind.COTI:
-                self.sim.send_signal("dmr", SignalKind.COTI, self.rcoa, self.cn,
-                                     info={"hoa": self.hoa})
-
-    def _reg_signal(self, pkt: Packet) -> None:
-        sig = pkt.signal
-        if sig == SignalKind.BA and pkt.info and pkt.info.get("from") == "cn":
+    def _on_ba(self, pkt: Packet) -> None:
+        if self.reg.on_ba(pkt):
             self.cn_bound = True
-            self._reg_step(fsm.EV_BA_CN)
             self.sim.timer("dmr", self.sim.config.binding_refresh_us,
-                           ("reg_refresh", self.reg_seq))
-        elif sig == SignalKind.BA:
-            self._reg_step(fsm.EV_BA_HA)
-        elif sig in (SignalKind.HOT, SignalKind.COT, SignalKind.NPT):
-            event = {SignalKind.HOT: fsm.EV_HOT, SignalKind.COT: fsm.EV_COT,
-                     SignalKind.NPT: fsm.EV_NPT}[sig]
-            key = {SignalKind.HOT: "hot", SignalKind.COT: "cot",
-                   SignalKind.NPT: "npt"}[sig]
-            self.reg_tokens[key] = pkt.info["token"]
-            self._reg_step(event)
+                           ("reg_refresh", self.reg.seq))
 
     def on_timer(self, token) -> None:
         name = token[0]
@@ -594,38 +538,13 @@ class FhDmr:
                 return
             self.lcoa = lcoa
             self.rcoa = rcoa
-            self._send_lbu_initial()
-        elif name == "fh_rr_timeout":
-            _, seq, retries = token
-            if (seq != self.reg_seq or retries != self.reg_retries
-                    or not self.reg_state.startswith("rr_")):
-                return
-            if self.reg_retries < self.sim.config.rr_retries:
-                self.reg_retries += 1
-                self.reg_tokens = {}
-                self._reg_step(fsm.EV_RR_TIMEOUT)
-            else:
-                self._reg_step(fsm.EV_GIVE_UP)
+            self._send_lbu_to_serving_map(self.serving_map, None)
+        elif name == self.RR_TIMEOUT:
+            self.reg.on_timeout(token)
         elif name == "reg_refresh":
-            if token[1] == self.reg_seq and self.ctx is None:
-                self._send_lbu_refresh()
-                self.start_registration()
-
-    def _send_lbu_refresh(self) -> None:
-        self.sim.send_signal("dmr", SignalKind.LBU, self.lcoa,
-                             self.sim.topo.addresses[self.serving_map],
-                             info={"rcoa": self.rcoa, "lcoa": self.lcoa,
-                                   "mnp": self.mnp, "old_map": self.serving_map,
-                                   "old_rcoa": None},
-                             high_priority=True)
-
-    def _send_lbu_initial(self) -> None:
-        self.sim.send_signal("dmr", SignalKind.LBU, self.lcoa,
-                             self.sim.topo.addresses[self.serving_map],
-                             info={"rcoa": self.rcoa, "lcoa": self.lcoa,
-                                   "mnp": self.mnp, "old_map": self.serving_map,
-                                   "old_rcoa": None},
-                             high_priority=True)
+            if token[1] == self.reg.seq and self.ctx is None:
+                self._send_lbu_to_serving_map(self.serving_map, None)
+                self.reg.start()
 
     # -- data plane --------------------------------------------------------------
     def on_packet(self, pkt: Packet) -> None:

@@ -1,45 +1,20 @@
 """Route-optimized variant: the mobile router proxies return routability and
 correspondent registration for its network nodes, after which marked traffic
 flows directly between correspondent and mobile router with a type 2 routing
-header downstream and a home address option upstream."""
+header downstream and a home address option upstream.
+
+Both sides of return routability live here: the correspondent's token
+issuer and `Registration`, the one interpreter of `fsm.reg_step` that both
+route-optimising mobile routers drive."""
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
+from . import fsm
 from .nemo_bs import BaselineMr, BindingCacheEntry, MrState
-from .packets import (Address, Packet, SignalKind, apply_home_address_option,
-                      apply_type2_routing)
-
-RR_IDLE = "Idle"
-RR_SENT = "SentHoTI_CoTI"
-RR_READY = "Ready"
-
-
-@dataclass
-class RrExchange:
-    """Return-routability progress; ready once all three tokens are held."""
-
-    tokens: dict = field(default_factory=dict)   # kind -> token tuple
-    sent: bool = False
-    retries: int = 0
-
-    @property
-    def state(self) -> str:
-        if not self.sent:
-            return RR_IDLE
-        if self.ready:
-            return RR_READY
-        for kind, label in (("npt", "GotNPT"), ("cot", "GotCoT"), ("hot", "GotHoT")):
-            if kind in self.tokens:
-                return label
-        return RR_SENT
-
-    @property
-    def ready(self) -> bool:
-        return all(k in self.tokens for k in ("hot", "cot", "npt"))
+from .packets import Address, Packet, Prefix, SignalKind, apply_type2_routing
 
 
 class CorrespondentAgent:
@@ -109,86 +84,122 @@ class CorrespondentAgent:
                 return False
         return True
 
-    def rewrite_upstream(self, pkt: Packet) -> Packet:
-        """Restore the application-level source from the home address option."""
-        if pkt.home_addr_option is not None:
-            return apply_home_address_option(pkt)
-        return pkt
+
+class Registration:
+    """Registration with both anchors, driven by `fsm.reg_step`: binding
+    update to the home agent, return routability toward the correspondent,
+    then the correspondent binding update.
+
+    Every signal leaves from the care-of address the router supplies.  The
+    return-routability timer token is `(timeout_name, seq, retries)`: `seq`
+    counts registrations and `retries` the probe rounds within one, so a
+    timer from an earlier round or registration is ignored.
+    """
+
+    TOKEN_EVENTS = {SignalKind.HOT: ("hot", fsm.EV_HOT),
+                    SignalKind.COT: ("cot", fsm.EV_COT),
+                    SignalKind.NPT: ("npt", fsm.EV_NPT)}
+
+    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address,
+                 care_of: Callable[[], Optional[Address]], timeout_name: str):
+        self.sim = sim
+        self.hoa = hoa
+        self.mnp = mnp
+        self.ha = ha
+        self.cn = cn
+        self.care_of = care_of
+        self.timeout_name = timeout_name
+        self.state = fsm.REG_IDLE
+        self.tokens: dict = {}   # kind -> token tuple
+        self.retries = 0
+        self.seq = 0
+
+    def start(self) -> None:
+        """Register afresh, beginning with a binding update to the home agent."""
+        self.seq += 1
+        self.tokens = {}
+        self.retries = 0
+        self.state = fsm.REG_IDLE
+        self.step(fsm.EV_REG_START)
+
+    def step(self, event: str) -> None:
+        # An unexpected event, such as a token trailing an earlier
+        # registration, leaves the state as it is and is not counted.
+        self.state, actions = fsm.reg_step(self.state, event)
+        for action in actions:
+            if isinstance(action, fsm.Emit):
+                self._emit(action)
+
+    def _emit(self, action: fsm.Emit) -> None:
+        sim, coa = self.sim, self.care_of()
+        if action.signal == SignalKind.BU:
+            info = {"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
+                    "lifetime": sim.config.binding_lifetime_us}
+            if action.dest == "cn":
+                info["tokens"] = dict(self.tokens)
+            sim.send_signal("dmr", SignalKind.BU, coa,
+                            self.cn if action.dest == "cn" else self.ha, info=info)
+        elif action.signal == SignalKind.HOTI:
+            sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
+                            info={"hoa": self.hoa}, encap_to=self.ha, encap_src=coa)
+            sim.timer("dmr", sim.config.rr_timeout_us,
+                      (self.timeout_name, self.seq, self.retries))
+        elif action.signal == SignalKind.COTI:
+            sim.send_signal("dmr", SignalKind.COTI, coa, self.cn, info={"hoa": self.hoa})
+
+    def on_ba(self, pkt: Packet) -> bool:
+        """Step on a binding acknowledgement; True when the correspondent sent it."""
+        from_cn = bool(pkt.info) and pkt.info.get("from") == "cn"
+        self.step(fsm.EV_BA_CN if from_cn else fsm.EV_BA_HA)
+        return from_cn
+
+    def on_token(self, pkt: Packet) -> None:
+        key, event = self.TOKEN_EVENTS[pkt.signal]
+        self.tokens[key] = pkt.info["token"]
+        self.step(event)
+
+    def on_timeout(self, token) -> None:
+        _, seq, retries = token
+        if seq != self.seq or retries != self.retries or not self.state.startswith("rr_"):
+            return
+        if self.retries < self.sim.config.rr_retries:
+            self.retries += 1
+            self.tokens = {}
+            self.step(fsm.EV_RR_TIMEOUT)
+        else:
+            self.step(fsm.EV_GIVE_UP)
 
 
 class ProxyDmr(BaselineMr):
     """Baseline registration plus proxied return routability and direct delivery."""
 
+    RR_TIMEOUT = "rr_timeout"
+
     def __init__(self, sim, state: MrState, cn_addr: Address):
         super().__init__(sim, state)
-        self.cn_addr = cn_addr
-        self.rr = RrExchange()
+        self.reg = Registration(sim, state.hoa, state.mnp, state.ha, cn_addr,
+                                lambda: state.coa, self.RR_TIMEOUT)
         self.cn_bound_coa: Optional[Address] = None
-        self._rr_seq = 0
+        self.signal_handlers.update(dict.fromkeys(Registration.TOKEN_EVENTS, self.reg.on_token))
 
-    # Registration with the home agent triggers the correspondent phase.
-    def on_signal(self, pkt: Packet) -> None:
-        sig = pkt.signal
-        if sig == SignalKind.BA and pkt.info and pkt.info.get("from") == "cn":
+    def send_binding_update(self) -> None:
+        """Every home registration, refreshes included, restarts the machine,
+        so return routability runs again after each acknowledgement."""
+        self.reg.start()
+        self.sim.timer("dmr", self.sim.config.binding_refresh_us,
+                       ("bu_refresh", self.state.epoch))
+
+    def _on_ba(self, pkt: Packet) -> None:
+        if self.reg.on_ba(pkt):
             self.cn_bound_coa = self.state.coa
-            return
-        if sig == SignalKind.BA:
-            self.state.registered = True
-            self.start_return_routability()
-            return
-        if sig == SignalKind.HOT:
-            self._collect("hot", pkt)
-        elif sig == SignalKind.COT:
-            self._collect("cot", pkt)
-        elif sig == SignalKind.NPT:
-            self._collect("npt", pkt)
         else:
-            super().on_signal(pkt)
-
-    def start_return_routability(self) -> None:
-        self.rr = RrExchange(sent=True)
-        self._rr_seq += 1
-        self._send_rr_probes()
-
-    def _send_rr_probes(self) -> None:
-        st = self.state
-        self.sim.send_signal("dmr", SignalKind.HOTI, st.hoa, self.cn_addr,
-                             info={"hoa": st.hoa}, encap_to=st.ha, encap_src=st.coa)
-        self.sim.send_signal("dmr", SignalKind.COTI, st.coa, self.cn_addr,
-                             info={"hoa": st.hoa})
-        self.sim.timer("dmr", self.sim.config.rr_timeout_us,
-                       ("rr_timeout", self._rr_seq, self.rr.retries))
-
-    def _collect(self, kind: str, pkt: Packet) -> None:
-        if not self.rr.sent or self.rr.ready:
-            return
-        self.rr.tokens[kind] = pkt.info["token"]
-        if self.rr.ready:
-            self.register_with_cn()
-
-    def register_with_cn(self) -> None:
-        st = self.state
-        self.sim.send_signal("dmr", SignalKind.BU, st.coa, self.cn_addr,
-                             info={"hoa": st.hoa, "coa": st.coa, "mnps": [st.mnp],
-                                   "tokens": dict(self.rr.tokens),
-                                   "lifetime": self.sim.config.binding_lifetime_us},
-                             high_priority=True)
+            self.state.registered = True
 
     def on_timer(self, token) -> None:
-        if token[0] == "rr_timeout":
-            _, seq, retries = token
-            if seq != self._rr_seq or self.rr.ready or retries != self.rr.retries:
-                return
-            if self.rr.retries < self.sim.config.rr_retries:
-                self.rr.retries += 1
-                self.rr.tokens.clear()
-                self._send_rr_probes()
-            return
-        if token[0] == "bu_refresh":
-            if token[1] == self.state.epoch and self.state.coa is not None:
-                self.send_binding_update()
-            return
-        super().on_timer(token)
+        if token[0] == self.RR_TIMEOUT:
+            self.reg.on_timeout(token)
+        else:
+            super().on_timer(token)
 
     # -- data plane ----------------------------------------------------------
     def on_packet(self, pkt: Packet) -> None:

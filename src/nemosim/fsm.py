@@ -8,7 +8,7 @@ of the predictive and reactive, micro and macro signal flows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .packets import SignalKind
@@ -98,19 +98,14 @@ DEST_OAR = "oar"
 DEST_NAR = "nar"
 DEST_OLD_MAP = "old_map"
 DEST_SERVING_MAP = "serving_map"
-DEST_NEW_MAP = "new_map"
 DEST_DMR = "dmr"
 DEST_DMR_BOTH_PATHS = "dmr_both_paths"
-
-PRIORITY_HIGH = "high"
-PRIORITY_NORMAL = "normal"
 
 
 @dataclass(frozen=True)
 class Emit:
     signal: SignalKind
     dest: str
-    priority: str = PRIORITY_NORMAL
 
 
 @dataclass(frozen=True)
@@ -126,9 +121,6 @@ class Do:
 @dataclass(frozen=True)
 class Unexpected:
     kind: str
-
-
-Actions = tuple
 
 
 def fsm_step(role: str, state, event: FsmEvent):
@@ -159,12 +151,12 @@ def _dmr_step(state: DmrState, ev: FsmEvent):
             return DmrState.IDLE, ()
     elif state == DmrState.SENT_RTSOLPR:
         if k == EV_PRRTADV:
-            return DmrState.CONFIGURED_NCOA, (Do("configure_ncoa"), StartTimer("fbu_delay"))
+            return DmrState.CONFIGURED_NCOA, (StartTimer("fbu_delay"),)
         if k == EV_L2_DOWN:
             return DmrState.REACTIVE_ATTACH, ()
     elif state == DmrState.CONFIGURED_NCOA:
         if k == EV_FBU_TIMER:
-            return DmrState.SENT_FBU, (Emit(SignalKind.FBU, DEST_OLD_MAP, PRIORITY_HIGH),)
+            return DmrState.SENT_FBU, (Emit(SignalKind.FBU, DEST_OLD_MAP),)
         if k == EV_L2_DOWN:
             return DmrState.REACTIVE_ATTACH, ()
     elif state == DmrState.SENT_FBU:
@@ -197,8 +189,7 @@ def _dmr_step(state: DmrState, ev: FsmEvent):
             return DmrState.SENT_FNA, (Emit(SignalKind.RS, DEST_NAR),
                                        Do("send_fna_with_fbu"))
         if k == EV_RA:
-            return DmrState.SENT_FNA, (Do("configure_ncoa_from_ra"),
-                                       Do("send_fna_with_fbu"))
+            return DmrState.SENT_FNA, (Do("send_fna_with_fbu"),)
         if k == EV_FBACK:
             return DmrState.REACTIVE_ATTACH, ()
     elif state == DmrState.SENT_FNA:
@@ -209,7 +200,7 @@ def _dmr_step(state: DmrState, ev: FsmEvent):
         if k == EV_NAACK:
             return DmrState.SENT_FNA, (Do("adopt_alternative"), Do("send_fna_with_fbu"))
         if k == EV_LBU_TIMER:
-            return DmrState.LOCAL_REGISTERED, (Emit(SignalKind.LBU, DEST_SERVING_MAP, PRIORITY_HIGH),)
+            return DmrState.LOCAL_REGISTERED, (Emit(SignalKind.LBU, DEST_SERVING_MAP),)
     elif state == DmrState.LOCAL_REGISTERED:
         if k == EV_LBACK:
             if ev.macro:
@@ -354,7 +345,7 @@ def rr_state(tokens: frozenset) -> str:
 def reg_step(state: str, event: str):
     """Macro registration machine; rr_* states carry the collected token set."""
     if state == REG_IDLE and event == EV_REG_START:
-        return REG_SENT_BU_HA, (Emit(SignalKind.BU, "ha", PRIORITY_HIGH),)
+        return REG_SENT_BU_HA, (Emit(SignalKind.BU, "ha"),)
     if state == REG_SENT_BU_HA and event == EV_BA_HA:
         return rr_state(frozenset()), (Emit(SignalKind.HOTI, "cn_via_ha"),
                                        Emit(SignalKind.COTI, "cn"))
@@ -363,7 +354,7 @@ def reg_step(state: str, event: str):
         if event in RR_EVENT_TOKEN:
             tokens = tokens | {RR_EVENT_TOKEN[event]}
             if tokens == frozenset((TOKEN_HOME, TOKEN_CARE, TOKEN_PREFIX)):
-                return REG_SENT_BU_CN, (Emit(SignalKind.BU, "cn", PRIORITY_HIGH),)
+                return REG_SENT_BU_CN, (Emit(SignalKind.BU, "cn"),)
             return rr_state(tokens), ()
         if event == EV_RR_TIMEOUT:
             return rr_state(frozenset()), (Emit(SignalKind.HOTI, "cn_via_ha"),

@@ -92,6 +92,9 @@ class BaselineMr:
         self.handover_count = 0
         self.dad_attempt = 0
         self._dad_prefix: Optional[Prefix] = None
+        self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
+                                SignalKind.NA: self.on_neighbor_advertisement,
+                                SignalKind.BA: self._on_ba}
 
     # -- layer 2 -----------------------------------------------------------
     def on_link_up(self, bs: str) -> None:
@@ -159,8 +162,7 @@ class BaselineMr:
         st = self.state
         self.sim.send_signal("dmr", SignalKind.BU, st.coa, st.ha,
                              info={"hoa": st.hoa, "coa": st.coa, "mnps": [st.mnp],
-                                   "lifetime": self.sim.config.binding_lifetime_us},
-                             high_priority=True)
+                                   "lifetime": self.sim.config.binding_lifetime_us})
         self.sim.timer("dmr", self.sim.config.binding_refresh_us,
                        ("bu_refresh", st.epoch))
 
@@ -175,12 +177,12 @@ class BaselineMr:
         self.sim.drop(pkt, "dmr_unhandled")
 
     def on_signal(self, pkt: Packet) -> None:
-        if pkt.signal == SignalKind.RA:
-            self.on_router_advertisement(pkt)
-        elif pkt.signal == SignalKind.NA:
-            self.on_neighbor_advertisement(pkt)
-        elif pkt.signal == SignalKind.BA:
-            self.state.registered = True
+        handler = self.signal_handlers.get(pkt.signal)
+        if handler is not None:
+            handler(pkt)
+
+    def _on_ba(self, pkt: Packet) -> None:
+        self.state.registered = True
 
     def deliver_downstream(self, pkt: Packet) -> None:
         if pkt.inner is not None:

@@ -11,17 +11,6 @@ from .engine import (PACKET_ARRIVAL, SEC, TIMER_EXPIRY, Engine, SimEvent,
                      SimTime)
 from .packets import Packet
 
-# Node roles.
-CN = "CN"
-ER = "ER"
-HA = "HA"
-MAP = "MAP"
-AR = "AR"
-BS = "BS"
-DMR = "DMR"
-MNN = "MNN"
-
-
 def serialization_us(size_bytes: int, bandwidth_bps: int) -> SimTime:
     return math.ceil(size_bytes * 8 * SEC / bandwidth_bps)
 
@@ -32,9 +21,6 @@ class Link:
     b: str
     bandwidth_bps: int
     prop_delay_us: SimTime
-
-    def other(self, node: str) -> str:
-        return self.b if node == self.a else self.a
 
 
 def transmit(link: Link, pkt: Packet, depart: SimTime) -> SimTime:

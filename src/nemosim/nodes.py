@@ -75,23 +75,20 @@ class MapNode(Node):
     def __init__(self, sim, node_id: str, with_agent: bool):
         super().__init__(sim, node_id)
         self.agent = None
+        self.signal_handlers = {}
         if with_agent:
             from .diff_fh import MapAgent
-            self.agent = MapAgent(sim, node_id, self.address)
+            agent = self.agent = MapAgent(sim, node_id, self.address)
+            self.signal_handlers = {SignalKind.FBU: agent.on_fbu,
+                                    SignalKind.HACK: agent.on_hack,
+                                    SignalKind.LBU: agent.on_lbu,
+                                    SignalKind.HI: agent.on_hi_as_new_map}
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.dst == self.address:
-            if self.agent is None or pkt.signal is None:
-                return
-            sig = pkt.signal
-            if sig == SignalKind.FBU:
-                self.agent.on_fbu(pkt)
-            elif sig == SignalKind.HACK:
-                self.agent.on_hack(pkt)
-            elif sig == SignalKind.LBU:
-                self.agent.on_lbu(pkt)
-            elif sig == SignalKind.HI:
-                self.agent.on_hi_as_new_map(pkt)
+            handler = self.signal_handlers.get(pkt.signal)
+            if handler is not None:
+                handler(pkt)
             return
         if self.agent is not None and self.agent.route_hook(pkt):
             return
@@ -112,9 +109,13 @@ class ArNode(Node):
         self.prefix = sim.topo.ar_prefix[node_id]
         self.map_id = sim.topo.ar_to_map[node_id]
         self.nar = None
+        self.signal_handlers = {SignalKind.RS: lambda pkt: self.send_ra(pkt.src),
+                                SignalKind.RT_SOL_PR: self._proxy_advertisement,
+                                SignalKind.NS: self._dad_check}
         if with_nar:
             from .diff_fh import NarAgent
-            self.nar = NarAgent(sim, node_id, self.address)
+            nar = self.nar = NarAgent(sim, node_id, self.address)
+            self.signal_handlers.update({SignalKind.HI: nar.on_hi, SignalKind.FNA: nar.on_fna})
         self._bg_seq = 0
 
     # -- control -------------------------------------------------------------
@@ -128,17 +129,9 @@ class ArNode(Node):
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.dst == self.address:
-            sig = pkt.signal
-            if sig == SignalKind.RS:
-                self.send_ra(pkt.src)
-            elif sig == SignalKind.RT_SOL_PR:
-                self._proxy_advertisement(pkt)
-            elif sig == SignalKind.NS:
-                self._dad_check(pkt)
-            elif sig == SignalKind.HI and self.nar is not None:
-                self.nar.on_hi(pkt)
-            elif sig == SignalKind.FNA and self.nar is not None:
-                self.nar.on_fna(pkt)
+            handler = self.signal_handlers.get(pkt.signal)
+            if handler is not None:
+                handler(pkt)
             return
         if self.nar is not None and self.nar.intercept(pkt):
             return
@@ -225,9 +218,13 @@ class CnNode(Node):
     def __init__(self, sim, node_id: str, with_agent: bool):
         super().__init__(sim, node_id)
         self.agent = None
+        self.signal_handlers = {}
         if with_agent:
             from .diff_nemo import CorrespondentAgent
-            self.agent = CorrespondentAgent(sim, node_id, self.address)
+            agent = self.agent = CorrespondentAgent(sim, node_id, self.address)
+            self.signal_handlers = {SignalKind.HOTI: agent.on_hoti,
+                                    SignalKind.COTI: agent.on_coti,
+                                    SignalKind.BU: agent.on_binding_update}
         self.seq = 0
         self.upstream_received: list[Packet] = []
 
@@ -235,14 +232,10 @@ class CnNode(Node):
         if pkt.dst != self.address:
             self.sim.forward(self.node_id, pkt)
             return
-        if pkt.kind == SIGNAL and self.agent is not None:
-            sig = pkt.signal
-            if sig == SignalKind.HOTI:
-                self.agent.on_hoti(pkt)
-            elif sig == SignalKind.COTI:
-                self.agent.on_coti(pkt)
-            elif sig == SignalKind.BU:
-                self.agent.on_binding_update(pkt)
+        if pkt.kind == SIGNAL:
+            handler = self.signal_handlers.get(pkt.signal)
+            if handler is not None:
+                handler(pkt)
             return
         if pkt.kind == DATA:
             if pkt.home_addr_option is not None:

@@ -8,7 +8,7 @@ from typing import Optional
 
 from .diffserv import AF11, AF21, EF, RedParams, SlaRule
 from .engine import MS, SEC, SimTime
-from .network import AR, BS, CN, DMR, ER, HA, MAP, MNN, Link, MobilityTrack, WirelessCell
+from .network import Link, MobilityTrack, WirelessCell
 from .packets import DATA, SIGNAL, Address, Prefix
 
 PROTO_NEMO_BS = "nemo-bs"
@@ -111,6 +111,15 @@ class ScenarioConfig:
                            ("air_rate_bps", self.air_rate_bps)):
             if value <= 0:
                 raise ConfigError(f"{key} must be positive")
+        # A radius of 0 m or less keeps the router outside every cell, so the
+        # run completes with 100% loss.  A negative load would run as no load,
+        # and a negative lead would fire the trigger with the link-down.
+        if self.cell_radius_m <= 0:
+            raise ConfigError("cell_radius_m must be positive")
+        for key, value in (("background_load_bps", self.background_load_bps),
+                           ("lead_us", self.lead_us)):
+            if value < 0:
+                raise ConfigError(f"{key} must not be negative")
         if self.cbr.interval_us < 1:
             raise ConfigError("cbr.rate_bps is too high: the packet interval rounds to 0 us")
         if self.background_load_bps > 0 and self.bg_interval_us < 1:
@@ -178,7 +187,6 @@ def load_config(path: str) -> ScenarioConfig:
 @dataclass
 class Topology:
     addresses: dict[str, Address]
-    roles: dict[str, str]
     links: list[Link]
     cells: list[WirelessCell]
     bs_to_ar: dict[str, str]
@@ -190,17 +198,8 @@ class Topology:
     hoa: Address
     mnn_addr: Address
 
-    def node_of(self, addr: Address) -> Optional[str]:
-        for node, a in self.addresses.items():
-            if a == addr:
-                return node
-        return None
-
     def bs_of_ar(self, ar: str) -> str:
         return next(bs for bs, a in self.bs_to_ar.items() if a == ar)
-
-    def map_of_bs(self, bs: str) -> str:
-        return self.ar_to_map[self.bs_to_ar[bs]]
 
 
 def default_topology(config: ScenarioConfig) -> Topology:
@@ -217,10 +216,6 @@ def default_topology(config: ScenarioConfig) -> Topology:
         "dmr": Address(1, 1, 1),
         "mnn": Address(1, 1, 2),
     }
-    roles = {"cn": CN, "er": ER, "ha": HA, "map1": MAP, "map2": MAP,
-             "ar1": AR, "ar2": AR, "ar3": AR, "ar4": AR,
-             "bs1": BS, "bs2": BS, "bs3": BS, "bs4": BS,
-             "dmr": DMR, "mnn": MNN}
     links = [
         Link("cn", "er", 100_000_000, 2 * MS),
         Link("ha", "er", 100_000_000, 2 * MS),
@@ -244,7 +239,6 @@ def default_topology(config: ScenarioConfig) -> Topology:
     ]
     return Topology(
         addresses=addresses,
-        roles=roles,
         links=links,
         cells=cells,
         bs_to_ar={"bs1": "ar1", "bs2": "ar2", "bs3": "ar3", "bs4": "ar4"},

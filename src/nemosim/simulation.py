@@ -219,20 +219,16 @@ class Simulation:
             return
         self._sla_for(node_id).classify_and_mark(pkt, self.now)
 
-    def condition_signal(self, node_id: str, pkt: Packet) -> None:
-        pkt.dscp = EF if self.config.qos_enabled() else BE
-
     def make_signal(self, kind: SignalKind, src: Address, dst: Address,
-                    info: Optional[dict] = None, high_priority: bool = False) -> Packet:
+                    info: Optional[dict] = None) -> Packet:
         pkt = new_signal(kind, src, dst, self.now, info=info)
-        self.condition_signal("", pkt)
+        pkt.dscp = EF if self.config.qos_enabled() else BE
         return pkt
 
     def send_signal(self, origin: str, kind: SignalKind, src: Address, dst: Address,
-                    info: Optional[dict] = None, high_priority: bool = False,
-                    encap_to: Optional[Address] = None,
+                    info: Optional[dict] = None, encap_to: Optional[Address] = None,
                     encap_src: Optional[Address] = None) -> None:
-        pkt = self.make_signal(kind, src, dst, info=info, high_priority=high_priority)
+        pkt = self.make_signal(kind, src, dst, info=info)
         if encap_to is not None:
             pkt = encapsulate(pkt, encap_src or src, encap_to, dscp=pkt.dscp)
         self.send_signal_packet(origin, pkt)

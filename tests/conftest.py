@@ -26,11 +26,11 @@ class FakeSim:
     def timer(self, node_id, delay, token):
         self.timers.append((node_id, delay, token))
 
-    def send_signal(self, origin, kind, src, dst, info=None, high_priority=False,
-                    encap_to=None, encap_src=None):
+    def send_signal(self, origin, kind, src, dst, info=None, encap_to=None,
+                    encap_src=None):
         self.sent_signals.append((origin, kind, src, dst, info, encap_to))
 
-    def make_signal(self, kind, src, dst, info=None, high_priority=False):
+    def make_signal(self, kind, src, dst, info=None):
         return make_signal(kind, src, dst, self.now, info=info)
 
     def send_signal_packet(self, origin, pkt):
@@ -52,9 +52,6 @@ class FakeSim:
         self.dropped.append((pkt, where))
 
     def condition_data(self, node_id, pkt):
-        pass
-
-    def condition_signal(self, node_id, pkt):
         pass
 
     def dad_collides(self, handover, attempt):

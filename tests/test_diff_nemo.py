@@ -2,7 +2,8 @@
 
 import pytest
 
-from nemosim.diff_nemo import CorrespondentAgent, ProxyDmr, RrExchange
+from nemosim import fsm
+from nemosim.diff_nemo import CorrespondentAgent, ProxyDmr, Registration
 from nemosim.engine import SEC
 from nemosim.nemo_bs import MrState
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
@@ -32,10 +33,18 @@ def token_signal(kind, token):
     return make_signal(kind, CN, HOA, t=0, info={"token": token})
 
 
-def test_registration_triggers_return_routability(fake_sim):
+def registered_proxy(fake_sim):
+    """A proxy whose home binding update has just been acknowledged."""
     proxy = make_proxy(fake_sim)
+    proxy.send_binding_update()
     proxy.on_signal(ba_from_ha())
+    return proxy
+
+
+def test_registration_triggers_return_routability(fake_sim):
+    proxy = registered_proxy(fake_sim)
     assert proxy.state.registered
+    assert [s[3] for s in fake_sim.signals_of(SignalKind.BU)] == [HA_ADDR]
     hoti = fake_sim.signals_of(SignalKind.HOTI)
     coti = fake_sim.signals_of(SignalKind.COTI)
     assert len(hoti) == 1 and len(coti) == 1
@@ -43,30 +52,53 @@ def test_registration_triggers_return_routability(fake_sim):
     assert coti[0][5] is None           # direct
 
 
+def cn_binding_updates(fake_sim):
+    return [s for s in fake_sim.signals_of(SignalKind.BU) if s[3] == CN]
+
+
 def test_tokens_complete_exchange_and_register_with_cn(fake_sim):
-    proxy = make_proxy(fake_sim)
-    proxy.on_signal(ba_from_ha())
+    proxy = registered_proxy(fake_sim)
     proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
     proxy.on_signal(token_signal(SignalKind.NPT, ("npt", HOA, 2)))
-    assert not proxy.rr.ready
+    assert proxy.reg.state == fsm.rr_state(frozenset("hn"))
+    assert not cn_binding_updates(fake_sim)
     proxy.on_signal(token_signal(SignalKind.COT, ("cot", COA, 3)))
-    assert proxy.rr.ready
-    bu = fake_sim.signals_of(SignalKind.BU)
-    assert len(bu) == 1 and bu[0][3] == CN
+    assert proxy.reg.state == fsm.REG_SENT_BU_CN
+    bu = cn_binding_updates(fake_sim)
+    assert len(bu) == 1 and bu[0][2] == COA
     assert bu[0][4]["tokens"] == {"hot": ("hot", HOA, 1), "cot": ("cot", COA, 3),
                                   "npt": ("npt", HOA, 2)}
 
 
-def test_rr_exchange_state_labels():
-    rr = RrExchange()
-    assert rr.state == "Idle"
-    rr.sent = True
-    assert rr.state == "SentHoTI_CoTI"
-    rr.tokens["hot"] = 1
-    assert rr.state == "GotHoT"
-    rr.tokens["cot"] = 2
-    rr.tokens["npt"] = 3
-    assert rr.state == "Ready"
+def test_exhausted_retries_fall_back_and_ignore_late_tokens(fake_sim):
+    proxy = registered_proxy(fake_sim)
+    for retries in range(fake_sim.config.rr_retries):
+        proxy.on_timer(("rr_timeout", 1, retries))
+        assert len(fake_sim.signals_of(SignalKind.HOTI)) == retries + 2
+    proxy.on_timer(("rr_timeout", 1, fake_sim.config.rr_retries))
+    assert proxy.reg.state == fsm.REG_FALLBACK
+    assert len(fake_sim.signals_of(SignalKind.HOTI)) == fake_sim.config.rr_retries + 1
+    proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
+    proxy.on_signal(token_signal(SignalKind.COT, ("cot", COA, 2)))
+    proxy.on_signal(token_signal(SignalKind.NPT, ("npt", HOA, 3)))
+    assert proxy.reg.state == fsm.REG_FALLBACK
+    assert not cn_binding_updates(fake_sim)
+
+
+def test_home_refresh_after_done_reruns_return_routability(fake_sim):
+    proxy = registered_proxy(fake_sim)
+    for kind, token in ((SignalKind.HOT, 1), (SignalKind.COT, 2), (SignalKind.NPT, 3)):
+        proxy.on_signal(token_signal(kind, token))
+    proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0, info={"hoa": HOA, "from": "cn"}))
+    assert proxy.reg.state == fsm.REG_DONE and proxy.cn_bound_coa == COA
+    assert len(fake_sim.signals_of(SignalKind.HOTI)) == 1
+    proxy.on_timer(("bu_refresh", proxy.state.epoch))
+    proxy.on_signal(ba_from_ha())
+    hoti = fake_sim.signals_of(SignalKind.HOTI)
+    coti = fake_sim.signals_of(SignalKind.COTI)
+    assert len(hoti) == 2 and len(coti) == 2
+    assert hoti[1][5] == HA_ADDR and coti[1][5] is None
+    assert ("rr_timeout", 2, 0) in [t[2] for t in fake_sim.timers]
 
 
 def test_correspondent_issues_tokens_and_accepts_fresh_binding(fake_sim):
@@ -174,30 +206,27 @@ def test_tunnel_overhead_disappears_after_registration():
     assert min(pre) > max(post)
 
 
-def test_rr_probe_routing_home_leg_vs_direct_leg():
+def test_rr_probe_routing_home_leg_vs_direct_leg(monkeypatch):
     """Home tests ride the anchor tunnel; care-of tests go straight across."""
+    # Nodes bind their signal handlers when built, so spy on the classes first.
+    paths = {}
+    def spy(cls, name, label):
+        orig = getattr(cls, name)
+        def wrapper(self, pkt):
+            paths.setdefault(label(pkt), list(pkt.path_log))
+            orig(self, pkt)
+        monkeypatch.setattr(cls, name, wrapper)
+    spy(CorrespondentAgent, "on_hoti", lambda p: "hoti")
+    spy(CorrespondentAgent, "on_coti", lambda p: "coti")
+    spy(Registration, "on_token", lambda p: Registration.TOKEN_EVENTS[p.signal][0])
+
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=25 * SEC)
     cfg.cbr.stop_us = 25 * SEC
-    sim = Simulation(cfg)
-    agent = sim.nodes["cn"].agent
-    cn_paths = {}
-    orig_hoti, orig_coti = agent.on_hoti, agent.on_coti
-    agent.on_hoti = lambda p: (cn_paths.setdefault("hoti", list(p.path_log)), orig_hoti(p))
-    agent.on_coti = lambda p: (cn_paths.setdefault("coti", list(p.path_log)), orig_coti(p))
-
-    proto = sim.nodes["dmr"].proto
-    dmr_paths = {}
-    orig_collect = proto._collect
-    def spy_collect(kind, pkt):
-        dmr_paths.setdefault(kind, list(pkt.path_log))
-        orig_collect(kind, pkt)
-    proto._collect = spy_collect
-
-    sim.run()
-    assert "ha" in cn_paths["hoti"]
-    assert "ha" not in cn_paths["coti"]
-    assert "ha" in dmr_paths["hot"] and "ha" in dmr_paths["npt"]
-    assert "ha" not in dmr_paths["cot"]
+    Simulation(cfg).run()
+    assert "ha" in paths["hoti"]
+    assert "ha" not in paths["coti"]
+    assert "ha" in paths["hot"] and "ha" in paths["npt"]
+    assert "ha" not in paths["cot"]
 
 
 def test_upstream_direct_and_transparent_once_bound():

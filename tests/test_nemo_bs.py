@@ -140,6 +140,21 @@ def test_every_baseline_delivery_traverses_the_home_agent():
     assert all("ha" in d.path for d in sim.metrics.deliveries)
 
 
+def test_access_router_answers_colliding_dad_probe():
+    """The access router answers a colliding probe with an NA, and the router
+    retries with the next node component."""
+    from nemosim.scenario import FaultConfig, ScenarioConfig
+    from nemosim.simulation import Simulation
+    cfg = ScenarioConfig(protocol="nemo-bs", sim_end_us=25 * SEC,
+                         faults=FaultConfig(dad_collision_handovers=(0,)))
+    cfg.cbr.stop_us = 25 * SEC
+    sim = Simulation(cfg)
+    sim.run()
+    state = sim.nodes["dmr"].proto.state
+    assert state.node_component == 101
+    assert state.coa == state.current_prefix.address(101)
+
+
 def test_stale_binding_during_handover_loses_at_old_station():
     from nemosim.scenario import ScenarioConfig
     from nemosim.simulation import Simulation

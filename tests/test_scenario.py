@@ -50,8 +50,9 @@ def test_cbr_window_must_fit_run():
         config_from_dict({"sim_end_us": 30 * SEC})   # default stop at 200 s
 
 
-# Each of these would hang (a source rescheduling itself at +0 us) or divide
-# by zero mid-run; validation must reject them before any event is scheduled.
+# Each of these would hang (a source rescheduling itself at +0 us), divide by
+# zero mid-run, or run silently to a meaningless result (100% loss, no load);
+# validation must reject them before any event is scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -59,6 +60,9 @@ def test_cbr_window_must_fit_run():
     ({"cbr": {"rate_bps": 10 ** 12}}, "cbr.rate_bps"),
     ({"cbr": {"packet_bytes": 0}}, "cbr.packet_bytes"),
     ({"air_rate_bps": 0}, "air_rate_bps"),
+    ({"cell_radius_m": -5}, "cell_radius_m"),
+    ({"background_load_bps": -1}, "background_load_bps"),
+    ({"lead_us": -1}, "lead_us"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
