@@ -2,9 +2,11 @@
 configuration, forwarding tunnels into the new access router, and buffering
 there until the mobile router announces itself on the new link.
 
-The signal choreography lives in the pure machines of `fsm`; the classes here
-interpret emitted actions against the topology and keep the mutable state
-(bindings, buffers, pending addresses)."""
+The signal choreography lives in the pure machines of `fsm`.  `_drive` steps
+them, and each agent's `_perform` carries the emitted actions out against the
+topology and the mutable state (bindings, buffers, pending addresses).  The
+anchor and the new access router keep the `info` of the signal that opened a
+handover as its context; the mobile router keeps an `FhHandoverCtx`."""
 
 from __future__ import annotations
 
@@ -15,9 +17,23 @@ from typing import Optional
 from . import fsm
 from .engine import SimTime
 from .diff_nemo import Registration
-from .fsm import DmrState, FsmEvent, MapState, NarState, NewMapState, fsm_step
+from .fsm import (ROLE_DMR, ROLE_MAP, ROLE_NAR, ROLE_NEW_MAP, DmrState, FsmEvent,
+                  MapState, NarState, NewMapState, fsm_step)
 from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind,
                       apply_type2_routing, decapsulate, encapsulate)
+
+
+def _drive(agent, role: str, attr: str, event: FsmEvent) -> None:
+    """Step the `role` machine whose state `agent.<attr>` holds.  The new state
+    is stored first; each `Unexpected` is counted, every other action goes to
+    `agent._perform`."""
+    state, actions = fsm_step(role, getattr(agent, attr), event)
+    setattr(agent, attr, state)
+    for action in actions:
+        if isinstance(action, fsm.Unexpected):
+            agent.sim.metrics.unexpected_signals += 1
+        else:
+            agent._perform(action)
 
 
 @dataclass
@@ -33,7 +49,7 @@ class MapBinding:
 
 @dataclass
 class FhHandoverCtx:
-    """Per-handover context shared between the machine and its interpreter."""
+    """The mobile router's addresses and progress for one handover."""
 
     handover_index: int
     old_bs: Optional[str] = None
@@ -60,32 +76,30 @@ class MapAgent:
         self.bindings: dict[Address, MapBinding] = {}
         self.divert: dict[Address, tuple[Address, str]] = {}   # plcoa -> (nlcoa, nar)
         self.fh_state: MapState = MapState.IDLE
-        self.fh_ctx: Optional[dict] = None
+        self.fh_ctx: Optional[dict] = None           # the FBU's info
         self.newmap_state: NewMapState = NewMapState.IDLE
-        self.newmap_pending: Optional[dict] = None
+        self.newmap_pending: Optional[dict] = None   # the relayed HI's info
 
     # -- signals -------------------------------------------------------------
     def on_fbu(self, pkt: Packet) -> None:
         info = pkt.info
         kind = fsm.EV_FBU_VIA_NAR if info.get("relayed_by_nar") else fsm.EV_FBU
         if self.fh_ctx is None or self.fh_ctx["nlcoa"] != info["nlcoa"]:
-            self.fh_ctx = {"plcoa": info["plcoa"], "nlcoa": info["nlcoa"],
-                           "nar": info["nar"], "macro": info["macro"],
-                           "new_map": info.get("new_map"),
-                           "nrcoa": info.get("nrcoa")}
+            self.fh_ctx = info
             self.fh_state = MapState.IDLE
-        self._step(FsmEvent(kind, macro=self.fh_ctx["macro"]))
+        _drive(self, ROLE_MAP, "fh_state", FsmEvent(kind, macro=self.fh_ctx["macro"]))
 
     def on_hack(self, pkt: Packet) -> None:
         src = pkt.info.get("from_role", "nar")
         kind = fsm.EV_HACK_NAR if src == "nar" else fsm.EV_HACK_NEW_MAP
-        self._step(FsmEvent(kind, macro=self.fh_ctx["macro"] if self.fh_ctx else False))
+        macro = self.fh_ctx["macro"] if self.fh_ctx else False
+        _drive(self, ROLE_MAP, "fh_state", FsmEvent(kind, macro=macro))
 
     def on_lbu(self, pkt: Packet) -> None:
         info = pkt.info
         if info.get("teardown"):
             self.bindings.pop(info["old_rcoa"], None)
-            self._step(FsmEvent(fsm.EV_LBU_CUT, relayed=True))
+            _drive(self, ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT, relayed=True))
             return
         self.bindings[info["rcoa"]] = MapBinding(
             rcoa=info["rcoa"], lcoa=info["lcoa"], mnp=info["mnp"],
@@ -100,56 +114,44 @@ class MapAgent:
                                  self.sim.topo.addresses[old_map],
                                  info={"teardown": True, "old_rcoa": info["old_rcoa"]})
         elif self.fh_ctx is not None:
-            self._step(FsmEvent(fsm.EV_LBU_CUT))
+            _drive(self, ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
 
     def on_hi_as_new_map(self, pkt: Packet) -> None:
-        self.newmap_pending = dict(pkt.info)
-        self.newmap_state, actions = fsm_step(fsm.ROLE_NEW_MAP, self.newmap_state,
-                                              FsmEvent(fsm.EV_HI, macro=True))
-        for action in actions:
-            if isinstance(action, fsm.StartTimer):
-                self.sim.timer(self.node_id, self.sim.config.dad_rcoa_us, ("rcoa_dad",))
+        self.newmap_pending = pkt.info
+        _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_HI, macro=True))
 
     def on_timer(self, token) -> None:
         if token[0] == "rcoa_dad":
-            self.newmap_state, actions = fsm_step(fsm.ROLE_NEW_MAP, self.newmap_state,
-                                                  FsmEvent(fsm.EV_DAD_OK))
-            info = self.newmap_pending or {}
-            for action in actions:
-                if isinstance(action, fsm.Emit) and action.signal == SignalKind.HACK:
-                    dest = info.get("old_map") if action.dest == fsm.DEST_OLD_MAP else info.get("nar")
-                    if dest:
-                        self.sim.send_signal(self.node_id, SignalKind.HACK, self.address,
-                                             self.sim.topo.addresses[dest],
-                                             info={"from_role": "new_map"})
+            _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_DAD_OK))
             self.newmap_state = NewMapState.IDLE
             self.newmap_pending = None
 
-    def _step(self, event: FsmEvent) -> None:
-        self.fh_state, actions = fsm_step(fsm.ROLE_MAP, self.fh_state, event)
-        ctx = self.fh_ctx
-        for action in actions:
-            if isinstance(action, fsm.Do) and action.op == "install_forwarding" and ctx:
+    def _perform(self, action) -> None:
+        sim, ctx = self.sim, self.fh_ctx
+        match action:
+            case fsm.Do("install_forwarding"):
                 self.divert[ctx["plcoa"]] = (ctx["nlcoa"], ctx["nar"])
-            elif isinstance(action, fsm.Do) and action.op == "remove_forwarding" and ctx:
+            case fsm.Do("remove_forwarding"):
                 self.divert.pop(ctx["plcoa"], None)
                 self.fh_ctx = None
                 self.fh_state = MapState.IDLE
-            elif isinstance(action, fsm.Emit) and action.signal == SignalKind.HI and ctx:
-                self.sim.send_signal(self.node_id, SignalKind.HI, self.address,
-                                     self.sim.topo.addresses[ctx["nar"]],
-                                     info={"plcoa": ctx["plcoa"], "nlcoa": ctx["nlcoa"],
-                                           "macro": ctx["macro"], "old_map": self.node_id,
-                                           "new_map": ctx.get("new_map"),
-                                           "nar": ctx["nar"]})
-            elif isinstance(action, fsm.Emit) and action.signal == SignalKind.FBACK and ctx:
+            case fsm.Emit(SignalKind.HI):
+                sim.send_signal(self.node_id, SignalKind.HI, self.address,
+                                sim.topo.addresses[ctx["nar"]],
+                                info={**ctx, "old_map": self.node_id})
+            case fsm.Emit(SignalKind.FBACK):
                 # Acknowledge over both the previous and the prospective path.
-                self.sim.send_signal(self.node_id, SignalKind.FBACK, self.address,
-                                     ctx["plcoa"], info={"nlcoa": ctx["nlcoa"]})
-                self.sim.send_signal(self.node_id, SignalKind.FBACK, self.address,
-                                     ctx["nlcoa"], info={"nlcoa": ctx["nlcoa"]})
-            elif isinstance(action, fsm.Unexpected):
-                self.sim.metrics.unexpected_signals += 1
+                for dst in (ctx["plcoa"], ctx["nlcoa"]):
+                    sim.send_signal(self.node_id, SignalKind.FBACK, self.address, dst,
+                                    info={"nlcoa": ctx["nlcoa"]})
+            # The new-anchor machine: verify the regional address, then answer
+            # the previous anchor and the new access router.
+            case fsm.StartTimer():
+                sim.timer(self.node_id, sim.config.dad_rcoa_us, ("rcoa_dad",))
+            case fsm.Emit(SignalKind.HACK, dest):
+                peer = self.newmap_pending["old_map" if dest == fsm.DEST_OLD_MAP else "nar"]
+                sim.send_signal(self.node_id, SignalKind.HACK, self.address,
+                                sim.topo.addresses[peer], info={"from_role": "new_map"})
 
     # -- data plane ----------------------------------------------------------
     def route_hook(self, pkt: Packet) -> bool:
@@ -184,77 +186,58 @@ class NarAgent:
         self.node_id = node_id
         self.address = address
         self.state: NarState = NarState.IDLE
-        self.ctx: Optional[dict] = None
+        self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
+        self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
         self.buffer: list[Packet] = []
 
     def on_hi(self, pkt: Packet) -> None:
-        self.ctx = dict(pkt.info)
+        self.ctx = pkt.info
         self.state = NarState.IDLE
-        self._step(FsmEvent(fsm.EV_HI, macro=pkt.info["macro"]))
+        _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_HI, macro=pkt.info["macro"]))
 
     def on_fna(self, pkt: Packet) -> None:
-        if pkt.inner is not None:
-            info = pkt.info or {}
-            collision = self.sim.fna_collides(info.get("handover", -1),
-                                              info.get("attempt", 0))
-            if self.ctx is None:
-                self.ctx = {"nlcoa": pkt.inner.info["nlcoa"],
-                            "plcoa": pkt.inner.info["plcoa"],
-                            "old_map": pkt.inner.info.get("old_map"),
-                            "macro": pkt.inner.info.get("macro", False)}
-            self._step(FsmEvent(fsm.EV_FNA_FBU, collision=collision), fbu=pkt.inner)
-        else:
-            self._step(FsmEvent(fsm.EV_FNA_RS))
+        self.fbu = pkt.inner
+        if self.fbu is None:
+            _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_RS))
+            return
+        info = pkt.info or {}
+        collision = self.sim.fna_collides(info.get("handover", -1), info.get("attempt", 0))
+        if self.ctx is None:
+            self.ctx = self.fbu.info
+        _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_FBU, collision=collision))
 
     def on_timer(self, token) -> None:
         if token[0] == "nar_dad":
-            self._step(FsmEvent(fsm.EV_DAD_OK))
+            _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_DAD_OK))
 
-    def _step(self, event: FsmEvent, fbu: Optional[Packet] = None) -> None:
-        self.state, actions = fsm_step(fsm.ROLE_NAR, self.state, event)
-        ctx = self.ctx or {}
-        for action in actions:
-            if isinstance(action, fsm.StartTimer):
-                self.sim.timer(self.node_id, self.sim.config.dad_fast_us, ("nar_dad",))
-            elif isinstance(action, fsm.Do) and action.op == "relay_hi":
-                new_map = ctx.get("new_map")
-                if new_map:
-                    self.sim.send_signal(self.node_id, SignalKind.HI, self.address,
-                                         self.sim.topo.addresses[new_map],
-                                         info={"old_map": ctx.get("old_map"),
-                                               "nar": self.node_id,
-                                               "nrcoa": ctx.get("nrcoa")})
-            elif isinstance(action, fsm.Do) and action.op == "flush_buffer":
+    def _perform(self, action) -> None:
+        sim, ctx = self.sim, self.ctx
+        match action:
+            case fsm.StartTimer():
+                sim.timer(self.node_id, sim.config.dad_fast_us, ("nar_dad",))
+            case fsm.Emit(SignalKind.NS):
+                bs = sim.topo.bs_of_ar(self.node_id)
+                sim.send_signal(self.node_id, SignalKind.NS, self.address,
+                                sim.topo.addresses[bs], info={"tentative": ctx["nlcoa"]})
+            case fsm.Do("relay_hi"):
+                sim.send_signal(self.node_id, SignalKind.HI, self.address,
+                                sim.topo.addresses[ctx["new_map"]], info=ctx)
+            case fsm.Emit(SignalKind.HACK):
+                sim.send_signal(self.node_id, SignalKind.HACK, self.address,
+                                sim.topo.addresses[ctx["old_map"]], info={"from_role": "nar"})
+            case fsm.Do("flush_buffer"):
                 for buffered in self.buffer:
-                    self.sim.forward(self.node_id, buffered)
+                    sim.forward(self.node_id, buffered)
                 self.buffer.clear()
-            elif isinstance(action, fsm.Do) and action.op == "forward_fbu" and fbu is not None:
-                relayed = dataclasses.replace(fbu, info={**fbu.info, "relayed_by_nar": True})
-                self.sim.forward(self.node_id, relayed)
-            elif isinstance(action, fsm.Emit):
-                self._emit(action, ctx)
-            elif isinstance(action, fsm.Unexpected):
-                self.sim.metrics.unexpected_signals += 1
-
-    def _emit(self, action: fsm.Emit, ctx: dict) -> None:
-        sig = action.signal
-        if sig == SignalKind.NS:
-            bs = self.sim.topo.bs_of_ar(self.node_id)
-            self.sim.send_signal(self.node_id, SignalKind.NS, self.address,
-                                 self.sim.topo.addresses[bs],
-                                 info={"tentative": ctx.get("nlcoa")})
-        elif sig == SignalKind.HACK and ctx.get("old_map"):
-            self.sim.send_signal(self.node_id, SignalKind.HACK, self.address,
-                                 self.sim.topo.addresses[ctx["old_map"]],
-                                 info={"from_role": "nar"})
-        elif sig == SignalKind.NAACK:
-            alternative = ctx["nlcoa"]
-            alternative = Address(alternative.domain, alternative.site, alternative.node + 1)
-            self.sim.send_signal(self.node_id, SignalKind.NAACK, self.address,
-                                 ctx["nlcoa"], info={"alternative": alternative})
-        elif sig == SignalKind.NA:
-            self.sim.send_signal(self.node_id, SignalKind.NA, self.address,
-                                 ctx.get("nlcoa") or self.address, info={})
+            case fsm.Do("forward_fbu"):
+                relayed = dataclasses.replace(self.fbu, info={**self.fbu.info,
+                                                              "relayed_by_nar": True})
+                sim.forward(self.node_id, relayed)
+            case fsm.Emit(SignalKind.NAACK):
+                nlcoa = ctx["nlcoa"]
+                alternative = Address(nlcoa.domain, nlcoa.site, nlcoa.node + 1)
+                sim.send_signal(self.node_id, SignalKind.NAACK, self.address, nlcoa,
+                                info={"alternative": alternative})
 
     def intercept(self, pkt: Packet) -> bool:
         """Hold packets for the pre-configured address until the flush."""
@@ -274,6 +257,9 @@ class FhDmr:
     """Mobile-router side of the fast hierarchical scheme."""
 
     RR_TIMEOUT = "fh_rr_timeout"
+    # ("fh", name, epoch) timers: the machine's timer name -> the event it fires.
+    FH_TIMER_EVENTS = {"fbu_delay": fsm.EV_FBU_TIMER, "lbu_gap": fsm.EV_LBU_TIMER,
+                       "fbu_retx": fsm.EV_FBU_RETX_TIMER}
 
     def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address):
         self.sim = sim
@@ -363,42 +349,46 @@ class FhDmr:
 
     # -- machine interpretation ------------------------------------------------
     def _step(self, event: FsmEvent) -> None:
-        self.fsm_state, actions = fsm_step(fsm.ROLE_DMR, self.fsm_state, event)
-        for action in actions:
-            self._apply(action)
+        _drive(self, ROLE_DMR, "fsm_state", event)
 
-    def _apply(self, action) -> None:
-        cfg = self.sim.config
-        ctx = self.ctx
-        if isinstance(action, fsm.Emit):
-            sig = action.signal
-            if sig == SignalKind.RT_SOL_PR:
-                oar = self.sim.topo.bs_to_ar[ctx.old_bs]
-                self.sim.send_signal("dmr", SignalKind.RT_SOL_PR, self.lcoa,
-                                     self.sim.topo.addresses[oar],
-                                     info={"target_bs": ctx.new_bs})
-            elif sig == SignalKind.FBU:
+    def _perform(self, action) -> None:
+        sim, ctx = self.sim, self.ctx
+        match action:
+            case fsm.Emit(SignalKind.RT_SOL_PR):
+                oar = sim.topo.bs_to_ar[ctx.old_bs]
+                sim.send_signal("dmr", SignalKind.RT_SOL_PR, self.lcoa,
+                                sim.topo.addresses[oar], info={"target_bs": ctx.new_bs})
+            case fsm.Emit(SignalKind.FBU):
                 ctx.fbu_sent = True
-                self.sim.send_signal("dmr", SignalKind.FBU, self.lcoa,
-                                     self.sim.topo.addresses[ctx.old_map],
-                                     info=self._fbu_info())
-            elif sig == SignalKind.RS:
-                self.sim.send_signal("dmr", SignalKind.RS, self.lcoa,
-                                     self.sim.topo.addresses[ctx.nar])
-            elif sig == SignalKind.FNA:
-                self.sim.send_signal("dmr", SignalKind.FNA, self.lcoa,
-                                     self.sim.topo.addresses[ctx.nar],
-                                     info={"nlcoa": self.lcoa})
-            elif sig == SignalKind.LBU:
-                self._send_lbu()
-        elif isinstance(action, fsm.StartTimer):
-            delay = {"fbu_delay": cfg.fbu_delay_us, "lbu_gap": cfg.lbu_gap_us,
-                     "fbu_retx": cfg.fbu_retx_us}[action.name]
-            self.sim.timer("dmr", delay, ("fh", action.name, self.epoch))
-        elif isinstance(action, fsm.Do):
-            self._do(action.op)
-        elif isinstance(action, fsm.Unexpected):
-            self.sim.metrics.unexpected_signals += 1
+                sim.send_signal("dmr", SignalKind.FBU, self.lcoa,
+                                sim.topo.addresses[ctx.old_map], info=self._fbu_info())
+            case fsm.Emit(SignalKind.RS):
+                sim.send_signal("dmr", SignalKind.RS, self.lcoa, sim.topo.addresses[ctx.nar])
+            case fsm.Emit(SignalKind.FNA):
+                sim.send_signal("dmr", SignalKind.FNA, self.lcoa, sim.topo.addresses[ctx.nar],
+                                info={"nlcoa": self.lcoa})
+            case fsm.Emit(SignalKind.LBU):
+                old_rcoa = self.rcoa
+                if ctx.macro:
+                    self.prev_rcoa, self.rcoa, self.serving_map = self.rcoa, ctx.nrcoa, ctx.new_map
+                self._send_lbu_to_serving_map(ctx.old_map, old_rcoa)
+            case fsm.StartTimer(name):
+                delay = {"fbu_delay": sim.config.fbu_delay_us, "lbu_gap": sim.config.lbu_gap_us,
+                         "fbu_retx": sim.config.fbu_retx_us}[name]
+                sim.timer("dmr", delay, ("fh", name, self.epoch))
+            case fsm.Do("send_fna_with_fbu"):
+                fbu = sim.make_signal(SignalKind.FBU, self.lcoa,
+                                      sim.topo.addresses[ctx.old_map], info=self._fbu_info())
+                ctx.fbu_sent = True
+                fna = Packet(src=self.lcoa, dst=sim.topo.addresses[ctx.nar],
+                             size_bytes=fbu.size_bytes + 40, kind=SIGNAL, dscp=fbu.dscp,
+                             signal=SignalKind.FNA, inner=fbu, created_at=sim.now,
+                             info={"handover": ctx.handover_index, "attempt": ctx.fna_attempt})
+                sim.send_signal_packet("dmr", fna)
+            case fsm.Do("adopt_alternative"):
+                ctx.fna_attempt += 1
+            case fsm.Do("start_macro_registration"):
+                self.reg.start()
 
     def _fbu_info(self) -> dict:
         ctx = self.ctx
@@ -407,22 +397,14 @@ class FhDmr:
                 "nrcoa": ctx.nrcoa, "hoa": self.hoa,
                 "handover": ctx.handover_index, "attempt": ctx.fna_attempt}
 
-    def _do(self, op: str) -> None:
+    def _configure_ncoa(self, map_id: str, ar_prefix: Prefix, map_prefix: Prefix) -> None:
+        """Pre-configure the next addresses; a different anchor makes the move macro."""
         ctx = self.ctx
-        if op == "send_fna_with_fbu":
-            fbu = self.sim.make_signal(SignalKind.FBU, self.lcoa,
-                                       self.sim.topo.addresses[ctx.old_map],
-                                       info=self._fbu_info())
-            ctx.fbu_sent = True
-            fna = Packet(src=self.lcoa, dst=self.sim.topo.addresses[ctx.nar],
-                         size_bytes=fbu.size_bytes + 40, kind=SIGNAL, dscp=fbu.dscp,
-                         signal=SignalKind.FNA, inner=fbu, created_at=self.sim.now,
-                         info={"handover": ctx.handover_index, "attempt": ctx.fna_attempt})
-            self.sim.send_signal_packet("dmr", fna)
-        elif op == "adopt_alternative":
-            ctx.fna_attempt += 1
-        elif op == "start_macro_registration":
-            self.reg.start()
+        ctx.macro = map_id != self.serving_map
+        ctx.new_map = map_id if ctx.macro else None
+        ctx.nlcoa = ar_prefix.address(self.node_component)
+        if ctx.macro:
+            ctx.nrcoa = map_prefix.address(self.node_component)
 
     # -- signal handling -------------------------------------------------------
     def on_signal(self, pkt: Packet) -> None:
@@ -438,11 +420,7 @@ class FhDmr:
         info = pkt.info
         if info["nar_prefix"].matches(self.lcoa):
             return  # advertisement for the current attachment; nothing moves
-        ctx.macro = info["nar_map"] != self.serving_map
-        ctx.new_map = info["nar_map"] if ctx.macro else None
-        ctx.nlcoa = info["nar_prefix"].address(self.node_component)
-        if ctx.macro:
-            ctx.nrcoa = info["nar_map_prefix"].address(self.node_component)
+        self._configure_ncoa(info["nar_map"], info["nar_prefix"], info["nar_map_prefix"])
         self._step(FsmEvent(fsm.EV_PRRTADV, macro=ctx.macro))
 
     def on_router_advertisement(self, pkt: Packet) -> None:
@@ -463,14 +441,9 @@ class FhDmr:
                            ("initial_dad", self.epoch, tentative_lcoa, tentative_rcoa))
             return
         if self.ctx is not None and self.fsm_state == DmrState.REACTIVE_ATTACH:
-            ctx = self.ctx
-            ctx.macro = info["map_id"] != self.serving_map
-            ctx.new_map = info["map_id"] if ctx.macro else None
-            ctx.nlcoa = prefix.address(self.node_component)
-            if ctx.macro:
-                ctx.nrcoa = info["map_prefix"].address(self.node_component)
+            self._configure_ncoa(info["map_id"], prefix, info["map_prefix"])
             self._promote_lcoa()
-            self._step(FsmEvent(fsm.EV_RA, macro=ctx.macro))
+            self._step(FsmEvent(fsm.EV_RA, macro=self.ctx.macro))
 
     def _on_fback(self, pkt: Packet) -> None:
         if self.ctx is not None:
@@ -484,15 +457,6 @@ class FhDmr:
         self.node_component = pkt.info["alternative"].node
         self._promote_lcoa()
         self._step(FsmEvent(fsm.EV_NAACK))
-
-    def _send_lbu(self) -> None:
-        ctx = self.ctx
-        old_rcoa = self.rcoa
-        if ctx.macro:
-            self.prev_rcoa = self.rcoa
-            self.rcoa = ctx.nrcoa
-            self.serving_map = ctx.new_map
-        self._send_lbu_to_serving_map(ctx.old_map, old_rcoa)
 
     def _send_lbu_to_serving_map(self, old_map: Optional[str],
                                  old_rcoa: Optional[Address]) -> None:
@@ -508,8 +472,7 @@ class FhDmr:
             if self.reg.seq == 0:
                 self.reg.start()
             return
-        macro = self.ctx.macro
-        self._step(FsmEvent(fsm.EV_LBACK, macro=macro))
+        self._step(FsmEvent(fsm.EV_LBACK, macro=self.ctx.macro))
         if self.fsm_state == DmrState.COMPLETE:
             self.ctx = None
             self.fsm_state = DmrState.IDLE
@@ -523,15 +486,9 @@ class FhDmr:
     def on_timer(self, token) -> None:
         name = token[0]
         if name == "fh":
-            _, timer_name, epoch = token
-            if timer_name == "fbu_delay":
-                self._step(FsmEvent(fsm.EV_FBU_TIMER))
-            elif timer_name == "lbu_gap":
-                self._step(FsmEvent(fsm.EV_LBU_TIMER,
-                                    macro=self.ctx.macro if self.ctx else False))
-            elif timer_name == "fbu_retx":
-                if self.ctx is not None and not self.ctx.fback_received:
-                    self._step(FsmEvent(fsm.EV_FBU_RETX_TIMER))
+            # A retransmission timer lapses once the acknowledgement is in.
+            if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx.fback_received):
+                self._step(FsmEvent(self.FH_TIMER_EVENTS[token[1]]))
         elif name == "initial_dad":
             _, epoch, lcoa, rcoa = token
             if self.lcoa is not None:

@@ -13,18 +13,15 @@ import dataclasses
 from typing import Callable, Optional
 
 from . import fsm
-from .nemo_bs import BaselineMr, BindingCacheEntry, MrState
+from .nemo_bs import BaselineMr, BindingCacheAgent, MrState
 from .packets import Address, Packet, Prefix, SignalKind, apply_type2_routing
 
 
-class CorrespondentAgent:
+class CorrespondentAgent(BindingCacheAgent):
     """Correspondent-side binding cache gated by return-routability tokens."""
 
     def __init__(self, sim, node_id: str, address: Address):
-        self.sim = sim
-        self.node_id = node_id
-        self.address = address
-        self.cache: dict[Address, BindingCacheEntry] = {}
+        super().__init__(sim, node_id, address)
         self.issued: dict[Address, dict] = {}
         self.bound_at: list = []
         self._nonce = 0
@@ -32,12 +29,6 @@ class CorrespondentAgent:
     def _token(self, kind: str, addr: Address) -> tuple:
         self._nonce += 1
         return (kind, addr, self._nonce)
-
-    def binding_for(self, dst: Address) -> Optional[BindingCacheEntry]:
-        for entry in self.cache.values():
-            if entry.covers(dst) and entry.live(self.sim.now):
-                return entry
-        return None
 
     def on_hoti(self, pkt: Packet) -> None:
         hoa = pkt.src
@@ -63,9 +54,7 @@ class CorrespondentAgent:
         if not self._tokens_valid(hoa, info.get("tokens")):
             self.sim.metrics.rejected_bindings += 1
             return
-        self.cache[hoa] = BindingCacheEntry(
-            hoa=hoa, coa=info["coa"], mnps=list(info["mnps"]),
-            expires_at=self.sim.now + info.get("lifetime", self.sim.config.binding_lifetime_us))
+        self.bind(info)
         self.bound_at.append(self.sim.now)
         self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
                              info={"hoa": hoa, "from": "cn"})

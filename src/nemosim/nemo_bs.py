@@ -29,8 +29,8 @@ class BindingCacheEntry:
         return dst == self.hoa or any(p.matches(dst) for p in self.mnps)
 
 
-class HomeAgent:
-    """Binding cache plus interception of traffic for the mobile network."""
+class BindingCacheAgent:
+    """A node's binding cache: the home agent's and the correspondent's."""
 
     def __init__(self, sim, node_id: str, address: Address):
         self.sim = sim
@@ -38,20 +38,28 @@ class HomeAgent:
         self.address = address
         self.cache: dict[Address, BindingCacheEntry] = {}
 
-    def handle_binding_update(self, pkt: Packet) -> None:
-        info = pkt.info
-        hoa, coa = info["hoa"], info["coa"]
-        self.cache[hoa] = BindingCacheEntry(
-            hoa=hoa, coa=coa, mnps=list(info["mnps"]),
+    def bind(self, info: dict) -> None:
+        """Cache the binding a BU's `info` carries, for the configured lifetime
+        unless the BU names one."""
+        self.cache[info["hoa"]] = BindingCacheEntry(
+            hoa=info["hoa"], coa=info["coa"], mnps=list(info["mnps"]),
             expires_at=self.sim.now + info.get("lifetime", self.sim.config.binding_lifetime_us))
-        self.sim.send_signal(self.node_id, SignalKind.BA, self.address, coa,
-                             info={"hoa": hoa, "coa": coa})
 
     def lookup(self, dst: Address) -> Optional[BindingCacheEntry]:
         for entry in self.cache.values():
             if entry.covers(dst) and entry.live(self.sim.now):
                 return entry
         return None
+
+
+class HomeAgent(BindingCacheAgent):
+    """Binding cache plus interception of traffic for the mobile network."""
+
+    def handle_binding_update(self, pkt: Packet) -> None:
+        info = pkt.info
+        self.bind(info)
+        self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
+                             info={"hoa": info["hoa"], "coa": info["coa"]})
 
     def intercept(self, pkt: Packet) -> None:
         """Tunnel home-network traffic to the registered care-of address."""

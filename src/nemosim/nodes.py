@@ -258,7 +258,7 @@ class CnNode(Node):
         pkt = Packet(src=self.address, dst=mnn, size_bytes=cbr.packet_bytes,
                      kind=DATA, seq=self.seq, flow=FLOW_CBR,
                      created_at=self.sim.now, path_log=[self.node_id])
-        binding = self.agent.binding_for(mnn) if self.agent is not None else None
+        binding = self.agent.lookup(mnn) if self.agent is not None else None
         if binding is not None:
             pkt.dst = binding.coa
             pkt.rh2_home_addr = mnn

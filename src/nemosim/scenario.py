@@ -9,7 +9,7 @@ from typing import Optional
 from .diffserv import AF11, AF21, EF, RedParams, SlaRule
 from .engine import MS, SEC, SimTime
 from .network import Link, MobilityTrack, WirelessCell
-from .packets import DATA, SIGNAL, Address, Prefix
+from .packets import DATA, SIGNAL, Address, Prefix, SignalKind
 
 PROTO_NEMO_BS = "nemo-bs"
 PROTO_DIFF_NEMO = "diff-nemo"
@@ -22,6 +22,7 @@ MODE_REACTIVE = "reactive"
 DETECT_INTERVAL = "interval"
 DETECT_SOLICITED = "solicited"
 DETECT_DEFAULT = "default"
+DETECTIONS = (DETECT_INTERVAL, DETECT_SOLICITED, DETECT_DEFAULT)
 
 
 class ConfigError(Exception):
@@ -98,8 +99,22 @@ class ScenarioConfig:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.mode not in (MODE_PREDICTIVE, MODE_REACTIVE):
             raise ConfigError(f"unknown mode {self.mode!r}")
+        # A string seed or speed would fail deep inside the run, a misspelt
+        # detection would silently run interval detection, and an unknown
+        # signal kind would silently never be dropped.
+        if not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an int, not {self.seed!r}")
+        if not isinstance(self.dmr_speed_kmh, (int, float)):
+            raise ConfigError(f"dmr_speed_kmh must be a number, not {self.dmr_speed_kmh!r}")
         if self.dmr_speed_kmh <= 0:
             raise ConfigError("dmr_speed_kmh must be positive")
+        if self.movement_detection not in DETECTIONS:
+            raise ConfigError(f"movement_detection must be one of {', '.join(DETECTIONS)}, "
+                              f"not {self.movement_detection!r}")
+        unknown = set(self.faults.drop_first_signals) - {k.value for k in SignalKind}
+        if unknown:
+            raise ConfigError(f"faults.drop_first_signals names unknown signal kinds "
+                              f"{sorted(unknown)}")
         if not (self.cbr.start_us < self.cbr.stop_us <= self.sim_end_us):
             raise ConfigError("cbr start must precede stop, and stop must not pass sim end")
         # Rates and sizes divide or are divided into packet intervals.  The

@@ -5,11 +5,11 @@ from types import SimpleNamespace
 import pytest
 
 from nemosim.diff_fh import FhDmr, MapAgent, NarAgent
-from nemosim.engine import SEC
+from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState
-from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
-                             make_signal)
-from nemosim.scenario import FaultConfig, ScenarioConfig
+from nemosim.packets import (DATA, Address, DepthExceeded, Packet, Prefix,
+                             SignalKind, make_signal)
+from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
 from nemosim.simulation import Simulation
 
 HOA = Address(1, 1, 1)
@@ -240,6 +240,27 @@ def test_reactive_fna_forwards_binding_update(fake_sim):
     assert forwarded[0].info["relayed_by_nar"]
 
 
+# -- unexpected events ------------------------------------------------------------
+
+def unexpected_hack(sim):
+    agent = map_agent(sim)
+    agent.on_hack(make_signal(SignalKind.HACK, Address(2, 2, 1), agent.address, t=0,
+                              info={"from_role": "nar"}))
+
+
+# One event per machine that its Idle state has no transition for.
+@pytest.mark.parametrize("poke", [
+    unexpected_hack,
+    lambda sim: map_agent(sim).on_timer(("rcoa_dad",)),
+    lambda sim: nar_agent(sim).on_timer(("nar_dad",)),
+    lambda sim: make_fh(sim).on_timer(("fh", "lbu_gap", 0)),
+], ids=["anchor-hack", "new-anchor-dad", "access-router-dad", "router-lbu-gap"])
+def test_idle_machine_counts_unexpected_event_and_sends_nothing(fake_sim, poke):
+    poke(fake_sim)
+    assert fake_sim.metrics.unexpected_signals == 1
+    assert not fake_sim.sent_signals and not fake_sim.forwarded and not fake_sim.timers
+
+
 # -- integration ---------------------------------------------------------------
 
 def run_fh(speed=30, **kwargs):
@@ -364,3 +385,16 @@ def test_reactive_collision_completes_with_substituted_address():
     deliveries_after = [d for d in sim.metrics.deliveries
                         if d.delivered_at > 95 * SEC]
     assert deliveries_after, "traffic never resumed after the collision"
+
+
+# The two anchors end up diverting one care-of address to each other, so a
+# packet loops between them, gaining a tunnel header per pass, until the
+# encapsulation limit aborts the run (t = 32,336,604 us).  See the FOUND: line
+# on `MapAgent.route_hook` in CHANGES.md; fixing the loop must flip this test.
+@pytest.mark.xfail(raises=DepthExceeded, strict=True,
+                   reason="anchors divert one care-of address to each other")
+def test_short_lead_handover_does_not_loop_between_anchors():
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=60, lead_us=50 * MS,
+                         sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
+    report = Simulation(cfg).run()
+    assert report.delivered + report.dropped + report.in_flight_at_end == report.sent

@@ -51,8 +51,9 @@ def test_cbr_window_must_fit_run():
 
 
 # Each of these would hang (a source rescheduling itself at +0 us), divide by
-# zero mid-run, or run silently to a meaningless result (100% loss, no load);
-# validation must reject them before any event is scheduled.
+# zero or fail on a string mid-run, or run silently to a meaningless result
+# (100% loss, no load, interval detection for a misspelt one, a fault that
+# never fires); validation must reject them before any event is scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -63,6 +64,10 @@ def test_cbr_window_must_fit_run():
     ({"cell_radius_m": -5}, "cell_radius_m"),
     ({"background_load_bps": -1}, "background_load_bps"),
     ({"lead_us": -1}, "lead_us"),
+    ({"seed": "abc"}, "seed"),
+    ({"dmr_speed_kmh": "fast"}, "dmr_speed_kmh"),
+    ({"movement_detection": "solicted"}, "movement_detection"),
+    ({"faults": {"drop_first_signals": ["Bogus"]}}, "faults.drop_first_signals"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
