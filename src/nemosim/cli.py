@@ -5,13 +5,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .engine import TraceWriter
 from .experiment import run_scenario, sweep
 from .metrics import CSV_HEADER
 from .scenario import MODE_PREDICTIVE, MODE_REACTIVE, PROTOCOLS, ScenarioConfig, load_config
 
 
 def _base_config(args) -> ScenarioConfig:
-    config = load_config(args.config) if args.config else ScenarioConfig()
+    config = load_config(args.config) if args.config is not None else ScenarioConfig()
     if args.protocol:
         config.protocol = args.protocol
     if getattr(args, "mode", None):
@@ -24,19 +25,29 @@ def _base_config(args) -> ScenarioConfig:
     return config
 
 
+def _path(value: str) -> str:
+    """An output or input path given on the command line: never empty."""
+    if not value:
+        raise argparse.ArgumentTypeError("expected a file path, got an empty string")
+    return value
+
+
 def cmd_run(args) -> int:
     config = _base_config(args)
-    report, trace = run_scenario(config, collect_trace=args.trace is not None)
+    if args.trace is None:
+        report, _ = run_scenario(config)
+    else:
+        # The trace streams to its file during the run, so a run that raises
+        # still leaves its trace on disk up to the event that failed.
+        with open(args.trace, "w", encoding="utf-8") as fh, TraceWriter(fh) as trace:
+            report, _ = run_scenario(config, trace=trace)
     csv_text = CSV_HEADER + "\n" + report.csv_row() + "\n"
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
     else:
         sys.stdout.write(csv_text)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(trace) + "\n")
-    if args.paths:
+    if args.paths is not None:
         with open(args.paths, "w", encoding="utf-8") as fh:
             for (seq, _, _), path in zip(report.per_packet_delay, report.per_packet_path):
                 fh.write(f"{seq}\t{'>'.join(path)}\n")
@@ -48,7 +59,7 @@ def cmd_sweep(args) -> int:
     speeds = [float(s) for s in args.speeds.split(",")]
     protocols = (args.protocol,) if args.protocol else PROTOCOLS
     csv_text, _ = sweep(config, speeds, protocols=protocols)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
     else:
@@ -63,24 +74,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one scenario and print a CSV row")
-    run_p.add_argument("--config", help="JSON scenario file")
+    run_p.add_argument("--config", type=_path, help="JSON scenario file")
     run_p.add_argument("--protocol", choices=PROTOCOLS)
     run_p.add_argument("--mode", choices=[MODE_PREDICTIVE, MODE_REACTIVE])
     run_p.add_argument("--speed", type=float, help="mobile router speed in km/h")
     run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--out", help="CSV output path (stdout when omitted)")
-    run_p.add_argument("--trace", help="write the per-event TSV trace here")
-    run_p.add_argument("--paths", help="write per-packet node paths here")
+    run_p.add_argument("--out", type=_path, help="CSV output path (stdout when omitted)")
+    run_p.add_argument("--trace", type=_path, help="write the per-event TSV trace here")
+    run_p.add_argument("--paths", type=_path, help="write per-packet node paths here")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep speeds across protocols")
-    sweep_p.add_argument("--config", help="JSON scenario file")
+    sweep_p.add_argument("--config", type=_path, help="JSON scenario file")
     sweep_p.add_argument("--speeds", default="15,30,45,60,75,90",
                          help="comma-separated km/h values")
     sweep_p.add_argument("--protocol", choices=PROTOCOLS,
                          help="restrict to one protocol (default: all)")
     sweep_p.add_argument("--seed", type=int)
-    sweep_p.add_argument("--out", help="CSV output path (stdout when omitted)")
+    sweep_p.add_argument("--out", type=_path, help="CSV output path (stdout when omitted)")
     sweep_p.set_defaults(func=cmd_sweep)
     return parser
 

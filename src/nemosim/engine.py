@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional
+from typing import Callable, Optional, TextIO
 
 # Simulation time is integer microseconds since run start.  Integer time keeps
 # event ordering exact across platforms; all configured delays are expressed
@@ -39,6 +39,47 @@ class SimEvent:
     insertion_seq: int = -1
 
 
+# Lines a TraceWriter holds before it writes them out: enough to make each
+# write one large call, small enough that a traced run's memory stays flat.
+TRACE_BLOCK_LINES = 4096
+
+
+class TraceWriter:
+    """A trace sink that streams lines to an open text file in fixed blocks.
+
+    Used as a context manager: leaving the block writes the last partial
+    block, also when the run raised, so the file ends with the line of the
+    event that failed.  `len()` is the number of lines accepted.
+    """
+
+    def __init__(self, fh: TextIO):
+        self._fh = fh
+        self._block: list[str] = []
+        self._written = 0
+
+    def append(self, line: str) -> None:
+        block = self._block
+        block.append(line)
+        if len(block) == TRACE_BLOCK_LINES:
+            self._flush()
+
+    def _flush(self) -> None:
+        if self._block:
+            self._fh.write("\n".join(self._block) + "\n")
+            self._written += len(self._block)
+            self._block = []
+
+    def __len__(self) -> int:
+        return self._written + len(self._block)
+
+    def __enter__(self) -> "TraceWriter":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._flush()
+        return False
+
+
 class RngStream:
     """Seeded pseudo-random stream; identical seeds yield identical draw sequences."""
 
@@ -58,10 +99,12 @@ class Engine:
 
     Events are processed in strict (fire_at, insertion_seq) order, so two
     events at the same instant pop in FIFO insertion order.  One seeded
-    RngStream feeds every random decision in a run.
+    RngStream feeds every random decision in a run.  When `trace` is given
+    (any object with `append(line)`: a list, or a TraceWriter), each event
+    is rendered into it before its handler runs.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[list[str]] = None):
+    def __init__(self, seed: int = 0, trace: Optional[list[str] | TraceWriter] = None):
         self.now: SimTime = 0
         self.rng = RngStream(seed)
         self.trace = trace

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from .engine import SimTime
+from .engine import SimTime, TraceWriter
 from .metrics import CSV_HEADER, MetricsReport
 from .scenario import PROTOCOLS, CbrConfig, ScenarioConfig
 from .simulation import Simulation
@@ -22,9 +22,11 @@ def generate_cbr(cbr: CbrConfig) -> list[tuple[SimTime, int]]:
     return schedule
 
 
-def run_scenario(config: ScenarioConfig, collect_trace: bool = False
-                 ) -> tuple[MetricsReport, Optional[list[str]]]:
-    sim = Simulation(config, collect_trace=collect_trace)
+def run_scenario(config: ScenarioConfig,
+                 trace: Optional[list[str] | TraceWriter] = None
+                 ) -> tuple[MetricsReport, Optional[list[str] | TraceWriter]]:
+    """Run one scenario, rendering each event into `trace` when it is given."""
+    sim = Simulation(config, trace=trace)
     report = sim.run()
     return report, sim.trace
 

@@ -6,7 +6,7 @@ from typing import Optional
 
 from .diffserv import BE, EF, SlaTable
 from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
-                     TIMER_EXPIRY, Engine, SimEvent, SimTime)
+                     TIMER_EXPIRY, Engine, SimEvent, SimTime, TraceWriter)
 from .metrics import MetricsCollector, build_report
 from .network import Link, LinkQueue, build_l2_plan
 from .nodes import (ArNode, BsNode, CnNode, DmrNode, HaNode, MapNode, MnnNode,
@@ -21,11 +21,12 @@ from .scenario import (BEACON_PHASE_US, MODE_PREDICTIVE, PROTO_DIFF_FH,
 class Simulation:
     """One scenario, one engine, one seeded run."""
 
-    def __init__(self, config: ScenarioConfig, collect_trace: bool = False):
+    def __init__(self, config: ScenarioConfig,
+                 trace: Optional[list[str] | TraceWriter] = None):
         config.validate()
         self.config = config
-        self.trace: Optional[list[str]] = [] if collect_trace else None
-        self.engine = Engine(seed=config.seed, trace=self.trace)
+        self.trace = trace
+        self.engine = Engine(seed=config.seed, trace=trace)
         self.metrics = MetricsCollector()
         self.topo: Topology = default_topology(config)
         self.track = build_track(config)

@@ -330,12 +330,12 @@ def test_criterion_9_determinism():
                              background_load_bps=CONGESTION_BPS, seed=77,
                              sim_end_us=60 * SEC)
         cfg.cbr.stop_us = 60 * SEC
-        r1, t1 = run_scenario(cfg, collect_trace=True)
+        r1, t1 = run_scenario(cfg, trace=[])
         cfg2 = ScenarioConfig(protocol=proto, dmr_speed_kmh=60,
                               background_load_bps=CONGESTION_BPS, seed=77,
                               sim_end_us=60 * SEC)
         cfg2.cbr.stop_us = 60 * SEC
-        r2, t2 = run_scenario(cfg2, collect_trace=True)
+        r2, t2 = run_scenario(cfg2, trace=[])
         same_trace = "\n".join(t1).encode() == "\n".join(t2).encode()
         same_row = r1.csv_row() == r2.csv_row()
         print(f"  {proto}: trace {len(t1)} events, byte-identical={same_trace}, "

@@ -297,7 +297,7 @@ def test_micro_handover_sends_no_anchor_updates():
     cfg = ScenarioConfig(protocol="diff-fh-nemo",
                          waypoints=[(60.0, 0.0), (220.0, 0.0)],
                          binding_refresh_us=500 * SEC)   # mute periodic refresh
-    sim = Simulation(cfg, collect_trace=True)
+    sim = Simulation(cfg, trace=[])
     sim.run()
     exit_at = 90 * SEC      # boundary crossing of the first cell at x=150
     window = [line for line in sim.trace
@@ -340,7 +340,7 @@ def test_forced_reactive_single_handover():
     cfg = ScenarioConfig(protocol="diff-fh-nemo",
                          waypoints=[(60.0, 0.0), (220.0, 0.0)],
                          force_reactive_at=(0,))
-    sim = Simulation(cfg, collect_trace=True)
+    sim = Simulation(cfg, trace=[])
     report = sim.run()
     assert not [l for l in sim.trace if "RtSolPr" in l]
     assert report.delivered + report.in_flight_at_end + report.dropped == report.sent
@@ -363,7 +363,7 @@ def test_upstream_goes_direct_once_correspondent_bound():
 def test_signaling_rides_expedited_class_and_survives_congestion():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=60,
                          background_load_bps=1_200_000)
-    sim = Simulation(cfg, collect_trace=True)
+    sim = Simulation(cfg, trace=[])
     report = sim.run()
     assert report.handover_latencies_us
     ef_drops = sum(q.scheduler.drops_by_class[0] for q in sim.linkqueues.values())

@@ -1,8 +1,11 @@
+import io
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nemosim.engine import MS, SEC, Engine, PastEvent, RngStream, SimEvent
+from nemosim.engine import (MS, SEC, TRACE_BLOCK_LINES, Engine, PastEvent, RngStream,
+                            SimEvent, TraceWriter)
 
 
 def collect(engine):
@@ -121,6 +124,20 @@ def test_identical_seeds_identical_traces():
         return eng.trace
 
     assert run() == run()
+
+
+def test_trace_writer_holds_at_most_one_block():
+    fh = io.StringIO()
+    lines = [f"{i}\tn\ttimer_expiry\t{i}" for i in range(3 * TRACE_BLOCK_LINES + 5)]
+    with TraceWriter(fh) as writer:
+        for i, line in enumerate(lines, 1):
+            writer.append(line)
+            assert len(writer) == i
+            held = i - fh.getvalue().count("\n")
+            assert 0 <= held < TRACE_BLOCK_LINES
+        assert fh.getvalue().count("\n") == 3 * TRACE_BLOCK_LINES
+    assert len(writer) == len(lines)
+    assert fh.getvalue() == "\n".join(lines) + "\n"
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 7),

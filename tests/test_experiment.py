@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from nemosim import cli
 from nemosim.engine import SEC
 from nemosim.experiment import run_scenario, sweep
 from nemosim.metrics import CSV_HEADER
@@ -106,3 +107,19 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     config.write_text(json.dumps({"warp_factor": 9}))
     res = run_cli("run", "--config", str(config))
     assert res.returncode != 0
+
+
+EMPTY_PATH_CASES = [("run", "--trace"), ("run", "--paths"), ("run", "--out"),
+                    ("run", "--config"), ("sweep", "--out"), ("sweep", "--config")]
+
+
+@pytest.mark.parametrize("command, flag", EMPTY_PATH_CASES,
+                         ids=[" ".join(case) for case in EMPTY_PATH_CASES])
+def test_cli_rejects_empty_path(command, flag, capsys):
+    # An empty path used to be skipped silently (or, for --out and --config,
+    # fall back to stdout and the default scenario); it is a usage error
+    # before the run starts.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, flag, ""])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a file path" in capsys.readouterr().err

@@ -5,14 +5,21 @@ cannot see a change that alters the event stream for every run alike.  These
 digests pin the stream itself: the same events, at the same instants, in the
 same order, and the same RED draws.  Update them only in a change whose notes
 name the cause of the new stream.
+
+The same digests pin the trace file `nemosim run --trace` streams to disk,
+which must also stay small in memory and survive a run that raises.
 """
 
 import hashlib
+import json
+import tracemalloc
 
 import pytest
 
+from nemosim import cli
 from nemosim.engine import SEC
 from nemosim.experiment import run_scenario
+from nemosim.nodes import MnnNode
 from nemosim.scenario import (PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
                               ScenarioConfig)
 
@@ -33,18 +40,82 @@ GOLDEN = {
 }
 
 
+# Criterion 9's scenario, as ScenarioConfig fields and as a JSON scenario file.
+CRITERION_9 = {"dmr_speed_kmh": 60, "background_load_bps": 1_200_000, "seed": 77,
+               "sim_end_us": 60 * SEC}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def cli_run(tmp_path, protocol):
+    """`nemosim run` on criterion 9's scenario with the trace streamed to a
+    file; returns the paths of the trace and of the CSV."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({**CRITERION_9, "protocol": protocol,
+                                  "cbr": {"stop_us": 60 * SEC}}))
+    trace, out = tmp_path / "trace.tsv", tmp_path / "row.csv"
+    cli.main(["run", "--config", str(config), "--trace", str(trace),
+              "--out", str(out)])
+    return trace, out
+
+
 @pytest.mark.parametrize("protocol", list(GOLDEN))
 def test_criterion_9_scenario_matches_golden(protocol):
-    cfg = ScenarioConfig(protocol=protocol, dmr_speed_kmh=60,
-                         background_load_bps=1_200_000, seed=77,
-                         sim_end_us=60 * SEC)
+    cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
     cfg.cbr.stop_us = 60 * SEC
-    report, trace = run_scenario(cfg, collect_trace=True)
+    report, trace = run_scenario(cfg, trace=[])
     lines, trace_digest, row_digest = GOLDEN[protocol]
     assert len(trace) == lines
     assert sha256("\n".join(trace)) == trace_digest
     assert sha256(report.csv_row()) == row_digest
+
+
+@pytest.mark.parametrize("protocol", list(GOLDEN))
+def test_streamed_trace_file_matches_golden(tmp_path, protocol):
+    trace, out = cli_run(tmp_path, protocol)
+    data = trace.read_bytes()
+    lines, trace_digest, row_digest = GOLDEN[protocol]
+    assert data.endswith(b"\n")               # every line ends in a newline
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data[:-1]).hexdigest() == trace_digest
+    assert sha256(out.read_text().split("\n")[1]) == row_digest
+
+
+def test_traced_cli_run_memory_stays_flat(tmp_path):
+    # The trace of this run is about 55k lines: held in memory until the run
+    # ended, it peaked at about 23 MB; streamed, the run peaks near 2.5 MB.
+    tracemalloc.start()
+    try:
+        cli_run(tmp_path, PROTO_DIFF_FH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
+
+
+class Boom(Exception):
+    pass
+
+
+def test_failed_run_keeps_trace_up_to_failing_event(tmp_path, monkeypatch):
+    failed_at = []
+
+    def on_packet(node, pkt):
+        if node.sim.now >= 30 * SEC:
+            failed_at.append(node.sim.now)
+            raise Boom
+
+    monkeypatch.setattr(MnnNode, "on_packet", on_packet)
+    cfg = ScenarioConfig(protocol=PROTO_DIFF_FH, **CRITERION_9)
+    cfg.cbr.stop_us = 60 * SEC
+    in_memory = []
+    with pytest.raises(Boom):
+        run_scenario(cfg, trace=in_memory)
+    with pytest.raises(Boom):
+        cli_run(tmp_path, PROTO_DIFF_FH)
+    streamed = (tmp_path / "trace.tsv").read_text(encoding="utf-8")
+    assert streamed == "\n".join(in_memory) + "\n"
+    assert streamed.split("\n")[-2].startswith(f"{failed_at[-1]}\tmnn\tpacket_arrival\t")
+    assert failed_at[0] == failed_at[-1] and 30 * SEC <= failed_at[0] < 60 * SEC
