@@ -244,11 +244,11 @@ class NarAgent:
         if self.ctx is None or pkt.dst != self.ctx["nlcoa"]:
             return False
         if self.state in (NarState.DAD_RUNNING, NarState.TUNNEL_UP_BUFFERING):
-            if len(self.buffer) >= self.sim.config.nar_buffer_capacity:
+            self.buffer.append(pkt)
+            if len(self.buffer) > self.sim.config.nar_buffer_capacity:
                 oldest = self.buffer.pop(0)
                 self.sim.metrics.nar_buffer_drops += 1
                 self.sim.drop(oldest, f"nar_overflow@{self.node_id}")
-            self.buffer.append(pkt)
             return True
         return False
 

@@ -102,6 +102,11 @@ class Engine:
     RngStream feeds every random decision in a run.  When `trace` is given
     (any object with `append(line)`: a list, or a TraceWriter), each event
     is rendered into it before its handler runs.
+
+    The traced event stream is the one the golden outputs pin.  An untraced
+    run processes the same events with the same results, less the ones only
+    a trace would record: a background packet's arrival at the station that
+    discards it is never scheduled (`LinkQueue.bg_station`).
     """
 
     def __init__(self, seed: int = 0, trace: Optional[list[str] | TraceWriter] = None):

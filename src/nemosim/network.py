@@ -9,7 +9,8 @@ from typing import Callable, Optional
 from . import diffserv
 from .engine import (PACKET_ARRIVAL, SEC, TIMER_EXPIRY, Engine, SimEvent,
                      SimTime)
-from .packets import Packet
+from .metrics import FLOW_BG
+from .packets import Address, Packet
 
 def serialization_us(size_bytes: int, bandwidth_bps: int) -> SimTime:
     return math.ceil(size_bytes * 8 * SEC / bandwidth_bps)
@@ -178,6 +179,11 @@ class LinkQueue:
     Packets enter the priority scheduler (RED on assured and best-effort
     classes, drop-tail on expedited); the transmitter serializes one packet at
     a time and delivers it to the far end after the propagation delay.
+
+    A background source that sends into this queue sets `bg_station` to the
+    far-end station it addresses.  That station discards such packets on
+    arrival, so the arrival changes nothing but the trace: it is scheduled
+    only when the engine has a trace sink.
     """
 
     def __init__(self, engine: Engine, link: Link, src: str, dst: str,
@@ -190,6 +196,7 @@ class LinkQueue:
         self.scheduler = diffserv.PriorityScheduler(red_params)
         self.on_drop = on_drop
         self.busy = False
+        self.bg_station: Optional[Address] = None
         self.prop_delay_us = link.prop_delay_us
         # serialization_us per packet size; a run sends only a few sizes.
         self._ser_us: dict[int, SimTime] = {}
@@ -217,5 +224,8 @@ class LinkQueue:
         self.engine.schedule_in(ser, self._timer_target, TIMER_EXPIRY, pkt)
 
     def _on_tx_done(self, event: SimEvent) -> None:
-        self.engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, event.payload)
+        pkt = event.payload
+        if (pkt.dst is not self.bg_station or pkt.flow != FLOW_BG
+                or self.engine.trace is not None):
+            self.engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
         self._start_next()

@@ -7,6 +7,9 @@ from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
 from .metrics import FLOW_BG, FLOW_CBR
 from .packets import DATA, SIGNAL, Packet, SignalKind, apply_home_address_option
 
+# Payload of every background tick; `ArNode.dispatch` tests it by identity.
+BG_TICK = ("bg",)
+
 
 class Node:
     def __init__(self, sim, node_id: str):
@@ -156,24 +159,27 @@ class ArNode(Node):
             self.sim.send_via(self.node_id, self.bs_id, na)
 
     def on_timer(self, token) -> None:
-        name = token[0]
-        if name == "bg":
-            self._bg_tick()
-        elif name == "beacon":
+        if token[0] == "beacon":
             if self.sim.dmr_attached == self.bs_id:
                 self.send_ra(self.sim.topo.addresses["dmr"])
             self.sim.timer(self.node_id, self.sim.config.beacon_interval_us, ("beacon",))
         elif self.nar is not None:
             self.nar.on_timer(token)
 
+    def dispatch(self, ev: SimEvent) -> None:
+        if ev.payload is BG_TICK:
+            self._bg_tick()
+        else:
+            super().dispatch(ev)
+
     # -- background load -------------------------------------------------------
     def _bg_tick(self) -> None:
         engine = self.sim.engine
-        pkt = Packet(src=self.address, dst=self._bg_dst, size_bytes=self._bg_bytes,
-                     kind=DATA, seq=self._bg_seq, flow=FLOW_BG, created_at=engine.now)
+        pkt = Packet(self.address, self._bg_dst, self._bg_bytes, DATA, self._bg_seq, FLOW_BG)
+        pkt.created_at = engine.now
         self._bg_seq += 1
         self._bg_queue.send(pkt)
-        engine.schedule_in(self._bg_interval_us, self.node_id, TIMER_EXPIRY, ("bg",))
+        engine.schedule_in(self._bg_interval_us, self.node_id, TIMER_EXPIRY, BG_TICK)
 
     def on_app(self, ev: SimEvent) -> None:
         cfg = self.sim.config
@@ -181,6 +187,7 @@ class ArNode(Node):
             self._bg_dst = self.sim.topo.addresses[self.bs_id]
             self._bg_bytes = cfg.bg_packet_bytes
             self._bg_queue = self.sim.linkqueues[(self.node_id, self.bs_id)]
+            self._bg_queue.bg_station = self._bg_dst
             self._bg_interval_us = cfg.bg_interval_us
             self._bg_tick()
 

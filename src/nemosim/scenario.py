@@ -128,13 +128,29 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be positive")
         # A radius of 0 m or less keeps the router outside every cell, so the
         # run completes with 100% loss.  A negative load would run as no load,
-        # and a negative lead would fire the trigger with the link-down.
+        # a negative lead would fire the trigger with the link-down, and a
+        # negative switch time would plan the attach before the link-down.
+        # A beacon interval of 0 means no beacons.
         if self.cell_radius_m <= 0:
             raise ConfigError("cell_radius_m must be positive")
         for key, value in (("background_load_bps", self.background_load_bps),
-                           ("lead_us", self.lead_us)):
+                           ("lead_us", self.lead_us),
+                           ("l2_switch_us", self.l2_switch_us),
+                           ("beacon_interval_us", self.beacon_interval_us)):
             if value < 0:
                 raise ConfigError(f"{key} must not be negative")
+        # A queue that holds no packet delivers none, and a drop probability
+        # outside [0, 1] or an averaging weight outside (0, 1] is not RED.
+        red = self.red
+        if not isinstance(red.capacity, int) or red.capacity <= 0:
+            raise ConfigError(f"red.capacity must be a positive int, not {red.capacity!r}")
+        if not isinstance(red.max_p, (int, float)) or not 0 <= red.max_p <= 1:
+            raise ConfigError(f"red.max_p must be in [0, 1], not {red.max_p!r}")
+        if not isinstance(red.w_q, (int, float)) or not 0 < red.w_q <= 1:
+            raise ConfigError(f"red.w_q must be in (0, 1], not {red.w_q!r}")
+        if not isinstance(self.nar_buffer_capacity, int) or self.nar_buffer_capacity < 0:
+            raise ConfigError(f"nar_buffer_capacity must be a non-negative int, "
+                              f"not {self.nar_buffer_capacity!r}")
         if self.cbr.interval_us < 1:
             raise ConfigError("cbr.rate_bps is too high: the packet interval rounds to 0 us")
         if self.background_load_bps > 0 and self.bg_interval_us < 1:

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from census import cbr_held
 from nemosim.diff_fh import FhDmr, MapAgent, NarAgent
 from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState
@@ -187,6 +188,16 @@ def test_nar_buffers_until_announcement_then_flushes_in_order(fake_sim):
     assert not nar.intercept(packets[0])           # pass-through afterwards
 
 
+def test_nar_with_no_buffer_drops_each_held_packet(fake_sim):
+    fake_sim.config.nar_buffer_capacity = 0
+    nar = nar_agent(fake_sim)
+    nar.on_hi(hi_signal(fake_sim))
+    pkt = Packet(src=CN, dst=LCOA2, size_bytes=1000, kind=DATA, seq=0, flow="cbr")
+    assert nar.intercept(pkt)
+    assert nar.buffer == []
+    assert fake_sim.dropped == [(pkt, "nar_overflow@ar2")]
+
+
 def test_nar_overflow_drops_oldest(fake_sim):
     fake_sim.config.nar_buffer_capacity = 2
     nar = nar_agent(fake_sim)
@@ -287,7 +298,7 @@ def test_zero_loss_predictive_micro_handover_no_duplicates():
     sim = Simulation(cfg)
     report = sim.run()
     assert report.dropped == 0
-    assert report.sent == report.delivered + report.in_flight_at_end
+    assert cbr_held(sim) == report.sent - report.delivered
     seqs = [d.seq for d in sim.metrics.deliveries]
     assert len(seqs) == len(set(seqs))
 
@@ -343,7 +354,7 @@ def test_forced_reactive_single_handover():
     sim = Simulation(cfg, trace=[])
     report = sim.run()
     assert not [l for l in sim.trace if "RtSolPr" in l]
-    assert report.delivered + report.in_flight_at_end + report.dropped == report.sent
+    assert cbr_held(sim) == report.sent - report.delivered - report.dropped
     assert report.handover_latencies_us
 
 
@@ -396,5 +407,6 @@ def test_reactive_collision_completes_with_substituted_address():
 def test_short_lead_handover_does_not_loop_between_anchors():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=60, lead_us=50 * MS,
                          sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
-    report = Simulation(cfg).run()
-    assert report.delivered + report.dropped + report.in_flight_at_end == report.sent
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert cbr_held(sim) == report.sent - report.delivered - report.dropped

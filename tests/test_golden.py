@@ -7,7 +7,9 @@ same order, and the same RED draws.  Update them only in a change whose notes
 name the cause of the new stream.
 
 The same digests pin the trace file `nemosim run --trace` streams to disk,
-which must also stay small in memory and survive a run that raises.
+which must also stay small in memory and survive a run that raises.  An
+untraced run must give the same row and skip only the background arrivals
+that the stations discard unheard.
 """
 
 import hashlib
@@ -21,7 +23,8 @@ from nemosim.engine import SEC
 from nemosim.experiment import run_scenario
 from nemosim.nodes import MnnNode
 from nemosim.scenario import (PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
-                              ScenarioConfig)
+                              ScenarioConfig, default_topology)
+from nemosim.simulation import Simulation
 
 # protocol -> (trace lines, SHA-256 of the trace, SHA-256 of the CSV row)
 GOLDEN = {
@@ -70,6 +73,40 @@ def test_criterion_9_scenario_matches_golden(protocol):
     assert len(trace) == lines
     assert sha256("\n".join(trace)) == trace_digest
     assert sha256(report.csv_row()) == row_digest
+
+
+def run_counted(cfg, trace=None):
+    """(report, events processed) of one run of `cfg`."""
+    sim = Simulation(cfg, trace=trace)
+    events = sim.engine.run_until(cfg.sim_end_us)
+    return sim.run(), events   # the run finds nothing left to process
+
+
+def background_arrivals(trace, topo) -> int:
+    """Lines of a data packet from access router N arriving at base station N."""
+    routes = {bs: f"{topo.addresses[ar]}→{topo.addresses[bs]}"
+              for bs, ar in topo.bs_to_ar.items()}
+    count = 0
+    for line in trace:
+        _, target, kind, detail = line.split("\t")
+        if kind == "packet_arrival" and target in routes:
+            label, route = detail.split("/")[:2]
+            count += label.startswith("seq") and route == routes[target]
+    return count
+
+
+@pytest.mark.parametrize("protocol", list(GOLDEN))
+def test_untraced_run_skips_only_background_arrivals(protocol):
+    cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
+    cfg.cbr.stop_us = 60 * SEC
+    report, events = run_counted(cfg)
+    trace = []
+    traced_report, traced_events = run_counted(cfg, trace)
+    skipped = background_arrivals(trace, default_topology(cfg))
+    assert sha256(report.csv_row()) == sha256(traced_report.csv_row()) == GOLDEN[protocol][2]
+    assert traced_events == len(trace) == GOLDEN[protocol][0]
+    assert skipped > 10_000
+    assert events == len(trace) - skipped
 
 
 @pytest.mark.parametrize("protocol", list(GOLDEN))

@@ -1,9 +1,13 @@
+import pytest
+
+from census import cbr_held
 from nemosim.engine import MS, SEC
 from nemosim.experiment import generate_cbr
 from nemosim.metrics import (MACRO, MICRO, Delivery, MetricsCollector,
                              compute_handover_latency, compute_loss)
 from nemosim.packets import DATA, Address, Packet
-from nemosim.scenario import CbrConfig
+from nemosim.scenario import PROTOCOLS, CbrConfig, ScenarioConfig
+from nemosim.simulation import Simulation
 
 CN = Address(0, 0, 0)
 MNN = Address(1, 1, 2)
@@ -84,3 +88,18 @@ def test_signal_and_background_drops_not_counted_as_loss():
     m.record_drop(bg, 0, "x")
     assert m.dropped == 0
     assert m.signal_drops == 1 and m.bg_drops == 1
+
+
+@pytest.mark.parametrize("background_load_bps", [0, 1_200_000])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_cbr_census_accounts_for_every_packet_sent(protocol, background_load_bps):
+    """Every CBR packet sent is delivered, dropped or still held, checked every
+    100 ms up to 60 s while the source still runs (it stops at 200 s)."""
+    cfg = ScenarioConfig(protocol=protocol, dmr_speed_kmh=60,
+                         background_load_bps=background_load_bps)
+    sim = Simulation(cfg)
+    m = sim.metrics
+    for t in range(cfg.cbr.start_us, 60 * SEC + 1, 100 * MS):
+        sim.engine.run_until(t)
+        assert cbr_held(sim) == m.sent - m.delivered - len(m.drops), f"at {t} us"
+    assert m.sent == 501 and cbr_held(sim) > 0

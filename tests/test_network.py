@@ -8,7 +8,8 @@ from nemosim.engine import MS, SEC, Engine, SimEvent
 from nemosim.network import (Link, LinkQueue, MobilityTrack, WirelessCell,
                              build_l2_plan, cell_crossings, position_at,
                              serialization_us, strongest_bs, transmit)
-from nemosim.packets import DATA, Address, Packet
+from nemosim.metrics import FLOW_BG
+from nemosim.packets import DATA, SIGNAL, Address, Packet
 from nemosim.diffserv import RedParams
 from nemosim.scenario import ScenarioConfig, build_track, default_topology
 
@@ -134,6 +135,25 @@ def test_uncongested_chain_delay_matches_analytic_sum():
                 + serialization_us(1000, 10_000_000) + 5 * MS)
     assert arrivals[1] == expected
     assert not drops
+
+
+@pytest.mark.parametrize("trace, arrivals", [(None, 0), ([], 1)])
+def test_background_packet_to_station_arrives_only_when_traced(trace, arrivals):
+    eng = Engine(trace=trace)
+    station = Address(2, 1, 2)
+    queue = LinkQueue(eng, Link("ar1", "bs1", 1_000_000, 2 * MS), "ar1", "bs1",
+                      RedParams(), lambda p, w: None)
+    queue.bg_station = station
+    arrived = []
+    eng.register("bs1", lambda ev: arrived.append(ev.payload))
+    queue.send(Packet(Address(2, 1, 1), station, 2000, DATA, 0, FLOW_BG))
+    assert eng.run_until(SEC) == 1 + arrivals
+    assert len(arrived) == arrivals
+    # Any other packet to the station, here a signal, still arrives.
+    signal = Packet(Address(2, 1, 1), station, 64, SIGNAL)
+    queue.send(signal)
+    eng.run_until(2 * SEC)
+    assert arrived[-1] is signal
 
 
 @given(st.floats(min_value=0.1, max_value=40.0),

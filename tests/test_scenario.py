@@ -53,7 +53,9 @@ def test_cbr_window_must_fit_run():
 # Each of these would hang (a source rescheduling itself at +0 us), divide by
 # zero or fail on a string mid-run, or run silently to a meaningless result
 # (100% loss, no load, interval detection for a misspelt one, a fault that
-# never fires); validation must reject them before any event is scheduled.
+# never fires, a queue that holds nothing, a drop probability above 1, an
+# attach planned before the link goes down); validation must reject them
+# before any event is scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -68,6 +70,16 @@ def test_cbr_window_must_fit_run():
     ({"dmr_speed_kmh": "fast"}, "dmr_speed_kmh"),
     ({"movement_detection": "solicted"}, "movement_detection"),
     ({"faults": {"drop_first_signals": ["Bogus"]}}, "faults.drop_first_signals"),
+    ({"red": {"capacity": -1}}, "red.capacity"),
+    ({"red": {"capacity": 2.5}}, "red.capacity"),
+    ({"red": {"max_p": 7}}, "red.max_p"),
+    ({"red": {"max_p": -0.1}}, "red.max_p"),
+    ({"red": {"w_q": 0}}, "red.w_q"),
+    ({"red": {"w_q": 1.5}}, "red.w_q"),
+    ({"l2_switch_us": -5}, "l2_switch_us"),
+    ({"beacon_interval_us": -1}, "beacon_interval_us"),
+    ({"nar_buffer_capacity": "x"}, "nar_buffer_capacity"),
+    ({"nar_buffer_capacity": -1}, "nar_buffer_capacity"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
