@@ -87,7 +87,7 @@ class MapAgent:
         if self.fh_ctx is None or self.fh_ctx["nlcoa"] != info["nlcoa"]:
             self.fh_ctx = info
             self.fh_state = MapState.IDLE
-        _drive(self, ROLE_MAP, "fh_state", FsmEvent(kind, macro=self.fh_ctx["macro"]))
+        _drive(self, ROLE_MAP, "fh_state", FsmEvent(kind))
 
     def on_hack(self, pkt: Packet) -> None:
         src = pkt.info.get("from_role", "nar")
@@ -99,7 +99,7 @@ class MapAgent:
         info = pkt.info
         if info.get("teardown"):
             self.bindings.pop(info["old_rcoa"], None)
-            _drive(self, ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT, relayed=True))
+            _drive(self, ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
             return
         self.bindings[info["rcoa"]] = MapBinding(
             rcoa=info["rcoa"], lcoa=info["lcoa"], mnp=info["mnp"],
@@ -118,7 +118,7 @@ class MapAgent:
 
     def on_hi_as_new_map(self, pkt: Packet) -> None:
         self.newmap_pending = pkt.info
-        _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_HI, macro=True))
+        _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_HI))
 
     def on_timer(self, token) -> None:
         if token[0] == "rcoa_dad":
@@ -340,8 +340,7 @@ class FhDmr:
         ncoa_known = self.ctx.nlcoa is not None
         if ncoa_known:
             self._promote_lcoa()
-        self._step(FsmEvent(fsm.EV_ATTACH_DONE, ncoa_known=ncoa_known,
-                            fbu_sent=self.ctx.fbu_sent, macro=self.ctx.macro))
+        self._step(FsmEvent(fsm.EV_ATTACH_DONE, ncoa_known=ncoa_known, fbu_sent=self.ctx.fbu_sent))
 
     def _promote_lcoa(self) -> None:
         self.prev_lcoa = self.lcoa
@@ -421,7 +420,7 @@ class FhDmr:
         if info["nar_prefix"].matches(self.lcoa):
             return  # advertisement for the current attachment; nothing moves
         self._configure_ncoa(info["nar_map"], info["nar_prefix"], info["nar_map_prefix"])
-        self._step(FsmEvent(fsm.EV_PRRTADV, macro=ctx.macro))
+        self._step(FsmEvent(fsm.EV_PRRTADV))
 
     def on_router_advertisement(self, pkt: Packet) -> None:
         info = pkt.info
@@ -443,7 +442,7 @@ class FhDmr:
         if self.ctx is not None and self.fsm_state == DmrState.REACTIVE_ATTACH:
             self._configure_ncoa(info["map_id"], prefix, info["map_prefix"])
             self._promote_lcoa()
-            self._step(FsmEvent(fsm.EV_RA, macro=self.ctx.macro))
+            self._step(FsmEvent(fsm.EV_RA))
 
     def _on_fback(self, pkt: Packet) -> None:
         if self.ctx is not None:

@@ -1,10 +1,10 @@
 """Pure handover state machines for the fast hierarchical scheme.
 
-Every transition is a pure function of (role, state, event) returning the
-successor state and a tuple of actions for the caller to interpret.  Keeping
-the machines side-effect free lets tests enumerate the full transition graphs
-of the predictive and reactive, micro and macro signal flows.
-"""
+Each machine is one table from (state, event kind) to the successor state and
+a tuple of actions for the caller to interpret, or to a `Guard` that picks one
+of two such rows on a flag of the event.  Keeping the machines side-effect
+free lets tests enumerate the full transition graphs of the predictive and
+reactive, micro and macro signal flows."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ ROLE_DMR = "DMR"
 ROLE_MAP = "MAP"
 ROLE_NAR = "NAR"
 ROLE_NEW_MAP = "NewMAP"
-ROLE_OAR = "OAR"
 
 
 class DmrState(Enum):
@@ -54,10 +53,6 @@ class NewMapState(Enum):
     ACKED = "Acked"
 
 
-class OarState(Enum):
-    IDLE = "Idle"
-
-
 # Event kinds fed to fsm_step.
 EV_L2_TRIGGER = "l2_trigger"
 EV_PRRTADV = "prrtadv"
@@ -79,8 +74,6 @@ EV_HI = "hi"
 EV_DAD_OK = "dad_ok"
 EV_FNA_RS = "fna_rs"
 EV_FNA_FBU = "fna_fbu"
-EV_NS_OWNED = "ns_owned"
-EV_RTSOLPR = "rtsolpr"
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,6 @@ class FsmEvent:
     ncoa_known: bool = False
     fbu_sent: bool = False
     collision: bool = False
-    relayed: bool = False
 
 
 # Symbolic signal destinations, resolved to addresses by the interpreter.
@@ -123,191 +115,111 @@ class Unexpected:
     kind: str
 
 
+@dataclass(frozen=True)
+class Guard:
+    """A row that reads one `FsmEvent` flag: `if_set` when it is true."""
+    flag: str
+    if_set: object
+    if_clear: object
+
+
+_D, _M, _N, _W = DmrState, MapState, NarState, NewMapState
+_RS, _FNA = Emit(SignalKind.RS, DEST_NAR), Emit(SignalKind.FNA, DEST_NAR)
+_DAD_FAST = (Emit(SignalKind.NS, DEST_NAR), StartTimer("dad_fast"))
+_TO_FORWARDING = (_M.FORWARDING, (Do("install_forwarding"),
+                                  Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS)))
+_TO_CLEARED = (_M.CLEARED, (Do("remove_forwarding"),))
+_NAACK = (Emit(SignalKind.NAACK, DEST_DMR),)
+
+_DMR_TABLE = {
+    (_D.IDLE, EV_L2_TRIGGER): (_D.SENT_RTSOLPR, (Emit(SignalKind.RT_SOL_PR, DEST_OAR),)),
+    # A duplicate acknowledgement flushed from the new link buffer may trail
+    # the completed handover; idempotent by design.
+    (_D.IDLE, EV_FBACK): (_D.IDLE, ()),
+    (_D.SENT_RTSOLPR, EV_PRRTADV): (_D.CONFIGURED_NCOA, (StartTimer("fbu_delay"),)),
+    (_D.CONFIGURED_NCOA, EV_FBU_TIMER): (_D.SENT_FBU, (Emit(SignalKind.FBU, DEST_OLD_MAP),)),
+    (_D.SENT_FBU, EV_FBACK): (_D.GOT_FBACK, ()),
+    **{(state, EV_L2_DOWN): (_D.REACTIVE_ATTACH, ())
+       for state in (_D.IDLE, _D.SENT_RTSOLPR, _D.CONFIGURED_NCOA, _D.SENT_FBU)},
+    (_D.GOT_FBACK, EV_FBACK): (_D.GOT_FBACK, ()),
+    (_D.GOT_FBACK, EV_L2_DOWN): (_D.L2_SWITCHING, ()),
+    (_D.L2_SWITCHING, EV_ATTACH_DONE): (_D.SENT_FNA, (_RS, _FNA, StartTimer("lbu_gap"))),
+    (_D.L2_SWITCHING, EV_FBACK): (_D.L2_SWITCHING, ()),
+    # The predictive acknowledgement may still be in flight, so a fresh
+    # binding update is only retransmitted after a grace wait.
+    (_D.REACTIVE_ATTACH, EV_ATTACH_DONE): Guard(
+        "ncoa_known",
+        Guard("fbu_sent",
+              (_D.SENT_FNA, (_RS, _FNA, StartTimer("fbu_retx"))),
+              (_D.SENT_FNA, (_RS, Do("send_fna_with_fbu")))),
+        (_D.REACTIVE_ATTACH, (_RS,))),
+    (_D.REACTIVE_ATTACH, EV_RA): (_D.SENT_FNA, (Do("send_fna_with_fbu"),)),
+    (_D.REACTIVE_ATTACH, EV_FBACK): (_D.REACTIVE_ATTACH, ()),
+    (_D.SENT_FNA, EV_FBACK): (_D.SENT_FNA, (StartTimer("lbu_gap"),)),
+    (_D.SENT_FNA, EV_FBU_RETX_TIMER): (_D.SENT_FNA, (Do("send_fna_with_fbu"),)),
+    (_D.SENT_FNA, EV_NAACK): (_D.SENT_FNA, (Do("adopt_alternative"), Do("send_fna_with_fbu"))),
+    (_D.SENT_FNA, EV_LBU_TIMER): (_D.LOCAL_REGISTERED, (Emit(SignalKind.LBU, DEST_SERVING_MAP),)),
+    (_D.LOCAL_REGISTERED, EV_LBACK): Guard(
+        "macro", (_D.COMPLETE, (Do("start_macro_registration"),)), (_D.COMPLETE, ())),
+    # Second-path acknowledgement duplicates and surplus timers.
+    (_D.LOCAL_REGISTERED, EV_FBACK): (_D.LOCAL_REGISTERED, ()),
+    (_D.LOCAL_REGISTERED, EV_LBU_TIMER): (_D.LOCAL_REGISTERED, ()),
+}
+
+_MAP_TABLE = {
+    (_M.IDLE, EV_FBU): (_M.SENT_HI, (Emit(SignalKind.HI, DEST_NAR),)),
+    (_M.IDLE, EV_FBU_VIA_NAR): _TO_FORWARDING,
+    (_M.SENT_HI, EV_HACK_NAR): Guard("macro", (_M.GOT_HACK, ()), _TO_FORWARDING),
+    (_M.SENT_HI, EV_HACK_NEW_MAP): (_M.GOT_HACK, ()),
+    (_M.SENT_HI, EV_FBU_VIA_NAR): (_M.SENT_HI, ()),
+    (_M.GOT_HACK, EV_HACK_NAR): _TO_FORWARDING,
+    (_M.GOT_HACK, EV_HACK_NEW_MAP): _TO_FORWARDING,
+    (_M.GOT_HACK, EV_FBU_VIA_NAR): (_M.GOT_HACK, ()),
+    (_M.FORWARDING, EV_FBU_VIA_NAR): (_M.FORWARDING,
+                                      (Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS),)),
+    (_M.FORWARDING, EV_HACK_NAR): (_M.FORWARDING, ()),
+    (_M.FORWARDING, EV_HACK_NEW_MAP): (_M.FORWARDING, ()),
+    **{(state, EV_LBU_CUT): _TO_CLEARED for state in (_M.SENT_HI, _M.GOT_HACK, _M.FORWARDING)},
+}
+
+_NAR_TABLE = {
+    (_N.IDLE, EV_HI): Guard("macro", (_N.DAD_RUNNING, _DAD_FAST + (Do("relay_hi"),)),
+                            (_N.DAD_RUNNING, _DAD_FAST)),
+    (_N.IDLE, EV_FNA_RS): (_N.FLUSHED, ()),
+    (_N.IDLE, EV_FNA_FBU): Guard("collision", (_N.IDLE, _NAACK),
+                                 (_N.FLUSHED, (Do("forward_fbu"),))),
+    (_N.DAD_RUNNING, EV_DAD_OK): (_N.TUNNEL_UP_BUFFERING, (Emit(SignalKind.HACK, DEST_OLD_MAP),)),
+    (_N.TUNNEL_UP_BUFFERING, EV_FNA_RS): (_N.FLUSHED, (Do("flush_buffer"),)),
+    (_N.TUNNEL_UP_BUFFERING, EV_FNA_FBU): Guard(
+        "collision", (_N.TUNNEL_UP_BUFFERING, _NAACK),
+        (_N.FLUSHED, (Do("flush_buffer"), Do("forward_fbu")))),
+    (_N.FLUSHED, EV_FNA_FBU): Guard("collision", (_N.FLUSHED, _NAACK),
+                                    (_N.FLUSHED, (Do("forward_fbu"),))),
+    (_N.FLUSHED, EV_FNA_RS): (_N.FLUSHED, ()),
+}
+
+_NEW_MAP_TABLE = {
+    (_W.IDLE, EV_HI): (_W.DAD_RUNNING, (StartTimer("dad_rcoa"),)),
+    (_W.DAD_RUNNING, EV_DAD_OK): (_W.ACKED, (Emit(SignalKind.HACK, DEST_OLD_MAP),
+                                            Emit(SignalKind.HACK, DEST_NAR))),
+}
+
+TABLES = {ROLE_DMR: _DMR_TABLE, ROLE_MAP: _MAP_TABLE, ROLE_NAR: _NAR_TABLE,
+          ROLE_NEW_MAP: _NEW_MAP_TABLE}
+TERMINAL_STATES = frozenset((_D.COMPLETE, _M.CLEARED, _W.ACKED))
+
+
 def fsm_step(role: str, state, event: FsmEvent):
-    """One pure transition; unexpected events leave the state unchanged."""
-    if role == ROLE_DMR:
-        return _dmr_step(state, event)
-    if role == ROLE_MAP:
-        return _map_step(state, event)
-    if role == ROLE_NAR:
-        return _nar_step(state, event)
-    if role == ROLE_NEW_MAP:
-        return _new_map_step(state, event)
-    if role == ROLE_OAR:
-        return _oar_step(state, event)
-    raise ValueError(f"unknown role {role}")
-
-
-def _dmr_step(state: DmrState, ev: FsmEvent):
-    k = ev.kind
-    if state == DmrState.IDLE:
-        if k == EV_L2_TRIGGER:
-            return DmrState.SENT_RTSOLPR, (Emit(SignalKind.RT_SOL_PR, DEST_OAR),)
-        if k == EV_L2_DOWN:
-            return DmrState.REACTIVE_ATTACH, ()
-        if k == EV_FBACK:
-            # A duplicate acknowledgement flushed from the new link buffer may
-            # trail the completed handover; idempotent by design.
-            return DmrState.IDLE, ()
-    elif state == DmrState.SENT_RTSOLPR:
-        if k == EV_PRRTADV:
-            return DmrState.CONFIGURED_NCOA, (StartTimer("fbu_delay"),)
-        if k == EV_L2_DOWN:
-            return DmrState.REACTIVE_ATTACH, ()
-    elif state == DmrState.CONFIGURED_NCOA:
-        if k == EV_FBU_TIMER:
-            return DmrState.SENT_FBU, (Emit(SignalKind.FBU, DEST_OLD_MAP),)
-        if k == EV_L2_DOWN:
-            return DmrState.REACTIVE_ATTACH, ()
-    elif state == DmrState.SENT_FBU:
-        if k == EV_FBACK:
-            return DmrState.GOT_FBACK, ()
-        if k == EV_L2_DOWN:
-            return DmrState.REACTIVE_ATTACH, ()
-    elif state == DmrState.GOT_FBACK:
-        if k == EV_FBACK:
-            return DmrState.GOT_FBACK, ()
-        if k == EV_L2_DOWN:
-            return DmrState.L2_SWITCHING, ()
-    elif state == DmrState.L2_SWITCHING:
-        if k == EV_ATTACH_DONE:
-            return DmrState.SENT_FNA, (Emit(SignalKind.RS, DEST_NAR),
-                                       Emit(SignalKind.FNA, DEST_NAR),
-                                       StartTimer("lbu_gap"))
-        if k == EV_FBACK:
-            return DmrState.L2_SWITCHING, ()
-    elif state == DmrState.REACTIVE_ATTACH:
-        if k == EV_ATTACH_DONE:
-            if not ev.ncoa_known:
-                return DmrState.REACTIVE_ATTACH, (Emit(SignalKind.RS, DEST_NAR),)
-            if ev.fbu_sent:
-                # The predictive acknowledgement may still be in flight, so a
-                # fresh binding update is only retransmitted after a grace wait.
-                return DmrState.SENT_FNA, (Emit(SignalKind.RS, DEST_NAR),
-                                           Emit(SignalKind.FNA, DEST_NAR),
-                                           StartTimer("fbu_retx"))
-            return DmrState.SENT_FNA, (Emit(SignalKind.RS, DEST_NAR),
-                                       Do("send_fna_with_fbu"))
-        if k == EV_RA:
-            return DmrState.SENT_FNA, (Do("send_fna_with_fbu"),)
-        if k == EV_FBACK:
-            return DmrState.REACTIVE_ATTACH, ()
-    elif state == DmrState.SENT_FNA:
-        if k == EV_FBACK:
-            return DmrState.SENT_FNA, (StartTimer("lbu_gap"),)
-        if k == EV_FBU_RETX_TIMER:
-            return DmrState.SENT_FNA, (Do("send_fna_with_fbu"),)
-        if k == EV_NAACK:
-            return DmrState.SENT_FNA, (Do("adopt_alternative"), Do("send_fna_with_fbu"))
-        if k == EV_LBU_TIMER:
-            return DmrState.LOCAL_REGISTERED, (Emit(SignalKind.LBU, DEST_SERVING_MAP),)
-    elif state == DmrState.LOCAL_REGISTERED:
-        if k == EV_LBACK:
-            if ev.macro:
-                return DmrState.COMPLETE, (Do("start_macro_registration"),)
-            return DmrState.COMPLETE, ()
-        if k in (EV_FBACK, EV_LBU_TIMER):
-            # Second-path acknowledgement duplicates and surplus timers.
-            return DmrState.LOCAL_REGISTERED, ()
-    elif state == DmrState.COMPLETE:
-        return DmrState.COMPLETE, ()
-    return state, (Unexpected(k),)
-
-
-def _map_step(state: MapState, ev: FsmEvent):
-    k = ev.kind
-    if state == MapState.IDLE:
-        if k == EV_FBU:
-            return MapState.SENT_HI, (Emit(SignalKind.HI, DEST_NAR),)
-        if k == EV_FBU_VIA_NAR:
-            return MapState.FORWARDING, (Do("install_forwarding"),
-                                         Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS))
-    elif state == MapState.SENT_HI:
-        if k == EV_HACK_NAR:
-            if ev.macro:
-                return MapState.GOT_HACK, ()
-            return MapState.FORWARDING, (Do("install_forwarding"),
-                                         Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS))
-        if k == EV_HACK_NEW_MAP:
-            return MapState.GOT_HACK, ()
-        if k == EV_FBU_VIA_NAR:
-            return MapState.SENT_HI, ()
-        if k == EV_LBU_CUT:
-            return MapState.CLEARED, (Do("remove_forwarding"),)
-    elif state == MapState.GOT_HACK:
-        if k in (EV_HACK_NAR, EV_HACK_NEW_MAP):
-            return MapState.FORWARDING, (Do("install_forwarding"),
-                                         Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS))
-        if k == EV_FBU_VIA_NAR:
-            return MapState.GOT_HACK, ()
-        if k == EV_LBU_CUT:
-            return MapState.CLEARED, (Do("remove_forwarding"),)
-    elif state == MapState.FORWARDING:
-        if k == EV_FBU_VIA_NAR:
-            return MapState.FORWARDING, (Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS),)
-        if k in (EV_HACK_NAR, EV_HACK_NEW_MAP):
-            return MapState.FORWARDING, ()
-        if k == EV_LBU_CUT:
-            return MapState.CLEARED, (Do("remove_forwarding"),)
-    elif state == MapState.CLEARED:
-        return MapState.CLEARED, ()
-    return state, (Unexpected(k),)
-
-
-def _nar_step(state: NarState, ev: FsmEvent):
-    k = ev.kind
-    if state == NarState.IDLE:
-        if k == EV_HI:
-            actions = [Emit(SignalKind.NS, DEST_NAR), StartTimer("dad_fast")]
-            if ev.macro:
-                actions.append(Do("relay_hi"))
-            return NarState.DAD_RUNNING, tuple(actions)
-        if k == EV_FNA_RS:
-            return NarState.FLUSHED, ()
-        if k == EV_FNA_FBU:
-            if ev.collision:
-                return NarState.IDLE, (Emit(SignalKind.NAACK, DEST_DMR),)
-            return NarState.FLUSHED, (Do("forward_fbu"),)
-        if k == EV_NS_OWNED:
-            return NarState.IDLE, (Emit(SignalKind.NA, DEST_DMR),)
-    elif state == NarState.DAD_RUNNING:
-        if k == EV_DAD_OK:
-            return NarState.TUNNEL_UP_BUFFERING, (Emit(SignalKind.HACK, DEST_OLD_MAP),)
-    elif state == NarState.TUNNEL_UP_BUFFERING:
-        if k == EV_FNA_RS:
-            return NarState.FLUSHED, (Do("flush_buffer"),)
-        if k == EV_FNA_FBU:
-            if ev.collision:
-                return NarState.TUNNEL_UP_BUFFERING, (Emit(SignalKind.NAACK, DEST_DMR),)
-            return NarState.FLUSHED, (Do("flush_buffer"), Do("forward_fbu"))
-    elif state == NarState.FLUSHED:
-        if k == EV_FNA_FBU:
-            if ev.collision:
-                return NarState.FLUSHED, (Emit(SignalKind.NAACK, DEST_DMR),)
-            return NarState.FLUSHED, (Do("forward_fbu"),)
-        if k == EV_FNA_RS:
-            return NarState.FLUSHED, ()
-    return state, (Unexpected(k),)
-
-
-def _new_map_step(state: NewMapState, ev: FsmEvent):
-    k = ev.kind
-    if state == NewMapState.IDLE:
-        if k == EV_HI:
-            return NewMapState.DAD_RUNNING, (StartTimer("dad_rcoa"),)
-    elif state == NewMapState.DAD_RUNNING:
-        if k == EV_DAD_OK:
-            return NewMapState.ACKED, (Emit(SignalKind.HACK, DEST_OLD_MAP),
-                                       Emit(SignalKind.HACK, DEST_NAR))
-    elif state == NewMapState.ACKED:
-        return NewMapState.ACKED, ()
-    return state, (Unexpected(k),)
-
-
-def _oar_step(state: OarState, ev: FsmEvent):
-    if ev.kind == EV_RTSOLPR:
-        return OarState.IDLE, (Emit(SignalKind.PR_RT_ADV, DEST_DMR),)
-    return state, (Unexpected(ev.kind),)
+    """One pure transition: a terminal state absorbs every event, and an event
+    with no row leaves the state unchanged behind an `Unexpected` marker."""
+    if state in TERMINAL_STATES:
+        return state, ()
+    row = TABLES[role].get((state, event.kind))
+    if row is None:
+        return state, (Unexpected(event.kind),)
+    while isinstance(row, Guard):
+        row = row.if_set if getattr(event, row.flag) else row.if_clear
+    return row
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,8 @@ class ArNode(Node):
         nar_map = self.sim.topo.ar_to_map[nar]
         adv = self.sim.make_signal(
             SignalKind.PR_RT_ADV, self.address, pkt.src,
-            info={"nar": nar, "nar_prefix": self.sim.topo.ar_prefix[nar],
-                  "nar_map": nar_map,
-                  "nar_map_prefix": self.sim.topo.map_prefix[nar_map],
-                  "qos_profile": "default-sla"})
+            info={"nar_prefix": self.sim.topo.ar_prefix[nar], "nar_map": nar_map,
+                  "nar_map_prefix": self.sim.topo.map_prefix[nar_map]})
         self.sim.send_via(self.node_id, self.bs_id, adv)
 
     def _dad_check(self, pkt: Packet) -> None:

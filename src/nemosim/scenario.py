@@ -115,6 +115,22 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"faults.drop_first_signals names unknown signal kinds "
                               f"{sorted(unknown)}")
+        # Times are whole microseconds.  A string would fail mid-run at its
+        # first comparison, and a negative time would schedule into the past
+        # or plan the trigger or the attach out of order.  A beacon interval
+        # of 0 means no beacons; a refresh interval of 0 would re-arm the
+        # refresh at one instant forever.
+        times = [(f.name, getattr(self, f.name)) for f in fields(self)]
+        times += [(f"cbr.{f.name}", getattr(self.cbr, f.name)) for f in fields(self.cbr)]
+        for key, value in times:
+            if not key.endswith("_us"):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an int number of microseconds, not {value!r}")
+            if value < 0:
+                raise ConfigError(f"{key} must not be negative")
+        if self.binding_refresh_us == 0:
+            raise ConfigError("binding_refresh_us must be positive")
         if not (self.cbr.start_us < self.cbr.stop_us <= self.sim_end_us):
             raise ConfigError("cbr start must precede stop, and stop must not pass sim end")
         # Rates and sizes divide or are divided into packet intervals.  The
@@ -127,18 +143,11 @@ class ScenarioConfig:
             if value <= 0:
                 raise ConfigError(f"{key} must be positive")
         # A radius of 0 m or less keeps the router outside every cell, so the
-        # run completes with 100% loss.  A negative load would run as no load,
-        # a negative lead would fire the trigger with the link-down, and a
-        # negative switch time would plan the attach before the link-down.
-        # A beacon interval of 0 means no beacons.
+        # run completes with 100% loss.  A negative load would run as no load.
         if self.cell_radius_m <= 0:
             raise ConfigError("cell_radius_m must be positive")
-        for key, value in (("background_load_bps", self.background_load_bps),
-                           ("lead_us", self.lead_us),
-                           ("l2_switch_us", self.l2_switch_us),
-                           ("beacon_interval_us", self.beacon_interval_us)):
-            if value < 0:
-                raise ConfigError(f"{key} must not be negative")
+        if self.background_load_bps < 0:
+            raise ConfigError("background_load_bps must not be negative")
         # A queue that holds no packet delivers none, and a drop probability
         # outside [0, 1] or an averaging weight outside (0, 1] is not RED.
         red = self.red
@@ -148,9 +157,10 @@ class ScenarioConfig:
             raise ConfigError(f"red.max_p must be in [0, 1], not {red.max_p!r}")
         if not isinstance(red.w_q, (int, float)) or not 0 < red.w_q <= 1:
             raise ConfigError(f"red.w_q must be in (0, 1], not {red.w_q!r}")
-        if not isinstance(self.nar_buffer_capacity, int) or self.nar_buffer_capacity < 0:
-            raise ConfigError(f"nar_buffer_capacity must be a non-negative int, "
-                              f"not {self.nar_buffer_capacity!r}")
+        for key, value in (("nar_buffer_capacity", self.nar_buffer_capacity),
+                           ("rr_retries", self.rr_retries)):
+            if not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{key} must be a non-negative int, not {value!r}")
         if self.cbr.interval_us < 1:
             raise ConfigError("cbr.rate_bps is too high: the packet interval rounds to 0 us")
         if self.background_load_bps > 0 and self.bg_interval_us < 1:

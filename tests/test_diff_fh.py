@@ -43,9 +43,8 @@ def prrtadv(nar="ar2", nar_map="map1"):
     topo_prefix = {"ar2": Prefix(2, 2), "ar3": Prefix(3, 1)}[nar]
     map_prefix = {"map1": Prefix(2, 0), "map2": Prefix(3, 0)}[nar_map]
     return make_signal(SignalKind.PR_RT_ADV, Address(2, 1, 1), LCOA1, t=0,
-                       info={"nar": nar, "nar_prefix": topo_prefix,
-                             "nar_map": nar_map, "nar_map_prefix": map_prefix,
-                             "qos_profile": "default-sla"})
+                       info={"nar_prefix": topo_prefix, "nar_map": nar_map,
+                             "nar_map_prefix": map_prefix})
 
 
 def test_prrtadv_micro_configures_only_on_link_address(fake_sim):
@@ -72,8 +71,8 @@ def test_prrtadv_for_current_attachment_is_noop(fake_sim):
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan())
     adv = make_signal(SignalKind.PR_RT_ADV, Address(2, 1, 1), LCOA1, t=0,
-                      info={"nar": "ar1", "nar_prefix": Prefix(2, 1),
-                            "nar_map": "map1", "nar_map_prefix": Prefix(2, 0)})
+                      info={"nar_prefix": Prefix(2, 1), "nar_map": "map1",
+                            "nar_map_prefix": Prefix(2, 0)})
     dmr.handle_prrtadv(adv)
     assert dmr.ctx.nlcoa is None
     assert dmr.fsm_state == DmrState.SENT_RTSOLPR

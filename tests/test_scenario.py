@@ -50,12 +50,13 @@ def test_cbr_window_must_fit_run():
         config_from_dict({"sim_end_us": 30 * SEC})   # default stop at 200 s
 
 
-# Each of these would hang (a source rescheduling itself at +0 us), divide by
-# zero or fail on a string mid-run, or run silently to a meaningless result
-# (100% loss, no load, interval detection for a misspelt one, a fault that
-# never fires, a queue that holds nothing, a drop probability above 1, an
-# attach planned before the link goes down); validation must reject them
-# before any event is scheduled.
+# Each of these would hang (a source or the binding refresh re-arming itself
+# at +0 us), divide by zero, fail on a string or schedule into the past
+# mid-run, or run silently to a meaningless result (100% loss, no load,
+# interval detection for a misspelt one, a fault that never fires, a queue
+# that holds nothing, a drop probability above 1, an attach planned before
+# the link goes down); validation must reject them before any event is
+# scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -80,6 +81,14 @@ def test_cbr_window_must_fit_run():
     ({"beacon_interval_us": -1}, "beacon_interval_us"),
     ({"nar_buffer_capacity": "x"}, "nar_buffer_capacity"),
     ({"nar_buffer_capacity": -1}, "nar_buffer_capacity"),
+    ({"lead_us": "x"}, "lead_us"),
+    ({"sim_end_us": "x"}, "sim_end_us"),
+    ({"cbr": {"stop_us": "x"}}, "cbr.stop_us"),
+    ({"fbu_delay_us": True}, "fbu_delay_us"),
+    ({"dad_delay_us": -5}, "dad_delay_us"),
+    ({"air_delay_us": -1}, "air_delay_us"),
+    ({"rr_retries": -1}, "rr_retries"),
+    ({"binding_refresh_us": 0}, "binding_refresh_us"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
