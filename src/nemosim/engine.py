@@ -32,11 +32,18 @@ APP_STOP = "app_stop"
 
 @dataclass(slots=True)
 class SimEvent:
+    """An event handed to `Engine.schedule`; on the heap it becomes an entry."""
+
     fire_at: SimTime
     target: str
     kind: str
     payload: object = None
     insertion_seq: int = -1
+
+
+# A heap entry, and what a handler receives: (fire_at, insertion_seq, target,
+# kind, payload).  A plain tuple is built and unpacked in C.
+Entry = tuple[SimTime, int, str, str, object]
 
 
 # Lines a TraceWriter holds before it writes them out: enough to make each
@@ -98,10 +105,14 @@ class Engine:
     """Single-threaded event engine.
 
     Events are processed in strict (fire_at, insertion_seq) order, so two
-    events at the same instant pop in FIFO insertion order.  One seeded
-    RngStream feeds every random decision in a run.  When `trace` is given
-    (any object with `append(line)`: a list, or a TraceWriter), each event
-    is rendered into it before its handler runs.
+    events at the same instant pop in FIFO insertion order.  Each event is
+    held as the plain tuple `(fire_at, insertion_seq, target, kind, payload)`
+    (`Entry`), whether it came from `schedule(SimEvent(...))` or from
+    `schedule_in`, and the handler registered for its target receives that
+    tuple as its one argument.  One seeded RngStream feeds every random
+    decision in a run.  When `trace` is given (any object with
+    `append(line)`: a list, or a TraceWriter), each event is rendered into it
+    before its handler runs.
 
     The traced event stream is the one the golden outputs pin.  An untraced
     run processes the same events with the same results, less the ones only
@@ -113,23 +124,28 @@ class Engine:
         self.now: SimTime = 0
         self.rng = RngStream(seed)
         self.trace = trace
-        self._heap: list[tuple[SimTime, int, SimEvent]] = []
+        self._heap: list[Entry] = []
         self._seq = 0
-        self._handlers: dict[str, Callable[[SimEvent], None]] = {}
+        self._handlers: dict[str, Callable[[Entry], None]] = {}
 
-    def register(self, node_id: str, handler: Callable[[SimEvent], None]) -> None:
+    def register(self, node_id: str, handler: Callable[[Entry], None]) -> None:
         self._handlers[node_id] = handler
 
     def schedule(self, event: SimEvent) -> None:
-        if event.fire_at < self.now:
-            raise PastEvent(f"fire_at {event.fire_at} < clock {self.now}")
+        fire_at = event.fire_at
+        if fire_at < self.now:
+            raise PastEvent(f"fire_at {fire_at} < clock {self.now}")
         seq = self._seq
         event.insertion_seq = seq
         self._seq = seq + 1
-        heappush(self._heap, (event.fire_at, seq, event))
+        heappush(self._heap, (fire_at, seq, event.target, event.kind, event.payload))
 
     def schedule_in(self, delay: SimTime, target: str, kind: str, payload: object = None) -> None:
-        self.schedule(SimEvent(self.now + delay, target, kind, payload))
+        if delay < 0:
+            raise PastEvent(f"delay {delay} < 0 at clock {self.now}")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, target, kind, payload))
 
     def pending(self) -> int:
         return len(self._heap)
@@ -143,15 +159,15 @@ class Engine:
         heap, handlers, trace = self._heap, self._handlers, self.trace
         processed = 0
         while heap and heap[0][0] <= end:
-            fire_at, _, event = heappop(heap)
+            entry = heappop(heap)
+            fire_at, _, target, kind, payload = entry
             self.now = fire_at
             processed += 1
             if trace is not None:
-                detail = trace_detail(event.payload)
-                trace.append(f"{fire_at}\t{event.target}\t{event.kind}\t{detail}")
-            handler = handlers.get(event.target)
+                trace.append(f"{fire_at}\t{target}\t{kind}\t{trace_detail(payload)}")
+            handler = handlers.get(target)
             if handler is not None:
-                handler(event)
+                handler(entry)
         self.now = end if processed == 0 else min(end, self.now)
         return processed
 

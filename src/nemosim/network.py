@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import diffserv
-from .engine import (PACKET_ARRIVAL, SEC, TIMER_EXPIRY, Engine, SimEvent,
-                     SimTime)
+from .engine import PACKET_ARRIVAL, SEC, TIMER_EXPIRY, Engine, Entry, SimTime
 from .metrics import FLOW_BG
 from .packets import Address, Packet
 
@@ -223,8 +222,8 @@ class LinkQueue:
             ser = self._ser_us[size] = serialization_us(size, self.link.bandwidth_bps)
         self.engine.schedule_in(ser, self._timer_target, TIMER_EXPIRY, pkt)
 
-    def _on_tx_done(self, event: SimEvent) -> None:
-        pkt = event.payload
+    def _on_tx_done(self, event: Entry) -> None:
+        pkt = event[4]
         if (pkt.dst is not self.bg_station or pkt.flow != FLOW_BG
                 or self.engine.trace is not None):
             self.engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
-                     PACKET_ARRIVAL, TIMER_EXPIRY, SimEvent)
+                     PACKET_ARRIVAL, TIMER_EXPIRY, Entry)
 from .metrics import FLOW_BG, FLOW_CBR
 from .packets import DATA, SIGNAL, Packet, SignalKind, apply_home_address_option
 
@@ -18,17 +18,17 @@ class Node:
         self.address = sim.topo.addresses.get(node_id)
         sim.engine.register(node_id, self.dispatch)
 
-    def dispatch(self, ev: SimEvent) -> None:
-        if ev.kind == PACKET_ARRIVAL:
-            pkt: Packet = ev.payload
-            log = pkt.innermost().path_log
+    def dispatch(self, ev: Entry) -> None:
+        _, _, _, kind, payload = ev
+        if kind == PACKET_ARRIVAL:
+            log = payload.innermost().path_log
             if log is not None:
                 log.append(self.node_id)
-            self.on_packet(pkt)
-        elif ev.kind == TIMER_EXPIRY:
-            self.on_timer(ev.payload)
-        elif ev.kind in (APP_START, APP_STOP):
-            self.on_app(ev)
+            self.on_packet(payload)
+        elif kind == TIMER_EXPIRY:
+            self.on_timer(payload)
+        elif kind in (APP_START, APP_STOP):
+            self.on_app(kind)
 
     def on_packet(self, pkt: Packet) -> None:
         self.sim.forward(self.node_id, pkt)
@@ -36,7 +36,7 @@ class Node:
     def on_timer(self, token) -> None:
         pass
 
-    def on_app(self, ev: SimEvent) -> None:
+    def on_app(self, kind: str) -> None:
         pass
 
 
@@ -164,8 +164,8 @@ class ArNode(Node):
         elif self.nar is not None:
             self.nar.on_timer(token)
 
-    def dispatch(self, ev: SimEvent) -> None:
-        if ev.payload is BG_TICK:
+    def dispatch(self, ev: Entry) -> None:
+        if ev[4] is BG_TICK:
             self._bg_tick()
         else:
             super().dispatch(ev)
@@ -179,9 +179,9 @@ class ArNode(Node):
         self._bg_queue.send(pkt)
         engine.schedule_in(self._bg_interval_us, self.node_id, TIMER_EXPIRY, BG_TICK)
 
-    def on_app(self, ev: SimEvent) -> None:
+    def on_app(self, kind: str) -> None:
         cfg = self.sim.config
-        if ev.kind == APP_START and cfg.background_load_bps > 0:
+        if kind == APP_START and cfg.background_load_bps > 0:
             self._bg_dst = self.sim.topo.addresses[self.bs_id]
             self._bg_bytes = cfg.bg_packet_bytes
             self._bg_queue = self.sim.linkqueues[(self.node_id, self.bs_id)]
@@ -205,8 +205,8 @@ class BsNode(Node):
         else:
             self.sim.drop(pkt, f"detached@{self.node_id}")
 
-    def dispatch_air(self, ev: SimEvent) -> None:
-        pkt: Packet = ev.payload
+    def dispatch_air(self, ev: Entry) -> None:
+        pkt: Packet = ev[4]
         if self.sim.dmr_attached != self.node_id:
             self.sim.drop(pkt, f"air_lost@{self.node_id}")
             return
@@ -247,8 +247,8 @@ class CnNode(Node):
                 pkt = apply_home_address_option(pkt)
             self.upstream_received.append(pkt)
 
-    def on_app(self, ev: SimEvent) -> None:
-        if ev.kind == APP_START:
+    def on_app(self, kind: str) -> None:
+        if kind == APP_START:
             self._cbr_tick()
 
     def on_timer(self, token) -> None:
@@ -301,8 +301,8 @@ class DmrNode(Node):
         sim.engine.register("dmr_local", self.dispatch_local)
 
     def _air_dispatcher(self, bs: str):
-        def handler(ev: SimEvent) -> None:
-            pkt: Packet = ev.payload
+        def handler(ev: Entry) -> None:
+            pkt: Packet = ev[4]
             if self.sim.dmr_attached != bs:
                 self.sim.drop(pkt, f"air_lost@{bs}")
                 return
@@ -312,19 +312,21 @@ class DmrNode(Node):
             self.proto.on_packet(pkt)
         return handler
 
-    def dispatch_local(self, ev: SimEvent) -> None:
+    def dispatch_local(self, ev: Entry) -> None:
         # Traffic from the mobile network side.
-        if ev.kind == PACKET_ARRIVAL:
-            self.proto.on_upstream(ev.payload)
+        _, _, _, kind, payload = ev
+        if kind == PACKET_ARRIVAL:
+            self.proto.on_upstream(payload)
 
-    def dispatch(self, ev: SimEvent) -> None:
-        if ev.kind == L2_TRIGGER:
-            self.proto.on_l2_trigger(ev.payload)
-        elif ev.kind == L2_LINK_DOWN:
+    def dispatch(self, ev: Entry) -> None:
+        _, _, _, kind, payload = ev
+        if kind == L2_TRIGGER:
+            self.proto.on_l2_trigger(payload)
+        elif kind == L2_LINK_DOWN:
             self.sim.dmr_attached = None
-            self.proto.on_link_down(ev.payload)
-        elif ev.kind == TIMER_EXPIRY and ev.payload[0] == "l2_attach":
-            plan = ev.payload[1]
+            self.proto.on_link_down(payload)
+        elif kind == TIMER_EXPIRY and payload[0] == "l2_attach":
+            plan = payload[1]
             self.sim.dmr_attached = plan.bs
             self.proto.on_link_up(plan.bs)
         else:

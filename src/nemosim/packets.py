@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Every encapsulation level adds one fixed outer header.
 HEADER_BYTES = 40
@@ -36,8 +36,9 @@ class MissingHomeAddressOption(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Address:
+# Addresses are named tuples, so hashing, equality and ordering run in C; the
+# hash is that of (domain, site, node), which keeps set order and traces fixed.
+class Address(NamedTuple):
     """Three-level hierarchical address: domain, site, node."""
 
     domain: int
@@ -48,8 +49,7 @@ class Address:
         return f"{self.domain}.{self.site}.{self.node}"
 
 
-@dataclass(frozen=True, slots=True)
-class Prefix:
+class Prefix(NamedTuple):
     """Address prefix with the node part wildcarded."""
 
     domain: int

@@ -129,17 +129,28 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be an int number of microseconds, not {value!r}")
             if value < 0:
                 raise ConfigError(f"{key} must not be negative")
-        if self.binding_refresh_us == 0:
-            raise ConfigError("binding_refresh_us must be positive")
+        # A lifetime of 0 expires each binding as it is made, so every scheme
+        # runs to completion with nothing delivered.
+        for key in ("binding_refresh_us", "binding_lifetime_us"):
+            if getattr(self, key) == 0:
+                raise ConfigError(f"{key} must be positive")
         if not (self.cbr.start_us < self.cbr.stop_us <= self.sim_end_us):
             raise ConfigError("cbr start must precede stop, and stop must not pass sim end")
+        # Rates, sizes and the radius are numbers.  A string would escape as
+        # a raw TypeError from the first comparison below, and a bool would
+        # run as 1 or 0.
+        sizes = (("cbr.packet_bytes", self.cbr.packet_bytes),
+                 ("cbr.rate_bps", self.cbr.rate_bps),
+                 ("bg_packet_bytes", self.bg_packet_bytes),
+                 ("air_rate_bps", self.air_rate_bps))
+        for key, value in (*sizes, ("cell_radius_m", self.cell_radius_m),
+                           ("background_load_bps", self.background_load_bps)):
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be a number, not {value!r}")
         # Rates and sizes divide or are divided into packet intervals.  The
         # sources reschedule themselves one interval ahead, so an interval
         # that rounds to 0 us would keep the engine at one instant forever.
-        for key, value in (("cbr.packet_bytes", self.cbr.packet_bytes),
-                           ("cbr.rate_bps", self.cbr.rate_bps),
-                           ("bg_packet_bytes", self.bg_packet_bytes),
-                           ("air_rate_bps", self.air_rate_bps)):
+        for key, value in sizes:
             if value <= 0:
                 raise ConfigError(f"{key} must be positive")
         # A radius of 0 m or less keeps the router outside every cell, so the

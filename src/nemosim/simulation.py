@@ -90,6 +90,17 @@ class Simulation:
                             nxt.append((nbr, first))
                 frontier = nxt
             self._next_hop[start] = table
+        # The owner of each (domain, site) prefix, first match winning in the
+        # order: home and mobile network prefixes (the home agent), anchors,
+        # access routers.  The wired core (domain 0) has no prefix.
+        topo = self.topo
+        self._owners: dict[tuple[int, int], str] = {}
+        for owner, prefix in [("ha", topo.home_prefix), ("ha", topo.mnp),
+                              *topo.map_prefix.items(), *topo.ar_prefix.items()]:
+            self._owners.setdefault((prefix.domain, prefix.site), owner)
+        self._cn_addr = topo.addresses["cn"]
+        self._station_downlinks = {ar: self.linkqueues[(ar, topo.bs_of_ar(ar))]
+                                   for ar in topo.ar_prefix}
 
     def _build_nodes(self) -> None:
         cfg = self.config
@@ -153,18 +164,10 @@ class Simulation:
         self.engine.schedule_in(delay, node_id, TIMER_EXPIRY, token)
 
     def owner_of(self, dst: Address) -> Optional[str]:
-        topo = self.topo
-        if topo.home_prefix.matches(dst) or topo.mnp.matches(dst):
-            return "ha"
-        if dst.domain == 0:
-            return "cn" if dst == topo.addresses["cn"] else "er"
-        for map_id, prefix in topo.map_prefix.items():
-            if prefix.matches(dst):
-                return map_id
-        for ar_id, prefix in topo.ar_prefix.items():
-            if prefix.matches(dst):
-                return ar_id
-        return None
+        owner = self._owners.get(dst[:2])
+        if owner is None and dst.domain == 0:
+            return "cn" if dst == self._cn_addr else "er"
+        return owner
 
     def forward(self, here: str, pkt: Packet) -> None:
         if here == "dmr":
@@ -176,8 +179,9 @@ class Simulation:
             return
         if owner == here:
             # Site-local delivery: access routers hand down to their station.
-            if here in self.topo.ar_prefix:
-                self.linkqueues[(here, self.topo.bs_of_ar(here))].send(pkt)
+            downlink = self._station_downlinks.get(here)
+            if downlink is not None:
+                downlink.send(pkt)
             else:
                 self.drop(pkt, f"undeliverable@{here}")
             return

@@ -13,8 +13,8 @@ def cbr_held(sim) -> int:
     """
     held = [pkt for queue in sim.linkqueues.values()
             for backlog in queue.scheduler._backlogs for pkt in backlog]
-    held += [event.payload for _, _, event in sim.engine._heap
-             if isinstance(event.payload, Packet)]
+    held += [payload for _, _, _, _, payload in sim.engine._heap
+             if isinstance(payload, Packet)]
     held += [pkt for node in sim.nodes.values()
              if getattr(node, "nar", None) is not None for pkt in node.nar.buffer]
     return sum(pkt.innermost().flow == FLOW_CBR for pkt in held)

@@ -10,7 +10,7 @@ from nemosim.engine import (MS, SEC, TRACE_BLOCK_LINES, Engine, PastEvent, RngSt
 
 def collect(engine):
     seen = []
-    engine.register("n", lambda ev: seen.append(ev.payload))
+    engine.register("n", lambda ev: seen.append(ev[4]))
     return seen
 
 
@@ -62,6 +62,19 @@ def test_fifo_tie_break_across_schedule_and_schedule_in():
     assert seen == ["now", "A", "B", "C", "D", "E", "F"]
 
 
+def test_schedule_and_schedule_in_deliver_the_same_entry():
+    eng = Engine()
+    entries = []
+    eng.register("n", entries.append)
+    eng.schedule(SimEvent(3 * MS, "n", "timer_expiry", "a"))
+    eng.run_until(1 * MS)
+    eng.schedule_in(2 * MS, "n", "packet_arrival", "b")
+    eng.run_until(SEC)
+    assert entries == [(3 * MS, 0, "n", "timer_expiry", "a"),
+                       (3 * MS, 1, "n", "packet_arrival", "b")]
+    assert [type(entry) for entry in entries] == [tuple, tuple]
+
+
 def test_run_until_empty_queue_advances_clock():
     eng = Engine()
     assert eng.run_until(200 * SEC) == 0
@@ -96,9 +109,10 @@ def test_handler_can_schedule_followups_within_window():
     seen = []
 
     def handler(ev):
-        seen.append(ev.payload)
-        if ev.payload < 3:
-            eng.schedule(SimEvent(eng.now + MS, "n", "timer_expiry", ev.payload + 1))
+        payload = ev[4]
+        seen.append(payload)
+        if payload < 3:
+            eng.schedule(SimEvent(eng.now + MS, "n", "timer_expiry", payload + 1))
 
     eng.register("n", handler)
     eng.schedule(SimEvent(0, "n", "timer_expiry", 0))
@@ -146,7 +160,7 @@ def test_trace_writer_holds_at_most_one_block():
 def test_processing_order_is_stable_sort(entries):
     eng = Engine()
     seen = []
-    eng.register("n", lambda ev: seen.append(ev.payload))
+    eng.register("n", lambda ev: seen.append(ev[4]))
     for i, (t, tag) in enumerate(entries):
         eng.schedule(SimEvent(t, "n", "timer_expiry", (t, i, tag)))
     eng.run_until(10 ** 7)

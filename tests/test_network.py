@@ -12,6 +12,7 @@ from nemosim.metrics import FLOW_BG
 from nemosim.packets import DATA, SIGNAL, Address, Packet
 from nemosim.diffserv import RedParams
 from nemosim.scenario import ScenarioConfig, build_track, default_topology
+from nemosim.simulation import Simulation
 
 
 def test_transmit_serialization_plus_propagation():
@@ -125,8 +126,8 @@ def test_uncongested_chain_delay_matches_analytic_sum():
     q1 = LinkQueue(eng, l1, "a", "b", RedParams(), lambda p, w: drops.append(w))
     q2 = LinkQueue(eng, l2, "b", "c", RedParams(), lambda p, w: drops.append(w))
     arrivals = {}
-    eng.register("b", lambda ev: q2.send(ev.payload))
-    eng.register("c", lambda ev: arrivals.setdefault(ev.payload.seq, eng.now))
+    eng.register("b", lambda ev: q2.send(ev[4]))
+    eng.register("c", lambda ev: arrivals.setdefault(ev[4].seq, eng.now))
     pkt = Packet(src=Address(0, 0, 0), dst=Address(0, 0, 1), size_bytes=1000,
                  kind=DATA, seq=1)
     q1.send(pkt)
@@ -145,7 +146,7 @@ def test_background_packet_to_station_arrives_only_when_traced(trace, arrivals):
                       RedParams(), lambda p, w: None)
     queue.bg_station = station
     arrived = []
-    eng.register("bs1", lambda ev: arrived.append(ev.payload))
+    eng.register("bs1", lambda ev: arrived.append(ev[4]))
     queue.send(Packet(Address(2, 1, 1), station, 2000, DATA, 0, FLOW_BG))
     assert eng.run_until(SEC) == 1 + arrivals
     assert len(arrived) == arrivals
@@ -176,7 +177,7 @@ def test_linkqueue_arrivals_match_transmit(bandwidth_bps, sends):
     link = Link("a", "b", bandwidth_bps, 2 * MS)
     queue = LinkQueue(eng, link, "a", "b", RedParams(capacity=50), lambda p, w: None)
     arrivals = {}
-    eng.register("b", lambda ev: arrivals.setdefault(ev.payload.seq, eng.now))
+    eng.register("b", lambda ev: arrivals.setdefault(ev[4].seq, eng.now))
     expected, free_at = {}, 0
     for seq, (size, gap) in enumerate(sends):
         eng.run_until(eng.now + gap)
@@ -188,3 +189,32 @@ def test_linkqueue_arrivals_match_transmit(bandwidth_bps, sends):
         queue.send(pkt)
     eng.run_until(10 * SEC)
     assert arrivals == expected
+
+
+def prefix_scan_owner(topo, dst):
+    """The owner lookup as a scan of the topology's prefixes, in rank order."""
+    if topo.home_prefix.matches(dst) or topo.mnp.matches(dst):
+        return "ha"
+    if dst.domain == 0:
+        return "cn" if dst == topo.addresses["cn"] else "er"
+    for map_id, prefix in topo.map_prefix.items():
+        if prefix.matches(dst):
+            return map_id
+    for ar_id, prefix in topo.ar_prefix.items():
+        if prefix.matches(dst):
+            return ar_id
+    return None
+
+
+def test_owner_table_agrees_with_prefix_scan():
+    sim = Simulation(ScenarioConfig())
+    unowned = 0
+    for domain in range(5):
+        for site in range(4):
+            for node in range(4):
+                dst = Address(domain, site, node)
+                expected = prefix_scan_owner(sim.topo, dst)
+                assert sim.owner_of(dst) == expected, dst
+                unowned += expected is None
+    # Domain 4 and the sites no router serves (1.2, 1.3, 2.3, 3.3) are unowned.
+    assert unowned == 4 * (4 + 4)

@@ -117,10 +117,50 @@ def test_prefix_matching():
     assert p.address(7) == Address(2, 1, 7)
 
 
+def test_address_and_prefix_render_and_repr():
+    assert str(Address(2, 1, 100)) == "2.1.100"
+    assert repr(Address(2, 1, 1)) == "Address(domain=2, site=1, node=1)"
+    assert f"{Address(0, 0, 0)}" == "0.0.0"
+    assert str(Prefix(3, 2)) == "3.2.*"
+    assert repr(Prefix(3, 2)) == "Prefix(domain=3, site=2)"
+    # Timer tokens are tuples; the trace prints them with their repr.
+    assert str(("hi", Address(3, 1, 1))) == "('hi', Address(domain=3, site=1, node=1))"
+
+
+def test_address_hash_is_that_of_its_fields():
+    # Set iteration order, and so every trace that walks a set of addresses,
+    # depends on this hash.
+    assert hash(Address(2, 1, 1)) == hash((2, 1, 1))
+    assert hash(Prefix(2, 1)) == hash((2, 1))
+    assert Address(2, 1, 1) == Address(2, 1, 1)
+    assert Address(2, 1, 1) != Address(2, 1, 2)
+    assert len({Address(2, 1, 1), Address(2, 1, 1), Address(1, 1, 1)}) == 2
+
+
+def test_address_and_prefix_are_immutable():
+    addr, prefix = Address(2, 1, 1), Prefix(2, 1)
+    for obj, field in ((addr, "domain"), (addr, "node"), (prefix, "site")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 9)
+    with pytest.raises(AttributeError):
+        addr.extra = 1
+    assert addr == Address(2, 1, 1) and prefix == Prefix(2, 1)
+
+
+def test_prefix_matches_domain_and_site_only():
+    p = Prefix(2, 1)
+    for node in (0, 1, 100):
+        assert p.matches(Address(2, 1, node))
+    for other in (Address(1, 1, 1), Address(3, 1, 1), Address(2, 0, 1), Address(1, 2, 1)):
+        assert not p.matches(other)
+
+
 def test_addresses_totally_ordered():
     addrs = [Address(1, 0, 1), Address(0, 0, 0), Address(1, 1, 0), Address(0, 2, 9)]
     ordered = sorted(addrs)
     assert ordered == [Address(0, 0, 0), Address(0, 2, 9), Address(1, 0, 1), Address(1, 1, 0)]
+    assert Address(0, 2, 9) < Address(1, 0, 0) < Address(1, 0, 1) <= Address(1, 0, 1)
+    assert max(addrs) == Address(1, 1, 0)
 
 
 @given(st.integers(min_value=1, max_value=9000), st.integers(min_value=0, max_value=4))

@@ -55,7 +55,8 @@ def test_cbr_window_must_fit_run():
 # mid-run, or run silently to a meaningless result (100% loss, no load,
 # interval detection for a misspelt one, a fault that never fires, a queue
 # that holds nothing, a drop probability above 1, an attach planned before
-# the link goes down); validation must reject them before any event is
+# the link goes down, a bool taken as a rate or radius, a binding that
+# expires as it is made); validation must reject them before any event is
 # scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
@@ -89,6 +90,15 @@ def test_cbr_window_must_fit_run():
     ({"air_delay_us": -1}, "air_delay_us"),
     ({"rr_retries": -1}, "rr_retries"),
     ({"binding_refresh_us": 0}, "binding_refresh_us"),
+    ({"binding_lifetime_us": 0}, "binding_lifetime_us"),
+    ({"background_load_bps": "x"}, "background_load_bps"),
+    ({"cbr": {"packet_bytes": "x"}}, "cbr.packet_bytes"),
+    ({"cbr": {"rate_bps": "x"}}, "cbr.rate_bps"),
+    ({"bg_packet_bytes": "x"}, "bg_packet_bytes"),
+    ({"air_rate_bps": "x"}, "air_rate_bps"),
+    ({"cell_radius_m": "x"}, "cell_radius_m"),
+    ({"air_rate_bps": True}, "air_rate_bps"),
+    ({"cell_radius_m": True}, "cell_radius_m"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
