@@ -19,8 +19,8 @@ from .engine import SimTime
 from .diff_nemo import Registration
 from .fsm import (ROLE_DMR, ROLE_MAP, ROLE_NAR, ROLE_NEW_MAP, DmrState, FsmEvent,
                   MapState, NarState, NewMapState, fsm_step)
-from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind,
-                      apply_type2_routing, decapsulate, encapsulate)
+from .nemo_bs import MobileRouter
+from .packets import SIGNAL, Address, Packet, Prefix, SignalKind, encapsulate
 
 
 def _drive(agent, role: str, attr: str, event: FsmEvent) -> None:
@@ -253,7 +253,7 @@ class NarAgent:
         return False
 
 
-class FhDmr:
+class FhDmr(MobileRouter):
     """Mobile-router side of the fast hierarchical scheme."""
 
     RR_TIMEOUT = "fh_rr_timeout"
@@ -262,10 +262,7 @@ class FhDmr:
                        "fbu_retx": fsm.EV_FBU_RETX_TIMER}
 
     def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address):
-        self.sim = sim
-        self.hoa = hoa
-        self.mnp = mnp
-        self.ha = ha
+        super().__init__(sim, hoa, mnp, ha)
         self.node_component = 100
         self.lcoa: Optional[Address] = None
         self.rcoa: Optional[Address] = None
@@ -278,7 +275,6 @@ class FhDmr:
         self.epoch = 0
         self.handover_count = 0
         self.reg = Registration(sim, hoa, mnp, ha, cn, lambda: self.rcoa, self.RR_TIMEOUT)
-        self.cn_bound = False
         self._initial_prefix_seen = False
         # NA is absent: initial DAD collisions are not exercised for this variant.
         self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
@@ -290,16 +286,13 @@ class FhDmr:
         self.signal_handlers.update(dict.fromkeys(Registration.TOKEN_EVENTS, self.reg.on_token))
 
     # -- address bookkeeping -------------------------------------------------
-    def addresses(self) -> set[Address]:
-        out = {self.hoa}
-        for addr in (self.lcoa, self.rcoa, self.prev_lcoa, self.prev_rcoa):
-            if addr is not None:
-                out.add(addr)
-        if self.ctx:
-            for addr in (self.ctx.nlcoa, self.ctx.nrcoa):
-                if addr is not None:
-                    out.add(addr)
-        return out
+    def owns(self, addr: Address) -> bool:
+        ctx = self.ctx
+        return (addr in (self.hoa, self.lcoa, self.rcoa, self.prev_lcoa, self.prev_rcoa)
+                or (ctx is not None and addr in (ctx.nlcoa, ctx.nrcoa)))
+
+    def upstream_coa(self) -> Optional[Address]:
+        return self.rcoa
 
     # -- layer 2 -------------------------------------------------------------
     def on_l2_trigger(self, plan) -> None:
@@ -406,11 +399,6 @@ class FhDmr:
             ctx.nrcoa = map_prefix.address(self.node_component)
 
     # -- signal handling -------------------------------------------------------
-    def on_signal(self, pkt: Packet) -> None:
-        handler = self.signal_handlers.get(pkt.signal)
-        if handler is not None:
-            handler(pkt)
-
     def handle_prrtadv(self, pkt: Packet) -> None:
         """Anticipatory address configuration from the proxied advertisement."""
         ctx = self.ctx
@@ -478,7 +466,7 @@ class FhDmr:
 
     def _on_ba(self, pkt: Packet) -> None:
         if self.reg.on_ba(pkt):
-            self.cn_bound = True
+            self.cn_bound_coa = self.rcoa
             self.sim.timer("dmr", self.sim.config.binding_refresh_us,
                            ("reg_refresh", self.reg.seq))
 
@@ -501,29 +489,3 @@ class FhDmr:
             if token[1] == self.reg.seq and self.ctx is None:
                 self._send_lbu_to_serving_map(self.serving_map, None)
                 self.reg.start()
-
-    # -- data plane --------------------------------------------------------------
-    def on_packet(self, pkt: Packet) -> None:
-        addresses = self.addresses()
-        while pkt.inner is not None and pkt.dst in addresses:
-            pkt = decapsulate(pkt)
-        if pkt.rh2_home_addr is not None and pkt.dst in addresses:
-            pkt = apply_type2_routing(pkt)
-        if pkt.kind == SIGNAL:
-            self.on_signal(pkt)
-            return
-        if self.mnp.matches(pkt.dst) and pkt.dst != self.hoa:
-            self.sim.send_to_mnn(pkt)
-            return
-        self.sim.drop(pkt, "dmr_unhandled")
-
-    def on_upstream(self, pkt: Packet) -> None:
-        if self.cn_bound and self.rcoa is not None:
-            out = dataclasses.replace(pkt, src=self.rcoa, home_addr_option=pkt.src)
-            self.sim.condition_data("dmr", out)
-            self.sim.dmr_send(out)
-        elif self.rcoa is not None:
-            outer = encapsulate(pkt, self.rcoa, self.ha, dscp=pkt.dscp)
-            self.sim.dmr_send(outer)
-        else:
-            self.sim.drop(pkt, "mr_not_registered")

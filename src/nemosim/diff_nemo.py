@@ -9,12 +9,11 @@ route-optimising mobile routers drive."""
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Optional
 
 from . import fsm
-from .nemo_bs import BaselineMr, BindingCacheAgent, MrState
-from .packets import Address, Packet, Prefix, SignalKind, apply_type2_routing
+from .nemo_bs import BaselineMr, BindingCacheAgent
+from .packets import Address, Packet, Prefix, SignalKind
 
 
 class CorrespondentAgent(BindingCacheAgent):
@@ -164,11 +163,9 @@ class ProxyDmr(BaselineMr):
 
     RR_TIMEOUT = "rr_timeout"
 
-    def __init__(self, sim, state: MrState, cn_addr: Address):
-        super().__init__(sim, state)
-        self.reg = Registration(sim, state.hoa, state.mnp, state.ha, cn_addr,
-                                lambda: state.coa, self.RR_TIMEOUT)
-        self.cn_bound_coa: Optional[Address] = None
+    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address):
+        super().__init__(sim, hoa, mnp, ha)
+        self.reg = Registration(sim, hoa, mnp, ha, cn, lambda: self.state.coa, self.RR_TIMEOUT)
         self.signal_handlers.update(dict.fromkeys(Registration.TOKEN_EVENTS, self.reg.on_token))
 
     def send_binding_update(self) -> None:
@@ -189,26 +186,3 @@ class ProxyDmr(BaselineMr):
             self.reg.on_timeout(token)
         else:
             super().on_timer(token)
-
-    # -- data plane ----------------------------------------------------------
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.rh2_home_addr is not None and pkt.dst == self.state.coa:
-            self.proxy_deliver(pkt)
-            return
-        super().on_packet(pkt)
-
-    def proxy_deliver(self, pkt: Packet) -> None:
-        rewritten = apply_type2_routing(pkt)
-        if self.state.mnp.matches(rewritten.dst):
-            self.sim.send_to_mnn(rewritten)
-        else:
-            self.sim.drop(rewritten, "dmr_rh2_mismatch")
-
-    def on_upstream(self, pkt: Packet) -> None:
-        """Proxy the network node: rewrite the source and tag its home address."""
-        if self.cn_bound_coa is not None and self.cn_bound_coa == self.state.coa:
-            out = dataclasses.replace(pkt, src=self.state.coa, home_addr_option=pkt.src)
-            self.sim.condition_data("dmr", out)
-            self.sim.dmr_send(out)
-            return
-        super().on_upstream(pkt)

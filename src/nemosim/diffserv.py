@@ -213,6 +213,3 @@ class PriorityScheduler:
             if backlog:
                 return backlog.popleft()
         return None
-
-    def backlog(self) -> int:
-        return sum(len(q) for q in self.queues)

@@ -1,4 +1,5 @@
-"""NEMO basic support: home-agent interception and the baseline mobile router.
+"""NEMO basic support: home-agent interception, the data plane all three
+mobile routers share, and the baseline mobile router.
 
 All mobile-network traffic rides a bidirectional tunnel between the mobile
 router and its home agent; handovers re-register the care-of address with a
@@ -7,12 +8,13 @@ plain binding update after movement detection and duplicate address detection.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 from .engine import SimTime
-from .packets import (Address, Packet, Prefix, SignalKind, decapsulate,
-                      encapsulate)
+from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind,
+                      apply_type2_routing, decapsulate, encapsulate)
 
 
 @dataclass
@@ -76,11 +78,65 @@ class HomeAgent(BindingCacheAgent):
         self.sim.forward(self.node_id, inner)
 
 
+class MobileRouter:
+    """The data plane every mobile router shares.  A subclass names the
+    addresses it answers for (`owns`) and the care-of address upstream traffic
+    leaves from (`upstream_coa`, None until registered), and fills
+    `signal_handlers`, its `{SignalKind: handler}` table."""
+
+    signal_handlers: dict
+
+    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address):
+        self.sim = sim
+        self.hoa = hoa
+        self.mnp = mnp
+        self.ha = ha
+        # The care-of address the correspondent acknowledged: it accepts a
+        # home address option only from the address it holds a binding for.
+        self.cn_bound_coa: Optional[Address] = None
+
+    def owns(self, addr: Address) -> bool:
+        raise NotImplementedError
+
+    def upstream_coa(self) -> Optional[Address]:
+        raise NotImplementedError
+
+    def on_signal(self, pkt: Packet) -> None:
+        handler = self.signal_handlers.get(pkt.signal)
+        if handler is not None:
+            handler(pkt)
+
+    def on_packet(self, pkt: Packet) -> None:
+        """Unwrap the tunnels and the type 2 routing header addressed to this
+        router, then take a signal or pass a datagram into the mobile network."""
+        while pkt.inner is not None and self.owns(pkt.dst):
+            pkt = decapsulate(pkt)
+        if pkt.rh2_home_addr is not None and self.owns(pkt.dst):
+            pkt = apply_type2_routing(pkt)
+        if pkt.kind == SIGNAL:
+            self.on_signal(pkt)
+        elif self.mnp.matches(pkt.dst) and pkt.dst != self.hoa:
+            self.sim.send_to_mnn(pkt)
+        else:
+            self.sim.drop(pkt, "dmr_unhandled")
+
+    def on_upstream(self, pkt: Packet) -> None:
+        """Traffic from a mobile network node: straight to the correspondent
+        with a home address option once it has bound the care-of address,
+        reverse-tunnelled home before that."""
+        coa = self.upstream_coa()
+        if coa is None:
+            self.sim.drop(pkt, "mr_not_registered")
+        elif coa == self.cn_bound_coa:
+            out = dataclasses.replace(pkt, src=coa, home_addr_option=pkt.src)
+            self.sim.condition_data("dmr", out)
+            self.sim.dmr_send(out)
+        else:
+            self.sim.dmr_send(encapsulate(pkt, coa, self.ha, dscp=pkt.dscp))
+
+
 @dataclass
 class MrState:
-    hoa: Address
-    mnp: Prefix
-    ha: Address
     coa: Optional[Address] = None
     current_prefix: Optional[Prefix] = None
     attached_bs: Optional[str] = None
@@ -90,13 +146,13 @@ class MrState:
     epoch: int = 0
 
 
-class BaselineMr:
+class BaselineMr(MobileRouter):
     """Baseline mobile-router protocol: RA-driven movement detection, DAD,
     binding update to the home agent, and tunnel endpoint duties."""
 
-    def __init__(self, sim, state: MrState):
-        self.sim = sim
-        self.state = state
+    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address):
+        super().__init__(sim, hoa, mnp, ha)
+        self.state = MrState()
         self.handover_count = 0
         self.dad_attempt = 0
         self._dad_prefix: Optional[Prefix] = None
@@ -104,12 +160,18 @@ class BaselineMr:
                                 SignalKind.NA: self.on_neighbor_advertisement,
                                 SignalKind.BA: self._on_ba}
 
+    def owns(self, addr: Address) -> bool:
+        return addr == self.state.coa
+
+    def upstream_coa(self) -> Optional[Address]:
+        return self.state.coa if self.state.registered else None
+
     # -- layer 2 -----------------------------------------------------------
     def on_link_up(self, bs: str) -> None:
         self.state.attached_bs = bs
         if self.sim.config.solicited_detection():
             ar = self.sim.topo.bs_to_ar[bs]
-            self.sim.send_signal("dmr", SignalKind.RS, self.current_address(),
+            self.sim.send_signal("dmr", SignalKind.RS, self.state.coa or self.hoa,
                                  self.sim.topo.addresses[ar])
 
     def on_link_down(self, plan=None) -> None:
@@ -168,47 +230,11 @@ class BaselineMr:
 
     def send_binding_update(self) -> None:
         st = self.state
-        self.sim.send_signal("dmr", SignalKind.BU, st.coa, st.ha,
-                             info={"hoa": st.hoa, "coa": st.coa, "mnps": [st.mnp],
+        self.sim.send_signal("dmr", SignalKind.BU, st.coa, self.ha,
+                             info={"hoa": self.hoa, "coa": st.coa, "mnps": [self.mnp],
                                    "lifetime": self.sim.config.binding_lifetime_us})
         self.sim.timer("dmr", self.sim.config.binding_refresh_us,
                        ("bu_refresh", st.epoch))
 
-    # -- packets -------------------------------------------------------------
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.inner is not None and pkt.dst == self.state.coa:
-            self.deliver_downstream(decapsulate(pkt))
-            return
-        if pkt.kind == "signal":
-            self.on_signal(pkt)
-            return
-        self.sim.drop(pkt, "dmr_unhandled")
-
-    def on_signal(self, pkt: Packet) -> None:
-        handler = self.signal_handlers.get(pkt.signal)
-        if handler is not None:
-            handler(pkt)
-
     def _on_ba(self, pkt: Packet) -> None:
         self.state.registered = True
-
-    def deliver_downstream(self, pkt: Packet) -> None:
-        if pkt.inner is not None:
-            pkt = decapsulate(pkt)
-        if pkt.kind == "signal":
-            self.on_signal(pkt)
-        elif self.state.mnp.matches(pkt.dst) and pkt.dst != self.state.hoa:
-            self.sim.send_to_mnn(pkt)
-        else:
-            self.sim.drop(pkt, "dmr_not_for_mnn")
-
-    def on_upstream(self, pkt: Packet) -> None:
-        """Traffic from a mobile network node, reverse-tunneled home."""
-        if not self.state.registered or self.state.coa is None:
-            self.sim.drop(pkt, "mr_not_registered")
-            return
-        outer = encapsulate(pkt, self.state.coa, self.state.ha, dscp=pkt.dscp)
-        self.sim.dmr_send(outer)
-
-    def current_address(self) -> Address:
-        return self.state.coa if self.state.coa is not None else self.state.hoa

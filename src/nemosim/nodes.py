@@ -5,13 +5,35 @@ from __future__ import annotations
 from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
                      PACKET_ARRIVAL, TIMER_EXPIRY, Entry)
 from .metrics import FLOW_BG, FLOW_CBR
-from .packets import DATA, SIGNAL, Packet, SignalKind, apply_home_address_option
+from .packets import DATA, Packet, SignalKind, apply_home_address_option
 
 # Payload of every background tick; `ArNode.dispatch` tests it by identity.
 BG_TICK = ("bg",)
 
 
+def air_receiver(sim, bs: str, hop: str, deliver):
+    """The handler of packets arriving over `bs`'s air link: each is lost
+    unless the router is attached to `bs`, else logged at `hop` and delivered."""
+    def receive(ev: Entry) -> None:
+        pkt: Packet = ev[4]
+        if sim.dmr_attached != bs:
+            sim.drop(pkt, f"air_lost@{bs}")
+            return
+        log = pkt.innermost().path_log
+        if log is not None:
+            log.append(hop)
+        deliver(pkt)
+    return receive
+
+
 class Node:
+    """A node of the topology.  A packet addressed to it goes to the handler
+    that its `signal_handlers` table holds for the packet's signal kind, where
+    the `None` key takes a tunnel or data packet; any other packet is offered
+    to `intercept`, then forwarded."""
+
+    signal_handlers: dict = {}
+
     def __init__(self, sim, node_id: str):
         self.sim = sim
         self.node_id = node_id
@@ -31,7 +53,16 @@ class Node:
             self.on_app(kind)
 
     def on_packet(self, pkt: Packet) -> None:
-        self.sim.forward(self.node_id, pkt)
+        if pkt.dst == self.address:
+            handler = self.signal_handlers.get(pkt.signal)
+            if handler is not None:
+                handler(pkt)
+        elif not self.intercept(pkt):
+            self.sim.forward(self.node_id, pkt)
+
+    def intercept(self, pkt: Packet) -> bool:
+        """Take a packet in transit instead of forwarding it; True when taken."""
+        return False
 
     def on_timer(self, token) -> None:
         pass
@@ -40,35 +71,22 @@ class Node:
         pass
 
 
-class RouterNode(Node):
-    """Plain wired router; consumes packets addressed to itself."""
-
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.dst == self.address:
-            return
-        self.sim.forward(self.node_id, pkt)
-
-
 class HaNode(Node):
     """Home agent: binding cache, interception, reverse-tunnel endpoint."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         from .nemo_bs import HomeAgent
-        self.agent = HomeAgent(sim, node_id, self.address)
+        agent = self.agent = HomeAgent(sim, node_id, self.address)
+        self.signal_handlers = {None: agent.handle_tunneled,
+                                SignalKind.BU: agent.handle_binding_update}
 
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.dst == self.address:
-            if pkt.inner is not None:
-                self.agent.handle_tunneled(pkt)
-            elif pkt.signal == SignalKind.BU:
-                self.agent.handle_binding_update(pkt)
-            return
+    def intercept(self, pkt: Packet) -> bool:
         topo = self.sim.topo
         if topo.home_prefix.matches(pkt.dst) or topo.mnp.matches(pkt.dst):
             self.agent.intercept(pkt)
-            return
-        self.sim.forward(self.node_id, pkt)
+            return True
+        return False
 
 
 class MapNode(Node):
@@ -78,7 +96,6 @@ class MapNode(Node):
     def __init__(self, sim, node_id: str, with_agent: bool):
         super().__init__(sim, node_id)
         self.agent = None
-        self.signal_handlers = {}
         if with_agent:
             from .diff_fh import MapAgent
             agent = self.agent = MapAgent(sim, node_id, self.address)
@@ -86,16 +103,7 @@ class MapNode(Node):
                                     SignalKind.HACK: agent.on_hack,
                                     SignalKind.LBU: agent.on_lbu,
                                     SignalKind.HI: agent.on_hi_as_new_map}
-
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.dst == self.address:
-            handler = self.signal_handlers.get(pkt.signal)
-            if handler is not None:
-                handler(pkt)
-            return
-        if self.agent is not None and self.agent.route_hook(pkt):
-            return
-        self.sim.forward(self.node_id, pkt)
+            self.intercept = agent.route_hook
 
     def on_timer(self, token) -> None:
         if self.agent is not None:
@@ -119,6 +127,7 @@ class ArNode(Node):
             from .diff_fh import NarAgent
             nar = self.nar = NarAgent(sim, node_id, self.address)
             self.signal_handlers.update({SignalKind.HI: nar.on_hi, SignalKind.FNA: nar.on_fna})
+            self.intercept = nar.intercept
         self._bg_seq = 0
 
     # -- control -------------------------------------------------------------
@@ -129,16 +138,6 @@ class ArNode(Node):
     def send_ra(self, dst) -> None:
         ra = self.sim.make_signal(SignalKind.RA, self.address, dst, info=self.ra_info())
         self.sim.send_via(self.node_id, self.bs_id, ra)
-
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.dst == self.address:
-            handler = self.signal_handlers.get(pkt.signal)
-            if handler is not None:
-                handler(pkt)
-            return
-        if self.nar is not None and self.nar.intercept(pkt):
-            return
-        self.sim.forward(self.node_id, pkt)
 
     def _proxy_advertisement(self, pkt: Packet) -> None:
         target_bs = pkt.info["target_bs"]
@@ -195,25 +194,15 @@ class BsNode(Node):
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        sim.engine.register(f"{node_id}@air", self.dispatch_air)
+        sim.engine.register(f"{node_id}@air", air_receiver(
+            sim, node_id, node_id, lambda pkt: sim.forward(node_id, pkt)))
 
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.dst == self.address:
-            return
+    def intercept(self, pkt: Packet) -> bool:
         if self.sim.dmr_attached == self.node_id:
             self.sim.wireless_to_dmr(self.node_id, pkt)
         else:
             self.sim.drop(pkt, f"detached@{self.node_id}")
-
-    def dispatch_air(self, ev: Entry) -> None:
-        pkt: Packet = ev[4]
-        if self.sim.dmr_attached != self.node_id:
-            self.sim.drop(pkt, f"air_lost@{self.node_id}")
-            return
-        log = pkt.innermost().path_log
-        if log is not None:
-            log.append(self.node_id)
-        self.sim.forward(self.node_id, pkt)
+        return True
 
 
 class CnNode(Node):
@@ -223,29 +212,20 @@ class CnNode(Node):
     def __init__(self, sim, node_id: str, with_agent: bool):
         super().__init__(sim, node_id)
         self.agent = None
-        self.signal_handlers = {}
+        self.signal_handlers = {None: self._receive_upstream}
         if with_agent:
             from .diff_nemo import CorrespondentAgent
             agent = self.agent = CorrespondentAgent(sim, node_id, self.address)
-            self.signal_handlers = {SignalKind.HOTI: agent.on_hoti,
-                                    SignalKind.COTI: agent.on_coti,
-                                    SignalKind.BU: agent.on_binding_update}
+            self.signal_handlers.update({SignalKind.HOTI: agent.on_hoti,
+                                         SignalKind.COTI: agent.on_coti,
+                                         SignalKind.BU: agent.on_binding_update})
         self.seq = 0
         self.upstream_received: list[Packet] = []
 
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.dst != self.address:
-            self.sim.forward(self.node_id, pkt)
-            return
-        if pkt.kind == SIGNAL:
-            handler = self.signal_handlers.get(pkt.signal)
-            if handler is not None:
-                handler(pkt)
-            return
-        if pkt.kind == DATA:
-            if pkt.home_addr_option is not None:
-                pkt = apply_home_address_option(pkt)
-            self.upstream_received.append(pkt)
+    def _receive_upstream(self, pkt: Packet) -> None:
+        if pkt.home_addr_option is not None:
+            pkt = apply_home_address_option(pkt)
+        self.upstream_received.append(pkt)
 
     def on_app(self, kind: str) -> None:
         if kind == APP_START:
@@ -297,20 +277,8 @@ class DmrNode(Node):
         super().__init__(sim, node_id)
         self.proto = None
         for bs in sim.topo.bs_to_ar:
-            sim.engine.register(f"dmr@{bs}", self._air_dispatcher(bs))
+            sim.engine.register(f"dmr@{bs}", air_receiver(sim, bs, "dmr", self.on_packet))
         sim.engine.register("dmr_local", self.dispatch_local)
-
-    def _air_dispatcher(self, bs: str):
-        def handler(ev: Entry) -> None:
-            pkt: Packet = ev[4]
-            if self.sim.dmr_attached != bs:
-                self.sim.drop(pkt, f"air_lost@{bs}")
-                return
-            log = pkt.innermost().path_log
-            if log is not None:
-                log.append("dmr")
-            self.proto.on_packet(pkt)
-        return handler
 
     def dispatch_local(self, ev: Entry) -> None:
         # Traffic from the mobile network side.

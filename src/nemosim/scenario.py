@@ -99,19 +99,41 @@ class ScenarioConfig:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.mode not in (MODE_PREDICTIVE, MODE_REACTIVE):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        # A string seed or speed would fail deep inside the run, a misspelt
-        # detection would silently run interval detection, and an unknown
-        # signal kind would silently never be dropped.
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an int, not {self.seed!r}")
-        if not isinstance(self.dmr_speed_kmh, (int, float)):
-            raise ConfigError(f"dmr_speed_kmh must be a number, not {self.dmr_speed_kmh!r}")
+        # A string where a number belongs would fail deep inside the run or
+        # escape as a raw TypeError from a comparison below, and a bool would
+        # run as 1 or 0.  A misspelt detection would silently run interval
+        # detection, and an unknown signal kind would silently never be dropped.
+        red, faults = self.red, self.faults
+        ints = [("seed", self.seed), ("red.capacity", red.capacity),
+                ("nar_buffer_capacity", self.nar_buffer_capacity),
+                ("rr_retries", self.rr_retries)]
+        ints += [("force_reactive_at", i) for i in self.force_reactive_at]
+        ints += [(f"faults.{key}", i) for key in ("dad_collision_handovers",
+                                                   "fna_collision_handovers")
+                 for i in getattr(faults, key)]
+        for key, value in ints:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{key} takes ints only, not {value!r}")
+        sizes = (("cbr.packet_bytes", self.cbr.packet_bytes),
+                 ("cbr.rate_bps", self.cbr.rate_bps),
+                 ("bg_packet_bytes", self.bg_packet_bytes),
+                 ("air_rate_bps", self.air_rate_bps))
+        numbers = (*sizes, ("dmr_speed_kmh", self.dmr_speed_kmh),
+                   ("cell_radius_m", self.cell_radius_m),
+                   ("background_load_bps", self.background_load_bps),
+                   ("red.min_th", red.min_th), ("red.max_th", red.max_th),
+                   ("red.max_p", red.max_p), ("red.w_q", red.w_q),
+                   ("start_x_m", self.start_x_m), ("bounce_near_x_m", self.bounce_near_x_m),
+                   ("bounce_far_x_m", self.bounce_far_x_m))
+        for key, value in numbers:
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be a number, not {value!r}")
         if self.dmr_speed_kmh <= 0:
             raise ConfigError("dmr_speed_kmh must be positive")
         if self.movement_detection not in DETECTIONS:
             raise ConfigError(f"movement_detection must be one of {', '.join(DETECTIONS)}, "
                               f"not {self.movement_detection!r}")
-        unknown = set(self.faults.drop_first_signals) - {k.value for k in SignalKind}
+        unknown = set(faults.drop_first_signals) - {k.value for k in SignalKind}
         if unknown:
             raise ConfigError(f"faults.drop_first_signals names unknown signal kinds "
                               f"{sorted(unknown)}")
@@ -136,17 +158,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{key} must be positive")
         if not (self.cbr.start_us < self.cbr.stop_us <= self.sim_end_us):
             raise ConfigError("cbr start must precede stop, and stop must not pass sim end")
-        # Rates, sizes and the radius are numbers.  A string would escape as
-        # a raw TypeError from the first comparison below, and a bool would
-        # run as 1 or 0.
-        sizes = (("cbr.packet_bytes", self.cbr.packet_bytes),
-                 ("cbr.rate_bps", self.cbr.rate_bps),
-                 ("bg_packet_bytes", self.bg_packet_bytes),
-                 ("air_rate_bps", self.air_rate_bps))
-        for key, value in (*sizes, ("cell_radius_m", self.cell_radius_m),
-                           ("background_load_bps", self.background_load_bps)):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be a number, not {value!r}")
         # Rates and sizes divide or are divided into packet intervals.  The
         # sources reschedule themselves one interval ahead, so an interval
         # that rounds to 0 us would keep the engine at one instant forever.
@@ -161,17 +172,16 @@ class ScenarioConfig:
             raise ConfigError("background_load_bps must not be negative")
         # A queue that holds no packet delivers none, and a drop probability
         # outside [0, 1] or an averaging weight outside (0, 1] is not RED.
-        red = self.red
-        if not isinstance(red.capacity, int) or red.capacity <= 0:
-            raise ConfigError(f"red.capacity must be a positive int, not {red.capacity!r}")
-        if not isinstance(red.max_p, (int, float)) or not 0 <= red.max_p <= 1:
+        if red.capacity <= 0:
+            raise ConfigError(f"red.capacity must be positive, not {red.capacity!r}")
+        if not 0 <= red.max_p <= 1:
             raise ConfigError(f"red.max_p must be in [0, 1], not {red.max_p!r}")
-        if not isinstance(red.w_q, (int, float)) or not 0 < red.w_q <= 1:
+        if not 0 < red.w_q <= 1:
             raise ConfigError(f"red.w_q must be in (0, 1], not {red.w_q!r}")
         for key, value in (("nar_buffer_capacity", self.nar_buffer_capacity),
                            ("rr_retries", self.rr_retries)):
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{key} must be a non-negative int, not {value!r}")
+            if value < 0:
+                raise ConfigError(f"{key} must not be negative, not {value!r}")
         if self.cbr.interval_us < 1:
             raise ConfigError("cbr.rate_bps is too high: the packet interval rounds to 0 us")
         if self.background_load_bps > 0 and self.bg_interval_us < 1:

@@ -9,8 +9,7 @@ from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
                      TIMER_EXPIRY, Engine, SimEvent, SimTime, TraceWriter)
 from .metrics import MetricsCollector, build_report
 from .network import Link, LinkQueue, build_l2_plan
-from .nodes import (ArNode, BsNode, CnNode, DmrNode, HaNode, MapNode, MnnNode,
-                    RouterNode)
+from .nodes import ArNode, BsNode, CnNode, DmrNode, HaNode, MapNode, MnnNode, Node
 from .packets import Address, Packet, SignalKind, encapsulate
 from .packets import make_signal as new_signal
 from .scenario import (BEACON_PHASE_US, MODE_PREDICTIVE, PROTO_DIFF_FH,
@@ -108,7 +107,7 @@ class Simulation:
         qos = cfg.qos_enabled()
         self.nodes = {
             "cn": CnNode(self, "cn", with_agent=qos),
-            "er": RouterNode(self, "er"),
+            "er": Node(self, "er"),
             "ha": HaNode(self, "ha"),
             "map1": MapNode(self, "map1", with_agent=fh),
             "map2": MapNode(self, "map2", with_agent=fh),
@@ -122,19 +121,16 @@ class Simulation:
         self.nodes["dmr"].proto = self._make_dmr_proto()
 
     def _make_dmr_proto(self):
-        cfg = self.config
-        topo = self.topo
-        if cfg.protocol == PROTO_DIFF_FH:
+        protocol, topo = self.config.protocol, self.topo
+        router = (self, topo.hoa, topo.mnp, topo.addresses["ha"])
+        if protocol == PROTO_DIFF_FH:
             from .diff_fh import FhDmr
-            return FhDmr(self, topo.hoa, topo.mnp, topo.addresses["ha"],
-                         topo.addresses["cn"])
-        from .nemo_bs import MrState
-        state = MrState(hoa=topo.hoa, mnp=topo.mnp, ha=topo.addresses["ha"])
-        if cfg.protocol == PROTO_DIFF_NEMO:
+            return FhDmr(*router, topo.addresses["cn"])
+        if protocol == PROTO_DIFF_NEMO:
             from .diff_nemo import ProxyDmr
-            return ProxyDmr(self, state, topo.addresses["cn"])
+            return ProxyDmr(*router, topo.addresses["cn"])
         from .nemo_bs import BaselineMr
-        return BaselineMr(self, state)
+        return BaselineMr(*router)
 
     def _schedule_boot(self) -> None:
         cfg = self.config

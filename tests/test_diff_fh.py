@@ -370,6 +370,21 @@ def test_upstream_goes_direct_once_correspondent_bound():
     assert "ha" not in received[0].path_log
 
 
+def test_upstream_goes_direct_only_from_the_bound_regional_address(fake_sim):
+    dmr = make_fh(fake_sim)
+    dmr.on_signal(make_signal(SignalKind.BA, CN, RCOA1, t=0, info={"hoa": HOA, "from": "cn"}))
+    dmr.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA))
+    direct = fake_sim.dmr_outbox[-1]
+    assert direct.src == RCOA1 and direct.home_addr_option == MNN and direct.inner is None
+    # A macro handover moves the regional address before the correspondent
+    # has bound the new one, which would discard a home address option from it.
+    dmr.rcoa = RCOA2
+    dmr.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA))
+    tunneled = fake_sim.dmr_outbox[-1]
+    assert tunneled.src == RCOA2 and tunneled.dst == HA_ADDR
+    assert tunneled.inner.src == MNN and tunneled.inner.home_addr_option is None
+
+
 def test_signaling_rides_expedited_class_and_survives_congestion():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=60,
                          background_load_bps=1_200_000)

@@ -5,7 +5,6 @@ import pytest
 from nemosim import fsm
 from nemosim.diff_nemo import CorrespondentAgent, ProxyDmr, Registration
 from nemosim.engine import SEC
-from nemosim.nemo_bs import MrState
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              make_signal)
 from nemosim.scenario import FaultConfig, ScenarioConfig
@@ -20,9 +19,10 @@ COA = Prefix(2, 1).address(100)
 
 
 def make_proxy(fake_sim):
-    state = MrState(hoa=HOA, mnp=MNP, ha=HA_ADDR, attached_bs="bs1", coa=COA,
-                    current_prefix=Prefix(2, 1))
-    return ProxyDmr(fake_sim, state, CN)
+    proxy = ProxyDmr(fake_sim, HOA, MNP, HA_ADDR, CN)
+    state = proxy.state
+    state.attached_bs, state.coa, state.current_prefix = "bs1", COA, Prefix(2, 1)
+    return proxy
 
 
 def ba_from_ha():
@@ -153,6 +153,7 @@ def test_downstream_proxy_rewrite_delivers_home_address(fake_sim):
 
 def test_upstream_proxy_tags_home_address_when_bound(fake_sim):
     proxy = make_proxy(fake_sim)
+    proxy.state.registered = True   # the correspondent binds only after the home agent
     proxy.cn_bound_coa = COA
     proxy.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA))
     out = fake_sim.dmr_outbox[0]

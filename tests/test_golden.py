@@ -1,4 +1,4 @@
-"""Golden outputs: the event trace and CSV row of criterion 9's scenario.
+"""Golden outputs: the event trace, CSV row and drop tally of criterion 9's scenario.
 
 Criterion 9 only compares a run with a second run of the same code, so it
 cannot see a change that alters the event stream for every run alike.  These
@@ -15,6 +15,7 @@ that the stations discard unheard.
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,18 @@ GOLDEN = {
         55434,
         "f7176a0583d3df3c3149960ae85d61353a61eacf6127cf9cd1e193bb489dd112",
         "1d202cb71c4d69b3aacdbbc5b0921cb6963203553acacb09a6469bdf810b2f24"),
+}
+
+# protocol -> (foreground drops by reason and site, signals lost): where
+# criterion 9's runs lose packets, which the CSV row only counts.
+GOLDEN_DROPS = {
+    PROTO_NEMO_BS: ({"air_lost@bs2": 1, "detached@bs1": 13, "detached@bs2": 30,
+                     "detached@bs3": 40, "detached@bs4": 15, "queue:ar1->bs1": 30,
+                     "queue:ar2->bs2": 26, "queue:ar3->bs3": 19, "queue:ar4->bs4": 35}, 18),
+    PROTO_DIFF_NEMO: ({"detached@bs1": 10, "detached@bs2": 20, "detached@bs3": 20,
+                       "detached@bs4": 10}, 0),
+    PROTO_DIFF_FH: ({"detached@bs2": 2, "detached@bs3": 2, "no_binding@map1": 2,
+                     "no_binding@map2": 2}, 6),
 }
 
 
@@ -73,6 +86,17 @@ def test_criterion_9_scenario_matches_golden(protocol):
     assert len(trace) == lines
     assert sha256("\n".join(trace)) == trace_digest
     assert sha256(report.csv_row()) == row_digest
+
+
+@pytest.mark.parametrize("protocol", list(GOLDEN_DROPS))
+def test_criterion_9_drop_reasons_match_golden(protocol):
+    cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
+    cfg.cbr.stop_us = 60 * SEC
+    sim = Simulation(cfg)
+    report = sim.run()
+    reasons, signal_drops = GOLDEN_DROPS[protocol]
+    assert Counter(d.where for d in report.drops_detail) == reasons
+    assert sim.metrics.signal_drops == signal_drops
 
 
 def run_counted(cfg, trace=None):

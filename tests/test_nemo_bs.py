@@ -3,7 +3,7 @@
 import pytest
 
 from nemosim.engine import SEC
-from nemosim.nemo_bs import BaselineMr, BindingCacheEntry, HomeAgent, MrState
+from nemosim.nemo_bs import BaselineMr, BindingCacheEntry, HomeAgent
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              encapsulate, make_signal)
 
@@ -16,8 +16,9 @@ COA1 = Prefix(2, 1).address(100)
 
 
 def make_mr(fake_sim, attached="bs1"):
-    state = MrState(hoa=HOA, mnp=MNP, ha=HA_ADDR, attached_bs=attached)
-    return BaselineMr(fake_sim, state)
+    mr = BaselineMr(fake_sim, HOA, MNP, HA_ADDR)
+    mr.state.attached_bs = attached
+    return mr
 
 
 def ra(prefix, ar="ar1"):

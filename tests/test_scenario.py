@@ -55,9 +55,9 @@ def test_cbr_window_must_fit_run():
 # mid-run, or run silently to a meaningless result (100% loss, no load,
 # interval detection for a misspelt one, a fault that never fires, a queue
 # that holds nothing, a drop probability above 1, an attach planned before
-# the link goes down, a bool taken as a rate or radius, a binding that
-# expires as it is made); validation must reject them before any event is
-# scheduled.
+# the link goes down, a bool taken as a number, a binding that expires as it
+# is made, a handover index that never matches); validation must reject them
+# before any event is scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -99,6 +99,21 @@ def test_cbr_window_must_fit_run():
     ({"cell_radius_m": "x"}, "cell_radius_m"),
     ({"air_rate_bps": True}, "air_rate_bps"),
     ({"cell_radius_m": True}, "cell_radius_m"),
+    ({"seed": True}, "seed"),
+    ({"dmr_speed_kmh": True}, "dmr_speed_kmh"),
+    ({"red": {"capacity": True}}, "red.capacity"),
+    ({"red": {"max_p": True}}, "red.max_p"),
+    ({"red": {"w_q": True}}, "red.w_q"),
+    ({"nar_buffer_capacity": True}, "nar_buffer_capacity"),
+    ({"rr_retries": False}, "rr_retries"),
+    ({"red": {"min_th": "x"}}, "red.min_th"),
+    ({"red": {"max_th": "x"}}, "red.max_th"),
+    ({"start_x_m": "x"}, "start_x_m"),
+    ({"bounce_near_x_m": "x"}, "bounce_near_x_m"),
+    ({"bounce_far_x_m": "x"}, "bounce_far_x_m"),
+    ({"force_reactive_at": ["x"]}, "force_reactive_at"),
+    ({"faults": {"dad_collision_handovers": [0.5]}}, "faults.dad_collision_handovers"),
+    ({"faults": {"fna_collision_handovers": [True]}}, "faults.fna_collision_handovers"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
