@@ -8,7 +8,8 @@ import sys
 from .engine import TraceWriter
 from .experiment import run_scenario, sweep
 from .metrics import CSV_HEADER
-from .scenario import MODE_PREDICTIVE, MODE_REACTIVE, PROTOCOLS, ScenarioConfig, load_config
+from .scenario import (MODE_PREDICTIVE, MODE_REACTIVE, PROTOCOLS, ConfigError, ScenarioConfig,
+                       load_config)
 
 
 def _base_config(args) -> ScenarioConfig:
@@ -17,7 +18,7 @@ def _base_config(args) -> ScenarioConfig:
         config.protocol = args.protocol
     if getattr(args, "mode", None):
         config.mode = args.mode
-    if getattr(args, "speed", None):
+    if getattr(args, "speed", None) is not None:
         config.dmr_speed_kmh = args.speed
     if args.seed is not None:
         config.seed = args.seed
@@ -30,6 +31,21 @@ def _path(value: str) -> str:
     if not value:
         raise argparse.ArgumentTypeError("expected a file path, got an empty string")
     return value
+
+
+def _speeds(value: str) -> list[float]:
+    """The sweep's comma-separated speeds, each checked before any point runs."""
+    try:
+        speeds = [float(s) for s in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated km/h values, got {value!r}") from None
+    for speed in speeds:
+        try:
+            ScenarioConfig(dmr_speed_kmh=speed).validate()
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(f"{speed:g} km/h: {exc}") from None
+    return speeds
 
 
 def cmd_run(args) -> int:
@@ -56,9 +72,8 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _base_config(args)
-    speeds = [float(s) for s in args.speeds.split(",")]
     protocols = (args.protocol,) if args.protocol else PROTOCOLS
-    csv_text, _ = sweep(config, speeds, protocols=protocols)
+    csv_text, _ = sweep(config, args.speeds, protocols=protocols)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
@@ -86,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep speeds across protocols")
     sweep_p.add_argument("--config", type=_path, help="JSON scenario file")
-    sweep_p.add_argument("--speeds", default="15,30,45,60,75,90",
+    sweep_p.add_argument("--speeds", type=_speeds, default="15,30,45,60,75,90",
                          help="comma-separated km/h values")
     sweep_p.add_argument("--protocol", choices=PROTOCOLS,
                          help="restrict to one protocol (default: all)")

@@ -112,7 +112,11 @@ class Engine:
     tuple as its one argument.  One seeded RngStream feeds every random
     decision in a run.  When `trace` is given (any object with
     `append(line)`: a list, or a TraceWriter), each event is rendered into it
-    before its handler runs.
+    before its handler runs.  A packet renders through `Packet.trace_str`,
+    which formats the packet once and hands the same text to every later
+    event that carries it, and a timer token (a plain tuple) through
+    `str()`; with the same trace bytes, that took `traced-run` from about
+    3.2 s to about 2.5 s (`BENCH_10.json`).
 
     The traced event stream is the one the golden outputs pin.  An untraced
     run processes the same events with the same results, less the ones only
@@ -156,15 +160,16 @@ class Engine:
         Afterwards the clock sits at the last processed fire_at, or at `end`
         when nothing fired.
         """
-        heap, handlers, trace = self._heap, self._handlers, self.trace
+        heap, handlers = self._heap, self._handlers
+        append = self.trace.append if self.trace is not None else None
         processed = 0
         while heap and heap[0][0] <= end:
             entry = heappop(heap)
             fire_at, _, target, kind, payload = entry
             self.now = fire_at
             processed += 1
-            if trace is not None:
-                trace.append(f"{fire_at}\t{target}\t{kind}\t{trace_detail(payload)}")
+            if append is not None:
+                append(f"{fire_at}\t{target}\t{kind}\t{trace_detail(payload)}")
             handler = handlers.get(target)
             if handler is not None:
                 handler(entry)
@@ -175,6 +180,9 @@ class Engine:
 def trace_detail(payload: object) -> str:
     if payload is None:
         return "-"
+    # Timer tokens are plain tuples, which have no trace_str to look up.
+    if type(payload) is tuple:
+        return str(payload)
     render = getattr(payload, "trace_str", None)
     if render is not None:
         return render()

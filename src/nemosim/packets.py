@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -36,6 +36,11 @@ class MissingHomeAddressOption(Exception):
     pass
 
 
+# The text of each address rendered so far.  Addresses are immutable and a
+# run uses a few dozen, so each is formatted once per process.
+_ADDRESS_TEXT: dict["Address", str] = {}
+
+
 # Addresses are named tuples, so hashing, equality and ordering run in C; the
 # hash is that of (domain, site, node), which keeps set order and traces fixed.
 class Address(NamedTuple):
@@ -46,7 +51,10 @@ class Address(NamedTuple):
     node: int
 
     def __str__(self) -> str:
-        return f"{self.domain}.{self.site}.{self.node}"
+        text = _ADDRESS_TEXT.get(self)
+        if text is None:
+            text = _ADDRESS_TEXT[self] = f"{self.domain}.{self.site}.{self.node}"
+        return text
 
 
 class Prefix(NamedTuple):
@@ -96,6 +104,12 @@ class Packet:
     Extension headers are modelled as optional fields rather than serialized
     bytes.  `inner` carries one level of tunnel encapsulation; the outer size
     is always inner size plus the fixed header overhead.
+
+    `trace_str` renders a packet once and returns the same text at every
+    later event that carries it.  So the fields it renders (`signal`, `seq`,
+    `src`, `dst`, `dscp`, the `inner` chain) are set before the packet is
+    first scheduled and never written after; a rewrite makes a new packet
+    (`dataclasses.replace`, `encapsulate`), which starts with no text.
     """
 
     src: Address
@@ -112,6 +126,7 @@ class Packet:
     created_at: int = 0
     info: Optional[dict] = None
     path_log: Optional[list] = None
+    _trace_text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     def depth(self) -> int:
         d, p = 0, self.inner
@@ -127,8 +142,12 @@ class Packet:
         return p
 
     def trace_str(self) -> str:
-        label = self.signal.value if self.signal is not None else f"seq{self.seq}"
-        return f"{label}/{self.src}→{self.dst}/dscp{self.dscp}/d{self.depth()}"
+        text = self._trace_text
+        if text is None:
+            label = self.signal.value if self.signal is not None else f"seq{self.seq}"
+            text = self._trace_text = (
+                f"{label}/{self.src}→{self.dst}/dscp{self.dscp}/d{self.depth()}")
+        return text
 
 
 def make_signal(kind: SignalKind, src: Address, dst: Address, t: int,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -100,8 +101,9 @@ class ScenarioConfig:
         if self.mode not in (MODE_PREDICTIVE, MODE_REACTIVE):
             raise ConfigError(f"unknown mode {self.mode!r}")
         # A string where a number belongs would fail deep inside the run or
-        # escape as a raw TypeError from a comparison below, and a bool would
-        # run as 1 or 0.  A misspelt detection would silently run interval
+        # escape as a raw TypeError from a comparison below, a bool would run
+        # as 1 or 0, a NaN passes every range check below (a NaN speed runs to
+        # 100% loss), and an int past the float range fails mid-run.  A misspelt detection would silently run interval
         # detection, and an unknown signal kind would silently never be dropped.
         red, faults = self.red, self.faults
         ints = [("seed", self.seed), ("red.capacity", red.capacity),
@@ -118,25 +120,35 @@ class ScenarioConfig:
                  ("cbr.rate_bps", self.cbr.rate_bps),
                  ("bg_packet_bytes", self.bg_packet_bytes),
                  ("air_rate_bps", self.air_rate_bps))
-        numbers = (*sizes, ("dmr_speed_kmh", self.dmr_speed_kmh),
+        numbers = [*sizes, ("dmr_speed_kmh", self.dmr_speed_kmh),
                    ("cell_radius_m", self.cell_radius_m),
                    ("background_load_bps", self.background_load_bps),
                    ("red.min_th", red.min_th), ("red.max_th", red.max_th),
                    ("red.max_p", red.max_p), ("red.w_q", red.w_q),
                    ("start_x_m", self.start_x_m), ("bounce_near_x_m", self.bounce_near_x_m),
-                   ("bounce_far_x_m", self.bounce_far_x_m))
+                   ("bounce_far_x_m", self.bounce_far_x_m)]
+        # An empty track fails mid-build, and a point that is not an (x, y)
+        # pair of numbers fails mid-run.
+        if self.waypoints is not None:
+            points = self.waypoints
+            if (not isinstance(points, (list, tuple)) or not points
+                    or any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in points)):
+                raise ConfigError(f"waypoints must be a non-empty list of [x, y] pairs, "
+                                  f"not {points!r}")
+            numbers += [("waypoints", v) for p in points for v in p]
         for key, value in numbers:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be a number, not {value!r}")
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{key} must be a finite number, not {value!r}")
         if self.dmr_speed_kmh <= 0:
             raise ConfigError("dmr_speed_kmh must be positive")
         if self.movement_detection not in DETECTIONS:
             raise ConfigError(f"movement_detection must be one of {', '.join(DETECTIONS)}, "
                               f"not {self.movement_detection!r}")
-        unknown = set(faults.drop_first_signals) - {k.value for k in SignalKind}
+        kinds = {k.value for k in SignalKind}
+        unknown = [s for s in faults.drop_first_signals if not isinstance(s, str) or s not in kinds]
         if unknown:
-            raise ConfigError(f"faults.drop_first_signals names unknown signal kinds "
-                              f"{sorted(unknown)}")
+            raise ConfigError(f"faults.drop_first_signals names unknown signal kinds {unknown}")
         # Times are whole microseconds.  A string would fail mid-run at its
         # first comparison, and a negative time would schedule into the past
         # or plan the trigger or the attach out of order.  A beacon interval
@@ -178,6 +190,11 @@ class ScenarioConfig:
             raise ConfigError(f"red.max_p must be in [0, 1], not {red.max_p!r}")
         if not 0 < red.w_q <= 1:
             raise ConfigError(f"red.w_q must be in (0, 1], not {red.w_q!r}")
+        # A negative min_th early-drops at every backlog, and one at or above
+        # max_th never early-drops, so RED would run as a tail drop.
+        if not 0 <= red.min_th < red.max_th:
+            raise ConfigError(f"red.min_th must be in [0, red.max_th={red.max_th!r}), "
+                              f"not {red.min_th!r}")
         for key, value in (("nar_buffer_capacity", self.nar_buffer_capacity),
                            ("rr_retries", self.rr_retries)):
             if value < 0:
@@ -221,9 +238,9 @@ def _apply_keys(obj, data: dict, context: str) -> None:
                 raise ConfigError(f"{context}{key} must be an object")
             _apply_keys(getattr(obj, key), value, context=f"{key}.")
         elif key in _TUPLE_KEYS:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{context}{key} must be a list, not {value!r}")
             setattr(obj, key, tuple(value))
-        elif key == "waypoints" and value is not None:
-            setattr(obj, key, [tuple(p) for p in value])
         else:
             setattr(obj, key, value)
 

@@ -10,7 +10,7 @@ from nemosim import cli
 from nemosim.engine import SEC
 from nemosim.experiment import run_scenario, sweep
 from nemosim.metrics import CSV_HEADER
-from nemosim.scenario import PROTO_NEMO_BS, ScenarioConfig
+from nemosim.scenario import PROTO_NEMO_BS, ConfigError, ScenarioConfig
 from nemosim.simulation import Simulation
 
 
@@ -123,3 +123,20 @@ def test_cli_rejects_empty_path(command, flag, capsys):
         cli.main([command, flag, ""])
     assert exc.value.code == 2
     assert f"argument {flag}: expected a file path" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_zero_speed():
+    # --speed 0 used to be ignored, so the run went at the config's speed.
+    with pytest.raises(ConfigError, match=r"^dmr_speed_kmh "):
+        cli.main(["run", "--speed", "0"])
+
+
+@pytest.mark.parametrize("speeds", ["15,abc", "15,0", "15,nan"])
+def test_cli_sweep_checks_every_speed_before_running(speeds, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: runs.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--speeds", speeds])
+    assert exc.value.code == 2
+    assert "argument --speeds: " in capsys.readouterr().err
+    assert runs == []

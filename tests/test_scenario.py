@@ -56,8 +56,10 @@ def test_cbr_window_must_fit_run():
 # interval detection for a misspelt one, a fault that never fires, a queue
 # that holds nothing, a drop probability above 1, an attach planned before
 # the link goes down, a bool taken as a number, a binding that expires as it
-# is made, a handover index that never matches); validation must reject them
-# before any event is scheduled.
+# is made, a handover index that never matches, RED that early-drops at every
+# backlog or never, a track with no point or a point that is not a pair of
+# numbers, a NaN speed or one past the float range); validation must reject
+# them before any event is scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -114,6 +116,19 @@ def test_cbr_window_must_fit_run():
     ({"force_reactive_at": ["x"]}, "force_reactive_at"),
     ({"faults": {"dad_collision_handovers": [0.5]}}, "faults.dad_collision_handovers"),
     ({"faults": {"fna_collision_handovers": [True]}}, "faults.fna_collision_handovers"),
+    ({"red": {"min_th": -3}}, "red.min_th"),
+    ({"red": {"min_th": 20, "max_th": 10}}, "red.min_th"),
+    ({"red": {"min_th": 15, "max_th": 15}}, "red.min_th"),
+    ({"force_reactive_at": 5}, "force_reactive_at"),
+    ({"faults": {"drop_first_signals": [["CoT"]]}}, "faults.drop_first_signals"),
+    ({"waypoints": []}, "waypoints"),
+    ({"waypoints": 5}, "waypoints"),
+    ({"waypoints": [["a", 0]]}, "waypoints"),
+    ({"waypoints": [[100, 0, 0]]}, "waypoints"),
+    ({"waypoints": [100, 0]}, "waypoints"),
+    ({"dmr_speed_kmh": float("nan")}, "dmr_speed_kmh"),
+    ({"cell_radius_m": float("inf")}, "cell_radius_m"),
+    ({"dmr_speed_kmh": 10 ** 400}, "dmr_speed_kmh"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
@@ -150,6 +165,11 @@ def test_explicit_waypoints_respected():
     cfg = ScenarioConfig(waypoints=[(100.0, 0.0)])
     track = build_track(cfg)
     assert track.waypoints == [(100.0, 0.0)]
+
+
+def test_json_waypoints_build_a_track_of_pairs():
+    cfg = config_from_dict({"waypoints": [[60, 0], [220.5, 0]]})
+    assert build_track(cfg).waypoints == [(60, 0), (220.5, 0)]
 
 
 def test_csv_header_schema():
