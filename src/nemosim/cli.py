@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .engine import TraceWriter
@@ -14,14 +15,11 @@ from .scenario import (MODE_PREDICTIVE, MODE_REACTIVE, PROTOCOLS, ConfigError, S
 
 def _base_config(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config is not None else ScenarioConfig()
-    if args.protocol:
-        config.protocol = args.protocol
-    if getattr(args, "mode", None):
-        config.mode = args.mode
-    if getattr(args, "speed", None) is not None:
-        config.dmr_speed_kmh = args.speed
-    if args.seed is not None:
-        config.seed = args.seed
+    overrides = {"protocol": args.protocol, "mode": getattr(args, "mode", None),
+                 "dmr_speed_kmh": getattr(args, "speed", None), "seed": args.seed}
+    for key, value in overrides.items():
+        if value is not None:
+            setattr(config, key, value)
     config.validate()
     return config
 
@@ -34,18 +32,12 @@ def _path(value: str) -> str:
 
 
 def _speeds(value: str) -> list[float]:
-    """The sweep's comma-separated speeds, each checked before any point runs."""
+    """The sweep's comma-separated speeds."""
     try:
-        speeds = [float(s) for s in value.split(",")]
+        return [float(s) for s in value.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated km/h values, got {value!r}") from None
-    for speed in speeds:
-        try:
-            ScenarioConfig(dmr_speed_kmh=speed).validate()
-        except ConfigError as exc:
-            raise argparse.ArgumentTypeError(f"{speed:g} km/h: {exc}") from None
-    return speeds
 
 
 def cmd_run(args) -> int:
@@ -72,6 +64,13 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _base_config(args)
+    # Each speed is checked with the sweep's own config before any point runs.
+    for speed in args.speeds:
+        config.dmr_speed_kmh = speed
+        try:
+            config.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"argument --speeds: {speed:g} km/h: {exc}") from None
     protocols = (args.protocol,) if args.protocol else PROTOCOLS
     csv_text, _ = sweep(config, args.speeds, protocols=protocols)
     if args.out is not None:
@@ -112,8 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ConfigError, json.JSONDecodeError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -131,8 +131,8 @@ class SlaTable:
 
 @dataclass
 class RedParams:
-    min_th: int = 5
-    max_th: int = 15
+    min_th: float = 5
+    max_th: float = 15
     max_p: float = 0.1
     w_q: float = 0.002
     capacity: int = 50

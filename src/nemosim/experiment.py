@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Optional
 
@@ -34,16 +35,7 @@ def run_scenario(config: ScenarioConfig,
 def sweep(config: ScenarioConfig, speeds_kmh: list[float],
           protocols: tuple[str, ...] = PROTOCOLS) -> tuple[str, list[MetricsReport]]:
     """One row per (protocol, speed); deterministic for a fixed config and seed."""
-    rows = [CSV_HEADER]
-    reports = []
-    for protocol in protocols:
-        for speed in speeds_kmh:
-            point = dataclasses.replace(config, protocol=protocol,
-                                        dmr_speed_kmh=speed)
-            point.cbr = dataclasses.replace(config.cbr)
-            point.red = dataclasses.replace(config.red)
-            point.faults = dataclasses.replace(config.faults)
-            report, _ = run_scenario(point)
-            reports.append(report)
-            rows.append(report.csv_row())
-    return "\n".join(rows) + "\n", reports
+    reports = [run_scenario(dataclasses.replace(copy.deepcopy(config), protocol=protocol,
+                                                dmr_speed_kmh=speed))[0]
+               for protocol in protocols for speed in speeds_kmh]
+    return "\n".join([CSV_HEADER, *(report.csv_row() for report in reports)]) + "\n", reports

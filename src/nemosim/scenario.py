@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
+import operator
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 from .diffserv import AF11, AF21, EF, RedParams, SlaRule
@@ -33,7 +35,7 @@ class ConfigError(Exception):
 @dataclass
 class CbrConfig:
     packet_bytes: int = 1000
-    rate_bps: int = 100_000
+    rate_bps: float = 100_000
     start_us: SimTime = 20 * SEC
     stop_us: SimTime = 200 * SEC
 
@@ -59,13 +61,13 @@ class ScenarioConfig:
     seed: int = 1
     sim_end_us: SimTime = 200 * SEC
     cbr: CbrConfig = field(default_factory=CbrConfig)
-    background_load_bps: int = 0
+    background_load_bps: float = 0
     bg_packet_bytes: int = 2000
 
     # Radio and handover timing.
     lead_us: SimTime = 200 * MS
     l2_switch_us: SimTime = 50 * MS
-    air_rate_bps: int = 2_000_000
+    air_rate_bps: float = 2_000_000
     air_delay_us: SimTime = 1 * MS
     cell_radius_m: float = 50.0
 
@@ -96,114 +98,39 @@ class ScenarioConfig:
     waypoints: Optional[list[tuple[float, float]]] = None
 
     def validate(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
-        if self.mode not in (MODE_PREDICTIVE, MODE_REACTIVE):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        # A string where a number belongs would fail deep inside the run or
-        # escape as a raw TypeError from a comparison below, a bool would run
-        # as 1 or 0, a NaN passes every range check below (a NaN speed runs to
-        # 100% loss), and an int past the float range fails mid-run.  A misspelt detection would silently run interval
-        # detection, and an unknown signal kind would silently never be dropped.
-        red, faults = self.red, self.faults
-        ints = [("seed", self.seed), ("red.capacity", red.capacity),
-                ("nar_buffer_capacity", self.nar_buffer_capacity),
-                ("rr_retries", self.rr_retries)]
-        ints += [("force_reactive_at", i) for i in self.force_reactive_at]
-        ints += [(f"faults.{key}", i) for key in ("dad_collision_handovers",
-                                                   "fna_collision_handovers")
-                 for i in getattr(faults, key)]
-        for key, value in ints:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{key} takes ints only, not {value!r}")
-        sizes = (("cbr.packet_bytes", self.cbr.packet_bytes),
-                 ("cbr.rate_bps", self.cbr.rate_bps),
-                 ("bg_packet_bytes", self.bg_packet_bytes),
-                 ("air_rate_bps", self.air_rate_bps))
-        numbers = [*sizes, ("dmr_speed_kmh", self.dmr_speed_kmh),
-                   ("cell_radius_m", self.cell_radius_m),
-                   ("background_load_bps", self.background_load_bps),
-                   ("red.min_th", red.min_th), ("red.max_th", red.max_th),
-                   ("red.max_p", red.max_p), ("red.w_q", red.w_q),
-                   ("start_x_m", self.start_x_m), ("bounce_near_x_m", self.bounce_near_x_m),
-                   ("bounce_far_x_m", self.bounce_far_x_m)]
-        # An empty track fails mid-build, and a point that is not an (x, y)
-        # pair of numbers fails mid-run.
-        if self.waypoints is not None:
-            points = self.waypoints
-            if (not isinstance(points, (list, tuple)) or not points
-                    or any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in points)):
-                raise ConfigError(f"waypoints must be a non-empty list of [x, y] pairs, "
-                                  f"not {points!r}")
-            numbers += [("waypoints", v) for p in points for v in p]
-        for key, value in numbers:
-            if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                    or not abs(value) <= sys.float_info.max):
-                raise ConfigError(f"{key} must be a finite number, not {value!r}")
-        if self.dmr_speed_kmh <= 0:
-            raise ConfigError("dmr_speed_kmh must be positive")
-        if self.movement_detection not in DETECTIONS:
-            raise ConfigError(f"movement_detection must be one of {', '.join(DETECTIONS)}, "
-                              f"not {self.movement_detection!r}")
-        kinds = {k.value for k in SignalKind}
-        unknown = [s for s in faults.drop_first_signals if not isinstance(s, str) or s not in kinds]
-        if unknown:
-            raise ConfigError(f"faults.drop_first_signals names unknown signal kinds {unknown}")
-        # Times are whole microseconds.  A string would fail mid-run at its
-        # first comparison, and a negative time would schedule into the past
-        # or plan the trigger or the attach out of order.  A beacon interval
-        # of 0 means no beacons; a refresh interval of 0 would re-arm the
-        # refresh at one instant forever.
-        times = [(f.name, getattr(self, f.name)) for f in fields(self)]
-        times += [(f"cbr.{f.name}", getattr(self.cbr, f.name)) for f in fields(self.cbr)]
-        for key, value in times:
-            if not key.endswith("_us"):
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be an int number of microseconds, not {value!r}")
-            if value < 0:
-                raise ConfigError(f"{key} must not be negative")
-        # A lifetime of 0 expires each binding as it is made, so every scheme
-        # runs to completion with nothing delivered.
-        for key in ("binding_refresh_us", "binding_lifetime_us"):
-            if getattr(self, key) == 0:
-                raise ConfigError(f"{key} must be positive")
-        if not (self.cbr.start_us < self.cbr.stop_us <= self.sim_end_us):
-            raise ConfigError("cbr start must precede stop, and stop must not pass sim end")
-        # Rates and sizes divide or are divided into packet intervals.  The
-        # sources reschedule themselves one interval ahead, so an interval
-        # that rounds to 0 us would keep the engine at one instant forever.
-        for key, value in sizes:
-            if value <= 0:
-                raise ConfigError(f"{key} must be positive")
-        # A radius of 0 m or less keeps the router outside every cell, so the
-        # run completes with 100% loss.  A negative load would run as no load.
-        if self.cell_radius_m <= 0:
-            raise ConfigError("cell_radius_m must be positive")
-        if self.background_load_bps < 0:
-            raise ConfigError("background_load_bps must not be negative")
-        # A queue that holds no packet delivers none, and a drop probability
-        # outside [0, 1] or an averaging weight outside (0, 1] is not RED.
-        if red.capacity <= 0:
-            raise ConfigError(f"red.capacity must be positive, not {red.capacity!r}")
-        if not 0 <= red.max_p <= 1:
-            raise ConfigError(f"red.max_p must be in [0, 1], not {red.max_p!r}")
-        if not 0 < red.w_q <= 1:
-            raise ConfigError(f"red.w_q must be in (0, 1], not {red.w_q!r}")
-        # A negative min_th early-drops at every backlog, and one at or above
-        # max_th never early-drops, so RED would run as a tail drop.
-        if not 0 <= red.min_th < red.max_th:
-            raise ConfigError(f"red.min_th must be in [0, red.max_th={red.max_th!r}), "
-                              f"not {red.min_th!r}")
-        for key, value in (("nar_buffer_capacity", self.nar_buffer_capacity),
-                           ("rr_retries", self.rr_retries)):
-            if value < 0:
-                raise ConfigError(f"{key} must not be negative, not {value!r}")
-        if self.cbr.interval_us < 1:
-            raise ConfigError("cbr.rate_bps is too high: the packet interval rounds to 0 us")
-        if self.background_load_bps > 0 and self.bg_interval_us < 1:
-            raise ConfigError("background_load_bps is too high: "
-                              "the packet interval rounds to 0 us")
+        """Reject a config that could not run to its end, naming the key."""
+        values = {}
+        for key, kind, value in _walk(self):
+            test, words, item_kind = _KINDS[kind]
+            if not test(value):
+                raise ConfigError(f"{key} must be {words}, not {value!r}")
+            in_range, words = _RANGES.get(key, (None, None))
+            if item_kind is None and in_range is not None and not in_range(value):
+                raise ConfigError(f"{key} must be {words}, not {value!r}")
+            values.setdefault(key, value)
+        for a, relation, b in _RULES:
+            if not _RELATIONS[relation](values[a], values[b]):
+                blamed = b if values[a] == _DEFAULTS[a] else a
+                raise ConfigError(f"{blamed} breaks {a} {relation} {b}: "
+                                  f"{values[a]!r} {relation} {values[b]!r}")
+        # Predicted source events under the key that drives each (4 access
+        # routers; a beacon interval of 0 sends none, a gap that rounds to 0 never ends).
+        cbr, base, end = self.cbr, CbrConfig(), self.sim_end_us
+        per = lambda span, interval: span / interval if interval > 0 else math.inf
+        cbr_key = ("cbr.packet_bytes" if base.packet_bytes / cbr.packet_bytes
+                   > cbr.rate_bps / base.rate_bps else "cbr.rate_bps")
+        bounce_m = abs(self.bounce_far_x_m - self.bounce_near_x_m)
+        events = {
+            cbr_key: per(cbr.stop_us - cbr.start_us, cbr.interval_us),
+            "background_load_bps": self.background_load_bps and 4 * per(end, self.bg_interval_us),
+            "beacon_interval_us": self.beacon_interval_us and 4 * end / self.beacon_interval_us,
+            "binding_refresh_us": end / self.binding_refresh_us,
+            "dmr_speed_kmh": 0 if self.waypoints else self.speed_mps * end / SEC / bounce_m,
+        }
+        key = max(events, key=events.get)
+        if sum(events.values()) > MAX_SOURCE_EVENTS:
+            raise ConfigError(f"{key} gives a run of {events[key]:.3g} source events, "
+                              f"over the cap of {MAX_SOURCE_EVENTS:,}")
 
     @property
     def bg_interval_us(self) -> SimTime:
@@ -223,31 +150,95 @@ class ScenarioConfig:
         return self.protocol != PROTO_NEMO_BS
 
 
-_NESTED_KEYS = {"cbr": CbrConfig, "red": RedParams, "faults": FaultConfig}
-_TUPLE_KEYS = {"force_reactive_at", "dad_collision_handovers", "fna_collision_handovers",
-               "drop_first_signals"}
+_LIST = (list, tuple)
 
 
-def _apply_keys(obj, data: dict, context: str) -> None:
-    known = {f.name for f in fields(obj)}
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The schema: a field's annotation is its kind, which has a test, words for
+# what it accepts and its items' kind.  A bool would run as 1 or 0; a NaN, a
+# number past the float range or a point that is not a pair fails mid-run.
+_KINDS = {
+    "int": (_is_int, "an int", None),
+    "SimTime": (lambda v: _is_int(v) and v >= 0, "a non-negative int of microseconds", None),
+    "float": (lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+              "a finite number", None),
+    "str": (lambda v: isinstance(v, str), "a string", None),
+    "tuple[int, ...]": (lambda v: isinstance(v, _LIST), "a list", "int"),
+    "tuple[str, ...]": (lambda v: isinstance(v, _LIST), "a list", "str"),
+    "Optional[list[tuple[float, float]]]": (lambda v: v is None or isinstance(v, _LIST) and v,
+                                            "a non-empty list of [x, y] pairs", "point"),
+    "point": (lambda v: isinstance(v, _LIST) and len(v) == 2, "an [x, y] pair", "float"),
+    **{cls.__name__: (lambda v, cls=cls: isinstance(v, cls), "an object", None)
+       for cls in (ScenarioConfig, CbrConfig, RedParams, FaultConfig)},
+}
+
+# The range of each key that has one, as (test, words).  A misspelt name runs
+# a default; a rate, size, radius or lifetime of 0 divides by zero or delivers
+# nothing, and a refresh of 0 re-arms at one instant forever.
+_RANGES = {
+    **{key: (names.__contains__, f"one of {', '.join(names)}") for key, names in (
+        ("protocol", PROTOCOLS), ("mode", (MODE_PREDICTIVE, MODE_REACTIVE)),
+        ("movement_detection", DETECTIONS),
+        ("faults.drop_first_signals", tuple(kind.value for kind in SignalKind)))},
+    **dict.fromkeys(("dmr_speed_kmh", "cell_radius_m", "air_rate_bps", "bg_packet_bytes",
+                     "cbr.packet_bytes", "cbr.rate_bps", "red.capacity", "binding_lifetime_us",
+                     "binding_refresh_us"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("background_load_bps", "nar_buffer_capacity", "rr_retries",
+                     "red.min_th"), (lambda v: v >= 0, "non-negative")),
+    "red.max_p": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "red.w_q": (lambda v: 0 < v <= 1, "in (0, 1]"),
+}
+
+# Rules between keys, as (a, relation, b): the CBR window fits the run, RED
+# is not a tail drop, and the bounce track moves.  A broken rule names a,
+# unless a holds its default and so b is the key that moved.
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "!=": operator.ne}
+_RULES = (("cbr.start_us", "<", "cbr.stop_us"), ("cbr.stop_us", "<=", "sim_end_us"),
+          ("red.min_th", "<", "red.max_th"), ("bounce_near_x_m", "!=", "bounce_far_x_m"))
+
+# The most source events (CBR packets, background ticks, beacons, binding
+# refreshes and default-track segments) a run may be predicted to schedule;
+# the largest shipped config, 200 s congested at 90 km/h, predicts about 63k.
+MAX_SOURCE_EVENTS = 1_000_000
+
+
+def _walk(value, key: str = "", kind: str = "ScenarioConfig"):
+    """Yield (dotted key, kind, value) for each field of a config, nested
+    ones and list items included.  Each value comes before its parts, so a
+    caller that stops at the first bad kind never iterates a malformed one."""
+    if key:
+        yield key, kind, value
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _walk(getattr(value, f.name), f"{key}.{f.name}" if key else f.name, f.type)
+    elif value is not None and _KINDS[kind][2] is not None:
+        for item in value:
+            yield from _walk(item, key, _KINDS[kind][2])
+
+
+_DEFAULTS = {key: value for key, _, value in _walk(ScenarioConfig())}
+
+
+def _apply_keys(obj, data: dict, context: str = "") -> None:
+    kinds = {f.name: f.type for f in fields(obj)}
     for key, value in data.items():
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"unknown config key {context}{key!r}")
-        if key in _NESTED_KEYS:
+        if is_dataclass(getattr(obj, key)):
             if not isinstance(value, dict):
-                raise ConfigError(f"{context}{key} must be an object")
-            _apply_keys(getattr(obj, key), value, context=f"{key}.")
-        elif key in _TUPLE_KEYS:
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{context}{key} must be a list, not {value!r}")
-            setattr(obj, key, tuple(value))
-        else:
-            setattr(obj, key, value)
+                raise ConfigError(f"{context}{key} must be an object, not {value!r}")
+            _apply_keys(getattr(obj, key), value, f"{context}{key}.")
+        else:   # JSON has no tuples
+            is_tuple = kinds[key].startswith("tuple") and isinstance(value, _LIST)
+            setattr(obj, key, tuple(value) if is_tuple else value)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     config = ScenarioConfig()
-    _apply_keys(config, data, context="")
+    _apply_keys(config, data)
     config.validate()
     return config
 

@@ -10,7 +10,7 @@ from nemosim import cli
 from nemosim.engine import SEC
 from nemosim.experiment import run_scenario, sweep
 from nemosim.metrics import CSV_HEADER
-from nemosim.scenario import PROTO_NEMO_BS, ConfigError, ScenarioConfig
+from nemosim.scenario import PROTO_NEMO_BS, ScenarioConfig
 from nemosim.simulation import Simulation
 
 
@@ -125,10 +125,28 @@ def test_cli_rejects_empty_path(command, flag, capsys):
     assert f"argument {flag}: expected a file path" in capsys.readouterr().err
 
 
-def test_cli_run_rejects_zero_speed():
+def test_cli_run_rejects_zero_speed(capsys):
     # --speed 0 used to be ignored, so the run went at the config's speed.
-    with pytest.raises(ConfigError, match=r"^dmr_speed_kmh "):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["run", "--speed", "0"])
+    assert exc.value.code == 2
+    assert "error: dmr_speed_kmh " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"bounce_near_x_m": 200, "bounce_far_x_m": 200}', "bounce_near_x_m "),
+    ('{"cbr": {"packet_bytes": 0.5}}', "cbr.packet_bytes "),
+    ('{"seed": 1,}', "line 1 column 12"),
+])
+def test_cli_run_reports_bad_config_file_in_one_line(text, key, tmp_path, capsys):
+    # A config that cannot run is a usage error (exit 2), not a traceback.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("speeds", ["15,abc", "15,0", "15,nan"])
@@ -139,4 +157,18 @@ def test_cli_sweep_checks_every_speed_before_running(speeds, monkeypatch, capsys
         cli.main(["sweep", "--speeds", speeds])
     assert exc.value.code == 2
     assert "argument --speeds: " in capsys.readouterr().err
+    assert runs == []
+
+
+def test_cli_sweep_checks_speeds_against_its_own_config(tmp_path, monkeypatch, capsys):
+    # 100,000 km/h passes the work cap on the default 330 m bounce, but not on
+    # a 5 m one; the check used to run on the default config.
+    path = tmp_path / "narrow.json"
+    path.write_text('{"bounce_near_x_m": 380, "bounce_far_x_m": 385}')
+    runs = []
+    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: runs.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(path), "--speeds", "15,100000"])
+    assert exc.value.code == 2
+    assert "argument --speeds: 100000 km/h: dmr_speed_kmh " in capsys.readouterr().err
     assert runs == []

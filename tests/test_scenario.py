@@ -1,12 +1,18 @@
 import json
 import re
+from dataclasses import fields, is_dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nemosim.diffserv import RedParams
 from nemosim.engine import MS, SEC
+from nemosim.experiment import run_scenario
 from nemosim.metrics import CSV_HEADER
-from nemosim.scenario import (ConfigError, ScenarioConfig, build_track,
-                              config_from_dict, default_topology, load_config)
+from nemosim.scenario import (_KINDS, _RANGES, _RULES, ConfigError, CbrConfig, FaultConfig,
+                              ScenarioConfig, _walk, build_track, config_from_dict,
+                              default_topology, load_config)
 
 
 def test_defaults_match_reference_setup():
@@ -58,8 +64,10 @@ def test_cbr_window_must_fit_run():
 # the link goes down, a bool taken as a number, a binding that expires as it
 # is made, a handover index that never matches, RED that early-drops at every
 # backlog or never, a track with no point or a point that is not a pair of
-# numbers, a NaN speed or one past the float range); validation must reject
-# them before any event is scheduled.
+# numbers, a NaN speed or one past the float range, a fractional packet size,
+# a bounce between one point and itself, or a source that would schedule far
+# more events than any shipped scenario); validation must reject them before
+# any event is scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -129,6 +137,16 @@ def test_cbr_window_must_fit_run():
     ({"dmr_speed_kmh": float("nan")}, "dmr_speed_kmh"),
     ({"cell_radius_m": float("inf")}, "cell_radius_m"),
     ({"dmr_speed_kmh": 10 ** 400}, "dmr_speed_kmh"),
+    ({"bounce_near_x_m": 200, "bounce_far_x_m": 200}, "bounce_near_x_m"),
+    ({"bounce_far_x_m": 55}, "bounce_far_x_m"),
+    ({"dmr_speed_kmh": 1e9}, "dmr_speed_kmh"),
+    ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0.5}, "bg_packet_bytes"),
+    ({"beacon_interval_us": 2}, "beacon_interval_us"),
+    ({"binding_refresh_us": 2}, "binding_refresh_us"),
+    ({"cbr": {"packet_bytes": 0.001}}, "cbr.packet_bytes"),
+    ({"cbr": {"packet_bytes": 1}}, "cbr.packet_bytes"),
+    ({"red": {"max_th": 2}}, "red.max_th"),
+    ({"sim_end_us": 2}, "sim_end_us"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
@@ -177,3 +195,47 @@ def test_csv_header_schema():
         "protocol", "mode", "speed_kmh", "seed", "sent", "delivered", "dropped",
         "loss_pct", "fwd_rate_pct", "ho_latency_mean_ms", "ho_latency_max_ms",
         "delay_mean_ms"]
+
+
+def test_schema_covers_every_field():
+    # A field whose annotation has no kind, or a range or rule on a key that
+    # is no field, would leave a key unchecked.
+    for cls in (ScenarioConfig, CbrConfig, FaultConfig, RedParams):
+        for f in fields(cls):
+            assert f.type in _KINDS, f"{cls.__name__}.{f.name}: {f.type}"
+    keys = {key for key, _, _ in _walk(ScenarioConfig())}
+    assert set(_RANGES) <= keys
+    assert {key for a, _, b in _RULES for key in (a, b)} <= keys
+
+
+def test_largest_shipped_config_stays_ten_times_under_the_work_cap():
+    # 200 s congested at 90 km/h predicts about 63k source events, nearly all
+    # background ticks; ten times its load must still pass the cap.
+    ScenarioConfig(background_load_bps=10 * 1_200_000, dmr_speed_kmh=90).validate()
+
+
+LEAF_KEYS = sorted(key for key, _, value in _walk(ScenarioConfig()) if not is_dataclass(value))
+POOL = [0, -1, 0.5, 2, 1e9, float("nan"), "x", True, []]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.sampled_from(LEAF_KEYS), st.sampled_from(POOL),
+                       min_size=1, max_size=2))
+def test_every_config_runs_or_names_a_drawn_key(drawn):
+    data = {"dmr_speed_kmh": 60}    # fast enough to cross cells in 25 s
+    for key, value in drawn.items():
+        *outer, leaf = key.split(".")
+        target = data
+        for part in outer:
+            target = target.setdefault(part, {})
+        target[leaf] = value
+    try:
+        cfg = config_from_dict(data)
+    except ConfigError as exc:
+        assert str(exc).split(" ", 1)[0] in drawn, str(exc)
+        return
+    # No pool value for sim_end_us or cbr.stop_us passes validation, so the
+    # run can be cut to its first 25 s.
+    assert not {"sim_end_us", "cbr.stop_us"} & set(drawn)
+    cfg.sim_end_us = cfg.cbr.stop_us = 25 * SEC
+    run_scenario(cfg)
