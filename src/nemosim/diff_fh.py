@@ -20,6 +20,7 @@ from .diff_nemo import Registration
 from .fsm import (ROLE_DMR, ROLE_MAP, ROLE_NAR, ROLE_NEW_MAP, DmrState, FsmEvent,
                   MapState, NarState, NewMapState, fsm_step)
 from .nemo_bs import MobileRouter
+from .nodes import ArNode, Node
 from .packets import SIGNAL, Address, Packet, Prefix, SignalKind, encapsulate
 
 
@@ -66,13 +67,14 @@ class FhHandoverCtx:
     fna_attempt: int = 0
 
 
-class MapAgent:
+class MapAgent(Node):
     """Anchor point: regional bindings plus the forwarding side of a fast handover."""
 
-    def __init__(self, sim, node_id: str, address: Address):
-        self.sim = sim
-        self.node_id = node_id
-        self.address = address
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
+        self.signal_handlers = {SignalKind.FBU: self.on_fbu, SignalKind.HACK: self.on_hack,
+                                SignalKind.LBU: self.on_lbu, SignalKind.HI: self.on_hi_as_new_map}
+        self.timer_handlers = {"rcoa_dad": self._on_rcoa_dad}
         self.bindings: dict[Address, MapBinding] = {}
         self.divert: dict[Address, tuple[Address, str]] = {}   # plcoa -> (nlcoa, nar)
         self.fh_state: MapState = MapState.IDLE
@@ -120,11 +122,10 @@ class MapAgent:
         self.newmap_pending = pkt.info
         _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_HI))
 
-    def on_timer(self, token) -> None:
-        if token[0] == "rcoa_dad":
-            _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_DAD_OK))
-            self.newmap_state = NewMapState.IDLE
-            self.newmap_pending = None
+    def _on_rcoa_dad(self, token) -> None:
+        _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_DAD_OK))
+        self.newmap_state = NewMapState.IDLE
+        self.newmap_pending = None
 
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.fh_ctx
@@ -154,7 +155,7 @@ class MapAgent:
                                 sim.topo.addresses[peer], info={"from_role": "new_map"})
 
     # -- data plane ----------------------------------------------------------
-    def route_hook(self, pkt: Packet) -> bool:
+    def intercept(self, pkt: Packet) -> bool:
         """Divert or re-tunnel regional traffic; True when the packet was consumed."""
         target = None
         if pkt.dst in self.divert:
@@ -177,14 +178,15 @@ class MapAgent:
         return True
 
 
-class NarAgent:
-    """New access router: verifies the pre-configured address, anchors the
-    forwarding tunnel, and buffers until the router announces itself."""
+class NarAgent(ArNode):
+    """Access router that, as the new one, verifies the pre-configured address,
+    anchors the forwarding tunnel, and buffers until the router announces itself."""
 
-    def __init__(self, sim, node_id: str, address: Address):
-        self.sim = sim
-        self.node_id = node_id
-        self.address = address
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
+        self.signal_handlers.update({SignalKind.HI: self.on_hi, SignalKind.FNA: self.on_fna})
+        self.timer_handlers["nar_dad"] = lambda token: _drive(
+            self, ROLE_NAR, "state", FsmEvent(fsm.EV_DAD_OK))
         self.state: NarState = NarState.IDLE
         self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
         self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
@@ -206,19 +208,14 @@ class NarAgent:
             self.ctx = self.fbu.info
         _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_FBU, collision=collision))
 
-    def on_timer(self, token) -> None:
-        if token[0] == "nar_dad":
-            _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_DAD_OK))
-
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.ctx
         match action:
             case fsm.StartTimer():
                 sim.timer(self.node_id, sim.config.dad_fast_us, ("nar_dad",))
             case fsm.Emit(SignalKind.NS):
-                bs = sim.topo.bs_of_ar(self.node_id)
                 sim.send_signal(self.node_id, SignalKind.NS, self.address,
-                                sim.topo.addresses[bs], info={"tentative": ctx["nlcoa"]})
+                                sim.topo.addresses[self.bs_id], info={"tentative": ctx["nlcoa"]})
             case fsm.Do("relay_hi"):
                 sim.send_signal(self.node_id, SignalKind.HI, self.address,
                                 sim.topo.addresses[ctx["new_map"]], info=ctx)
@@ -261,8 +258,8 @@ class FhDmr(MobileRouter):
     FH_TIMER_EVENTS = {"fbu_delay": fsm.EV_FBU_TIMER, "lbu_gap": fsm.EV_LBU_TIMER,
                        "fbu_retx": fsm.EV_FBU_RETX_TIMER}
 
-    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address):
-        super().__init__(sim, hoa, mnp, ha)
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
         self.node_component = 100
         self.lcoa: Optional[Address] = None
         self.rcoa: Optional[Address] = None
@@ -273,8 +270,6 @@ class FhDmr(MobileRouter):
         self.fsm_state: DmrState = DmrState.IDLE
         self.ctx: Optional[FhHandoverCtx] = None
         self.epoch = 0
-        self.handover_count = 0
-        self.reg = Registration(sim, hoa, mnp, ha, cn, lambda: self.rcoa, self.RR_TIMEOUT)
         self._initial_prefix_seen = False
         # NA is absent: initial DAD collisions are not exercised for this variant.
         self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
@@ -283,7 +278,9 @@ class FhDmr(MobileRouter):
                                 SignalKind.LBACK: self._on_lback,
                                 SignalKind.NAACK: self._on_naack,
                                 SignalKind.BA: self._on_ba}
-        self.signal_handlers.update(dict.fromkeys(Registration.TOKEN_EVENTS, self.reg.on_token))
+        self.timer_handlers.update({"fh": self._on_fh_timer, "initial_dad": self._on_initial_dad,
+                                    "reg_refresh": self._on_reg_refresh})
+        self.reg = Registration(self, lambda: self.rcoa, self.RR_TIMEOUT)
 
     # -- address bookkeeping -------------------------------------------------
     def owns(self, addr: Address) -> bool:
@@ -306,13 +303,12 @@ class FhDmr(MobileRouter):
         self.fsm_state = DmrState.IDLE
         self._step(FsmEvent(fsm.EV_L2_TRIGGER))
 
-    def on_link_down(self, plan=None) -> None:
+    def on_link_down(self, plan) -> None:
         self.serving_bs = None
         if self.lcoa is None:
             return
         if self.ctx is None:
-            index = plan.handover_index if plan is not None else self.handover_count
-            self.ctx = FhHandoverCtx(handover_index=index,
+            self.ctx = FhHandoverCtx(handover_index=plan.handover_index,
                                      old_map=self.serving_map, plcoa=self.lcoa)
             self.fsm_state = DmrState.IDLE
         self._step(FsmEvent(fsm.EV_L2_DOWN))
@@ -327,7 +323,6 @@ class FhDmr(MobileRouter):
             return
         if self.ctx is None:
             return
-        self.handover_count += 1
         self.ctx.new_bs = bs
         self.ctx.nar = self.sim.topo.bs_to_ar[bs]
         ncoa_known = self.ctx.nlcoa is not None
@@ -470,22 +465,20 @@ class FhDmr(MobileRouter):
             self.sim.timer("dmr", self.sim.config.binding_refresh_us,
                            ("reg_refresh", self.reg.seq))
 
-    def on_timer(self, token) -> None:
-        name = token[0]
-        if name == "fh":
-            # A retransmission timer lapses once the acknowledgement is in.
-            if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx.fback_received):
-                self._step(FsmEvent(self.FH_TIMER_EVENTS[token[1]]))
-        elif name == "initial_dad":
-            _, epoch, lcoa, rcoa = token
-            if self.lcoa is not None:
-                return
-            self.lcoa = lcoa
-            self.rcoa = rcoa
+    def _on_fh_timer(self, token) -> None:
+        # A retransmission timer lapses once the acknowledgement is in.
+        if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx.fback_received):
+            self._step(FsmEvent(self.FH_TIMER_EVENTS[token[1]]))
+
+    def _on_initial_dad(self, token) -> None:
+        _, epoch, lcoa, rcoa = token
+        if self.lcoa is not None:
+            return
+        self.lcoa = lcoa
+        self.rcoa = rcoa
+        self._send_lbu_to_serving_map(self.serving_map, None)
+
+    def _on_reg_refresh(self, token) -> None:
+        if token[1] == self.reg.seq and self.ctx is None:
             self._send_lbu_to_serving_map(self.serving_map, None)
-        elif name == self.RR_TIMEOUT:
-            self.reg.on_timeout(token)
-        elif name == "reg_refresh":
-            if token[1] == self.reg.seq and self.ctx is None:
-                self._send_lbu_to_serving_map(self.serving_map, None)
-                self.reg.start()
+            self.reg.start()

@@ -13,14 +13,18 @@ from typing import Callable, Optional
 
 from . import fsm
 from .nemo_bs import BaselineMr, BindingCacheAgent
-from .packets import Address, Packet, Prefix, SignalKind
+from .nodes import CnNode
+from .packets import Address, Packet, SignalKind
 
 
-class CorrespondentAgent(BindingCacheAgent):
-    """Correspondent-side binding cache gated by return-routability tokens."""
+class CorrespondentAgent(BindingCacheAgent, CnNode):
+    """Correspondent whose binding cache is gated by return-routability tokens."""
 
-    def __init__(self, sim, node_id: str, address: Address):
-        super().__init__(sim, node_id, address)
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
+        self.signal_handlers.update({SignalKind.HOTI: self.on_hoti,
+                                     SignalKind.COTI: self.on_coti,
+                                     SignalKind.BU: self.on_binding_update})
         self.issued: dict[Address, dict] = {}
         self.bound_at: list = []
         self._nonce = 0
@@ -81,20 +85,19 @@ class Registration:
     Every signal leaves from the care-of address the router supplies.  The
     return-routability timer token is `(timeout_name, seq, retries)`: `seq`
     counts registrations and `retries` the probe rounds within one, so a
-    timer from an earlier round or registration is ignored.
+    timer from an earlier round or registration is ignored.  The tokens and
+    that timer reach it through the router's handler tables.
     """
 
     TOKEN_EVENTS = {SignalKind.HOT: ("hot", fsm.EV_HOT),
                     SignalKind.COT: ("cot", fsm.EV_COT),
                     SignalKind.NPT: ("npt", fsm.EV_NPT)}
 
-    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address,
-                 care_of: Callable[[], Optional[Address]], timeout_name: str):
-        self.sim = sim
-        self.hoa = hoa
-        self.mnp = mnp
-        self.ha = ha
-        self.cn = cn
+    def __init__(self, router, care_of: Callable[[], Optional[Address]], timeout_name: str):
+        self.sim, self.hoa, self.mnp, self.ha = router.sim, router.hoa, router.mnp, router.ha
+        self.cn = router.sim.topo.addresses["cn"]
+        router.signal_handlers.update(dict.fromkeys(self.TOKEN_EVENTS, self.on_token))
+        router.timer_handlers[timeout_name] = self.on_timeout
         self.care_of = care_of
         self.timeout_name = timeout_name
         self.state = fsm.REG_IDLE
@@ -163,10 +166,9 @@ class ProxyDmr(BaselineMr):
 
     RR_TIMEOUT = "rr_timeout"
 
-    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address, cn: Address):
-        super().__init__(sim, hoa, mnp, ha)
-        self.reg = Registration(sim, hoa, mnp, ha, cn, lambda: self.state.coa, self.RR_TIMEOUT)
-        self.signal_handlers.update(dict.fromkeys(Registration.TOKEN_EVENTS, self.reg.on_token))
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
+        self.reg = Registration(self, lambda: self.state.coa, self.RR_TIMEOUT)
 
     def send_binding_update(self) -> None:
         """Every home registration, refreshes included, restarts the machine,
@@ -180,9 +182,3 @@ class ProxyDmr(BaselineMr):
             self.cn_bound_coa = self.state.coa
         else:
             self.state.registered = True
-
-    def on_timer(self, token) -> None:
-        if token[0] == self.RR_TIMEOUT:
-            self.reg.on_timeout(token)
-        else:
-            super().on_timer(token)

@@ -12,7 +12,6 @@ from typing import Callable, Optional, TextIO
 # in these units.
 SimTime = int
 
-US = 1
 MS = 1_000
 SEC = 1_000_000
 

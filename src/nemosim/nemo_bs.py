@@ -12,7 +12,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import SimTime
+from .engine import L2_LINK_DOWN, L2_TRIGGER, PACKET_ARRIVAL, Entry, SimTime
+from .nodes import Node, air_receiver
 from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind,
                       apply_type2_routing, decapsulate, encapsulate)
 
@@ -31,13 +32,11 @@ class BindingCacheEntry:
         return dst == self.hoa or any(p.matches(dst) for p in self.mnps)
 
 
-class BindingCacheAgent:
-    """A node's binding cache: the home agent's and the correspondent's."""
+class BindingCacheAgent(Node):
+    """A node with a binding cache: the home agent and the correspondent."""
 
-    def __init__(self, sim, node_id: str, address: Address):
-        self.sim = sim
-        self.node_id = node_id
-        self.address = address
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
         self.cache: dict[Address, BindingCacheEntry] = {}
 
     def bind(self, info: dict) -> None:
@@ -55,7 +54,12 @@ class BindingCacheAgent:
 
 
 class HomeAgent(BindingCacheAgent):
-    """Binding cache plus interception of traffic for the mobile network."""
+    """Binding cache, interception for the mobile network, and reverse-tunnel endpoint."""
+
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
+        self.signal_handlers = {None: self.handle_tunneled,
+                                SignalKind.BU: self.handle_binding_update}
 
     def handle_binding_update(self, pkt: Packet) -> None:
         info = pkt.info
@@ -63,14 +67,17 @@ class HomeAgent(BindingCacheAgent):
         self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
                              info={"hoa": info["hoa"], "coa": info["coa"]})
 
-    def intercept(self, pkt: Packet) -> None:
+    def intercept(self, pkt: Packet) -> bool:
         """Tunnel home-network traffic to the registered care-of address."""
+        topo = self.sim.topo
+        if not (topo.home_prefix.matches(pkt.dst) or topo.mnp.matches(pkt.dst)):
+            return False
         entry = self.lookup(pkt.dst)
         if entry is None:
             self.sim.drop(pkt, f"no_binding@{self.node_id}")
-            return
-        outer = encapsulate(pkt, self.address, entry.coa, dscp=pkt.dscp)
-        self.sim.forward(self.node_id, outer)
+        else:
+            self.sim.forward(self.node_id, encapsulate(pkt, self.address, entry.coa, dscp=pkt.dscp))
+        return True
 
     def handle_tunneled(self, pkt: Packet) -> None:
         """Reverse-tunnel endpoint: unwrap and route the original datagram."""
@@ -78,22 +85,46 @@ class HomeAgent(BindingCacheAgent):
         self.sim.forward(self.node_id, inner)
 
 
-class MobileRouter:
-    """The data plane every mobile router shares.  A subclass names the
-    addresses it answers for (`owns`) and the care-of address upstream traffic
-    leaves from (`upstream_coa`, None until registered), and fills
-    `signal_handlers`, its `{SignalKind: handler}` table."""
+class MobileRouter(Node):
+    """The mobile router node and the data plane every scheme's router
+    shares: it receives over each station's air link and from the mobile
+    network, and takes the layer-2 events.  A subclass names the addresses it
+    answers for (`owns`) and the care-of address upstream traffic leaves from
+    (`upstream_coa`, None until registered), fills `signal_handlers` and adds
+    to `timer_handlers`."""
 
-    signal_handlers: dict
-
-    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address):
-        self.sim = sim
-        self.hoa = hoa
-        self.mnp = mnp
-        self.ha = ha
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
+        topo = sim.topo
+        self.hoa, self.mnp, self.ha = topo.hoa, topo.mnp, topo.addresses["ha"]
         # The care-of address the correspondent acknowledged: it accepts a
         # home address option only from the address it holds a binding for.
         self.cn_bound_coa: Optional[Address] = None
+        self.timer_handlers = {"l2_attach": self._on_l2_attach}
+        for bs in topo.bs_to_ar:
+            sim.engine.register(f"dmr@{bs}", air_receiver(sim, bs, "dmr", self.on_packet))
+        sim.engine.register("dmr_local", self.dispatch_local)
+
+    def dispatch(self, ev: Entry) -> None:
+        _, _, _, kind, payload = ev
+        if kind == L2_TRIGGER:
+            self.on_l2_trigger(payload)
+        elif kind == L2_LINK_DOWN:
+            self.sim.dmr_attached = None
+            self.on_link_down(payload)
+        else:
+            super().dispatch(ev)
+
+    def dispatch_local(self, ev: Entry) -> None:
+        # Traffic from the mobile network side.
+        _, _, _, kind, payload = ev
+        if kind == PACKET_ARRIVAL:
+            self.on_upstream(payload)
+
+    def _on_l2_attach(self, token) -> None:
+        bs = token[1].bs
+        self.sim.dmr_attached = bs
+        self.on_link_up(bs)
 
     def owns(self, addr: Address) -> bool:
         raise NotImplementedError
@@ -150,8 +181,8 @@ class BaselineMr(MobileRouter):
     """Baseline mobile-router protocol: RA-driven movement detection, DAD,
     binding update to the home agent, and tunnel endpoint duties."""
 
-    def __init__(self, sim, hoa: Address, mnp: Prefix, ha: Address):
-        super().__init__(sim, hoa, mnp, ha)
+    def __init__(self, sim, node_id: str):
+        super().__init__(sim, node_id)
         self.state = MrState()
         self.handover_count = 0
         self.dad_attempt = 0
@@ -159,6 +190,8 @@ class BaselineMr(MobileRouter):
         self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
                                 SignalKind.NA: self.on_neighbor_advertisement,
                                 SignalKind.BA: self._on_ba}
+        self.timer_handlers.update({"dad_done": self._on_dad_done,
+                                    "bu_refresh": self._on_bu_refresh})
 
     def owns(self, addr: Address) -> bool:
         return addr == self.state.coa
@@ -174,7 +207,7 @@ class BaselineMr(MobileRouter):
             self.sim.send_signal("dmr", SignalKind.RS, self.state.coa or self.hoa,
                                  self.sim.topo.addresses[ar])
 
-    def on_link_down(self, plan=None) -> None:
+    def on_link_down(self, plan) -> None:
         self.state.attached_bs = None
 
     def on_l2_trigger(self, plan) -> None:
@@ -213,20 +246,19 @@ class BaselineMr(MobileRouter):
         self.state.node_component += 1
         self.start_dad(self._dad_prefix)
 
-    def on_timer(self, token) -> None:
-        name = token[0]
-        if name == "dad_done":
-            _, epoch, prefix = token
-            if epoch != self.state.epoch or not self.state.dad_pending:
-                return
-            self.state.dad_pending = False
-            self.state.coa = prefix.address(self.state.node_component)
-            self.state.current_prefix = prefix
-            self.dad_attempt = 0
+    def _on_dad_done(self, token) -> None:
+        _, epoch, prefix = token
+        if epoch != self.state.epoch or not self.state.dad_pending:
+            return
+        self.state.dad_pending = False
+        self.state.coa = prefix.address(self.state.node_component)
+        self.state.current_prefix = prefix
+        self.dad_attempt = 0
+        self.send_binding_update()
+
+    def _on_bu_refresh(self, token) -> None:
+        if token[1] == self.state.epoch and self.state.coa is not None:
             self.send_binding_update()
-        elif name == "bu_refresh":
-            if token[1] == self.state.epoch and self.state.coa is not None:
-                self.send_binding_update()
 
     def send_binding_update(self) -> None:
         st = self.state

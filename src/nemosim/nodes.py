@@ -1,9 +1,8 @@
-"""Node behaviours: routers, base stations, access routers, anchors, endpoints."""
+"""The `Node` base and the nodes every scheme shares: routers, stations, endpoints."""
 
 from __future__ import annotations
 
-from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
-                     PACKET_ARRIVAL, TIMER_EXPIRY, Entry)
+from .engine import APP_START, APP_STOP, PACKET_ARRIVAL, TIMER_EXPIRY, Entry
 from .metrics import FLOW_BG, FLOW_CBR
 from .packets import DATA, Packet, SignalKind, apply_home_address_option
 
@@ -30,9 +29,12 @@ class Node:
     """A node of the topology.  A packet addressed to it goes to the handler
     that its `signal_handlers` table holds for the packet's signal kind, where
     the `None` key takes a tunnel or data packet; any other packet is offered
-    to `intercept`, then forwarded."""
+    to `intercept`, then forwarded.  A timer goes to the handler that its
+    `timer_handlers` table holds for the token's first item, called with the
+    whole token."""
 
     signal_handlers: dict = {}
+    timer_handlers: dict = {}
 
     def __init__(self, sim, node_id: str):
         self.sim = sim
@@ -65,69 +67,28 @@ class Node:
         return False
 
     def on_timer(self, token) -> None:
-        pass
+        handler = self.timer_handlers.get(token[0])
+        if handler is not None:
+            handler(token)
 
     def on_app(self, kind: str) -> None:
         pass
 
 
-class HaNode(Node):
-    """Home agent: binding cache, interception, reverse-tunnel endpoint."""
+class ArNode(Node):
+    """Access router: advertisements, proxied discovery, duplicate address
+    checks, and the optional best-effort background source on its downlink;
+    `diff_fh.NarAgent` adds the fast-handover duties."""
 
     def __init__(self, sim, node_id: str):
-        super().__init__(sim, node_id)
-        from .nemo_bs import HomeAgent
-        agent = self.agent = HomeAgent(sim, node_id, self.address)
-        self.signal_handlers = {None: agent.handle_tunneled,
-                                SignalKind.BU: agent.handle_binding_update}
-
-    def intercept(self, pkt: Packet) -> bool:
-        topo = self.sim.topo
-        if topo.home_prefix.matches(pkt.dst) or topo.mnp.matches(pkt.dst):
-            self.agent.intercept(pkt)
-            return True
-        return False
-
-
-class MapNode(Node):
-    """Anchor point; regional bindings and fast-handover forwarding when the
-    scheme uses them, a plain router otherwise."""
-
-    def __init__(self, sim, node_id: str, with_agent: bool):
-        super().__init__(sim, node_id)
-        self.agent = None
-        if with_agent:
-            from .diff_fh import MapAgent
-            agent = self.agent = MapAgent(sim, node_id, self.address)
-            self.signal_handlers = {SignalKind.FBU: agent.on_fbu,
-                                    SignalKind.HACK: agent.on_hack,
-                                    SignalKind.LBU: agent.on_lbu,
-                                    SignalKind.HI: agent.on_hi_as_new_map}
-            self.intercept = agent.route_hook
-
-    def on_timer(self, token) -> None:
-        if self.agent is not None:
-            self.agent.on_timer(token)
-
-
-class ArNode(Node):
-    """Access router: advertisements, proxied discovery, fast-handover duties,
-    and the optional best-effort background source on its downlink."""
-
-    def __init__(self, sim, node_id: str, with_nar: bool):
         super().__init__(sim, node_id)
         self.bs_id = sim.topo.bs_of_ar(node_id)
         self.prefix = sim.topo.ar_prefix[node_id]
         self.map_id = sim.topo.ar_to_map[node_id]
-        self.nar = None
         self.signal_handlers = {SignalKind.RS: lambda pkt: self.send_ra(pkt.src),
                                 SignalKind.RT_SOL_PR: self._proxy_advertisement,
                                 SignalKind.NS: self._dad_check}
-        if with_nar:
-            from .diff_fh import NarAgent
-            nar = self.nar = NarAgent(sim, node_id, self.address)
-            self.signal_handlers.update({SignalKind.HI: nar.on_hi, SignalKind.FNA: nar.on_fna})
-            self.intercept = nar.intercept
+        self.timer_handlers = {"beacon": self._beacon}
         self._bg_seq = 0
 
     # -- control -------------------------------------------------------------
@@ -155,13 +116,10 @@ class ArNode(Node):
             na = self.sim.make_signal(SignalKind.NA, self.address, pkt.src, info={})
             self.sim.send_via(self.node_id, self.bs_id, na)
 
-    def on_timer(self, token) -> None:
-        if token[0] == "beacon":
-            if self.sim.dmr_attached == self.bs_id:
-                self.send_ra(self.sim.topo.addresses["dmr"])
-            self.sim.timer(self.node_id, self.sim.config.beacon_interval_us, ("beacon",))
-        elif self.nar is not None:
-            self.nar.on_timer(token)
+    def _beacon(self, token) -> None:
+        if self.sim.dmr_attached == self.bs_id:
+            self.send_ra(self.sim.topo.addresses["dmr"])
+        self.sim.timer(self.node_id, self.sim.config.beacon_interval_us, ("beacon",))
 
     def dispatch(self, ev: Entry) -> None:
         if ev[4] is BG_TICK:
@@ -206,19 +164,13 @@ class BsNode(Node):
 
 
 class CnNode(Node):
-    """Correspondent: constant-bit-rate source plus, for the QoS schemes, the
-    binding cache and return-routability responder."""
+    """Correspondent: the constant-bit-rate source and upstream sink; the QoS
+    schemes run `diff_nemo.CorrespondentAgent`, which adds a binding cache."""
 
-    def __init__(self, sim, node_id: str, with_agent: bool):
+    def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.agent = None
         self.signal_handlers = {None: self._receive_upstream}
-        if with_agent:
-            from .diff_nemo import CorrespondentAgent
-            agent = self.agent = CorrespondentAgent(sim, node_id, self.address)
-            self.signal_handlers.update({SignalKind.HOTI: agent.on_hoti,
-                                         SignalKind.COTI: agent.on_coti,
-                                         SignalKind.BU: agent.on_binding_update})
+        self.timer_handlers = {"cbr": lambda token: self._cbr_tick()}
         self.seq = 0
         self.upstream_received: list[Packet] = []
 
@@ -231,9 +183,9 @@ class CnNode(Node):
         if kind == APP_START:
             self._cbr_tick()
 
-    def on_timer(self, token) -> None:
-        if token[0] == "cbr":
-            self._cbr_tick()
+    def lookup(self, dst):
+        """The binding the correspondent holds for `dst`: none without a cache."""
+        return None
 
     def _cbr_tick(self) -> None:
         cbr = self.sim.config.cbr
@@ -243,7 +195,7 @@ class CnNode(Node):
         pkt = Packet(src=self.address, dst=mnn, size_bytes=cbr.packet_bytes,
                      kind=DATA, seq=self.seq, flow=FLOW_CBR,
                      created_at=self.sim.now, path_log=[self.node_id])
-        binding = self.agent.lookup(mnn) if self.agent is not None else None
+        binding = self.lookup(mnn)
         if binding is not None:
             pkt.dst = binding.coa
             pkt.rh2_home_addr = mnn
@@ -268,40 +220,3 @@ class MnnNode(Node):
                      size_bytes=size_bytes, kind=DATA, seq=seq, flow="up",
                      created_at=self.sim.now, path_log=[self.node_id])
         self.sim.linkqueues[("mnn", "dmr_local")].send(pkt)
-
-
-class DmrNode(Node):
-    """Mobile router chassis: attachment bookkeeping plus the active scheme."""
-
-    def __init__(self, sim, node_id: str):
-        super().__init__(sim, node_id)
-        self.proto = None
-        for bs in sim.topo.bs_to_ar:
-            sim.engine.register(f"dmr@{bs}", air_receiver(sim, bs, "dmr", self.on_packet))
-        sim.engine.register("dmr_local", self.dispatch_local)
-
-    def dispatch_local(self, ev: Entry) -> None:
-        # Traffic from the mobile network side.
-        _, _, _, kind, payload = ev
-        if kind == PACKET_ARRIVAL:
-            self.proto.on_upstream(payload)
-
-    def dispatch(self, ev: Entry) -> None:
-        _, _, _, kind, payload = ev
-        if kind == L2_TRIGGER:
-            self.proto.on_l2_trigger(payload)
-        elif kind == L2_LINK_DOWN:
-            self.sim.dmr_attached = None
-            self.proto.on_link_down(payload)
-        elif kind == TIMER_EXPIRY and payload[0] == "l2_attach":
-            plan = payload[1]
-            self.sim.dmr_attached = plan.bs
-            self.proto.on_link_up(plan.bs)
-        else:
-            super().dispatch(ev)
-
-    def on_timer(self, token) -> None:
-        self.proto.on_timer(token)
-
-    def on_packet(self, pkt: Packet) -> None:
-        self.proto.on_packet(pkt)

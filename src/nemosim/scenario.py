@@ -12,7 +12,8 @@ from typing import Optional
 from .diffserv import AF11, AF21, EF, RedParams, SlaRule
 from .engine import MS, SEC, SimTime
 from .network import Link, MobilityTrack, WirelessCell
-from .packets import DATA, SIGNAL, Address, Prefix, SignalKind
+from .packets import (DATA, HEADER_BYTES, MAX_ENCAP_DEPTH, SIGNAL, Address, Prefix,
+                      SignalKind)
 
 PROTO_NEMO_BS = "nemo-bs"
 PROTO_DIFF_NEMO = "diff-nemo"
@@ -113,9 +114,17 @@ class ScenarioConfig:
                 blamed = b if values[a] == _DEFAULTS[a] else a
                 raise ConfigError(f"{blamed} breaks {a} {relation} {b}: "
                                   f"{values[a]!r} {relation} {values[b]!r}")
+        cbr, base, end = self.cbr, CbrConfig(), self.sim_end_us
+        # A rate so small that a packet's gap passes the float range cannot be
+        # scheduled; the air link carries CBR packets under their tunnel headers.
+        for key, size, rate in [
+            ("cbr.rate_bps", cbr.packet_bytes, cbr.rate_bps),
+            ("background_load_bps", self.bg_packet_bytes, self.background_load_bps),
+            ("air_rate_bps", cbr.packet_bytes + MAX_ENCAP_DEPTH * HEADER_BYTES, self.air_rate_bps)]:
+            if rate and size * 8 * SEC / rate == math.inf:
+                raise ConfigError(f"{key} gives a {size}-byte packet an overflowing gap: {rate!r}")
         # Predicted source events under the key that drives each (4 access
         # routers; a beacon interval of 0 sends none, a gap that rounds to 0 never ends).
-        cbr, base, end = self.cbr, CbrConfig(), self.sim_end_us
         per = lambda span, interval: span / interval if interval > 0 else math.inf
         cbr_key = ("cbr.packet_bytes" if base.packet_bytes / cbr.packet_bytes
                    > cbr.rate_bps / base.rate_bps else "cbr.rate_bps")

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .diff_fh import FhDmr, MapAgent, NarAgent
+from .diff_nemo import CorrespondentAgent, ProxyDmr
 from .diffserv import BE, EF, SlaTable
 from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
                      TIMER_EXPIRY, Engine, SimEvent, SimTime, TraceWriter)
 from .metrics import MetricsCollector, build_report
+from .nemo_bs import BaselineMr, HomeAgent
 from .network import Link, LinkQueue, build_l2_plan
-from .nodes import ArNode, BsNode, CnNode, DmrNode, HaNode, MapNode, MnnNode, Node
+from .nodes import ArNode, BsNode, CnNode, MnnNode, Node
 from .packets import Address, Packet, SignalKind, encapsulate
 from .packets import make_signal as new_signal
 from .scenario import (BEACON_PHASE_US, MODE_PREDICTIVE, PROTO_DIFF_FH,
@@ -102,35 +105,18 @@ class Simulation:
                                    for ar in topo.ar_prefix}
 
     def _build_nodes(self) -> None:
-        cfg = self.config
-        fh = cfg.protocol == PROTO_DIFF_FH
-        qos = cfg.qos_enabled()
-        self.nodes = {
-            "cn": CnNode(self, "cn", with_agent=qos),
-            "er": Node(self, "er"),
-            "ha": HaNode(self, "ha"),
-            "map1": MapNode(self, "map1", with_agent=fh),
-            "map2": MapNode(self, "map2", with_agent=fh),
-            "mnn": MnnNode(self, "mnn"),
-            "dmr": DmrNode(self, "dmr"),
-        }
-        for ar in self.topo.ar_prefix:
-            self.nodes[ar] = ArNode(self, ar, with_nar=fh)
-        for bs in self.topo.bs_to_ar:
-            self.nodes[bs] = BsNode(self, bs)
-        self.nodes["dmr"].proto = self._make_dmr_proto()
-
-    def _make_dmr_proto(self):
-        protocol, topo = self.config.protocol, self.topo
-        router = (self, topo.hoa, topo.mnp, topo.addresses["ha"])
-        if protocol == PROTO_DIFF_FH:
-            from .diff_fh import FhDmr
-            return FhDmr(*router, topo.addresses["cn"])
-        if protocol == PROTO_DIFF_NEMO:
-            from .diff_nemo import ProxyDmr
-            return ProxyDmr(*router, topo.addresses["cn"])
-        from .nemo_bs import BaselineMr
-        return BaselineMr(*router)
+        # One class per role for the scheme.  Without the fast scheme the
+        # anchors are plain routers: an anchor agent would drop their
+        # domains' traffic for want of a regional binding.
+        fh = self.config.protocol == PROTO_DIFF_FH
+        roles = {"cn": CorrespondentAgent if self.config.qos_enabled() else CnNode,
+                 "er": Node, "ha": HomeAgent, "map1": MapAgent if fh else Node,
+                 "map2": MapAgent if fh else Node, "mnn": MnnNode,
+                 "dmr": {PROTO_DIFF_FH: FhDmr, PROTO_DIFF_NEMO: ProxyDmr}.get(
+                     self.config.protocol, BaselineMr),
+                 **dict.fromkeys(self.topo.ar_prefix, NarAgent if fh else ArNode),
+                 **dict.fromkeys(self.topo.bs_to_ar, BsNode)}
+        self.nodes = {node_id: cls(self, node_id) for node_id, cls in roles.items()}
 
     def _schedule_boot(self) -> None:
         cfg = self.config

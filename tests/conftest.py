@@ -1,5 +1,7 @@
 """Shared fixtures: a recording stand-in for the simulation facade."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from nemosim.metrics import MetricsCollector
@@ -14,6 +16,7 @@ class FakeSim:
         self.config = config or ScenarioConfig()
         self.topo = default_topology(self.config)
         self.metrics = MetricsCollector()
+        self.engine = SimpleNamespace(register=lambda node_id, handler: None)
         self.now = 0
         self.sent_signals = []      # (origin, kind, src, dst, info, encap_to)
         self.forwarded = []         # (origin, packet)

@@ -228,7 +228,7 @@ def test_criterion_7_route_optimization_paths():
     cfg = ScenarioConfig(protocol=PROTO_DIFF_NEMO)
     sim = Simulation(cfg)
     sim.run()
-    agent = sim.nodes["cn"].agent
+    agent = sim.nodes["cn"]
     assert agent.bound_at, "correspondent never registered"
     t_bind = agent.bound_at[0]
     pre = [d for d in sim.metrics.deliveries if d.created_at < t_bind]

@@ -25,7 +25,7 @@ RCOA2 = Prefix(3, 0).address(100)
 
 
 def make_fh(fake_sim, attached=True):
-    dmr = FhDmr(fake_sim, HOA, MNP, HA_ADDR, CN)
+    dmr = FhDmr(fake_sim, "dmr")
     if attached:
         dmr.lcoa = LCOA1
         dmr.rcoa = RCOA1
@@ -95,7 +95,7 @@ def test_fbu_emitted_after_configured_delay(fake_sim):
 # -- anchor-point forwarding ---------------------------------------------------
 
 def map_agent(fake_sim, node="map1"):
-    return MapAgent(fake_sim, node, fake_sim.topo.addresses[node])
+    return MapAgent(fake_sim, node)
 
 
 def install_handover(fake_sim, agent):
@@ -114,7 +114,7 @@ def test_map_diverts_regional_traffic_into_tunnel(fake_sim):
     install_handover(fake_sim, agent)
     assert agent.fh_state == MapState.FORWARDING
     pkt = Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA)
-    assert agent.route_hook(pkt)
+    assert agent.intercept(pkt)
     origin, outer = fake_sim.forwarded[-1]
     assert outer.dst == LCOA2 and outer.inner is pkt
 
@@ -130,7 +130,7 @@ def test_map_forwarding_is_exclusive_after_cut(fake_sim):
     agent.on_lbu(lbu)
     assert agent.fh_state == MapState.IDLE and not agent.divert
     pkt = Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA)
-    assert agent.route_hook(pkt)
+    assert agent.intercept(pkt)
     origin, outer = fake_sim.forwarded[-1]
     assert outer.dst == LCOA2 and outer.inner is pkt     # direct, not via tunnel
     assert fake_sim.signals_of(SignalKind.LBACK)
@@ -139,7 +139,7 @@ def test_map_forwarding_is_exclusive_after_cut(fake_sim):
 def test_map_without_binding_drops_regional_traffic(fake_sim):
     agent = map_agent(fake_sim)
     pkt = Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA, flow="cbr")
-    assert agent.route_hook(pkt)
+    assert agent.intercept(pkt)
     assert fake_sim.dropped and "no_binding" in fake_sim.dropped[0][1]
 
 
@@ -158,7 +158,7 @@ def test_teardown_relay_clears_old_anchor(fake_sim):
 # -- new access router ------------------------------------------------------------
 
 def nar_agent(fake_sim):
-    return NarAgent(fake_sim, "ar2", fake_sim.topo.addresses["ar2"])
+    return NarAgent(fake_sim, "ar2")
 
 
 def hi_signal(fake_sim, macro=False):
@@ -283,7 +283,7 @@ def test_regional_address_invariant_under_micro_handover():
     cfg = ScenarioConfig(protocol="diff-fh-nemo",
                          waypoints=[(60.0, 0.0), (220.0, 0.0)])
     sim = Simulation(cfg)
-    proto = sim.nodes["dmr"].proto
+    proto = sim.nodes["dmr"]
     sim.engine.run_until(100 * SEC)
     rcoa_before = proto.rcoa
     sim.engine.run_until(cfg.sim_end_us)
@@ -319,19 +319,19 @@ def test_micro_handover_sends_no_anchor_updates():
 
 def test_macro_handover_reregisters_with_anchors():
     sim, report = run_fh(speed=30)
-    proto = sim.nodes["dmr"].proto
+    proto = sim.nodes["dmr"]
     assert proto.rcoa.domain in (2, 3)
     assert "macro" in report.handover_kinds
-    ha_cache = sim.nodes["ha"].agent.cache
+    ha_cache = sim.nodes["ha"].cache
     assert ha_cache[sim.topo.hoa].coa == proto.rcoa
-    cn_cache = sim.nodes["cn"].agent.cache
+    cn_cache = sim.nodes["cn"].cache
     assert cn_cache[sim.topo.hoa].coa == proto.rcoa
 
 
 def test_macro_rebind_route_excludes_home_agent_and_old_anchor():
     sim, report = run_fh(speed=30)
     # The run ends with the router parked under the second anchor domain.
-    assert sim.nodes["dmr"].proto.serving_map == "map2"
+    assert sim.nodes["dmr"].serving_map == "map2"
     tail = sim.metrics.deliveries[-10:]
     assert tail
     for d in tail:
@@ -404,7 +404,7 @@ def test_reactive_collision_completes_with_substituted_address():
                          faults=FaultConfig(fna_collision_handovers=(0,)))
     sim = Simulation(cfg)
     report = sim.run()
-    proto = sim.nodes["dmr"].proto
+    proto = sim.nodes["dmr"]
     assert proto.lcoa == Prefix(2, 2).address(101)
     assert report.delivered > 0
     deliveries_after = [d for d in sim.metrics.deliveries
@@ -415,7 +415,8 @@ def test_reactive_collision_completes_with_substituted_address():
 # The two anchors end up diverting one care-of address to each other, so a
 # packet loops between them, gaining a tunnel header per pass, until the
 # encapsulation limit aborts the run (t = 32,336,604 us).  See the FOUND: line
-# on `MapAgent.route_hook` in CHANGES.md; fixing the loop must flip this test.
+# on `MapAgent.route_hook` (now `MapAgent.intercept`) in CHANGES.md; fixing
+# the loop must flip this test.
 @pytest.mark.xfail(raises=DepthExceeded, strict=True,
                    reason="anchors divert one care-of address to each other")
 def test_short_lead_handover_does_not_loop_between_anchors():

@@ -19,7 +19,7 @@ COA = Prefix(2, 1).address(100)
 
 
 def make_proxy(fake_sim):
-    proxy = ProxyDmr(fake_sim, HOA, MNP, HA_ADDR, CN)
+    proxy = ProxyDmr(fake_sim, "dmr")
     state = proxy.state
     state.attached_bs, state.coa, state.current_prefix = "bs1", COA, Prefix(2, 1)
     return proxy
@@ -102,7 +102,7 @@ def test_home_refresh_after_done_reruns_return_routability(fake_sim):
 
 
 def test_correspondent_issues_tokens_and_accepts_fresh_binding(fake_sim):
-    agent = CorrespondentAgent(fake_sim, "cn", CN)
+    agent = CorrespondentAgent(fake_sim, "cn")
     agent.on_hoti(make_signal(SignalKind.HOTI, HOA, CN, t=0, info={"hoa": HOA}))
     agent.on_coti(make_signal(SignalKind.COTI, COA, CN, t=0, info={"hoa": HOA}))
     issued = agent.issued[HOA]
@@ -116,7 +116,7 @@ def test_correspondent_issues_tokens_and_accepts_fresh_binding(fake_sim):
 
 
 def test_rogue_binding_update_never_mutates_cache(fake_sim):
-    agent = CorrespondentAgent(fake_sim, "cn", CN)
+    agent = CorrespondentAgent(fake_sim, "cn")
     rogue = make_signal(SignalKind.BU, COA, CN, t=0,
                         info={"hoa": HOA, "coa": COA, "mnps": [MNP],
                               "tokens": {"hot": "x", "cot": "y", "npt": "z"}})
@@ -130,7 +130,7 @@ def test_rogue_binding_update_never_mutates_cache(fake_sim):
 
 
 def test_stale_tokens_rejected_by_clock_arithmetic(fake_sim):
-    agent = CorrespondentAgent(fake_sim, "cn", CN)
+    agent = CorrespondentAgent(fake_sim, "cn")
     agent.on_hoti(make_signal(SignalKind.HOTI, HOA, CN, t=0, info={"hoa": HOA}))
     agent.on_coti(make_signal(SignalKind.COTI, COA, CN, t=0, info={"hoa": HOA}))
     tokens = {k: agent.issued[HOA][k][0] for k in ("hot", "cot", "npt")}
@@ -177,7 +177,7 @@ def test_lost_care_of_test_retries_and_recovers():
     cfg.cbr.stop_us = 30 * SEC
     sim = Simulation(cfg)
     sim.run()
-    agent = sim.nodes["cn"].agent
+    agent = sim.nodes["cn"]
     assert agent.bound_at, "binding never completed despite the retry"
     # The retry fires one timeout after the initial probes.
     assert agent.bound_at[0] > cfg.rr_timeout_us
@@ -200,7 +200,7 @@ def test_tunnel_overhead_disappears_after_registration():
     cfg.cbr.stop_us = 40 * SEC
     sim = Simulation(cfg)
     sim.run()
-    t_bind = sim.nodes["cn"].agent.bound_at[0]
+    t_bind = sim.nodes["cn"].bound_at[0]
     pre = [d.delay_us for d in sim.metrics.deliveries if d.created_at < t_bind]
     post = [d.delay_us for d in sim.metrics.deliveries if d.created_at >= t_bind]
     assert pre and post

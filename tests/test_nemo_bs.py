@@ -16,7 +16,7 @@ COA1 = Prefix(2, 1).address(100)
 
 
 def make_mr(fake_sim, attached="bs1"):
-    mr = BaselineMr(fake_sim, HOA, MNP, HA_ADDR)
+    mr = BaselineMr(fake_sim, "dmr")
     mr.state.attached_bs = attached
     return mr
 
@@ -63,7 +63,7 @@ def test_dad_collision_retries_with_next_node_component(fake_sim):
 
 
 def test_home_agent_installs_binding_and_acknowledges(fake_sim):
-    agent = HomeAgent(fake_sim, "ha", HA_ADDR)
+    agent = HomeAgent(fake_sim, "ha")
     bu = make_signal(SignalKind.BU, COA1, HA_ADDR, t=0,
                      info={"hoa": HOA, "coa": COA1, "mnps": [MNP], "lifetime": 60 * SEC})
     agent.handle_binding_update(bu)
@@ -74,7 +74,7 @@ def test_home_agent_installs_binding_and_acknowledges(fake_sim):
 
 
 def test_intercept_tunnels_to_registered_care_of(fake_sim):
-    agent = HomeAgent(fake_sim, "ha", HA_ADDR)
+    agent = HomeAgent(fake_sim, "ha")
     agent.cache[HOA] = BindingCacheEntry(HOA, COA1, [MNP], expires_at=60 * SEC)
     pkt = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA)
     agent.intercept(pkt)
@@ -84,14 +84,14 @@ def test_intercept_tunnels_to_registered_care_of(fake_sim):
 
 
 def test_intercept_without_binding_counts_loss(fake_sim):
-    agent = HomeAgent(fake_sim, "ha", HA_ADDR)
+    agent = HomeAgent(fake_sim, "ha")
     pkt = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="cbr")
     agent.intercept(pkt)
     assert fake_sim.dropped and fake_sim.dropped[0][1].startswith("no_binding")
 
 
 def test_intercept_expired_binding_counts_loss(fake_sim):
-    agent = HomeAgent(fake_sim, "ha", HA_ADDR)
+    agent = HomeAgent(fake_sim, "ha")
     agent.cache[HOA] = BindingCacheEntry(HOA, COA1, [MNP], expires_at=10)
     fake_sim.now = 20
     agent.intercept(Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="cbr"))
@@ -99,7 +99,7 @@ def test_intercept_expired_binding_counts_loss(fake_sim):
 
 
 def test_reverse_tunnel_endpoint_unwraps(fake_sim):
-    agent = HomeAgent(fake_sim, "ha", HA_ADDR)
+    agent = HomeAgent(fake_sim, "ha")
     inner = Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA)
     agent.handle_tunneled(encapsulate(inner, COA1, HA_ADDR, dscp=0))
     assert fake_sim.forwarded[0][1] is inner
@@ -151,7 +151,7 @@ def test_access_router_answers_colliding_dad_probe():
     cfg.cbr.stop_us = 25 * SEC
     sim = Simulation(cfg)
     sim.run()
-    state = sim.nodes["dmr"].proto.state
+    state = sim.nodes["dmr"].state
     assert state.node_component == 101
     assert state.coa == state.current_prefix.address(101)
 

@@ -57,17 +57,17 @@ def test_cbr_window_must_fit_run():
 
 
 # Each of these would hang (a source or the binding refresh re-arming itself
-# at +0 us), divide by zero, fail on a string or schedule into the past
-# mid-run, or run silently to a meaningless result (100% loss, no load,
-# interval detection for a misspelt one, a fault that never fires, a queue
-# that holds nothing, a drop probability above 1, an attach planned before
-# the link goes down, a bool taken as a number, a binding that expires as it
-# is made, a handover index that never matches, RED that early-drops at every
-# backlog or never, a track with no point or a point that is not a pair of
-# numbers, a NaN speed or one past the float range, a fractional packet size,
-# a bounce between one point and itself, or a source that would schedule far
-# more events than any shipped scenario); validation must reject them before
-# any event is scheduled.
+# at +0 us), divide by zero, fail on a string or on a rate so small that a
+# packet's gap overflows, schedule into the past mid-run, or run silently to a
+# meaningless result (100% loss, no load, interval detection for a misspelt
+# one, a fault that never fires, a queue that holds nothing, a drop
+# probability above 1, an attach planned before the link goes down, a bool
+# taken as a number, a binding that expires as it is made, a handover index
+# that never matches, RED that early-drops at every backlog or never, a track
+# with no point or a point that is not a pair of numbers, a NaN speed or one
+# past the float range, a fractional packet size, a bounce between one point
+# and itself, or a source that would schedule far more events than any shipped
+# scenario); validation must reject them before any event is scheduled.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -147,6 +147,9 @@ def test_cbr_window_must_fit_run():
     ({"cbr": {"packet_bytes": 1}}, "cbr.packet_bytes"),
     ({"red": {"max_th": 2}}, "red.max_th"),
     ({"sim_end_us": 2}, "sim_end_us"),
+    ({"cbr": {"rate_bps": 1e-300}}, "cbr.rate_bps"),
+    ({"background_load_bps": 1e-300}, "background_load_bps"),
+    ({"air_rate_bps": 1e-300}, "air_rate_bps"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
@@ -215,7 +218,7 @@ def test_largest_shipped_config_stays_ten_times_under_the_work_cap():
 
 
 LEAF_KEYS = sorted(key for key, _, value in _walk(ScenarioConfig()) if not is_dataclass(value))
-POOL = [0, -1, 0.5, 2, 1e9, float("nan"), "x", True, []]
+POOL = [0, -1, 0.5, 2, 1e9, 1e-300, float("nan"), "x", True, []]
 
 
 @settings(max_examples=500, deadline=None)
