@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,9 @@ class MetricsCollector:
         self.rejected_bindings = 0
         self.unexpected_signals = 0
         self.nar_buffer_drops = 0
+        # route -> (its one shared tuple, its serving station); a run takes
+        # about a dozen routes, so each delivery keeps a reference, not a copy.
+        self._routes: dict[tuple, tuple[tuple, Optional[str]]] = {}
 
     def record_sent(self, pkt: Packet) -> None:
         if pkt.flow == FLOW_CBR:
@@ -56,11 +60,11 @@ class MetricsCollector:
 
     def record_delivery(self, pkt: Packet, t: SimTime) -> None:
         path = tuple(pkt.path_log) if pkt.path_log else ()
-        serving = None
-        for node in reversed(path):
-            if node.startswith("bs"):
-                serving = node
-                break
+        route = self._routes.get(path)
+        if route is None:
+            serving = next((node for node in reversed(path) if node.startswith("bs")), None)
+            route = self._routes[path] = (path, serving)
+        path, serving = route
         self.deliveries.append(Delivery(pkt.seq, pkt.created_at, t, serving,
                                         pkt.src, pkt.dst, path))
 
@@ -124,6 +128,16 @@ def compute_handover_latency(deliveries: list[Delivery],
 
 @dataclass
 class MetricsReport:
+    """One run's figures and its per-delivery record, held compactly.
+
+    Each delivered CBR packet is one row of three `array('q')` columns,
+    `seqs`, `delivered_at_us` and `delays_us`, in delivery order, and one
+    entry of `per_packet_path`.  Packets that took the same route share one
+    path tuple, so that list holds references, not copies.
+    `per_packet_delay` is a list of (seq, delivered_at, delay) tuples built
+    from the columns on each access; read it once, not once per row.
+    """
+
     protocol: str
     mode: str
     speed_kmh: float
@@ -136,11 +150,18 @@ class MetricsReport:
     handover_latencies_us: list[int]
     handover_kinds: list[str]
     delay_mean_us: float
-    per_packet_delay: list[tuple[int, int, int]]   # (seq, delivered_at, delay)
+    seqs: array
+    delivered_at_us: array
+    delays_us: array
     per_packet_path: list[tuple]
     drops_detail: list[Drop]
     in_flight_at_end: int
     queue_drops: dict = None   # per egress queue, drop count per service class
+
+    @property
+    def per_packet_delay(self) -> list[tuple[int, int, int]]:
+        """(seq, delivered_at, delay) per delivery, built on each access."""
+        return list(zip(self.seqs, self.delivered_at_us, self.delays_us))
 
     @property
     def ho_latency_mean_us(self) -> float:
@@ -183,8 +204,9 @@ CSV_HEADER = ("protocol,mode,speed_kmh,seed,sent,delivered,dropped,"
 def build_report(config, metrics: MetricsCollector,
                  bs_to_map: Optional[dict[str, str]] = None,
                  queue_drops: Optional[dict] = None) -> MetricsReport:
-    gaps = compute_handover_latency(metrics.deliveries, bs_to_map)
-    delays = [d.delay_us for d in metrics.deliveries]
+    deliveries = metrics.deliveries
+    gaps = compute_handover_latency(deliveries, bs_to_map)
+    delays = array("q", [d.delay_us for d in deliveries])
     return MetricsReport(
         protocol=config.protocol,
         mode=config.mode,
@@ -198,8 +220,10 @@ def build_report(config, metrics: MetricsCollector,
         handover_latencies_us=[g for g, _ in gaps],
         handover_kinds=[k for _, k in gaps],
         delay_mean_us=(sum(delays) / len(delays)) if delays else 0.0,
-        per_packet_delay=[(d.seq, d.delivered_at, d.delay_us) for d in metrics.deliveries],
-        per_packet_path=[d.path for d in metrics.deliveries],
+        seqs=array("q", [d.seq for d in deliveries]),
+        delivered_at_us=array("q", [d.delivered_at for d in deliveries]),
+        delays_us=delays,
+        per_packet_path=[d.path for d in deliveries],
         drops_detail=list(metrics.drops),
         in_flight_at_end=metrics.sent - metrics.delivered - len(metrics.drops),
         queue_drops=queue_drops or {},

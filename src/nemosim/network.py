@@ -200,12 +200,14 @@ class LinkQueue:
         # serialization_us per packet size; a run sends only a few sizes.
         self._ser_us: dict[int, SimTime] = {}
         self._timer_target = f"{src}->{dst}"
+        # One label for every drop here, so a run's drop records share it.
+        self._drop_where = f"queue:{self._timer_target}"
         engine.register(self._timer_target, self._on_tx_done)
 
     def send(self, pkt: Packet) -> None:
         verdict = self.scheduler.enqueue(pkt, self.engine.rng)
         if verdict == diffserv.DROP:
-            self.on_drop(pkt, f"queue:{self.src}->{self.dst}")
+            self.on_drop(pkt, self._drop_where)
             return
         if not self.busy:
             self._start_next()

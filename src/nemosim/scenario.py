@@ -115,14 +115,21 @@ class ScenarioConfig:
                 raise ConfigError(f"{blamed} breaks {a} {relation} {b}: "
                                   f"{values[a]!r} {relation} {values[b]!r}")
         cbr, base, end = self.cbr, CbrConfig(), self.sim_end_us
-        # A rate so small that a packet's gap passes the float range cannot be
-        # scheduled; the air link carries CBR packets under their tunnel headers.
-        for key, size, rate in [
-            ("cbr.rate_bps", cbr.packet_bytes, cbr.rate_bps),
-            ("background_load_bps", self.bg_packet_bytes, self.background_load_bps),
-            ("air_rate_bps", cbr.packet_bytes + MAX_ENCAP_DEPTH * HEADER_BYTES, self.air_rate_bps)]:
+        # A packet so large, or a rate so small, that a packet's gap passes the
+        # float range cannot be scheduled; the air link carries CBR packets
+        # under their tunnel headers.
+        for size_key, rate_key, size, rate in [
+            ("cbr.packet_bytes", "cbr.rate_bps", cbr.packet_bytes, cbr.rate_bps),
+            ("bg_packet_bytes", "background_load_bps", self.bg_packet_bytes,
+             self.background_load_bps),
+            ("cbr.packet_bytes", "air_rate_bps", cbr.packet_bytes + MAX_ENCAP_DEPTH * HEADER_BYTES,
+             self.air_rate_bps)]:
+            if rate and size * 8 * SEC > sys.float_info.max:
+                raise ConfigError(f"{size_key} is too large to time a packet: {size!r}")
             if rate and size * 8 * SEC / rate == math.inf:
-                raise ConfigError(f"{key} gives a {size}-byte packet an overflowing gap: {rate!r}")
+                raise ConfigError(f"{rate_key} gives a {size}-byte packet an overflowing gap: {rate!r}")
+        if end > sys.float_info.max:
+            raise ConfigError(f"sim_end_us is too long to predict a run's events: {end!r}")
         # Predicted source events under the key that drives each (4 access
         # routers; a beacon interval of 0 sends none, a gap that rounds to 0 never ends).
         per = lambda span, interval: span / interval if interval > 0 else math.inf

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from census import cbr_held
@@ -6,7 +9,7 @@ from nemosim.experiment import generate_cbr
 from nemosim.metrics import (MACRO, MICRO, Delivery, MetricsCollector,
                              compute_handover_latency, compute_loss)
 from nemosim.packets import DATA, Address, Packet
-from nemosim.scenario import PROTOCOLS, CbrConfig, ScenarioConfig
+from nemosim.scenario import PROTO_DIFF_FH, PROTOCOLS, CbrConfig, ScenarioConfig
 from nemosim.simulation import Simulation
 
 CN = Address(0, 0, 0)
@@ -103,3 +106,45 @@ def test_cbr_census_accounts_for_every_packet_sent(protocol, background_load_bps
         sim.engine.run_until(t)
         assert cbr_held(sim) == m.sent - m.delivered - len(m.drops), f"at {t} us"
     assert m.sent == 501 and cbr_held(sim) > 0
+
+
+def sixty_second_run(protocol, background_load_bps=0):
+    return ScenarioConfig(protocol=protocol, dmr_speed_kmh=60, sim_end_us=60 * SEC,
+                          cbr=CbrConfig(stop_us=60 * SEC),
+                          background_load_bps=background_load_bps)
+
+
+@pytest.mark.parametrize("background_load_bps", [0, 1_200_000])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_report_columns_match_the_deliveries(protocol, background_load_bps):
+    sim = Simulation(sixty_second_run(protocol, background_load_bps))
+    report = sim.run()
+    deliveries = sim.metrics.deliveries
+    assert deliveries
+    assert report.per_packet_delay == [(d.seq, d.delivered_at, d.delay_us) for d in deliveries]
+    paths = report.per_packet_path
+    assert paths == [d.path for d in deliveries]
+    # Packets that took one route share its tuple.
+    assert len({id(p) for p in paths}) == len(set(paths))
+
+
+def test_report_retains_few_bytes_per_delivered_packet():
+    # A column row is three 8-byte ints and a path is one shared reference,
+    # about 37 B a delivery with list slack; a tuple per row and a fresh path
+    # per packet take about 260 B.  The bound leaves room for other CPython
+    # versions.
+    cfg = sixty_second_run(PROTO_DIFF_FH)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = Simulation(cfg).run()
+        delivered = report.delivered
+        gc.collect()
+        with_report, _ = tracemalloc.get_traced_memory()
+        del report
+        gc.collect()
+        without_report, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert delivered > 400
+    assert (with_report - without_report) / delivered <= 80

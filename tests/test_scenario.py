@@ -57,8 +57,9 @@ def test_cbr_window_must_fit_run():
 
 
 # Each of these would hang (a source or the binding refresh re-arming itself
-# at +0 us), divide by zero, fail on a string or on a rate so small that a
-# packet's gap overflows, schedule into the past mid-run, or run silently to a
+# at +0 us), divide by zero, fail on a string, on a rate so small or a packet
+# so large that a packet's gap overflows or on a run too long to count its
+# events in floats, schedule into the past mid-run, or run silently to a
 # meaningless result (100% loss, no load, interval detection for a misspelt
 # one, a fault that never fires, a queue that holds nothing, a drop
 # probability above 1, an attach planned before the link goes down, a bool
@@ -150,6 +151,9 @@ def test_cbr_window_must_fit_run():
     ({"cbr": {"rate_bps": 1e-300}}, "cbr.rate_bps"),
     ({"background_load_bps": 1e-300}, "background_load_bps"),
     ({"air_rate_bps": 1e-300}, "air_rate_bps"),
+    ({"cbr": {"packet_bytes": 10 ** 400}}, "cbr.packet_bytes"),
+    ({"bg_packet_bytes": 10 ** 400, "background_load_bps": 1_200_000}, "bg_packet_bytes"),
+    ({"sim_end_us": 10 ** 400, "cbr": {"stop_us": 10 ** 400}}, "sim_end_us"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
@@ -218,7 +222,7 @@ def test_largest_shipped_config_stays_ten_times_under_the_work_cap():
 
 
 LEAF_KEYS = sorted(key for key, _, value in _walk(ScenarioConfig()) if not is_dataclass(value))
-POOL = [0, -1, 0.5, 2, 1e9, 1e-300, float("nan"), "x", True, []]
+POOL = [0, -1, 0.5, 2, 1e9, 1e-300, 10 ** 400, float("nan"), "x", True, []]
 
 
 @settings(max_examples=500, deadline=None)
