@@ -47,8 +47,8 @@ def cmd_run(args) -> int:
     else:
         # The trace streams to its file during the run, so a run that raises
         # still leaves its trace on disk up to the event that failed.
-        with open(args.trace, "w", encoding="utf-8") as fh, TraceWriter(fh) as trace:
-            report, _ = run_scenario(config, trace=trace)
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            report, _ = run_scenario(config, trace=TraceWriter(fh))
     csv_text = CSV_HEADER + "\n" + report.csv_row() + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -45,45 +45,26 @@ class SimEvent:
 Entry = tuple[SimTime, int, str, str, object]
 
 
-# Lines a TraceWriter holds before it writes them out: enough to make each
-# write one large call, small enough that a traced run's memory stays flat.
+# Lines the engine renders before it hands them to its trace sink: enough to
+# make each write one large call, small enough that a traced run's memory
+# stays flat.
 TRACE_BLOCK_LINES = 4096
 
 
 class TraceWriter:
-    """A trace sink that streams lines to an open text file in fixed blocks.
-
-    Used as a context manager: leaving the block writes the last partial
-    block, also when the run raised, so the file ends with the line of the
-    event that failed.  `len()` is the number of lines accepted.
-    """
+    """A trace sink that writes each block of lines it is handed to an open
+    text file, one line per event.  `len()` is the number of lines written."""
 
     def __init__(self, fh: TextIO):
         self._fh = fh
-        self._block: list[str] = []
         self._written = 0
 
-    def append(self, line: str) -> None:
-        block = self._block
-        block.append(line)
-        if len(block) == TRACE_BLOCK_LINES:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._block:
-            self._fh.write("\n".join(self._block) + "\n")
-            self._written += len(self._block)
-            self._block = []
+    def extend(self, lines: list[str]) -> None:
+        self._fh.write("\n".join(lines) + "\n")
+        self._written += len(lines)
 
     def __len__(self) -> int:
-        return self._written + len(self._block)
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._flush()
-        return False
+        return self._written
 
 
 class RngStream:
@@ -110,12 +91,14 @@ class Engine:
     `schedule_in`, and the handler registered for its target receives that
     tuple as its one argument.  One seeded RngStream feeds every random
     decision in a run.  When `trace` is given (any object with
-    `append(line)`: a list, or a TraceWriter), each event is rendered into it
-    before its handler runs.  A packet renders through `Packet.trace_str`,
-    which formats the packet once and hands the same text to every later
-    event that carries it, and a timer token (a plain tuple) through
-    `str()`; with the same trace bytes, that took `traced-run` from about
-    3.2 s to about 2.5 s (`BENCH_10.json`).
+    `extend(lines)`: a list, or a TraceWriter), each event is rendered before
+    its handler runs, into a block of lines that goes to the sink when it is
+    full and when `run_until` returns or raises, so a failed run's trace ends
+    with the line of the event that failed.  A packet renders through
+    `Packet.trace_str`, which formats the packet once and hands the same text
+    to every later event that carries it, and a timer token (a plain tuple)
+    through `str()`; with the same trace bytes, that took `traced-run` from
+    about 3.2 s to about 2.5 s (`BENCH_10.json`).
 
     The traced event stream is the one the golden outputs pin.  An untraced
     run processes the same events with the same results, less the ones only
@@ -159,21 +142,39 @@ class Engine:
         Afterwards the clock sits at the last processed fire_at, or at `end`
         when nothing fired.
         """
-        heap, handlers = self._heap, self._handlers
-        append = self.trace.append if self.trace is not None else None
+        heap, handlers, sink = self._heap, self._handlers, self.trace
+        block: list[str] = []
+        append = block.append
         processed = 0
-        while heap and heap[0][0] <= end:
-            entry = heappop(heap)
-            fire_at, _, target, kind, payload = entry
-            self.now = fire_at
-            processed += 1
-            if append is not None:
-                append(f"{fire_at}\t{target}\t{kind}\t{trace_detail(payload)}")
-            handler = handlers.get(target)
-            if handler is not None:
-                handler(entry)
+        try:
+            # Events run in blocks of TRACE_BLOCK_LINES, so the full block
+            # goes to the sink without a length test per event.
+            while heap and heap[0][0] <= end:
+                for _ in range(TRACE_BLOCK_LINES):
+                    if not heap or heap[0][0] > end:
+                        break
+                    entry = heappop(heap)
+                    fire_at, _, target, kind, payload = entry
+                    self.now = fire_at
+                    processed += 1
+                    if sink is not None:
+                        append(f"{fire_at}\t{target}\t{kind}\t{trace_detail(payload)}")
+                    handler = handlers.get(target)
+                    if handler is not None:
+                        handler(entry)
+                if block:
+                    sink.extend(block)
+                    block.clear()
+        finally:
+            if block:
+                sink.extend(block)
         self.now = end if processed == 0 else min(end, self.now)
         return processed
+
+    def clear(self) -> None:
+        """Drop the handler table and every pending event."""
+        self._handlers.clear()
+        self._heap.clear()
 
 
 def trace_detail(payload: object) -> str:

@@ -26,10 +26,15 @@ def generate_cbr(cbr: CbrConfig) -> list[tuple[SimTime, int]]:
 def run_scenario(config: ScenarioConfig,
                  trace: Optional[list[str] | TraceWriter] = None
                  ) -> tuple[MetricsReport, Optional[list[str] | TraceWriter]]:
-    """Run one scenario, rendering each event into `trace` when it is given."""
+    """Run one scenario, rendering each event into `trace` when it is given.
+
+    The finished run is released (`Simulation.release`), so its node graph
+    is freed when this returns: a sweep holds one run at a time."""
     sim = Simulation(config, trace=trace)
-    report = sim.run()
-    return report, sim.trace
+    try:
+        return sim.run(), sim.trace
+    finally:
+        sim.release()
 
 
 def sweep(config: ScenarioConfig, speeds_kmh: list[float],

@@ -8,13 +8,12 @@ plain binding update after movement detection and duplicate address detection.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 from .engine import L2_LINK_DOWN, L2_TRIGGER, PACKET_ARRIVAL, Entry, SimTime
 from .nodes import Node, air_receiver
-from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind,
+from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind, add_home_address_option,
                       apply_type2_routing, decapsulate, encapsulate)
 
 
@@ -159,7 +158,7 @@ class MobileRouter(Node):
         if coa is None:
             self.sim.drop(pkt, "mr_not_registered")
         elif coa == self.cn_bound_coa:
-            out = dataclasses.replace(pkt, src=coa, home_addr_option=pkt.src)
+            out = add_home_address_option(pkt, coa)
             self.sim.condition_data("dmr", out)
             self.sim.dmr_send(out)
         else:

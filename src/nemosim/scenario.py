@@ -114,7 +114,7 @@ class ScenarioConfig:
                 blamed = b if values[a] == _DEFAULTS[a] else a
                 raise ConfigError(f"{blamed} breaks {a} {relation} {b}: "
                                   f"{values[a]!r} {relation} {values[b]!r}")
-        cbr, base, end = self.cbr, CbrConfig(), self.sim_end_us
+        cbr, end = self.cbr, self.sim_end_us
         # A packet so large, or a rate so small, that a packet's gap passes the
         # float range cannot be scheduled; the air link carries CBR packets
         # under their tunnel headers.
@@ -130,22 +130,27 @@ class ScenarioConfig:
                 raise ConfigError(f"{rate_key} gives a {size}-byte packet an overflowing gap: {rate!r}")
         if end > sys.float_info.max:
             raise ConfigError(f"sim_end_us is too long to predict a run's events: {end!r}")
-        # Predicted source events under the key that drives each (4 access
-        # routers; a beacon interval of 0 sends none, a gap that rounds to 0 never ends).
+        # Predicted source events, each term under the keys that drive it (4
+        # access routers; a beacon interval of 0 sends none, a gap that rounds
+        # to 0 never ends).  The cap names the first key of the largest term
+        # that moved from its default, as a broken rule does.
         per = lambda span, interval: span / interval if interval > 0 else math.inf
-        cbr_key = ("cbr.packet_bytes" if base.packet_bytes / cbr.packet_bytes
-                   > cbr.rate_bps / base.rate_bps else "cbr.rate_bps")
         bounce_m = abs(self.bounce_far_x_m - self.bounce_near_x_m)
-        events = {
-            cbr_key: per(cbr.stop_us - cbr.start_us, cbr.interval_us),
-            "background_load_bps": self.background_load_bps and 4 * per(end, self.bg_interval_us),
-            "beacon_interval_us": self.beacon_interval_us and 4 * end / self.beacon_interval_us,
-            "binding_refresh_us": end / self.binding_refresh_us,
-            "dmr_speed_kmh": 0 if self.waypoints else self.speed_mps * end / SEC / bounce_m,
-        }
-        key = max(events, key=events.get)
-        if sum(events.values()) > MAX_SOURCE_EVENTS:
-            raise ConfigError(f"{key} gives a run of {events[key]:.3g} source events, "
+        terms = [
+            (("cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "cbr.stop_us"),
+             per(cbr.stop_us - cbr.start_us, cbr.interval_us)),
+            (("bg_packet_bytes", "background_load_bps", "sim_end_us"),
+             self.background_load_bps and 4 * per(end, self.bg_interval_us)),
+            (("beacon_interval_us", "sim_end_us"),
+             self.beacon_interval_us and 4 * end / self.beacon_interval_us),
+            (("binding_refresh_us", "sim_end_us"), end / self.binding_refresh_us),
+            (("dmr_speed_kmh", "bounce_near_x_m", "bounce_far_x_m", "sim_end_us"),
+             0 if self.waypoints else self.speed_mps * end / SEC / bounce_m),
+        ]
+        if sum(count for _, count in terms) > MAX_SOURCE_EVENTS:
+            keys, events = max(terms, key=lambda term: term[1])
+            key = next((key for key in keys if values[key] != _DEFAULTS[key]), keys[0])
+            raise ConfigError(f"{key} gives a run of {events:.3g} source events, "
                               f"over the cap of {MAX_SOURCE_EVENTS:,}")
 
     @property

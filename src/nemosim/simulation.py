@@ -251,3 +251,19 @@ class Simulation:
                        for q in self.linkqueues.values()
                        if any(q.scheduler.drops_by_class)}
         return build_report(self.config, self.metrics, bs_to_map, queue_drops)
+
+    def release(self) -> None:
+        """Break the reference cycles of a finished run, so that reference
+        counting frees it at once rather than at the next full collection.
+
+        The nodes point to the simulation and the engine's handler table to
+        the nodes, so a dropped run is cyclic garbage.  Afterwards the nodes
+        hold no state and nothing can run; `config`, `metrics` and `trace`
+        stay readable.
+        """
+        self.engine.clear()
+        for node in self.nodes.values():
+            vars(node).clear()
+        self.nodes.clear()
+        self.linkqueues.clear()
+        self._station_downlinks.clear()

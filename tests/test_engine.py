@@ -141,16 +141,24 @@ def test_identical_seeds_identical_traces():
 
 
 def test_trace_writer_holds_at_most_one_block():
+    # The engine renders each event into a block that reaches the sink when
+    # it is full: at any event, at most one block of lines waits in memory.
     fh = io.StringIO()
-    lines = [f"{i}\tn\ttimer_expiry\t{i}" for i in range(3 * TRACE_BLOCK_LINES + 5)]
-    with TraceWriter(fh) as writer:
-        for i, line in enumerate(lines, 1):
-            writer.append(line)
-            assert len(writer) == i
-            held = i - fh.getvalue().count("\n")
-            assert 0 <= held < TRACE_BLOCK_LINES
-        assert fh.getvalue().count("\n") == 3 * TRACE_BLOCK_LINES
-    assert len(writer) == len(lines)
+    writer = TraceWriter(fh)
+    eng = Engine(trace=writer)
+    count = 3 * TRACE_BLOCK_LINES + 5
+    lines = [f"{i}\tn\ttimer_expiry\t({i},)" for i in range(count)]
+
+    def handler(ev):
+        written = fh.getvalue().count("\n")
+        assert written == len(writer)
+        assert 0 <= ev[0] - written < TRACE_BLOCK_LINES
+
+    eng.register("n", handler)
+    for i in range(count):
+        eng.schedule(SimEvent(i, "n", "timer_expiry", (i,)))
+    assert eng.run_until(count) == count
+    assert len(writer) == count
     assert fh.getvalue() == "\n".join(lines) + "\n"
 
 

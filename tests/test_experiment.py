@@ -1,5 +1,6 @@
 """Experiment surface: sweeps, the congestion knob, and the command line."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from nemosim import cli
 from nemosim.engine import SEC
 from nemosim.experiment import run_scenario, sweep
 from nemosim.metrics import CSV_HEADER
-from nemosim.scenario import PROTO_NEMO_BS, ScenarioConfig
+from nemosim.scenario import PROTO_NEMO_BS, PROTOCOLS, ScenarioConfig
 from nemosim.simulation import Simulation
 
 
@@ -52,6 +53,49 @@ def test_per_packet_series_supports_time_and_sequence_axes():
         assert delivered_at >= delay >= 0
     seqs = [s for s, _, _ in report.per_packet_delay]
     assert seqs == sorted(seqs)
+
+
+# -- releasing finished runs ----------------------------------------------------------
+
+def collected_after(call):
+    """`call()`'s result and the cyclic garbage a full collection then finds,
+    counted with automatic collection off."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        result = call()
+        return result, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("background_bps", [0, 1_200_000])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_finished_run_leaves_no_cyclic_garbage(protocol, background_bps, traced):
+    def config():
+        return short_config(protocol=protocol, dmr_speed_kmh=60,
+                            background_load_bps=background_bps)
+
+    kept = Simulation(config(), trace=[] if traced else None)
+    expected = kept.run()
+    (report, trace), garbage = collected_after(
+        lambda: run_scenario(config(), trace=[] if traced else None))
+    assert garbage == 0
+    # The report and the trace read as from a run that was never released.
+    assert report.csv_row() == expected.csv_row()
+    assert report.per_packet_path == expected.per_packet_path
+    assert report.per_packet_delay == expected.per_packet_delay
+    assert report.drops_detail == expected.drops_detail
+    assert trace == kept.trace
+
+
+def test_sweep_leaves_no_cyclic_garbage():
+    (csv_text, reports), garbage = collected_after(lambda: sweep(short_config(), [30, 60]))
+    assert garbage == 0
+    assert csv_text.count("\n") == 1 + len(reports) == 7
 
 
 # -- command line ------------------------------------------------------------------

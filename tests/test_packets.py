@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nemosim.packets import (DATA, Address, DepthExceeded,
                              MissingHomeAddressOption, MissingRoutingHeader,
-                             NotTunneled, Packet, Prefix, SignalKind,
+                             NotTunneled, Packet, Prefix, SignalKind, add_home_address_option,
                              apply_home_address_option, apply_type2_routing,
                              decapsulate, encapsulate, make_signal)
 
@@ -94,6 +96,29 @@ def test_rewrites_compose_to_transparent_address_pair():
                 home_addr_option=MNN_HOA)
     up = apply_home_address_option(up)
     assert (up.src, up.dst) == (MNN_HOA, CN)
+
+
+def test_rewrites_copy_every_field_and_start_untraced():
+    # Every init field differs from its default, so a field added to Packet
+    # fails here until it is set below, and then wherever a rewrite drops it.
+    inner = data_packet()
+    pkt = Packet(src=CN, dst=DMR_COA, size_bytes=1040, kind="signal", seq=7, flow="cbr",
+                 dscp=46, signal=SignalKind.BU, rh2_home_addr=MNN_HOA,
+                 home_addr_option=HA, inner=inner, created_at=123, info={"k": 1},
+                 path_log=["cn"])
+    init_fields = [f for f in dataclasses.fields(Packet) if f.init]
+    for f in init_fields:
+        default = f.default_factory() if f.default_factory is not dataclasses.MISSING else f.default
+        assert getattr(pkt, f.name) != default, f.name
+    pkt.trace_str()
+    for rewritten, replaced in [
+            (apply_type2_routing(pkt), dataclasses.replace(pkt, dst=MNN_HOA, rh2_home_addr=None)),
+            (apply_home_address_option(pkt), dataclasses.replace(pkt, src=HA, home_addr_option=None)),
+            (add_home_address_option(pkt, DMR_COA),
+             dataclasses.replace(pkt, src=DMR_COA, home_addr_option=CN))]:
+        for f in init_fields:
+            assert getattr(rewritten, f.name) is getattr(replaced, f.name), f.name
+        assert rewritten._trace_text is None
 
 
 def test_signal_kinds_cover_all_protocol_messages():

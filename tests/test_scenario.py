@@ -154,6 +154,7 @@ def test_cbr_window_must_fit_run():
     ({"cbr": {"packet_bytes": 10 ** 400}}, "cbr.packet_bytes"),
     ({"bg_packet_bytes": 10 ** 400, "background_load_bps": 1_200_000}, "bg_packet_bytes"),
     ({"sim_end_us": 10 ** 400, "cbr": {"stop_us": 10 ** 400}}, "sim_end_us"),
+    ({"sim_end_us": 10 ** 15, "cbr": {"stop_us": 10 ** 15}}, "cbr.stop_us"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):

@@ -68,8 +68,8 @@ class CountingSink:
     def __init__(self):
         self.lines = 0
 
-    def append(self, line):
-        self.lines += 1
+    def extend(self, lines):
+        self.lines += len(lines)
 
 
 def short_config(**kw):
