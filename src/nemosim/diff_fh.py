@@ -266,11 +266,9 @@ class FhDmr(MobileRouter):
         self.prev_lcoa: Optional[Address] = None
         self.prev_rcoa: Optional[Address] = None
         self.serving_map: Optional[str] = None
-        self.serving_bs: Optional[str] = None
         self.fsm_state: DmrState = DmrState.IDLE
         self.ctx: Optional[FhHandoverCtx] = None
         self.epoch = 0
-        self._initial_prefix_seen = False
         # NA is absent: initial DAD collisions are not exercised for this variant.
         self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
                                 SignalKind.PR_RT_ADV: self.handle_prrtadv,
@@ -304,7 +302,6 @@ class FhDmr(MobileRouter):
         self._step(FsmEvent(fsm.EV_L2_TRIGGER))
 
     def on_link_down(self, plan) -> None:
-        self.serving_bs = None
         if self.lcoa is None:
             return
         if self.ctx is None:
@@ -314,7 +311,6 @@ class FhDmr(MobileRouter):
         self._step(FsmEvent(fsm.EV_L2_DOWN))
 
     def on_link_up(self, bs: str) -> None:
-        self.serving_bs = bs
         self.epoch += 1
         if self.lcoa is None and self.ctx is None:
             # First attachment: discover the access router and anchor point.
@@ -410,9 +406,8 @@ class FhDmr(MobileRouter):
         prefix: Prefix = info["prefix"]
         if self.lcoa is None and self.ctx is None:
             # Initial attachment: configure both addresses, verify, register.
-            if self._initial_prefix_seen:
+            if self.serving_map is not None:
                 return
-            self._initial_prefix_seen = True
             self.serving_map = info["map_id"]
             tentative_lcoa = prefix.address(self.node_component)
             tentative_rcoa = info["map_prefix"].address(self.node_component)

@@ -4,14 +4,15 @@ flows directly between correspondent and mobile router with a type 2 routing
 header downstream and a home address option upstream.
 
 Both sides of return routability live here: the correspondent's token
-issuer and `Registration`, the one interpreter of `fsm.reg_step` that both
-route-optimising mobile routers drive."""
+issuer and `Registration`, which steps the `fsm` registration table for both
+route-optimising mobile routers."""
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
 from . import fsm
+from .fsm import FsmEvent, RegState, fsm_step
 from .nemo_bs import BaselineMr, BindingCacheAgent
 from .nodes import CnNode
 from .packets import Address, Packet, SignalKind
@@ -78,45 +79,42 @@ class CorrespondentAgent(BindingCacheAgent, CnNode):
 
 
 class Registration:
-    """Registration with both anchors, driven by `fsm.reg_step`: binding
-    update to the home agent, return routability toward the correspondent,
-    then the correspondent binding update.
+    """Registration with both anchors, stepped through the `fsm.ROLE_REG`
+    table by `fsm_step`: binding update to the home agent, return routability
+    toward the correspondent, then the correspondent binding update.
 
-    Every signal leaves from the care-of address the router supplies.  The
-    return-routability timer token is `(timeout_name, seq, retries)`: `seq`
-    counts registrations and `retries` the probe rounds within one, so a
-    timer from an earlier round or registration is ignored.  The tokens and
-    that timer reach it through the router's handler tables.
+    Every signal leaves from the care-of address the router supplies.
+    `tokens` is the one record of tokens: cleared as the probes go out, filled
+    only in the return-routability state.  The timer token is `(timeout_name,
+    seq, retries)`: `seq` counts registrations and `retries` the probe rounds
+    within one, so a timer from an earlier round or registration is ignored.
+    Tokens and timer reach it through the router's handler tables.
     """
-
-    TOKEN_EVENTS = {SignalKind.HOT: ("hot", fsm.EV_HOT),
-                    SignalKind.COT: ("cot", fsm.EV_COT),
-                    SignalKind.NPT: ("npt", fsm.EV_NPT)}
 
     def __init__(self, router, care_of: Callable[[], Optional[Address]], timeout_name: str):
         self.sim, self.hoa, self.mnp, self.ha = router.sim, router.hoa, router.mnp, router.ha
         self.cn = router.sim.topo.addresses["cn"]
-        router.signal_handlers.update(dict.fromkeys(self.TOKEN_EVENTS, self.on_token))
+        router.signal_handlers.update(dict.fromkeys(
+            (SignalKind.HOT, SignalKind.COT, SignalKind.NPT), self.on_token))
         router.timer_handlers[timeout_name] = self.on_timeout
         self.care_of = care_of
         self.timeout_name = timeout_name
-        self.state = fsm.REG_IDLE
-        self.tokens: dict = {}   # kind -> token tuple
+        self.state = RegState.IDLE
+        self.tokens: dict = {}   # "hot", "cot" or "npt" -> token tuple
         self.retries = 0
         self.seq = 0
 
     def start(self) -> None:
         """Register afresh, beginning with a binding update to the home agent."""
         self.seq += 1
-        self.tokens = {}
         self.retries = 0
-        self.state = fsm.REG_IDLE
-        self.step(fsm.EV_REG_START)
+        self.state = RegState.IDLE
+        self.step(FsmEvent(fsm.EV_REG_START))
 
-    def step(self, event: str) -> None:
+    def step(self, event: FsmEvent) -> None:
         # An unexpected event, such as a token trailing an earlier
         # registration, leaves the state as it is and is not counted.
-        self.state, actions = fsm.reg_step(self.state, event)
+        self.state, actions = fsm_step(fsm.ROLE_REG, self.state, event)
         for action in actions:
             if isinstance(action, fsm.Emit):
                 self._emit(action)
@@ -124,13 +122,14 @@ class Registration:
     def _emit(self, action: fsm.Emit) -> None:
         sim, coa = self.sim, self.care_of()
         if action.signal == SignalKind.BU:
+            to_cn = action.dest == fsm.DEST_CN
             info = {"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
                     "lifetime": sim.config.binding_lifetime_us}
-            if action.dest == "cn":
+            if to_cn:
                 info["tokens"] = dict(self.tokens)
-            sim.send_signal("dmr", SignalKind.BU, coa,
-                            self.cn if action.dest == "cn" else self.ha, info=info)
+            sim.send_signal("dmr", SignalKind.BU, coa, self.cn if to_cn else self.ha, info=info)
         elif action.signal == SignalKind.HOTI:
+            self.tokens = {}
             sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
                             info={"hoa": self.hoa}, encap_to=self.ha, encap_src=coa)
             sim.timer("dmr", sim.config.rr_timeout_us,
@@ -141,24 +140,23 @@ class Registration:
     def on_ba(self, pkt: Packet) -> bool:
         """Step on a binding acknowledgement; True when the correspondent sent it."""
         from_cn = bool(pkt.info) and pkt.info.get("from") == "cn"
-        self.step(fsm.EV_BA_CN if from_cn else fsm.EV_BA_HA)
+        self.step(FsmEvent(fsm.EV_BA_CN if from_cn else fsm.EV_BA_HA))
         return from_cn
 
     def on_token(self, pkt: Packet) -> None:
-        key, event = self.TOKEN_EVENTS[pkt.signal]
-        self.tokens[key] = pkt.info["token"]
-        self.step(event)
+        if self.state is RegState.RR:
+            self.tokens[pkt.signal.value.lower()] = pkt.info["token"]
+        self.step(FsmEvent(fsm.EV_TOKEN, complete=len(self.tokens) == 3))
 
     def on_timeout(self, token) -> None:
         _, seq, retries = token
-        if seq != self.seq or retries != self.retries or not self.state.startswith("rr_"):
+        if seq != self.seq or retries != self.retries or self.state is not RegState.RR:
             return
         if self.retries < self.sim.config.rr_retries:
             self.retries += 1
-            self.tokens = {}
-            self.step(fsm.EV_RR_TIMEOUT)
+            self.step(FsmEvent(fsm.EV_RR_TIMEOUT))
         else:
-            self.step(fsm.EV_GIVE_UP)
+            self.step(FsmEvent(fsm.EV_GIVE_UP))
 
 
 class ProxyDmr(BaselineMr):

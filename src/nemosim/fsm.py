@@ -1,10 +1,10 @@
-"""Pure handover state machines for the fast hierarchical scheme.
+"""Pure state machines: the fast hierarchical scheme's four roles, and the
+registration with both anchors that both route-optimising routers run.
 
 Each machine is one table from (state, event kind) to the successor state and
 a tuple of actions for the caller to interpret, or to a `Guard` that picks one
-of two such rows on a flag of the event.  Keeping the machines side-effect
-free lets tests enumerate the full transition graphs of the predictive and
-reactive, micro and macro signal flows."""
+of two such rows on a flag of the event; `fsm_step` steps every table.  Being
+side-effect free, the machines' full transition graphs can be enumerated."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ ROLE_DMR = "DMR"
 ROLE_MAP = "MAP"
 ROLE_NAR = "NAR"
 ROLE_NEW_MAP = "NewMAP"
+ROLE_REG = "Registration"
 
 
 class DmrState(Enum):
@@ -53,6 +54,15 @@ class NewMapState(Enum):
     ACKED = "Acked"
 
 
+class RegState(Enum):
+    IDLE = "Idle"
+    SENT_BU_HA = "SentBUHA"
+    RR = "ReturnRoutability"
+    SENT_BU_CN = "SentBUCN"
+    DONE = "Done"
+    FALLBACK = "Fallback"
+
+
 # Event kinds fed to fsm_step.
 EV_L2_TRIGGER = "l2_trigger"
 EV_PRRTADV = "prrtadv"
@@ -74,6 +84,12 @@ EV_HI = "hi"
 EV_DAD_OK = "dad_ok"
 EV_FNA_RS = "fna_rs"
 EV_FNA_FBU = "fna_fbu"
+EV_REG_START = "reg_start"
+EV_BA_HA = "ba_ha"
+EV_TOKEN = "token"
+EV_BA_CN = "ba_cn"
+EV_RR_TIMEOUT = "rr_timeout"
+EV_GIVE_UP = "give_up"
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,7 @@ class FsmEvent:
     ncoa_known: bool = False
     fbu_sent: bool = False
     collision: bool = False
+    complete: bool = False
 
 
 # Symbolic signal destinations, resolved to addresses by the interpreter.
@@ -92,6 +109,7 @@ DEST_OLD_MAP = "old_map"
 DEST_SERVING_MAP = "serving_map"
 DEST_DMR = "dmr"
 DEST_DMR_BOTH_PATHS = "dmr_both_paths"
+DEST_HA, DEST_CN, DEST_CN_VIA_HA = "ha", "cn", "cn_via_ha"
 
 
 @dataclass(frozen=True)
@@ -123,7 +141,7 @@ class Guard:
     if_clear: object
 
 
-_D, _M, _N, _W = DmrState, MapState, NarState, NewMapState
+_D, _M, _N, _W, _R = DmrState, MapState, NarState, NewMapState, RegState
 _RS, _FNA = Emit(SignalKind.RS, DEST_NAR), Emit(SignalKind.FNA, DEST_NAR)
 _DAD_FAST = (Emit(SignalKind.NS, DEST_NAR), StartTimer("dad_fast"))
 _TO_FORWARDING = (_M.FORWARDING, (Do("install_forwarding"),
@@ -204,9 +222,22 @@ _NEW_MAP_TABLE = {
                                             Emit(SignalKind.HACK, DEST_NAR))),
 }
 
+# Home binding update, return routability (RFC 6275 5.2, plus the prefix
+# token), correspondent binding update.  A token event says if all three are in.
+_PROBE = (Emit(SignalKind.HOTI, DEST_CN_VIA_HA), Emit(SignalKind.COTI, DEST_CN))
+_REG_TABLE = {
+    (_R.IDLE, EV_REG_START): (_R.SENT_BU_HA, (Emit(SignalKind.BU, DEST_HA),)),
+    (_R.SENT_BU_HA, EV_BA_HA): (_R.RR, _PROBE),
+    (_R.RR, EV_TOKEN): Guard("complete", (_R.SENT_BU_CN, (Emit(SignalKind.BU, DEST_CN),)),
+                             (_R.RR, ())),
+    (_R.RR, EV_RR_TIMEOUT): (_R.RR, _PROBE),
+    (_R.RR, EV_GIVE_UP): (_R.FALLBACK, ()),
+    (_R.SENT_BU_CN, EV_BA_CN): (_R.DONE, ()),
+}
+
 TABLES = {ROLE_DMR: _DMR_TABLE, ROLE_MAP: _MAP_TABLE, ROLE_NAR: _NAR_TABLE,
-          ROLE_NEW_MAP: _NEW_MAP_TABLE}
-TERMINAL_STATES = frozenset((_D.COMPLETE, _M.CLEARED, _W.ACKED))
+          ROLE_NEW_MAP: _NEW_MAP_TABLE, ROLE_REG: _REG_TABLE}
+TERMINAL_STATES = frozenset((_D.COMPLETE, _M.CLEARED, _W.ACKED, _R.DONE, _R.FALLBACK))
 
 
 def fsm_step(role: str, state, event: FsmEvent):
@@ -220,61 +251,3 @@ def fsm_step(role: str, state, event: FsmEvent):
     while isinstance(row, Guard):
         row = row.if_set if getattr(event, row.flag) else row.if_clear
     return row
-
-
-# ---------------------------------------------------------------------------
-# Registration with the anchors after a macro move: binding update to the home
-# agent, return-routability toward the correspondent, then the correspondent
-# binding update.  Token progress is part of the state so the machine stays
-# finite and enumerable.
-
-REG_IDLE = "idle"
-REG_SENT_BU_HA = "sent_bu_ha"
-REG_SENT_BU_CN = "sent_bu_cn"
-REG_DONE = "done"
-REG_FALLBACK = "fallback"
-
-TOKEN_HOME = "h"
-TOKEN_CARE = "c"
-TOKEN_PREFIX = "n"
-
-EV_REG_START = "start"
-EV_BA_HA = "ba_ha"
-EV_HOT = "hot"
-EV_COT = "cot"
-EV_NPT = "npt"
-EV_BA_CN = "ba_cn"
-EV_RR_TIMEOUT = "rr_timeout"
-EV_GIVE_UP = "give_up"
-
-RR_EVENT_TOKEN = {EV_HOT: TOKEN_HOME, EV_COT: TOKEN_CARE, EV_NPT: TOKEN_PREFIX}
-
-
-def rr_state(tokens: frozenset) -> str:
-    return "rr_" + "".join(sorted(tokens))
-
-
-def reg_step(state: str, event: str):
-    """Macro registration machine; rr_* states carry the collected token set."""
-    if state == REG_IDLE and event == EV_REG_START:
-        return REG_SENT_BU_HA, (Emit(SignalKind.BU, "ha"),)
-    if state == REG_SENT_BU_HA and event == EV_BA_HA:
-        return rr_state(frozenset()), (Emit(SignalKind.HOTI, "cn_via_ha"),
-                                       Emit(SignalKind.COTI, "cn"))
-    if state.startswith("rr_"):
-        tokens = frozenset(state[3:])
-        if event in RR_EVENT_TOKEN:
-            tokens = tokens | {RR_EVENT_TOKEN[event]}
-            if tokens == frozenset((TOKEN_HOME, TOKEN_CARE, TOKEN_PREFIX)):
-                return REG_SENT_BU_CN, (Emit(SignalKind.BU, "cn"),)
-            return rr_state(tokens), ()
-        if event == EV_RR_TIMEOUT:
-            return rr_state(frozenset()), (Emit(SignalKind.HOTI, "cn_via_ha"),
-                                           Emit(SignalKind.COTI, "cn"))
-        if event == EV_GIVE_UP:
-            return REG_FALLBACK, ()
-    if state == REG_SENT_BU_CN and event == EV_BA_CN:
-        return REG_DONE, ()
-    if state in (REG_DONE, REG_FALLBACK):
-        return state, ()
-    return state, (Unexpected(event),)

@@ -98,7 +98,7 @@ class ArNode(Node):
 
     def send_ra(self, dst) -> None:
         ra = self.sim.make_signal(SignalKind.RA, self.address, dst, info=self.ra_info())
-        self.sim.send_via(self.node_id, self.bs_id, ra)
+        self.sim.send_signal_packet(self.node_id, ra, via=self.bs_id)
 
     def _proxy_advertisement(self, pkt: Packet) -> None:
         target_bs = pkt.info["target_bs"]
@@ -108,13 +108,13 @@ class ArNode(Node):
             SignalKind.PR_RT_ADV, self.address, pkt.src,
             info={"nar_prefix": self.sim.topo.ar_prefix[nar], "nar_map": nar_map,
                   "nar_map_prefix": self.sim.topo.map_prefix[nar_map]})
-        self.sim.send_via(self.node_id, self.bs_id, adv)
+        self.sim.send_signal_packet(self.node_id, adv, via=self.bs_id)
 
     def _dad_check(self, pkt: Packet) -> None:
         info = pkt.info or {}
         if self.sim.dad_collides(info.get("handover", -1), info.get("attempt", 0)):
             na = self.sim.make_signal(SignalKind.NA, self.address, pkt.src, info={})
-            self.sim.send_via(self.node_id, self.bs_id, na)
+            self.sim.send_signal_packet(self.node_id, na, via=self.bs_id)
 
     def _beacon(self, token) -> None:
         if self.sim.dmr_attached == self.bs_id:

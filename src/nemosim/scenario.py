@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import operator
@@ -130,13 +131,25 @@ class ScenarioConfig:
                 raise ConfigError(f"{rate_key} gives a {size}-byte packet an overflowing gap: {rate!r}")
         if end > sys.float_info.max:
             raise ConfigError(f"sim_end_us is too long to predict a run's events: {end!r}")
-        # Predicted source events, each term under the keys that drive it (4
-        # access routers; a beacon interval of 0 sends none, a gap that rounds
-        # to 0 never ends).  The cap names the first key of the largest term
-        # that moved from its default, as a broken rule does.
+        # The cap names the first moved key of the largest term whose default
+        # alone brings the term under the cap, else the first that moved.
+        terms = self._source_events()
+        if sum(count for _, count in terms) > MAX_SOURCE_EVENTS:
+            at, (keys, events) = max(enumerate(terms), key=lambda term: term[1][1])
+            moved = [key for key in keys if values[key] != _DEFAULTS[key]] or [keys[0]]
+            key = next((key for key in moved if _with_default(self, key)._source_events()[at][1]
+                        <= MAX_SOURCE_EVENTS), moved[0])
+            raise ConfigError(f"{key} gives a run of {events:.3g} source events, "
+                              f"over the cap of {MAX_SOURCE_EVENTS:,}")
+
+    def _source_events(self) -> list:
+        """Predicted source events, each term under the keys that drive it (4
+        access routers; a beacon interval of 0 sends none, a gap that rounds
+        to 0 never ends)."""
+        cbr, end = self.cbr, self.sim_end_us
         per = lambda span, interval: span / interval if interval > 0 else math.inf
         bounce_m = abs(self.bounce_far_x_m - self.bounce_near_x_m)
-        terms = [
+        return [
             (("cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "cbr.stop_us"),
              per(cbr.stop_us - cbr.start_us, cbr.interval_us)),
             (("bg_packet_bytes", "background_load_bps", "sim_end_us"),
@@ -145,13 +158,8 @@ class ScenarioConfig:
              self.beacon_interval_us and 4 * end / self.beacon_interval_us),
             (("binding_refresh_us", "sim_end_us"), end / self.binding_refresh_us),
             (("dmr_speed_kmh", "bounce_near_x_m", "bounce_far_x_m", "sim_end_us"),
-             0 if self.waypoints else self.speed_mps * end / SEC / bounce_m),
+             0 if self.waypoints else per(self.speed_mps * end / SEC, bounce_m)),
         ]
-        if sum(count for _, count in terms) > MAX_SOURCE_EVENTS:
-            keys, events = max(terms, key=lambda term: term[1])
-            key = next((key for key in keys if values[key] != _DEFAULTS[key]), keys[0])
-            raise ConfigError(f"{key} gives a run of {events:.3g} source events, "
-                              f"over the cap of {MAX_SOURCE_EVENTS:,}")
 
     @property
     def bg_interval_us(self) -> SimTime:
@@ -241,6 +249,14 @@ def _walk(value, key: str = "", kind: str = "ScenarioConfig"):
 
 
 _DEFAULTS = {key: value for key, _, value in _walk(ScenarioConfig())}
+
+
+def _with_default(config: ScenarioConfig, key: str) -> ScenarioConfig:
+    """A copy of `config` with the dotted `key` back at its default."""
+    config = copy.deepcopy(config)
+    *outer, leaf = key.split(".")
+    setattr(getattr(config, outer[0]) if outer else config, leaf, _DEFAULTS[key])
+    return config
 
 
 def _apply_keys(obj, data: dict, context: str = "") -> None:

@@ -173,9 +173,6 @@ class Simulation:
             return
         self.linkqueues[(here, nxt)].send(pkt)
 
-    def send_via(self, here: str, neighbor: str, pkt: Packet) -> None:
-        self.linkqueues[(here, neighbor)].send(pkt)
-
     def wireless_to_dmr(self, bs: str, pkt: Packet) -> None:
         self.linkqueues[(bs, f"dmr@{bs}")].send(pkt)
 
@@ -220,21 +217,21 @@ class Simulation:
             pkt = encapsulate(pkt, encap_src or src, encap_to, dscp=pkt.dscp)
         self.send_signal_packet(origin, pkt)
 
-    def send_signal_packet(self, origin: str, pkt: Packet) -> None:
-        inner = pkt.innermost()
-        if inner.signal is not None and self._consume_drop_fault(inner.signal):
-            self.metrics.signal_drops += 1
-            return
-        if origin == "dmr":
-            self.dmr_send(pkt)
+    def send_signal_packet(self, origin: str, pkt: Packet, via: Optional[str] = None) -> None:
+        """The exit of every signal a node sends, to neighbour `via` or forwarded,
+        unless its chain holds a kind that `faults.drop_first_signals` still
+        lists: the first such kind, outermost first, is used up by the drop."""
+        layer = pkt
+        while layer is not None:
+            if layer.signal is not None and layer.signal.value in self._drop_faults:
+                self._drop_faults.remove(layer.signal.value)
+                self.metrics.signal_drops += 1
+                return
+            layer = layer.inner
+        if via is not None:
+            self.linkqueues[(origin, via)].send(pkt)
         else:
             self.forward(origin, pkt)
-
-    def _consume_drop_fault(self, kind: SignalKind) -> bool:
-        if kind.value in self._drop_faults:
-            self._drop_faults.remove(kind.value)
-            return True
-        return False
 
     # -- fault queries -------------------------------------------------------------
     def dad_collides(self, handover: int, attempt: int) -> bool:

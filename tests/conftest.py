@@ -10,7 +10,10 @@ from nemosim.scenario import ScenarioConfig, default_topology
 
 
 class FakeSim:
-    """Captures everything a protocol agent asks the simulation to do."""
+    """Captures everything a node asks the simulation to do.  Every signal,
+    whether built by `send_signal` or handed whole to `send_signal_packet`
+    (the one exit, with its optional `via` neighbour), lands in
+    `sent_signals`; no fault drops one."""
 
     def __init__(self, config=None):
         self.config = config or ScenarioConfig()
@@ -36,13 +39,10 @@ class FakeSim:
     def make_signal(self, kind, src, dst, info=None):
         return make_signal(kind, src, dst, self.now, info=info)
 
-    def send_signal_packet(self, origin, pkt):
+    def send_signal_packet(self, origin, pkt, via=None):
         self.sent_signals.append((origin, pkt.signal, pkt.src, pkt.dst, pkt.info, None))
 
     def forward(self, origin, pkt):
-        self.forwarded.append((origin, pkt))
-
-    def send_via(self, origin, neighbor, pkt):
         self.forwarded.append((origin, pkt))
 
     def dmr_send(self, pkt):

@@ -30,7 +30,6 @@ def make_fh(fake_sim, attached=True):
         dmr.lcoa = LCOA1
         dmr.rcoa = RCOA1
         dmr.serving_map = "map1"
-        dmr.serving_bs = "bs1"
     return dmr
 
 
@@ -425,3 +424,19 @@ def test_short_lead_handover_does_not_loop_between_anchors():
     sim = Simulation(cfg)
     report = sim.run()
     assert cbr_held(sim) == report.sent - report.delivered - report.dropped
+
+
+# A reactive router that loses its one announcement (the FNA carrying its
+# binding update) stays in SentFNA for the rest of the run: nothing re-sends
+# it, and every later signal is unexpected.  The same fault in predictive mode
+# delivers 492 of 500.  See the FOUND: line on the lost announcement in
+# CHANGES.md; fixing it changes the machine and must flip this test.
+@pytest.mark.xfail(strict=True, reason="a lost reactive announcement is never re-sent")
+def test_reactive_router_recovers_from_a_lost_announcement():
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", mode="reactive", dmr_speed_kmh=60,
+                         sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
+                         faults=FaultConfig(drop_first_signals=("FBU",)))
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert sim.metrics.unexpected_signals == 0
+    assert report.delivered >= 0.9 * report.sent

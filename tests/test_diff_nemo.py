@@ -2,7 +2,7 @@
 
 import pytest
 
-from nemosim import fsm
+from nemosim.fsm import RegState
 from nemosim.diff_nemo import CorrespondentAgent, ProxyDmr, Registration
 from nemosim.engine import SEC
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
@@ -60,10 +60,10 @@ def test_tokens_complete_exchange_and_register_with_cn(fake_sim):
     proxy = registered_proxy(fake_sim)
     proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
     proxy.on_signal(token_signal(SignalKind.NPT, ("npt", HOA, 2)))
-    assert proxy.reg.state == fsm.rr_state(frozenset("hn"))
+    assert proxy.reg.state == RegState.RR and set(proxy.reg.tokens) == {"hot", "npt"}
     assert not cn_binding_updates(fake_sim)
     proxy.on_signal(token_signal(SignalKind.COT, ("cot", COA, 3)))
-    assert proxy.reg.state == fsm.REG_SENT_BU_CN
+    assert proxy.reg.state == RegState.SENT_BU_CN
     bu = cn_binding_updates(fake_sim)
     assert len(bu) == 1 and bu[0][2] == COA
     assert bu[0][4]["tokens"] == {"hot": ("hot", HOA, 1), "cot": ("cot", COA, 3),
@@ -76,12 +76,12 @@ def test_exhausted_retries_fall_back_and_ignore_late_tokens(fake_sim):
         proxy.on_timer(("rr_timeout", 1, retries))
         assert len(fake_sim.signals_of(SignalKind.HOTI)) == retries + 2
     proxy.on_timer(("rr_timeout", 1, fake_sim.config.rr_retries))
-    assert proxy.reg.state == fsm.REG_FALLBACK
+    assert proxy.reg.state == RegState.FALLBACK
     assert len(fake_sim.signals_of(SignalKind.HOTI)) == fake_sim.config.rr_retries + 1
     proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
     proxy.on_signal(token_signal(SignalKind.COT, ("cot", COA, 2)))
     proxy.on_signal(token_signal(SignalKind.NPT, ("npt", HOA, 3)))
-    assert proxy.reg.state == fsm.REG_FALLBACK
+    assert proxy.reg.state == RegState.FALLBACK
     assert not cn_binding_updates(fake_sim)
 
 
@@ -90,7 +90,7 @@ def test_home_refresh_after_done_reruns_return_routability(fake_sim):
     for kind, token in ((SignalKind.HOT, 1), (SignalKind.COT, 2), (SignalKind.NPT, 3)):
         proxy.on_signal(token_signal(kind, token))
     proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0, info={"hoa": HOA, "from": "cn"}))
-    assert proxy.reg.state == fsm.REG_DONE and proxy.cn_bound_coa == COA
+    assert proxy.reg.state == RegState.DONE and proxy.cn_bound_coa == COA
     assert len(fake_sim.signals_of(SignalKind.HOTI)) == 1
     proxy.on_timer(("bu_refresh", proxy.state.epoch))
     proxy.on_signal(ba_from_ha())
@@ -219,7 +219,7 @@ def test_rr_probe_routing_home_leg_vs_direct_leg(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
     spy(CorrespondentAgent, "on_hoti", lambda p: "hoti")
     spy(CorrespondentAgent, "on_coti", lambda p: "coti")
-    spy(Registration, "on_token", lambda p: Registration.TOKEN_EVENTS[p.signal][0])
+    spy(Registration, "on_token", lambda p: p.signal.value.lower())
 
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=25 * SEC)
     cfg.cbr.stop_us = 25 * SEC

@@ -1,4 +1,5 @@
-"""Node dispatch: every timer a run fires reaches a handler of its node."""
+"""Node dispatch: every timer a run fires reaches a handler of its node, and
+every signal a node sends leaves through the simulation's one exit."""
 
 from collections import Counter
 
@@ -53,3 +54,34 @@ def test_every_fired_timer_reaches_a_handler(run, background_bps):
     entries = {name for node in sim.nodes.values() for name in node.timer_handlers}
     unreached = entries - {name for _, name in fired}
     assert unreached == ({"nar_dad", "rcoa_dad"} if cfg.mode == "reactive" else set())
+
+
+# The access router's own signals, and an announcement that carries a binding
+# update, each in the one run that sends it.
+DROPS = {
+    "RA": {},
+    "PrRtAdv": {},
+    "NA": {"protocol": "nemo-bs", "faults": FaultConfig(drop_first_signals=("NA",),
+                                                       dad_collision_handovers=(0,))},
+    "FNA": {"mode": "reactive"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DROPS))
+def test_every_listed_signal_kind_is_dropped_at_its_exit(kind, monkeypatch):
+    run = {"faults": FaultConfig(drop_first_signals=(kind,)), **DROPS[kind]}
+    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
+                         **run)
+    dropped = []
+    send = Simulation.send_signal_packet
+
+    def spy(self, origin, pkt, via=None):
+        before = self.metrics.signal_drops
+        send(self, origin, pkt, via)
+        if self.metrics.signal_drops != before:
+            dropped.append((pkt.signal.value, self.metrics.signal_drops - before))
+    monkeypatch.setattr(Simulation, "send_signal_packet", spy)
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim._drop_faults == []
+    assert dropped == [(kind, 1)]

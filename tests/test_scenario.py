@@ -3,7 +3,7 @@ import re
 from dataclasses import fields, is_dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nemosim.diffserv import RedParams
@@ -155,6 +155,7 @@ def test_cbr_window_must_fit_run():
     ({"bg_packet_bytes": 10 ** 400, "background_load_bps": 1_200_000}, "bg_packet_bytes"),
     ({"sim_end_us": 10 ** 400, "cbr": {"stop_us": 10 ** 400}}, "sim_end_us"),
     ({"sim_end_us": 10 ** 15, "cbr": {"stop_us": 10 ** 15}}, "cbr.stop_us"),
+    ({"dmr_speed_kmh": 60, "bounce_near_x_m": 0, "bounce_far_x_m": 1e-300}, "bounce_near_x_m"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
@@ -229,6 +230,7 @@ POOL = [0, -1, 0.5, 2, 1e9, 1e-300, 10 ** 400, float("nan"), "x", True, []]
 @settings(max_examples=500, deadline=None)
 @given(st.dictionaries(st.sampled_from(LEAF_KEYS), st.sampled_from(POOL),
                        min_size=1, max_size=2))
+@example({"bounce_near_x_m": 0, "bounce_far_x_m": 1e-300})
 def test_every_config_runs_or_names_a_drawn_key(drawn):
     data = {"dmr_speed_kmh": 60}    # fast enough to cross cells in 25 s
     for key, value in drawn.items():
