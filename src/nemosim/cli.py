@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -64,14 +65,16 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _base_config(args)
-    # Each speed is checked with the sweep's own config before any point runs.
-    for speed in args.speeds:
-        config.dmr_speed_kmh = speed
-        try:
-            config.validate()
-        except ConfigError as exc:
-            raise ConfigError(f"argument --speeds: {speed:g} km/h: {exc}") from None
     protocols = (args.protocol,) if args.protocol else PROTOCOLS
+    # Every (scheme, speed) point is checked with the sweep's own config before
+    # any runs: each scheme at the config's speed, then each speed.
+    for protocol in protocols:
+        dataclasses.replace(config, protocol=protocol).validate()
+        for speed in args.speeds:
+            try:
+                dataclasses.replace(config, protocol=protocol, dmr_speed_kmh=speed).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"argument --speeds: {speed:g} km/h: {exc}") from None
     csv_text, _ = sweep(config, args.speeds, protocols=protocols)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

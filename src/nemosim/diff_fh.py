@@ -15,13 +15,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import fsm
-from .engine import SimTime
+from .engine import MS, SimTime
 from .diff_nemo import Registration
 from .fsm import (ROLE_DMR, ROLE_MAP, ROLE_NAR, ROLE_NEW_MAP, DmrState, FsmEvent,
                   MapState, NarState, NewMapState, fsm_step)
-from .nemo_bs import MobileRouter
+from .nemo_bs import BINDING_LIFETIME_US, DAD_DELAY_US, MobileRouter
 from .nodes import ArNode, Node
 from .packets import SIGNAL, Address, Packet, Prefix, SignalKind, encapsulate
+
+# The scheme's timings: the address checks at the new access router and the
+# new anchor, and the mobile router's fast and local binding update timers.
+DAD_FAST_US = 100 * MS
+DAD_RCOA_US = 180 * MS
+FBU_DELAY_US = 40 * MS
+FBU_RETX_US = 60 * MS
+LBU_GAP_US = 1 * MS
+# The mobile router's ("fh", name, epoch) timers: name -> (delay, the event it fires).
+FH_TIMERS = {"fbu_delay": (FBU_DELAY_US, fsm.EV_FBU_TIMER),
+             "lbu_gap": (LBU_GAP_US, fsm.EV_LBU_TIMER),
+             "fbu_retx": (FBU_RETX_US, fsm.EV_FBU_RETX_TIMER)}
 
 
 def _drive(agent, role: str, attr: str, event: FsmEvent) -> None:
@@ -105,7 +117,7 @@ class MapAgent(Node):
             return
         self.bindings[info["rcoa"]] = MapBinding(
             rcoa=info["rcoa"], lcoa=info["lcoa"], mnp=info["mnp"],
-            expires_at=self.sim.now + self.sim.config.binding_lifetime_us)
+            expires_at=self.sim.now + BINDING_LIFETIME_US)
         self.sim.send_signal(self.node_id, SignalKind.LBACK, self.address,
                              info["lcoa"], info={"rcoa": info["rcoa"]})
         old_map = info.get("old_map")
@@ -148,7 +160,7 @@ class MapAgent(Node):
             # The new-anchor machine: verify the regional address, then answer
             # the previous anchor and the new access router.
             case fsm.StartTimer():
-                sim.timer(self.node_id, sim.config.dad_rcoa_us, ("rcoa_dad",))
+                sim.timer(self.node_id, DAD_RCOA_US, ("rcoa_dad",))
             case fsm.Emit(SignalKind.HACK, dest):
                 peer = self.newmap_pending["old_map" if dest == fsm.DEST_OLD_MAP else "nar"]
                 sim.send_signal(self.node_id, SignalKind.HACK, self.address,
@@ -212,7 +224,7 @@ class NarAgent(ArNode):
         sim, ctx = self.sim, self.ctx
         match action:
             case fsm.StartTimer():
-                sim.timer(self.node_id, sim.config.dad_fast_us, ("nar_dad",))
+                sim.timer(self.node_id, DAD_FAST_US, ("nar_dad",))
             case fsm.Emit(SignalKind.NS):
                 sim.send_signal(self.node_id, SignalKind.NS, self.address,
                                 sim.topo.addresses[self.bs_id], info={"tentative": ctx["nlcoa"]})
@@ -254,9 +266,6 @@ class FhDmr(MobileRouter):
     """Mobile-router side of the fast hierarchical scheme."""
 
     RR_TIMEOUT = "fh_rr_timeout"
-    # ("fh", name, epoch) timers: the machine's timer name -> the event it fires.
-    FH_TIMER_EVENTS = {"fbu_delay": fsm.EV_FBU_TIMER, "lbu_gap": fsm.EV_LBU_TIMER,
-                       "fbu_retx": fsm.EV_FBU_RETX_TIMER}
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -313,7 +322,9 @@ class FhDmr(MobileRouter):
     def on_link_up(self, bs: str) -> None:
         self.epoch += 1
         if self.lcoa is None and self.ctx is None:
-            # First attachment: discover the access router and anchor point.
+            # A first attachment, or a new one during its address check: discover
+            # the access router and anchor point afresh.
+            self.serving_map = None
             self.sim.send_signal("dmr", SignalKind.RS, self.hoa,
                                  self.sim.topo.addresses[self.sim.topo.bs_to_ar[bs]])
             return
@@ -356,9 +367,7 @@ class FhDmr(MobileRouter):
                     self.prev_rcoa, self.rcoa, self.serving_map = self.rcoa, ctx.nrcoa, ctx.new_map
                 self._send_lbu_to_serving_map(ctx.old_map, old_rcoa)
             case fsm.StartTimer(name):
-                delay = {"fbu_delay": sim.config.fbu_delay_us, "lbu_gap": sim.config.lbu_gap_us,
-                         "fbu_retx": sim.config.fbu_retx_us}[name]
-                sim.timer("dmr", delay, ("fh", name, self.epoch))
+                sim.timer("dmr", FH_TIMERS[name][0], ("fh", name, self.epoch))
             case fsm.Do("send_fna_with_fbu"):
                 fbu = sim.make_signal(SignalKind.FBU, self.lcoa,
                                       sim.topo.addresses[ctx.old_map], info=self._fbu_info())
@@ -414,7 +423,7 @@ class FhDmr(MobileRouter):
             self.sim.send_signal("dmr", SignalKind.NS, tentative_lcoa,
                                  pkt.src, info={"tentative": tentative_lcoa,
                                                 "handover": -1, "attempt": 0})
-            self.sim.timer("dmr", self.sim.config.dad_delay_us,
+            self.sim.timer("dmr", DAD_DELAY_US,
                            ("initial_dad", self.epoch, tentative_lcoa, tentative_rcoa))
             return
         if self.ctx is not None and self.fsm_state == DmrState.REACTIVE_ATTACH:
@@ -463,11 +472,11 @@ class FhDmr(MobileRouter):
     def _on_fh_timer(self, token) -> None:
         # A retransmission timer lapses once the acknowledgement is in.
         if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx.fback_received):
-            self._step(FsmEvent(self.FH_TIMER_EVENTS[token[1]]))
+            self._step(FsmEvent(FH_TIMERS[token[1]][1]))
 
     def _on_initial_dad(self, token) -> None:
         _, epoch, lcoa, rcoa = token
-        if self.lcoa is not None:
+        if epoch != self.epoch or self.lcoa is not None:
             return
         self.lcoa = lcoa
         self.rcoa = rcoa

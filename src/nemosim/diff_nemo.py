@@ -12,10 +12,17 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from . import fsm
+from .engine import SEC
 from .fsm import FsmEvent, RegState, fsm_step
-from .nemo_bs import BaselineMr, BindingCacheAgent
+from .nemo_bs import BINDING_LIFETIME_US, BaselineMr, BindingCacheAgent
 from .nodes import CnNode
 from .packets import Address, Packet, SignalKind
+
+# Return routability: a token's lifetime, the wait for tokens, and the probe
+# rounds re-sent before giving up.
+TOKEN_LIFETIME_US = 10 * SEC
+RR_TIMEOUT_US = 3 * SEC
+RR_RETRIES = 2
 
 
 class CorrespondentAgent(BindingCacheAgent, CnNode):
@@ -67,13 +74,12 @@ class CorrespondentAgent(BindingCacheAgent, CnNode):
         if not tokens:
             return False
         issued = self.issued.get(hoa, {})
-        lifetime = self.sim.config.token_lifetime_us
         for kind in ("hot", "cot", "npt"):
             record = issued.get(kind)
             if record is None:
                 return False
             token, at = record
-            if tokens.get(kind) != token or self.sim.now - at > lifetime:
+            if tokens.get(kind) != token or self.sim.now - at > TOKEN_LIFETIME_US:
                 return False
         return True
 
@@ -124,7 +130,7 @@ class Registration:
         if action.signal == SignalKind.BU:
             to_cn = action.dest == fsm.DEST_CN
             info = {"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
-                    "lifetime": sim.config.binding_lifetime_us}
+                    "lifetime": BINDING_LIFETIME_US}
             if to_cn:
                 info["tokens"] = dict(self.tokens)
             sim.send_signal("dmr", SignalKind.BU, coa, self.cn if to_cn else self.ha, info=info)
@@ -132,8 +138,7 @@ class Registration:
             self.tokens = {}
             sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
                             info={"hoa": self.hoa}, encap_to=self.ha, encap_src=coa)
-            sim.timer("dmr", sim.config.rr_timeout_us,
-                      (self.timeout_name, self.seq, self.retries))
+            sim.timer("dmr", RR_TIMEOUT_US, (self.timeout_name, self.seq, self.retries))
         elif action.signal == SignalKind.COTI:
             sim.send_signal("dmr", SignalKind.COTI, coa, self.cn, info={"hoa": self.hoa})
 
@@ -152,7 +157,7 @@ class Registration:
         _, seq, retries = token
         if seq != self.seq or retries != self.retries or self.state is not RegState.RR:
             return
-        if self.retries < self.sim.config.rr_retries:
+        if self.retries < RR_RETRIES:
             self.retries += 1
             self.step(FsmEvent(fsm.EV_RR_TIMEOUT))
         else:

@@ -100,8 +100,7 @@ def compute_forwarding_rate(metrics: MetricsCollector) -> float:
 
 
 def compute_handover_latency(deliveries: list[Delivery],
-                             bs_to_map: Optional[dict[str, str]] = None
-                             ) -> list[tuple[SimTime, str]]:
+                             bs_to_map: dict[str, str]) -> list[tuple[SimTime, str]]:
     """Delivery gap around each serving base-station change.
 
     For each change of serving base station in the delivery sequence the
@@ -116,10 +115,7 @@ def compute_handover_latency(deliveries: list[Delivery],
         if d.serving_bs is None:
             continue
         if last_bs is not None and d.serving_bs != last_bs:
-            kind = MICRO
-            if bs_to_map is not None:
-                if bs_to_map.get(last_bs) != bs_to_map.get(d.serving_bs):
-                    kind = MACRO
+            kind = MICRO if bs_to_map.get(last_bs) == bs_to_map.get(d.serving_bs) else MACRO
             gaps.append((d.delivered_at - last_t, kind))
         last_bs = d.serving_bs
         last_t = d.delivered_at
@@ -201,9 +197,8 @@ CSV_HEADER = ("protocol,mode,speed_kmh,seed,sent,delivered,dropped,"
               "loss_pct,fwd_rate_pct,ho_latency_mean_ms,ho_latency_max_ms,delay_mean_ms")
 
 
-def build_report(config, metrics: MetricsCollector,
-                 bs_to_map: Optional[dict[str, str]] = None,
-                 queue_drops: Optional[dict] = None) -> MetricsReport:
+def build_report(config, metrics: MetricsCollector, bs_to_map: dict[str, str],
+                 queue_drops: dict) -> MetricsReport:
     deliveries = metrics.deliveries
     gaps = compute_handover_latency(deliveries, bs_to_map)
     delays = array("q", [d.delay_us for d in deliveries])
@@ -226,5 +221,5 @@ def build_report(config, metrics: MetricsCollector,
         per_packet_path=[d.path for d in deliveries],
         drops_detail=list(metrics.drops),
         in_flight_at_end=metrics.sent - metrics.delivered - len(metrics.drops),
-        queue_drops=queue_drops or {},
+        queue_drops=queue_drops,
     )

@@ -11,10 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import L2_LINK_DOWN, L2_TRIGGER, PACKET_ARRIVAL, Entry, SimTime
+from .engine import L2_LINK_DOWN, L2_TRIGGER, MS, PACKET_ARRIVAL, SEC, Entry, SimTime
 from .nodes import Node, air_receiver
 from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind, add_home_address_option,
                       apply_type2_routing, decapsulate, encapsulate)
+
+# Protocol constants every scheme shares: the wait of a duplicate address
+# check and the lifetime a binding update asks for.
+DAD_DELAY_US = 500 * MS
+BINDING_LIFETIME_US = 60 * SEC
 
 
 @dataclass
@@ -39,11 +44,10 @@ class BindingCacheAgent(Node):
         self.cache: dict[Address, BindingCacheEntry] = {}
 
     def bind(self, info: dict) -> None:
-        """Cache the binding a BU's `info` carries, for the configured lifetime
-        unless the BU names one."""
+        """Cache the binding a BU's `info` carries, for its lifetime or `BINDING_LIFETIME_US`."""
         self.cache[info["hoa"]] = BindingCacheEntry(
             hoa=info["hoa"], coa=info["coa"], mnps=list(info["mnps"]),
-            expires_at=self.sim.now + info.get("lifetime", self.sim.config.binding_lifetime_us))
+            expires_at=self.sim.now + info.get("lifetime", BINDING_LIFETIME_US))
 
     def lookup(self, dst: Address) -> Optional[BindingCacheEntry]:
         for entry in self.cache.values():
@@ -234,8 +238,7 @@ class BaselineMr(MobileRouter):
         self.sim.send_signal("dmr", SignalKind.NS, tentative, self.sim.topo.addresses[ar],
                              info={"tentative": tentative, "handover": self.handover_count,
                                    "attempt": self.dad_attempt})
-        self.sim.timer("dmr", self.sim.config.dad_delay_us,
-                       ("dad_done", self.state.epoch, prefix))
+        self.sim.timer("dmr", DAD_DELAY_US, ("dad_done", self.state.epoch, prefix))
 
     def on_neighbor_advertisement(self, pkt: Packet) -> None:
         # Tentative address in use: retry with the next node component.
@@ -263,7 +266,7 @@ class BaselineMr(MobileRouter):
         st = self.state
         self.sim.send_signal("dmr", SignalKind.BU, st.coa, self.ha,
                              info={"hoa": self.hoa, "coa": st.coa, "mnps": [self.mnp],
-                                   "lifetime": self.sim.config.binding_lifetime_us})
+                                   "lifetime": BINDING_LIFETIME_US})
         self.sim.timer("dmr", self.sim.config.binding_refresh_us,
                        ("bu_refresh", st.epoch))
 

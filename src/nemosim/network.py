@@ -39,14 +39,13 @@ class WirelessCell:
 class MobilityTrack:
     waypoints: list[tuple[float, float]]
     speed_mps: float
-    start_time_us: SimTime = 0
 
 
 def position_at(track: MobilityTrack, t: SimTime) -> tuple[float, float]:
     """Piecewise-linear motion along waypoints, clamped at the last one."""
-    if t <= track.start_time_us or len(track.waypoints) == 1 or track.speed_mps <= 0:
+    if t <= 0 or len(track.waypoints) == 1 or track.speed_mps <= 0:
         return track.waypoints[0]
-    travelled = track.speed_mps * (t - track.start_time_us) / SEC
+    travelled = track.speed_mps * t / SEC
     for (x0, y0), (x1, y1) in zip(track.waypoints, track.waypoints[1:]):
         seg = math.dist((x0, y0), (x1, y1))
         if travelled <= seg:
@@ -95,7 +94,7 @@ def cell_crossings(track: MobilityTrack, cells: list[WirelessCell],
                    end_us: SimTime) -> list[tuple[SimTime, str, str]]:
     """All (time_us, bs, enter|exit) boundary events along the track up to end_us."""
     events: list[tuple[SimTime, str, str]] = []
-    t_cursor = float(track.start_time_us)
+    t_cursor = 0.0
     for (x0, y0), (x1, y1) in zip(track.waypoints, track.waypoints[1:]):
         seg = math.dist((x0, y0), (x1, y1))
         if seg == 0 or track.speed_mps <= 0:
@@ -140,10 +139,10 @@ def build_l2_plan(track: MobilityTrack, cells: list[WirelessCell], end_us: SimTi
     attached: Optional[str] = None
     attach_done: SimTime = 0
     handover_index = 0
-    start_bs = strongest_bs(position_at(track, track.start_time_us), cells)
+    start_bs = strongest_bs(position_at(track, 0), cells)
     if start_bs is not None:
         attached = start_bs
-        attach_done = track.start_time_us + l2_switch_us
+        attach_done = l2_switch_us
         plan.append(L2Plan(at=attach_done, kind="attach", bs=start_bs))
     for t, bs, kind in cell_crossings(track, cells, end_us):
         if kind == "enter" and attached is None:

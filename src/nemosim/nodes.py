@@ -5,6 +5,7 @@ from __future__ import annotations
 from .engine import APP_START, APP_STOP, PACKET_ARRIVAL, TIMER_EXPIRY, Entry
 from .metrics import FLOW_BG, FLOW_CBR
 from .packets import DATA, Packet, SignalKind, apply_home_address_option
+from .scenario import BG_PACKET_BYTES
 
 # Payload of every background tick; `ArNode.dispatch` tests it by identity.
 BG_TICK = ("bg",)
@@ -130,7 +131,7 @@ class ArNode(Node):
     # -- background load -------------------------------------------------------
     def _bg_tick(self) -> None:
         engine = self.sim.engine
-        pkt = Packet(self.address, self._bg_dst, self._bg_bytes, DATA, self._bg_seq, FLOW_BG)
+        pkt = Packet(self.address, self._bg_dst, BG_PACKET_BYTES, DATA, self._bg_seq, FLOW_BG)
         pkt.created_at = engine.now
         self._bg_seq += 1
         self._bg_queue.send(pkt)
@@ -140,7 +141,6 @@ class ArNode(Node):
         cfg = self.sim.config
         if kind == APP_START and cfg.background_load_bps > 0:
             self._bg_dst = self.sim.topo.addresses[self.bs_id]
-            self._bg_bytes = cfg.bg_packet_bytes
             self._bg_queue = self.sim.linkqueues[(self.node_id, self.bs_id)]
             self._bg_queue.bg_station = self._bg_dst
             self._bg_interval_us = cfg.bg_interval_us

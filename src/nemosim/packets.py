@@ -151,8 +151,8 @@ class Packet:
 
 
 def make_signal(kind: SignalKind, src: Address, dst: Address, t: int,
-                info: Optional[dict] = None, size: int = SIGNAL_BYTES) -> Packet:
-    return Packet(src=src, dst=dst, size_bytes=size, kind=SIGNAL,
+                info: Optional[dict] = None) -> Packet:
+    return Packet(src=src, dst=dst, size_bytes=SIGNAL_BYTES, kind=SIGNAL,
                   signal=kind, created_at=t, info=info, path_log=[])
 
 

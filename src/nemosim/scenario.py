@@ -13,8 +13,7 @@ from typing import Optional
 from .diffserv import AF11, AF21, EF, RedParams, SlaRule
 from .engine import MS, SEC, SimTime
 from .network import Link, MobilityTrack, WirelessCell
-from .packets import (DATA, HEADER_BYTES, MAX_ENCAP_DEPTH, SIGNAL, Address, Prefix,
-                      SignalKind)
+from .packets import DATA, SIGNAL, Address, Prefix, SignalKind
 
 PROTO_NEMO_BS = "nemo-bs"
 PROTO_DIFF_NEMO = "diff-nemo"
@@ -64,28 +63,15 @@ class ScenarioConfig:
     sim_end_us: SimTime = 200 * SEC
     cbr: CbrConfig = field(default_factory=CbrConfig)
     background_load_bps: float = 0
-    bg_packet_bytes: int = 2000
 
     # Radio and handover timing.
     lead_us: SimTime = 200 * MS
     l2_switch_us: SimTime = 50 * MS
-    air_rate_bps: float = 2_000_000
-    air_delay_us: SimTime = 1 * MS
     cell_radius_m: float = 50.0
 
-    # Address configuration and registration timing.
-    dad_delay_us: SimTime = 500 * MS
-    dad_fast_us: SimTime = 100 * MS
-    dad_rcoa_us: SimTime = 180 * MS
-    fbu_delay_us: SimTime = 40 * MS
-    fbu_retx_us: SimTime = 60 * MS
-    lbu_gap_us: SimTime = 1 * MS
+    # Movement detection, registration and buffering.
     beacon_interval_us: SimTime = 1000 * MS
-    binding_lifetime_us: SimTime = 60 * SEC
     binding_refresh_us: SimTime = 30 * SEC
-    token_lifetime_us: SimTime = 10 * SEC
-    rr_timeout_us: SimTime = 3 * SEC
-    rr_retries: int = 2
     nar_buffer_capacity: int = 100
     movement_detection: str = DETECT_DEFAULT
 
@@ -93,10 +79,7 @@ class ScenarioConfig:
     force_reactive_at: tuple[int, ...] = ()
     faults: FaultConfig = field(default_factory=FaultConfig)
 
-    # Track geometry; a None waypoint list selects the default bounce track.
-    start_x_m: float = 29.0
-    bounce_near_x_m: float = 55.0
-    bounce_far_x_m: float = 385.0
+    # A None waypoint list selects the default bounce track.
     waypoints: Optional[list[tuple[float, float]]] = None
 
     def validate(self) -> None:
@@ -115,18 +98,22 @@ class ScenarioConfig:
                 blamed = b if values[a] == _DEFAULTS[a] else a
                 raise ConfigError(f"{blamed} breaks {a} {relation} {b}: "
                                   f"{values[a]!r} {relation} {values[b]!r}")
+        # A fault the scheme never applies: the fast scheme's router has no DAD
+        # check after its first attachment nor NA; only its routers read FNA.
+        fh, faults = self.protocol == PROTO_DIFF_FH, self.faults
+        for key, unused in (("faults.dad_collision_handovers", fh and faults.dad_collision_handovers),
+                            ("faults.drop_first_signals", fh and "NA" in faults.drop_first_signals),
+                            ("faults.fna_collision_handovers", not fh and faults.fna_collision_handovers)):
+            if unused:
+                raise ConfigError(f"{key} is never applied under {self.protocol}: {values[key]!r}")
         cbr, end = self.cbr, self.sim_end_us
         # A packet so large, or a rate so small, that a packet's gap passes the
-        # float range cannot be scheduled; the air link carries CBR packets
-        # under their tunnel headers.
-        for size_key, rate_key, size, rate in [
-            ("cbr.packet_bytes", "cbr.rate_bps", cbr.packet_bytes, cbr.rate_bps),
-            ("bg_packet_bytes", "background_load_bps", self.bg_packet_bytes,
-             self.background_load_bps),
-            ("cbr.packet_bytes", "air_rate_bps", cbr.packet_bytes + MAX_ENCAP_DEPTH * HEADER_BYTES,
-             self.air_rate_bps)]:
-            if rate and size * 8 * SEC > sys.float_info.max:
-                raise ConfigError(f"{size_key} is too large to time a packet: {size!r}")
+        # float range cannot be scheduled.
+        if cbr.packet_bytes * 8 * SEC > sys.float_info.max:
+            raise ConfigError(f"cbr.packet_bytes is too large to time a packet: {cbr.packet_bytes!r}")
+        for rate_key, size, rate in [("cbr.rate_bps", cbr.packet_bytes, cbr.rate_bps),
+                                     ("background_load_bps", BG_PACKET_BYTES,
+                                      self.background_load_bps)]:
             if rate and size * 8 * SEC / rate == math.inf:
                 raise ConfigError(f"{rate_key} gives a {size}-byte packet an overflowing gap: {rate!r}")
         if end > sys.float_info.max:
@@ -148,23 +135,22 @@ class ScenarioConfig:
         to 0 never ends)."""
         cbr, end = self.cbr, self.sim_end_us
         per = lambda span, interval: span / interval if interval > 0 else math.inf
-        bounce_m = abs(self.bounce_far_x_m - self.bounce_near_x_m)
         return [
             (("cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "cbr.stop_us"),
              per(cbr.stop_us - cbr.start_us, cbr.interval_us)),
-            (("bg_packet_bytes", "background_load_bps", "sim_end_us"),
+            (("background_load_bps", "sim_end_us"),
              self.background_load_bps and 4 * per(end, self.bg_interval_us)),
             (("beacon_interval_us", "sim_end_us"),
              self.beacon_interval_us and 4 * end / self.beacon_interval_us),
             (("binding_refresh_us", "sim_end_us"), end / self.binding_refresh_us),
-            (("dmr_speed_kmh", "bounce_near_x_m", "bounce_far_x_m", "sim_end_us"),
-             0 if self.waypoints else per(self.speed_mps * end / SEC, bounce_m)),
+            (("dmr_speed_kmh", "sim_end_us"), 0 if self.waypoints else
+             self.speed_mps * end / SEC / (BOUNCE_FAR_X_M - BOUNCE_NEAR_X_M)),
         ]
 
     @property
     def bg_interval_us(self) -> SimTime:
         """Gap between background packets on each access downlink."""
-        return round(self.bg_packet_bytes * 8 * SEC / self.background_load_bps)
+        return round(BG_PACKET_BYTES * 8 * SEC / self.background_load_bps)
 
     @property
     def speed_mps(self) -> float:
@@ -205,28 +191,27 @@ _KINDS = {
 }
 
 # The range of each key that has one, as (test, words).  A misspelt name runs
-# a default; a rate, size, radius or lifetime of 0 divides by zero or delivers
-# nothing, and a refresh of 0 re-arms at one instant forever.
+# a default; a rate, size or radius of 0 divides by zero or delivers nothing,
+# and a refresh of 0 re-arms at one instant forever.
 _RANGES = {
     **{key: (names.__contains__, f"one of {', '.join(names)}") for key, names in (
         ("protocol", PROTOCOLS), ("mode", (MODE_PREDICTIVE, MODE_REACTIVE)),
         ("movement_detection", DETECTIONS),
         ("faults.drop_first_signals", tuple(kind.value for kind in SignalKind)))},
-    **dict.fromkeys(("dmr_speed_kmh", "cell_radius_m", "air_rate_bps", "bg_packet_bytes",
-                     "cbr.packet_bytes", "cbr.rate_bps", "red.capacity", "binding_lifetime_us",
-                     "binding_refresh_us"), (lambda v: v > 0, "positive")),
-    **dict.fromkeys(("background_load_bps", "nar_buffer_capacity", "rr_retries",
-                     "red.min_th"), (lambda v: v >= 0, "non-negative")),
+    **dict.fromkeys(("dmr_speed_kmh", "cell_radius_m", "cbr.packet_bytes", "cbr.rate_bps",
+                     "red.capacity", "binding_refresh_us"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("background_load_bps", "nar_buffer_capacity", "red.min_th"),
+                    (lambda v: v >= 0, "non-negative")),
     "red.max_p": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "red.w_q": (lambda v: 0 < v <= 1, "in (0, 1]"),
 }
 
-# Rules between keys, as (a, relation, b): the CBR window fits the run, RED
-# is not a tail drop, and the bounce track moves.  A broken rule names a,
-# unless a holds its default and so b is the key that moved.
-_RELATIONS = {"<": operator.lt, "<=": operator.le, "!=": operator.ne}
+# Rules between keys, as (a, relation, b): the CBR window fits the run and
+# RED is not a tail drop.  A broken rule names a, unless a holds its default
+# and so b is the key that moved.
+_RELATIONS = {"<": operator.lt, "<=": operator.le}
 _RULES = (("cbr.start_us", "<", "cbr.stop_us"), ("cbr.stop_us", "<=", "sim_end_us"),
-          ("red.min_th", "<", "red.max_th"), ("bounce_near_x_m", "!=", "bounce_far_x_m"))
+          ("red.min_th", "<", "red.max_th"))
 
 # The most source events (CBR packets, background ticks, beacons, binding
 # refreshes and default-track segments) a run may be predicted to schedule;
@@ -289,6 +274,15 @@ def load_config(path: str) -> ScenarioConfig:
 # Default topology.  Addresses are domain.site.node triples: the wired core is
 # domain 0, the home network domain 1, and each anchor-point domain 2 and 3
 # with one site per access router.
+
+# Fixed model values, not config keys: the air links, the background packet
+# size, and the default track's start and turnaround points.
+AIR_RATE_BPS = 2_000_000
+AIR_DELAY_US = 1 * MS
+BG_PACKET_BYTES = 2000
+START_X_M = 29.0
+BOUNCE_NEAR_X_M = 55.0
+BOUNCE_FAR_X_M = 385.0
 
 
 @dataclass
@@ -370,14 +364,13 @@ def build_track(config: ScenarioConfig) -> MobilityTrack:
     if config.waypoints is not None:
         return MobilityTrack([tuple(p) for p in config.waypoints], config.speed_mps)
     needed_m = config.speed_mps * config.sim_end_us / SEC + 1.0
-    points = [(config.start_x_m, 0.0)]
+    points = [(START_X_M, 0.0)]
     total = 0.0
-    target = config.bounce_far_x_m
+    target = BOUNCE_FAR_X_M
     while total < needed_m:
         total += abs(target - points[-1][0])
         points.append((target, 0.0))
-        target = (config.bounce_near_x_m if target == config.bounce_far_x_m
-                  else config.bounce_far_x_m)
+        target = BOUNCE_NEAR_X_M if target == BOUNCE_FAR_X_M else BOUNCE_FAR_X_M
     return MobilityTrack(points, config.speed_mps)
 
 

@@ -15,9 +15,9 @@ from .network import Link, LinkQueue, build_l2_plan
 from .nodes import ArNode, BsNode, CnNode, MnnNode, Node
 from .packets import Address, Packet, SignalKind, encapsulate
 from .packets import make_signal as new_signal
-from .scenario import (BEACON_PHASE_US, MODE_PREDICTIVE, PROTO_DIFF_FH,
-                       PROTO_DIFF_NEMO, ScenarioConfig, Topology, build_track,
-                       default_sla_rules, default_topology)
+from .scenario import (AIR_DELAY_US, AIR_RATE_BPS, BEACON_PHASE_US, MODE_PREDICTIVE,
+                       PROTO_DIFF_FH, PROTO_DIFF_NEMO, ScenarioConfig, Topology,
+                       build_track, default_sla_rules, default_topology)
 
 
 class Simulation:
@@ -51,11 +51,10 @@ class Simulation:
         self._schedule_boot()
 
     def _build_links(self) -> None:
-        cfg = self.config
         for link in self.topo.links:
             self._add_queue_pair(link, link.a, link.b)
         for bs in self.topo.bs_to_ar:
-            air = Link(bs, "dmr", cfg.air_rate_bps, cfg.air_delay_us)
+            air = Link(bs, "dmr", AIR_RATE_BPS, AIR_DELAY_US)
             self._add_queue(air, bs, f"dmr@{bs}")
             self._add_queue(air, "dmr", f"{bs}@air", src_key=("dmr", bs))
         local = Link("dmr", "mnn", 100_000_000, 1000)

@@ -17,8 +17,10 @@ from nemosim.engine import MS, SEC, RngStream
 from nemosim.experiment import run_scenario, sweep
 from nemosim.metrics import CSV_HEADER
 from nemosim.packets import DATA, Address, Packet, SignalKind, make_signal
-from nemosim.scenario import (PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
-                              FaultConfig, ScenarioConfig, default_topology)
+from nemosim.nemo_bs import DAD_DELAY_US
+from nemosim.scenario import (AIR_DELAY_US, AIR_RATE_BPS, PROTO_DIFF_FH, PROTO_DIFF_NEMO,
+                              PROTO_NEMO_BS, START_X_M, FaultConfig, ScenarioConfig,
+                              default_topology)
 from nemosim.simulation import Simulation
 
 SPEEDS = [15, 30, 45, 60, 75, 90]
@@ -55,8 +57,8 @@ def hop_table(cfg):
         hops[(link.a, link.b)] = (link.bandwidth_bps, link.prop_delay_us)
         hops[(link.b, link.a)] = (link.bandwidth_bps, link.prop_delay_us)
     for bs in topo.bs_to_ar:
-        hops[(bs, "dmr")] = (cfg.air_rate_bps, cfg.air_delay_us)
-        hops[("dmr", bs)] = (cfg.air_rate_bps, cfg.air_delay_us)
+        hops[(bs, "dmr")] = (AIR_RATE_BPS, AIR_DELAY_US)
+        hops[("dmr", bs)] = (AIR_RATE_BPS, AIR_DELAY_US)
     hops[("dmr", "mnn")] = (100_000_000, 1000)
     return hops
 
@@ -173,7 +175,7 @@ def test_criterion_5_baseline_latency_decomposition():
     hops = hop_table(cfg)
     cbr = cfg.cbr
     # Geometry: the serving-cell boundary (x=150) at walking speed from x=29.
-    t_exit = round((150.0 - cfg.start_x_m) / cfg.speed_mps * SEC)
+    t_exit = round((150.0 - START_X_M) / cfg.speed_mps * SEC)
     t_down = t_exit + 1                              # settle quantum
     t_attach = t_down + cfg.l2_switch_us
     # Interval-driven detection: next beacon of the new access router.
@@ -182,7 +184,7 @@ def test_criterion_5_baseline_latency_decomposition():
     t_beacon = math.ceil((t_attach - phase) / beat) * beat + phase
     t_ra = t_beacon + transit(hops, ["ar2", "bs2", "dmr"], 64)
     detection_wait = t_ra - t_attach
-    t_dad_done = t_ra + cfg.dad_delay_us
+    t_dad_done = t_ra + DAD_DELAY_US
     bu_up = transit(hops, ["dmr", "bs2", "ar2", "map1", "er", "ha"], 64)
     t_binding = t_dad_done + bu_up
     # First source packet intercepted after the binding refresh, then the
@@ -199,7 +201,7 @@ def test_criterion_5_baseline_latency_decomposition():
                   + transit(hops, ["dmr", "mnn"], 1000))
     oracle = t_first_new - t_last_old
     print(f"  components us: l2={t_attach - t_exit} detect={detection_wait} "
-          f"dad={cfg.dad_delay_us} bu_up={bu_up} "
+          f"dad={DAD_DELAY_US} bu_up={bu_up} "
           f"resume_align={t_first_new - t_binding}")
     print(f"  oracle {oracle} us vs measured {measured} us")
     check(5, "baseline handover gap equals the closed-form oracle within 1 quantum",

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from census import cbr_held
-from nemosim.diff_fh import FhDmr, MapAgent, NarAgent
+from nemosim.diff_fh import FBU_DELAY_US, FhDmr, MapAgent, NarAgent
 from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState
 from nemosim.packets import (DATA, Address, DepthExceeded, Packet, Prefix,
@@ -82,7 +82,7 @@ def test_fbu_emitted_after_configured_delay(fake_sim):
     dmr.on_l2_trigger(trigger_plan())
     dmr.handle_prrtadv(prrtadv())
     timers = [t for t in fake_sim.timers if t[2][0] == "fh"]
-    assert timers and timers[0][1] == fake_sim.config.fbu_delay_us
+    assert timers and timers[0][1] == FBU_DELAY_US
     dmr.on_timer(timers[0][2])
     fbu = fake_sim.signals_of(SignalKind.FBU)
     assert len(fbu) == 1
@@ -288,6 +288,22 @@ def test_regional_address_invariant_under_micro_handover():
     sim.engine.run_until(cfg.sim_end_us)
     assert proto.rcoa == rcoa_before == Prefix(2, 0).address(100)
     assert proto.lcoa == Prefix(2, 2).address(100)
+
+
+def test_reattachment_during_first_address_check_starts_discovery_afresh():
+    # The router attaches to bs1 at 50 ms and, leaving its cell, to bs2 at
+    # 410 ms, before the first check of its bs1 address ends.  That check's
+    # timer used to fire at 557.5 ms and adopt the bs1 address, whose binding
+    # acknowledgement went out through bs1 and was lost, and every RA from
+    # ar2 was then ignored: not one packet was delivered.
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=100, sim_end_us=30 * SEC,
+                         cbr=CbrConfig(start_us=2 * SEC, stop_us=30 * SEC),
+                         waypoints=[(140.0, 0.0), (200.0, 0.0)])
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert (report.sent, report.delivered) == (350, 350)
+    assert sim.metrics.unexpected_signals == 0
+    assert sim.nodes["dmr"].lcoa == Prefix(2, 2).address(100)
 
 
 def test_zero_loss_predictive_micro_handover_no_duplicates():

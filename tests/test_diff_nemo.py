@@ -3,7 +3,8 @@
 import pytest
 
 from nemosim.fsm import RegState
-from nemosim.diff_nemo import CorrespondentAgent, ProxyDmr, Registration
+from nemosim.diff_nemo import (RR_RETRIES, RR_TIMEOUT_US, TOKEN_LIFETIME_US, CorrespondentAgent,
+                               ProxyDmr, Registration)
 from nemosim.engine import SEC
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              make_signal)
@@ -72,12 +73,12 @@ def test_tokens_complete_exchange_and_register_with_cn(fake_sim):
 
 def test_exhausted_retries_fall_back_and_ignore_late_tokens(fake_sim):
     proxy = registered_proxy(fake_sim)
-    for retries in range(fake_sim.config.rr_retries):
+    for retries in range(RR_RETRIES):
         proxy.on_timer(("rr_timeout", 1, retries))
         assert len(fake_sim.signals_of(SignalKind.HOTI)) == retries + 2
-    proxy.on_timer(("rr_timeout", 1, fake_sim.config.rr_retries))
+    proxy.on_timer(("rr_timeout", 1, RR_RETRIES))
     assert proxy.reg.state == RegState.FALLBACK
-    assert len(fake_sim.signals_of(SignalKind.HOTI)) == fake_sim.config.rr_retries + 1
+    assert len(fake_sim.signals_of(SignalKind.HOTI)) == RR_RETRIES + 1
     proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
     proxy.on_signal(token_signal(SignalKind.COT, ("cot", COA, 2)))
     proxy.on_signal(token_signal(SignalKind.NPT, ("npt", HOA, 3)))
@@ -134,7 +135,7 @@ def test_stale_tokens_rejected_by_clock_arithmetic(fake_sim):
     agent.on_hoti(make_signal(SignalKind.HOTI, HOA, CN, t=0, info={"hoa": HOA}))
     agent.on_coti(make_signal(SignalKind.COTI, COA, CN, t=0, info={"hoa": HOA}))
     tokens = {k: agent.issued[HOA][k][0] for k in ("hot", "cot", "npt")}
-    fake_sim.now = fake_sim.config.token_lifetime_us + 1
+    fake_sim.now = TOKEN_LIFETIME_US + 1
     bu = make_signal(SignalKind.BU, COA, CN, t=0,
                      info={"hoa": HOA, "coa": COA, "mnps": [MNP], "tokens": tokens})
     agent.on_binding_update(bu)
@@ -180,7 +181,7 @@ def test_lost_care_of_test_retries_and_recovers():
     agent = sim.nodes["cn"]
     assert agent.bound_at, "binding never completed despite the retry"
     # The retry fires one timeout after the initial probes.
-    assert agent.bound_at[0] > cfg.rr_timeout_us
+    assert agent.bound_at[0] > RR_TIMEOUT_US
 
 
 def test_delivered_packets_keep_application_addresses():

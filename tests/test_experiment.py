@@ -178,9 +178,10 @@ def test_cli_run_rejects_zero_speed(capsys):
 
 
 @pytest.mark.parametrize("text, key", [
-    ('{"bounce_near_x_m": 200, "bounce_far_x_m": 200}', "bounce_near_x_m "),
+    ('{"red": {"min_th": 20, "max_th": 10}}', "red.min_th "),
     ('{"cbr": {"packet_bytes": 0.5}}', "cbr.packet_bytes "),
     ('{"seed": 1,}', "line 1 column 12"),
+    ('{"dad_delay_us": 1}', "unknown config key 'dad_delay_us'"),
 ])
 def test_cli_run_reports_bad_config_file_in_one_line(text, key, tmp_path, capsys):
     # A config that cannot run is a usage error (exit 2), not a traceback.
@@ -205,14 +206,34 @@ def test_cli_sweep_checks_every_speed_before_running(speeds, monkeypatch, capsys
 
 
 def test_cli_sweep_checks_speeds_against_its_own_config(tmp_path, monkeypatch, capsys):
-    # 100,000 km/h passes the work cap on the default 330 m bounce, but not on
-    # a 5 m one; the check used to run on the default config.
-    path = tmp_path / "narrow.json"
-    path.write_text('{"bounce_near_x_m": 380, "bounce_far_x_m": 385}')
+    # 100,000 km/h passes the work cap in the default 200 s run, but not in a
+    # 20,000 s one (about 1.7M track segments); the check used to run on the
+    # default config.
+    path = tmp_path / "long.json"
+    path.write_text('{"sim_end_us": 20000000000}')
     runs = []
     monkeypatch.setattr(cli, "sweep", lambda *a, **kw: runs.append(a))
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--config", str(path), "--speeds", "15,100000"])
     assert exc.value.code == 2
     assert "argument --speeds: 100000 km/h: dmr_speed_kmh " in capsys.readouterr().err
+    assert runs == []
+
+
+@pytest.mark.parametrize("protocol, faults", [
+    ("nemo-bs", '{"dad_collision_handovers": [0]}'),
+    ("diff-fh-nemo", '{"fna_collision_handovers": [0]}'),
+])
+def test_cli_sweep_checks_every_scheme_before_running(protocol, faults, tmp_path,
+                                                      monkeypatch, capsys):
+    # The config's own scheme applies the fault and another does not, so a
+    # sweep over all three must fail before its first run.
+    path = tmp_path / "fault.json"
+    path.write_text(f'{{"protocol": "{protocol}", "faults": {faults}}}')
+    runs = []
+    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: runs.append(a))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--config", str(path), "--speeds", "15,30"])
+    assert exc.value.code == 2
+    assert "error: faults." in capsys.readouterr().err
     assert runs == []

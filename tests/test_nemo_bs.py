@@ -3,7 +3,7 @@
 import pytest
 
 from nemosim.engine import SEC
-from nemosim.nemo_bs import BaselineMr, BindingCacheEntry, HomeAgent
+from nemosim.nemo_bs import DAD_DELAY_US, BaselineMr, BindingCacheEntry, HomeAgent
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              encapsulate, make_signal)
 
@@ -40,7 +40,7 @@ def test_new_prefix_starts_dad_then_binding_update(fake_sim):
     assert mr.state.dad_pending
     assert fake_sim.signals_of(SignalKind.NS)
     node, delay, token = fake_sim.timers[0]
-    assert delay == fake_sim.config.dad_delay_us
+    assert delay == DAD_DELAY_US
     mr.on_timer(token)
     assert mr.state.coa == COA1
     bu = fake_sim.signals_of(SignalKind.BU)

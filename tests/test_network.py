@@ -39,11 +39,6 @@ def test_serialization_rounds_up():
     assert serialization_us(1040, 100_000_000) == 84   # 83.2 rounds up
 
 
-def test_position_before_start_is_first_waypoint():
-    track = MobilityTrack([(10.0, 0.0), (50.0, 0.0)], speed_mps=1.0, start_time_us=5 * SEC)
-    assert position_at(track, 0) == (10.0, 0.0)
-
-
 def test_position_advances_at_speed():
     track = MobilityTrack([(0.0, 0.0), (100.0, 0.0)], speed_mps=1.0)
     x, y = position_at(track, 10 * SEC)
