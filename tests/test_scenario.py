@@ -56,6 +56,13 @@ def test_cbr_window_must_fit_run():
         config_from_dict({"sim_end_us": 30 * SEC})   # default stop at 200 s
 
 
+# Model values that are constants of the module that owns them, not settings.
+FIXED_VALUES = ["air_rate_bps", "air_delay_us", "bg_packet_bytes", "start_x_m",
+                "bounce_near_x_m", "bounce_far_x_m", "dad_delay_us", "binding_lifetime_us",
+                "token_lifetime_us", "rr_timeout_us", "rr_retries", "dad_fast_us",
+                "dad_rcoa_us", "fbu_delay_us", "fbu_retx_us", "lbu_gap_us"]
+
+
 # Each of these would hang (a source or the binding refresh re-arming itself
 # at +0 us), divide by zero, fail on a string, on a rate so small or a packet
 # so large that a packet's gap overflows or on a run too long to count its
@@ -68,14 +75,15 @@ def test_cbr_window_must_fit_run():
 # point or a point that is not a pair of numbers, a NaN speed or one past the
 # float range, a fractional packet size or time, a section that is not an
 # object, or a source that would schedule far more events than any shipped
-# scenario); validation must reject them before any event is scheduled.
+# scenario); validation must reject them before any event is scheduled. A row
+# that sets a fixed model value is refused for naming an unknown key.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
-    ({"faults": {"dad_collision_handovers": [0]}}, "faults.dad_collision_handovers"),
+    ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
     ({"cbr": {"rate_bps": 0}}, "cbr.rate_bps"),
     ({"cbr": {"rate_bps": 10 ** 12}}, "cbr.rate_bps"),
     ({"cbr": {"packet_bytes": 0}}, "cbr.packet_bytes"),
-    ({"faults": {"drop_first_signals": ["NA"]}}, "faults.drop_first_signals"),
+    ({"air_rate_bps": 0}, "air_rate_bps"),
     ({"cell_radius_m": -5}, "cell_radius_m"),
     ({"background_load_bps": -1}, "background_load_bps"),
     ({"lead_us": -1}, "lead_us"),
@@ -101,16 +109,16 @@ def test_cbr_window_must_fit_run():
     ({"protocol": "diff-nemo", "faults": {"fna_collision_handovers": [1]}},
      "faults.fna_collision_handovers"),
     ({"protocol": 5}, "protocol"),
-    ({"mode": "proactive"}, "mode"),
+    ({"rr_retries": -1}, "rr_retries"),
     ({"binding_refresh_us": 0}, "binding_refresh_us"),
     ({"cbr": 5}, "cbr"),
     ({"background_load_bps": "x"}, "background_load_bps"),
     ({"cbr": {"packet_bytes": "x"}}, "cbr.packet_bytes"),
     ({"cbr": {"rate_bps": "x"}}, "cbr.rate_bps"),
-    ({"red": []}, "red"),
-    ({"cbr": {"start_us": -1}}, "cbr.start_us"),
+    ({"bg_packet_bytes": "x"}, "bg_packet_bytes"),
+    ({"air_rate_bps": "x"}, "air_rate_bps"),
     ({"cell_radius_m": "x"}, "cell_radius_m"),
-    ({"sim_end_us": -1}, "sim_end_us"),
+    ({"air_rate_bps": True}, "air_rate_bps"),
     ({"cell_radius_m": True}, "cell_radius_m"),
     ({"seed": True}, "seed"),
     ({"dmr_speed_kmh": True}, "dmr_speed_kmh"),
@@ -118,12 +126,12 @@ def test_cbr_window_must_fit_run():
     ({"red": {"max_p": True}}, "red.max_p"),
     ({"red": {"w_q": True}}, "red.w_q"),
     ({"nar_buffer_capacity": True}, "nar_buffer_capacity"),
-    ({"binding_refresh_us": "x"}, "binding_refresh_us"),
+    ({"rr_retries": False}, "rr_retries"),
     ({"red": {"min_th": "x"}}, "red.min_th"),
     ({"red": {"max_th": "x"}}, "red.max_th"),
     ({"beacon_interval_us": True}, "beacon_interval_us"),
-    ({"l2_switch_us": 1.5}, "l2_switch_us"),
-    ({"movement_detection": 1}, "movement_detection"),
+    ({"bounce_near_x_m": "x"}, "bounce_near_x_m"),
+    ({"bounce_far_x_m": "x"}, "bounce_far_x_m"),
     ({"force_reactive_at": ["x"]}, "force_reactive_at"),
     ({"faults": {"dad_collision_handovers": [0.5]}}, "faults.dad_collision_handovers"),
     ({"faults": {"fna_collision_handovers": [True]}}, "faults.fna_collision_handovers"),
@@ -140,10 +148,10 @@ def test_cbr_window_must_fit_run():
     ({"dmr_speed_kmh": float("nan")}, "dmr_speed_kmh"),
     ({"cell_radius_m": float("inf")}, "cell_radius_m"),
     ({"dmr_speed_kmh": 10 ** 400}, "dmr_speed_kmh"),
-    ({"red": {"max_th": True}}, "red.max_th"),
-    ({"background_load_bps": float("nan")}, "background_load_bps"),
+    ({"bounce_near_x_m": 200, "bounce_far_x_m": 200}, "bounce_near_x_m"),
+    ({"bounce_far_x_m": 55}, "bounce_far_x_m"),
     ({"dmr_speed_kmh": 1e9}, "dmr_speed_kmh"),
-    ({"cbr": {"rate_bps": float("inf")}}, "cbr.rate_bps"),
+    ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0.5}, "bg_packet_bytes"),
     ({"beacon_interval_us": 2}, "beacon_interval_us"),
     ({"binding_refresh_us": 2}, "binding_refresh_us"),
     ({"cbr": {"packet_bytes": 0.001}}, "cbr.packet_bytes"),
@@ -152,22 +160,31 @@ def test_cbr_window_must_fit_run():
     ({"sim_end_us": 2}, "sim_end_us"),
     ({"cbr": {"rate_bps": 1e-300}}, "cbr.rate_bps"),
     ({"background_load_bps": 1e-300}, "background_load_bps"),
-    ({"force_reactive_at": [True]}, "force_reactive_at"),
+    ({"air_rate_bps": 1e-300}, "air_rate_bps"),
     ({"cbr": {"packet_bytes": 10 ** 400}}, "cbr.packet_bytes"),
-    ({"seed": 1.5}, "seed"),
+    ({"bg_packet_bytes": 10 ** 400, "background_load_bps": 1_200_000}, "bg_packet_bytes"),
     ({"sim_end_us": 10 ** 400, "cbr": {"stop_us": 10 ** 400}}, "sim_end_us"),
     ({"sim_end_us": 10 ** 15, "cbr": {"stop_us": 10 ** 15}}, "cbr.stop_us"),
+    ({"dmr_speed_kmh": 60, "bounce_near_x_m": 0, "bounce_far_x_m": 1e-300}, "bounce_near_x_m"),
+    ({"faults": {"dad_collision_handovers": [0]}}, "faults.dad_collision_handovers"),
+    ({"faults": {"drop_first_signals": ["NA"]}}, "faults.drop_first_signals"),
+    ({"mode": "proactive"}, "mode"),
+    ({"red": []}, "red"),
+    ({"cbr": {"start_us": -1}}, "cbr.start_us"),
+    ({"sim_end_us": -1}, "sim_end_us"),
+    ({"binding_refresh_us": "x"}, "binding_refresh_us"),
+    ({"l2_switch_us": 1.5}, "l2_switch_us"),
+    ({"movement_detection": 1}, "movement_detection"),
+    ({"red": {"max_th": True}}, "red.max_th"),
+    ({"background_load_bps": float("nan")}, "background_load_bps"),
+    ({"cbr": {"rate_bps": float("inf")}}, "cbr.rate_bps"),
+    ({"force_reactive_at": [True]}, "force_reactive_at"),
+    ({"seed": 1.5}, "seed"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} "):
+    message = f"unknown config key '{key}'$" if key in FIXED_VALUES else f"{re.escape(key)} "
+    with pytest.raises(ConfigError, match="^" + message):
         config_from_dict(data)
-
-
-# Model values that are constants of the module that owns them, not settings.
-FIXED_VALUES = ["air_rate_bps", "air_delay_us", "bg_packet_bytes", "start_x_m",
-                "bounce_near_x_m", "bounce_far_x_m", "dad_delay_us", "binding_lifetime_us",
-                "token_lifetime_us", "rr_timeout_us", "rr_retries", "dad_fast_us",
-                "dad_rcoa_us", "fbu_delay_us", "fbu_retx_us", "lbu_gap_us"]
 
 
 @pytest.mark.parametrize("key", FIXED_VALUES)
