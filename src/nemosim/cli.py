@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import ExitStack
 
 from .engine import TraceWriter
 from .experiment import run_scenario, sweep
@@ -15,7 +16,12 @@ from .scenario import (MODE_PREDICTIVE, MODE_REACTIVE, PROTOCOLS, ConfigError, S
 
 
 def _base_config(args) -> ScenarioConfig:
-    config = load_config(args.config) if args.config is not None else ScenarioConfig()
+    try:
+        config = load_config(args.config) if args.config is not None else ScenarioConfig()
+    except OSError as exc:
+        raise ConfigError(f"argument --config: cannot read {args.config!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"argument --config: {args.config!r} is not UTF-8: {exc.reason}") from None
     overrides = {"protocol": args.protocol, "mode": getattr(args, "mode", None),
                  "dmr_speed_kmh": getattr(args, "speed", None), "seed": args.seed}
     for key, value in overrides.items():
@@ -23,6 +29,20 @@ def _base_config(args) -> ScenarioConfig:
             setattr(config, key, value)
     config.validate()
     return config
+
+
+def _open_outputs(stack: ExitStack, args, flags: tuple[str, ...]) -> dict:
+    """Open each output file given among `flags`, before any run, so that a
+    path that cannot be written fails at once, not after the runs."""
+    files = {}
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is not None:
+            try:
+                files[flag] = stack.enter_context(open(path, "w", encoding="utf-8"))
+            except OSError as exc:
+                raise ConfigError(f"argument --{flag}: cannot write {path!r}: {exc.strerror}") from None
+    return files
 
 
 def _path(value: str) -> str:
@@ -43,23 +63,16 @@ def _speeds(value: str) -> list[float]:
 
 def cmd_run(args) -> int:
     config = _base_config(args)
-    if args.trace is None:
-        report, _ = run_scenario(config)
-    else:
+    with ExitStack() as stack:
+        files = _open_outputs(stack, args, ("out", "trace", "paths"))
         # The trace streams to its file during the run, so a run that raises
         # still leaves its trace on disk up to the event that failed.
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            report, _ = run_scenario(config, trace=TraceWriter(fh))
-    csv_text = CSV_HEADER + "\n" + report.csv_row() + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
-    if args.paths is not None:
-        with open(args.paths, "w", encoding="utf-8") as fh:
+        trace = TraceWriter(files["trace"]) if "trace" in files else None
+        report, _ = run_scenario(config, trace=trace)
+        files.get("out", sys.stdout).write(CSV_HEADER + "\n" + report.csv_row() + "\n")
+        if "paths" in files:
             for (seq, _, _), path in zip(report.per_packet_delay, report.per_packet_path):
-                fh.write(f"{seq}\t{'>'.join(path)}\n")
+                files["paths"].write(f"{seq}\t{'>'.join(path)}\n")
     return 0
 
 
@@ -75,12 +88,9 @@ def cmd_sweep(args) -> int:
                 dataclasses.replace(config, protocol=protocol, dmr_speed_kmh=speed).validate()
             except ConfigError as exc:
                 raise ConfigError(f"argument --speeds: {speed:g} km/h: {exc}") from None
-    csv_text, _ = sweep(config, args.speeds, protocols=protocols)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    with ExitStack() as stack:
+        out = _open_outputs(stack, args, ("out",)).get("out", sys.stdout)
+        out.write(sweep(config, args.speeds, protocols=protocols)[0])
     return 0
 
 

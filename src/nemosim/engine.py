@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional, TextIO
 
+from .packets import Packet
+
 # Simulation time is integer microseconds since run start.  Integer time keeps
 # event ordering exact across platforms; all configured delays are expressed
 # in these units.
@@ -94,11 +96,14 @@ class Engine:
     `extend(lines)`: a list, or a TraceWriter), each event is rendered before
     its handler runs, into a block of lines that goes to the sink when it is
     full and when `run_until` returns or raises, so a failed run's trace ends
-    with the line of the event that failed.  A packet renders through
-    `Packet.trace_str`, which formats the packet once and hands the same text
-    to every later event that carries it, and a timer token (a plain tuple)
-    through `str()`; with the same trace bytes, that took `traced-run` from
-    about 3.2 s to about 2.5 s (`BENCH_10.json`).
+    with the line of the event that failed.  Each payload renders through
+    `trace_detail`.  A packet is formatted once, by `Packet.trace_str`, and
+    every later event that carries it reads the kept text; with the same
+    trace bytes, that took `traced-run` from about 3.2 s to about 2.5 s
+    (`BENCH_10.json`).  A one-word timer token (`('bg',)`, a third of a
+    congested trace) is formatted once per process, and any other token
+    (a plain tuple) through `str()`; that took `traced-run` from about
+    2.37 s to about 2.15 s (`BENCH_17.json`).
 
     The traced event stream is the one the golden outputs pin.  An untraced
     run processes the same events with the same results, less the ones only
@@ -143,6 +148,9 @@ class Engine:
         when nothing fired.
         """
         heap, handlers, sink = self._heap, self._handlers, self.trace
+        # Read once per call, so that a test that swaps the module's
+        # renderer sees every payload.
+        detail = trace_detail
         block: list[str] = []
         append = block.append
         processed = 0
@@ -158,7 +166,7 @@ class Engine:
                     self.now = fire_at
                     processed += 1
                     if sink is not None:
-                        append(f"{fire_at}\t{target}\t{kind}\t{trace_detail(payload)}")
+                        append(f"{fire_at}\t{target}\t{kind}\t{detail(payload)}")
                     handler = handlers.get(target)
                     if handler is not None:
                         handler(entry)
@@ -177,12 +185,28 @@ class Engine:
         self._heap.clear()
 
 
+# The text of each one-word timer token rendered so far.  A run uses a
+# handful, so each is formatted once per process.
+_TOKEN_TEXT: dict[tuple[str], str] = {}
+
+
 def trace_detail(payload: object) -> str:
+    """The trace text of an event's payload: one lookup for a packet or a
+    one-word timer token rendered before."""
+    if type(payload) is Packet:
+        return payload._trace_text or payload.trace_str()
+    # A timer token is a plain tuple.  Only a 1-tuple of str is cached: a
+    # token holding an L2Plan cannot be hashed, and equal tuples can print
+    # differently (`Address(1, 2, 3)` and `(1, 2, 3)`, `1` and `True`).
+    if type(payload) is tuple:
+        if len(payload) == 1 and type(payload[0]) is str:
+            text = _TOKEN_TEXT.get(payload)
+            if text is None:
+                text = _TOKEN_TEXT[payload] = str(payload)
+            return text
+        return str(payload)
     if payload is None:
         return "-"
-    # Timer tokens are plain tuples, which have no trace_str to look up.
-    if type(payload) is tuple:
-        return str(payload)
     render = getattr(payload, "trace_str", None)
     if render is not None:
         return render()

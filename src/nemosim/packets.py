@@ -145,8 +145,11 @@ class Packet:
         text = self._trace_text
         if text is None:
             label = self.signal.value if self.signal is not None else f"seq{self.seq}"
+            src, dst = self.src, self.dst
             text = self._trace_text = (
-                f"{label}/{self.src}→{self.dst}/dscp{self.dscp}/d{self.depth()}")
+                f"{label}/{_ADDRESS_TEXT.get(src) or str(src)}→"
+                f"{_ADDRESS_TEXT.get(dst) or str(dst)}/dscp{self.dscp}"
+                f"/d{0 if self.inner is None else self.depth()}")
         return text
 
 

@@ -177,21 +177,47 @@ def test_cli_run_rejects_zero_speed(capsys):
     assert "error: dmr_speed_kmh " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, key", [
-    ('{"red": {"min_th": 20, "max_th": 10}}', "red.min_th "),
-    ('{"cbr": {"packet_bytes": 0.5}}', "cbr.packet_bytes "),
-    ('{"seed": 1,}', "line 1 column 12"),
-    ('{"dad_delay_us": 1}', "unknown config key 'dad_delay_us'"),
+def bad_invocation(command, text, args, key, id=None):
+    """A command whose config file holds `text` as Latin-1 bytes (None: no
+    file) and that takes `args` (`{dir}` is a directory, which cannot be
+    written as a file)."""
+    return pytest.param(command, text, args, key, id=id or f"{text}-{key}")
+
+
+@pytest.mark.parametrize("command, text, args, key", [
+    bad_invocation("run", '{"red": {"min_th": 20, "max_th": 10}}', [], "red.min_th "),
+    bad_invocation("run", '{"cbr": {"packet_bytes": 0.5}}', [], "cbr.packet_bytes "),
+    bad_invocation("run", '{"seed": 1,}', [], "line 1 column 12"),
+    bad_invocation("run", '{"dad_delay_us": 1}', [], "unknown config key 'dad_delay_us'"),
+    bad_invocation("run", None, [], "argument --config: cannot read ", id="missing-config"),
+    bad_invocation("run", "[1, 2]", [], "a config must be a JSON object", id="list-config"),
+    bad_invocation("run", '"abc"', [], "a config must be a JSON object", id="string-config"),
+    bad_invocation("run", "\xff{}", [], "is not UTF-8", id="binary-config"),
+    bad_invocation("run", "{}", ["--out", "{dir}"], "argument --out: cannot write ",
+                   id="run-out"),
+    bad_invocation("run", "{}", ["--paths", "{dir}/no/such"], "argument --paths: cannot write ",
+                   id="run-paths"),
+    bad_invocation("run", "{}", ["--trace", "{dir}"], "argument --trace: cannot write ",
+                   id="run-trace"),
+    bad_invocation("sweep", "{}", ["--out", "{dir}"], "argument --out: cannot write ",
+                   id="sweep-out"),
 ])
-def test_cli_run_reports_bad_config_file_in_one_line(text, key, tmp_path, capsys):
-    # A config that cannot run is a usage error (exit 2), not a traceback.
+def test_cli_run_reports_bad_config_file_in_one_line(command, text, args, key, tmp_path,
+                                                      monkeypatch, capsys):
+    # A config that cannot run, or an output that cannot be written, is a
+    # usage error (exit 2) before any run, not a traceback.
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if text is not None:
+        path.write_bytes(text.encode("latin-1"))
+    runs = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: runs.append(a))
+    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: runs.append(a))
     with pytest.raises(SystemExit) as exc:
-        cli.main(["run", "--config", str(path)])
+        cli.main([command, "--config", str(path), *(arg.format(dir=tmp_path) for arg in args)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert runs == []
 
 
 @pytest.mark.parametrize("speeds", ["15,abc", "15,0", "15,nan"])

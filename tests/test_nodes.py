@@ -85,3 +85,26 @@ def test_every_listed_signal_kind_is_dropped_at_its_exit(kind, monkeypatch):
     sim.run()
     assert sim._drop_faults == []
     assert dropped == [(kind, 1)]
+
+
+@pytest.mark.parametrize("mode", ["predictive", "reactive"])
+@pytest.mark.parametrize("protocol", ["nemo-bs", "diff-nemo", "diff-fh-nemo"])
+def test_sent_signal_kinds_match_the_table(protocol, mode, monkeypatch):
+    # `validate` rejects a drop fault for a kind outside
+    # `ScenarioConfig.sent_signals`, so the table must hold every kind the
+    # scheme sends, inner layers included, and no kind it never sends.
+    cfg = ScenarioConfig(protocol=protocol, mode=mode, dmr_speed_kmh=60, sim_end_us=60 * SEC,
+                         cbr=CbrConfig(stop_us=60 * SEC))
+    sent = set()
+    send = Simulation.send_signal_packet
+
+    def spy(self, origin, pkt, via=None):
+        layer = pkt
+        while layer is not None:
+            if layer.signal is not None:
+                sent.add(layer.signal.value)
+            layer = layer.inner
+        send(self, origin, pkt, via)
+    monkeypatch.setattr(Simulation, "send_signal_packet", spy)
+    Simulation(cfg).run()
+    assert sent == cfg.sent_signals()

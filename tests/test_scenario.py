@@ -180,6 +180,13 @@ FIXED_VALUES = ["air_rate_bps", "air_delay_us", "bg_packet_bytes", "start_x_m",
     ({"cbr": {"rate_bps": float("inf")}}, "cbr.rate_bps"),
     ({"force_reactive_at": [True]}, "force_reactive_at"),
     ({"seed": 1.5}, "seed"),
+    ({"protocol": "nemo-bs", "faults": {"drop_first_signals": ["FBU"]}},
+     "faults.drop_first_signals"),
+    ({"protocol": "nemo-bs", "faults": {"drop_first_signals": ["HoTI"]}},
+     "faults.drop_first_signals"),
+    ({"protocol": "diff-nemo", "faults": {"drop_first_signals": ["FNA"]}},
+     "faults.drop_first_signals"),
+    ({"mode": "reactive", "faults": {"drop_first_signals": ["HI"]}}, "faults.drop_first_signals"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     message = f"unknown config key '{key}'$" if key in FIXED_VALUES else f"{re.escape(key)} "

@@ -106,9 +106,25 @@ def test_trace_text_matches_packet_fields_at_every_event(monkeypatch, kw):
             assert text == fresh_render(payload), payload
             carried[id(payload)] = payload
             events += 1
+        elif isinstance(payload, tuple):
+            assert text == str(payload)
         return text
 
     monkeypatch.setattr(engine, "trace_detail", checked)
     sink = CountingSink()
     run_scenario(short_config(**kw), trace=sink)
     assert sink.lines > events > len(carried) > 0
+
+
+@pytest.mark.parametrize("first, second", [
+    (("bg",), ("cbr",)),
+    ((Address(1, 2, 3),), ((1, 2, 3),)),
+    (("x", 1), ("x", True)),
+    ((1,), (True,)),
+    (("l2_attach", [1]), ("l2_attach", [True])),
+], ids=["words", "address-tuple", "int-bool", "one-int-bool", "unhashable"])
+def test_equal_tokens_render_as_str_does(first, second):
+    # The cached one-word tokens, and tuples that are equal yet print apart
+    # or cannot be hashed, each render as str() does, however often.
+    for token in (first, second, first, second):
+        assert engine.trace_detail(token) == str(token)
