@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import RngStream, SimTime
-from .packets import Packet
+from .packets import Address, Packet
 
 # DSCP codepoints: EF is 46, AF(class i, drop precedence j) is 8i+2j, best effort 0.
 EF = 46
@@ -83,27 +83,18 @@ class TokenBucket:
 
 @dataclass
 class SlaRule:
-    """First-match flow rule: any unset selector is a wildcard."""
+    """First-match rule for data: each address selector matches exactly, and
+    an unset one is a wildcard.  Signals are marked when they are built."""
 
     dscp: int
-    src: Optional[object] = None          # Address or Prefix
-    dst: Optional[object] = None
-    kind: Optional[str] = None            # "data" | "signal"
+    src: Optional[Address] = None
+    dst: Optional[Address] = None
     meter_rate_bps: Optional[int] = None
     meter_depth_bytes: Optional[int] = None
 
     def matches(self, pkt: Packet) -> bool:
-        if self.kind is not None and pkt.kind != self.kind:
-            return False
-        for selector, addr in ((self.src, pkt.src), (self.dst, pkt.dst)):
-            if selector is None:
-                continue
-            if hasattr(selector, "matches"):
-                if not selector.matches(addr):
-                    return False
-            elif selector != addr:
-                return False
-        return True
+        return ((self.src is None or self.src == pkt.src)
+                and (self.dst is None or self.dst == pkt.dst))
 
 
 class SlaTable:
@@ -138,75 +129,46 @@ class RedParams:
     capacity: int = 50
 
 
-class RedQueue:
-    """Random early detection on the instantaneous backlog EWMA."""
-
-    def __init__(self, params: RedParams):
-        self.params = params
-        self.backlog: deque[Packet] = deque()
-        self.avg = 0.0
-        self.count_since_drop = 0
-
-    def red_enqueue(self, pkt: Packet, rng: RngStream) -> str:
-        p = self.params
-        backlog = len(self.backlog)
-        avg = self.avg = (1.0 - p.w_q) * self.avg + p.w_q * backlog
-        if avg >= p.max_th or backlog >= p.capacity:
-            self.count_since_drop = 0
-            return DROP
-        if avg >= p.min_th:
-            p_b = p.max_p * (avg - p.min_th) / (p.max_th - p.min_th)
-            denom = 1.0 - self.count_since_drop * p_b
-            p_a = 1.0 if denom <= 0 else p_b / denom
-            if rng.uniform() < p_a:
-                self.count_since_drop = 0
-                return DROP
-        self.count_since_drop += 1
-        self.backlog.append(pkt)
-        return ACCEPT
-
-    def __len__(self) -> int:
-        return len(self.backlog)
-
-
-class FifoQueue:
-    """Drop-tail FIFO; expedited forwarding gets no early drops."""
-
-    def __init__(self, capacity: int = 50):
-        self.capacity = capacity
-        self.backlog: deque[Packet] = deque()
-
-    def enqueue(self, pkt: Packet) -> str:
-        if len(self.backlog) >= self.capacity:
-            return DROP
-        self.backlog.append(pkt)
-        return ACCEPT
-
-    def __len__(self) -> int:
-        return len(self.backlog)
-
-
 class PriorityScheduler:
-    """Per-class queues served in strict priority, FIFO within a class."""
+    """One hop's per-hop behaviour: six class queues served in strict
+    priority, FIFO within a class.  Expedited forwarding is drop-tail
+    (RFC 3246); every other class runs random early detection on the EWMA of
+    its backlog at each arrival (RFC 2597, Floyd & Jacobson 1993)."""
 
     def __init__(self, red_params: RedParams, ef_capacity: int = 50):
-        self.queues: list[object] = [FifoQueue(ef_capacity)]
-        self.queues += [RedQueue(red_params) for _ in range(NUM_CLASSES - 1)]
+        self.red_params = red_params
+        self.ef_capacity = ef_capacity
         # The class backlogs in service order; dequeue tests them directly.
-        self._backlogs = tuple(queue.backlog for queue in self.queues)
+        self._backlogs = tuple(deque() for _ in range(NUM_CLASSES))
+        # Each class's RED average and arrivals accepted since its last drop.
+        self._red_avg = [0.0] * NUM_CLASSES
+        self._since_drop = [0] * NUM_CLASSES
         self.drops_by_class = [0] * NUM_CLASSES
 
     def enqueue(self, pkt: Packet, rng: RngStream) -> str:
         dscp = pkt.dscp
         cls = _CLASS_OF_DSCP[dscp] if 0 <= dscp < 64 else service_class(dscp)
-        queue = self.queues[cls]
+        backlog = self._backlogs[cls]
+        n = len(backlog)
         if cls == CLASS_EF:
-            verdict = queue.enqueue(pkt)
+            accept = n < self.ef_capacity
         else:
-            verdict = queue.red_enqueue(pkt, rng)
-        if verdict == DROP:
-            self.drops_by_class[cls] += 1
-        return verdict
+            p = self.red_params
+            avg = self._red_avg[cls] = (1.0 - p.w_q) * self._red_avg[cls] + p.w_q * n
+            if avg >= p.max_th or n >= p.capacity:
+                accept = False
+            elif avg >= p.min_th:
+                p_b = p.max_p * (avg - p.min_th) / (p.max_th - p.min_th)
+                denom = 1.0 - self._since_drop[cls] * p_b
+                accept = not rng.uniform() < (1.0 if denom <= 0 else p_b / denom)
+            else:
+                accept = True
+            self._since_drop[cls] = self._since_drop[cls] + 1 if accept else 0
+        if accept:
+            backlog.append(pkt)
+            return ACCEPT
+        self.drops_by_class[cls] += 1
+        return DROP
 
     def dequeue(self) -> Optional[Packet]:
         for backlog in self._backlogs:

@@ -22,6 +22,10 @@ class PastEvent(Exception):
     """An event was scheduled behind the engine clock."""
 
 
+class Livelock(Exception):
+    """Events kept firing at one instant, past the engine's budget."""
+
+
 # Event payload kinds.
 PACKET_ARRIVAL = "packet_arrival"
 TIMER_EXPIRY = "timer_expiry"
@@ -51,6 +55,12 @@ Entry = tuple[SimTime, int, str, str, object]
 # make each write one large call, small enough that a traced run's memory
 # stays flat.
 TRACE_BLOCK_LINES = 4096
+
+# Consecutive full blocks of events at one instant after which `run_until`
+# raises `Livelock`.  No pinned run holds more than five events at one
+# microsecond (the boot events at 0), so 32,768 is far past any run that
+# moves on.
+LIVELOCK_BLOCKS = 8
 
 
 class TraceWriter:
@@ -145,7 +155,8 @@ class Engine:
         """Process every event with fire_at <= end; returns the count processed.
 
         Afterwards the clock sits at the last processed fire_at, or at `end`
-        when nothing fired.
+        when nothing fired.  Raises `Livelock` once LIVELOCK_BLOCKS full
+        blocks in a row have all run at one instant.
         """
         heap, handlers, sink = self._heap, self._handlers, self.trace
         # Read once per call, so that a test that swaps the module's
@@ -154,10 +165,15 @@ class Engine:
         block: list[str] = []
         append = block.append
         processed = 0
+        stuck = 0
         try:
             # Events run in blocks of TRACE_BLOCK_LINES, so the full block
-            # goes to the sink without a length test per event.
+            # goes to the sink without a length test per event, and the clock
+            # is tested for a livelock once per block.
             while heap and heap[0][0] <= end:
+                start = heap[0][0]
+                if start != self.now:
+                    stuck = 0
                 for _ in range(TRACE_BLOCK_LINES):
                     if not heap or heap[0][0] > end:
                         break
@@ -170,6 +186,13 @@ class Engine:
                     handler = handlers.get(target)
                     if handler is not None:
                         handler(entry)
+                else:
+                    # A full block: count it if it never left the instant
+                    # of the blocks counted before it.
+                    stuck = stuck + 1 if fire_at == start else 0
+                    if stuck >= LIVELOCK_BLOCKS:
+                        raise Livelock(f"{stuck * TRACE_BLOCK_LINES} events in a row at "
+                                       f"{fire_at} us; the last was {kind} for {target}")
                 if block:
                     sink.extend(block)
                     block.clear()

@@ -173,6 +173,8 @@ _DMR_TABLE = {
         (_D.REACTIVE_ATTACH, (_RS,))),
     (_D.REACTIVE_ATTACH, EV_RA): (_D.SENT_FNA, (Do("send_fna_with_fbu"),)),
     (_D.REACTIVE_ATTACH, EV_FBACK): (_D.REACTIVE_ATTACH, ()),
+    # An FBU timer armed before the link went down: the FBU now rides the FNA.
+    (_D.REACTIVE_ATTACH, EV_FBU_TIMER): (_D.REACTIVE_ATTACH, ()),
     (_D.SENT_FNA, EV_FBACK): (_D.SENT_FNA, (StartTimer("lbu_gap"),)),
     (_D.SENT_FNA, EV_FBU_RETX_TIMER): (_D.SENT_FNA, (Do("send_fna_with_fbu"),)),
     (_D.SENT_FNA, EV_NAACK): (_D.SENT_FNA, (Do("adopt_alternative"), Do("send_fna_with_fbu"))),

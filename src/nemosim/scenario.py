@@ -10,10 +10,10 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
-from .diffserv import AF11, AF21, EF, RedParams, SlaRule
+from .diffserv import AF11, AF21, RedParams, SlaRule
 from .engine import MS, SEC, SimTime
 from .network import Link, MobilityTrack, WirelessCell
-from .packets import DATA, SIGNAL, Address, Prefix, SignalKind
+from .packets import Address, Prefix, SignalKind
 
 PROTO_NEMO_BS = "nemo-bs"
 PROTO_DIFF_NEMO = "diff-nemo"
@@ -401,10 +401,9 @@ def build_track(config: ScenarioConfig) -> MobilityTrack:
 
 def default_sla_rules(topology: Topology) -> list[SlaRule]:
     return [
-        SlaRule(dscp=EF, kind=SIGNAL),
-        SlaRule(dscp=AF11, kind=DATA, src=topology.addresses["cn"],
+        SlaRule(dscp=AF11, src=topology.addresses["cn"],
                 meter_rate_bps=128_000, meter_depth_bytes=2000),
-        SlaRule(dscp=AF21, kind=DATA, dst=topology.addresses["cn"],
+        SlaRule(dscp=AF21, dst=topology.addresses["cn"],
                 meter_rate_bps=128_000, meter_depth_bytes=2000),
     ]
 

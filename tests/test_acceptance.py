@@ -11,8 +11,7 @@ import time
 import pytest
 
 from nemosim.diffserv import (ACCEPT, DROP, EF, IN_PROFILE, OUT_OF_PROFILE,
-                              PriorityScheduler, RedParams, RedQueue,
-                              TokenBucket)
+                              PriorityScheduler, RedParams, TokenBucket)
 from nemosim.engine import MS, SEC, RngStream
 from nemosim.experiment import run_scenario, sweep
 from nemosim.metrics import CSV_HEADER
@@ -277,11 +276,12 @@ def test_criterion_8_diffserv_oracles():
     params = RedParams(min_th=3, max_th=9, max_p=0.15, w_q=0.1, capacity=30)
     stream = RngStream(31)
     draws = [stream.uniform() for _ in range(10_000)]
-    queue = RedQueue(params)
+    # Codepoint-0 packets: the best-effort class, which runs RED.
+    queue = PriorityScheduler(params)
     live = RngStream(31)
     red_ok, avg, count, backlog, draw_i = True, 0.0, 0, 0, 0
     for _ in range(2000):
-        verdict = queue.red_enqueue(
+        verdict = queue.enqueue(
             Packet(src=Address(0, 0, 0), dst=Address(1, 1, 2), size_bytes=100,
                    kind=DATA), live)
         avg = (1 - params.w_q) * avg + params.w_q * backlog

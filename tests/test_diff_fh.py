@@ -306,6 +306,18 @@ def test_reattachment_during_first_address_check_starts_discovery_afresh():
     assert sim.nodes["dmr"].lcoa == Prefix(2, 2).address(100)
 
 
+def test_fast_binding_update_timer_after_link_down_is_ignored():
+    # At a 40 ms lead the link goes down before the FBU timer armed by PrRtAdv
+    # fires.  The FBU then rides the FNA, so the timer has nothing to do; it
+    # used to count 9 unexpected signals in this run.
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", lead_us=40 * MS, dmr_speed_kmh=60,
+                         sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert sim.metrics.unexpected_signals == 0
+    assert report.delivered == 489
+
+
 def test_zero_loss_predictive_micro_handover_no_duplicates():
     cfg = ScenarioConfig(protocol="diff-fh-nemo",
                          waypoints=[(60.0, 0.0), (220.0, 0.0)])

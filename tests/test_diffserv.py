@@ -5,13 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nemosim.diffserv import (ACCEPT, AF11, AF21, BE, DROP, EF, IN_PROFILE,
-                              OUT_OF_PROFILE, FifoQueue, PriorityScheduler,
-                              RedParams, RedQueue, SlaRule, SlaTable,
-                              TokenBucket, af, remark_out_of_profile,
-                              service_class)
+                              OUT_OF_PROFILE, PriorityScheduler, RedParams,
+                              SlaRule, SlaTable, TokenBucket, af,
+                              remark_out_of_profile, service_class)
 from nemosim.engine import RngStream
-from nemosim.packets import DATA, SIGNAL, Address, Packet, SignalKind, make_signal
-from nemosim.scenario import ScenarioConfig, default_sla_rules, default_topology
+from nemosim.packets import DATA, Address, Packet, SignalKind, make_signal
+from nemosim.scenario import (PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
+                              ScenarioConfig, default_sla_rules, default_topology)
+from nemosim.simulation import Simulation
 
 CN = Address(0, 0, 0)
 MNN = Address(1, 1, 2)
@@ -50,10 +51,20 @@ def sla():
     return SlaTable(default_sla_rules(topo))
 
 
-def test_signal_marked_expedited():
+def test_codepoint_of_signals_set_when_built_and_of_data_by_sla():
+    """A signal is marked once, by `Simulation.make_signal`: expedited where
+    the scheme runs DiffServ, best effort under basic support.  The SLA table
+    marks data: the correspondent's flow AF11, upstream data AF21."""
+    for protocol, signal_dscp in ((PROTO_DIFF_NEMO, EF), (PROTO_DIFF_FH, EF),
+                                  (PROTO_NEMO_BS, BE)):
+        sim = Simulation(ScenarioConfig(protocol=protocol))
+        assert sim.make_signal(SignalKind.FBU, MNN, CN).dscp == signal_dscp
+    addresses = default_topology(ScenarioConfig()).addresses
+    cbr = data(src=addresses["cn"], dst=addresses["mnn"])
+    upstream = data(src=addresses["mnn"], dst=addresses["cn"])
     table = sla()
-    fbu = make_signal(SignalKind.FBU, MNN, CN, t=0)
-    assert table.classify_and_mark(fbu, 0).dscp == EF
+    assert table.classify_and_mark(cbr, 0).dscp == AF11
+    assert table.classify_and_mark(upstream, 0).dscp == AF21
 
 
 def test_flow_rule_marks_assured():
@@ -68,7 +79,7 @@ def test_unmatched_flow_defaults_to_best_effort():
 
 
 def test_out_of_profile_remarked_not_dropped():
-    rules = [SlaRule(dscp=AF11, kind=DATA, meter_rate_bps=8_000, meter_depth_bytes=1000)]
+    rules = [SlaRule(dscp=AF11, meter_rate_bps=8_000, meter_depth_bytes=1000)]
     table = SlaTable(rules)
     first = table.classify_and_mark(data(1000), 0)
     burst = table.classify_and_mark(data(1000), 0)
@@ -140,19 +151,20 @@ def test_tokens_never_negative_never_above_depth(deltas):
 
 
 # -- random early detection --------------------------------------------------------
+# `data()` packets carry codepoint 0, so they exercise the best-effort class.
 
 def test_red_below_threshold_accepts():
-    q = RedQueue(RedParams(min_th=5, max_th=15))
-    assert q.red_enqueue(data(), RngStream(1)) == ACCEPT
+    q = PriorityScheduler(RedParams(min_th=5, max_th=15))
+    assert q.enqueue(data(), RngStream(1)) == ACCEPT
 
 
 def test_red_above_max_drops():
-    q = RedQueue(RedParams(min_th=1, max_th=3, w_q=1.0, capacity=50))
+    q = PriorityScheduler(RedParams(min_th=1, max_th=3, w_q=1.0, capacity=50))
     rng = RngStream(1)
     for _ in range(6):
-        q.red_enqueue(data(), rng)
+        q.enqueue(data(), rng)
     # With w_q=1 the average tracks the backlog, now past max_th.
-    assert q.red_enqueue(data(), rng) == DROP
+    assert q.enqueue(data(), rng) == DROP
 
 
 def test_red_midpoint_probability():
@@ -195,9 +207,9 @@ def test_red_matches_formulaic_oracle_with_shared_stream():
     params = RedParams(min_th=2, max_th=8, max_p=0.2, w_q=0.2, capacity=20)
     draw_stream = RngStream(99)
     draws = [draw_stream.uniform() for _ in range(4000)]
-    q = RedQueue(params)
+    q = PriorityScheduler(params)
     rng = RngStream(99)
-    got = [q.red_enqueue(data(), rng) for _ in range(200)]
+    got = [q.enqueue(data(), rng) for _ in range(200)]
     assert got == red_oracle(params, range(200), draws)
 
 
@@ -205,9 +217,9 @@ def test_red_deterministic_for_fixed_stream():
     params = RedParams(min_th=2, max_th=8, max_p=0.2, w_q=0.2)
 
     def run():
-        q = RedQueue(params)
+        q = PriorityScheduler(params)
         rng = RngStream(7)
-        return [q.red_enqueue(data(), rng) for _ in range(100)]
+        return [q.enqueue(data(), rng) for _ in range(100)]
 
     assert run() == run()
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nemosim.engine import (MS, SEC, TRACE_BLOCK_LINES, Engine, PastEvent, RngStream,
-                            SimEvent, TraceWriter)
+from nemosim.engine import (LIVELOCK_BLOCKS, MS, SEC, TRACE_BLOCK_LINES, Engine, Livelock,
+                            PastEvent, RngStream, SimEvent, TraceWriter)
 
 
 def collect(engine):
@@ -160,6 +160,28 @@ def test_trace_writer_holds_at_most_one_block():
     assert eng.run_until(count) == count
     assert len(writer) == count
     assert fh.getvalue() == "\n".join(lines) + "\n"
+
+
+def test_handler_that_reschedules_itself_at_once_raises_livelock():
+    trace = []
+    eng = Engine(trace=trace)
+    eng.register("n", lambda ev: eng.schedule_in(0, "n", "timer_expiry", ("spin",)))
+    eng.schedule_in(5, "n", "timer_expiry", ("spin",))
+    with pytest.raises(Livelock, match=r"at 5 us; the last was timer_expiry for n"):
+        eng.run_until(SEC)
+    # The trace ends with the last event processed.
+    assert len(trace) == LIVELOCK_BLOCKS * TRACE_BLOCK_LINES
+    assert trace[-1] == "5\tn\ttimer_expiry\t('spin',)"
+    assert eng.now == 5
+
+
+def test_full_blocks_at_successive_instants_are_no_livelock():
+    eng = Engine()
+    eng.register("n", lambda ev: None)
+    count = (LIVELOCK_BLOCKS + 1) * TRACE_BLOCK_LINES
+    for i in range(count):
+        eng.schedule_in(i // TRACE_BLOCK_LINES, "n", "timer_expiry")
+    assert eng.run_until(SEC) == count
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 7),
