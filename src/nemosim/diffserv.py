@@ -170,6 +170,9 @@ class PriorityScheduler:
         self.drops_by_class[cls] += 1
         return DROP
 
+    def backlogged(self) -> bool:
+        return any(self._backlogs)
+
     def dequeue(self) -> Optional[Packet]:
         for backlog in self._backlogs:
             if backlog:

@@ -116,15 +116,26 @@ class Engine:
     2.37 s to about 2.15 s (`BENCH_17.json`).
 
     The traced event stream is the one the golden outputs pin.  An untraced
-    run processes the same events with the same results, less the ones only
-    a trace would record: a background packet's arrival at the station that
-    discards it is never scheduled (`LinkQueue.bg_station`).
+    run gives the same results with fewer events.  A background packet's
+    arrival at the station that discards it is never scheduled
+    (`LinkQueue.bg_station`).  A link keeps time with a clock, so a transmit
+    completion is an event only when a packet waits behind the one on the
+    wire, and it pops under the insertion number that the transmission
+    reserved when it started (`reserve_seq`, `schedule_reserved`); `now_seq`
+    is the number of the running event, by which a link tells whether its
+    transmission has ended at `now`.  An arrival, though, takes its number
+    when serialization starts, so it can pop before an event at the same
+    microsecond that the traced run would process first.
     """
 
     def __init__(self, seed: int = 0, trace: Optional[list[str] | TraceWriter] = None):
         self.now: SimTime = 0
         self.rng = RngStream(seed)
         self.trace = trace
+        # The insertion number of the running event; after `run_until`
+        # returns, one past every number handed out, as every event at `now`
+        # has run.
+        self.now_seq = -1
         self._heap: list[Entry] = []
         self._seq = 0
         self._handlers: dict[str, Callable[[Entry], None]] = {}
@@ -147,6 +158,22 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         heappush(self._heap, (self.now + delay, seq, target, kind, payload))
+
+    def reserve_seq(self) -> int:
+        """An insertion number, taken now, for an event that may be scheduled
+        later with `schedule_reserved`."""
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def schedule_reserved(self, fire_at: SimTime, seq: int, target: str, kind: str,
+                          payload: object = None) -> None:
+        """Schedule an event under a number from `reserve_seq`, so that it
+        pops where it would have had it been scheduled when the number was
+        taken."""
+        if fire_at < self.now:
+            raise PastEvent(f"fire_at {fire_at} < clock {self.now}")
+        heappush(self._heap, (fire_at, seq, target, kind, payload))
 
     def pending(self) -> int:
         return len(self._heap)
@@ -178,8 +205,9 @@ class Engine:
                     if not heap or heap[0][0] > end:
                         break
                     entry = heappop(heap)
-                    fire_at, _, target, kind, payload = entry
+                    fire_at, seq, target, kind, payload = entry
                     self.now = fire_at
+                    self.now_seq = seq
                     processed += 1
                     if sink is not None:
                         append(f"{fire_at}\t{target}\t{kind}\t{detail(payload)}")
@@ -200,6 +228,7 @@ class Engine:
             if block:
                 sink.extend(block)
         self.now = end if processed == 0 else min(end, self.now)
+        self.now_seq = self._seq
         return processed
 
     def clear(self) -> None:

@@ -178,6 +178,22 @@ class LinkQueue:
     classes, drop-tail on expedited); the transmitter serializes one packet at
     a time and delivers it to the far end after the propagation delay.
 
+    A traced run (the engine has a trace sink) drives the transmitter by
+    events: each packet's transmit completion is an event that schedules its
+    arrival and starts the next packet.  An untraced run keeps time with a
+    clock: a send to a free link schedules the arrival at once and sets
+    `free_at`, the instant serialization ends.  The completion that the
+    traced run would process takes an insertion number reserved when the
+    transmission starts (`_free_seq`), so the link is free once the running
+    event is past `(free_at, _free_seq)`.  A completion event, a wake-up with
+    no payload, is scheduled under that number only when a packet waits
+    behind the one on the wire: at the first send during the transmission,
+    or at its start if a packet waits already, when the number is taken by
+    scheduling it.  Both give the same departures and arrivals,
+    except that an arrival takes its insertion number when serialization
+    starts rather than when it ends, so it can pop before an event scheduled
+    in between for the same microsecond.
+
     A background source that sends into this queue sets `bg_station` to the
     far-end station it addresses.  That station discards such packets on
     arrival, so the arrival changes nothing but the trace: it is scheduled
@@ -194,22 +210,46 @@ class LinkQueue:
         self.scheduler = diffserv.PriorityScheduler(red_params)
         self.on_drop = on_drop
         self.busy = False
+        self.free_at: SimTime = -1
+        self._free_seq = -1
+        # A wake-up is on the heap for the transmission that ends at free_at.
+        self._waking = False
         self.bg_station: Optional[Address] = None
         self.prop_delay_us = link.prop_delay_us
-        # serialization_us per packet size; a run sends only a few sizes.
-        self._ser_us: dict[int, SimTime] = {}
+        self._ser_us = _SerializationTable(link.bandwidth_bps)
         self._timer_target = f"{src}->{dst}"
         # One label for every drop here, so a run's drop records share it.
         self._drop_where = f"queue:{self._timer_target}"
         engine.register(self._timer_target, self._on_tx_done)
 
     def send(self, pkt: Packet) -> None:
-        verdict = self.scheduler.enqueue(pkt, self.engine.rng)
-        if verdict == diffserv.DROP:
+        engine = self.engine
+        if self.scheduler.enqueue(pkt, engine.rng) == diffserv.DROP:
             self.on_drop(pkt, self._drop_where)
             return
-        if not self.busy:
-            self._start_next()
+        if engine.trace is not None:
+            if not self.busy:
+                self._start_next()
+            return
+        if self._waking:
+            return
+        now = engine.now
+        if now > self.free_at or (now == self.free_at and engine.now_seq > self._free_seq):
+            self._free_seq = engine.reserve_seq()
+            self._transmit(self.scheduler.dequeue())
+        else:
+            self._waking = True
+            engine.schedule_reserved(self.free_at, self._free_seq, self._timer_target,
+                                     TIMER_EXPIRY)
+
+    def _transmit(self, pkt: Packet) -> SimTime:
+        """Put `pkt` on the free link of an untraced run and schedule its
+        arrival; returns its serialization time."""
+        ser = self._ser_us[pkt.size_bytes]
+        self.free_at = self.engine.now + ser
+        if pkt.dst is not self.bg_station or pkt.flow != FLOW_BG:
+            self.engine.schedule_in(ser + self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
+        return ser
 
     def _start_next(self) -> None:
         pkt = self.scheduler.dequeue()
@@ -217,15 +257,35 @@ class LinkQueue:
             self.busy = False
             return
         self.busy = True
-        size = pkt.size_bytes
-        ser = self._ser_us.get(size)
-        if ser is None:
-            ser = self._ser_us[size] = serialization_us(size, self.link.bandwidth_bps)
-        self.engine.schedule_in(ser, self._timer_target, TIMER_EXPIRY, pkt)
+        self.engine.schedule_in(self._ser_us[pkt.size_bytes], self._timer_target,
+                                TIMER_EXPIRY, pkt)
 
     def _on_tx_done(self, event: Entry) -> None:
         pkt = event[4]
-        if (pkt.dst is not self.bg_station or pkt.flow != FLOW_BG
-                or self.engine.trace is not None):
-            self.engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
+        if pkt is None:
+            # An untraced run's wake-up: the packet that finished already
+            # has its arrival scheduled, and one waits behind it.  While a
+            # wake-up is pending the link is busy, so only the last
+            # transmission of a busy spell needs its number reserved.
+            ser = self._transmit(self.scheduler.dequeue())
+            if self.scheduler.backlogged():
+                self.engine.schedule_in(ser, self._timer_target, TIMER_EXPIRY)
+            else:
+                self._waking = False
+                self._free_seq = self.engine.reserve_seq()
+            return
+        self.engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
         self._start_next()
+
+
+class _SerializationTable(dict):
+    """`serialization_us` per packet size on one link, each computed at its
+    first use; a run sends only a few sizes."""
+
+    def __init__(self, bandwidth_bps: int):
+        super().__init__()
+        self.bandwidth_bps = bandwidth_bps
+
+    def __missing__(self, size: int) -> SimTime:
+        ser = self[size] = serialization_us(size, self.bandwidth_bps)
+        return ser

@@ -468,3 +468,17 @@ def test_reactive_router_recovers_from_a_lost_announcement():
     report = sim.run()
     assert sim.metrics.unexpected_signals == 0
     assert report.delivered >= 0.9 * report.sent
+
+
+# At a 90 ms lead the router's FNA reaches the new access router while that
+# router's check of the new care-of address still runs (`DadRunning`), and
+# its machine counts the FNA as unexpected: 9 such signals at 60 km/h, with
+# 486 of 500 delivered.  See the FOUND: line on the FNA in `DadRunning` in
+# CHANGES.md; fixing it must flip this test.
+@pytest.mark.xfail(strict=True, reason="the new access router gets an FNA in DadRunning")
+def test_new_access_router_expects_an_fna_during_its_address_check():
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", seed=1, dmr_speed_kmh=60, lead_us=90 * MS,
+                         sim_end_us=60_000_000, cbr=CbrConfig(stop_us=60_000_000))
+    sim = Simulation(cfg)
+    sim.run()
+    assert sim.metrics.unexpected_signals == 0

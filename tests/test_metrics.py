@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 
 from census import cbr_held
-from nemosim.engine import MS, SEC
+from nemosim.engine import MS, PACKET_ARRIVAL, SEC
 from nemosim.experiment import generate_cbr
-from nemosim.metrics import (MACRO, MICRO, Delivery, MetricsCollector,
+from nemosim.metrics import (FLOW_CBR, MACRO, MICRO, Delivery, MetricsCollector,
                              compute_handover_latency, compute_loss)
 from nemosim.packets import DATA, Address, Packet
 from nemosim.scenario import PROTO_DIFF_FH, PROTOCOLS, CbrConfig, ScenarioConfig
@@ -106,6 +106,35 @@ def test_cbr_census_accounts_for_every_packet_sent(protocol, background_load_bps
         sim.engine.run_until(t)
         assert cbr_held(sim) == m.sent - m.delivered - len(m.drops), f"at {t} us"
     assert m.sent == 501 and cbr_held(sim) > 0
+
+
+def cbr_on_a_loaded_wire(sim) -> bool:
+    """An untraced run's link serializes a CBR packet, whose arrival is
+    scheduled, with a wake-up pending for a packet queued behind it."""
+    arrivals = {(at, target): pkt for at, _, target, kind, pkt in sim.engine._heap
+                if kind == PACKET_ARRIVAL}
+    return any(q._waking and arrivals.get((q.free_at + q.prop_delay_us, q.dst)) is not None
+               and arrivals[(q.free_at + q.prop_delay_us, q.dst)].innermost().flow == FLOW_CBR
+               for q in sim.linkqueues.values())
+
+
+def test_cbr_census_holds_when_a_run_ends_mid_serialization():
+    """The wake-up behind a packet on the wire carries no packet, so the
+    census counts that packet once, by its arrival; a traced run's
+    completion carries it instead, and has no arrival yet."""
+    cfg = ScenarioConfig(protocol=PROTO_DIFF_FH, dmr_speed_kmh=60,
+                         background_load_bps=1_200_000)
+    probe = Simulation(cfg)
+    end = cfg.cbr.start_us
+    while not cbr_on_a_loaded_wire(probe):
+        end += MS
+        probe.engine.run_until(end)
+    cfg.sim_end_us = cfg.cbr.stop_us = end
+    for trace in (None, []):
+        sim = Simulation(cfg, trace=trace)
+        report = sim.run()
+        assert trace is not None or cbr_on_a_loaded_wire(sim)
+        assert cbr_held(sim) == report.sent - report.delivered - report.dropped > 0
 
 
 def sixty_second_run(protocol, background_load_bps=0):

@@ -1,16 +1,16 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nemosim.engine import MS, SEC, Engine, SimEvent
+from nemosim.engine import MS, SEC, TIMER_EXPIRY, Engine, SimEvent
 from nemosim.network import (Link, LinkQueue, MobilityTrack, WirelessCell,
                              build_l2_plan, cell_crossings, position_at,
                              serialization_us, strongest_bs, transmit)
 from nemosim.metrics import FLOW_BG
 from nemosim.packets import DATA, SIGNAL, Address, Packet
-from nemosim.diffserv import RedParams
+from nemosim.diffserv import AF11, BE, EF, RedParams, service_class
 from nemosim.scenario import ScenarioConfig, build_track, default_topology
 from nemosim.simulation import Simulation
 
@@ -143,7 +143,10 @@ def test_background_packet_to_station_arrives_only_when_traced(trace, arrivals):
     arrived = []
     eng.register("bs1", lambda ev: arrived.append(ev[4]))
     queue.send(Packet(Address(2, 1, 1), station, 2000, DATA, 0, FLOW_BG))
-    assert eng.run_until(SEC) == 1 + arrivals
+    # Traced, the packet's transmit completion and its arrival are events.
+    # Untraced, the idle link keeps time with its clock, so there is no
+    # completion, and the station's discard needs no arrival.
+    assert eng.run_until(SEC) == 2 * arrivals
     assert len(arrived) == arrivals
     # Any other packet to the station, here a signal, still arrives.
     signal = Packet(Address(2, 1, 1), station, 64, SIGNAL)
@@ -160,30 +163,108 @@ def test_position_stays_on_track_segment_ends(speed, t):
     assert 29.0 <= x <= 385.0 and y == 0.0
 
 
+def run_train(bandwidth_bps, train, trace, send_at, chained):
+    """Send `train`, a list of (size, dscp, gap, at_end, ahead), through one
+    link; returns the arrivals as (seq, instant) in order, and the instant
+    of each send.
+
+    Send k is an event at `send_at[k]` when that is given.  Otherwise it
+    comes `gap` after send k-1 or, for `at_end`, at the instant the packet
+    then on the wire finishes serializing (the untraced queue's `free_at`).
+    An event pops after the completion of a transmission that started
+    before the event was scheduled, and before that of one started after.
+    Unless `chained`, every send is scheduled before the run.  Chained, each
+    send is made by the event of the one before it: in that same event when
+    it is due at once, else scheduled there, after that send or, for
+    `ahead`, before it."""
+    eng = Engine(trace=trace)
+    link = Link("a", "b", bandwidth_bps, 2 * MS)
+    queue = LinkQueue(eng, link, "a", "b", RedParams(), lambda p, w: dropped.append(p))
+    dropped, arrivals, sent = [], [], []
+    eng.register("b", lambda ev: arrivals.append((ev[4].seq, eng.now)))
+
+    def due(seq):
+        if send_at is not None:
+            return send_at[seq]
+        _, _, gap, at_end, _ = train[seq]
+        return queue.free_at if at_end and queue.free_at > eng.now else eng.now + gap
+
+    def on_send(event):
+        seq = event[4]
+        while True:
+            size, dscp, _, _, ahead = train[seq]
+            nxt = seq + 1 if chained and seq + 1 < len(train) else None
+            if nxt is not None and ahead:
+                eng.schedule_in(due(nxt) - eng.now, "src", TIMER_EXPIRY, nxt)
+            sent.append(eng.now)
+            queue.send(Packet(Address(0, 0, 0), Address(0, 0, 1), size, DATA, seq, dscp=dscp))
+            if nxt is None or ahead:
+                return
+            at = due(nxt)
+            if at > eng.now:
+                eng.schedule_in(at - eng.now, "src", TIMER_EXPIRY, nxt)
+                return
+            seq = nxt
+
+    eng.register("src", on_send)
+    for seq in range(1 if chained else len(train)):
+        eng.schedule(SimEvent(send_at[seq] if send_at else train[0][2], "src",
+                              TIMER_EXPIRY, seq))
+    eng.run_until(10 * SEC)
+    assert not dropped
+    return arrivals, sent
+
+
+def check_service(link, train, arrivals, sent):
+    """Each arrival is `transmit`'s, for a transmitter that is never idle
+    while a packet waits and takes the waiting packets in strict priority,
+    first come first served within a class."""
+    assert sorted(seq for seq, _ in arrivals) == list(range(len(train)))
+    rank = {seq: (service_class(train[seq][1]), seq) for seq in range(len(train))}
+    served, free_at = set(), -1
+    for seq, arrive in arrivals:
+        size = train[seq][0]
+        depart = max(sent[seq], free_at)
+        assert arrive == transmit(link, Packet(Address(0, 0, 0), Address(0, 0, 1), size),
+                                  depart)
+        # A packet sent earlier and still waiting: the link was busy until
+        # now, and this one outranks it.
+        for other, at in enumerate(sent):
+            if other not in served and other != seq and at < depart:
+                assert depart == free_at and rank[seq] < rank[other]
+        served.add(seq)
+        free_at = depart + serialization_us(size, link.bandwidth_bps)
+
+
 @given(st.sampled_from([1_000_000, 2_000_000, 10_000_000, 100_000_000]),
        st.lists(st.tuples(st.one_of(st.sampled_from([64, 104, 1000, 1040, 2000]),
                                     st.integers(min_value=1, max_value=3000)),
-                          st.integers(min_value=0, max_value=30 * MS)),
+                          st.sampled_from([EF, AF11, BE]),
+                          st.one_of(st.just(0), st.integers(min_value=0, max_value=30 * MS)),
+                          st.booleans(), st.booleans()),
                 min_size=1, max_size=12))
-def test_linkqueue_arrivals_match_transmit(bandwidth_bps, sends):
-    """Mixed sizes, some queued behind others: each packet leaves when the
-    one before it has serialized, and arrives when `transmit` says."""
-    eng = Engine()
+# A best-effort packet sent at the instant the one before it finishes, after
+# the completion, takes the free link; an expedited one sent in the same
+# event waits behind it.
+@example(1_000_000, [(1000, BE, 0, False, False), (1000, BE, 0, True, False),
+                     (1000, EF, 0, False, False)])
+def test_linkqueue_arrivals_match_transmit(bandwidth_bps, train):
+    """Mixed sizes and codepoints, some queued behind others, some sent
+    together and some at the very instant a transmission ends.  A traced
+    run's transmitter is driven by completion events and an untraced one's
+    by its clock: both give the same arrivals, in the same order, and each
+    is `transmit`'s."""
     link = Link("a", "b", bandwidth_bps, 2 * MS)
-    queue = LinkQueue(eng, link, "a", "b", RedParams(capacity=50), lambda p, w: None)
-    arrivals = {}
-    eng.register("b", lambda ev: arrivals.setdefault(ev[4].seq, eng.now))
-    expected, free_at = {}, 0
-    for seq, (size, gap) in enumerate(sends):
-        eng.run_until(eng.now + gap)
-        pkt = Packet(src=Address(0, 0, 0), dst=Address(0, 0, 1), size_bytes=size,
-                     kind=DATA, seq=seq)
-        arrive = transmit(link, pkt, depart=max(eng.now, free_at))
-        free_at = arrive - link.prop_delay_us
-        expected[seq] = arrive
-        queue.send(pkt)
-    eng.run_until(10 * SEC)
-    assert arrivals == expected
+    # The untraced run places the at_end sends on its clock; every other
+    # run replays those instants.
+    arrivals, send_at = run_train(bandwidth_bps, train, None, None, chained=True)
+    for chained in (True, False):
+        runs = [run_train(bandwidth_bps, train, trace, send_at, chained)
+                for trace in (None, [])]
+        assert runs[0] == runs[1]
+        if chained:
+            assert runs[0] == (arrivals, send_at)
+        check_service(link, train, *runs[0])
 
 
 def prefix_scan_owner(topo, dst):
