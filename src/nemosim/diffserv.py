@@ -145,7 +145,11 @@ class PriorityScheduler:
         self._since_drop = [0] * NUM_CLASSES
         self.drops_by_class = [0] * NUM_CLASSES
 
-    def enqueue(self, pkt: Packet, rng: RngStream) -> str:
+    def admit(self, pkt: Packet, rng: RngStream) -> Optional[deque]:
+        """The arrival's verdict: its class backlog when admitted, else None
+        (the drop is counted).  The packet is not held; `enqueue` appends it,
+        and a link that is free puts it on the wire instead, which is the
+        same as appending to an empty scheduler and dequeuing at once."""
         dscp = pkt.dscp
         cls = _CLASS_OF_DSCP[dscp] if 0 <= dscp < 64 else service_class(dscp)
         backlog = self._backlogs[cls]
@@ -165,10 +169,16 @@ class PriorityScheduler:
                 accept = True
             self._since_drop[cls] = self._since_drop[cls] + 1 if accept else 0
         if accept:
-            backlog.append(pkt)
-            return ACCEPT
+            return backlog
         self.drops_by_class[cls] += 1
-        return DROP
+        return None
+
+    def enqueue(self, pkt: Packet, rng: RngStream) -> str:
+        backlog = self.admit(pkt, rng)
+        if backlog is None:
+            return DROP
+        backlog.append(pkt)
+        return ACCEPT
 
     def backlogged(self) -> bool:
         return any(self._backlogs)

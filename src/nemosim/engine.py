@@ -125,7 +125,10 @@ class Engine:
     is the number of the running event, by which a link tells whether its
     transmission has ended at `now`.  An arrival, though, takes its number
     when serialization starts, so it can pop before an event at the same
-    microsecond that the traced run would process first.
+    microsecond that the traced run would process first.  When `run_until`
+    returns, the clock sits at its `end`, not at the last event it ran,
+    so a run stepped from outside stands at the same instant traced and
+    untraced.
     """
 
     def __init__(self, seed: int = 0, trace: Optional[list[str] | TraceWriter] = None):
@@ -181,9 +184,11 @@ class Engine:
     def run_until(self, end: SimTime) -> int:
         """Process every event with fire_at <= end; returns the count processed.
 
-        Afterwards the clock sits at the last processed fire_at, or at `end`
-        when nothing fired.  Raises `Livelock` once LIVELOCK_BLOCKS full
-        blocks in a row have all run at one instant.
+        Afterwards the clock sits at `end` (or stays where it was, if that
+        is later), whether or not an event fired, so a run stepped from
+        outside acts at the same instant traced and untraced.  Raises
+        `Livelock` once LIVELOCK_BLOCKS full blocks in a row have all run at
+        one instant.
         """
         heap, handlers, sink = self._heap, self._handlers, self.trace
         # Read once per call, so that a test that swaps the module's
@@ -227,7 +232,8 @@ class Engine:
         finally:
             if block:
                 sink.extend(block)
-        self.now = end if processed == 0 else min(end, self.now)
+        if end > self.now:
+            self.now = end
         self.now_seq = self._seq
         return processed
 

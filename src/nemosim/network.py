@@ -182,17 +182,22 @@ class LinkQueue:
     events: each packet's transmit completion is an event that schedules its
     arrival and starts the next packet.  An untraced run keeps time with a
     clock: a send to a free link schedules the arrival at once and sets
-    `free_at`, the instant serialization ends.  The completion that the
-    traced run would process takes an insertion number reserved when the
-    transmission starts (`_free_seq`), so the link is free once the running
-    event is past `(free_at, _free_seq)`.  A completion event, a wake-up with
-    no payload, is scheduled under that number only when a packet waits
-    behind the one on the wire: at the first send during the transmission,
-    or at its start if a packet waits already, when the number is taken by
-    scheduling it.  Both give the same departures and arrivals,
-    except that an arrival takes its insertion number when serialization
-    starts rather than when it ends, so it can pop before an event scheduled
-    in between for the same microsecond.
+    `free_at`, the instant serialization ends.  Such a send finds the
+    scheduler empty, since a wake-up is pending whenever a packet waits, so
+    it cuts through: the packet takes the scheduler's admission decision
+    (`PriorityScheduler.admit`, RED's or drop-tail's, the one `enqueue`
+    uses) and goes to the wire without being queued and dequeued.  A send
+    to a busy link takes the same decision and joins its class backlog.
+    The completion that the traced run would process takes an insertion
+    number reserved when the transmission starts (`_free_seq`), so the link
+    is free once the running event is past `(free_at, _free_seq)`.  A
+    completion event, a wake-up with no payload, is scheduled under that
+    number only when a packet waits behind the one on the wire: at the first
+    send during the transmission, or at its start if a packet waits already,
+    when the number is taken by scheduling it.  Both give the same
+    departures and arrivals, except that an arrival takes its insertion
+    number when serialization starts rather than when it ends, so it can pop
+    before an event scheduled in between for the same microsecond.
 
     A background source that sends into this queue sets `bg_station` to the
     far-end station it addresses.  That station discards such packets on
@@ -224,20 +229,30 @@ class LinkQueue:
 
     def send(self, pkt: Packet) -> None:
         engine = self.engine
-        if self.scheduler.enqueue(pkt, engine.rng) == diffserv.DROP:
-            self.on_drop(pkt, self._drop_where)
-            return
         if engine.trace is not None:
-            if not self.busy:
+            if self.scheduler.enqueue(pkt, engine.rng) == diffserv.DROP:
+                self.on_drop(pkt, self._drop_where)
+            elif not self.busy:
                 self._start_next()
             return
+        backlog = self.scheduler.admit(pkt, engine.rng)
+        if backlog is None:
+            self.on_drop(pkt, self._drop_where)
+            return
         if self._waking:
+            backlog.append(pkt)
             return
         now = engine.now
         if now > self.free_at or (now == self.free_at and engine.now_seq > self._free_seq):
+            # Cut-through: with no wake-up pending no packet waits, so the
+            # scheduler is empty and this one would be the next dequeued.
             self._free_seq = engine.reserve_seq()
-            self._transmit(self.scheduler.dequeue())
+            ser = self._ser_us[pkt.size_bytes]
+            self.free_at = now + ser
+            if pkt.dst is not self.bg_station or pkt.flow != FLOW_BG:
+                engine.schedule_in(ser + self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
         else:
+            backlog.append(pkt)
             self._waking = True
             engine.schedule_reserved(self.free_at, self._free_seq, self._timer_target,
                                      TIMER_EXPIRY)

@@ -181,6 +181,7 @@ class CnNode(Node):
 
     def on_app(self, kind: str) -> None:
         if kind == APP_START:
+            self._cbr_interval_us = self.sim.config.cbr.interval_us
             self._cbr_tick()
 
     def lookup(self, dst):
@@ -188,23 +189,25 @@ class CnNode(Node):
         return None
 
     def _cbr_tick(self) -> None:
-        cbr = self.sim.config.cbr
-        if self.sim.now >= cbr.stop_us:
+        sim = self.sim
+        cbr = sim.config.cbr
+        now = sim.engine.now
+        if now >= cbr.stop_us:
             return
-        mnn = self.sim.topo.mnn_addr
+        mnn = sim.topo.mnn_addr
         pkt = Packet(src=self.address, dst=mnn, size_bytes=cbr.packet_bytes,
                      kind=DATA, seq=self.seq, flow=FLOW_CBR,
-                     created_at=self.sim.now, path_log=[self.node_id])
+                     created_at=now, path_log=[self.node_id])
         binding = self.lookup(mnn)
         if binding is not None:
             pkt.dst = binding.coa
             pkt.rh2_home_addr = mnn
         self.seq += 1
-        self.sim.metrics.record_sent(pkt)
-        self.sim.condition_data(self.node_id, pkt)
-        self.sim.forward(self.node_id, pkt)
-        if self.sim.now + cbr.interval_us < cbr.stop_us:
-            self.sim.timer(self.node_id, cbr.interval_us, ("cbr",))
+        sim.metrics.record_sent(pkt)
+        sim.condition_data(self.node_id, pkt)
+        sim.forward(self.node_id, pkt)
+        if now + self._cbr_interval_us < cbr.stop_us:
+            sim.timer(self.node_id, self._cbr_interval_us, ("cbr",))
 
 
 class MnnNode(Node):

@@ -74,7 +74,7 @@ class Simulation:
         for link in self.topo.links:
             adjacency.setdefault(link.a, []).append(link.b)
             adjacency.setdefault(link.b, []).append(link.a)
-        self._next_hop: dict[str, dict[str, str]] = {}
+        next_hop: dict[str, dict[str, str]] = {}
         for start in adjacency:
             table: dict[str, str] = {}
             frontier = [(nbr, nbr) for nbr in sorted(adjacency[start])]
@@ -90,7 +90,7 @@ class Simulation:
                         if nbr not in seen:
                             nxt.append((nbr, first))
                 frontier = nxt
-            self._next_hop[start] = table
+            next_hop[start] = table
         # The owner of each (domain, site) prefix, first match winning in the
         # order: home and mobile network prefixes (the home agent), anchors,
         # access routers.  The wired core (domain 0) has no prefix.
@@ -100,8 +100,27 @@ class Simulation:
                               *topo.map_prefix.items(), *topo.ar_prefix.items()]:
             self._owners.setdefault((prefix.domain, prefix.site), owner)
         self._cn_addr = topo.addresses["cn"]
-        self._station_downlinks = {ar: self.linkqueues[(ar, topo.bs_of_ar(ar))]
-                                   for ar in topo.ar_prefix}
+        # Each wired node's egress: for every owner (None for an address
+        # that has none), the queue a packet for it leaves by, or the label
+        # it is dropped under.  An access router hands its own prefix down
+        # to its station.
+        downlinks = {ar: self.linkqueues[(ar, topo.bs_of_ar(ar))] for ar in topo.ar_prefix}
+        owners = {None, *self._owners.values(), *map(self.owner_of, topo.addresses.values())}
+        self._egress: dict[str, dict[Optional[str], LinkQueue | str]] = {}
+        for here, table in next_hop.items():
+            egress = self._egress[here] = {}
+            for owner in owners:
+                if owner == here:
+                    egress[owner] = downlinks.get(here, f"undeliverable@{here}")
+                elif owner in table:
+                    egress[owner] = self.linkqueues[(here, table[owner])]
+                else:
+                    egress[owner] = f"unroutable@{here}"
+        # Each station's air link down to the router and the router's up to
+        # it, and the router's link to its fixed node.
+        self._air_down = {bs: self.linkqueues[(bs, f"dmr@{bs}")] for bs in topo.bs_to_ar}
+        self._air_up = {bs: self.linkqueues[("dmr", bs)] for bs in topo.bs_to_ar}
+        self._to_mnn = self.linkqueues[("dmr", "mnn")]
 
     def _build_nodes(self) -> None:
         # One class per role for the scheme.  Without the fast scheme the
@@ -145,6 +164,9 @@ class Simulation:
         self.engine.schedule_in(delay, node_id, TIMER_EXPIRY, token)
 
     def owner_of(self, dst: Address) -> Optional[str]:
+        """The node that owns `dst`, or None.  The one routing rule: the
+        egress tables are built from it, and `forward` asks it at run time
+        for the core's addresses, which share a prefix."""
         owner = self._owners.get(dst[:2])
         if owner is None and dst.domain == 0:
             return "cn" if dst == self._cn_addr else "er"
@@ -154,36 +176,25 @@ class Simulation:
         if here == "dmr":
             self.dmr_send(pkt)
             return
-        owner = self.owner_of(pkt.dst)
-        if owner is None:
-            self.drop(pkt, f"unroutable@{here}")
-            return
-        if owner == here:
-            # Site-local delivery: access routers hand down to their station.
-            downlink = self._station_downlinks.get(here)
-            if downlink is not None:
-                downlink.send(pkt)
-            else:
-                self.drop(pkt, f"undeliverable@{here}")
-            return
-        nxt = self._next_hop[here].get(owner)
-        if nxt is None:
-            self.drop(pkt, f"unroutable@{here}")
-            return
-        self.linkqueues[(here, nxt)].send(pkt)
+        dst = pkt.dst
+        hop = self._egress[here][self._owners.get(dst[:2]) or self.owner_of(dst)]
+        if type(hop) is str:
+            self.drop(pkt, hop)
+        else:
+            hop.send(pkt)
 
     def wireless_to_dmr(self, bs: str, pkt: Packet) -> None:
-        self.linkqueues[(bs, f"dmr@{bs}")].send(pkt)
+        self._air_down[bs].send(pkt)
 
     def dmr_send(self, pkt: Packet) -> None:
         bs = self.dmr_attached
         if bs is None:
             self.drop(pkt, "dmr_detached")
             return
-        self.linkqueues[("dmr", bs)].send(pkt)
+        self._air_up[bs].send(pkt)
 
     def send_to_mnn(self, pkt: Packet) -> None:
-        self.linkqueues[("dmr", "mnn")].send(pkt)
+        self._to_mnn.send(pkt)
 
     def drop(self, pkt: Packet, where: str) -> None:
         self.metrics.record_drop(pkt, self.now, where)
@@ -262,4 +273,7 @@ class Simulation:
             vars(node).clear()
         self.nodes.clear()
         self.linkqueues.clear()
-        self._station_downlinks.clear()
+        self._egress.clear()
+        self._air_down.clear()
+        self._air_up.clear()
+        self._to_mnn = None

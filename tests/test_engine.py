@@ -87,7 +87,8 @@ def test_run_until_boundary_leaves_future_events():
     for t in (10 * SEC, 20 * SEC, 30 * SEC):
         eng.schedule(SimEvent(t, "n", "timer_expiry", t))
     assert eng.run_until(25 * SEC) == 2
-    assert eng.now == 20 * SEC
+    # The clock sits at the end of the window, not at its last event.
+    assert eng.now == 25 * SEC
     assert eng.pending() == 1
     assert seen == [10 * SEC, 20 * SEC]
 

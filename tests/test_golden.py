@@ -204,6 +204,22 @@ def test_traced_and_untraced_runs_measure_the_same(name):
     assert untraced[1] and untraced == traced
 
 
+def test_stepped_runs_keep_the_same_clock_traced_and_untraced():
+    """A run stepped from outside sits at each step's end, traced or not,
+    though the untraced run has fewer events and its last one can come
+    earlier; so code acting between steps acts at the same instant in both."""
+    def stepped(trace):
+        return Simulation(ScenarioConfig(protocol=PROTO_DIFF_FH, sim_end_us=30 * SEC,
+                                         cbr=CbrConfig(stop_us=30 * SEC),
+                                         waypoints=[(100.0, 0.0)]), trace=trace)
+
+    untraced, traced = stepped(None), stepped([])
+    for t in range(21 * SEC, 23 * SEC, 37_003):
+        untraced.engine.run_until(t)
+        traced.engine.run_until(t)
+        assert untraced.engine.now == traced.engine.now == t
+
+
 @pytest.mark.parametrize("protocol", list(GOLDEN))
 def test_streamed_trace_file_matches_golden(tmp_path, protocol):
     trace, out = cli_run(tmp_path, protocol)

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nemosim.engine import MS, SEC, TIMER_EXPIRY, Engine, SimEvent
+from nemosim.engine import MS, SEC, TIMER_EXPIRY, Engine, RngStream, SimEvent
 from nemosim.network import (Link, LinkQueue, MobilityTrack, WirelessCell,
                              build_l2_plan, cell_crossings, position_at,
                              serialization_us, strongest_bs, transmit)
 from nemosim.metrics import FLOW_BG
 from nemosim.packets import DATA, SIGNAL, Address, Packet
-from nemosim.diffserv import AF11, BE, EF, RedParams, service_class
+from nemosim.diffserv import (ACCEPT, AF11, AF21, BE, EF, NUM_CLASSES, PriorityScheduler,
+                              RedParams, service_class)
 from nemosim.scenario import ScenarioConfig, build_track, default_topology
 from nemosim.simulation import Simulation
 
@@ -267,6 +268,51 @@ def test_linkqueue_arrivals_match_transmit(bandwidth_bps, train):
         check_service(link, train, *runs[0])
 
 
+RED_PARAMS = st.builds(
+    lambda min_th, span, max_p, w_q, capacity: RedParams(min_th, min_th + span, max_p,
+                                                         w_q, capacity),
+    st.floats(0, 20), st.floats(0.5, 20), st.floats(0, 1), st.floats(0.001, 1),
+    st.integers(1, 60))
+
+
+@given(RED_PARAMS, st.lists(st.floats(0, 40), min_size=NUM_CLASSES, max_size=NUM_CLASSES),
+       st.lists(st.integers(0, 100), min_size=NUM_CLASSES, max_size=NUM_CLASSES),
+       st.sampled_from([EF, AF11, AF21, BE, 13, 63, 64, -1]), st.integers(0, 2 ** 32))
+def test_free_link_admission_matches_enqueue_then_dequeue(red, avg, since_drop, dscp, seed):
+    """An untraced send to a free link puts the packet on the wire without
+    queueing it.  Its verdict and RED state, and the next draw, are those of
+    enqueueing it in an empty scheduler and dequeuing it at once."""
+    def scheduler():
+        sched = PriorityScheduler(red)
+        sched._red_avg, sched._since_drop = list(avg), list(since_drop)
+        sched.drops_by_class = list(range(NUM_CLASSES))
+        return sched
+
+    def packet():
+        pkt = Packet(Address(0, 0, 0), Address(0, 0, 1), 1000, DATA)
+        pkt.dscp = dscp
+        return pkt
+
+    eng = Engine(seed=seed)
+    drops = []
+    queue = LinkQueue(eng, Link("a", "b", 1_000_000, MS), "a", "b", red,
+                      lambda p, w: drops.append(p))
+    queue.scheduler = scheduler()
+    pkt = packet()
+    queue.send(pkt)
+    sent = [payload for _, _, _, _, payload in eng._heap]
+
+    model, rng = scheduler(), RngStream(seed)
+    accepted = model.enqueue(packet(), rng) == ACCEPT
+    assert (model.dequeue() is not None) == accepted
+    assert (sent, drops) == (([pkt], []) if accepted else ([], [pkt]))
+    assert not queue.scheduler.backlogged()
+    assert queue.scheduler._red_avg == model._red_avg
+    assert queue.scheduler._since_drop == model._since_drop
+    assert queue.scheduler.drops_by_class == model.drops_by_class
+    assert eng.rng.uniform() == rng.uniform()
+
+
 def prefix_scan_owner(topo, dst):
     """The owner lookup as a scan of the topology's prefixes, in rank order."""
     if topo.home_prefix.matches(dst) or topo.mnp.matches(dst):
@@ -282,15 +328,64 @@ def prefix_scan_owner(topo, dst):
     return None
 
 
+def first_hop(links, here, target):
+    """The neighbour of `here` whose side of the tree holds `target`, or None."""
+    adjacency = {}
+    for link in links:
+        adjacency.setdefault(link.a, []).append(link.b)
+        adjacency.setdefault(link.b, []).append(link.a)
+    for nbr in adjacency[here]:
+        stack, seen = [nbr], {here, nbr}
+        while stack:
+            node = stack.pop()
+            if node == target:
+                return nbr
+            fresh = [n for n in adjacency[node] if n not in seen]
+            seen.update(fresh)
+            stack += fresh
+    return None
+
+
 def test_owner_table_agrees_with_prefix_scan():
+    """`owner_of` agrees with a scan of the prefixes, and `forward` from every
+    wired node sends each address where the routing rule says: to the first
+    hop toward its owner, or down to the station at the owning access router."""
     sim = Simulation(ScenarioConfig())
+    topo = sim.topo
+    grid = [Address(domain, site, node)
+            for domain in range(5) for site in range(4) for node in range(4)]
     unowned = 0
-    for domain in range(5):
-        for site in range(4):
-            for node in range(4):
-                dst = Address(domain, site, node)
-                expected = prefix_scan_owner(sim.topo, dst)
-                assert sim.owner_of(dst) == expected, dst
-                unowned += expected is None
+    for dst in grid:
+        expected = prefix_scan_owner(topo, dst)
+        assert sim.owner_of(dst) == expected, dst
+        unowned += expected is None
     # Domain 4 and the sites no router serves (1.2, 1.3, 2.3, 3.3) are unowned.
     assert unowned == 4 * (4 + 4)
+
+    wired = {node for link in topo.links for node in (link.a, link.b)}
+    # A tree, so each node's first hop toward any other is unique.
+    assert len(topo.links) == len(wired) - 1
+    prefixes = [topo.home_prefix, topo.mnp, *topo.map_prefix.values(),
+                *topo.ar_prefix.values()]
+    addresses = {*grid, *topo.addresses.values(),
+                 *(prefix.address(1) for prefix in prefixes),
+                 # Care-of addresses, as the mobile router forms them.
+                 *(prefix.address(100) for prefix in prefixes[2:]),
+                 Address(4, 0, 1)}
+    seen = []
+    sim.drop = lambda pkt, where: seen.append(where)
+    for queue in sim.linkqueues.values():
+        queue.send = lambda pkt, queue=queue: seen.append(queue)
+    for here in sorted(wired):
+        for dst in sorted(addresses):
+            owner = sim.owner_of(dst)
+            if owner is None:
+                expected = f"unroutable@{here}"
+            elif owner == here:
+                expected = (sim.linkqueues[(here, topo.bs_of_ar(here))]
+                            if here in topo.ar_prefix else f"undeliverable@{here}")
+            else:
+                expected = sim.linkqueues[(here, first_hop(topo.links, here, owner))]
+            sim.forward(here, Packet(topo.addresses["cn"], dst, 100, DATA))
+            assert seen == [expected], (here, dst)
+            seen.clear()
