@@ -2,11 +2,12 @@
 configuration, forwarding tunnels into the new access router, and buffering
 there until the mobile router announces itself on the new link.
 
-The signal choreography lives in the pure machines of `fsm`.  `_drive` steps
-them, and each agent's `_perform` carries the emitted actions out against the
-topology and the mutable state (bindings, buffers, pending addresses).  The
-anchor and the new access router keep the `info` of the signal that opened a
-handover as its context; the mobile router keeps an `FhHandoverCtx`."""
+The signal choreography lives in the pure machines of `fsm`.  `Node.drive`
+steps them, and each agent's `_perform` carries the emitted actions out
+against the topology and the mutable state (bindings, buffers, pending
+addresses).  The anchor and the new access router keep the `info` of the
+signal that opened a handover as its context; the mobile router keeps an
+`FhHandoverCtx`."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from . import fsm
 from .engine import MS, SimTime
 from .diff_nemo import Registration
 from .fsm import (ROLE_DMR, ROLE_MAP, ROLE_NAR, ROLE_NEW_MAP, DmrState, FsmEvent,
-                  MapState, NarState, NewMapState, fsm_step)
+                  MapState, NarState, NewMapState)
 from .nemo_bs import BINDING_LIFETIME_US, DAD_DELAY_US, MobileRouter
 from .nodes import ArNode, Node
 from .packets import SIGNAL, Address, Packet, Prefix, SignalKind, encapsulate
@@ -34,19 +35,6 @@ LBU_GAP_US = 1 * MS
 FH_TIMERS = {"fbu_delay": (FBU_DELAY_US, fsm.EV_FBU_TIMER),
              "lbu_gap": (LBU_GAP_US, fsm.EV_LBU_TIMER),
              "fbu_retx": (FBU_RETX_US, fsm.EV_FBU_RETX_TIMER)}
-
-
-def _drive(agent, role: str, attr: str, event: FsmEvent) -> None:
-    """Step the `role` machine whose state `agent.<attr>` holds.  The new state
-    is stored first; each `Unexpected` is counted, every other action goes to
-    `agent._perform`."""
-    state, actions = fsm_step(role, getattr(agent, attr), event)
-    setattr(agent, attr, state)
-    for action in actions:
-        if isinstance(action, fsm.Unexpected):
-            agent.sim.metrics.unexpected_signals += 1
-        else:
-            agent._perform(action)
 
 
 @dataclass
@@ -101,19 +89,19 @@ class MapAgent(Node):
         if self.fh_ctx is None or self.fh_ctx["nlcoa"] != info["nlcoa"]:
             self.fh_ctx = info
             self.fh_state = MapState.IDLE
-        _drive(self, ROLE_MAP, "fh_state", FsmEvent(kind))
+        self.drive(ROLE_MAP, "fh_state", FsmEvent(kind))
 
     def on_hack(self, pkt: Packet) -> None:
         src = pkt.info.get("from_role", "nar")
         kind = fsm.EV_HACK_NAR if src == "nar" else fsm.EV_HACK_NEW_MAP
         macro = self.fh_ctx["macro"] if self.fh_ctx else False
-        _drive(self, ROLE_MAP, "fh_state", FsmEvent(kind, macro=macro))
+        self.drive(ROLE_MAP, "fh_state", FsmEvent(kind, macro=macro))
 
     def on_lbu(self, pkt: Packet) -> None:
         info = pkt.info
         if info.get("teardown"):
             self.bindings.pop(info["old_rcoa"], None)
-            _drive(self, ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
+            self.drive(ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
             return
         self.bindings[info["rcoa"]] = MapBinding(
             rcoa=info["rcoa"], lcoa=info["lcoa"], mnp=info["mnp"],
@@ -128,14 +116,14 @@ class MapAgent(Node):
                                  self.sim.topo.addresses[old_map],
                                  info={"teardown": True, "old_rcoa": info["old_rcoa"]})
         elif self.fh_ctx is not None:
-            _drive(self, ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
+            self.drive(ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
 
     def on_hi_as_new_map(self, pkt: Packet) -> None:
         self.newmap_pending = pkt.info
-        _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_HI))
+        self.drive(ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_HI))
 
     def _on_rcoa_dad(self, token) -> None:
-        _drive(self, ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_DAD_OK))
+        self.drive(ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_DAD_OK))
         self.newmap_state = NewMapState.IDLE
         self.newmap_pending = None
 
@@ -197,8 +185,8 @@ class NarAgent(ArNode):
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.signal_handlers.update({SignalKind.HI: self.on_hi, SignalKind.FNA: self.on_fna})
-        self.timer_handlers["nar_dad"] = lambda token: _drive(
-            self, ROLE_NAR, "state", FsmEvent(fsm.EV_DAD_OK))
+        self.timer_handlers["nar_dad"] = lambda token: self.drive(
+            ROLE_NAR, "state", FsmEvent(fsm.EV_DAD_OK))
         self.state: NarState = NarState.IDLE
         self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
         self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
@@ -207,18 +195,18 @@ class NarAgent(ArNode):
     def on_hi(self, pkt: Packet) -> None:
         self.ctx = pkt.info
         self.state = NarState.IDLE
-        _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_HI, macro=pkt.info["macro"]))
+        self.drive(ROLE_NAR, "state", FsmEvent(fsm.EV_HI, macro=pkt.info["macro"]))
 
     def on_fna(self, pkt: Packet) -> None:
         self.fbu = pkt.inner
         if self.fbu is None:
-            _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_RS))
+            self.drive(ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_RS))
             return
         info = pkt.info or {}
         collision = self.sim.fna_collides(info.get("handover", -1), info.get("attempt", 0))
         if self.ctx is None:
             self.ctx = self.fbu.info
-        _drive(self, ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_FBU, collision=collision))
+        self.drive(ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_FBU, collision=collision))
 
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.ctx
@@ -265,8 +253,6 @@ class NarAgent(ArNode):
 class FhDmr(MobileRouter):
     """Mobile-router side of the fast hierarchical scheme."""
 
-    RR_TIMEOUT = "fh_rr_timeout"
-
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.node_component = 100
@@ -278,7 +264,8 @@ class FhDmr(MobileRouter):
         self.fsm_state: DmrState = DmrState.IDLE
         self.ctx: Optional[FhHandoverCtx] = None
         self.epoch = 0
-        # NA is absent: initial DAD collisions are not exercised for this variant.
+        # NA is absent, so one counts as unexpected: initial DAD collisions are
+        # not exercised for this variant.
         self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
                                 SignalKind.PR_RT_ADV: self.handle_prrtadv,
                                 SignalKind.FBACK: self._on_fback,
@@ -287,7 +274,7 @@ class FhDmr(MobileRouter):
                                 SignalKind.BA: self._on_ba}
         self.timer_handlers.update({"fh": self._on_fh_timer, "initial_dad": self._on_initial_dad,
                                     "reg_refresh": self._on_reg_refresh})
-        self.reg = Registration(self, lambda: self.rcoa, self.RR_TIMEOUT)
+        self.reg = Registration(self, lambda: self.rcoa, "fh_rr_timeout")
 
     # -- address bookkeeping -------------------------------------------------
     def owns(self, addr: Address) -> bool:
@@ -343,7 +330,7 @@ class FhDmr(MobileRouter):
 
     # -- machine interpretation ------------------------------------------------
     def _step(self, event: FsmEvent) -> None:
-        _drive(self, ROLE_DMR, "fsm_state", event)
+        self.drive(ROLE_DMR, "fsm_state", event)
 
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.ctx

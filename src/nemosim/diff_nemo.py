@@ -167,21 +167,24 @@ class Registration:
 class ProxyDmr(BaselineMr):
     """Baseline registration plus proxied return routability and direct delivery."""
 
-    RR_TIMEOUT = "rr_timeout"
-
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.reg = Registration(self, lambda: self.state.coa, self.RR_TIMEOUT)
+        self.reg = Registration(self, lambda: self.coa, "rr_timeout")
 
-    def send_binding_update(self) -> None:
-        """Every home registration, refreshes included, restarts the machine,
-        so return routability runs again after each acknowledgement."""
-        self.reg.start()
-        self.sim.timer("dmr", self.sim.config.binding_refresh_us,
-                       ("bu_refresh", self.state.epoch))
+    def _perform(self, action) -> None:
+        """Every home registration, refreshes included, restarts the
+        registration machine, so return routability runs again after each
+        acknowledgement."""
+        if action == fsm.Emit(SignalKind.BU, fsm.DEST_HA):
+            self.reg.start()
+        else:
+            super()._perform(action)
 
     def _on_ba(self, pkt: Packet) -> None:
-        if self.reg.on_ba(pkt):
-            self.cn_bound_coa = self.state.coa
+        if pkt.info.get("from") == "cn":
+            self.cn_bound_coa = self.coa
+            self.reg.step(FsmEvent(fsm.EV_BA_CN))
         else:
-            self.state.registered = True
+            super()._on_ba(pkt)
+            if pkt.info["coa"] == self.coa:
+                self.reg.step(FsmEvent(fsm.EV_BA_HA))

@@ -89,9 +89,6 @@ class RngStream:
     def uniform(self) -> float:
         return self._rng.random()
 
-    def randrange(self, n: int) -> int:
-        return self._rng.randrange(n)
-
 
 class Engine:
     """Single-threaded event engine.
@@ -108,12 +105,9 @@ class Engine:
     full and when `run_until` returns or raises, so a failed run's trace ends
     with the line of the event that failed.  Each payload renders through
     `trace_detail`.  A packet is formatted once, by `Packet.trace_str`, and
-    every later event that carries it reads the kept text; with the same
-    trace bytes, that took `traced-run` from about 3.2 s to about 2.5 s
-    (`BENCH_10.json`).  A one-word timer token (`('bg',)`, a third of a
-    congested trace) is formatted once per process, and any other token
-    (a plain tuple) through `str()`; that took `traced-run` from about
-    2.37 s to about 2.15 s (`BENCH_17.json`).
+    every later event that carries it reads the kept text.  A one-word timer
+    token (`('bg',)`, a third of a congested trace) is formatted once per
+    process, and any other token (a plain tuple) through `str()`.
 
     The traced event stream is the one the golden outputs pin.  An untraced
     run gives the same results with fewer events.  A background packet's

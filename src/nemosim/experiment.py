@@ -1,4 +1,4 @@
-"""Scenario execution, traffic schedules, and the speed-sweep experiment."""
+"""Scenario execution and the speed-sweep experiment."""
 
 from __future__ import annotations
 
@@ -6,21 +6,10 @@ import copy
 import dataclasses
 from typing import Optional
 
-from .engine import SimTime, TraceWriter
+from .engine import TraceWriter
 from .metrics import CSV_HEADER, MetricsReport
-from .scenario import PROTOCOLS, CbrConfig, ScenarioConfig
+from .scenario import PROTOCOLS, ScenarioConfig
 from .simulation import Simulation
-
-
-def generate_cbr(cbr: CbrConfig) -> list[tuple[SimTime, int]]:
-    """The (send_time, sequence) schedule of the constant-bit-rate source."""
-    schedule = []
-    t, seq = cbr.start_us, 0
-    while t < cbr.stop_us:
-        schedule.append((t, seq))
-        t += cbr.interval_us
-        seq += 1
-    return schedule
 
 
 def run_scenario(config: ScenarioConfig,

@@ -1,5 +1,6 @@
-"""Pure state machines: the fast hierarchical scheme's four roles, and the
-registration with both anchors that both route-optimising routers run.
+"""Pure state machines: the fast hierarchical scheme's four roles, the
+registration with both anchors that both route-optimising routers run, and
+the baseline mobile router's address check and home registration.
 
 Each machine is one table from (state, event kind) to the successor state and
 a tuple of actions for the caller to interpret, or to a `Guard` that picks one
@@ -18,6 +19,7 @@ ROLE_MAP = "MAP"
 ROLE_NAR = "NAR"
 ROLE_NEW_MAP = "NewMAP"
 ROLE_REG = "Registration"
+ROLE_MR = "MR"
 
 
 class DmrState(Enum):
@@ -63,6 +65,13 @@ class RegState(Enum):
     FALLBACK = "Fallback"
 
 
+class MrState(Enum):
+    AWAIT_RA = "AwaitRA"
+    DAD = "Dad"
+    REGISTERING = "Registering"
+    REGISTERED = "Registered"
+
+
 # Event kinds fed to fsm_step.
 EV_L2_TRIGGER = "l2_trigger"
 EV_PRRTADV = "prrtadv"
@@ -90,6 +99,10 @@ EV_TOKEN = "token"
 EV_BA_CN = "ba_cn"
 EV_RR_TIMEOUT = "rr_timeout"
 EV_GIVE_UP = "give_up"
+EV_NA = "na"
+EV_BU_REFRESH = "bu_refresh"
+# A home agent's BA for an earlier care-of address: no table has a row for it.
+EV_BA_STALE = "ba_stale"
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ DEST_OLD_MAP = "old_map"
 DEST_SERVING_MAP = "serving_map"
 DEST_DMR = "dmr"
 DEST_DMR_BOTH_PATHS = "dmr_both_paths"
-DEST_HA, DEST_CN, DEST_CN_VIA_HA = "ha", "cn", "cn_via_ha"
+DEST_AR, DEST_HA, DEST_CN, DEST_CN_VIA_HA = "ar", "ha", "cn", "cn_via_ha"
 
 
 @dataclass(frozen=True)
@@ -141,7 +154,7 @@ class Guard:
     if_clear: object
 
 
-_D, _M, _N, _W, _R = DmrState, MapState, NarState, NewMapState, RegState
+_D, _M, _N, _W, _R, _B = DmrState, MapState, NarState, NewMapState, RegState, MrState
 _RS, _FNA = Emit(SignalKind.RS, DEST_NAR), Emit(SignalKind.FNA, DEST_NAR)
 _DAD_FAST = (Emit(SignalKind.NS, DEST_NAR), StartTimer("dad_fast"))
 _TO_FORWARDING = (_M.FORWARDING, (Do("install_forwarding"),
@@ -237,8 +250,22 @@ _REG_TABLE = {
     (_R.SENT_BU_CN, EV_BA_CN): (_R.DONE, ()),
 }
 
+# The baseline mobile router (RFC 3963 on RFC 6275): an advertisement of a new
+# prefix starts a duplicate address check (RFC 4862), which a colliding NA
+# restarts on the next address; the checked address is then bound at the home
+# agent, and each refresh re-sends the binding update.
+_DAD = (Emit(SignalKind.NS, DEST_AR), StartTimer("dad_done"))
+_HOME_BU = (Emit(SignalKind.BU, DEST_HA), StartTimer("bu_refresh"))
+_MR_TABLE = {
+    **{(state, EV_RA): (_B.DAD, _DAD) for state in _B},
+    (_B.DAD, EV_NA): (_B.DAD, (Do("next_address"),) + _DAD),
+    (_B.DAD, EV_DAD_OK): (_B.REGISTERING, _HOME_BU),
+    **{(state, EV_BA_HA): (_B.REGISTERED, ()) for state in (_B.REGISTERING, _B.REGISTERED)},
+    **{(state, EV_BU_REFRESH): (state, _HOME_BU) for state in (_B.REGISTERING, _B.REGISTERED)},
+}
+
 TABLES = {ROLE_DMR: _DMR_TABLE, ROLE_MAP: _MAP_TABLE, ROLE_NAR: _NAR_TABLE,
-          ROLE_NEW_MAP: _NEW_MAP_TABLE, ROLE_REG: _REG_TABLE}
+          ROLE_NEW_MAP: _NEW_MAP_TABLE, ROLE_REG: _REG_TABLE, ROLE_MR: _MR_TABLE}
 TERMINAL_STATES = frozenset((_D.COMPLETE, _M.CLEARED, _W.ACKED, _R.DONE, _R.FALLBACK))
 
 

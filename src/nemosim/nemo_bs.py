@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import fsm
 from .engine import L2_LINK_DOWN, L2_TRIGGER, MS, PACKET_ARRIVAL, SEC, Entry, SimTime
 from .nodes import Node, air_receiver
 from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind, add_home_address_option,
@@ -94,7 +95,7 @@ class MobileRouter(Node):
     network, and takes the layer-2 events.  A subclass names the addresses it
     answers for (`owns`) and the care-of address upstream traffic leaves from
     (`upstream_coa`, None until registered), fills `signal_handlers` and adds
-    to `timer_handlers`."""
+    to `timer_handlers`.  A signal kind with no handler counts as unexpected."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -129,16 +130,11 @@ class MobileRouter(Node):
         self.sim.dmr_attached = bs
         self.on_link_up(bs)
 
-    def owns(self, addr: Address) -> bool:
-        raise NotImplementedError
-
-    def upstream_coa(self) -> Optional[Address]:
-        raise NotImplementedError
-
     def on_signal(self, pkt: Packet) -> None:
-        handler = self.signal_handlers.get(pkt.signal)
-        if handler is not None:
-            handler(pkt)
+        self.signal_handlers.get(pkt.signal, self._unexpected)(pkt)
+
+    def _unexpected(self, pkt: Packet) -> None:
+        self.sim.metrics.unexpected_signals += 1
 
     def on_packet(self, pkt: Packet) -> None:
         """Unwrap the tunnels and the type 2 routing header addressed to this
@@ -169,106 +165,92 @@ class MobileRouter(Node):
             self.sim.dmr_send(encapsulate(pkt, coa, self.ha, dscp=pkt.dscp))
 
 
-@dataclass
-class MrState:
-    coa: Optional[Address] = None
-    current_prefix: Optional[Prefix] = None
-    attached_bs: Optional[str] = None
-    dad_pending: bool = False
-    registered: bool = False
-    node_component: int = 100
-    epoch: int = 0
-
-
 class BaselineMr(MobileRouter):
-    """Baseline mobile-router protocol: RA-driven movement detection, DAD,
-    binding update to the home agent, and tunnel endpoint duties."""
+    """Baseline mobile router, stepped through the `fsm.ROLE_MR` table:
+    movement detection from router advertisements, duplicate address
+    detection, the binding update to the home agent, and tunnel endpoint
+    duties.  `prefix` is the prefix of the latest address check, and `coa`
+    the last checked address; upstream traffic leaves from it only once the
+    home agent has acknowledged it.  Each check takes a fresh `epoch`, which
+    its timer and the refresh timers after it carry, so a timer outlived by a
+    later check is ignored."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.state = MrState()
-        self.handover_count = 0
-        self.dad_attempt = 0
-        self._dad_prefix: Optional[Prefix] = None
+        self.state = fsm.MrState.AWAIT_RA
+        self.prefix: Optional[Prefix] = None
+        self.coa: Optional[Address] = None
+        self.node_component = 100
+        self.epoch = self.handover_count = self.dad_attempt = 0
         self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
-                                SignalKind.NA: self.on_neighbor_advertisement,
+                                SignalKind.NA: lambda pkt: self._step(fsm.EV_NA),
                                 SignalKind.BA: self._on_ba}
         self.timer_handlers.update({"dad_done": self._on_dad_done,
                                     "bu_refresh": self._on_bu_refresh})
 
     def owns(self, addr: Address) -> bool:
-        return addr == self.state.coa
+        return addr == self.coa
 
     def upstream_coa(self) -> Optional[Address]:
-        return self.state.coa if self.state.registered else None
+        return self.coa if self.state is fsm.MrState.REGISTERED else None
+
+    def _step(self, kind: str) -> None:
+        self.drive(fsm.ROLE_MR, "state", fsm.FsmEvent(kind))
 
     # -- layer 2 -----------------------------------------------------------
     def on_link_up(self, bs: str) -> None:
-        self.state.attached_bs = bs
         if self.sim.config.solicited_detection():
             ar = self.sim.topo.bs_to_ar[bs]
-            self.sim.send_signal("dmr", SignalKind.RS, self.state.coa or self.hoa,
+            self.sim.send_signal("dmr", SignalKind.RS, self.coa or self.hoa,
                                  self.sim.topo.addresses[ar])
 
-    def on_link_down(self, plan) -> None:
-        self.state.attached_bs = None
-
     def on_l2_trigger(self, plan) -> None:
-        pass
+        """Movement is detected from advertisements alone."""
+
+    on_link_down = on_l2_trigger
 
     # -- movement detection / registration ----------------------------------
     def on_router_advertisement(self, pkt: Packet) -> None:
         prefix: Prefix = pkt.info["prefix"]
-        if self.state.dad_pending:
-            if prefix == self._dad_prefix:
-                return
-        elif prefix == self.state.current_prefix:
-            return
-        if self.state.current_prefix is not None and prefix != self.state.current_prefix:
+        if prefix == self.prefix:
+            return  # the prefix under check, or the one in use
+        if self.coa is not None and not prefix.matches(self.coa):
             self.handover_count += 1
+        self.prefix = prefix
         self.dad_attempt = 0
-        self.start_dad(prefix)
-
-    def start_dad(self, prefix: Prefix) -> None:
-        self.state.dad_pending = True
-        self._dad_prefix = prefix
-        self.state.epoch += 1
-        tentative = prefix.address(self.state.node_component)
-        ar = self.sim.topo.bs_to_ar[self.state.attached_bs]
-        self.sim.send_signal("dmr", SignalKind.NS, tentative, self.sim.topo.addresses[ar],
-                             info={"tentative": tentative, "handover": self.handover_count,
-                                   "attempt": self.dad_attempt})
-        self.sim.timer("dmr", DAD_DELAY_US, ("dad_done", self.state.epoch, prefix))
-
-    def on_neighbor_advertisement(self, pkt: Packet) -> None:
-        # Tentative address in use: retry with the next node component.
-        if not self.state.dad_pending:
-            return
-        self.dad_attempt += 1
-        self.state.node_component += 1
-        self.start_dad(self._dad_prefix)
+        self._step(fsm.EV_RA)
 
     def _on_dad_done(self, token) -> None:
-        _, epoch, prefix = token
-        if epoch != self.state.epoch or not self.state.dad_pending:
-            return
-        self.state.dad_pending = False
-        self.state.coa = prefix.address(self.state.node_component)
-        self.state.current_prefix = prefix
-        self.dad_attempt = 0
-        self.send_binding_update()
+        if token[1] == self.epoch:
+            self.coa = self.prefix.address(self.node_component)
+            self._step(fsm.EV_DAD_OK)
 
     def _on_bu_refresh(self, token) -> None:
-        if token[1] == self.state.epoch and self.state.coa is not None:
-            self.send_binding_update()
-
-    def send_binding_update(self) -> None:
-        st = self.state
-        self.sim.send_signal("dmr", SignalKind.BU, st.coa, self.ha,
-                             info={"hoa": self.hoa, "coa": st.coa, "mnps": [self.mnp],
-                                   "lifetime": BINDING_LIFETIME_US})
-        self.sim.timer("dmr", self.sim.config.binding_refresh_us,
-                       ("bu_refresh", st.epoch))
+        if token[1] == self.epoch:
+            self._step(fsm.EV_BU_REFRESH)
 
     def _on_ba(self, pkt: Packet) -> None:
-        self.state.registered = True
+        self._step(fsm.EV_BA_HA if pkt.info["coa"] == self.coa else fsm.EV_BA_STALE)
+
+    def _perform(self, action) -> None:
+        sim = self.sim
+        match action:
+            case fsm.Do("next_address"):
+                # The tentative address is in use: check the next one.
+                self.dad_attempt += 1
+                self.node_component += 1
+            case fsm.Emit(SignalKind.NS):
+                tentative = self.prefix.address(self.node_component)
+                ar = sim.topo.bs_to_ar[sim.dmr_attached]
+                sim.send_signal("dmr", SignalKind.NS, tentative, sim.topo.addresses[ar],
+                                info={"tentative": tentative, "handover": self.handover_count,
+                                      "attempt": self.dad_attempt})
+            case fsm.StartTimer("dad_done"):
+                self.epoch += 1
+                sim.timer("dmr", DAD_DELAY_US, ("dad_done", self.epoch, self.prefix))
+            case fsm.Emit(SignalKind.BU):
+                sim.send_signal("dmr", SignalKind.BU, self.coa, self.ha,
+                                info={"hoa": self.hoa, "coa": self.coa, "mnps": [self.mnp],
+                                      "lifetime": BINDING_LIFETIME_US})
+            case fsm.StartTimer("bu_refresh"):
+                sim.timer("dmr", sim.config.binding_refresh_us, ("bu_refresh", self.epoch))

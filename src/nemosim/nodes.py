@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from . import fsm
 from .engine import APP_START, APP_STOP, PACKET_ARRIVAL, TIMER_EXPIRY, Entry
 from .metrics import FLOW_BG, FLOW_CBR
 from .packets import DATA, Packet, SignalKind, apply_home_address_option
@@ -32,7 +33,7 @@ class Node:
     the `None` key takes a tunnel or data packet; any other packet is offered
     to `intercept`, then forwarded.  A timer goes to the handler that its
     `timer_handlers` table holds for the token's first item, called with the
-    whole token."""
+    whole token.  A protocol agent steps its `fsm` machines through `drive`."""
 
     signal_handlers: dict = {}
     timer_handlers: dict = {}
@@ -74,6 +75,18 @@ class Node:
 
     def on_app(self, kind: str) -> None:
         pass
+
+    def drive(self, role: str, attr: str, event: fsm.FsmEvent) -> None:
+        """Step the `role` machine whose state `self.<attr>` holds.  The new
+        state is stored first; each `Unexpected` is counted, every other
+        action goes to `self._perform`."""
+        state, actions = fsm.fsm_step(role, getattr(self, attr), event)
+        setattr(self, attr, state)
+        for action in actions:
+            if isinstance(action, fsm.Unexpected):
+                self.sim.metrics.unexpected_signals += 1
+            else:
+                self._perform(action)
 
 
 class ArNode(Node):

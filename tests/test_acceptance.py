@@ -358,9 +358,7 @@ def test_criterion_10_fsm_exhaustiveness():
             live_ok = live_ok and reaches(edges, state, terminals)
             if state not in terminals and not edges.get(state):
                 sink_ok = False
-    # NA is the one signal no machine handles: the access router answers a
-    # colliding address probe itself (test_nemo_bs.py covers both ends).
-    coverage_ok = signals == set(SK) - {SK.NA}
+    coverage_ok = signals == set(SK)
     total_states = sum(len(states) for states, _, _ in results.values())
     print(f"  machines: {len(results)}, states explored: {total_states}, "
           f"signals covered: {len(signals)}/{len(set(SK))}")

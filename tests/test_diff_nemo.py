@@ -2,7 +2,7 @@
 
 import pytest
 
-from nemosim.fsm import RegState
+from nemosim.fsm import MrState, RegState
 from nemosim.diff_nemo import (RR_RETRIES, RR_TIMEOUT_US, TOKEN_LIFETIME_US, CorrespondentAgent,
                                ProxyDmr, Registration)
 from nemosim.engine import SEC
@@ -20,9 +20,12 @@ COA = Prefix(2, 1).address(100)
 
 
 def make_proxy(fake_sim):
+    """A proxy that has checked COA and sent its home binding update."""
+    fake_sim.dmr_attached = "bs1"
     proxy = ProxyDmr(fake_sim, "dmr")
-    state = proxy.state
-    state.attached_bs, state.coa, state.current_prefix = "bs1", COA, Prefix(2, 1)
+    proxy.on_signal(make_signal(SignalKind.RA, Address(2, 1, 1), HOA, t=0,
+                                info={"prefix": Prefix(2, 1)}))
+    proxy.on_timer(fake_sim.timers[-1][2])
     return proxy
 
 
@@ -37,20 +40,31 @@ def token_signal(kind, token):
 def registered_proxy(fake_sim):
     """A proxy whose home binding update has just been acknowledged."""
     proxy = make_proxy(fake_sim)
-    proxy.send_binding_update()
     proxy.on_signal(ba_from_ha())
     return proxy
 
 
 def test_registration_triggers_return_routability(fake_sim):
     proxy = registered_proxy(fake_sim)
-    assert proxy.state.registered
+    assert proxy.state is MrState.REGISTERED
     assert [s[3] for s in fake_sim.signals_of(SignalKind.BU)] == [HA_ADDR]
     hoti = fake_sim.signals_of(SignalKind.HOTI)
     coti = fake_sim.signals_of(SignalKind.COTI)
     assert len(hoti) == 1 and len(coti) == 1
     assert hoti[0][5] == HA_ADDR        # tunneled through the home agent
     assert coti[0][5] is None           # direct
+
+
+def test_stale_home_acknowledgement_starts_no_return_routability(fake_sim):
+    """A home agent's BA for an earlier care-of address is counted as
+    unexpected, and neither registers the proxy nor sends a probe."""
+    proxy = make_proxy(fake_sim)
+    stale = make_signal(SignalKind.BA, HA_ADDR, COA, t=0,
+                        info={"hoa": HOA, "coa": Prefix(2, 2).address(100)})
+    proxy.on_signal(stale)
+    assert proxy.state is MrState.REGISTERING and proxy.reg.state == RegState.SENT_BU_HA
+    assert not fake_sim.signals_of(SignalKind.HOTI)
+    assert fake_sim.metrics.unexpected_signals == 1
 
 
 def cn_binding_updates(fake_sim):
@@ -93,7 +107,7 @@ def test_home_refresh_after_done_reruns_return_routability(fake_sim):
     proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0, info={"hoa": HOA, "from": "cn"}))
     assert proxy.reg.state == RegState.DONE and proxy.cn_bound_coa == COA
     assert len(fake_sim.signals_of(SignalKind.HOTI)) == 1
-    proxy.on_timer(("bu_refresh", proxy.state.epoch))
+    proxy.on_timer(("bu_refresh", proxy.epoch))
     proxy.on_signal(ba_from_ha())
     hoti = fake_sim.signals_of(SignalKind.HOTI)
     coti = fake_sim.signals_of(SignalKind.COTI)
@@ -153,8 +167,7 @@ def test_downstream_proxy_rewrite_delivers_home_address(fake_sim):
 
 
 def test_upstream_proxy_tags_home_address_when_bound(fake_sim):
-    proxy = make_proxy(fake_sim)
-    proxy.state.registered = True   # the correspondent binds only after the home agent
+    proxy = registered_proxy(fake_sim)   # the correspondent binds only after the home agent
     proxy.cn_bound_coa = COA
     proxy.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA))
     out = fake_sim.dmr_outbox[0]
@@ -163,8 +176,7 @@ def test_upstream_proxy_tags_home_address_when_bound(fake_sim):
 
 
 def test_upstream_falls_back_to_home_tunnel_without_cn_binding(fake_sim):
-    proxy = make_proxy(fake_sim)
-    proxy.state.registered = True
+    proxy = registered_proxy(fake_sim)
     proxy.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA))
     out = fake_sim.dmr_outbox[0]
     assert out.dst == HA_ADDR and out.inner is not None

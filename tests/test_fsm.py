@@ -1,7 +1,7 @@
 """Unit transitions plus exhaustive enumeration of the handover machines."""
 
 from nemosim import fsm
-from nemosim.fsm import (Do, DmrState, Emit, FsmEvent, Guard, MapState, NarState,
+from nemosim.fsm import (Do, DmrState, Emit, FsmEvent, Guard, MapState, MrState, NarState,
                          NewMapState, RegState, StartTimer, Unexpected, fsm_step)
 from nemosim.packets import SignalKind
 
@@ -99,6 +99,24 @@ def test_registration_token_outside_return_routability_is_unexpected():
         assert nxt == state and actions == (Unexpected(fsm.EV_TOKEN),)
 
 
+def step_mr(state, kind):
+    return fsm_step(fsm.ROLE_MR, state, FsmEvent(kind))
+
+
+def test_baseline_router_checks_then_registers():
+    state, actions = step_mr(MrState.AWAIT_RA, fsm.EV_RA)
+    assert state == MrState.DAD and emitted(actions) == [SignalKind.NS]
+    state, actions = step_mr(state, fsm.EV_DAD_OK)
+    assert state == MrState.REGISTERING and emitted(actions) == [SignalKind.BU]
+    state, actions = step_mr(state, fsm.EV_BA_HA)
+    assert state == MrState.REGISTERED and not actions
+
+
+def test_baseline_router_stale_acknowledgement_has_no_row():
+    for state in MrState:
+        assert step_mr(state, fsm.EV_BA_STALE) == (state, (Unexpected(fsm.EV_BA_STALE),))
+
+
 # -- exhaustive enumeration ------------------------------------------------------
 # Fault-free event alphabets per role: every event a fault-free run can hand
 # the machine, including both the predictive and reactive branches.
@@ -152,12 +170,22 @@ REG_EVENTS = [
     FsmEvent(fsm.EV_GIVE_UP),
 ]
 
+# A colliding NA is fault-free as well: the address was in use.
+MR_EVENTS = [
+    FsmEvent(fsm.EV_RA),
+    FsmEvent(fsm.EV_NA),
+    FsmEvent(fsm.EV_DAD_OK),
+    FsmEvent(fsm.EV_BA_HA),
+    FsmEvent(fsm.EV_BU_REFRESH),
+]
+
 MACHINES = [
     (fsm.ROLE_DMR, DmrState.IDLE, DMR_EVENTS, {DmrState.COMPLETE}),
     (fsm.ROLE_MAP, MapState.IDLE, MAP_EVENTS, {MapState.CLEARED}),
     (fsm.ROLE_NAR, NarState.IDLE, NAR_EVENTS, {NarState.FLUSHED}),
     (fsm.ROLE_NEW_MAP, NewMapState.IDLE, NEW_MAP_EVENTS, {NewMapState.ACKED}),
     (fsm.ROLE_REG, RegState.IDLE, REG_EVENTS, {RegState.DONE, RegState.FALLBACK}),
+    (fsm.ROLE_MR, MrState.AWAIT_RA, MR_EVENTS, {MrState.REGISTERED}),
 ]
 
 
@@ -201,6 +229,7 @@ EVENT_SIGNALS = {
     fsm.EV_BA_HA: (SignalKind.BA,),
     fsm.EV_BA_CN: (SignalKind.BA,),
     fsm.EV_TOKEN: (SignalKind.HOT, SignalKind.COT, SignalKind.NPT),
+    fsm.EV_NA: (SignalKind.NA,),
 }
 
 
@@ -247,10 +276,7 @@ def test_no_fault_free_dead_ends():
 
 def test_all_protocol_signals_appear_in_enumeration():
     _, signals = enumerate_all()
-    # NA is the one signal no machine handles: the access router answers a
-    # colliding address probe itself, and tests/test_nemo_bs.py checks both
-    # its sending and its handling.
-    assert signals == set(SignalKind) - {SignalKind.NA}
+    assert signals == set(SignalKind)
 
 
 def branches(row, path=()):

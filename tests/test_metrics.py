@@ -5,7 +5,6 @@ import pytest
 
 from census import cbr_held
 from nemosim.engine import MS, PACKET_ARRIVAL, SEC
-from nemosim.experiment import generate_cbr
 from nemosim.metrics import (FLOW_CBR, MACRO, MICRO, Delivery, MetricsCollector,
                              compute_handover_latency, compute_loss)
 from nemosim.packets import DATA, Address, Packet
@@ -21,16 +20,30 @@ def test_cbr_interval_is_eighty_ms():
     assert CbrConfig().interval_us == 80 * MS
 
 
-def test_cbr_schedule_count_over_default_window():
-    schedule = generate_cbr(CbrConfig())
-    assert len(schedule) == 2250
-    assert schedule[0] == (20 * SEC, 0)
-    assert schedule[-1][0] < 200 * SEC
+@pytest.fixture(scope="module")
+def cbr_sent():
+    """(send time, seq) of every CBR packet a default run sends."""
+    sim = Simulation(ScenarioConfig())
+    sent, record = [], sim.metrics.record_sent
+
+    def spy(pkt):
+        if pkt.flow == FLOW_CBR:
+            sent.append((pkt.created_at, pkt.seq))
+        record(pkt)
+
+    sim.metrics.record_sent = spy
+    sim.run()
+    return sent
 
 
-def test_cbr_starts_nothing_before_start():
-    schedule = generate_cbr(CbrConfig())
-    assert all(t >= 20 * SEC for t, _ in schedule)
+def test_cbr_schedule_count_over_default_window(cbr_sent):
+    assert len(cbr_sent) == 2250
+    assert cbr_sent[0] == (20 * SEC, 0)
+    assert cbr_sent[-1][0] < 200 * SEC
+
+
+def test_cbr_starts_nothing_before_start(cbr_sent):
+    assert all(t >= 20 * SEC for t, _ in cbr_sent)
 
 
 def delivery(seq, t_us, bs):

@@ -3,6 +3,7 @@
 import pytest
 
 from nemosim.engine import SEC
+from nemosim.fsm import MrState
 from nemosim.nemo_bs import DAD_DELAY_US, BaselineMr, BindingCacheEntry, HomeAgent
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              encapsulate, make_signal)
@@ -16,9 +17,8 @@ COA1 = Prefix(2, 1).address(100)
 
 
 def make_mr(fake_sim, attached="bs1"):
-    mr = BaselineMr(fake_sim, "dmr")
-    mr.state.attached_bs = attached
-    return mr
+    fake_sim.dmr_attached = attached
+    return BaselineMr(fake_sim, "dmr")
 
 
 def ra(prefix, ar="ar1"):
@@ -27,22 +27,43 @@ def ra(prefix, ar="ar1"):
                              "map_prefix": Prefix(2, 0)})
 
 
-def test_same_prefix_advertisement_is_a_noop(fake_sim):
+def checked_mr(fake_sim):
+    """A router that has checked COA1 and sent its home binding update."""
     mr = make_mr(fake_sim)
-    mr.state.current_prefix = Prefix(2, 1)
+    mr.on_signal(ra(Prefix(2, 1)))
+    mr.on_timer(fake_sim.timers[-1][2])
+    return mr
+
+
+def ba_for(coa):
+    return make_signal(SignalKind.BA, HA_ADDR, coa, t=0, info={"hoa": HOA, "coa": coa})
+
+
+def registered_mr(fake_sim):
+    mr = checked_mr(fake_sim)
+    mr.on_signal(ba_for(COA1))
+    assert mr.state is MrState.REGISTERED
+    return mr
+
+
+def test_same_prefix_advertisement_is_a_noop(fake_sim):
+    mr = registered_mr(fake_sim)
+    fake_sim.sent_signals.clear()
+    fake_sim.timers.clear()
     mr.on_router_advertisement(ra(Prefix(2, 1)))
     assert not fake_sim.sent_signals and not fake_sim.timers
+    assert mr.state is MrState.REGISTERED
 
 
 def test_new_prefix_starts_dad_then_binding_update(fake_sim):
     mr = make_mr(fake_sim)
     mr.on_router_advertisement(ra(Prefix(2, 1)))
-    assert mr.state.dad_pending
+    assert mr.state is MrState.DAD
     assert fake_sim.signals_of(SignalKind.NS)
     node, delay, token = fake_sim.timers[0]
     assert delay == DAD_DELAY_US
     mr.on_timer(token)
-    assert mr.state.coa == COA1
+    assert mr.coa == COA1 and mr.state is MrState.REGISTERING
     bu = fake_sim.signals_of(SignalKind.BU)
     assert len(bu) == 1
     assert bu[0][4]["hoa"] == HOA and bu[0][4]["coa"] == COA1
@@ -52,14 +73,14 @@ def test_new_prefix_starts_dad_then_binding_update(fake_sim):
 def test_dad_collision_retries_with_next_node_component(fake_sim):
     mr = make_mr(fake_sim)
     mr.on_router_advertisement(ra(Prefix(2, 1)))
-    mr.on_neighbor_advertisement(make_signal(SignalKind.NA, Address(2, 1, 1), HOA, t=0))
-    assert mr.state.node_component == 101
+    mr.on_signal(make_signal(SignalKind.NA, Address(2, 1, 1), HOA, t=0))
+    assert mr.node_component == 101
     # Stale first timer must not commit; the second one does.
     first, second = fake_sim.timers[0], fake_sim.timers[1]
     mr.on_timer(first[2])
-    assert mr.state.coa is None
+    assert mr.coa is None and mr.state is MrState.DAD
     mr.on_timer(second[2])
-    assert mr.state.coa == Prefix(2, 1).address(101)
+    assert mr.coa == Prefix(2, 1).address(101)
 
 
 def test_home_agent_installs_binding_and_acknowledges(fake_sim):
@@ -106,17 +127,14 @@ def test_reverse_tunnel_endpoint_unwraps(fake_sim):
 
 
 def test_mr_decapsulates_downstream_for_its_network(fake_sim):
-    mr = make_mr(fake_sim)
-    mr.state.coa = COA1
+    mr = checked_mr(fake_sim)
     inner = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA)
     mr.on_packet(encapsulate(inner, HA_ADDR, COA1, dscp=0))
     assert fake_sim.mnn_inbox == [inner]
 
 
 def test_mr_upstream_reverse_tunnels_when_registered(fake_sim):
-    mr = make_mr(fake_sim)
-    mr.state.coa = COA1
-    mr.state.registered = True
+    mr = registered_mr(fake_sim)
     up = Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA)
     mr.on_upstream(up)
     outer = fake_sim.dmr_outbox[0]
@@ -151,9 +169,10 @@ def test_access_router_answers_colliding_dad_probe():
     cfg.cbr.stop_us = 25 * SEC
     sim = Simulation(cfg)
     sim.run()
-    state = sim.nodes["dmr"].state
-    assert state.node_component == 101
-    assert state.coa == state.current_prefix.address(101)
+    mr = sim.nodes["dmr"]
+    assert mr.node_component == 101
+    assert mr.coa == mr.prefix.address(101)
+    assert sim.metrics.unexpected_signals == 0
 
 
 def test_stale_binding_during_handover_loses_at_old_station():
@@ -182,9 +201,49 @@ def test_baseline_upstream_also_rides_the_home_tunnel():
 
 
 def test_foreign_destination_never_reaches_mobile_network(fake_sim):
-    mr = make_mr(fake_sim)
-    mr.state.coa = COA1
+    mr = checked_mr(fake_sim)
     stray = Packet(src=CN, dst=Address(3, 2, 9), size_bytes=1000, kind=DATA, flow="cbr")
     mr.on_packet(encapsulate(stray, HA_ADDR, COA1, dscp=0))
     assert not fake_sim.mnn_inbox
     assert fake_sim.dropped
+
+
+def test_stale_binding_acknowledgement_is_unexpected(fake_sim):
+    """A BA for an earlier care-of address neither registers the router nor
+    passes unseen."""
+    mr = registered_mr(fake_sim)
+    mr.on_signal(ra(Prefix(2, 2)))
+    mr.on_timer(fake_sim.timers[-1][2])
+    assert mr.state is MrState.REGISTERING
+    mr.on_signal(ba_for(COA1))
+    assert mr.state is MrState.REGISTERING and mr.upstream_coa() is None
+    assert fake_sim.metrics.unexpected_signals == 1
+
+
+def test_upstream_waits_for_the_new_address_to_be_bound(fake_sim):
+    """From the start of a new prefix's check until the home agent
+    acknowledges the new address, upstream traffic is dropped."""
+    mr = registered_mr(fake_sim)
+    coa2 = Prefix(2, 2).address(100)
+
+    def send_up():
+        mr.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA, flow="up"))
+
+    mr.on_signal(ra(Prefix(2, 2)))
+    send_up()
+    mr.on_timer(fake_sim.timers[-1][2])
+    send_up()
+    assert [where for _, where in fake_sim.dropped] == ["mr_not_registered"] * 2
+    assert not fake_sim.dmr_outbox
+    mr.on_signal(ba_for(coa2))
+    send_up()
+    outer = fake_sim.dmr_outbox[0]
+    assert outer.src == coa2 and outer.dst == HA_ADDR
+    assert fake_sim.metrics.unexpected_signals == 0
+
+
+def test_unhandled_signal_kind_is_unexpected(fake_sim):
+    mr = registered_mr(fake_sim)
+    mr.on_signal(make_signal(SignalKind.FBACK, HA_ADDR, COA1, t=0, info={}))
+    assert fake_sim.metrics.unexpected_signals == 1
+    assert mr.state is MrState.REGISTERED
