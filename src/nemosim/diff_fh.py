@@ -1,32 +1,32 @@
 """Fast hierarchical scheme: anchor-point local bindings, anticipatory address
-configuration, forwarding tunnels into the new access router, and buffering
-there until the mobile router announces itself on the new link.
+configuration, and forwarding tunnels into the new access router, which
+buffers until the mobile router announces itself on the new link.
 
-The signal choreography lives in the pure machines of `fsm`.  `Node.drive`
-steps them, and each agent's `_perform` carries the emitted actions out
-against the topology and the mutable state (bindings, buffers, pending
-addresses).  The anchor and the new access router keep the `info` of the
-signal that opened a handover as its context; the mobile router keeps an
-`FhHandoverCtx`."""
+Every scheme runs its anchors as `MapAgent` and its access routers as
+`nodes.ArNode`; their fast-handover duties stay idle until the mobile router
+of this scheme, `FhDmr`, signals them.  The signal choreography lives in the
+pure machines of `fsm`.  `Node.drive` steps them, and each agent's `_perform`
+carries the emitted actions out against the topology and the mutable state
+(bindings, buffers, pending addresses).  The anchor and the new access router
+keep the `info` of the signal that opened a handover as its context; the
+mobile router keeps an `FhHandoverCtx`."""
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
 from . import fsm
 from .engine import MS, SimTime
 from .diff_nemo import Registration
-from .fsm import (ROLE_DMR, ROLE_MAP, ROLE_NAR, ROLE_NEW_MAP, DmrState, FsmEvent,
-                  MapState, NarState, NewMapState)
+from .fsm import ROLE_DMR, ROLE_MAP, ROLE_NEW_MAP, DmrState, FsmEvent, MapState, NewMapState
 from .nemo_bs import BINDING_LIFETIME_US, DAD_DELAY_US, MobileRouter
-from .nodes import ArNode, Node
+from .nodes import Node
 from .packets import SIGNAL, Address, Packet, Prefix, SignalKind, encapsulate
 
-# The scheme's timings: the address checks at the new access router and the
-# new anchor, and the mobile router's fast and local binding update timers.
-DAD_FAST_US = 100 * MS
+# The scheme's timings: the address check at the new anchor (the new access
+# router's is `nodes.DAD_FAST_US`), and the mobile router's fast and local
+# binding update timers.
 DAD_RCOA_US = 180 * MS
 FBU_DELAY_US = 40 * MS
 FBU_RETX_US = 60 * MS
@@ -68,10 +68,13 @@ class FhHandoverCtx:
 
 
 class MapAgent(Node):
-    """Anchor point: regional bindings plus the forwarding side of a fast handover."""
+    """Anchor point: regional bindings for its prefix, plus the forwarding
+    side of a fast handover.  It drops a packet addressed into its prefix
+    that no binding covers; only the fast scheme forms such an address."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
+        self.prefix = sim.topo.map_prefix[node_id]
         self.signal_handlers = {SignalKind.FBU: self.on_fbu, SignalKind.HACK: self.on_hack,
                                 SignalKind.LBU: self.on_lbu, SignalKind.HI: self.on_hi_as_new_map}
         self.timer_handlers = {"rcoa_dad": self._on_rcoa_dad}
@@ -168,7 +171,7 @@ class MapAgent(Node):
             elif binding is not None:
                 self.sim.drop(pkt, f"stale_binding@{self.node_id}")
                 return True
-            elif self.sim.topo.map_prefix[self.node_id].matches(pkt.dst):
+            elif self.prefix.matches(pkt.dst):
                 self.sim.drop(pkt, f"no_binding@{self.node_id}")
                 return True
         if target is None:
@@ -176,78 +179,6 @@ class MapAgent(Node):
         outer = encapsulate(pkt, self.address, target, dscp=pkt.dscp)
         self.sim.forward(self.node_id, outer)
         return True
-
-
-class NarAgent(ArNode):
-    """Access router that, as the new one, verifies the pre-configured address,
-    anchors the forwarding tunnel, and buffers until the router announces itself."""
-
-    def __init__(self, sim, node_id: str):
-        super().__init__(sim, node_id)
-        self.signal_handlers.update({SignalKind.HI: self.on_hi, SignalKind.FNA: self.on_fna})
-        self.timer_handlers["nar_dad"] = lambda token: self.drive(
-            ROLE_NAR, "state", FsmEvent(fsm.EV_DAD_OK))
-        self.state: NarState = NarState.IDLE
-        self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
-        self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
-        self.buffer: list[Packet] = []
-
-    def on_hi(self, pkt: Packet) -> None:
-        self.ctx = pkt.info
-        self.state = NarState.IDLE
-        self.drive(ROLE_NAR, "state", FsmEvent(fsm.EV_HI, macro=pkt.info["macro"]))
-
-    def on_fna(self, pkt: Packet) -> None:
-        self.fbu = pkt.inner
-        if self.fbu is None:
-            self.drive(ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_RS))
-            return
-        info = pkt.info or {}
-        collision = self.sim.fna_collides(info.get("handover", -1), info.get("attempt", 0))
-        if self.ctx is None:
-            self.ctx = self.fbu.info
-        self.drive(ROLE_NAR, "state", FsmEvent(fsm.EV_FNA_FBU, collision=collision))
-
-    def _perform(self, action) -> None:
-        sim, ctx = self.sim, self.ctx
-        match action:
-            case fsm.StartTimer():
-                sim.timer(self.node_id, DAD_FAST_US, ("nar_dad",))
-            case fsm.Emit(SignalKind.NS):
-                sim.send_signal(self.node_id, SignalKind.NS, self.address,
-                                sim.topo.addresses[self.bs_id], info={"tentative": ctx["nlcoa"]})
-            case fsm.Do("relay_hi"):
-                sim.send_signal(self.node_id, SignalKind.HI, self.address,
-                                sim.topo.addresses[ctx["new_map"]], info=ctx)
-            case fsm.Emit(SignalKind.HACK):
-                sim.send_signal(self.node_id, SignalKind.HACK, self.address,
-                                sim.topo.addresses[ctx["old_map"]], info={"from_role": "nar"})
-            case fsm.Do("flush_buffer"):
-                for buffered in self.buffer:
-                    sim.forward(self.node_id, buffered)
-                self.buffer.clear()
-            case fsm.Do("forward_fbu"):
-                relayed = dataclasses.replace(self.fbu, info={**self.fbu.info,
-                                                              "relayed_by_nar": True})
-                sim.forward(self.node_id, relayed)
-            case fsm.Emit(SignalKind.NAACK):
-                nlcoa = ctx["nlcoa"]
-                alternative = Address(nlcoa.domain, nlcoa.site, nlcoa.node + 1)
-                sim.send_signal(self.node_id, SignalKind.NAACK, self.address, nlcoa,
-                                info={"alternative": alternative})
-
-    def intercept(self, pkt: Packet) -> bool:
-        """Hold packets for the pre-configured address until the flush."""
-        if self.ctx is None or pkt.dst != self.ctx["nlcoa"]:
-            return False
-        if self.state in (NarState.DAD_RUNNING, NarState.TUNNEL_UP_BUFFERING):
-            self.buffer.append(pkt)
-            if len(self.buffer) > self.sim.config.nar_buffer_capacity:
-                oldest = self.buffer.pop(0)
-                self.sim.metrics.nar_buffer_drops += 1
-                self.sim.drop(oldest, f"nar_overflow@{self.node_id}")
-            return True
-        return False
 
 
 class FhDmr(MobileRouter):

@@ -3,8 +3,9 @@ correspondent registration for its network nodes, after which marked traffic
 flows directly between correspondent and mobile router with a type 2 routing
 header downstream and a home address option upstream.
 
-Both sides of return routability live here: the correspondent's token
-issuer and `Registration`, which steps the `fsm` registration table for both
+Both sides of return routability live here: the correspondent, which every
+scheme runs as the source and sink of the measured flow and which issues the
+tokens, and `Registration`, which steps the `fsm` registration table for both
 route-optimising mobile routers."""
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from typing import Callable, Optional
 from . import fsm
 from .engine import SEC
 from .fsm import FsmEvent, RegState, fsm_step
+from .engine import APP_START
+from .metrics import FLOW_CBR
 from .nemo_bs import BINDING_LIFETIME_US, BaselineMr, BindingCacheAgent
-from .nodes import CnNode
-from .packets import Address, Packet, SignalKind
+from .packets import DATA, Address, Packet, SignalKind, apply_home_address_option
 
 # Return routability: a token's lifetime, the wait for tokens, and the probe
 # rounds re-sent before giving up.
@@ -25,18 +27,59 @@ RR_TIMEOUT_US = 3 * SEC
 RR_RETRIES = 2
 
 
-class CorrespondentAgent(BindingCacheAgent, CnNode):
-    """Correspondent whose binding cache is gated by return-routability tokens."""
+class CorrespondentAgent(BindingCacheAgent):
+    """Correspondent of every scheme: the constant-bit-rate source, the
+    upstream sink, and a binding cache gated by return-routability tokens.
+    Only a route-optimising router runs return routability, so under the
+    baseline the cache stays empty and each packet is addressed to the
+    mobile network node itself."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.signal_handlers.update({SignalKind.HOTI: self.on_hoti,
-                                     SignalKind.COTI: self.on_coti,
-                                     SignalKind.BU: self.on_binding_update})
+        self.signal_handlers = {None: self._receive_upstream,
+                                SignalKind.HOTI: self.on_hoti,
+                                SignalKind.COTI: self.on_coti,
+                                SignalKind.BU: self.on_binding_update}
+        self.timer_handlers = {"cbr": lambda token: self._cbr_tick()}
+        self.seq = 0
+        self.upstream_received: list[Packet] = []
         self.issued: dict[Address, dict] = {}
         self.bound_at: list = []
         self._nonce = 0
 
+    # -- measured flow ------------------------------------------------------
+    def _receive_upstream(self, pkt: Packet) -> None:
+        if pkt.home_addr_option is not None:
+            pkt = apply_home_address_option(pkt)
+        self.upstream_received.append(pkt)
+
+    def on_app(self, kind: str) -> None:
+        if kind == APP_START:
+            self._cbr_interval_us = self.sim.config.cbr.interval_us
+            self._cbr_tick()
+
+    def _cbr_tick(self) -> None:
+        sim = self.sim
+        cbr = sim.config.cbr
+        now = sim.engine.now
+        if now >= cbr.stop_us:
+            return
+        mnn = sim.topo.mnn_addr
+        pkt = Packet(src=self.address, dst=mnn, size_bytes=cbr.packet_bytes,
+                     kind=DATA, seq=self.seq, flow=FLOW_CBR,
+                     created_at=now, path_log=[self.node_id])
+        binding = self.lookup(mnn)
+        if binding is not None:
+            pkt.dst = binding.coa
+            pkt.rh2_home_addr = mnn
+        self.seq += 1
+        sim.metrics.record_sent(pkt)
+        sim.condition_data(self.node_id, pkt)
+        sim.forward(self.node_id, pkt)
+        if now + self._cbr_interval_us < cbr.stop_us:
+            sim.timer(self.node_id, self._cbr_interval_us, ("cbr",))
+
+    # -- return routability ------------------------------------------------
     def _token(self, kind: str, addr: Address) -> tuple:
         self._nonce += 1
         return (kind, addr, self._nonce)

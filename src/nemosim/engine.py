@@ -43,7 +43,6 @@ class SimEvent:
     target: str
     kind: str
     payload: object = None
-    insertion_seq: int = -1
 
 
 # A heap entry, and what a handler receives: (fire_at, insertion_seq, target,
@@ -145,7 +144,6 @@ class Engine:
         if fire_at < self.now:
             raise PastEvent(f"fire_at {fire_at} < clock {self.now}")
         seq = self._seq
-        event.insertion_seq = seq
         self._seq = seq + 1
         heappush(self._heap, (fire_at, seq, event.target, event.kind, event.payload))
 

@@ -1,15 +1,21 @@
-"""The `Node` base and the nodes every scheme shares: routers, stations, endpoints."""
+"""The `Node` base and the nodes every scheme shares: routers, access routers,
+stations and the mobile network node."""
 
 from __future__ import annotations
 
+import dataclasses
+from typing import Optional
+
 from . import fsm
-from .engine import APP_START, APP_STOP, PACKET_ARRIVAL, TIMER_EXPIRY, Entry
+from .engine import APP_START, APP_STOP, MS, PACKET_ARRIVAL, TIMER_EXPIRY, Entry
 from .metrics import FLOW_BG, FLOW_CBR
-from .packets import DATA, Packet, SignalKind, apply_home_address_option
+from .packets import DATA, Address, Packet, SignalKind
 from .scenario import BG_PACKET_BYTES
 
 # Payload of every background tick; `ArNode.dispatch` tests it by identity.
 BG_TICK = ("bg",)
+# The new access router's check of a pre-configured address in a fast handover.
+DAD_FAST_US = 100 * MS
 
 
 def air_receiver(sim, bs: str, hop: str, deliver):
@@ -91,8 +97,11 @@ class Node:
 
 class ArNode(Node):
     """Access router: advertisements, proxied discovery, duplicate address
-    checks, and the optional best-effort background source on its downlink;
-    `diff_fh.NarAgent` adds the fast-handover duties."""
+    checks, and the optional best-effort background source on its downlink.
+    As the new access router of a fast handover it also verifies the
+    pre-configured address, anchors the forwarding tunnel, and buffers until
+    the router announces itself; those duties lie idle until an HI or an FNA
+    arrives, which only the fast scheme sends."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -101,9 +110,16 @@ class ArNode(Node):
         self.map_id = sim.topo.ar_to_map[node_id]
         self.signal_handlers = {SignalKind.RS: lambda pkt: self.send_ra(pkt.src),
                                 SignalKind.RT_SOL_PR: self._proxy_advertisement,
-                                SignalKind.NS: self._dad_check}
-        self.timer_handlers = {"beacon": self._beacon}
+                                SignalKind.NS: self._dad_check,
+                                SignalKind.HI: self.on_hi, SignalKind.FNA: self.on_fna}
+        self.timer_handlers = {"beacon": self._beacon,
+                               "nar_dad": lambda token: self.drive(
+                                   fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_DAD_OK))}
         self._bg_seq = 0
+        self.state: fsm.NarState = fsm.NarState.IDLE
+        self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
+        self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
+        self.buffer: list[Packet] = []
 
     # -- control -------------------------------------------------------------
     def ra_info(self) -> dict:
@@ -141,6 +157,64 @@ class ArNode(Node):
         else:
             super().dispatch(ev)
 
+    # -- new access router of a fast handover -------------------------------
+    def on_hi(self, pkt: Packet) -> None:
+        self.ctx = pkt.info
+        self.state = fsm.NarState.IDLE
+        self.drive(fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_HI, macro=pkt.info["macro"]))
+
+    def on_fna(self, pkt: Packet) -> None:
+        self.fbu = pkt.inner
+        if self.fbu is None:
+            self.drive(fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_FNA_RS))
+            return
+        info = pkt.info or {}
+        collision = self.sim.fna_collides(info.get("handover", -1), info.get("attempt", 0))
+        if self.ctx is None:
+            self.ctx = self.fbu.info
+        self.drive(fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_FNA_FBU, collision=collision))
+
+    def _perform(self, action) -> None:
+        sim, ctx = self.sim, self.ctx
+        match action:
+            case fsm.StartTimer():
+                sim.timer(self.node_id, DAD_FAST_US, ("nar_dad",))
+            case fsm.Emit(SignalKind.NS):
+                sim.send_signal(self.node_id, SignalKind.NS, self.address,
+                                sim.topo.addresses[self.bs_id], info={"tentative": ctx["nlcoa"]})
+            case fsm.Do("relay_hi"):
+                sim.send_signal(self.node_id, SignalKind.HI, self.address,
+                                sim.topo.addresses[ctx["new_map"]], info=ctx)
+            case fsm.Emit(SignalKind.HACK):
+                sim.send_signal(self.node_id, SignalKind.HACK, self.address,
+                                sim.topo.addresses[ctx["old_map"]], info={"from_role": "nar"})
+            case fsm.Do("flush_buffer"):
+                for buffered in self.buffer:
+                    sim.forward(self.node_id, buffered)
+                self.buffer.clear()
+            case fsm.Do("forward_fbu"):
+                relayed = dataclasses.replace(self.fbu, info={**self.fbu.info,
+                                                              "relayed_by_nar": True})
+                sim.forward(self.node_id, relayed)
+            case fsm.Emit(SignalKind.NAACK):
+                nlcoa = ctx["nlcoa"]
+                alternative = Address(nlcoa.domain, nlcoa.site, nlcoa.node + 1)
+                sim.send_signal(self.node_id, SignalKind.NAACK, self.address, nlcoa,
+                                info={"alternative": alternative})
+
+    def intercept(self, pkt: Packet) -> bool:
+        """Hold packets for the pre-configured address until the flush."""
+        if self.ctx is None or pkt.dst != self.ctx["nlcoa"]:
+            return False
+        if self.state in (fsm.NarState.DAD_RUNNING, fsm.NarState.TUNNEL_UP_BUFFERING):
+            self.buffer.append(pkt)
+            if len(self.buffer) > self.sim.config.nar_buffer_capacity:
+                oldest = self.buffer.pop(0)
+                self.sim.metrics.nar_buffer_drops += 1
+                self.sim.drop(oldest, f"nar_overflow@{self.node_id}")
+            return True
+        return False
+
     # -- background load -------------------------------------------------------
     def _bg_tick(self) -> None:
         engine = self.sim.engine
@@ -174,53 +248,6 @@ class BsNode(Node):
         else:
             self.sim.drop(pkt, f"detached@{self.node_id}")
         return True
-
-
-class CnNode(Node):
-    """Correspondent: the constant-bit-rate source and upstream sink; the QoS
-    schemes run `diff_nemo.CorrespondentAgent`, which adds a binding cache."""
-
-    def __init__(self, sim, node_id: str):
-        super().__init__(sim, node_id)
-        self.signal_handlers = {None: self._receive_upstream}
-        self.timer_handlers = {"cbr": lambda token: self._cbr_tick()}
-        self.seq = 0
-        self.upstream_received: list[Packet] = []
-
-    def _receive_upstream(self, pkt: Packet) -> None:
-        if pkt.home_addr_option is not None:
-            pkt = apply_home_address_option(pkt)
-        self.upstream_received.append(pkt)
-
-    def on_app(self, kind: str) -> None:
-        if kind == APP_START:
-            self._cbr_interval_us = self.sim.config.cbr.interval_us
-            self._cbr_tick()
-
-    def lookup(self, dst):
-        """The binding the correspondent holds for `dst`: none without a cache."""
-        return None
-
-    def _cbr_tick(self) -> None:
-        sim = self.sim
-        cbr = sim.config.cbr
-        now = sim.engine.now
-        if now >= cbr.stop_us:
-            return
-        mnn = sim.topo.mnn_addr
-        pkt = Packet(src=self.address, dst=mnn, size_bytes=cbr.packet_bytes,
-                     kind=DATA, seq=self.seq, flow=FLOW_CBR,
-                     created_at=now, path_log=[self.node_id])
-        binding = self.lookup(mnn)
-        if binding is not None:
-            pkt.dst = binding.coa
-            pkt.rh2_home_addr = mnn
-        self.seq += 1
-        sim.metrics.record_sent(pkt)
-        sim.condition_data(self.node_id, pkt)
-        sim.forward(self.node_id, pkt)
-        if now + self._cbr_interval_us < cbr.stop_us:
-            sim.timer(self.node_id, self._cbr_interval_us, ("cbr",))
 
 
 class MnnNode(Node):

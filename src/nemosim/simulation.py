@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .diff_fh import FhDmr, MapAgent, NarAgent
+from .diff_fh import FhDmr, MapAgent
 from .diff_nemo import CorrespondentAgent, ProxyDmr
 from .diffserv import BE, EF, SlaTable
 from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
@@ -12,7 +12,7 @@ from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
 from .metrics import MetricsCollector, build_report
 from .nemo_bs import BaselineMr, HomeAgent
 from .network import Link, LinkQueue, build_l2_plan
-from .nodes import ArNode, BsNode, CnNode, MnnNode, Node
+from .nodes import ArNode, BsNode, MnnNode, Node
 from .packets import Address, Packet, SignalKind, encapsulate
 from .packets import make_signal as new_signal
 from .scenario import (AIR_DELAY_US, AIR_RATE_BPS, BEACON_PHASE_US, MODE_PREDICTIVE,
@@ -123,16 +123,13 @@ class Simulation:
         self._to_mnn = self.linkqueues[("dmr", "mnn")]
 
     def _build_nodes(self) -> None:
-        # One class per role for the scheme.  Without the fast scheme the
-        # anchors are plain routers: an anchor agent would drop their
-        # domains' traffic for want of a regional binding.
-        fh = self.config.protocol == PROTO_DIFF_FH
-        roles = {"cn": CorrespondentAgent if self.config.qos_enabled() else CnNode,
-                 "er": Node, "ha": HomeAgent, "map1": MapAgent if fh else Node,
-                 "map2": MapAgent if fh else Node, "mnn": MnnNode,
+        # Every scheme runs on the same network: only the mobile router
+        # depends on the protocol.
+        roles = {"cn": CorrespondentAgent, "er": Node, "ha": HomeAgent,
+                 "map1": MapAgent, "map2": MapAgent, "mnn": MnnNode,
                  "dmr": {PROTO_DIFF_FH: FhDmr, PROTO_DIFF_NEMO: ProxyDmr}.get(
                      self.config.protocol, BaselineMr),
-                 **dict.fromkeys(self.topo.ar_prefix, NarAgent if fh else ArNode),
+                 **dict.fromkeys(self.topo.ar_prefix, ArNode),
                  **dict.fromkeys(self.topo.bs_to_ar, BsNode)}
         self.nodes = {node_id: cls(self, node_id) for node_id, cls in roles.items()}
 

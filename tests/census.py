@@ -1,7 +1,7 @@
 """Census of the measured (CBR) packets a simulation still holds."""
 
-from nemosim.diff_fh import NarAgent
 from nemosim.metrics import FLOW_CBR
+from nemosim.nodes import ArNode
 from nemosim.packets import Packet
 
 
@@ -16,6 +16,6 @@ def cbr_held(sim) -> int:
             for backlog in queue.scheduler._backlogs for pkt in backlog]
     held += [payload for _, _, _, _, payload in sim.engine._heap
              if isinstance(payload, Packet)]
-    held += [pkt for node in sim.nodes.values() if isinstance(node, NarAgent)
+    held += [pkt for node in sim.nodes.values() if isinstance(node, ArNode)
              for pkt in node.buffer]
     return sum(pkt.innermost().flow == FLOW_CBR for pkt in held)

@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import pytest
 
 from census import cbr_held
-from nemosim.diff_fh import FBU_DELAY_US, FhDmr, MapAgent, NarAgent
+from nemosim.diff_fh import FBU_DELAY_US, FhDmr, MapAgent
 from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState
+from nemosim.nodes import ArNode
 from nemosim.packets import (DATA, Address, DepthExceeded, Packet, Prefix,
                              SignalKind, make_signal)
 from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
@@ -157,7 +158,7 @@ def test_teardown_relay_clears_old_anchor(fake_sim):
 # -- new access router ------------------------------------------------------------
 
 def nar_agent(fake_sim):
-    return NarAgent(fake_sim, "ar2")
+    return ArNode(fake_sim, "ar2")
 
 
 def hi_signal(fake_sim, macro=False):

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from nemosim.engine import SEC, TIMER_EXPIRY
+from nemosim.fsm import MapState, NarState, NewMapState
 from nemosim.nodes import BG_TICK, ArNode
 from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
 from nemosim.simulation import Simulation
@@ -49,11 +50,13 @@ def test_every_fired_timer_reaches_a_handler(run, background_bps):
 
     assert not unhandled, f"timers with no handler: {dict(unhandled)}"
     assert set(bg_ticks) == ({True} if background_bps else set())
-    # Every table entry is reached too, except that a reactive handover
-    # anticipates nothing, so no access router or anchor verifies an address.
+    # Every table entry is reached too, except the address checks of the new
+    # access router and anchor: every scheme registers them, but only a
+    # predictive fast handover anticipates an address for them to verify.
     entries = {name for node in sim.nodes.values() for name in node.timer_handlers}
     unreached = entries - {name for _, name in fired}
-    assert unreached == ({"nar_dad", "rcoa_dad"} if cfg.mode == "reactive" else set())
+    predictive_fh = cfg.protocol == "diff-fh-nemo" and cfg.mode == "predictive"
+    assert unreached == (set() if predictive_fh else {"nar_dad", "rcoa_dad"})
 
 
 # The access router's own signals, and an announcement that carries a binding
@@ -108,3 +111,40 @@ def test_sent_signal_kinds_match_the_table(protocol, mode, monkeypatch):
     monkeypatch.setattr(Simulation, "send_signal_packet", spy)
     Simulation(cfg).run()
     assert sent == cfg.sent_signals()
+
+
+def test_only_the_mobile_router_depends_on_the_scheme():
+    roles = [{node_id: type(node) for node_id, node
+              in Simulation(ScenarioConfig(protocol=protocol)).nodes.items()}
+             for protocol in ("nemo-bs", "diff-nemo", "diff-fh-nemo")]
+    assert roles[0].keys() == roles[1].keys() == roles[2].keys()
+    assert {node_id for node_id in roles[0] if len({r[node_id] for r in roles}) > 1} == {"dmr"}
+
+
+@pytest.mark.parametrize("background_bps", [0, 1_200_000], ids=["idle", "congested"])
+@pytest.mark.parametrize("protocol", ["nemo-bs", "diff-nemo"])
+def test_fast_handover_duties_stay_idle_without_the_fast_router(protocol, background_bps,
+                                                                monkeypatch):
+    # The anchors and access routers carry the fast scheme's duties in every
+    # scheme, but only the fast router signals them; nor does any other
+    # router form an address in an anchor's prefix.
+    cfg = ScenarioConfig(protocol=protocol, dmr_speed_kmh=60, sim_end_us=60 * SEC,
+                         cbr=CbrConfig(stop_us=60 * SEC), background_load_bps=background_bps)
+    wheres = []
+    drop = Simulation.drop
+
+    def spy(self, pkt, where):
+        wheres.append(where)
+        drop(self, pkt, where)
+    monkeypatch.setattr(Simulation, "drop", spy)
+    sim = Simulation(cfg)
+    sim.run()
+
+    anchors = [sim.nodes["map1"], sim.nodes["map2"]]
+    routers = [node for node in sim.nodes.values() if isinstance(node, ArNode)]
+    assert len(routers) == 4
+    assert all(not a.divert and not a.bindings and a.fh_ctx is None
+               and a.fh_state is MapState.IDLE and a.newmap_state is NewMapState.IDLE
+               for a in anchors)
+    assert all(not r.buffer and r.ctx is None and r.state is NarState.IDLE for r in routers)
+    assert not [w for w in wheres if w.startswith(("no_binding@map", "nar_overflow@"))]
