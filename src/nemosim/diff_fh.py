@@ -293,7 +293,8 @@ class FhDmr(MobileRouter):
                 fna = Packet(src=self.lcoa, dst=sim.topo.addresses[ctx.nar],
                              size_bytes=fbu.size_bytes + 40, kind=SIGNAL, dscp=fbu.dscp,
                              signal=SignalKind.FNA, inner=fbu, created_at=sim.now,
-                             info={"handover": ctx.handover_index, "attempt": ctx.fna_attempt})
+                             info={"handover": ctx.handover_index, "attempt": ctx.fna_attempt},
+                             path_log=fbu.path_log)
                 sim.send_signal_packet("dmr", fna)
             case fsm.Do("adopt_alternative"):
                 ctx.fna_attempt += 1

@@ -133,11 +133,24 @@ class PriorityScheduler:
     """One hop's per-hop behaviour: six class queues served in strict
     priority, FIFO within a class.  Expedited forwarding is drop-tail
     (RFC 3246); every other class runs random early detection on the EWMA of
-    its backlog at each arrival (RFC 2597, Floyd & Jacobson 1993)."""
+    its backlog at each arrival (RFC 2597, Floyd & Jacobson 1993).
+
+    The RED constants are read from `red_params` once, at construction: the
+    arrival path loads plain attributes and does the same float arithmetic
+    in the same order, so its averages and draws are those of the formulas
+    read from the parameters.  A link that holds the scheduler counts the
+    packets it has queued here itself (`LinkQueue`), so it asks the
+    scheduler only to admit and to dequeue."""
 
     def __init__(self, red_params: RedParams, ef_capacity: int = 50):
-        self.red_params = red_params
         self.ef_capacity = ef_capacity
+        self._keep = 1.0 - red_params.w_q
+        self._w_q = red_params.w_q
+        self._min_th = red_params.min_th
+        self._max_th = red_params.max_th
+        self._max_p = red_params.max_p
+        self._th_span = red_params.max_th - red_params.min_th
+        self._capacity = red_params.capacity
         # The class backlogs in service order; dequeue tests them directly.
         self._backlogs = tuple(deque() for _ in range(NUM_CLASSES))
         # Each class's RED average and arrivals accepted since its last drop.
@@ -155,23 +168,25 @@ class PriorityScheduler:
         backlog = self._backlogs[cls]
         n = len(backlog)
         if cls == CLASS_EF:
-            accept = n < self.ef_capacity
-        else:
-            p = self.red_params
-            avg = self._red_avg[cls] = (1.0 - p.w_q) * self._red_avg[cls] + p.w_q * n
-            if avg >= p.max_th or n >= p.capacity:
-                accept = False
-            elif avg >= p.min_th:
-                p_b = p.max_p * (avg - p.min_th) / (p.max_th - p.min_th)
-                denom = 1.0 - self._since_drop[cls] * p_b
-                accept = not rng.uniform() < (1.0 if denom <= 0 else p_b / denom)
-            else:
-                accept = True
-            self._since_drop[cls] = self._since_drop[cls] + 1 if accept else 0
-        if accept:
-            return backlog
-        self.drops_by_class[cls] += 1
-        return None
+            if n < self.ef_capacity:
+                return backlog
+            self.drops_by_class[cls] += 1
+            return None
+        red_avg, since_drop = self._red_avg, self._since_drop
+        avg = red_avg[cls] = self._keep * red_avg[cls] + self._w_q * n
+        if avg >= self._max_th or n >= self._capacity:
+            since_drop[cls] = 0
+            self.drops_by_class[cls] += 1
+            return None
+        if avg >= self._min_th:
+            p_b = self._max_p * (avg - self._min_th) / self._th_span
+            denom = 1.0 - since_drop[cls] * p_b
+            if rng.uniform() < (1.0 if denom <= 0 else p_b / denom):
+                since_drop[cls] = 0
+                self.drops_by_class[cls] += 1
+                return None
+        since_drop[cls] += 1
+        return backlog
 
     def enqueue(self, pkt: Packet, rng: RngStream) -> str:
         backlog = self.admit(pkt, rng)

@@ -69,11 +69,14 @@ class MetricsCollector:
                                         pkt.src, pkt.dst, path))
 
     def record_drop(self, pkt: Packet, t: SimTime, where: str) -> None:
-        inner = pkt.innermost()
-        if inner.flow == FLOW_CBR:
-            self.drops.append(Drop(inner.seq, t, where))
-        elif inner.flow == FLOW_BG:
+        """Count a drop by the flow of the innermost packet."""
+        if pkt.inner is not None:
+            pkt = pkt.innermost()
+        flow = pkt.flow
+        if flow == FLOW_BG:
             self.bg_drops += 1
+        elif flow == FLOW_CBR:
+            self.drops.append(Drop(pkt.seq, t, where))
         else:
             self.signal_drops += 1
 

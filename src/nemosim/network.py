@@ -176,28 +176,31 @@ class LinkQueue:
 
     Packets enter the priority scheduler (RED on assured and best-effort
     classes, drop-tail on expedited); the transmitter serializes one packet at
-    a time and delivers it to the far end after the propagation delay.
+    a time and delivers it to the far end after the propagation delay.  Every
+    arrival takes the scheduler's admission decision (`PriorityScheduler.admit`,
+    RED's or drop-tail's, the one `enqueue` uses).  A packet that finds the
+    transmitter free goes to the wire without being queued and dequeued,
+    which is the same as queueing it in an empty scheduler and taking it at
+    once; any other joins its class backlog.  The link counts the packets it
+    has queued (`_queued`), so a packet waits exactly when the count is not
+    zero, and a departure makes one scheduler call, `dequeue`.
 
     A traced run (the engine has a trace sink) drives the transmitter by
     events: each packet's transmit completion is an event that schedules its
     arrival and starts the next packet.  An untraced run keeps time with a
     clock: a send to a free link schedules the arrival at once and sets
-    `free_at`, the instant serialization ends.  Such a send finds the
-    scheduler empty, since a wake-up is pending whenever a packet waits, so
-    it cuts through: the packet takes the scheduler's admission decision
-    (`PriorityScheduler.admit`, RED's or drop-tail's, the one `enqueue`
-    uses) and goes to the wire without being queued and dequeued.  A send
-    to a busy link takes the same decision and joins its class backlog.
-    The completion that the traced run would process takes an insertion
-    number reserved when the transmission starts (`_free_seq`), so the link
-    is free once the running event is past `(free_at, _free_seq)`.  A
-    completion event, a wake-up with no payload, is scheduled under that
-    number only when a packet waits behind the one on the wire: at the first
-    send during the transmission, or at its start if a packet waits already,
-    when the number is taken by scheduling it.  Both give the same
-    departures and arrivals, except that an arrival takes its insertion
-    number when serialization starts rather than when it ends, so it can pop
-    before an event scheduled in between for the same microsecond.
+    `free_at`, the instant serialization ends.  The completion that the
+    traced run would process takes an insertion number reserved when the
+    transmission starts (`_free_seq`), so the link is free once the running
+    event is past `(free_at, _free_seq)`.  A completion event, a wake-up
+    with no payload, is scheduled under that number only when a packet waits
+    behind the one on the wire: at the first send during the transmission,
+    or at its start if a packet waits already, when the number is taken by
+    scheduling it.  A wake-up is thus pending exactly when a packet is
+    queued.  Both give the same departures and arrivals, except that an
+    arrival takes its insertion number when serialization starts rather
+    than when it ends, so it can pop before an event scheduled in between
+    for the same microsecond.
 
     A background source that sends into this queue sets `bg_station` to the
     far-end station it addresses.  That station discards such packets on
@@ -214,11 +217,12 @@ class LinkQueue:
         self.dst = dst
         self.scheduler = diffserv.PriorityScheduler(red_params)
         self.on_drop = on_drop
+        # A traced run's transmitter is serializing a packet.
         self.busy = False
         self.free_at: SimTime = -1
         self._free_seq = -1
-        # A wake-up is on the heap for the transmission that ends at free_at.
-        self._waking = False
+        # Packets in the scheduler's backlogs.
+        self._queued = 0
         self.bg_station: Optional[Address] = None
         self.prop_delay_us = link.prop_delay_us
         self._ser_us = _SerializationTable(link.bandwidth_bps)
@@ -229,23 +233,28 @@ class LinkQueue:
 
     def send(self, pkt: Packet) -> None:
         engine = self.engine
-        if engine.trace is not None:
-            if self.scheduler.enqueue(pkt, engine.rng) == diffserv.DROP:
-                self.on_drop(pkt, self._drop_where)
-            elif not self.busy:
-                self._start_next()
-            return
         backlog = self.scheduler.admit(pkt, engine.rng)
         if backlog is None:
             self.on_drop(pkt, self._drop_where)
             return
-        if self._waking:
+        if self._queued:
+            # Packets wait already, so the transmitter is busy.
             backlog.append(pkt)
+            self._queued += 1
+            return
+        if engine.trace is not None:
+            # The traced transmitter: a free one starts at once.
+            if self.busy:
+                backlog.append(pkt)
+                self._queued = 1
+            else:
+                self.busy = True
+                engine.schedule_in(self._ser_us[pkt.size_bytes], self._timer_target,
+                                   TIMER_EXPIRY, pkt)
             return
         now = engine.now
         if now > self.free_at or (now == self.free_at and engine.now_seq > self._free_seq):
-            # Cut-through: with no wake-up pending no packet waits, so the
-            # scheduler is empty and this one would be the next dequeued.
+            # The link is free: the packet goes to the wire (cut-through).
             self._free_seq = engine.reserve_seq()
             ser = self._ser_us[pkt.size_bytes]
             self.free_at = now + ser
@@ -253,44 +262,37 @@ class LinkQueue:
                 engine.schedule_in(ser + self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
         else:
             backlog.append(pkt)
-            self._waking = True
+            self._queued = 1
             engine.schedule_reserved(self.free_at, self._free_seq, self._timer_target,
                                      TIMER_EXPIRY)
 
-    def _transmit(self, pkt: Packet) -> SimTime:
-        """Put `pkt` on the free link of an untraced run and schedule its
-        arrival; returns its serialization time."""
-        ser = self._ser_us[pkt.size_bytes]
-        self.free_at = self.engine.now + ser
-        if pkt.dst is not self.bg_station or pkt.flow != FLOW_BG:
-            self.engine.schedule_in(ser + self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
-        return ser
-
-    def _start_next(self) -> None:
-        pkt = self.scheduler.dequeue()
-        if pkt is None:
-            self.busy = False
-            return
-        self.busy = True
-        self.engine.schedule_in(self._ser_us[pkt.size_bytes], self._timer_target,
-                                TIMER_EXPIRY, pkt)
-
     def _on_tx_done(self, event: Entry) -> None:
+        engine = self.engine
         pkt = event[4]
         if pkt is None:
             # An untraced run's wake-up: the packet that finished already
             # has its arrival scheduled, and one waits behind it.  While a
             # wake-up is pending the link is busy, so only the last
             # transmission of a busy spell needs its number reserved.
-            ser = self._transmit(self.scheduler.dequeue())
-            if self.scheduler.backlogged():
-                self.engine.schedule_in(ser, self._timer_target, TIMER_EXPIRY)
+            pkt = self.scheduler.dequeue()
+            ser = self._ser_us[pkt.size_bytes]
+            self.free_at = engine.now + ser
+            if pkt.dst is not self.bg_station or pkt.flow != FLOW_BG:
+                engine.schedule_in(ser + self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
+            self._queued -= 1
+            if self._queued:
+                engine.schedule_in(ser, self._timer_target, TIMER_EXPIRY)
             else:
-                self._waking = False
-                self._free_seq = self.engine.reserve_seq()
+                self._free_seq = engine.reserve_seq()
             return
-        self.engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
-        self._start_next()
+        # A traced run's completion: `pkt` leaves and the next one starts.
+        engine.schedule_in(self.prop_delay_us, self.dst, PACKET_ARRIVAL, pkt)
+        if not self._queued:
+            self.busy = False
+            return
+        self._queued -= 1
+        pkt = self.scheduler.dequeue()
+        engine.schedule_in(self._ser_us[pkt.size_bytes], self._timer_target, TIMER_EXPIRY, pkt)
 
 
 class _SerializationTable(dict):

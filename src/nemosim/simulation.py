@@ -194,7 +194,7 @@ class Simulation:
         self._to_mnn.send(pkt)
 
     def drop(self, pkt: Packet, where: str) -> None:
-        self.metrics.record_drop(pkt, self.now, where)
+        self.metrics.record_drop(pkt, self.engine.now, where)
 
     # -- conditioning -------------------------------------------------------------
     def _sla_for(self, node_id: str) -> SlaTable:

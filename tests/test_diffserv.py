@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nemosim.diffserv import (ACCEPT, AF11, AF21, BE, DROP, EF, IN_PROFILE,
+from nemosim.diffserv import (ACCEPT, AF11, AF21, BE, CLASS_BE, DROP, EF, IN_PROFILE,
                               OUT_OF_PROFILE, PriorityScheduler, RedParams,
                               SlaRule, SlaTable, TokenBucket, af,
                               remark_out_of_profile, service_class)
@@ -165,6 +165,15 @@ def test_red_above_max_drops():
         q.enqueue(data(), rng)
     # With w_q=1 the average tracks the backlog, now past max_th.
     assert q.enqueue(data(), rng) == DROP
+
+
+def test_red_capacity_drops_at_the_bound():
+    # The average stays far below min_th, so only the capacity drops, and
+    # it drops the arrival that finds `capacity` packets queued.
+    q = PriorityScheduler(RedParams(min_th=100, max_th=200, w_q=0.002, capacity=3))
+    rng = RngStream(1)
+    assert [q.enqueue(data(), rng) for _ in range(4)] == [ACCEPT] * 3 + [DROP]
+    assert q.drops_by_class[CLASS_BE] == 1 and q._since_drop[CLASS_BE] == 0
 
 
 def test_red_midpoint_probability():

@@ -126,7 +126,7 @@ def cbr_on_a_loaded_wire(sim) -> bool:
     scheduled, with a wake-up pending for a packet queued behind it."""
     arrivals = {(at, target): pkt for at, _, target, kind, pkt in sim.engine._heap
                 if kind == PACKET_ARRIVAL}
-    return any(q._waking and arrivals.get((q.free_at + q.prop_delay_us, q.dst)) is not None
+    return any(q._queued and arrivals.get((q.free_at + q.prop_delay_us, q.dst)) is not None
                and arrivals[(q.free_at + q.prop_delay_us, q.dst)].innermost().flow == FLOW_CBR
                for q in sim.linkqueues.values())
 

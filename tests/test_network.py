@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from nemosim.network import (Link, LinkQueue, MobilityTrack, WirelessCell,
 from nemosim.metrics import FLOW_BG
 from nemosim.packets import DATA, SIGNAL, Address, Packet
 from nemosim.diffserv import (ACCEPT, AF11, AF21, BE, EF, NUM_CLASSES, PriorityScheduler,
-                              RedParams, service_class)
+                              RedParams, af, service_class)
 from nemosim.scenario import ScenarioConfig, build_track, default_topology
 from nemosim.simulation import Simulation
 
@@ -311,6 +312,85 @@ def test_free_link_admission_matches_enqueue_then_dequeue(red, avg, since_drop, 
     assert queue.scheduler._since_drop == model._since_drop
     assert queue.scheduler.drops_by_class == model.drops_by_class
     assert eng.rng.uniform() == rng.uniform()
+
+
+# One codepoint of each service class, in service order.
+SIX_CLASSES = [EF, af(1, 1), af(2, 2), af(3, 1), af(4, 3), BE]
+STATION = Address(0, 0, 1)
+
+
+def run_loaded_link(trace, seed, red, ef_capacity, bursts):
+    """One link fed by `bursts`, each a gap since the burst before and the
+    packets (size, dscp, flow, addressed to the background station) sent
+    together, traced or untraced.  Returns the non-background arrivals and
+    the drops, each as (seq, time), in order; the scheduler's drop counts
+    and RED state; and the next draw of the engine."""
+    eng = Engine(seed=seed, trace=trace)
+    arrivals, drops = [], []
+    queue = LinkQueue(eng, Link("a", "b", 1_000_000, 2 * MS), "a", "b", red,
+                      lambda pkt, where: drops.append((pkt.seq, eng.now)))
+    queue.scheduler.ef_capacity = ef_capacity
+    queue.bg_station = STATION
+
+    def arrive(ev):
+        pkt = ev[4]
+        if pkt.dst is not STATION or pkt.flow != FLOW_BG:
+            arrivals.append((pkt.seq, eng.now))
+    eng.register("b", arrive)
+    seqs = itertools.count()
+
+    def send_burst(ev):
+        # Each burst schedules the next, so the sends' insertion numbers
+        # interleave with the link's own.
+        index = ev[4]
+        for size, dscp, flow, to_station in bursts[index][1]:
+            dst = STATION if to_station else Address(0, 0, 2)
+            queue.send(Packet(Address(0, 0, 0), dst, size, DATA, next(seqs), flow, dscp))
+        if index + 1 < len(bursts):
+            eng.schedule_in(bursts[index + 1][0], "src", TIMER_EXPIRY, index + 1)
+    eng.register("src", send_burst)
+    eng.schedule(SimEvent(bursts[0][0], "src", TIMER_EXPIRY, 0))
+    eng.run_until(sum(gap for gap, _ in bursts) + SEC)
+    sched = queue.scheduler
+    return (arrivals, drops, sched.drops_by_class, sched._red_avg, sched._since_drop,
+            eng.rng.uniform())
+
+
+# Thresholds low enough, and averages quick enough, that bursts of a dozen
+# packets meet every RED verdict.
+TIGHT_RED = st.builds(
+    lambda min_th, span, max_p, w_q, capacity: RedParams(min_th, min_th + span, max_p,
+                                                         w_q, capacity),
+    st.floats(0, 4), st.floats(0.5, 6), st.floats(0, 1), st.floats(0.05, 1),
+    st.integers(1, 12))
+
+LINK_PACKET = st.tuples(st.sampled_from([64, 104, 1000, 1040]), st.sampled_from(SIX_CLASSES),
+                        st.sampled_from([FLOW_BG, "cbr", ""]), st.booleans())
+# At once, at the instant one or two 1000 or 1040 byte packets end, inside
+# a transmission, after an idle gap.
+BURST_GAP = st.one_of(st.sampled_from([0, 8 * MS, 8320, 16 * MS, 16640]),
+                      st.integers(0, 12 * MS), st.just(200 * MS))
+
+
+@given(st.integers(0, 2 ** 32), TIGHT_RED, st.integers(1, 8),
+       st.lists(st.tuples(BURST_GAP, st.lists(LINK_PACKET, min_size=1, max_size=12)),
+                min_size=1, max_size=12))
+# Two packets make a busy spell that ends at 16 ms.  The next burst was
+# scheduled for that instant before the spell's last transmission started,
+# so it finds the link busy, and its expedited packet leaves first.
+@example(1, RedParams(), 8, [(0, [(1000, BE, "cbr", False)] * 2),
+                             (16 * MS, [(1000, BE, "cbr", False), (64, EF, "", False)])])
+def test_traced_and_clocked_links_agree_under_load(seed, red, ef_capacity, bursts):
+    """Background and foreground bursts over all six classes, through busy
+    spells, drops and idle gaps.  The traced transmitter, driven by
+    completion events, and the untraced one, driven by its clock and woken
+    only when a packet waits, deliver every packet but the station's
+    background at the same instants and in the same order, drop the same
+    packets at the same instants, leave the same per-class drop counts and
+    RED state, and leave the engine's stream at the same draw."""
+    traced = run_loaded_link([], seed, red, ef_capacity, bursts)
+    clocked = run_loaded_link(None, seed, red, ef_capacity, bursts)
+    assert traced == clocked
 
 
 def prefix_scan_owner(topo, dst):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from nemosim.engine import SEC, TIMER_EXPIRY
+from nemosim.engine import PACKET_ARRIVAL, SEC, TIMER_EXPIRY
 from nemosim.fsm import MapState, NarState, NewMapState
 from nemosim.nodes import BG_TICK, ArNode
 from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
@@ -57,6 +57,30 @@ def test_every_fired_timer_reaches_a_handler(run, background_bps):
     unreached = entries - {name for _, name in fired}
     predictive_fh = cfg.protocol == "diff-fh-nemo" and cfg.mode == "predictive"
     assert unreached == (set() if predictive_fh else {"nar_dad", "rcoa_dad"})
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_every_arriving_tunnel_logs_into_its_innermost_packet(run):
+    """`Node.dispatch` and the air receivers log each hop in the arriving
+    packet's own `path_log`; for a tunnelled packet that is the list of its
+    innermost packet, where the sink reads the route."""
+    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
+                         **RUNS[run])
+    sim = Simulation(cfg)
+    shared = Counter()
+
+    def spy(handler):
+        def deliver(ev):
+            pkt = ev[4]
+            if ev[3] == PACKET_ARRIVAL and pkt.inner is not None:
+                shared[pkt.path_log is pkt.innermost().path_log] += 1
+            handler(ev)
+        return deliver
+
+    for target, handler in list(sim.engine._handlers.items()):
+        sim.engine.register(target, spy(handler))
+    sim.run()
+    assert shared[True] > 0 and not shared[False]
 
 
 # The access router's own signals, and an announcement that carries a binding

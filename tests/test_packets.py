@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -119,6 +121,46 @@ def test_rewrites_copy_every_field_and_start_untraced():
         for f in init_fields:
             assert getattr(rewritten, f.name) is getattr(replaced, f.name), f.name
         assert rewritten._trace_text is None
+
+
+def test_every_wrapper_shares_its_inner_path_log():
+    """A node logs a hop in the arriving packet's `path_log`, and the sink
+    reads the route from the innermost packet's: they are one list, since
+    each packet built around another takes that one's log."""
+    inner = Packet(src=CN, dst=MNN_HOA, size_bytes=1000, kind=DATA, path_log=["cn"])
+    outer = encapsulate(inner, HA, DMR_COA, dscp=10)
+    routed = dataclasses.replace(outer, rh2_home_addr=MNN_HOA, home_addr_option=HA)
+    for pkt in [outer, encapsulate(outer, HA, CN, dscp=0), routed,
+                apply_type2_routing(routed), apply_home_address_option(routed),
+                add_home_address_option(outer, DMR_COA)]:
+        assert pkt.path_log is pkt.innermost().path_log is inner.path_log
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nemosim"
+# `Packet`'s positional parameters up to `inner`.
+INNER_POSITION = [f.name for f in dataclasses.fields(Packet)].index("inner")
+
+
+def test_every_packet_built_around_another_takes_its_log():
+    """Every `Packet(...)` in the package that sets `inner` passes the log of
+    the packet it wraps (`inner=x` or `inner=x.inner`, `path_log=x.path_log`);
+    a positional `inner` is None."""
+    built = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "Packet"):
+                continue
+            if len(node.args) > INNER_POSITION:
+                assert ast.literal_eval(node.args[INNER_POSITION]) is None, path.name
+            keywords = {k.arg: ast.unparse(k.value) for k in node.keywords}
+            if "inner" in keywords:
+                wrapped = keywords["inner"].removesuffix(".inner")
+                assert keywords.get("path_log") == f"{wrapped}.path_log", \
+                    f"{path.name}:{node.lineno}"
+                built.append(path.name)
+    # encapsulate, _readdressed and the fast router's FNA around its FBU.
+    assert sorted(built) == ["diff_fh.py", "packets.py", "packets.py"]
 
 
 def test_signal_kinds_cover_all_protocol_messages():
