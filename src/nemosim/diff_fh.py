@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import fsm
-from .engine import MS, SimTime
+from .engine import MS
 from .diff_nemo import Registration
 from .fsm import ROLE_DMR, ROLE_MAP, ROLE_NEW_MAP, DmrState, FsmEvent, MapState, NewMapState
-from .nemo_bs import BINDING_LIFETIME_US, DAD_DELAY_US, MobileRouter
-from .nodes import Node
-from .packets import SIGNAL, Address, Packet, Prefix, SignalKind, encapsulate
+from .nemo_bs import DAD_DELAY_US, NEVER, HomeAgent, MobileRouter
+from .packets import SIGNAL, Address, Packet, Prefix, SignalKind
 
 # The scheme's timings: the address check at the new anchor (the new access
 # router's is `nodes.DAD_FAST_US`), and the mobile router's fast and local
@@ -35,17 +34,6 @@ LBU_GAP_US = 1 * MS
 FH_TIMERS = {"fbu_delay": (FBU_DELAY_US, fsm.EV_FBU_TIMER),
              "lbu_gap": (LBU_GAP_US, fsm.EV_LBU_TIMER),
              "fbu_retx": (FBU_RETX_US, fsm.EV_FBU_RETX_TIMER)}
-
-
-@dataclass
-class MapBinding:
-    rcoa: Address
-    lcoa: Address
-    mnp: Prefix
-    expires_at: SimTime
-
-    def live(self, t: SimTime) -> bool:
-        return t < self.expires_at
 
 
 @dataclass
@@ -67,19 +55,18 @@ class FhHandoverCtx:
     fna_attempt: int = 0
 
 
-class MapAgent(Node):
-    """Anchor point: regional bindings for its prefix, plus the forwarding
-    side of a fast handover.  It drops a packet addressed into its prefix
-    that no binding covers; only the fast scheme forms such an address."""
+class MapAgent(HomeAgent):
+    """Anchor point: a home agent for its own prefix (RFC 5380's local home
+    agent).  An LBU binds the regional care-of address to the on-link one; a
+    fast handover binds the previous on-link address to the next, with no
+    expiry, until it ends.  Only the fast scheme forms an anchored address."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.prefix = sim.topo.map_prefix[node_id]
+        self.anchored = frozenset((sim.topo.map_prefix[node_id],))
         self.signal_handlers = {SignalKind.FBU: self.on_fbu, SignalKind.HACK: self.on_hack,
                                 SignalKind.LBU: self.on_lbu, SignalKind.HI: self.on_hi_as_new_map}
         self.timer_handlers = {"rcoa_dad": self._on_rcoa_dad}
-        self.bindings: dict[Address, MapBinding] = {}
-        self.divert: dict[Address, tuple[Address, str]] = {}   # plcoa -> (nlcoa, nar)
         self.fh_state: MapState = MapState.IDLE
         self.fh_ctx: Optional[dict] = None           # the FBU's info
         self.newmap_state: NewMapState = NewMapState.IDLE
@@ -103,12 +90,10 @@ class MapAgent(Node):
     def on_lbu(self, pkt: Packet) -> None:
         info = pkt.info
         if info.get("teardown"):
-            self.bindings.pop(info["old_rcoa"], None)
+            self.cache.pop(info["old_rcoa"], None)
             self.drive(ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
             return
-        self.bindings[info["rcoa"]] = MapBinding(
-            rcoa=info["rcoa"], lcoa=info["lcoa"], mnp=info["mnp"],
-            expires_at=self.sim.now + BINDING_LIFETIME_US)
+        self.bind(info["rcoa"], info["lcoa"])
         self.sim.send_signal(self.node_id, SignalKind.LBACK, self.address,
                              info["lcoa"], info={"rcoa": info["rcoa"]})
         old_map = info.get("old_map")
@@ -134,9 +119,9 @@ class MapAgent(Node):
         sim, ctx = self.sim, self.fh_ctx
         match action:
             case fsm.Do("install_forwarding"):
-                self.divert[ctx["plcoa"]] = (ctx["nlcoa"], ctx["nar"])
+                self.bind(ctx["plcoa"], ctx["nlcoa"], lifetime=NEVER)
             case fsm.Do("remove_forwarding"):
-                self.divert.pop(ctx["plcoa"], None)
+                self.cache.pop(ctx["plcoa"], None)
                 self.fh_ctx = None
                 self.fh_state = MapState.IDLE
             case fsm.Emit(SignalKind.HI):
@@ -156,29 +141,6 @@ class MapAgent(Node):
                 peer = self.newmap_pending["old_map" if dest == fsm.DEST_OLD_MAP else "nar"]
                 sim.send_signal(self.node_id, SignalKind.HACK, self.address,
                                 sim.topo.addresses[peer], info={"from_role": "new_map"})
-
-    # -- data plane ----------------------------------------------------------
-    def intercept(self, pkt: Packet) -> bool:
-        """Divert or re-tunnel regional traffic; True when the packet was consumed."""
-        target = None
-        if pkt.dst in self.divert:
-            target = self.divert[pkt.dst][0]
-        else:
-            binding = self.bindings.get(pkt.dst)
-            if binding is not None and binding.live(self.sim.now):
-                lcoa = binding.lcoa
-                target = self.divert[lcoa][0] if lcoa in self.divert else lcoa
-            elif binding is not None:
-                self.sim.drop(pkt, f"stale_binding@{self.node_id}")
-                return True
-            elif self.prefix.matches(pkt.dst):
-                self.sim.drop(pkt, f"no_binding@{self.node_id}")
-                return True
-        if target is None:
-            return False
-        outer = encapsulate(pkt, self.address, target, dscp=pkt.dscp)
-        self.sim.forward(self.node_id, outer)
-        return True
 
 
 class FhDmr(MobileRouter):

@@ -108,7 +108,7 @@ class CorrespondentAgent(BindingCacheAgent):
         if not self._tokens_valid(hoa, info.get("tokens")):
             self.sim.metrics.rejected_bindings += 1
             return
-        self.bind(info)
+        self.bind(hoa, info["coa"], info["mnps"], info.get("lifetime", BINDING_LIFETIME_US))
         self.bound_at.append(self.sim.now)
         self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
                              info={"hoa": hoa, "from": "cn"})
@@ -161,11 +161,14 @@ class Registration:
         self.step(FsmEvent(fsm.EV_REG_START))
 
     def step(self, event: FsmEvent) -> None:
-        # An unexpected event, such as a token trailing an earlier
-        # registration, leaves the state as it is and is not counted.
+        # An unexpected event, such as a token before the home agent's
+        # acknowledgement, leaves the state as it is and is counted, as
+        # `Node.drive` counts one.
         self.state, actions = fsm_step(fsm.ROLE_REG, self.state, event)
         for action in actions:
-            if isinstance(action, fsm.Emit):
+            if isinstance(action, fsm.Unexpected):
+                self.sim.metrics.unexpected_signals += 1
+            else:
                 self._emit(action)
 
     def _emit(self, action: fsm.Emit) -> None:

@@ -1,5 +1,6 @@
-"""NEMO basic support: home-agent interception, the data plane all three
-mobile routers share, and the baseline mobile router.
+"""NEMO basic support: the binding cache and the one intercept of every
+anchor (the home agent, and the regional anchors built on it), the data plane
+all three mobile routers share, and the baseline mobile router.
 
 All mobile-network traffic rides a bidirectional tunnel between the mobile
 router and its home agent; handovers re-register the care-of address with a
@@ -8,6 +9,7 @@ plain binding update after movement detection and duplicate address detection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +23,8 @@ from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind, add_home_addr
 # check and the lifetime a binding update asks for.
 DAD_DELAY_US = 500 * MS
 BINDING_LIFETIME_US = 60 * SEC
+# The lifetime of a binding that stays until it is removed.
+NEVER = math.inf
 
 
 @dataclass
@@ -38,49 +42,74 @@ class BindingCacheEntry:
 
 
 class BindingCacheAgent(Node):
-    """A node with a binding cache: the home agent and the correspondent."""
+    """A node with a binding cache: the anchors and the correspondent."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.cache: dict[Address, BindingCacheEntry] = {}
 
-    def bind(self, info: dict) -> None:
-        """Cache the binding a BU's `info` carries, for its lifetime or `BINDING_LIFETIME_US`."""
-        self.cache[info["hoa"]] = BindingCacheEntry(
-            hoa=info["hoa"], coa=info["coa"], mnps=list(info["mnps"]),
-            expires_at=self.sim.now + info.get("lifetime", BINDING_LIFETIME_US))
+    def bind(self, hoa: Address, coa: Address, mnps=(), lifetime=BINDING_LIFETIME_US) -> None:
+        """Bind `hoa`, and every address under `mnps`, to `coa` for `lifetime`."""
+        self.cache[hoa] = BindingCacheEntry(hoa, coa, list(mnps), self.sim.now + lifetime)
 
     def lookup(self, dst: Address) -> Optional[BindingCacheEntry]:
+        """The live binding of `dst`: its own entry, else the first whose
+        prefixes cover it.  An expired entry counts as unbound."""
+        now = self.sim.now
+        entry = self.cache.get(dst)
+        if entry is not None and entry.live(now):
+            return entry
         for entry in self.cache.values():
-            if entry.covers(dst) and entry.live(self.sim.now):
+            if entry.covers(dst) and entry.live(now):
                 return entry
         return None
 
 
 class HomeAgent(BindingCacheAgent):
-    """Binding cache, interception for the mobile network, and reverse-tunnel endpoint."""
+    """An anchor, which tunnels a packet for an address it binds to the bound
+    care-of address: the home agent (RFC 3963), and the base of every
+    `MapAgent`.  `anchored` holds the prefixes it answers for, here the home
+    and mobile-network prefixes.  The home agent also takes binding updates
+    and is the reverse-tunnel endpoint."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
+        self.anchored = frozenset((sim.topo.home_prefix, sim.topo.mnp))
         self.signal_handlers = {None: self.handle_tunneled,
                                 SignalKind.BU: self.handle_binding_update}
 
     def handle_binding_update(self, pkt: Packet) -> None:
         info = pkt.info
-        self.bind(info)
+        self.bind(info["hoa"], info["coa"], info["mnps"],
+                  info.get("lifetime", BINDING_LIFETIME_US))
         self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
                              info={"hoa": info["hoa"], "coa": info["coa"]})
 
     def intercept(self, pkt: Packet) -> bool:
-        """Tunnel home-network traffic to the registered care-of address."""
-        topo = self.sim.topo
-        if not (topo.home_prefix.matches(pkt.dst) or topo.mnp.matches(pkt.dst)):
-            return False
-        entry = self.lookup(pkt.dst)
-        if entry is None:
-            self.sim.drop(pkt, f"no_binding@{self.node_id}")
+        """Tunnel a packet bound here to its care-of address; True when taken.
+
+        Only an anchored destination is looked up by prefix, so a packet in
+        transit costs one dict lookup.  An anchored destination follows its
+        care-of address through the cache once (a regional binding into a
+        handover's forwarding binding); a packet for a forwarded address
+        itself is not followed again.  Unbound anchored traffic is dropped."""
+        dst, now = pkt.dst, self.sim.now
+        # A prefix is a (domain, site) tuple, so an address's first two fields find it.
+        if dst[:2] in self.anchored:
+            entry = self.lookup(dst)
+            if entry is None:
+                self.sim.drop(pkt, f"no_binding@{self.node_id}")
+                return True
+            coa = entry.coa
+            onward = self.cache.get(coa)
+            if onward is not None and onward.live(now):
+                coa = onward.coa
         else:
-            self.sim.forward(self.node_id, encapsulate(pkt, self.address, entry.coa, dscp=pkt.dscp))
+            entry = self.cache.get(dst)
+            if entry is None or not entry.live(now):
+                return False
+            coa = entry.coa
+        self.sim.forward(self.node_id, encapsulate(pkt, self.address, coa))
         return True
 
     def handle_tunneled(self, pkt: Packet) -> None:
@@ -162,7 +191,7 @@ class MobileRouter(Node):
             self.sim.condition_data("dmr", out)
             self.sim.dmr_send(out)
         else:
-            self.sim.dmr_send(encapsulate(pkt, coa, self.ha, dscp=pkt.dscp))
+            self.sim.dmr_send(encapsulate(pkt, coa, self.ha))
 
 
 class BaselineMr(MobileRouter):

@@ -221,7 +221,7 @@ class Simulation:
                     encap_src: Optional[Address] = None) -> None:
         pkt = self.make_signal(kind, src, dst, info=info)
         if encap_to is not None:
-            pkt = encapsulate(pkt, encap_src or src, encap_to, dscp=pkt.dscp)
+            pkt = encapsulate(pkt, encap_src or src, encap_to)
         self.send_signal_packet(origin, pkt)
 
     def send_signal_packet(self, origin: str, pkt: Packet, via: Optional[str] = None) -> None:

@@ -8,6 +8,7 @@ from census import cbr_held
 from nemosim.diff_fh import FBU_DELAY_US, FhDmr, MapAgent
 from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState
+from nemosim.nemo_bs import NEVER
 from nemosim.nodes import ArNode
 from nemosim.packets import (DATA, Address, DepthExceeded, Packet, Prefix,
                              SignalKind, make_signal)
@@ -109,8 +110,7 @@ def install_handover(fake_sim, agent):
 
 def test_map_diverts_regional_traffic_into_tunnel(fake_sim):
     agent = map_agent(fake_sim)
-    from nemosim.diff_fh import MapBinding
-    agent.bindings[RCOA1] = MapBinding(RCOA1, LCOA1, MNP, expires_at=200 * SEC)
+    agent.bind(RCOA1, LCOA1, lifetime=200 * SEC)
     install_handover(fake_sim, agent)
     assert agent.fh_state == MapState.FORWARDING
     pkt = Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA)
@@ -120,15 +120,14 @@ def test_map_diverts_regional_traffic_into_tunnel(fake_sim):
 
 
 def test_map_forwarding_is_exclusive_after_cut(fake_sim):
-    from nemosim.diff_fh import MapBinding
     agent = map_agent(fake_sim)
-    agent.bindings[RCOA1] = MapBinding(RCOA1, LCOA1, MNP, expires_at=200 * SEC)
+    agent.bind(RCOA1, LCOA1, lifetime=200 * SEC)
     install_handover(fake_sim, agent)
     lbu = make_signal(SignalKind.LBU, LCOA2, agent.address, t=0,
                       info={"rcoa": RCOA1, "lcoa": LCOA2, "mnp": MNP,
                             "old_map": "map1", "old_rcoa": RCOA1})
     agent.on_lbu(lbu)
-    assert agent.fh_state == MapState.IDLE and not agent.divert
+    assert agent.fh_state == MapState.IDLE and LCOA1 not in agent.cache
     pkt = Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA)
     assert agent.intercept(pkt)
     origin, outer = fake_sim.forwarded[-1]
@@ -143,16 +142,34 @@ def test_map_without_binding_drops_regional_traffic(fake_sim):
     assert fake_sim.dropped and "no_binding" in fake_sim.dropped[0][1]
 
 
-def test_teardown_relay_clears_old_anchor(fake_sim):
-    from nemosim.diff_fh import MapBinding
+def test_map_drops_regional_traffic_once_its_binding_expires(fake_sim):
     agent = map_agent(fake_sim)
-    agent.bindings[RCOA1] = MapBinding(RCOA1, LCOA1, MNP, expires_at=200 * SEC)
+    agent.bind(RCOA1, LCOA1, lifetime=10)
+    fake_sim.now = 10
+    assert agent.intercept(Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA, flow="cbr"))
+    assert [where for _, where in fake_sim.dropped] == ["no_binding@map1"]
+
+
+def test_map_diverts_a_forwarded_address_only_once(fake_sim):
+    # A packet for a forwarded address takes that one binding; only a
+    # regional address follows its care-of address into a forwarding binding.
+    agent = map_agent(fake_sim)
+    agent.bind(LCOA1, LCOA2, lifetime=NEVER)
+    agent.bind(LCOA2, LCOA1, lifetime=NEVER)
+    pkt = Packet(src=CN, dst=LCOA1, size_bytes=1000, kind=DATA)
+    assert agent.intercept(pkt)
+    assert fake_sim.forwarded[-1][1].dst == LCOA2
+    assert not agent.intercept(Packet(src=CN, dst=Address(2, 3, 100), size_bytes=1000))
+
+
+def test_teardown_relay_clears_old_anchor(fake_sim):
+    agent = map_agent(fake_sim)
+    agent.bind(RCOA1, LCOA1, lifetime=200 * SEC)
     install_handover(fake_sim, agent)
     teardown = make_signal(SignalKind.LBU, Address(3, 0, 1), agent.address, t=0,
                            info={"teardown": True, "old_rcoa": RCOA1})
     agent.on_lbu(teardown)
-    assert RCOA1 not in agent.bindings
-    assert not agent.divert
+    assert not agent.cache
 
 
 # -- new access router ------------------------------------------------------------
@@ -443,8 +460,8 @@ def test_reactive_collision_completes_with_substituted_address():
 # The two anchors end up diverting one care-of address to each other, so a
 # packet loops between them, gaining a tunnel header per pass, until the
 # encapsulation limit aborts the run (t = 32,336,604 us).  See the FOUND: line
-# on `MapAgent.route_hook` (now `MapAgent.intercept`) in CHANGES.md; fixing
-# the loop must flip this test.
+# on `MapAgent.route_hook` (now the anchors' one `HomeAgent.intercept`) in
+# CHANGES.md; fixing the loop must flip this test.
 @pytest.mark.xfail(raises=DepthExceeded, strict=True,
                    reason="anchors divert one care-of address to each other")
 def test_short_lead_handover_does_not_loop_between_anchors():

@@ -67,6 +67,16 @@ def test_stale_home_acknowledgement_starts_no_return_routability(fake_sim):
     assert fake_sim.metrics.unexpected_signals == 1
 
 
+def test_token_before_the_home_acknowledgement_counts_as_unexpected(fake_sim):
+    """Registration counts an event its table has no row for, as `Node.drive`
+    counts one, and leaves its state as it is."""
+    proxy = make_proxy(fake_sim)
+    assert proxy.reg.state == RegState.SENT_BU_HA
+    proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
+    assert proxy.reg.state == RegState.SENT_BU_HA and not proxy.reg.tokens
+    assert fake_sim.metrics.unexpected_signals == 1
+
+
 def cn_binding_updates(fake_sim):
     return [s for s in fake_sim.signals_of(SignalKind.BU) if s[3] == CN]
 

@@ -122,14 +122,14 @@ def test_intercept_expired_binding_counts_loss(fake_sim):
 def test_reverse_tunnel_endpoint_unwraps(fake_sim):
     agent = HomeAgent(fake_sim, "ha")
     inner = Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA)
-    agent.handle_tunneled(encapsulate(inner, COA1, HA_ADDR, dscp=0))
+    agent.handle_tunneled(encapsulate(inner, COA1, HA_ADDR))
     assert fake_sim.forwarded[0][1] is inner
 
 
 def test_mr_decapsulates_downstream_for_its_network(fake_sim):
     mr = checked_mr(fake_sim)
     inner = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA)
-    mr.on_packet(encapsulate(inner, HA_ADDR, COA1, dscp=0))
+    mr.on_packet(encapsulate(inner, HA_ADDR, COA1))
     assert fake_sim.mnn_inbox == [inner]
 
 
@@ -203,7 +203,7 @@ def test_baseline_upstream_also_rides_the_home_tunnel():
 def test_foreign_destination_never_reaches_mobile_network(fake_sim):
     mr = checked_mr(fake_sim)
     stray = Packet(src=CN, dst=Address(3, 2, 9), size_bytes=1000, kind=DATA, flow="cbr")
-    mr.on_packet(encapsulate(stray, HA_ADDR, COA1, dscp=0))
+    mr.on_packet(encapsulate(stray, HA_ADDR, COA1))
     assert not fake_sim.mnn_inbox
     assert fake_sim.dropped
 

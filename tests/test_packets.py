@@ -24,23 +24,24 @@ def data_packet(size=1000):
 
 def test_encapsulation_adds_fixed_header():
     pkt = data_packet(1000)
-    outer = encapsulate(pkt, HA, DMR_COA, dscp=10)
+    outer = encapsulate(pkt, HA, DMR_COA)
     assert outer.size_bytes == 1040
     assert outer.src == HA and outer.dst == DMR_COA
+    assert outer.dscp == pkt.dscp == 10
     assert outer.inner is pkt
 
 
 def test_double_encapsulation():
     pkt = data_packet(1000)
-    once = encapsulate(pkt, HA, DMR_COA, dscp=0)
-    twice = encapsulate(once, Address(2, 0, 1), DMR_COA, dscp=0)
+    once = encapsulate(pkt, HA, DMR_COA)
+    twice = encapsulate(once, Address(2, 0, 1), DMR_COA)
     assert twice.size_bytes == 1080
     assert twice.depth() == 2
 
 
 def test_decapsulate_round_trip():
     pkt = data_packet()
-    assert decapsulate(encapsulate(pkt, HA, DMR_COA, dscp=0)) is pkt
+    assert decapsulate(encapsulate(pkt, HA, DMR_COA)) is pkt
 
 
 def test_decapsulate_plain_packet_fails():
@@ -51,9 +52,9 @@ def test_decapsulate_plain_packet_fails():
 def test_depth_limit():
     pkt = data_packet()
     for _ in range(4):
-        pkt = encapsulate(pkt, HA, DMR_COA, dscp=0)
+        pkt = encapsulate(pkt, HA, DMR_COA)
     with pytest.raises(DepthExceeded):
-        encapsulate(pkt, HA, DMR_COA, dscp=0)
+        encapsulate(pkt, HA, DMR_COA)
 
 
 def test_type2_routing_rewrites_destination():
@@ -128,35 +129,34 @@ def test_every_wrapper_shares_its_inner_path_log():
     reads the route from the innermost packet's: they are one list, since
     each packet built around another takes that one's log."""
     inner = Packet(src=CN, dst=MNN_HOA, size_bytes=1000, kind=DATA, path_log=["cn"])
-    outer = encapsulate(inner, HA, DMR_COA, dscp=10)
+    outer = encapsulate(inner, HA, DMR_COA)
     routed = dataclasses.replace(outer, rh2_home_addr=MNN_HOA, home_addr_option=HA)
-    for pkt in [outer, encapsulate(outer, HA, CN, dscp=0), routed,
+    for pkt in [outer, encapsulate(outer, HA, CN), routed,
                 apply_type2_routing(routed), apply_home_address_option(routed),
                 add_home_address_option(outer, DMR_COA)]:
         assert pkt.path_log is pkt.innermost().path_log is inner.path_log
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nemosim"
-# `Packet`'s positional parameters up to `inner`.
-INNER_POSITION = [f.name for f in dataclasses.fields(Packet)].index("inner")
+# `Packet`'s parameters, in positional order.
+INIT_FIELDS = [f.name for f in dataclasses.fields(Packet) if f.init]
 
 
 def test_every_packet_built_around_another_takes_its_log():
-    """Every `Packet(...)` in the package that sets `inner` passes the log of
-    the packet it wraps (`inner=x` or `inner=x.inner`, `path_log=x.path_log`);
-    a positional `inner` is None."""
+    """Every `Packet(...)` in the package that sets `inner`, by position or
+    by keyword, passes the log of the packet it wraps (`inner` is `x` or
+    `x.inner`, and `path_log` is `x.path_log`)."""
     built = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "Packet"):
                 continue
-            if len(node.args) > INNER_POSITION:
-                assert ast.literal_eval(node.args[INNER_POSITION]) is None, path.name
-            keywords = {k.arg: ast.unparse(k.value) for k in node.keywords}
-            if "inner" in keywords:
-                wrapped = keywords["inner"].removesuffix(".inner")
-                assert keywords.get("path_log") == f"{wrapped}.path_log", \
+            args = dict(zip(INIT_FIELDS, map(ast.unparse, node.args)))
+            args.update({k.arg: ast.unparse(k.value) for k in node.keywords})
+            if args.get("inner", "None") != "None":
+                wrapped = args["inner"].removesuffix(".inner")
+                assert args.get("path_log") == f"{wrapped}.path_log", \
                     f"{path.name}:{node.lineno}"
                 built.append(path.name)
     # encapsulate, _readdressed and the fast router's FNA around its FBU.
@@ -234,7 +234,7 @@ def test_addresses_totally_ordered():
 def test_size_law_per_depth(payload, depth):
     pkt = Packet(src=CN, dst=MNN_HOA, size_bytes=payload, kind=DATA)
     for _ in range(depth):
-        pkt = encapsulate(pkt, HA, DMR_COA, dscp=0)
+        pkt = encapsulate(pkt, HA, DMR_COA)
     assert pkt.size_bytes == payload + 40 * depth
     assert pkt.depth() == depth
 

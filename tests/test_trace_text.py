@@ -41,7 +41,7 @@ def rendered_source():
 
 REWRITES = {
     "replace": lambda p: dataclasses.replace(p, dst=HA, dscp=46),
-    "encapsulate": lambda p: encapsulate(p, HA, DMR_COA, dscp=46),
+    "encapsulate": lambda p: encapsulate(p, HA, DMR_COA),
     "type2_routing": apply_type2_routing,
     "home_address_option": apply_home_address_option,
 }
