@@ -18,9 +18,9 @@ from typing import Optional
 
 from . import fsm
 from .engine import MS
-from .diff_nemo import Registration
+from .diff_nemo import ReturnRoutability
 from .fsm import ROLE_DMR, ROLE_MAP, ROLE_NEW_MAP, DmrState, FsmEvent, MapState, NewMapState
-from .nemo_bs import DAD_DELAY_US, NEVER, HomeAgent, MobileRouter
+from .nemo_bs import DAD_DELAY_US, NEVER, HomeAgent
 from .packets import SIGNAL, Address, Packet, Prefix, SignalKind
 
 # The scheme's timings: the address check at the new anchor (the new access
@@ -143,8 +143,11 @@ class MapAgent(HomeAgent):
                                 sim.topo.addresses[peer], info={"from_role": "new_map"})
 
 
-class FhDmr(MobileRouter):
-    """Mobile-router side of the fast hierarchical scheme."""
+class FhDmr(ReturnRoutability):
+    """Mobile-router side of the fast hierarchical scheme.  The home agent
+    binds the regional care-of address, so return routability runs from it."""
+
+    RR_TIMER = "fh_rr_timeout"
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -159,15 +162,14 @@ class FhDmr(MobileRouter):
         self.epoch = 0
         # NA is absent, so one counts as unexpected: initial DAD collisions are
         # not exercised for this variant.
-        self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
-                                SignalKind.PR_RT_ADV: self.handle_prrtadv,
-                                SignalKind.FBACK: self._on_fback,
-                                SignalKind.LBACK: self._on_lback,
-                                SignalKind.NAACK: self._on_naack,
-                                SignalKind.BA: self._on_ba}
+        self.signal_handlers.update({SignalKind.RA: self.on_router_advertisement,
+                                     SignalKind.PR_RT_ADV: self.handle_prrtadv,
+                                     SignalKind.FBACK: self._on_fback,
+                                     SignalKind.LBACK: self._on_lback,
+                                     SignalKind.NAACK: self._on_naack,
+                                     SignalKind.BA: self._on_ba})
         self.timer_handlers.update({"fh": self._on_fh_timer, "initial_dad": self._on_initial_dad,
                                     "reg_refresh": self._on_reg_refresh})
-        self.reg = Registration(self, lambda: self.rcoa, "fh_rr_timeout")
 
     # -- address bookkeeping -------------------------------------------------
     def owns(self, addr: Address) -> bool:
@@ -175,8 +177,10 @@ class FhDmr(MobileRouter):
         return (addr in (self.hoa, self.lcoa, self.rcoa, self.prev_lcoa, self.prev_rcoa)
                 or (ctx is not None and addr in (ctx.nlcoa, ctx.nrcoa)))
 
-    def upstream_coa(self) -> Optional[Address]:
+    def care_of(self) -> Optional[Address]:
         return self.rcoa
+
+    upstream_coa = care_of
 
     # -- layer 2 -------------------------------------------------------------
     def on_l2_trigger(self, plan) -> None:
@@ -261,14 +265,14 @@ class FhDmr(MobileRouter):
             case fsm.Do("adopt_alternative"):
                 ctx.fna_attempt += 1
             case fsm.Do("start_macro_registration"):
-                self.reg.start()
+                self.send_home_bu()
+            case _:
+                super()._perform(action)
 
     def _fbu_info(self) -> dict:
         ctx = self.ctx
         return {"plcoa": ctx.plcoa, "nlcoa": ctx.nlcoa, "nar": ctx.nar,
-                "macro": ctx.macro, "new_map": ctx.new_map,
-                "nrcoa": ctx.nrcoa, "hoa": self.hoa,
-                "handover": ctx.handover_index, "attempt": ctx.fna_attempt}
+                "macro": ctx.macro, "new_map": ctx.new_map}
 
     def _configure_ncoa(self, map_id: str, ar_prefix: Prefix, map_prefix: Prefix) -> None:
         """Pre-configure the next addresses; a different anchor makes the move macro."""
@@ -331,13 +335,12 @@ class FhDmr(MobileRouter):
         self.sim.send_signal("dmr", SignalKind.LBU, self.lcoa,
                              self.sim.topo.addresses[self.serving_map],
                              info={"rcoa": self.rcoa, "lcoa": self.lcoa,
-                                   "mnp": self.mnp, "old_map": old_map,
-                                   "old_rcoa": old_rcoa})
+                                   "old_map": old_map, "old_rcoa": old_rcoa})
 
     def _on_lback(self, pkt: Packet) -> None:
         if self.ctx is None:
-            if self.reg.seq == 0:
-                self.reg.start()
+            if self.reg_seq == 0:
+                self.send_home_bu()
             return
         self._step(FsmEvent(fsm.EV_LBACK, macro=self.ctx.macro))
         if self.fsm_state == DmrState.COMPLETE:
@@ -345,10 +348,10 @@ class FhDmr(MobileRouter):
             self.fsm_state = DmrState.IDLE
 
     def _on_ba(self, pkt: Packet) -> None:
-        if self.reg.on_ba(pkt):
-            self.cn_bound_coa = self.rcoa
+        super()._on_ba(pkt)
+        if pkt.info.get("from") == "cn":
             self.sim.timer("dmr", self.sim.config.binding_refresh_us,
-                           ("reg_refresh", self.reg.seq))
+                           ("reg_refresh", self.reg_seq))
 
     def _on_fh_timer(self, token) -> None:
         # A retransmission timer lapses once the acknowledgement is in.
@@ -364,6 +367,6 @@ class FhDmr(MobileRouter):
         self._send_lbu_to_serving_map(self.serving_map, None)
 
     def _on_reg_refresh(self, token) -> None:
-        if token[1] == self.reg.seq and self.ctx is None:
+        if token[1] == self.reg_seq and self.ctx is None:
             self._send_lbu_to_serving_map(self.serving_map, None)
-            self.reg.start()
+            self.send_home_bu()

@@ -5,19 +5,19 @@ header downstream and a home address option upstream.
 
 Both sides of return routability live here: the correspondent, which every
 scheme runs as the source and sink of the measured flow and which issues the
-tokens, and `Registration`, which steps the `fsm` registration table for both
-route-optimising mobile routers."""
+tokens, and `ReturnRoutability`, the base of both route-optimising mobile
+routers, which steps the `fsm` registration table through `Node.drive` after
+each home acknowledgement."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from . import fsm
-from .engine import SEC
-from .fsm import FsmEvent, RegState, fsm_step
-from .engine import APP_START
+from .engine import APP_START, SEC
+from .fsm import FsmEvent, RegState
 from .metrics import FLOW_CBR
-from .nemo_bs import BINDING_LIFETIME_US, BaselineMr, BindingCacheAgent
+from .nemo_bs import BINDING_LIFETIME_US, BaselineMr, BindingCacheAgent, MobileRouter
 from .packets import DATA, Address, Packet, SignalKind, apply_home_address_option
 
 # Return routability: a token's lifetime, the wait for tokens, and the probe
@@ -127,110 +127,89 @@ class CorrespondentAgent(BindingCacheAgent):
         return True
 
 
-class Registration:
-    """Registration with both anchors, stepped through the `fsm.ROLE_REG`
-    table by `fsm_step`: binding update to the home agent, return routability
-    toward the correspondent, then the correspondent binding update.
+class ReturnRoutability(MobileRouter):
+    """A route-optimising mobile router: after each home acknowledgement it
+    runs return routability toward the correspondent, then binds its care-of
+    address there, stepped through the `fsm.ROLE_REG` table by `Node.drive`.
 
-    Every signal leaves from the care-of address the router supplies.
-    `tokens` is the one record of tokens: cleared as the probes go out, filled
-    only in the return-routability state.  The timer token is `(timeout_name,
-    seq, retries)`: `seq` counts registrations and `retries` the probe rounds
-    within one, so a timer from an earlier round or registration is ignored.
-    Tokens and timer reach it through the router's handler tables.
-    """
+    Every signal leaves from `care_of()`.  Each home binding update restarts
+    the machine at Idle, where the acknowledgement of the current care-of
+    address sends the probes.  `tokens` is the one record of tokens: cleared
+    as the probes go out, filled only in the return-routability state.  The
+    timer token is `(RR_TIMER, reg_seq, rr_retries)`: `reg_seq` counts home
+    binding updates and `rr_retries` the probe rounds after one, so a timer
+    from an earlier round or registration is ignored."""
 
-    def __init__(self, router, care_of: Callable[[], Optional[Address]], timeout_name: str):
-        self.sim, self.hoa, self.mnp, self.ha = router.sim, router.hoa, router.mnp, router.ha
-        self.cn = router.sim.topo.addresses["cn"]
-        router.signal_handlers.update(dict.fromkeys(
-            (SignalKind.HOT, SignalKind.COT, SignalKind.NPT), self.on_token))
-        router.timer_handlers[timeout_name] = self.on_timeout
-        self.care_of = care_of
-        self.timeout_name = timeout_name
-        self.state = RegState.IDLE
-        self.tokens: dict = {}   # "hot", "cot" or "npt" -> token tuple
-        self.retries = 0
-        self.seq = 0
-
-    def start(self) -> None:
-        """Register afresh, beginning with a binding update to the home agent."""
-        self.seq += 1
-        self.retries = 0
-        self.state = RegState.IDLE
-        self.step(FsmEvent(fsm.EV_REG_START))
-
-    def step(self, event: FsmEvent) -> None:
-        # An unexpected event, such as a token before the home agent's
-        # acknowledgement, leaves the state as it is and is counted, as
-        # `Node.drive` counts one.
-        self.state, actions = fsm_step(fsm.ROLE_REG, self.state, event)
-        for action in actions:
-            if isinstance(action, fsm.Unexpected):
-                self.sim.metrics.unexpected_signals += 1
-            else:
-                self._emit(action)
-
-    def _emit(self, action: fsm.Emit) -> None:
-        sim, coa = self.sim, self.care_of()
-        if action.signal == SignalKind.BU:
-            to_cn = action.dest == fsm.DEST_CN
-            info = {"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
-                    "lifetime": BINDING_LIFETIME_US}
-            if to_cn:
-                info["tokens"] = dict(self.tokens)
-            sim.send_signal("dmr", SignalKind.BU, coa, self.cn if to_cn else self.ha, info=info)
-        elif action.signal == SignalKind.HOTI:
-            self.tokens = {}
-            sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
-                            info={"hoa": self.hoa}, encap_to=self.ha, encap_src=coa)
-            sim.timer("dmr", RR_TIMEOUT_US, (self.timeout_name, self.seq, self.retries))
-        elif action.signal == SignalKind.COTI:
-            sim.send_signal("dmr", SignalKind.COTI, coa, self.cn, info={"hoa": self.hoa})
-
-    def on_ba(self, pkt: Packet) -> bool:
-        """Step on a binding acknowledgement; True when the correspondent sent it."""
-        from_cn = bool(pkt.info) and pkt.info.get("from") == "cn"
-        self.step(FsmEvent(fsm.EV_BA_CN if from_cn else fsm.EV_BA_HA))
-        return from_cn
-
-    def on_token(self, pkt: Packet) -> None:
-        if self.state is RegState.RR:
-            self.tokens[pkt.signal.value.lower()] = pkt.info["token"]
-        self.step(FsmEvent(fsm.EV_TOKEN, complete=len(self.tokens) == 3))
-
-    def on_timeout(self, token) -> None:
-        _, seq, retries = token
-        if seq != self.seq or retries != self.retries or self.state is not RegState.RR:
-            return
-        if self.retries < RR_RETRIES:
-            self.retries += 1
-            self.step(FsmEvent(fsm.EV_RR_TIMEOUT))
-        else:
-            self.step(FsmEvent(fsm.EV_GIVE_UP))
-
-
-class ProxyDmr(BaselineMr):
-    """Baseline registration plus proxied return routability and direct delivery."""
+    RR_TIMER = "rr_timeout"
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.reg = Registration(self, lambda: self.coa, "rr_timeout")
+        self.cn = sim.topo.addresses["cn"]
+        # A copy: until a subclass fills its own table this is `Node`'s shared one.
+        self.signal_handlers = {**self.signal_handlers, **dict.fromkeys(
+            (SignalKind.HOT, SignalKind.COT, SignalKind.NPT), self._on_token)}
+        self.timer_handlers[self.RR_TIMER] = self._on_rr_timeout
+        self.reg_state = RegState.IDLE
+        self.tokens: dict = {}   # "hot", "cot" or "npt" -> token tuple
+        self.rr_retries = 0
+        self.reg_seq = 0
 
-    def _perform(self, action) -> None:
-        """Every home registration, refreshes included, restarts the
-        registration machine, so return routability runs again after each
-        acknowledgement."""
-        if action == fsm.Emit(SignalKind.BU, fsm.DEST_HA):
-            self.reg.start()
-        else:
-            super()._perform(action)
+    def _step_reg(self, kind: str, complete: bool = False) -> None:
+        self.drive(fsm.ROLE_REG, "reg_state", FsmEvent(kind, complete=complete))
+
+    def send_home_bu(self) -> None:
+        self.reg_seq += 1
+        self.rr_retries = 0
+        self.reg_state = RegState.IDLE
+        super().send_home_bu()
 
     def _on_ba(self, pkt: Packet) -> None:
         if pkt.info.get("from") == "cn":
-            self.cn_bound_coa = self.coa
-            self.reg.step(FsmEvent(fsm.EV_BA_CN))
+            self.cn_bound_coa = self.care_of()
+            self._step_reg(fsm.EV_BA_CN)
         else:
             super()._on_ba(pkt)
-            if pkt.info["coa"] == self.coa:
-                self.reg.step(FsmEvent(fsm.EV_BA_HA))
+
+    def _on_home_ba(self, current: bool) -> None:
+        super()._on_home_ba(current)
+        if current:
+            self._step_reg(fsm.EV_BA_HA)
+
+    def _on_token(self, pkt: Packet) -> None:
+        if self.reg_state is RegState.RR:
+            self.tokens[pkt.signal.value.lower()] = pkt.info["token"]
+        self._step_reg(fsm.EV_TOKEN, complete=len(self.tokens) == 3)
+
+    def _on_rr_timeout(self, token) -> None:
+        _, seq, retries = token
+        if seq != self.reg_seq or retries != self.rr_retries or self.reg_state is not RegState.RR:
+            return
+        if self.rr_retries < RR_RETRIES:
+            self.rr_retries += 1
+            self._step_reg(fsm.EV_RR_TIMEOUT)
+        else:
+            self._step_reg(fsm.EV_GIVE_UP)
+
+    def _perform(self, action) -> None:
+        sim, coa = self.sim, self.care_of()
+        match action:
+            case fsm.Emit(SignalKind.HOTI):
+                self.tokens = {}
+                sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
+                                info={"hoa": self.hoa}, encap_to=self.ha, encap_src=coa)
+                sim.timer("dmr", RR_TIMEOUT_US, (self.RR_TIMER, self.reg_seq, self.rr_retries))
+            case fsm.Emit(SignalKind.COTI):
+                sim.send_signal("dmr", SignalKind.COTI, coa, self.cn, info={"hoa": self.hoa})
+            case fsm.Emit(SignalKind.BU, fsm.DEST_CN):
+                sim.send_signal("dmr", SignalKind.BU, coa, self.cn,
+                                info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
+                                      "lifetime": BINDING_LIFETIME_US,
+                                      "tokens": dict(self.tokens)})
+            case _:
+                super()._perform(action)
+
+
+class ProxyDmr(ReturnRoutability, BaselineMr):
+    """Baseline registration plus proxied return routability and direct
+    delivery: every home binding update, refreshes included, restarts return
+    routability, which the acknowledgement of `coa` then runs."""

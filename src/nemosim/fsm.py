@@ -1,6 +1,7 @@
 """Pure state machines: the fast hierarchical scheme's four roles, the
-registration with both anchors that both route-optimising routers run, and
-the baseline mobile router's address check and home registration.
+return routability and correspondent registration that both
+route-optimising routers run after each home acknowledgement, and the
+baseline mobile router's address check and home registration.
 
 Each machine is one table from (state, event kind) to the successor state and
 a tuple of actions for the caller to interpret, or to a `Guard` that picks one
@@ -58,7 +59,6 @@ class NewMapState(Enum):
 
 class RegState(Enum):
     IDLE = "Idle"
-    SENT_BU_HA = "SentBUHA"
     RR = "ReturnRoutability"
     SENT_BU_CN = "SentBUCN"
     DONE = "Done"
@@ -93,7 +93,6 @@ EV_HI = "hi"
 EV_DAD_OK = "dad_ok"
 EV_FNA_RS = "fna_rs"
 EV_FNA_FBU = "fna_fbu"
-EV_REG_START = "reg_start"
 EV_BA_HA = "ba_ha"
 EV_TOKEN = "token"
 EV_BA_CN = "ba_cn"
@@ -237,12 +236,13 @@ _NEW_MAP_TABLE = {
                                             Emit(SignalKind.HACK, DEST_NAR))),
 }
 
-# Home binding update, return routability (RFC 6275 5.2, plus the prefix
-# token), correspondent binding update.  A token event says if all three are in.
+# Return routability (RFC 6275 5.2, plus the prefix token) from the home
+# agent's acknowledgement, then the correspondent binding update.  Each home
+# binding update leaves the machine Idle.  A token event says if all three
+# are in.
 _PROBE = (Emit(SignalKind.HOTI, DEST_CN_VIA_HA), Emit(SignalKind.COTI, DEST_CN))
 _REG_TABLE = {
-    (_R.IDLE, EV_REG_START): (_R.SENT_BU_HA, (Emit(SignalKind.BU, DEST_HA),)),
-    (_R.SENT_BU_HA, EV_BA_HA): (_R.RR, _PROBE),
+    (_R.IDLE, EV_BA_HA): (_R.RR, _PROBE),
     (_R.RR, EV_TOKEN): Guard("complete", (_R.SENT_BU_CN, (Emit(SignalKind.BU, DEST_CN),)),
                              (_R.RR, ())),
     (_R.RR, EV_RR_TIMEOUT): (_R.RR, _PROBE),

@@ -22,8 +22,6 @@ class Delivery:
     created_at: SimTime
     delivered_at: SimTime
     serving_bs: Optional[str]
-    src: object
-    dst: object
     path: tuple
 
     @property
@@ -65,8 +63,7 @@ class MetricsCollector:
             serving = next((node for node in reversed(path) if node.startswith("bs")), None)
             route = self._routes[path] = (path, serving)
         path, serving = route
-        self.deliveries.append(Delivery(pkt.seq, pkt.created_at, t, serving,
-                                        pkt.src, pkt.dst, path))
+        self.deliveries.append(Delivery(pkt.seq, pkt.created_at, t, serving, path))
 
     def record_drop(self, pkt: Packet, t: SimTime, where: str) -> None:
         """Count a drop by the flow of the innermost packet."""

@@ -38,7 +38,8 @@ class BindingCacheEntry:
         return t < self.expires_at
 
     def covers(self, dst: Address) -> bool:
-        return dst == self.hoa or any(p.matches(dst) for p in self.mnps)
+        # A prefix is a (domain, site) tuple, so an address's first two fields find it.
+        return dst == self.hoa or dst[:2] in self.mnps
 
 
 class BindingCacheAgent(Node):
@@ -122,9 +123,10 @@ class MobileRouter(Node):
     """The mobile router node and the data plane every scheme's router
     shares: it receives over each station's air link and from the mobile
     network, and takes the layer-2 events.  A subclass names the addresses it
-    answers for (`owns`) and the care-of address upstream traffic leaves from
-    (`upstream_coa`, None until registered), fills `signal_handlers` and adds
-    to `timer_handlers`.  A signal kind with no handler counts as unexpected."""
+    answers for (`owns`), the care-of address it binds at the home agent
+    (`care_of`) and the one upstream traffic leaves from (`upstream_coa`,
+    None until registered), fills `signal_handlers` and adds to
+    `timer_handlers`.  A signal kind with no handler counts as unexpected."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -158,6 +160,23 @@ class MobileRouter(Node):
         bs = token[1].bs
         self.sim.dmr_attached = bs
         self.on_link_up(bs)
+
+    def send_home_bu(self) -> None:
+        """Bind `care_of()` at the home agent: the one home binding update."""
+        coa = self.care_of()
+        self.sim.send_signal("dmr", SignalKind.BU, coa, self.ha,
+                             info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
+                                   "lifetime": BINDING_LIFETIME_US})
+
+    def _on_ba(self, pkt: Packet) -> None:
+        """A home agent's acknowledgement is stale unless it is for `care_of()`."""
+        self._on_home_ba(pkt.info["coa"] == self.care_of())
+
+    def _on_home_ba(self, current: bool) -> None:
+        """With no home machine to step, a stale acknowledgement only counts
+        as unexpected."""
+        if not current:
+            self.sim.metrics.unexpected_signals += 1
 
     def on_signal(self, pkt: Packet) -> None:
         self.signal_handlers.get(pkt.signal, self._unexpected)(pkt)
@@ -220,6 +239,9 @@ class BaselineMr(MobileRouter):
     def owns(self, addr: Address) -> bool:
         return addr == self.coa
 
+    def care_of(self) -> Optional[Address]:
+        return self.coa
+
     def upstream_coa(self) -> Optional[Address]:
         return self.coa if self.state is fsm.MrState.REGISTERED else None
 
@@ -258,8 +280,8 @@ class BaselineMr(MobileRouter):
         if token[1] == self.epoch:
             self._step(fsm.EV_BU_REFRESH)
 
-    def _on_ba(self, pkt: Packet) -> None:
-        self._step(fsm.EV_BA_HA if pkt.info["coa"] == self.coa else fsm.EV_BA_STALE)
+    def _on_home_ba(self, current: bool) -> None:
+        self._step(fsm.EV_BA_HA if current else fsm.EV_BA_STALE)
 
     def _perform(self, action) -> None:
         sim = self.sim
@@ -278,8 +300,6 @@ class BaselineMr(MobileRouter):
                 self.epoch += 1
                 sim.timer("dmr", DAD_DELAY_US, ("dad_done", self.epoch, self.prefix))
             case fsm.Emit(SignalKind.BU):
-                sim.send_signal("dmr", SignalKind.BU, self.coa, self.ha,
-                                info={"hoa": self.hoa, "coa": self.coa, "mnps": [self.mnp],
-                                      "lifetime": BINDING_LIFETIME_US})
+                self.send_home_bu()
             case fsm.StartTimer("bu_refresh"):
                 sim.timer("dmr", sim.config.binding_refresh_us, ("bu_refresh", self.epoch))

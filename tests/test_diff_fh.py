@@ -7,7 +7,7 @@ import pytest
 from census import cbr_held
 from nemosim.diff_fh import FBU_DELAY_US, FhDmr, MapAgent
 from nemosim.engine import MS, SEC
-from nemosim.fsm import DmrState, MapState, NarState
+from nemosim.fsm import DmrState, MapState, NarState, RegState
 from nemosim.nemo_bs import NEVER
 from nemosim.nodes import ArNode
 from nemosim.packets import (DATA, Address, DepthExceeded, Packet, Prefix,
@@ -91,6 +91,28 @@ def test_fbu_emitted_after_configured_delay(fake_sim):
     info = fbu[0][4]
     assert info["plcoa"] == LCOA1 and info["nlcoa"] == LCOA2
     assert dmr.fsm_state == DmrState.SENT_FBU
+
+
+def home_ba(coa):
+    return make_signal(SignalKind.BA, HA_ADDR, coa, t=0, info={"hoa": HOA, "coa": coa})
+
+
+def test_stale_home_acknowledgement_starts_no_return_routability(fake_sim):
+    """A home agent's BA for an earlier regional address is counted as
+    unexpected and sends no probe; the one for the current address does."""
+    dmr = make_fh(fake_sim)
+    dmr.send_home_bu()
+    dmr.rcoa = RCOA2          # a macro handover moved on before the BA came
+    dmr.on_signal(home_ba(RCOA1))
+    assert fake_sim.metrics.unexpected_signals == 1
+    assert not fake_sim.signals_of(SignalKind.HOTI)
+    assert dmr.reg_state is RegState.IDLE
+    dmr.send_home_bu()
+    dmr.on_signal(home_ba(RCOA2))
+    assert dmr.reg_state is RegState.RR and fake_sim.metrics.unexpected_signals == 1
+    hoti = fake_sim.signals_of(SignalKind.HOTI)
+    assert len(hoti) == 1 and hoti[0][5] == HA_ADDR
+    assert [s[2] for s in fake_sim.signals_of(SignalKind.COTI)] == [RCOA2]
 
 
 # -- anchor-point forwarding ---------------------------------------------------

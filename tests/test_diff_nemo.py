@@ -4,8 +4,9 @@ import pytest
 
 from nemosim.fsm import MrState, RegState
 from nemosim.diff_nemo import (RR_RETRIES, RR_TIMEOUT_US, TOKEN_LIFETIME_US, CorrespondentAgent,
-                               ProxyDmr, Registration)
+                               ProxyDmr, ReturnRoutability)
 from nemosim.engine import SEC
+from nemosim.metrics import MetricsCollector
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              make_signal)
 from nemosim.scenario import FaultConfig, ScenarioConfig
@@ -62,18 +63,19 @@ def test_stale_home_acknowledgement_starts_no_return_routability(fake_sim):
     stale = make_signal(SignalKind.BA, HA_ADDR, COA, t=0,
                         info={"hoa": HOA, "coa": Prefix(2, 2).address(100)})
     proxy.on_signal(stale)
-    assert proxy.state is MrState.REGISTERING and proxy.reg.state == RegState.SENT_BU_HA
+    assert proxy.state is MrState.REGISTERING
+    assert proxy.reg_state is RegState.IDLE and proxy.reg_seq == 1
     assert not fake_sim.signals_of(SignalKind.HOTI)
     assert fake_sim.metrics.unexpected_signals == 1
 
 
 def test_token_before_the_home_acknowledgement_counts_as_unexpected(fake_sim):
-    """Registration counts an event its table has no row for, as `Node.drive`
-    counts one, and leaves its state as it is."""
+    """`Node.drive` counts an event the registration table has no row for,
+    and leaves the state as it is: Idle, waiting for the home agent."""
     proxy = make_proxy(fake_sim)
-    assert proxy.reg.state == RegState.SENT_BU_HA
+    assert proxy.reg_state == RegState.IDLE and proxy.reg_seq == 1
     proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
-    assert proxy.reg.state == RegState.SENT_BU_HA and not proxy.reg.tokens
+    assert proxy.reg_state == RegState.IDLE and not proxy.tokens
     assert fake_sim.metrics.unexpected_signals == 1
 
 
@@ -85,10 +87,10 @@ def test_tokens_complete_exchange_and_register_with_cn(fake_sim):
     proxy = registered_proxy(fake_sim)
     proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
     proxy.on_signal(token_signal(SignalKind.NPT, ("npt", HOA, 2)))
-    assert proxy.reg.state == RegState.RR and set(proxy.reg.tokens) == {"hot", "npt"}
+    assert proxy.reg_state == RegState.RR and set(proxy.tokens) == {"hot", "npt"}
     assert not cn_binding_updates(fake_sim)
     proxy.on_signal(token_signal(SignalKind.COT, ("cot", COA, 3)))
-    assert proxy.reg.state == RegState.SENT_BU_CN
+    assert proxy.reg_state == RegState.SENT_BU_CN
     bu = cn_binding_updates(fake_sim)
     assert len(bu) == 1 and bu[0][2] == COA
     assert bu[0][4]["tokens"] == {"hot": ("hot", HOA, 1), "cot": ("cot", COA, 3),
@@ -101,12 +103,12 @@ def test_exhausted_retries_fall_back_and_ignore_late_tokens(fake_sim):
         proxy.on_timer(("rr_timeout", 1, retries))
         assert len(fake_sim.signals_of(SignalKind.HOTI)) == retries + 2
     proxy.on_timer(("rr_timeout", 1, RR_RETRIES))
-    assert proxy.reg.state == RegState.FALLBACK
+    assert proxy.reg_state == RegState.FALLBACK
     assert len(fake_sim.signals_of(SignalKind.HOTI)) == RR_RETRIES + 1
     proxy.on_signal(token_signal(SignalKind.HOT, ("hot", HOA, 1)))
     proxy.on_signal(token_signal(SignalKind.COT, ("cot", COA, 2)))
     proxy.on_signal(token_signal(SignalKind.NPT, ("npt", HOA, 3)))
-    assert proxy.reg.state == RegState.FALLBACK
+    assert proxy.reg_state == RegState.FALLBACK
     assert not cn_binding_updates(fake_sim)
 
 
@@ -115,7 +117,7 @@ def test_home_refresh_after_done_reruns_return_routability(fake_sim):
     for kind, token in ((SignalKind.HOT, 1), (SignalKind.COT, 2), (SignalKind.NPT, 3)):
         proxy.on_signal(token_signal(kind, token))
     proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0, info={"hoa": HOA, "from": "cn"}))
-    assert proxy.reg.state == RegState.DONE and proxy.cn_bound_coa == COA
+    assert proxy.reg_state == RegState.DONE and proxy.cn_bound_coa == COA
     assert len(fake_sim.signals_of(SignalKind.HOTI)) == 1
     proxy.on_timer(("bu_refresh", proxy.epoch))
     proxy.on_signal(ba_from_ha())
@@ -206,15 +208,21 @@ def test_lost_care_of_test_retries_and_recovers():
     assert agent.bound_at[0] > RR_TIMEOUT_US
 
 
-def test_delivered_packets_keep_application_addresses():
+def test_delivered_packets_keep_application_addresses(monkeypatch):
+    addresses = []
+    record = MetricsCollector.record_delivery
+    def spy(self, pkt, t):
+        addresses.append((pkt.src, pkt.dst))
+        record(self, pkt, t)
+    monkeypatch.setattr(MetricsCollector, "record_delivery", spy)
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=40 * SEC)
     cfg.cbr.stop_us = 40 * SEC
     sim = Simulation(cfg)
     report = sim.run()
-    assert report.delivered > 0
-    for d in sim.metrics.deliveries:
-        assert d.src == sim.topo.addresses["cn"]
-        assert d.dst == sim.topo.mnn_addr
+    assert report.delivered > 0 and len(addresses) == report.delivered
+    for src, dst in addresses:
+        assert src == sim.topo.addresses["cn"]
+        assert dst == sim.topo.mnn_addr
 
 
 def test_tunnel_overhead_disappears_after_registration():
@@ -242,7 +250,7 @@ def test_rr_probe_routing_home_leg_vs_direct_leg(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
     spy(CorrespondentAgent, "on_hoti", lambda p: "hoti")
     spy(CorrespondentAgent, "on_coti", lambda p: "coti")
-    spy(Registration, "on_token", lambda p: p.signal.value.lower())
+    spy(ReturnRoutability, "_on_token", lambda p: p.signal.value.lower())
 
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=25 * SEC)
     cfg.cbr.stop_us = 25 * SEC

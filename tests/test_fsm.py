@@ -71,9 +71,7 @@ def step_reg(state, kind, **flags):
 
 
 def test_registration_machine_happy_path():
-    state, actions = step_reg(RegState.IDLE, fsm.EV_REG_START)
-    assert state == RegState.SENT_BU_HA and emitted(actions) == [SignalKind.BU]
-    state, actions = step_reg(state, fsm.EV_BA_HA)
+    state, actions = step_reg(RegState.IDLE, fsm.EV_BA_HA)
     assert state == RegState.RR
     assert emitted(actions) == [SignalKind.HOTI, SignalKind.COTI]
     for _ in range(2):
@@ -86,7 +84,7 @@ def test_registration_machine_happy_path():
 
 
 def test_registration_timeout_reprobes():
-    state, _ = step_reg(RegState.SENT_BU_HA, fsm.EV_BA_HA)
+    state, _ = step_reg(RegState.IDLE, fsm.EV_BA_HA)
     state, _ = step_reg(state, fsm.EV_TOKEN)
     state, actions = step_reg(state, fsm.EV_RR_TIMEOUT)
     assert state == RegState.RR
@@ -94,7 +92,7 @@ def test_registration_timeout_reprobes():
 
 
 def test_registration_token_outside_return_routability_is_unexpected():
-    for state in (RegState.IDLE, RegState.SENT_BU_HA, RegState.SENT_BU_CN):
+    for state in (RegState.IDLE, RegState.SENT_BU_CN):
         nxt, actions = step_reg(state, fsm.EV_TOKEN, complete=True)
         assert nxt == state and actions == (Unexpected(fsm.EV_TOKEN),)
 
@@ -161,7 +159,6 @@ NEW_MAP_EVENTS = [FsmEvent(fsm.EV_HI), FsmEvent(fsm.EV_DAD_OK)]
 # Giving up is fault-free too: tokens that trail the timeout on a slow path
 # use up the retries without any signal being lost.
 REG_EVENTS = [
-    FsmEvent(fsm.EV_REG_START),
     FsmEvent(fsm.EV_BA_HA),
     FsmEvent(fsm.EV_TOKEN, complete=False),
     FsmEvent(fsm.EV_TOKEN, complete=True),

@@ -47,8 +47,7 @@ def test_cbr_starts_nothing_before_start(cbr_sent):
 
 
 def delivery(seq, t_us, bs):
-    return Delivery(seq=seq, created_at=0, delivered_at=t_us, serving_bs=bs,
-                    src=CN, dst=MNN, path=())
+    return Delivery(seq=seq, created_at=0, delivered_at=t_us, serving_bs=bs, path=())
 
 
 def test_handover_latency_from_constructed_trace():
