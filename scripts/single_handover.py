@@ -10,7 +10,7 @@ from nemosim.scenario import PROTOCOLS, ScenarioConfig
 def main() -> int:
     print(f"{'protocol':14s} {'loss%':>7s} {'fwd%':>7s} {'handover':>12s} {'delay':>10s}")
     for protocol in PROTOCOLS:
-        report, _ = run_scenario(ScenarioConfig(protocol=protocol))
+        report = run_scenario(ScenarioConfig(protocol=protocol))
         gaps = ", ".join(f"{lat/1e3:.0f}ms/{kind}" for lat, kind
                          in zip(report.handover_latencies_us, report.handover_kinds))
         print(f"{protocol:14s} {report.loss_pct:7.2f} {report.forwarding_rate_pct:7.2f} "

@@ -68,10 +68,10 @@ def cmd_run(args) -> int:
         # The trace streams to its file during the run, so a run that raises
         # still leaves its trace on disk up to the event that failed.
         trace = TraceWriter(files["trace"]) if "trace" in files else None
-        report, _ = run_scenario(config, trace=trace)
+        report = run_scenario(config, trace=trace)
         files.get("out", sys.stdout).write(CSV_HEADER + "\n" + report.csv_row() + "\n")
         if "paths" in files:
-            for (seq, _, _), path in zip(report.per_packet_delay, report.per_packet_path):
+            for seq, path in zip(report.seqs, report.per_packet_path):
                 files["paths"].write(f"{seq}\t{'>'.join(path)}\n")
     return 0
 

@@ -94,8 +94,7 @@ class MapAgent(HomeAgent):
             self.drive(ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
             return
         self.bind(info["rcoa"], info["lcoa"])
-        self.sim.send_signal(self.node_id, SignalKind.LBACK, self.address,
-                             info["lcoa"], info={"rcoa": info["rcoa"]})
+        self.sim.send_signal(self.node_id, SignalKind.LBACK, self.address, info["lcoa"])
         old_map = info.get("old_map")
         if old_map and old_map != self.node_id:
             # Registration with a new anchor tears the forwarding tunnel at
@@ -112,7 +111,6 @@ class MapAgent(HomeAgent):
 
     def _on_rcoa_dad(self, token) -> None:
         self.drive(ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_DAD_OK))
-        self.newmap_state = NewMapState.IDLE
         self.newmap_pending = None
 
     def _perform(self, action) -> None:
@@ -123,7 +121,6 @@ class MapAgent(HomeAgent):
             case fsm.Do("remove_forwarding"):
                 self.cache.pop(ctx["plcoa"], None)
                 self.fh_ctx = None
-                self.fh_state = MapState.IDLE
             case fsm.Emit(SignalKind.HI):
                 sim.send_signal(self.node_id, SignalKind.HI, self.address,
                                 sim.topo.addresses[ctx["nar"]],
@@ -131,8 +128,7 @@ class MapAgent(HomeAgent):
             case fsm.Emit(SignalKind.FBACK):
                 # Acknowledge over both the previous and the prospective path.
                 for dst in (ctx["plcoa"], ctx["nlcoa"]):
-                    sim.send_signal(self.node_id, SignalKind.FBACK, self.address, dst,
-                                    info={"nlcoa": ctx["nlcoa"]})
+                    sim.send_signal(self.node_id, SignalKind.FBACK, self.address, dst)
             # The new-anchor machine: verify the regional address, then answer
             # the previous anchor and the new access router.
             case fsm.StartTimer():
@@ -200,7 +196,6 @@ class FhDmr(ReturnRoutability):
         if self.ctx is None:
             self.ctx = FhHandoverCtx(handover_index=plan.handover_index,
                                      old_map=self.serving_map, plcoa=self.lcoa)
-            self.fsm_state = DmrState.IDLE
         self._step(FsmEvent(fsm.EV_L2_DOWN))
 
     def on_link_up(self, bs: str) -> None:
@@ -243,8 +238,7 @@ class FhDmr(ReturnRoutability):
             case fsm.Emit(SignalKind.RS):
                 sim.send_signal("dmr", SignalKind.RS, self.lcoa, sim.topo.addresses[ctx.nar])
             case fsm.Emit(SignalKind.FNA):
-                sim.send_signal("dmr", SignalKind.FNA, self.lcoa, sim.topo.addresses[ctx.nar],
-                                info={"nlcoa": self.lcoa})
+                sim.send_signal("dmr", SignalKind.FNA, self.lcoa, sim.topo.addresses[ctx.nar])
             case fsm.Emit(SignalKind.LBU):
                 old_rcoa = self.rcoa
                 if ctx.macro:
@@ -266,6 +260,8 @@ class FhDmr(ReturnRoutability):
                 ctx.fna_attempt += 1
             case fsm.Do("start_macro_registration"):
                 self.send_home_bu()
+            case fsm.Do("end_handover"):
+                self.ctx = None
             case _:
                 super()._perform(action)
 
@@ -306,8 +302,7 @@ class FhDmr(ReturnRoutability):
             tentative_lcoa = prefix.address(self.node_component)
             tentative_rcoa = info["map_prefix"].address(self.node_component)
             self.sim.send_signal("dmr", SignalKind.NS, tentative_lcoa,
-                                 pkt.src, info={"tentative": tentative_lcoa,
-                                                "handover": -1, "attempt": 0})
+                                 pkt.src, info={"handover": -1, "attempt": 0})
             self.sim.timer("dmr", DAD_DELAY_US,
                            ("initial_dad", self.epoch, tentative_lcoa, tentative_rcoa))
             return
@@ -343,9 +338,6 @@ class FhDmr(ReturnRoutability):
                 self.send_home_bu()
             return
         self._step(FsmEvent(fsm.EV_LBACK, macro=self.ctx.macro))
-        if self.fsm_state == DmrState.COMPLETE:
-            self.ctx = None
-            self.fsm_state = DmrState.IDLE
 
     def _on_ba(self, pkt: Packet) -> None:
         super()._on_ba(pkt)

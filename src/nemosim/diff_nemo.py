@@ -111,7 +111,7 @@ class CorrespondentAgent(BindingCacheAgent):
         self.bind(hoa, info["coa"], info["mnps"], info.get("lifetime", BINDING_LIFETIME_US))
         self.bound_at.append(self.sim.now)
         self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
-                             info={"hoa": hoa, "from": "cn"})
+                             info={"from": "cn"})
 
     def _tokens_valid(self, hoa: Address, tokens: Optional[dict]) -> bool:
         if not tokens:
@@ -196,7 +196,7 @@ class ReturnRoutability(MobileRouter):
             case fsm.Emit(SignalKind.HOTI):
                 self.tokens = {}
                 sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
-                                info={"hoa": self.hoa}, encap_to=self.ha, encap_src=coa)
+                                encap_to=self.ha, encap_src=coa)
                 sim.timer("dmr", RR_TIMEOUT_US, (self.RR_TIMER, self.reg_seq, self.rr_retries))
             case fsm.Emit(SignalKind.COTI):
                 sim.send_signal("dmr", SignalKind.COTI, coa, self.cn, info={"hoa": self.hoa})

@@ -7,29 +7,30 @@ import dataclasses
 from typing import Optional
 
 from .engine import TraceWriter
-from .metrics import CSV_HEADER, MetricsReport
+from .metrics import CSV_HEADER, MetricsCollector
 from .scenario import PROTOCOLS, ScenarioConfig
 from .simulation import Simulation
 
 
 def run_scenario(config: ScenarioConfig,
-                 trace: Optional[list[str] | TraceWriter] = None
-                 ) -> tuple[MetricsReport, Optional[list[str] | TraceWriter]]:
-    """Run one scenario, rendering each event into `trace` when it is given.
+                 trace: Optional[list[str] | TraceWriter] = None) -> MetricsCollector:
+    """Run one scenario and return its record, rendering each event into
+    `trace`, the caller's own sink, when it is given.
 
     The finished run is released (`Simulation.release`), so its node graph
-    is freed when this returns: a sweep holds one run at a time."""
+    is freed when this returns and only the record stays: a sweep holds one
+    run at a time."""
     sim = Simulation(config, trace=trace)
     try:
-        return sim.run(), sim.trace
+        return sim.run()
     finally:
         sim.release()
 
 
 def sweep(config: ScenarioConfig, speeds_kmh: list[float],
-          protocols: tuple[str, ...] = PROTOCOLS) -> tuple[str, list[MetricsReport]]:
+          protocols: tuple[str, ...] = PROTOCOLS) -> tuple[str, list[MetricsCollector]]:
     """One row per (protocol, speed); deterministic for a fixed config and seed."""
     reports = [run_scenario(dataclasses.replace(copy.deepcopy(config), protocol=protocol,
-                                                dmr_speed_kmh=speed))[0]
+                                                dmr_speed_kmh=speed))
                for protocol in protocols for speed in speeds_kmh]
     return "\n".join([CSV_HEADER, *(report.csv_row() for report in reports)]) + "\n", reports

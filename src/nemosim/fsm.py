@@ -32,7 +32,6 @@ class DmrState(Enum):
     L2_SWITCHING = "L2Switching"
     SENT_FNA = "SentFNA"
     LOCAL_REGISTERED = "LocalRegistered"
-    COMPLETE = "Complete"
     REACTIVE_ATTACH = "ReactiveAttach"
 
 
@@ -41,7 +40,6 @@ class MapState(Enum):
     SENT_HI = "SentHI"
     GOT_HACK = "GotHAck"
     FORWARDING = "Forwarding"
-    CLEARED = "Cleared"
 
 
 class NarState(Enum):
@@ -54,7 +52,6 @@ class NarState(Enum):
 class NewMapState(Enum):
     IDLE = "Idle"
     DAD_RUNNING = "DadRunning"
-    ACKED = "Acked"
 
 
 class RegState(Enum):
@@ -158,7 +155,7 @@ _RS, _FNA = Emit(SignalKind.RS, DEST_NAR), Emit(SignalKind.FNA, DEST_NAR)
 _DAD_FAST = (Emit(SignalKind.NS, DEST_NAR), StartTimer("dad_fast"))
 _TO_FORWARDING = (_M.FORWARDING, (Do("install_forwarding"),
                                   Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS)))
-_TO_CLEARED = (_M.CLEARED, (Do("remove_forwarding"),))
+_TO_IDLE = (_M.IDLE, (Do("remove_forwarding"),))
 _NAACK = (Emit(SignalKind.NAACK, DEST_DMR),)
 
 _DMR_TABLE = {
@@ -191,8 +188,10 @@ _DMR_TABLE = {
     (_D.SENT_FNA, EV_FBU_RETX_TIMER): (_D.SENT_FNA, (Do("send_fna_with_fbu"),)),
     (_D.SENT_FNA, EV_NAACK): (_D.SENT_FNA, (Do("adopt_alternative"), Do("send_fna_with_fbu"))),
     (_D.SENT_FNA, EV_LBU_TIMER): (_D.LOCAL_REGISTERED, (Emit(SignalKind.LBU, DEST_SERVING_MAP),)),
+    # The local acknowledgement ends the handover.
     (_D.LOCAL_REGISTERED, EV_LBACK): Guard(
-        "macro", (_D.COMPLETE, (Do("start_macro_registration"),)), (_D.COMPLETE, ())),
+        "macro", (_D.IDLE, (Do("start_macro_registration"), Do("end_handover"))),
+        (_D.IDLE, (Do("end_handover"),))),
     # Second-path acknowledgement duplicates and surplus timers.
     (_D.LOCAL_REGISTERED, EV_FBACK): (_D.LOCAL_REGISTERED, ()),
     (_D.LOCAL_REGISTERED, EV_LBU_TIMER): (_D.LOCAL_REGISTERED, ()),
@@ -211,7 +210,7 @@ _MAP_TABLE = {
                                       (Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS),)),
     (_M.FORWARDING, EV_HACK_NAR): (_M.FORWARDING, ()),
     (_M.FORWARDING, EV_HACK_NEW_MAP): (_M.FORWARDING, ()),
-    **{(state, EV_LBU_CUT): _TO_CLEARED for state in (_M.SENT_HI, _M.GOT_HACK, _M.FORWARDING)},
+    **{(state, EV_LBU_CUT): _TO_IDLE for state in (_M.SENT_HI, _M.GOT_HACK, _M.FORWARDING)},
 }
 
 _NAR_TABLE = {
@@ -232,8 +231,8 @@ _NAR_TABLE = {
 
 _NEW_MAP_TABLE = {
     (_W.IDLE, EV_HI): (_W.DAD_RUNNING, (StartTimer("dad_rcoa"),)),
-    (_W.DAD_RUNNING, EV_DAD_OK): (_W.ACKED, (Emit(SignalKind.HACK, DEST_OLD_MAP),
-                                            Emit(SignalKind.HACK, DEST_NAR))),
+    (_W.DAD_RUNNING, EV_DAD_OK): (_W.IDLE, (Emit(SignalKind.HACK, DEST_OLD_MAP),
+                                           Emit(SignalKind.HACK, DEST_NAR))),
 }
 
 # Return routability (RFC 6275 5.2, plus the prefix token) from the home
@@ -266,7 +265,7 @@ _MR_TABLE = {
 
 TABLES = {ROLE_DMR: _DMR_TABLE, ROLE_MAP: _MAP_TABLE, ROLE_NAR: _NAR_TABLE,
           ROLE_NEW_MAP: _NEW_MAP_TABLE, ROLE_REG: _REG_TABLE, ROLE_MR: _MR_TABLE}
-TERMINAL_STATES = frozenset((_D.COMPLETE, _M.CLEARED, _W.ACKED, _R.DONE, _R.FALLBACK))
+TERMINAL_STATES = frozenset((_R.DONE, _R.FALLBACK))
 
 
 def fsm_step(role: str, state, event: FsmEvent):

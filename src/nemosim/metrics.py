@@ -1,4 +1,5 @@
-"""Per-run counters, delivery records, and the derived performance metrics."""
+"""One run's record: its counters, a row per delivered foreground packet, and
+the figures the paper compares, read from those rows."""
 
 from __future__ import annotations
 
@@ -17,32 +18,62 @@ MACRO = "macro"
 
 
 @dataclass(slots=True)
-class Delivery:
-    seq: int
-    created_at: SimTime
-    delivered_at: SimTime
-    serving_bs: Optional[str]
-    path: tuple
-
-    @property
-    def delay_us(self) -> SimTime:
-        return self.delivered_at - self.created_at
-
-
-@dataclass(slots=True)
 class Drop:
     seq: int
     at: SimTime
     where: str
 
 
-class MetricsCollector:
-    """Counts the foreground flow; background and signalling are tallied aside."""
+def compute_handover_latency(delivered_at_us, serving_bs,
+                             bs_to_map: dict[str, str]) -> list[tuple[SimTime, str]]:
+    """Delivery gap around each serving base-station change.
 
-    def __init__(self) -> None:
+    `delivered_at_us` and `serving_bs` are two columns of the deliveries, in
+    delivery order.  For each change of serving base station the latency is
+    the arrival time of the first packet via the new station minus the
+    arrival time of the last packet via the old one.  Each gap is labelled
+    micro or macro by whether the two stations hang off the same anchor point.
+    """
+    gaps: list[tuple[SimTime, str]] = []
+    last_bs: Optional[str] = None
+    last_t: SimTime = 0
+    for t, bs in zip(delivered_at_us, serving_bs):
+        if bs is None:
+            continue
+        if last_bs is not None and bs != last_bs:
+            kind = MICRO if bs_to_map.get(last_bs) == bs_to_map.get(bs) else MACRO
+            gaps.append((t - last_t, kind))
+        last_bs = bs
+        last_t = t
+    return gaps
+
+
+class MetricsCollector:
+    """Counts the foreground flow; background and signalling are tallied aside.
+
+    Each delivered CBR packet is one row of the columns `seqs`,
+    `delivered_at_us` and `delays_us`, in delivery order, and one entry of
+    `per_packet_path`.  Packets that took the same route share one path
+    tuple, so that list holds references, not copies.  The columns are lists
+    while the run records and `array('q')` once `finish` has run.
+    `per_packet_delay` is a list of (seq, delivered_at, delay) tuples built
+    from the columns on each access; read it once, not once per row.
+    """
+
+    def __init__(self, protocol: str, mode: str, speed_kmh: float, seed: int,
+                 bs_to_map: dict[str, str]) -> None:
+        self.protocol = protocol
+        self.mode = mode
+        self.speed_kmh = speed_kmh
+        self.seed = seed
+        self._bs_to_map = bs_to_map
         self.sent = 0
-        self.deliveries: list[Delivery] = []
-        self.drops: list[Drop] = []
+        self.seqs: list[int] | array = []
+        self.delivered_at_us: list[int] | array = []
+        self.delays_us: list[int] | array = []
+        self.per_packet_path: list[tuple] = []
+        self.drops_detail: list[Drop] = []
+        self.queue_drops: dict = {}   # per egress queue, drop count per service class
         self.signal_drops = 0
         self.bg_drops = 0
         self.rejected_bindings = 0
@@ -62,8 +93,10 @@ class MetricsCollector:
         if route is None:
             serving = next((node for node in reversed(path) if node.startswith("bs")), None)
             route = self._routes[path] = (path, serving)
-        path, serving = route
-        self.deliveries.append(Delivery(pkt.seq, pkt.created_at, t, serving, path))
+        self.seqs.append(pkt.seq)
+        self.delivered_at_us.append(t)
+        self.delays_us.append(t - pkt.created_at)
+        self.per_packet_path.append(route[0])
 
     def record_drop(self, pkt: Packet, t: SimTime, where: str) -> None:
         """Count a drop by the flow of the innermost packet."""
@@ -73,105 +106,76 @@ class MetricsCollector:
         if flow == FLOW_BG:
             self.bg_drops += 1
         elif flow == FLOW_CBR:
-            self.drops.append(Drop(pkt.seq, t, where))
+            self.drops_detail.append(Drop(pkt.seq, t, where))
         else:
             self.signal_drops += 1
 
+    def finish(self, queue_drops: dict) -> None:
+        """Close the record at the end of the run: keep the per-queue drops
+        and pack the integer columns into `array('q')`, 8 bytes a row."""
+        self.queue_drops = queue_drops
+        self.seqs = array("q", self.seqs)
+        self.delivered_at_us = array("q", self.delivered_at_us)
+        self.delays_us = array("q", self.delays_us)
+
+    # -- figures -------------------------------------------------------------
     @property
     def delivered(self) -> int:
-        return len(self.deliveries)
+        return len(self.seqs)
 
     @property
     def dropped(self) -> int:
-        return len(self.drops)
+        return len(self.drops_detail)
 
+    @property
+    def in_flight_at_end(self) -> int:
+        return self.sent - self.delivered - self.dropped
 
-def compute_loss(metrics: MetricsCollector) -> float:
-    """Dropped share of the foreground flow, in percent."""
-    if metrics.sent == 0:
-        return 0.0
-    return 100.0 * metrics.dropped / metrics.sent
+    @property
+    def loss_pct(self) -> float:
+        """Dropped share of the foreground flow, in percent."""
+        return 100.0 * self.dropped / self.sent if self.sent else 0.0
 
+    @property
+    def forwarding_rate_pct(self) -> float:
+        return 100.0 * self.delivered / self.sent if self.sent else 100.0
 
-def compute_forwarding_rate(metrics: MetricsCollector) -> float:
-    if metrics.sent == 0:
-        return 100.0
-    return 100.0 * metrics.delivered / metrics.sent
-
-
-def compute_handover_latency(deliveries: list[Delivery],
-                             bs_to_map: dict[str, str]) -> list[tuple[SimTime, str]]:
-    """Delivery gap around each serving base-station change.
-
-    For each change of serving base station in the delivery sequence the
-    latency is the arrival time of the first packet via the new station minus
-    the arrival time of the last packet via the old one.  Each gap is labelled
-    micro or macro by whether the two stations hang off the same anchor point.
-    """
-    gaps: list[tuple[SimTime, str]] = []
-    last_bs: Optional[str] = None
-    last_t: SimTime = 0
-    for d in deliveries:
-        if d.serving_bs is None:
-            continue
-        if last_bs is not None and d.serving_bs != last_bs:
-            kind = MICRO if bs_to_map.get(last_bs) == bs_to_map.get(d.serving_bs) else MACRO
-            gaps.append((d.delivered_at - last_t, kind))
-        last_bs = d.serving_bs
-        last_t = d.delivered_at
-    return gaps
-
-
-@dataclass
-class MetricsReport:
-    """One run's figures and its per-delivery record, held compactly.
-
-    Each delivered CBR packet is one row of three `array('q')` columns,
-    `seqs`, `delivered_at_us` and `delays_us`, in delivery order, and one
-    entry of `per_packet_path`.  Packets that took the same route share one
-    path tuple, so that list holds references, not copies.
-    `per_packet_delay` is a list of (seq, delivered_at, delay) tuples built
-    from the columns on each access; read it once, not once per row.
-    """
-
-    protocol: str
-    mode: str
-    speed_kmh: float
-    seed: int
-    sent: int
-    delivered: int
-    dropped: int
-    loss_pct: float
-    forwarding_rate_pct: float
-    handover_latencies_us: list[int]
-    handover_kinds: list[str]
-    delay_mean_us: float
-    seqs: array
-    delivered_at_us: array
-    delays_us: array
-    per_packet_path: list[tuple]
-    drops_detail: list[Drop]
-    in_flight_at_end: int
-    queue_drops: dict = None   # per egress queue, drop count per service class
+    @property
+    def delay_mean_us(self) -> float:
+        delays = self.delays_us
+        return (sum(delays) / len(delays)) if delays else 0.0
 
     @property
     def per_packet_delay(self) -> list[tuple[int, int, int]]:
         """(seq, delivered_at, delay) per delivery, built on each access."""
         return list(zip(self.seqs, self.delivered_at_us, self.delays_us))
 
+    def _gaps(self) -> list[tuple[SimTime, str]]:
+        """(latency, kind) per handover, from the delivery columns."""
+        routes = self._routes
+        return compute_handover_latency(
+            self.delivered_at_us, [routes[path][1] for path in self.per_packet_path],
+            self._bs_to_map)
+
+    @property
+    def handover_latencies_us(self) -> list[int]:
+        return [gap for gap, _ in self._gaps()]
+
+    @property
+    def handover_kinds(self) -> list[str]:
+        return [kind for _, kind in self._gaps()]
+
     @property
     def ho_latency_mean_us(self) -> float:
-        if not self.handover_latencies_us:
-            return 0.0
-        return sum(self.handover_latencies_us) / len(self.handover_latencies_us)
+        latencies = self.handover_latencies_us
+        return sum(latencies) / len(latencies) if latencies else 0.0
 
     @property
     def ho_latency_max_us(self) -> int:
         return max(self.handover_latencies_us, default=0)
 
     def latency_mean_by_kind(self, kind: str) -> float:
-        vals = [lat for lat, k in zip(self.handover_latencies_us, self.handover_kinds)
-                if k == kind]
+        vals = [lat for lat, k in self._gaps() if k == kind]
         if not vals:
             return 0.0
         return sum(vals) / len(vals)
@@ -195,31 +199,3 @@ class MetricsReport:
 
 CSV_HEADER = ("protocol,mode,speed_kmh,seed,sent,delivered,dropped,"
               "loss_pct,fwd_rate_pct,ho_latency_mean_ms,ho_latency_max_ms,delay_mean_ms")
-
-
-def build_report(config, metrics: MetricsCollector, bs_to_map: dict[str, str],
-                 queue_drops: dict) -> MetricsReport:
-    deliveries = metrics.deliveries
-    gaps = compute_handover_latency(deliveries, bs_to_map)
-    delays = array("q", [d.delay_us for d in deliveries])
-    return MetricsReport(
-        protocol=config.protocol,
-        mode=config.mode,
-        speed_kmh=config.dmr_speed_kmh,
-        seed=config.seed,
-        sent=metrics.sent,
-        delivered=metrics.delivered,
-        dropped=metrics.dropped,
-        loss_pct=compute_loss(metrics),
-        forwarding_rate_pct=compute_forwarding_rate(metrics),
-        handover_latencies_us=[g for g, _ in gaps],
-        handover_kinds=[k for _, k in gaps],
-        delay_mean_us=(sum(delays) / len(delays)) if delays else 0.0,
-        seqs=array("q", [d.seq for d in deliveries]),
-        delivered_at_us=array("q", [d.delivered_at for d in deliveries]),
-        delays_us=delays,
-        per_packet_path=[d.path for d in deliveries],
-        drops_detail=list(metrics.drops),
-        in_flight_at_end=metrics.sent - metrics.delivered - len(metrics.drops),
-        queue_drops=queue_drops,
-    )

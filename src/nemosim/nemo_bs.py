@@ -84,7 +84,7 @@ class HomeAgent(BindingCacheAgent):
         self.bind(info["hoa"], info["coa"], info["mnps"],
                   info.get("lifetime", BINDING_LIFETIME_US))
         self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
-                             info={"hoa": info["hoa"], "coa": info["coa"]})
+                             info={"coa": info["coa"]})
 
     def intercept(self, pkt: Packet) -> bool:
         """Tunnel a packet bound here to its care-of address; True when taken.
@@ -294,8 +294,7 @@ class BaselineMr(MobileRouter):
                 tentative = self.prefix.address(self.node_component)
                 ar = sim.topo.bs_to_ar[sim.dmr_attached]
                 sim.send_signal("dmr", SignalKind.NS, tentative, sim.topo.addresses[ar],
-                                info={"tentative": tentative, "handover": self.handover_count,
-                                      "attempt": self.dad_attempt})
+                                info={"handover": self.handover_count, "attempt": self.dad_attempt})
             case fsm.StartTimer("dad_done"):
                 self.epoch += 1
                 sim.timer("dmr", DAD_DELAY_US, ("dad_done", self.epoch, self.prefix))

@@ -175,7 +175,7 @@ class ArNode(Node):
                 sim.timer(self.node_id, DAD_FAST_US, ("nar_dad",))
             case fsm.Emit(SignalKind.NS):
                 sim.send_signal(self.node_id, SignalKind.NS, self.address,
-                                sim.topo.addresses[self.bs_id], info={"tentative": ctx["nlcoa"]})
+                                sim.topo.addresses[self.bs_id])
             case fsm.Do("relay_hi"):
                 sim.send_signal(self.node_id, SignalKind.HI, self.address,
                                 sim.topo.addresses[ctx["new_map"]], info=ctx)

@@ -9,7 +9,7 @@ from .diff_nemo import CorrespondentAgent, ProxyDmr
 from .diffserv import BE, EF, SlaTable
 from .engine import (APP_START, APP_STOP, L2_LINK_DOWN, L2_TRIGGER,
                      TIMER_EXPIRY, Engine, SimEvent, SimTime, TraceWriter)
-from .metrics import MetricsCollector, build_report
+from .metrics import MetricsCollector
 from .nemo_bs import BaselineMr, HomeAgent
 from .network import Link, LinkQueue, build_l2_plan
 from .nodes import ArNode, BsNode, MnnNode, Node
@@ -29,8 +29,10 @@ class Simulation:
         self.config = config
         self.trace = trace
         self.engine = Engine(seed=config.seed, trace=trace)
-        self.metrics = MetricsCollector()
         self.topo: Topology = default_topology(config)
+        self.metrics = MetricsCollector(
+            config.protocol, config.mode, config.dmr_speed_kmh, config.seed,
+            {bs: self.topo.ar_to_map[ar] for bs, ar in self.topo.bs_to_ar.items()})
         self.track = build_track(config)
         self.dmr_attached: Optional[str] = None
         self.linkqueues: dict[tuple[str, str], LinkQueue] = {}
@@ -248,13 +250,13 @@ class Simulation:
         return attempt == 0 and handover in self.config.faults.fna_collision_handovers
 
     # -- run -------------------------------------------------------------------
-    def run(self):
+    def run(self) -> MetricsCollector:
+        """Run to the end of the scenario; returns the run's record, `metrics`."""
         self.engine.run_until(self.config.sim_end_us)
-        bs_to_map = {bs: self.topo.ar_to_map[ar] for bs, ar in self.topo.bs_to_ar.items()}
-        queue_drops = {f"{q.src}->{q.dst}": list(q.scheduler.drops_by_class)
-                       for q in self.linkqueues.values()
-                       if any(q.scheduler.drops_by_class)}
-        return build_report(self.config, self.metrics, bs_to_map, queue_drops)
+        self.metrics.finish({f"{q.src}->{q.dst}": list(q.scheduler.drops_by_class)
+                             for q in self.linkqueues.values()
+                             if any(q.scheduler.drops_by_class)})
+        return self.metrics
 
     def release(self) -> None:
         """Break the reference cycles of a finished run, so that reference

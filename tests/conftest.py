@@ -18,7 +18,8 @@ class FakeSim:
     def __init__(self, config=None):
         self.config = config or ScenarioConfig()
         self.topo = default_topology(self.config)
-        self.metrics = MetricsCollector()
+        self.metrics = MetricsCollector(self.config.protocol, self.config.mode,
+                                        self.config.dmr_speed_kmh, self.config.seed, {})
         self.engine = SimpleNamespace(register=lambda node_id, handler: None)
         self.now = 0
         self.sent_signals = []      # (origin, kind, src, dst, info, encap_to)

@@ -95,7 +95,7 @@ def test_criterion_1_delay_oracle():
                              beacon_interval_us=0, movement_detection="solicited",
                              waypoints=[(100.0, 0.0)])
         cfg.cbr.stop_us = 30 * SEC
-        report, _ = run_scenario(cfg)
+        report = run_scenario(cfg)
         delays = {d for _, _, d in report.per_packet_delay}
         ok = ok and report.delivered > 0 and delays == {expected}
         print(f"  {proto}: measured {sorted(delays)} us, oracle {expected} us")
@@ -167,7 +167,7 @@ def test_criterion_4_handover_latency_ordering(congested_sweep):
 
 def test_criterion_5_baseline_latency_decomposition():
     cfg = ScenarioConfig(protocol=PROTO_NEMO_BS)
-    report, _ = run_scenario(cfg)
+    report = run_scenario(cfg)
     assert len(report.handover_latencies_us) == 1
     measured = report.handover_latencies_us[0]
 
@@ -215,7 +215,7 @@ def test_criterion_6_zero_loss_predictive_micro():
     assert cfg.nar_buffer_capacity >= 100 and cfg.lead_us == 200 * MS
     sim = Simulation(cfg)
     report = sim.run()
-    seqs = [d.seq for d in sim.metrics.deliveries]
+    seqs = list(report.seqs)
     no_dups = len(seqs) == len(set(seqs))
     print(f"  sent={report.sent} delivered={report.delivered} "
           f"dropped={report.dropped} duplicates={len(seqs) - len(set(seqs))}")
@@ -228,14 +228,16 @@ def test_criterion_6_zero_loss_predictive_micro():
 def test_criterion_7_route_optimization_paths():
     cfg = ScenarioConfig(protocol=PROTO_DIFF_NEMO)
     sim = Simulation(cfg)
-    sim.run()
+    report = sim.run()
     agent = sim.nodes["cn"]
     assert agent.bound_at, "correspondent never registered"
     t_bind = agent.bound_at[0]
-    pre = [d for d in sim.metrics.deliveries if d.created_at < t_bind]
-    post = [d for d in sim.metrics.deliveries if d.created_at >= t_bind]
-    pre_ok = pre and all("ha" in d.path for d in pre)
-    post_ok = post and all("ha" not in d.path for d in post)
+    # A packet's creation instant is its delivery instant less its delay.
+    rows = list(zip(report.delivered_at_us, report.delays_us, report.per_packet_path))
+    pre = [path for t, delay, path in rows if t - delay < t_bind]
+    post = [path for t, delay, path in rows if t - delay >= t_bind]
+    pre_ok = pre and all("ha" in path for path in pre)
+    post_ok = post and all("ha" not in path for path in post)
     # A forged binding update without routability tokens must be inert.
     cache_before = dict(agent.cache)
     rogue = make_signal(SignalKind.BU, Address(3, 2, 66), sim.topo.addresses["cn"],
@@ -332,12 +334,14 @@ def test_criterion_9_determinism():
                              background_load_bps=CONGESTION_BPS, seed=77,
                              sim_end_us=60 * SEC)
         cfg.cbr.stop_us = 60 * SEC
-        r1, t1 = run_scenario(cfg, trace=[])
+        t1 = []
+        r1 = run_scenario(cfg, trace=t1)
         cfg2 = ScenarioConfig(protocol=proto, dmr_speed_kmh=60,
                               background_load_bps=CONGESTION_BPS, seed=77,
                               sim_end_us=60 * SEC)
         cfg2.cbr.stop_us = 60 * SEC
-        r2, t2 = run_scenario(cfg2, trace=[])
+        t2 = []
+        r2 = run_scenario(cfg2, trace=t2)
         same_trace = "\n".join(t1).encode() == "\n".join(t2).encode()
         same_row = r1.csv_row() == r2.csv_row()
         print(f"  {proto}: trace {len(t1)} events, byte-identical={same_trace}, "

@@ -93,8 +93,22 @@ def test_fbu_emitted_after_configured_delay(fake_sim):
     assert dmr.fsm_state == DmrState.SENT_FBU
 
 
+@pytest.mark.parametrize("macro", [False, True])
+def test_local_acknowledgement_ends_the_handover(fake_sim, macro):
+    """The LBAck row itself leaves the router Idle with no handover open; a
+    macro move also sends the home binding update."""
+    dmr = make_fh(fake_sim)
+    dmr.on_l2_trigger(trigger_plan())
+    dmr.ctx.macro = macro
+    dmr.fsm_state = DmrState.LOCAL_REGISTERED
+    dmr.on_signal(make_signal(SignalKind.LBACK, RCOA1, LCOA1, t=0))
+    assert dmr.fsm_state is DmrState.IDLE and dmr.ctx is None
+    assert len(fake_sim.signals_of(SignalKind.BU)) == macro
+    assert fake_sim.metrics.unexpected_signals == 0
+
+
 def home_ba(coa):
-    return make_signal(SignalKind.BA, HA_ADDR, coa, t=0, info={"hoa": HOA, "coa": coa})
+    return make_signal(SignalKind.BA, HA_ADDR, coa, t=0, info={"coa": coa})
 
 
 def test_stale_home_acknowledgement_starts_no_return_routability(fake_sim):
@@ -365,7 +379,7 @@ def test_zero_loss_predictive_micro_handover_no_duplicates():
     report = sim.run()
     assert report.dropped == 0
     assert cbr_held(sim) == report.sent - report.delivered
-    seqs = [d.seq for d in sim.metrics.deliveries]
+    seqs = list(report.seqs)
     assert len(seqs) == len(set(seqs))
 
 
@@ -399,11 +413,11 @@ def test_macro_rebind_route_excludes_home_agent_and_old_anchor():
     sim, report = run_fh(speed=30)
     # The run ends with the router parked under the second anchor domain.
     assert sim.nodes["dmr"].serving_map == "map2"
-    tail = sim.metrics.deliveries[-10:]
+    tail = report.per_packet_path[-10:]
     assert tail
-    for d in tail:
-        assert "ha" not in d.path and "map1" not in d.path
-        assert "map2" in d.path
+    for path in tail:
+        assert "ha" not in path and "map1" not in path
+        assert "map2" in path
 
 
 def test_fback_loss_recovered_by_retransmission():
@@ -439,7 +453,7 @@ def test_upstream_goes_direct_once_correspondent_bound():
 
 def test_upstream_goes_direct_only_from_the_bound_regional_address(fake_sim):
     dmr = make_fh(fake_sim)
-    dmr.on_signal(make_signal(SignalKind.BA, CN, RCOA1, t=0, info={"hoa": HOA, "from": "cn"}))
+    dmr.on_signal(make_signal(SignalKind.BA, CN, RCOA1, t=0, info={"from": "cn"}))
     dmr.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA))
     direct = fake_sim.dmr_outbox[-1]
     assert direct.src == RCOA1 and direct.home_addr_option == MNN and direct.inner is None
@@ -474,8 +488,7 @@ def test_reactive_collision_completes_with_substituted_address():
     proto = sim.nodes["dmr"]
     assert proto.lcoa == Prefix(2, 2).address(101)
     assert report.delivered > 0
-    deliveries_after = [d for d in sim.metrics.deliveries
-                        if d.delivered_at > 95 * SEC]
+    deliveries_after = [t for t in report.delivered_at_us if t > 95 * SEC]
     assert deliveries_after, "traffic never resumed after the collision"
 
 

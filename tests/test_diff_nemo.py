@@ -31,7 +31,7 @@ def make_proxy(fake_sim):
 
 
 def ba_from_ha():
-    return make_signal(SignalKind.BA, HA_ADDR, COA, t=0, info={"hoa": HOA, "coa": COA})
+    return make_signal(SignalKind.BA, HA_ADDR, COA, t=0, info={"coa": COA})
 
 
 def token_signal(kind, token):
@@ -61,7 +61,7 @@ def test_stale_home_acknowledgement_starts_no_return_routability(fake_sim):
     unexpected, and neither registers the proxy nor sends a probe."""
     proxy = make_proxy(fake_sim)
     stale = make_signal(SignalKind.BA, HA_ADDR, COA, t=0,
-                        info={"hoa": HOA, "coa": Prefix(2, 2).address(100)})
+                        info={"coa": Prefix(2, 2).address(100)})
     proxy.on_signal(stale)
     assert proxy.state is MrState.REGISTERING
     assert proxy.reg_state is RegState.IDLE and proxy.reg_seq == 1
@@ -116,7 +116,7 @@ def test_home_refresh_after_done_reruns_return_routability(fake_sim):
     proxy = registered_proxy(fake_sim)
     for kind, token in ((SignalKind.HOT, 1), (SignalKind.COT, 2), (SignalKind.NPT, 3)):
         proxy.on_signal(token_signal(kind, token))
-    proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0, info={"hoa": HOA, "from": "cn"}))
+    proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0, info={"from": "cn"}))
     assert proxy.reg_state == RegState.DONE and proxy.cn_bound_coa == COA
     assert len(fake_sim.signals_of(SignalKind.HOTI)) == 1
     proxy.on_timer(("bu_refresh", proxy.epoch))
@@ -130,7 +130,7 @@ def test_home_refresh_after_done_reruns_return_routability(fake_sim):
 
 def test_correspondent_issues_tokens_and_accepts_fresh_binding(fake_sim):
     agent = CorrespondentAgent(fake_sim, "cn")
-    agent.on_hoti(make_signal(SignalKind.HOTI, HOA, CN, t=0, info={"hoa": HOA}))
+    agent.on_hoti(make_signal(SignalKind.HOTI, HOA, CN, t=0))
     agent.on_coti(make_signal(SignalKind.COTI, COA, CN, t=0, info={"hoa": HOA}))
     issued = agent.issued[HOA]
     tokens = {k: issued[k][0] for k in ("hot", "cot", "npt")}
@@ -158,7 +158,7 @@ def test_rogue_binding_update_never_mutates_cache(fake_sim):
 
 def test_stale_tokens_rejected_by_clock_arithmetic(fake_sim):
     agent = CorrespondentAgent(fake_sim, "cn")
-    agent.on_hoti(make_signal(SignalKind.HOTI, HOA, CN, t=0, info={"hoa": HOA}))
+    agent.on_hoti(make_signal(SignalKind.HOTI, HOA, CN, t=0))
     agent.on_coti(make_signal(SignalKind.COTI, COA, CN, t=0, info={"hoa": HOA}))
     tokens = {k: agent.issued[HOA][k][0] for k in ("hot", "cot", "npt")}
     fake_sim.now = TOKEN_LIFETIME_US + 1
@@ -230,10 +230,12 @@ def test_tunnel_overhead_disappears_after_registration():
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=40 * SEC)
     cfg.cbr.stop_us = 40 * SEC
     sim = Simulation(cfg)
-    sim.run()
+    report = sim.run()
     t_bind = sim.nodes["cn"].bound_at[0]
-    pre = [d.delay_us for d in sim.metrics.deliveries if d.created_at < t_bind]
-    post = [d.delay_us for d in sim.metrics.deliveries if d.created_at >= t_bind]
+    # A packet's creation instant is its delivery instant less its delay.
+    rows = list(zip(report.delivered_at_us, report.delays_us))
+    pre = [delay for t, delay in rows if t - delay < t_bind]
+    post = [delay for t, delay in rows if t - delay >= t_bind]
     assert pre and post
     assert min(pre) > max(post)
 

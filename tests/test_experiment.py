@@ -41,13 +41,13 @@ def test_congestion_knob_strictly_raises_baseline_loss():
     quiet = ScenarioConfig(protocol=PROTO_NEMO_BS, dmr_speed_kmh=60)
     loaded = ScenarioConfig(protocol=PROTO_NEMO_BS, dmr_speed_kmh=60,
                             background_load_bps=1_200_000)
-    loss_quiet = run_scenario(quiet)[0].loss_pct
-    loss_loaded = run_scenario(loaded)[0].loss_pct
+    loss_quiet = run_scenario(quiet).loss_pct
+    loss_loaded = run_scenario(loaded).loss_pct
     assert loss_loaded > loss_quiet
 
 
 def test_per_packet_series_supports_time_and_sequence_axes():
-    report, _ = run_scenario(short_config(protocol="diff-nemo"))
+    report = run_scenario(short_config(protocol="diff-nemo"))
     assert report.per_packet_delay
     for seq, delivered_at, delay in report.per_packet_delay:
         assert delivered_at >= delay >= 0
@@ -81,8 +81,8 @@ def test_finished_run_leaves_no_cyclic_garbage(protocol, background_bps, traced)
 
     kept = Simulation(config(), trace=[] if traced else None)
     expected = kept.run()
-    (report, trace), garbage = collected_after(
-        lambda: run_scenario(config(), trace=[] if traced else None))
+    trace = [] if traced else None
+    report, garbage = collected_after(lambda: run_scenario(config(), trace=trace))
     assert garbage == 0
     # The report and the trace read as from a run that was never released.
     assert report.csv_row() == expected.csv_row()

@@ -177,10 +177,10 @@ MR_EVENTS = [
 ]
 
 MACHINES = [
-    (fsm.ROLE_DMR, DmrState.IDLE, DMR_EVENTS, {DmrState.COMPLETE}),
-    (fsm.ROLE_MAP, MapState.IDLE, MAP_EVENTS, {MapState.CLEARED}),
+    (fsm.ROLE_DMR, DmrState.IDLE, DMR_EVENTS, {DmrState.IDLE}),
+    (fsm.ROLE_MAP, MapState.IDLE, MAP_EVENTS, {MapState.IDLE}),
     (fsm.ROLE_NAR, NarState.IDLE, NAR_EVENTS, {NarState.FLUSHED}),
-    (fsm.ROLE_NEW_MAP, NewMapState.IDLE, NEW_MAP_EVENTS, {NewMapState.ACKED}),
+    (fsm.ROLE_NEW_MAP, NewMapState.IDLE, NEW_MAP_EVENTS, {NewMapState.IDLE}),
     (fsm.ROLE_REG, RegState.IDLE, REG_EVENTS, {RegState.DONE, RegState.FALLBACK}),
     (fsm.ROLE_MR, MrState.AWAIT_RA, MR_EVENTS, {MrState.REGISTERED}),
 ]

@@ -89,7 +89,8 @@ def cli_run(tmp_path, protocol):
 def test_criterion_9_scenario_matches_golden(protocol):
     cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
     cfg.cbr.stop_us = 60 * SEC
-    report, trace = run_scenario(cfg, trace=[])
+    trace = []
+    report = run_scenario(cfg, trace=trace)
     lines, trace_digest, row_digest = GOLDEN[protocol]
     assert len(trace) == lines
     assert sha256("\n".join(trace)) == trace_digest
@@ -164,8 +165,8 @@ def outcome(cfg, trace):
         row = f"DepthExceeded at {sim.engine.now}"
     m = sim.metrics
     return (row,
-            [(d.seq, d.delivered_at) for d in m.deliveries],
-            Counter((d.seq, d.at, d.where) for d in m.drops),
+            list(zip(m.seqs, m.delivered_at_us)),
+            Counter((d.seq, d.at, d.where) for d in m.drops_detail),
             {key: list(q.scheduler.drops_by_class) for key, q in sim.linkqueues.items()})
 
 

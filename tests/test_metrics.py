@@ -1,12 +1,13 @@
 import gc
 import tracemalloc
+from array import array
+from collections import Counter
 
 import pytest
 
 from census import cbr_held
 from nemosim.engine import MS, PACKET_ARRIVAL, SEC
-from nemosim.metrics import (FLOW_CBR, MACRO, MICRO, Delivery, MetricsCollector,
-                             compute_handover_latency, compute_loss)
+from nemosim.metrics import FLOW_CBR, MACRO, MICRO, MetricsCollector, compute_handover_latency
 from nemosim.packets import DATA, Address, Packet
 from nemosim.scenario import PROTO_DIFF_FH, PROTOCOLS, CbrConfig, ScenarioConfig
 from nemosim.simulation import Simulation
@@ -46,40 +47,36 @@ def test_cbr_starts_nothing_before_start(cbr_sent):
     assert all(t >= 20 * SEC for t, _ in cbr_sent)
 
 
-def delivery(seq, t_us, bs):
-    return Delivery(seq=seq, created_at=0, delivered_at=t_us, serving_bs=bs, path=())
+def collector():
+    return MetricsCollector("nemo-bs", "predictive", 60, 1, BS_TO_MAP)
 
 
 def test_handover_latency_from_constructed_trace():
-    deliveries = [delivery(0, 30_920_000, "bs1"),
-                  delivery(1, 31_000_000, "bs1"),
-                  delivery(2, 31_900_000, "bs2"),
-                  delivery(3, 31_980_000, "bs2")]
-    gaps = compute_handover_latency(deliveries, BS_TO_MAP)
+    delivered_at = [30_920_000, 31_000_000, 31_900_000, 31_980_000]
+    gaps = compute_handover_latency(delivered_at, ["bs1", "bs1", "bs2", "bs2"], BS_TO_MAP)
     assert gaps == [(900_000, MICRO)]
 
 
 def test_handover_latency_classifies_macro():
-    deliveries = [delivery(0, 10 * SEC, "bs2"), delivery(1, 11 * SEC, "bs3")]
-    gaps = compute_handover_latency(deliveries, BS_TO_MAP)
+    gaps = compute_handover_latency([10 * SEC, 11 * SEC], ["bs2", "bs3"], BS_TO_MAP)
     assert gaps == [(1 * SEC, MACRO)]
 
 
 def test_stationary_run_has_no_handovers():
-    deliveries = [delivery(i, i * SEC, "bs1") for i in range(5)]
-    assert compute_handover_latency(deliveries, BS_TO_MAP) == []
+    delivered_at = [i * SEC for i in range(5)]
+    assert compute_handover_latency(delivered_at, ["bs1"] * 5, BS_TO_MAP) == []
 
 
 def test_loss_percentage_arithmetic():
-    m = MetricsCollector()
+    m = collector()
     m.sent = 2250
     for i in range(225):
-        m.drops.append(None)
-    assert compute_loss(m) == 10.0
+        m.drops_detail.append(None)
+    assert m.loss_pct == 10.0
 
 
 def test_conservation_recounted_from_records():
-    m = MetricsCollector()
+    m = collector()
     pkt = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="cbr",
                  path_log=["cn"])
     for seq in range(10):
@@ -95,7 +92,7 @@ def test_conservation_recounted_from_records():
 
 
 def test_signal_and_background_drops_not_counted_as_loss():
-    m = MetricsCollector()
+    m = collector()
     m.sent = 10
     sig = Packet(src=CN, dst=MNN, size_bytes=64, kind="signal")
     bg = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="bg")
@@ -116,7 +113,7 @@ def test_cbr_census_accounts_for_every_packet_sent(protocol, background_load_bps
     m = sim.metrics
     for t in range(cfg.cbr.start_us, 60 * SEC + 1, 100 * MS):
         sim.engine.run_until(t)
-        assert cbr_held(sim) == m.sent - m.delivered - len(m.drops), f"at {t} us"
+        assert cbr_held(sim) == m.sent - m.delivered - len(m.drops_detail), f"at {t} us"
     assert m.sent == 501 and cbr_held(sim) > 0
 
 
@@ -160,13 +157,34 @@ def sixty_second_run(protocol, background_load_bps=0):
 def test_report_columns_match_the_deliveries(protocol, background_load_bps):
     sim = Simulation(sixty_second_run(protocol, background_load_bps))
     report = sim.run()
-    deliveries = sim.metrics.deliveries
-    assert deliveries
-    assert report.per_packet_delay == [(d.seq, d.delivered_at, d.delay_us) for d in deliveries]
+    assert report is sim.metrics and report.delivered > 0
+    # One row per delivered packet, each an 8-byte int in every column.
     paths = report.per_packet_path
-    assert paths == [d.path for d in deliveries]
+    assert all(type(column) is array and column.typecode == "q" and len(column) == len(paths)
+               for column in (report.seqs, report.delivered_at_us, report.delays_us))
+    assert len(paths) == report.delivered
     # Packets that took one route share its tuple.
     assert len({id(p) for p in paths}) == len(set(paths))
+
+
+@pytest.mark.parametrize("protocol, signal_drops",
+                         [("nemo-bs", 13), ("diff-nemo", 0), ("diff-fh-nemo", 6)])
+def test_run_returns_the_record_with_the_counters_no_row_carries(protocol, signal_drops):
+    """`Simulation.run` returns `sim.metrics` itself, so its counters and the
+    per-queue drops come with the figures."""
+    sim = Simulation(sixty_second_run(protocol, 1_200_000))
+    report = sim.run()
+    assert report is sim.metrics
+    assert report.unexpected_signals == 0 and report.nar_buffer_drops == 0
+    assert report.signal_drops == signal_drops
+    assert report.dropped == len(report.drops_detail) > 0
+    # Each CBR packet lost in a queue counts in that queue's drops by class,
+    # and so does each background packet.
+    queued = Counter(d.where.removeprefix("queue:") for d in report.drops_detail
+                     if d.where.startswith("queue:"))
+    assert all(n <= sum(report.queue_drops[queue]) for queue, n in queued.items())
+    assert sum(map(sum, report.queue_drops.values())) >= report.bg_drops + sum(queued.values())
+    assert report.bg_drops > 0
 
 
 def test_report_retains_few_bytes_per_delivered_packet():

@@ -36,7 +36,7 @@ def checked_mr(fake_sim):
 
 
 def ba_for(coa):
-    return make_signal(SignalKind.BA, HA_ADDR, coa, t=0, info={"hoa": HOA, "coa": coa})
+    return make_signal(SignalKind.BA, HA_ADDR, coa, t=0, info={"coa": coa})
 
 
 def registered_mr(fake_sim):
@@ -156,7 +156,7 @@ def test_every_baseline_delivery_traverses_the_home_agent():
     sim = Simulation(cfg)
     report = sim.run()
     assert report.delivered > 0
-    assert all("ha" in d.path for d in sim.metrics.deliveries)
+    assert all("ha" in path for path in report.per_packet_path)
 
 
 def test_access_router_answers_colliding_dad_probe():
