@@ -1,5 +1,6 @@
 """Print the size of the simulator's source: total and code lines per module
-of `src/nemosim`, and both sums.
+of `src/nemosim`, both sums, and the number of settable config keys (the
+leaves of `ScenarioConfig`).
 
 A code line holds something other than blanks, comments and docstrings (the
 string that opens a module, class or function body).  Run from the
@@ -10,10 +11,15 @@ repository root:
 
 import ast
 import io
+import sys
 import tokenize
+from dataclasses import is_dataclass
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nemosim"
+sys.path.insert(0, str(SRC.parent))
+
+from nemosim.scenario import ScenarioConfig, _walk  # noqa: E402
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -47,6 +53,8 @@ def main() -> None:
         totals[1] += code
         print(f"{path.name:<16}{total:>6}{code:>6}")
     print(f"{'total':<16}{totals[0]:>6}{totals[1]:>6}")
+    keys = sum(not is_dataclass(value) for _, _, value in _walk(ScenarioConfig()))
+    print(f"settable config keys: {keys}")
 
 
 if __name__ == "__main__":

@@ -301,8 +301,7 @@ class FhDmr(ReturnRoutability):
             self.serving_map = info["map_id"]
             tentative_lcoa = prefix.address(self.node_component)
             tentative_rcoa = info["map_prefix"].address(self.node_component)
-            self.sim.send_signal("dmr", SignalKind.NS, tentative_lcoa,
-                                 pkt.src, info={"handover": -1, "attempt": 0})
+            self.sim.send_signal("dmr", SignalKind.NS, tentative_lcoa, pkt.src)
             self.sim.timer("dmr", DAD_DELAY_US,
                            ("initial_dad", self.epoch, tentative_lcoa, tentative_rcoa))
             return
@@ -341,7 +340,7 @@ class FhDmr(ReturnRoutability):
 
     def _on_ba(self, pkt: Packet) -> None:
         super()._on_ba(pkt)
-        if pkt.info.get("from") == "cn":
+        if pkt.src == self.cn:
             self.sim.timer("dmr", self.sim.config.binding_refresh_us,
                            ("reg_refresh", self.reg_seq))
 

@@ -17,7 +17,7 @@ from . import fsm
 from .engine import APP_START, SEC
 from .fsm import FsmEvent, RegState
 from .metrics import FLOW_CBR
-from .nemo_bs import BINDING_LIFETIME_US, BaselineMr, BindingCacheAgent, MobileRouter
+from .nemo_bs import BaselineMr, BindingCacheAgent, MobileRouter
 from .packets import DATA, Address, Packet, SignalKind, apply_home_address_option
 
 # Return routability: a token's lifetime, the wait for tokens, and the probe
@@ -108,10 +108,9 @@ class CorrespondentAgent(BindingCacheAgent):
         if not self._tokens_valid(hoa, info.get("tokens")):
             self.sim.metrics.rejected_bindings += 1
             return
-        self.bind(hoa, info["coa"], info["mnps"], info.get("lifetime", BINDING_LIFETIME_US))
+        self.bind(hoa, info["coa"], info["mnps"])
         self.bound_at.append(self.sim.now)
-        self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
-                             info={"from": "cn"})
+        self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"])
 
     def _tokens_valid(self, hoa: Address, tokens: Optional[dict]) -> bool:
         if not tokens:
@@ -164,7 +163,7 @@ class ReturnRoutability(MobileRouter):
         super().send_home_bu()
 
     def _on_ba(self, pkt: Packet) -> None:
-        if pkt.info.get("from") == "cn":
+        if pkt.src == self.cn:
             self.cn_bound_coa = self.care_of()
             self._step_reg(fsm.EV_BA_CN)
         else:
@@ -203,7 +202,6 @@ class ReturnRoutability(MobileRouter):
             case fsm.Emit(SignalKind.BU, fsm.DEST_CN):
                 sim.send_signal("dmr", SignalKind.BU, coa, self.cn,
                                 info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
-                                      "lifetime": BINDING_LIFETIME_US,
                                       "tokens": dict(self.tokens)})
             case _:
                 super()._perform(action)

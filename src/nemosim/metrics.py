@@ -1,5 +1,6 @@
-"""One run's record: its counters, a row per delivered foreground packet, and
-the figures the paper compares, read from those rows."""
+"""One run's record: its counters, a row per delivered foreground packet, a
+row per handover found as the deliveries arrive, and the figures the paper
+compares, read from those rows."""
 
 from __future__ import annotations
 
@@ -24,30 +25,6 @@ class Drop:
     where: str
 
 
-def compute_handover_latency(delivered_at_us, serving_bs,
-                             bs_to_map: dict[str, str]) -> list[tuple[SimTime, str]]:
-    """Delivery gap around each serving base-station change.
-
-    `delivered_at_us` and `serving_bs` are two columns of the deliveries, in
-    delivery order.  For each change of serving base station the latency is
-    the arrival time of the first packet via the new station minus the
-    arrival time of the last packet via the old one.  Each gap is labelled
-    micro or macro by whether the two stations hang off the same anchor point.
-    """
-    gaps: list[tuple[SimTime, str]] = []
-    last_bs: Optional[str] = None
-    last_t: SimTime = 0
-    for t, bs in zip(delivered_at_us, serving_bs):
-        if bs is None:
-            continue
-        if last_bs is not None and bs != last_bs:
-            kind = MICRO if bs_to_map.get(last_bs) == bs_to_map.get(bs) else MACRO
-            gaps.append((t - last_t, kind))
-        last_bs = bs
-        last_t = t
-    return gaps
-
-
 class MetricsCollector:
     """Counts the foreground flow; background and signalling are tallied aside.
 
@@ -58,6 +35,12 @@ class MetricsCollector:
     while the run records and `array('q')` once `finish` has run.
     `per_packet_delay` is a list of (seq, delivered_at, delay) tuples built
     from the columns on each access; read it once, not once per row.
+
+    A route's serving station is its last node that is a key of `bs_to_map`.
+    A delivery through a station other than the last delivery's is a handover:
+    `handover_latencies_us` gets the gap since that station's last delivery,
+    and `handover_kinds` gets micro or macro by whether the two stations hang
+    off the same anchor point.  Deliveries through no station are skipped.
     """
 
     def __init__(self, protocol: str, mode: str, speed_kmh: float, seed: int,
@@ -79,6 +62,11 @@ class MetricsCollector:
         self.rejected_bindings = 0
         self.unexpected_signals = 0
         self.nar_buffer_drops = 0
+        self.handover_latencies_us: list[int] = []
+        self.handover_kinds: list[str] = []
+        # The serving station of the last delivery that had one, and its instant.
+        self._last_bs: Optional[str] = None
+        self._last_bs_at: SimTime = 0
         # route -> (its one shared tuple, its serving station); a run takes
         # about a dozen routes, so each delivery keeps a reference, not a copy.
         self._routes: dict[tuple, tuple[tuple, Optional[str]]] = {}
@@ -91,12 +79,21 @@ class MetricsCollector:
         path = tuple(pkt.path_log) if pkt.path_log else ()
         route = self._routes.get(path)
         if route is None:
-            serving = next((node for node in reversed(path) if node.startswith("bs")), None)
+            serving = next((node for node in reversed(path) if node in self._bs_to_map), None)
             route = self._routes[path] = (path, serving)
+        path, bs = route
         self.seqs.append(pkt.seq)
         self.delivered_at_us.append(t)
         self.delays_us.append(t - pkt.created_at)
-        self.per_packet_path.append(route[0])
+        self.per_packet_path.append(path)
+        if bs is not None:
+            last = self._last_bs
+            if last is not None and bs != last:
+                bs_to_map = self._bs_to_map
+                self.handover_latencies_us.append(t - self._last_bs_at)
+                self.handover_kinds.append(MICRO if bs_to_map[last] == bs_to_map[bs] else MACRO)
+            self._last_bs = bs
+            self._last_bs_at = t
 
     def record_drop(self, pkt: Packet, t: SimTime, where: str) -> None:
         """Count a drop by the flow of the innermost packet."""
@@ -150,21 +147,6 @@ class MetricsCollector:
         """(seq, delivered_at, delay) per delivery, built on each access."""
         return list(zip(self.seqs, self.delivered_at_us, self.delays_us))
 
-    def _gaps(self) -> list[tuple[SimTime, str]]:
-        """(latency, kind) per handover, from the delivery columns."""
-        routes = self._routes
-        return compute_handover_latency(
-            self.delivered_at_us, [routes[path][1] for path in self.per_packet_path],
-            self._bs_to_map)
-
-    @property
-    def handover_latencies_us(self) -> list[int]:
-        return [gap for gap, _ in self._gaps()]
-
-    @property
-    def handover_kinds(self) -> list[str]:
-        return [kind for _, kind in self._gaps()]
-
     @property
     def ho_latency_mean_us(self) -> float:
         latencies = self.handover_latencies_us
@@ -175,7 +157,8 @@ class MetricsCollector:
         return max(self.handover_latencies_us, default=0)
 
     def latency_mean_by_kind(self, kind: str) -> float:
-        vals = [lat for lat, k in self._gaps() if k == kind]
+        vals = [lat for lat, k in zip(self.handover_latencies_us, self.handover_kinds)
+                if k == kind]
         if not vals:
             return 0.0
         return sum(vals) / len(vals)

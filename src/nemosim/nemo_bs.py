@@ -20,7 +20,7 @@ from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind, add_home_addr
                       apply_type2_routing, decapsulate, encapsulate)
 
 # Protocol constants every scheme shares: the wait of a duplicate address
-# check and the lifetime a binding update asks for.
+# check and the lifetime of the binding a binding update makes.
 DAD_DELAY_US = 500 * MS
 BINDING_LIFETIME_US = 60 * SEC
 # The lifetime of a binding that stays until it is removed.
@@ -81,8 +81,7 @@ class HomeAgent(BindingCacheAgent):
 
     def handle_binding_update(self, pkt: Packet) -> None:
         info = pkt.info
-        self.bind(info["hoa"], info["coa"], info["mnps"],
-                  info.get("lifetime", BINDING_LIFETIME_US))
+        self.bind(info["hoa"], info["coa"], info["mnps"])
         self.sim.send_signal(self.node_id, SignalKind.BA, self.address, info["coa"],
                              info={"coa": info["coa"]})
 
@@ -165,8 +164,7 @@ class MobileRouter(Node):
         """Bind `care_of()` at the home agent: the one home binding update."""
         coa = self.care_of()
         self.sim.send_signal("dmr", SignalKind.BU, coa, self.ha,
-                             info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
-                                   "lifetime": BINDING_LIFETIME_US})
+                             info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp]})
 
     def _on_ba(self, pkt: Packet) -> None:
         """A home agent's acknowledgement is stale unless it is for `care_of()`."""

@@ -143,7 +143,7 @@ class ArNode(Node):
     def _dad_check(self, pkt: Packet) -> None:
         info = pkt.info or {}
         if self.sim.dad_collides(info.get("handover", -1), info.get("attempt", 0)):
-            na = self.sim.make_signal(SignalKind.NA, self.address, pkt.src, info={})
+            na = self.sim.make_signal(SignalKind.NA, self.address, pkt.src)
             self.sim.send_signal_packet(self.node_id, na, via=self.bs_id)
 
     def _beacon(self, token) -> None:

@@ -67,7 +67,6 @@ class ScenarioConfig:
     # Radio and handover timing.
     lead_us: SimTime = 200 * MS
     l2_switch_us: SimTime = 50 * MS
-    cell_radius_m: float = 50.0
 
     # Movement detection, registration and buffering.
     beacon_interval_us: SimTime = 1000 * MS
@@ -199,15 +198,15 @@ _KINDS = {
 }
 
 # The range of each key that has one, as (test, words).  A misspelt name runs
-# a default; a rate, size or radius of 0 divides by zero or delivers nothing,
+# a default; a rate or size of 0 divides by zero or delivers nothing,
 # and a refresh of 0 re-arms at one instant forever.
 _RANGES = {
     **{key: (names.__contains__, f"one of {', '.join(names)}") for key, names in (
         ("protocol", PROTOCOLS), ("mode", (MODE_PREDICTIVE, MODE_REACTIVE)),
         ("movement_detection", DETECTIONS),
         ("faults.drop_first_signals", tuple(kind.value for kind in SignalKind)))},
-    **dict.fromkeys(("dmr_speed_kmh", "cell_radius_m", "cbr.packet_bytes", "cbr.rate_bps",
-                     "red.capacity", "binding_refresh_us"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("dmr_speed_kmh", "cbr.packet_bytes", "cbr.rate_bps", "red.capacity",
+                     "binding_refresh_us"), (lambda v: v > 0, "positive")),
     **dict.fromkeys(("background_load_bps", "nar_buffer_capacity", "red.min_th"),
                     (lambda v: v >= 0, "non-negative")),
     "red.max_p": (lambda v: 0 <= v <= 1, "in [0, 1]"),
@@ -300,10 +299,11 @@ def load_config(path: str) -> ScenarioConfig:
 # domain 0, the home network domain 1, and each anchor-point domain 2 and 3
 # with one site per access router.
 
-# Fixed model values, not config keys: the air links, the background packet
-# size, and the default track's start and turnaround points.
+# Fixed model values, not config keys: the air links, the cells' radius, the
+# background packet size, and the default track's start and turnaround points.
 AIR_RATE_BPS = 2_000_000
 AIR_DELAY_US = 1 * MS
+CELL_RADIUS_M = 50.0
 BG_PACKET_BYTES = 2000
 START_X_M = 29.0
 BOUNCE_NEAR_X_M = 55.0
@@ -356,12 +356,11 @@ def default_topology(config: ScenarioConfig) -> Topology:
         Link("ar3", "bs3", 1_000_000, 2 * MS),
         Link("ar4", "bs4", 1_000_000, 2 * MS),
     ]
-    r = config.cell_radius_m
     cells = [
-        WirelessCell("bs1", (100.0, 0.0), r),
-        WirelessCell("bs2", (180.0, 0.0), r),
-        WirelessCell("bs3", (260.0, 0.0), r),
-        WirelessCell("bs4", (340.0, 0.0), r),
+        WirelessCell("bs1", (100.0, 0.0), CELL_RADIUS_M),
+        WirelessCell("bs2", (180.0, 0.0), CELL_RADIUS_M),
+        WirelessCell("bs3", (260.0, 0.0), CELL_RADIUS_M),
+        WirelessCell("bs4", (340.0, 0.0), CELL_RADIUS_M),
     ]
     return Topology(
         addresses=addresses,

@@ -451,9 +451,26 @@ def test_upstream_goes_direct_once_correspondent_bound():
     assert "ha" not in received[0].path_log
 
 
+def test_correspondent_acknowledgement_is_known_by_its_source(fake_sim):
+    """The correspondent's BA carries no info: its source alone marks it, so
+    it binds the regional address and arms the next registration refresh."""
+    dmr = make_fh(fake_sim)
+    dmr.send_home_bu()
+    dmr.on_signal(make_signal(SignalKind.BA, HA_ADDR, RCOA1, t=0, info={"coa": RCOA1}))
+    assert dmr.reg_state is RegState.RR and dmr.cn_bound_coa is None
+    for kind, token in ((SignalKind.HOT, 1), (SignalKind.COT, 2), (SignalKind.NPT, 3)):
+        dmr.on_signal(make_signal(kind, CN, HOA, t=0, info={"token": token}))
+    assert dmr.reg_state is RegState.SENT_BU_CN
+    dmr.on_signal(make_signal(SignalKind.BA, CN, RCOA1, t=0))
+    assert dmr.reg_state is RegState.DONE and dmr.cn_bound_coa == RCOA1
+    assert fake_sim.timers[-1] == ("dmr", fake_sim.config.binding_refresh_us,
+                                   ("reg_refresh", dmr.reg_seq))
+    assert fake_sim.metrics.unexpected_signals == 0
+
+
 def test_upstream_goes_direct_only_from_the_bound_regional_address(fake_sim):
     dmr = make_fh(fake_sim)
-    dmr.on_signal(make_signal(SignalKind.BA, CN, RCOA1, t=0, info={"from": "cn"}))
+    dmr.on_signal(make_signal(SignalKind.BA, CN, RCOA1, t=0))
     dmr.on_upstream(Packet(src=MNN, dst=CN, size_bytes=1000, kind=DATA))
     direct = fake_sim.dmr_outbox[-1]
     assert direct.src == RCOA1 and direct.home_addr_option == MNN and direct.inner is None

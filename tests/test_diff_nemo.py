@@ -116,7 +116,7 @@ def test_home_refresh_after_done_reruns_return_routability(fake_sim):
     proxy = registered_proxy(fake_sim)
     for kind, token in ((SignalKind.HOT, 1), (SignalKind.COT, 2), (SignalKind.NPT, 3)):
         proxy.on_signal(token_signal(kind, token))
-    proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0, info={"from": "cn"}))
+    proxy.on_signal(make_signal(SignalKind.BA, CN, COA, t=0))
     assert proxy.reg_state == RegState.DONE and proxy.cn_bound_coa == COA
     assert len(fake_sim.signals_of(SignalKind.HOTI)) == 1
     proxy.on_timer(("bu_refresh", proxy.epoch))

@@ -4,10 +4,12 @@ from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from census import cbr_held
 from nemosim.engine import MS, PACKET_ARRIVAL, SEC
-from nemosim.metrics import FLOW_CBR, MACRO, MICRO, MetricsCollector, compute_handover_latency
+from nemosim.metrics import FLOW_CBR, MACRO, MICRO, MetricsCollector
 from nemosim.packets import DATA, Address, Packet
 from nemosim.scenario import PROTO_DIFF_FH, PROTOCOLS, CbrConfig, ScenarioConfig
 from nemosim.simulation import Simulation
@@ -47,24 +49,70 @@ def test_cbr_starts_nothing_before_start(cbr_sent):
     assert all(t >= 20 * SEC for t, _ in cbr_sent)
 
 
-def collector():
-    return MetricsCollector("nemo-bs", "predictive", 60, 1, BS_TO_MAP)
+def collector(bs_to_map=BS_TO_MAP):
+    return MetricsCollector("nemo-bs", "predictive", 60, 1, bs_to_map)
+
+
+def record_deliveries(delivered_at, serving_bs, bs_to_map=BS_TO_MAP):
+    """A collector that was handed one CBR delivery per (instant, station);
+    a station of None is a route through no base station."""
+    m = collector(bs_to_map)
+    for seq, (t, bs) in enumerate(zip(delivered_at, serving_bs)):
+        path = ["cn", bs, "dmr"] if bs is not None else ["cn", "dmr"]
+        m.record_delivery(Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="cbr",
+                                 seq=seq, created_at=0, path_log=path), t)
+    return m
+
+
+def handover_rows(m):
+    return list(zip(m.handover_latencies_us, m.handover_kinds))
 
 
 def test_handover_latency_from_constructed_trace():
     delivered_at = [30_920_000, 31_000_000, 31_900_000, 31_980_000]
-    gaps = compute_handover_latency(delivered_at, ["bs1", "bs1", "bs2", "bs2"], BS_TO_MAP)
-    assert gaps == [(900_000, MICRO)]
+    m = record_deliveries(delivered_at, ["bs1", "bs1", "bs2", "bs2"])
+    assert handover_rows(m) == [(900_000, MICRO)]
 
 
 def test_handover_latency_classifies_macro():
-    gaps = compute_handover_latency([10 * SEC, 11 * SEC], ["bs2", "bs3"], BS_TO_MAP)
-    assert gaps == [(1 * SEC, MACRO)]
+    m = record_deliveries([10 * SEC, 11 * SEC], ["bs2", "bs3"])
+    assert handover_rows(m) == [(1 * SEC, MACRO)]
 
 
 def test_stationary_run_has_no_handovers():
     delivered_at = [i * SEC for i in range(5)]
-    assert compute_handover_latency(delivered_at, ["bs1"] * 5, BS_TO_MAP) == []
+    assert handover_rows(record_deliveries(delivered_at, ["bs1"] * 5)) == []
+
+
+def test_serving_station_is_found_by_the_map_not_by_its_name():
+    m = record_deliveries([1, 2, 3], ["cell1", "cell2", "bs9"], {"cell1": "m1", "cell2": "m2"})
+    assert handover_rows(m) == [(1, MACRO)]
+
+
+def reference_handovers(delivered_at_us, serving_bs, bs_to_map):
+    """The gaps recomputed from the columns: for each change of serving
+    station, the first delivery via the new one minus the last via the old
+    one, micro when both hang off one anchor point."""
+    gaps = []
+    last_bs, last_t = None, 0
+    for t, bs in zip(delivered_at_us, serving_bs):
+        if bs is None:
+            continue
+        if last_bs is not None and bs != last_bs:
+            kind = MICRO if bs_to_map.get(last_bs) == bs_to_map.get(bs) else MACRO
+            gaps.append((t - last_t, kind))
+        last_bs = bs
+        last_t = t
+    return gaps
+
+
+@given(st.lists(st.tuples(st.integers(0, 10 ** 9),
+                          st.sampled_from([None, *BS_TO_MAP])), max_size=40))
+def test_recorded_handovers_equal_the_gaps_recomputed_from_the_columns(deliveries):
+    deliveries.sort(key=lambda row: row[0])
+    serving = [bs for _, bs in deliveries]
+    m = record_deliveries([t for t, _ in deliveries], serving)
+    assert handover_rows(m) == reference_handovers(m.delivered_at_us, serving, BS_TO_MAP)
 
 
 def test_loss_percentage_arithmetic():

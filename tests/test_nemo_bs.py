@@ -86,7 +86,7 @@ def test_dad_collision_retries_with_next_node_component(fake_sim):
 def test_home_agent_installs_binding_and_acknowledges(fake_sim):
     agent = HomeAgent(fake_sim, "ha")
     bu = make_signal(SignalKind.BU, COA1, HA_ADDR, t=0,
-                     info={"hoa": HOA, "coa": COA1, "mnps": [MNP], "lifetime": 60 * SEC})
+                     info={"hoa": HOA, "coa": COA1, "mnps": [MNP]})
     agent.handle_binding_update(bu)
     entry = agent.cache[HOA]
     assert entry.coa == COA1 and entry.mnps == [MNP]

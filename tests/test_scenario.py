@@ -60,7 +60,7 @@ def test_cbr_window_must_fit_run():
 FIXED_VALUES = ["air_rate_bps", "air_delay_us", "bg_packet_bytes", "start_x_m",
                 "bounce_near_x_m", "bounce_far_x_m", "dad_delay_us", "binding_lifetime_us",
                 "token_lifetime_us", "rr_timeout_us", "rr_retries", "dad_fast_us",
-                "dad_rcoa_us", "fbu_delay_us", "fbu_retx_us", "lbu_gap_us"]
+                "dad_rcoa_us", "fbu_delay_us", "fbu_retx_us", "lbu_gap_us", "cell_radius_m"]
 
 
 # Each of these would hang (a source or the binding refresh re-arming itself
@@ -205,9 +205,8 @@ def test_leaf_keys_are_exactly_the_settings():
     assert [key for key, _, value in _walk(ScenarioConfig()) if not is_dataclass(value)] == [
         "protocol", "mode", "dmr_speed_kmh", "seed", "sim_end_us",
         "cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "cbr.stop_us",
-        "background_load_bps", "lead_us", "l2_switch_us", "cell_radius_m",
-        "beacon_interval_us", "binding_refresh_us", "nar_buffer_capacity",
-        "movement_detection", "red.min_th", "red.max_th", "red.max_p", "red.w_q",
+        "background_load_bps", "lead_us", "l2_switch_us", "beacon_interval_us",
+        "binding_refresh_us", "nar_buffer_capacity", "movement_detection", "red.min_th", "red.max_th", "red.max_p", "red.w_q",
         "red.capacity", "force_reactive_at", "faults.dad_collision_handovers",
         "faults.fna_collision_handovers", "faults.drop_first_signals", "waypoints"]
 
