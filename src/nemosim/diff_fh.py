@@ -20,7 +20,7 @@ from . import fsm
 from .engine import MS
 from .diff_nemo import ReturnRoutability
 from .fsm import ROLE_DMR, ROLE_MAP, ROLE_NEW_MAP, DmrState, FsmEvent, MapState, NewMapState
-from .nemo_bs import DAD_DELAY_US, NEVER, HomeAgent
+from .nemo_bs import BINDING_REFRESH_US, DAD_DELAY_US, NEVER, HomeAgent
 from .packets import SIGNAL, Address, Packet, Prefix, SignalKind
 
 # The scheme's timings: the address check at the new anchor (the new access
@@ -270,14 +270,15 @@ class FhDmr(ReturnRoutability):
         return {"plcoa": ctx.plcoa, "nlcoa": ctx.nlcoa, "nar": ctx.nar,
                 "macro": ctx.macro, "new_map": ctx.new_map}
 
-    def _configure_ncoa(self, map_id: str, ar_prefix: Prefix, map_prefix: Prefix) -> None:
-        """Pre-configure the next addresses; a different anchor makes the move macro."""
+    def _configure_ncoa(self, ra: dict) -> None:
+        """Pre-configure the next addresses from the new access router's
+        advertisement (`ArNode.ra_info`); a different anchor makes the move macro."""
         ctx = self.ctx
-        ctx.macro = map_id != self.serving_map
-        ctx.new_map = map_id if ctx.macro else None
-        ctx.nlcoa = ar_prefix.address(self.node_component)
+        ctx.macro = ra["map_id"] != self.serving_map
+        ctx.new_map = ra["map_id"] if ctx.macro else None
+        ctx.nlcoa = ra["prefix"].address(self.node_component)
         if ctx.macro:
-            ctx.nrcoa = map_prefix.address(self.node_component)
+            ctx.nrcoa = ra["map_prefix"].address(self.node_component)
 
     # -- signal handling -------------------------------------------------------
     def handle_prrtadv(self, pkt: Packet) -> None:
@@ -285,10 +286,9 @@ class FhDmr(ReturnRoutability):
         ctx = self.ctx
         if ctx is None:
             return
-        info = pkt.info
-        if info["nar_prefix"].matches(self.lcoa):
+        if pkt.info["prefix"].matches(self.lcoa):
             return  # advertisement for the current attachment; nothing moves
-        self._configure_ncoa(info["nar_map"], info["nar_prefix"], info["nar_map_prefix"])
+        self._configure_ncoa(pkt.info)
         self._step(FsmEvent(fsm.EV_PRRTADV))
 
     def on_router_advertisement(self, pkt: Packet) -> None:
@@ -306,7 +306,7 @@ class FhDmr(ReturnRoutability):
                            ("initial_dad", self.epoch, tentative_lcoa, tentative_rcoa))
             return
         if self.ctx is not None and self.fsm_state == DmrState.REACTIVE_ATTACH:
-            self._configure_ncoa(info["map_id"], prefix, info["map_prefix"])
+            self._configure_ncoa(info)
             self._promote_lcoa()
             self._step(FsmEvent(fsm.EV_RA))
 
@@ -341,8 +341,7 @@ class FhDmr(ReturnRoutability):
     def _on_ba(self, pkt: Packet) -> None:
         super()._on_ba(pkt)
         if pkt.src == self.cn:
-            self.sim.timer("dmr", self.sim.config.binding_refresh_us,
-                           ("reg_refresh", self.reg_seq))
+            self.sim.timer("dmr", BINDING_REFRESH_US, ("reg_refresh", self.reg_seq))
 
     def _on_fh_timer(self, token) -> None:
         # A retransmission timer lapses once the acknowledgement is in.

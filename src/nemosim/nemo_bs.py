@@ -20,9 +20,11 @@ from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind, add_home_addr
                       apply_type2_routing, decapsulate, encapsulate)
 
 # Protocol constants every scheme shares: the wait of a duplicate address
-# check and the lifetime of the binding a binding update makes.
+# check, the lifetime of the binding a binding update makes, and the gap
+# after which a router refreshes its bindings, well inside that lifetime.
 DAD_DELAY_US = 500 * MS
 BINDING_LIFETIME_US = 60 * SEC
+BINDING_REFRESH_US = BINDING_LIFETIME_US // 2
 # The lifetime of a binding that stays until it is removed.
 NEVER = math.inf
 
@@ -299,4 +301,4 @@ class BaselineMr(MobileRouter):
             case fsm.Emit(SignalKind.BU):
                 self.send_home_bu()
             case fsm.StartTimer("bu_refresh"):
-                sim.timer("dmr", sim.config.binding_refresh_us, ("bu_refresh", self.epoch))
+                sim.timer("dmr", BINDING_REFRESH_US, ("bu_refresh", self.epoch))

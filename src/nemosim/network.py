@@ -128,7 +128,7 @@ class L2Plan:
 
 def build_l2_plan(track: MobilityTrack, cells: list[WirelessCell], end_us: SimTime,
                   lead_us: SimTime, l2_switch_us: SimTime,
-                  predictive: bool, force_reactive_at: frozenset[int] = frozenset()) -> list[L2Plan]:
+                  predictive: bool) -> list[L2Plan]:
     """Walk the boundary crossings and plan the attachment timeline.
 
     An anticipatory trigger fires `lead_us` before each predicted exit of the
@@ -152,7 +152,7 @@ def build_l2_plan(track: MobilityTrack, cells: list[WirelessCell], end_us: SimTi
         elif kind == "exit" and bs == attached:
             pos = position_at(track, t + 1)
             target = strongest_bs(pos, cells, exclude=bs)
-            if target is not None and predictive and handover_index not in force_reactive_at:
+            if target is not None and predictive:
                 trigger_at = max(t - lead_us, attach_done + 1)
                 plan.append(L2Plan(at=trigger_at, kind="trigger", old_bs=bs, new_bs=target,
                                    handover_index=handover_index, predicted_down=t))
@@ -212,7 +212,6 @@ class LinkQueue:
                  red_params: diffserv.RedParams,
                  on_drop: Callable[[Packet, str], None]):
         self.engine = engine
-        self.link = link
         self.src = src
         self.dst = dst
         self.scheduler = diffserv.PriorityScheduler(red_params)

@@ -131,13 +131,10 @@ class ArNode(Node):
         self.sim.send_signal_packet(self.node_id, ra, via=self.bs_id)
 
     def _proxy_advertisement(self, pkt: Packet) -> None:
-        target_bs = pkt.info["target_bs"]
-        nar = self.sim.topo.bs_to_ar[target_bs]
-        nar_map = self.sim.topo.ar_to_map[nar]
-        adv = self.sim.make_signal(
-            SignalKind.PR_RT_ADV, self.address, pkt.src,
-            info={"nar_prefix": self.sim.topo.ar_prefix[nar], "nar_map": nar_map,
-                  "nar_map_prefix": self.sim.topo.map_prefix[nar_map]})
+        """Answer a proxy solicitation with the target access router's advertisement."""
+        nar = self.sim.topo.bs_to_ar[pkt.info["target_bs"]]
+        adv = self.sim.make_signal(SignalKind.PR_RT_ADV, self.address, pkt.src,
+                                   info=self.sim.nodes[nar].ra_info())
         self.sim.send_signal_packet(self.node_id, adv, via=self.bs_id)
 
     def _dad_check(self, pkt: Packet) -> None:

@@ -23,11 +23,6 @@ PROTOCOLS = (PROTO_NEMO_BS, PROTO_DIFF_NEMO, PROTO_DIFF_FH)
 MODE_PREDICTIVE = "predictive"
 MODE_REACTIVE = "reactive"
 
-DETECT_INTERVAL = "interval"
-DETECT_SOLICITED = "solicited"
-DETECT_DEFAULT = "default"
-DETECTIONS = (DETECT_INTERVAL, DETECT_SOLICITED, DETECT_DEFAULT)
-
 
 class ConfigError(Exception):
     pass
@@ -68,14 +63,11 @@ class ScenarioConfig:
     lead_us: SimTime = 200 * MS
     l2_switch_us: SimTime = 50 * MS
 
-    # Movement detection, registration and buffering.
+    # Movement detection and buffering.
     beacon_interval_us: SimTime = 1000 * MS
-    binding_refresh_us: SimTime = 30 * SEC
     nar_buffer_capacity: int = 100
-    movement_detection: str = DETECT_DEFAULT
 
     red: RedParams = field(default_factory=RedParams)
-    force_reactive_at: tuple[int, ...] = ()
     faults: FaultConfig = field(default_factory=FaultConfig)
 
     # A None waypoint list selects the default bounce track.
@@ -136,6 +128,7 @@ class ScenarioConfig:
         """Predicted source events, each term under the keys that drive it (4
         access routers; a beacon interval of 0 sends none, a gap that rounds
         to 0 never ends)."""
+        from .nemo_bs import BINDING_REFRESH_US   # nemo_bs imports this module, via nodes
         cbr, end = self.cbr, self.sim_end_us
         per = lambda span, interval: span / interval if interval > 0 else math.inf
         return [
@@ -145,7 +138,7 @@ class ScenarioConfig:
              self.background_load_bps and 4 * per(end, self.bg_interval_us)),
             (("beacon_interval_us", "sim_end_us"),
              self.beacon_interval_us and 4 * end / self.beacon_interval_us),
-            (("binding_refresh_us", "sim_end_us"), end / self.binding_refresh_us),
+            (("sim_end_us",), end / BINDING_REFRESH_US),
             (("dmr_speed_kmh", "sim_end_us"), 0 if self.waypoints else
              self.speed_mps * end / SEC / (BOUNCE_FAR_X_M - BOUNCE_NEAR_X_M)),
         ]
@@ -164,9 +157,9 @@ class ScenarioConfig:
         return {kind for kinds, sends in _SENT_SIGNALS if sends(self) for kind in kinds.split()}
 
     def solicited_detection(self) -> bool:
-        if self.movement_detection == DETECT_DEFAULT:
-            return self.protocol != PROTO_NEMO_BS
-        return self.movement_detection == DETECT_SOLICITED
+        """A router solicits an advertisement on attaching unless it is the
+        baseline's and the access routers beacon."""
+        return self.protocol != PROTO_NEMO_BS or self.beacon_interval_us == 0
 
     def qos_enabled(self) -> bool:
         return self.protocol != PROTO_NEMO_BS
@@ -198,15 +191,13 @@ _KINDS = {
 }
 
 # The range of each key that has one, as (test, words).  A misspelt name runs
-# a default; a rate or size of 0 divides by zero or delivers nothing,
-# and a refresh of 0 re-arms at one instant forever.
+# a default; a rate or size of 0 divides by zero or delivers nothing.
 _RANGES = {
     **{key: (names.__contains__, f"one of {', '.join(names)}") for key, names in (
         ("protocol", PROTOCOLS), ("mode", (MODE_PREDICTIVE, MODE_REACTIVE)),
-        ("movement_detection", DETECTIONS),
         ("faults.drop_first_signals", tuple(kind.value for kind in SignalKind)))},
-    **dict.fromkeys(("dmr_speed_kmh", "cbr.packet_bytes", "cbr.rate_bps", "red.capacity",
-                     "binding_refresh_us"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("dmr_speed_kmh", "cbr.packet_bytes", "cbr.rate_bps", "red.capacity"),
+                    (lambda v: v > 0, "positive")),
     **dict.fromkeys(("background_load_bps", "nar_buffer_capacity", "red.min_th"),
                     (lambda v: v >= 0, "non-negative")),
     "red.max_p": (lambda v: 0 <= v <= 1, "in [0, 1]"),

@@ -47,8 +47,7 @@ class Simulation:
         self._build_routing()
         self.l2_plan = build_l2_plan(
             self.track, self.topo.cells, cfg.sim_end_us, cfg.lead_us,
-            cfg.l2_switch_us, predictive=(cfg.mode == MODE_PREDICTIVE),
-            force_reactive_at=frozenset(cfg.force_reactive_at))
+            cfg.l2_switch_us, predictive=(cfg.mode == MODE_PREDICTIVE))
         self._build_nodes()
         self._schedule_boot()
 

@@ -92,8 +92,7 @@ def test_criterion_1_delay_oracle():
     ok = True
     for proto, expected in oracles.items():
         cfg = ScenarioConfig(protocol=proto, sim_end_us=30 * SEC,
-                             beacon_interval_us=0, movement_detection="solicited",
-                             waypoints=[(100.0, 0.0)])
+                             beacon_interval_us=0, waypoints=[(100.0, 0.0)])
         cfg.cbr.stop_us = 30 * SEC
         report = run_scenario(cfg)
         delays = {d for _, _, d in report.per_packet_delay}

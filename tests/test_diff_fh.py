@@ -8,7 +8,7 @@ from census import cbr_held
 from nemosim.diff_fh import FBU_DELAY_US, FhDmr, MapAgent
 from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState, RegState
-from nemosim.nemo_bs import NEVER
+from nemosim.nemo_bs import BINDING_REFRESH_US, NEVER
 from nemosim.nodes import ArNode
 from nemosim.packets import (DATA, Address, DepthExceeded, Packet, Prefix,
                              SignalKind, make_signal)
@@ -41,11 +41,12 @@ def trigger_plan(old="bs1", new="bs2"):
 
 
 def prrtadv(nar="ar2", nar_map="map1"):
+    """A proxied advertisement, which carries the new access router's RA info."""
     topo_prefix = {"ar2": Prefix(2, 2), "ar3": Prefix(3, 1)}[nar]
     map_prefix = {"map1": Prefix(2, 0), "map2": Prefix(3, 0)}[nar_map]
     return make_signal(SignalKind.PR_RT_ADV, Address(2, 1, 1), LCOA1, t=0,
-                       info={"nar_prefix": topo_prefix, "nar_map": nar_map,
-                             "nar_map_prefix": map_prefix})
+                       info={"prefix": topo_prefix, "map_id": nar_map,
+                             "map_prefix": map_prefix})
 
 
 def test_prrtadv_micro_configures_only_on_link_address(fake_sim):
@@ -72,8 +73,8 @@ def test_prrtadv_for_current_attachment_is_noop(fake_sim):
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan())
     adv = make_signal(SignalKind.PR_RT_ADV, Address(2, 1, 1), LCOA1, t=0,
-                      info={"nar_prefix": Prefix(2, 1), "nar_map": "map1",
-                            "nar_map_prefix": Prefix(2, 0)})
+                      info={"prefix": Prefix(2, 1), "map_id": "map1",
+                            "map_prefix": Prefix(2, 0)})
     dmr.handle_prrtadv(adv)
     assert dmr.ctx.nlcoa is None
     assert dmr.fsm_state == DmrState.SENT_RTSOLPR
@@ -384,18 +385,31 @@ def test_zero_loss_predictive_micro_handover_no_duplicates():
 
 
 def test_micro_handover_sends_no_anchor_updates():
-    """Within one anchor domain the home agent and correspondent stay silent."""
+    """Within one anchor domain the home agent and correspondent stay silent:
+    each home or correspondent BU the router sends in the handover's window
+    belongs to a registration that a periodic refresh began."""
     cfg = ScenarioConfig(protocol="diff-fh-nemo",
-                         waypoints=[(60.0, 0.0), (220.0, 0.0)],
-                         binding_refresh_us=500 * SEC)   # mute periodic refresh
+                         waypoints=[(60.0, 0.0), (220.0, 0.0)])
     sim = Simulation(cfg, trace=[])
+    dmr, ha, cn = sim.nodes["dmr"], sim.topo.addresses["ha"], sim.topo.addresses["cn"]
+    sent = []       # (instant, destination, registration) of each BU the router sends
+    send = sim.send_signal_packet
+
+    def record(origin, pkt, via=None):
+        if origin == "dmr" and pkt.signal is SignalKind.BU:
+            sent.append((sim.now, pkt.dst, dmr.reg_seq))
+        send(origin, pkt, via)
+
+    sim.send_signal_packet = record
     sim.run()
     exit_at = 90 * SEC      # boundary crossing of the first cell at x=150
-    window = [line for line in sim.trace
-              if exit_at <= int(line.split("\t")[0]) <= exit_at + 5 * SEC]
-    assert window
-    assert not [l for l in window if "\tha\t" in l and "BU" in l]
-    assert not [l for l in window if "\tcn\t" in l and ("BU" in l and "LBU" not in l)]
+    in_window = lambda t: exit_at <= t <= exit_at + 5 * SEC
+    window = [line for line in sim.trace if in_window(int(line.split("\t")[0]))]
+    assert [l for l in window if l.endswith("\tl2_link_down\tdown/bs1")]
+    refreshes = {int(l.split("\t")[0]) for l in sim.trace if "\t('reg_refresh', " in l}
+    refreshed = {seq for t, dst, seq in sent if dst == ha and t in refreshes}
+    assert not [(t, dst) for t, dst, seq in sent
+                if dst in (ha, cn) and in_window(t) and seq not in refreshed]
 
 
 def test_macro_handover_reregisters_with_anchors():
@@ -428,9 +442,8 @@ def test_fback_loss_recovered_by_retransmission():
 
 
 def test_forced_reactive_single_handover():
-    cfg = ScenarioConfig(protocol="diff-fh-nemo",
-                         waypoints=[(60.0, 0.0), (220.0, 0.0)],
-                         force_reactive_at=(0,))
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", mode="reactive",
+                         waypoints=[(60.0, 0.0), (220.0, 0.0)])
     sim = Simulation(cfg, trace=[])
     report = sim.run()
     assert not [l for l in sim.trace if "RtSolPr" in l]
@@ -463,8 +476,7 @@ def test_correspondent_acknowledgement_is_known_by_its_source(fake_sim):
     assert dmr.reg_state is RegState.SENT_BU_CN
     dmr.on_signal(make_signal(SignalKind.BA, CN, RCOA1, t=0))
     assert dmr.reg_state is RegState.DONE and dmr.cn_bound_coa == RCOA1
-    assert fake_sim.timers[-1] == ("dmr", fake_sim.config.binding_refresh_us,
-                                   ("reg_refresh", dmr.reg_seq))
+    assert fake_sim.timers[-1] == ("dmr", BINDING_REFRESH_US, ("reg_refresh", dmr.reg_seq))
     assert fake_sim.metrics.unexpected_signals == 0
 
 

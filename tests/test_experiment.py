@@ -55,6 +55,29 @@ def test_per_packet_series_supports_time_and_sequence_axes():
     assert seqs == sorted(seqs)
 
 
+# -- fixed protocol timing ------------------------------------------------------------
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_every_scheme_delivers_with_beacons_off(protocol):
+    # With no beacons every router solicits its advertisements, so movement
+    # is still detected; the baseline once waited for beacons and delivered
+    # none of its 500 packets.
+    cfg = ScenarioConfig(protocol=protocol, dmr_speed_kmh=60, sim_end_us=60 * SEC,
+                         beacon_interval_us=0)
+    cfg.cbr.stop_us = 60 * SEC
+    report = run_scenario(cfg)
+    assert report.sent == 500
+    assert report.delivered > report.sent // 2
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_parked_router_keeps_its_bindings(protocol):
+    # The refresh falls inside the binding lifetime, so a router that never
+    # moves loses nothing to an expired binding over the 200 s run.
+    report = run_scenario(ScenarioConfig(protocol=protocol, waypoints=[(100.0, 0.0)]))
+    assert report.sent == report.delivered == 2250
+
+
 # -- releasing finished runs ----------------------------------------------------------
 
 def collected_after(call):
@@ -189,6 +212,8 @@ def bad_invocation(command, text, args, key, id=None):
     bad_invocation("run", '{"cbr": {"packet_bytes": 0.5}}', [], "cbr.packet_bytes "),
     bad_invocation("run", '{"seed": 1,}', [], "line 1 column 12"),
     bad_invocation("run", '{"dad_delay_us": 1}', [], "unknown config key 'dad_delay_us'"),
+    bad_invocation("run", '{"binding_refresh_us": 90000000}', [],
+                   "unknown config key 'binding_refresh_us'"),
     bad_invocation("run", None, [], "argument --config: cannot read ", id="missing-config"),
     bad_invocation("run", "[1, 2]", [], "a config must be a JSON object", id="list-config"),
     bad_invocation("run", '"abc"', [], "a config must be a JSON object", id="string-config"),

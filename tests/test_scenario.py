@@ -62,21 +62,26 @@ FIXED_VALUES = ["air_rate_bps", "air_delay_us", "bg_packet_bytes", "start_x_m",
                 "token_lifetime_us", "rr_timeout_us", "rr_retries", "dad_fast_us",
                 "dad_rcoa_us", "fbu_delay_us", "fbu_retx_us", "lbu_gap_us", "cell_radius_m"]
 
+# Keys that are worked out instead: the binding refresh is the constant
+# `nemo_bs.BINDING_REFRESH_US`, a router solicits unless it is the baseline's
+# and the access routers beacon, and `mode` makes a handover reactive.
+REMOVED_KEYS = ["binding_refresh_us", "movement_detection", "force_reactive_at"]
 
-# Each of these would hang (a source or the binding refresh re-arming itself
-# at +0 us), divide by zero, fail on a string, on a rate so small or a packet
-# so large that a packet's gap overflows or on a run too long to count its
-# events in floats, schedule into the past mid-run, or run silently to a
-# meaningless result (100% loss, no load, interval detection for a misspelt
-# one, a fault that never fires or that the scheme never applies, a queue that
-# holds nothing, a drop probability above 1, an attach planned before the
-# link goes down, a bool taken as a number, a handover index that never
-# matches, RED that early-drops at every backlog or never, a track with no
-# point or a point that is not a pair of numbers, a NaN speed or one past the
-# float range, a fractional packet size or time, a section that is not an
-# object, or a source that would schedule far more events than any shipped
-# scenario); validation must reject them before any event is scheduled. A row
-# that sets a fixed model value is refused for naming an unknown key.
+
+# Each of these would hang (a source re-arming itself at +0 us), divide by
+# zero, fail on a string, on a rate so small or a packet so large that a
+# packet's gap overflows or on a run too long to count its events in floats,
+# schedule into the past mid-run, or run silently to a meaningless result
+# (100% loss, no load, a fault that never fires or that the scheme never
+# applies, a queue that holds nothing, a drop probability above 1, an attach
+# planned before the link goes down, a bool taken as a number, a handover
+# index that never matches, RED that early-drops at every backlog or never, a
+# track with no point or a point that is not a pair of numbers, a NaN speed or
+# one past the float range, a fractional packet size or time, a section that
+# is not an object, or a source that would schedule far more events than any
+# shipped scenario); validation must reject them before any event is
+# scheduled. A row that sets a fixed model value or a removed key is refused
+# for naming an unknown key.
 @pytest.mark.parametrize("data, key", [
     ({"background_load_bps": 10 ** 12}, "background_load_bps"),
     ({"background_load_bps": 1_200_000, "bg_packet_bytes": 0}, "bg_packet_bytes"),
@@ -189,7 +194,8 @@ FIXED_VALUES = ["air_rate_bps", "air_delay_us", "bg_packet_bytes", "start_x_m",
     ({"mode": "reactive", "faults": {"drop_first_signals": ["HI"]}}, "faults.drop_first_signals"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
-    message = f"unknown config key '{key}'$" if key in FIXED_VALUES else f"{re.escape(key)} "
+    unknown = key in FIXED_VALUES + REMOVED_KEYS
+    message = f"unknown config key '{key}'$" if unknown else f"{re.escape(key)} "
     with pytest.raises(ConfigError, match="^" + message):
         config_from_dict(data)
 
@@ -200,14 +206,20 @@ def test_fixed_model_value_is_an_unknown_key(key):
         config_from_dict({key: 1})
 
 
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_an_unknown_key(key):
+    with pytest.raises(ConfigError, match=rf"^unknown config key '{key}'$"):
+        config_from_dict({key: 1})
+
+
 def test_leaf_keys_are_exactly_the_settings():
     # A new setting is a visible diff here.
     assert [key for key, _, value in _walk(ScenarioConfig()) if not is_dataclass(value)] == [
         "protocol", "mode", "dmr_speed_kmh", "seed", "sim_end_us",
         "cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "cbr.stop_us",
         "background_load_bps", "lead_us", "l2_switch_us", "beacon_interval_us",
-        "binding_refresh_us", "nar_buffer_capacity", "movement_detection", "red.min_th", "red.max_th", "red.max_p", "red.w_q",
-        "red.capacity", "force_reactive_at", "faults.dad_collision_handovers",
+        "nar_buffer_capacity", "red.min_th", "red.max_th", "red.max_p", "red.w_q",
+        "red.capacity", "faults.dad_collision_handovers",
         "faults.fna_collision_handovers", "faults.drop_first_signals", "waypoints"]
 
 
