@@ -111,17 +111,19 @@ class Engine:
     The traced event stream is the one the golden outputs pin.  An untraced
     run gives the same results with fewer events.  A background packet's
     arrival at the station that discards it is never scheduled
-    (`LinkQueue.bg_station`).  A link keeps time with a clock, so a transmit
-    completion is an event only when a packet waits behind the one on the
-    wire, and it pops under the insertion number that the transmission
-    reserved when it started (`reserve_seq`, `schedule_reserved`); `now_seq`
-    is the number of the running event, by which a link tells whether its
-    transmission has ended at `now`.  An arrival, though, takes its number
-    when serialization starts, so it can pop before an event at the same
-    microsecond that the traced run would process first.  When `run_until`
-    returns, the clock sits at its `end`, not at the last event it ran,
-    so a run stepped from outside stands at the same instant traced and
-    untraced.
+    (`LinkQueue.bg_station`), so an access router's background source sends
+    one packet object at every tick; a traced run builds a numbered one per
+    tick, as the trace prints each number.  A link keeps time with a clock,
+    so a transmit completion is an event only when a packet waits behind the
+    one on the wire, and it pops under the insertion number that the
+    transmission reserved when it started (`reserve_seq`,
+    `schedule_reserved`); `now_seq` is the number of the running event, by
+    which a link tells whether its transmission has ended at `now`.  An
+    arrival, though, takes its number when serialization starts, so it can
+    pop before an event at the same microsecond that the traced run would
+    process first.  When `run_until` returns, the clock sits at its `end`,
+    not at the last event it ran, so a run stepped from outside stands at
+    the same instant traced and untraced.
     """
 
     def __init__(self, seed: int = 0, trace: Optional[list[str] | TraceWriter] = None):

@@ -116,6 +116,7 @@ class ArNode(Node):
                                "nar_dad": lambda token: self.drive(
                                    fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_DAD_OK))}
         self._bg_seq = 0
+        self._bg_packet: Optional[Packet] = None
         self.state: fsm.NarState = fsm.NarState.IDLE
         self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
         self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
@@ -214,12 +215,15 @@ class ArNode(Node):
         # A background tick, a third of a congested run's events, is handled
         # here rather than in a method of its own, to save a call per tick.
         engine = self._bg_engine
-        # Every field up to `created_at` by position: a keyword argument
-        # costs about half as much again as the whole positional call.
-        self._bg_queue.send(Packet(self.address, self._bg_dst, BG_PACKET_BYTES, DATA,
-                                   self._bg_seq, FLOW_BG, 0, None, None, None, None,
-                                   engine.now))
-        self._bg_seq += 1
+        pkt = self._bg_packet
+        if pkt is None:
+            # Traced: the trace numbers each packet, so each tick builds one,
+            # every field up to `created_at` by position (a keyword argument
+            # costs about half as much again as the whole positional call).
+            pkt = Packet(self.address, self._bg_dst, BG_PACKET_BYTES, DATA, self._bg_seq,
+                         FLOW_BG, 0, None, None, None, None, engine.now)
+            self._bg_seq += 1
+        self._bg_queue.send(pkt)
         engine.schedule_in(self._bg_interval_us, self.node_id, TIMER_EXPIRY, BG_TICK)
 
     def on_app(self, kind: str) -> None:
@@ -230,6 +234,12 @@ class ArNode(Node):
             self._bg_queue = self.sim.linkqueues[(self.node_id, self.bs_id)]
             self._bg_queue.bg_station = self._bg_dst
             self._bg_interval_us = cfg.bg_interval_us
+            # Untraced, one packet serves every tick: its arrival is never
+            # scheduled (`LinkQueue.bg_station`), and admission, the link and
+            # a drop read only fields that every tick's packet shares.
+            if engine.trace is None:
+                self._bg_packet = Packet(self.address, self._bg_dst, BG_PACKET_BYTES,
+                                         DATA, 0, FLOW_BG, created_at=engine.now)
             # The first tick runs inside the start event, as if its timer
             # fired now.
             self.dispatch((engine.now, engine.now_seq, self.node_id, TIMER_EXPIRY, BG_TICK))

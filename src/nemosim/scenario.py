@@ -204,12 +204,14 @@ _RANGES = {
     "red.w_q": (lambda v: 0 < v <= 1, "in (0, 1]"),
 }
 
-# Rules between keys, as (a, relation, b): the CBR window fits the run and
-# RED is not a tail drop.  A broken rule names a, unless a holds its default
+# Rules between keys, as (a, relation, b): the CBR window fits the run, RED
+# is not a tail drop, and the beacon interval fits the run (the baseline
+# router waits for a beacon, so a longer interval silently loses every packet;
+# 0, no beacons, passes).  A broken rule names a, unless a holds its default
 # and so b is the key that moved.
 _RELATIONS = {"<": operator.lt, "<=": operator.le}
 _RULES = (("cbr.start_us", "<", "cbr.stop_us"), ("cbr.stop_us", "<=", "sim_end_us"),
-          ("red.min_th", "<", "red.max_th"))
+          ("red.min_th", "<", "red.max_th"), ("beacon_interval_us", "<=", "sim_end_us"))
 
 # The signal kinds each scheme sends, as (kinds, when), so the kinds that
 # `faults.drop_first_signals` can use up.  Measured on seed 1 at 15-90 km/h in

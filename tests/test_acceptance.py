@@ -33,9 +33,10 @@ def check(num, desc, ok):
 
 # -- shared expensive runs -------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def congested_sweep():
-    cfg = ScenarioConfig(background_load_bps=CONGESTION_BPS)
+# The benchmark's two pinned scenario seeds: 1, and 29, held out.
+@pytest.fixture(scope="module", params=[1, 29], ids=lambda seed: f"seed{seed}")
+def congested_sweep(request):
+    cfg = ScenarioConfig(background_load_bps=CONGESTION_BPS, seed=request.param)
     started = time.monotonic()
     csv_text, reports = sweep(cfg, SPEEDS)
     wall = time.monotonic() - started

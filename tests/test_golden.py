@@ -25,12 +25,13 @@ from collections import Counter
 
 import pytest
 
-from nemosim import cli
+from nemosim import cli, nodes
 from nemosim.engine import MS, SEC
 from nemosim.experiment import run_scenario
+from nemosim.metrics import FLOW_BG
 from nemosim.network import LinkQueue
 from nemosim.nodes import MnnNode
-from nemosim.packets import DepthExceeded
+from nemosim.packets import DepthExceeded, Packet
 from nemosim.scenario import (MODE_REACTIVE, PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
                               CbrConfig, FaultConfig, ScenarioConfig, default_topology)
 from nemosim.simulation import Simulation
@@ -152,6 +153,55 @@ def test_untraced_run_skips_only_background_arrivals(protocol, monkeypatch):
     assert traced_events == len(trace) == GOLDEN[protocol][0]
     assert skipped > 10_000 and sum(idle) > 1_000
     assert events == len(trace) - skipped - sum(idle)
+
+
+def test_untraced_background_source_sends_one_packet(monkeypatch):
+    """Untraced, each access router builds its background packet once and
+    sends that object at every tick, as no reader needs a fresh one.  Traced,
+    every tick builds its own packet, numbered one past the last, because the
+    trace prints the number on each completion and arrival."""
+    built, sent = [], []
+
+    def counted_packet(*args, **kwargs):
+        pkt = Packet(*args, **kwargs)
+        if pkt.flow == FLOW_BG:
+            built.append(pkt)
+        return pkt
+
+    send = LinkQueue.send
+
+    def counted_send(queue, pkt):
+        if pkt.flow == FLOW_BG:
+            sent.append(pkt)
+        send(queue, pkt)
+
+    monkeypatch.setattr(nodes, "Packet", counted_packet)
+    monkeypatch.setattr(LinkQueue, "send", counted_send)
+    cfg = criterion_9(PROTO_DIFF_FH)
+    topo = default_topology(cfg)
+    routers = {topo.addresses[ar] for ar in topo.bs_to_ar.values()}
+    Simulation(cfg).run()
+    assert len(sent) > 10_000
+    assert len(built) == len(routers) and {pkt.src for pkt in built} == routers
+    assert {id(pkt) for pkt in sent} == {id(pkt) for pkt in built}
+
+    built.clear()
+    sent.clear()
+    trace = []
+    Simulation(cfg, trace=trace).run()
+    assert len(built) == len(sent) == len({id(pkt) for pkt in sent}) > 10_000
+    routes = {f"{ar}->{bs}": f"{topo.addresses[ar]}→{topo.addresses[bs]}"
+              for bs, ar in topo.bs_to_ar.items()}
+    last = dict.fromkeys(routes, -1)
+    for line in trace:
+        _, target, kind, detail = line.split("\t")
+        if target in routes and kind == "timer_expiry":
+            label, route = detail.split("/")[:2]
+            if label.startswith("seq") and route == routes[target]:
+                seq = int(label.removeprefix("seq"))
+                assert seq > last[target]
+                last[target] = seq
+    assert min(last.values()) > 1_000
 
 
 def outcome(cfg, trace):

@@ -143,18 +143,24 @@ def test_background_packet_to_station_arrives_only_when_traced(trace, arrivals):
                       RedParams(), lambda p, w: None)
     queue.bg_station = station
     arrived = []
-    eng.register("bs1", lambda ev: arrived.append(ev[4]))
-    queue.send(Packet(Address(2, 1, 1), station, 2000, DATA, 0, FLOW_BG))
-    # Traced, the packet's transmit completion and its arrival are events.
-    # Untraced, the idle link keeps time with its clock, so there is no
-    # completion, and the station's discard needs no arrival.
-    assert eng.run_until(SEC) == 2 * arrivals
-    assert len(arrived) == arrivals
+    eng.register("bs1", lambda ev: arrived.append((ev[0], ev[4])))
+    # An untraced background source sends one packet object at every tick,
+    # so the second send of it queues behind the first.
+    pkt = Packet(Address(2, 1, 1), station, 2000, DATA, 0, FLOW_BG)
+    queue.send(pkt)
+    queue.send(pkt)
+    # Traced, each copy's transmit completion and its arrival are events.
+    # Untraced, the link keeps time with its clock, so only the wake-up that
+    # starts the second copy is an event, and the station's discard needs no
+    # arrival.
+    assert eng.run_until(SEC) == (4 if arrivals else 1)
+    assert arrived == [(18 * MS, pkt), (34 * MS, pkt)] * arrivals
+    assert trace is not None or queue.free_at == 32 * MS
     # Any other packet to the station, here a signal, still arrives.
     signal = Packet(Address(2, 1, 1), station, 64, SIGNAL)
     queue.send(signal)
     eng.run_until(2 * SEC)
-    assert arrived[-1] is signal
+    assert arrived[-1][1] is signal
 
 
 @given(st.floats(min_value=0.1, max_value=40.0),

@@ -192,6 +192,9 @@ REMOVED_KEYS = ["binding_refresh_us", "movement_detection", "force_reactive_at"]
     ({"protocol": "diff-nemo", "faults": {"drop_first_signals": ["FNA"]}},
      "faults.drop_first_signals"),
     ({"mode": "reactive", "faults": {"drop_first_signals": ["HI"]}}, "faults.drop_first_signals"),
+    ({"protocol": "nemo-bs", "dmr_speed_kmh": 60, "sim_end_us": 60 * SEC,
+      "cbr": {"stop_us": 60 * SEC}, "beacon_interval_us": 100 * SEC}, "beacon_interval_us"),
+    ({"sim_end_us": 500_000, "cbr": {"start_us": 0, "stop_us": 400_000}}, "sim_end_us"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     unknown = key in FIXED_VALUES + REMOVED_KEYS
