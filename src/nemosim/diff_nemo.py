@@ -106,7 +106,7 @@ class CorrespondentAgent(BindingCacheAgent):
         info = pkt.info
         hoa = info["hoa"]
         if not self._tokens_valid(hoa, info.get("tokens")):
-            self.sim.metrics.rejected_bindings += 1
+            self.sim.drop(pkt, "rejected@cn")
             return
         self.bind(hoa, info["coa"], info["mnps"])
         self.bound_at.append(self.sim.now)

@@ -156,34 +156,28 @@ class PriorityScheduler:
         # Each class's RED average and arrivals accepted since its last drop.
         self._red_avg = [0.0] * NUM_CLASSES
         self._since_drop = [0] * NUM_CLASSES
-        self.drops_by_class = [0] * NUM_CLASSES
 
     def admit(self, pkt: Packet, rng: RngStream) -> Optional[deque]:
-        """The arrival's verdict: its class backlog when admitted, else None
-        (the drop is counted).  The packet is not held; `enqueue` appends it,
-        and a link that is free puts it on the wire instead, which is the
-        same as appending to an empty scheduler and dequeuing at once."""
+        """The arrival's verdict: its class backlog when admitted, else None,
+        which the caller reports as a drop.  The packet is not held: `enqueue`
+        appends it, and a free link puts it on the wire, the same as appending
+        to an empty scheduler and dequeuing at once."""
         dscp = pkt.dscp
         cls = _CLASS_OF_DSCP[dscp] if 0 <= dscp < 64 else service_class(dscp)
         backlog = self._backlogs[cls]
         n = len(backlog)
         if cls == CLASS_EF:
-            if n < self.ef_capacity:
-                return backlog
-            self.drops_by_class[cls] += 1
-            return None
+            return backlog if n < self.ef_capacity else None
         red_avg, since_drop = self._red_avg, self._since_drop
         avg = red_avg[cls] = self._keep * red_avg[cls] + self._w_q * n
         if avg >= self._max_th or n >= self._capacity:
             since_drop[cls] = 0
-            self.drops_by_class[cls] += 1
             return None
         if avg >= self._min_th:
             p_b = self._max_p * (avg - self._min_th) / self._th_span
             denom = 1.0 - since_drop[cls] * p_b
             if rng.uniform() < (1.0 if denom <= 0 else p_b / denom):
                 since_drop[cls] = 0
-                self.drops_by_class[cls] += 1
                 return None
         since_drop[cls] += 1
         return backlog

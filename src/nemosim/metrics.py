@@ -17,6 +17,9 @@ FLOW_BG = "bg"
 MICRO = "micro"
 MACRO = "macro"
 
+# Each (what, where) key, made once per process: keys made in each run raised peak RSS.
+_LEDGER_KEYS: dict[tuple[str, str], tuple[str, str]] = {}
+
 
 @dataclass(slots=True)
 class Drop:
@@ -26,7 +29,7 @@ class Drop:
 
 
 class MetricsCollector:
-    """Counts the foreground flow; background and signalling are tallied aside.
+    """Counts the foreground flow, and every packet lost, in one drop ledger.
 
     Each delivered CBR packet is one row of the columns `seqs`,
     `delivered_at_us` and `delays_us`, in delivery order, and one entry of
@@ -41,6 +44,12 @@ class MetricsCollector:
     `handover_latencies_us` gets the gap since that station's last delivery,
     and `handover_kinds` gets micro or macro by whether the two stations hang
     off the same anchor point.  Deliveries through no station are skipped.
+
+    Every loss reaches `record_drop`, by `Simulation.drop`, and counts once in
+    the ledger `drops` under (what, where): the outermost signal layer's kind
+    (`BU`), else the innermost packet's flow (`cbr`, `bg`, `up`); the reason
+    and site (`queue:ar1->bs1`).  A lost CBR packet is also a row of
+    `drops_detail`, with its seq and the instant.
     """
 
     def __init__(self, protocol: str, mode: str, speed_kmh: float, seed: int,
@@ -56,12 +65,8 @@ class MetricsCollector:
         self.delays_us: list[int] | array = []
         self.per_packet_path: list[tuple] = []
         self.drops_detail: list[Drop] = []
-        self.queue_drops: dict = {}   # per egress queue, drop count per service class
-        self.signal_drops = 0
-        self.bg_drops = 0
-        self.rejected_bindings = 0
+        self.drops: dict[tuple[str, str], int] = {}
         self.unexpected_signals = 0
-        self.nar_buffer_drops = 0
         self.handover_latencies_us: list[int] = []
         self.handover_kinds: list[str] = []
         # The serving station of the last delivery that had one, and its instant.
@@ -96,21 +101,21 @@ class MetricsCollector:
             self._last_bs_at = t
 
     def record_drop(self, pkt: Packet, t: SimTime, where: str) -> None:
-        """Count a drop by the flow of the innermost packet."""
-        if pkt.inner is not None:
-            pkt = pkt.innermost()
-        flow = pkt.flow
-        if flow == FLOW_BG:
-            self.bg_drops += 1
-        elif flow == FLOW_CBR:
-            self.drops_detail.append(Drop(pkt.seq, t, where))
-        else:
-            self.signal_drops += 1
+        """File a loss in `drops` under (what, where), and a CBR one in
+        `drops_detail` too."""
+        layer = pkt
+        while layer.signal is None and layer.inner is not None:
+            layer = layer.inner
+        what = layer.flow if layer.signal is None else layer.signal.value
+        key = (what, where)
+        key = _LEDGER_KEYS.setdefault(key, key)
+        self.drops[key] = self.drops.get(key, 0) + 1
+        if what == FLOW_CBR:
+            self.drops_detail.append(Drop(layer.seq, t, where))
 
-    def finish(self, queue_drops: dict) -> None:
-        """Close the record at the end of the run: keep the per-queue drops
-        and pack the integer columns into `array('q')`, 8 bytes a row."""
-        self.queue_drops = queue_drops
+    def finish(self) -> None:
+        """Close the record at the end of the run: pack the integer columns
+        into `array('q')`, 8 bytes a row."""
         self.seqs = array("q", self.seqs)
         self.delivered_at_us = array("q", self.delivered_at_us)
         self.delays_us = array("q", self.delays_us)

@@ -21,10 +21,11 @@ DAD_FAST_US = 100 * MS
 def air_receiver(sim, bs: str, hop: str, deliver):
     """The handler of packets arriving over `bs`'s air link: each is lost
     unless the router is attached to `bs`, else logged at `hop` and delivered."""
+    lost = f"air_lost@{bs}"
     def receive(ev: Entry) -> None:
         pkt: Packet = ev[4]
         if sim.dmr_attached != bs:
-            sim.drop(pkt, f"air_lost@{bs}")
+            sim.drop(pkt, lost)
             return
         log = pkt.path_log
         if log is not None:
@@ -202,7 +203,6 @@ class ArNode(Node):
             self.buffer.append(pkt)
             if len(self.buffer) > self.sim.config.nar_buffer_capacity:
                 oldest = self.buffer.pop(0)
-                self.sim.metrics.nar_buffer_drops += 1
                 self.sim.drop(oldest, f"nar_overflow@{self.node_id}")
             return True
         return False
@@ -250,6 +250,7 @@ class BsNode(Node):
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
+        self._detached = f"detached@{node_id}"
         sim.engine.register(f"{node_id}@air", air_receiver(
             sim, node_id, node_id, lambda pkt: sim.forward(node_id, pkt)))
 
@@ -257,7 +258,7 @@ class BsNode(Node):
         if self.sim.dmr_attached == self.node_id:
             self.sim.wireless_to_dmr(self.node_id, pkt)
         else:
-            self.sim.drop(pkt, f"detached@{self.node_id}")
+            self.sim.drop(pkt, self._detached)
         return True
 
 

@@ -195,6 +195,7 @@ class Simulation:
         self._to_mnn.send(pkt)
 
     def drop(self, pkt: Packet, where: str) -> None:
+        """Every loss of the run, counted once in the record's drop ledger."""
         self.metrics.record_drop(pkt, self.engine.now, where)
 
     # -- conditioning -------------------------------------------------------------
@@ -228,12 +229,12 @@ class Simulation:
     def send_signal_packet(self, origin: str, pkt: Packet, via: Optional[str] = None) -> None:
         """The exit of every signal a node sends, to neighbour `via` or forwarded,
         unless its chain holds a kind that `faults.drop_first_signals` still
-        lists: the first such kind, outermost first, is used up by the drop."""
+        lists: the first such kind, outermost first, is dropped as `fault@<origin>`."""
         layer = pkt
         while layer is not None:
             if layer.signal is not None and layer.signal.value in self._drop_faults:
                 self._drop_faults.remove(layer.signal.value)
-                self.metrics.signal_drops += 1
+                self.drop(layer, f"fault@{origin}")
                 return
             layer = layer.inner
         if via is not None:
@@ -252,9 +253,7 @@ class Simulation:
     def run(self) -> MetricsCollector:
         """Run to the end of the scenario; returns the run's record, `metrics`."""
         self.engine.run_until(self.config.sim_end_us)
-        self.metrics.finish({f"{q.src}->{q.dst}": list(q.scheduler.drops_by_class)
-                             for q in self.linkqueues.values()
-                             if any(q.scheduler.drops_by_class)})
+        self.metrics.finish()
         return self.metrics
 
     def release(self) -> None:

@@ -1,8 +1,16 @@
-"""Census of the measured (CBR) packets a simulation still holds."""
+"""Census of the measured (CBR) packets a simulation still holds, and the
+losses its record's drop ledger counts."""
 
 from nemosim.metrics import FLOW_CBR
 from nemosim.nodes import ArNode
-from nemosim.packets import Packet
+from nemosim.packets import Packet, SignalKind
+
+SIGNAL_KINDS = {kind.value for kind in SignalKind}
+
+
+def signals_lost(report) -> int:
+    """Signals the drop ledger of `report` counts as lost, of every kind."""
+    return sum(n for (what, _), n in report.drops.items() if what in SIGNAL_KINDS)
 
 
 def cbr_held(sim) -> int:

@@ -244,7 +244,7 @@ def test_criterion_7_route_optimization_paths():
                         t=0, info={"hoa": sim.topo.hoa, "coa": Address(3, 2, 66),
                                    "mnps": [sim.topo.mnp]})
     agent.on_binding_update(rogue)
-    rogue_ok = agent.cache == cache_before and sim.metrics.rejected_bindings >= 1
+    rogue_ok = agent.cache == cache_before and sim.metrics.drops["BU", "rejected@cn"] >= 1
     print(f"  pre-registration deliveries via anchor: {len(pre)}; "
           f"post-registration direct: {len(post)}")
     check(7, "delivered paths include the home agent only before registration; "

@@ -149,11 +149,12 @@ def test_rogue_binding_update_never_mutates_cache(fake_sim):
                               "tokens": {"hot": "x", "cot": "y", "npt": "z"}})
     agent.on_binding_update(rogue)
     assert not agent.cache
-    assert fake_sim.metrics.rejected_bindings == 1
+    assert fake_sim.dropped == [(rogue, "rejected@cn")]
     no_tokens = make_signal(SignalKind.BU, COA, CN, t=0,
                             info={"hoa": HOA, "coa": COA, "mnps": [MNP]})
     agent.on_binding_update(no_tokens)
     assert not agent.cache
+    assert fake_sim.dropped == [(rogue, "rejected@cn"), (no_tokens, "rejected@cn")]
 
 
 def test_stale_tokens_rejected_by_clock_arithmetic(fake_sim):
@@ -166,7 +167,7 @@ def test_stale_tokens_rejected_by_clock_arithmetic(fake_sim):
                      info={"hoa": HOA, "coa": COA, "mnps": [MNP], "tokens": tokens})
     agent.on_binding_update(bu)
     assert not agent.cache
-    assert fake_sim.metrics.rejected_bindings == 1
+    assert fake_sim.dropped == [(bu, "rejected@cn")]
 
 
 def test_downstream_proxy_rewrite_delivers_home_address(fake_sim):

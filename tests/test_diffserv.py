@@ -173,7 +173,7 @@ def test_red_capacity_drops_at_the_bound():
     q = PriorityScheduler(RedParams(min_th=100, max_th=200, w_q=0.002, capacity=3))
     rng = RngStream(1)
     assert [q.enqueue(data(), rng) for _ in range(4)] == [ACCEPT] * 3 + [DROP]
-    assert q.drops_by_class[CLASS_BE] == 1 and q._since_drop[CLASS_BE] == 0
+    assert q._since_drop[CLASS_BE] == 0
 
 
 def test_red_midpoint_probability():
@@ -283,7 +283,6 @@ def test_expedited_never_red_dropped():
         ef = make_signal(SignalKind.FBU, MNN, CN, t=0)
         ef.dscp = EF
         assert sched.enqueue(ef, rng) == ACCEPT
-    assert sched.drops_by_class[0] == 0
 
 
 class ModelScheduler:
@@ -296,7 +295,6 @@ class ModelScheduler:
         self.queues = [[] for _ in range(6)]
         self.avg = [0.0] * 6
         self.count = [0] * 6
-        self.drops_by_class = [0] * 6
 
     def _red_accepts(self, cls, rng):
         p, backlog = self.params, len(self.queues[cls])
@@ -321,7 +319,6 @@ class ModelScheduler:
         else:
             accepted = self._red_accepts(cls, rng)
         if not accepted:
-            self.drops_by_class[cls] += 1
             return DROP
         self.queues[cls].append(pkt)
         return ACCEPT
@@ -355,5 +352,4 @@ def test_scheduler_matches_brute_force_model(ops, seed):
     while (pkt := model.dequeue()) is not None:
         assert sched.dequeue() is pkt
     assert sched.dequeue() is None
-    assert sched.drops_by_class == model.drops_by_class
     assert rng.uniform() == model_rng.uniform()

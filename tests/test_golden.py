@@ -1,4 +1,4 @@
-"""Golden outputs: the event trace, CSV row and drop tally of criterion 9's scenario.
+"""Golden outputs: the event trace, CSV row and drop ledger of criterion 9's scenario.
 
 Criterion 9 only compares a run with a second run of the same code, so it
 cannot see a change that alters the event stream for every run alike.  These
@@ -25,7 +25,9 @@ from collections import Counter
 
 import pytest
 
+from census import SIGNAL_KINDS
 from nemosim import cli, nodes
+from nemosim.diffserv import PriorityScheduler
 from nemosim.engine import MS, SEC
 from nemosim.experiment import run_scenario
 from nemosim.metrics import FLOW_BG
@@ -64,6 +66,27 @@ GOLDEN_DROPS = {
                      "no_binding@map2": 2}, 6),
 }
 
+# protocol -> the rest of the run's drop ledger, (what, where) -> losses:
+# every background packet and signal criterion 9's runs lose.
+GOLDEN_LEDGER = {
+    PROTO_NEMO_BS: {("BA", "queue:ar1->bs1"): 1, ("BA", "queue:ar2->bs2"): 1,
+                    ("RA", "queue:ar1->bs1"): 4, ("RA", "queue:ar2->bs2"): 5,
+                    ("RA", "queue:ar3->bs3"): 3, ("RA", "queue:ar4->bs4"): 4,
+                    ("bg", "queue:ar1->bs1"): 801, ("bg", "queue:ar2->bs2"): 797,
+                    ("bg", "queue:ar3->bs3"): 801, ("bg", "queue:ar4->bs4"): 812},
+    PROTO_DIFF_NEMO: {("bg", "queue:ar1->bs1"): 814, ("bg", "queue:ar2->bs2"): 808,
+                      ("bg", "queue:ar3->bs3"): 816, ("bg", "queue:ar4->bs4"): 807},
+    PROTO_DIFF_FH: {("FBack", "detached@bs2"): 4, ("FBack", "detached@bs3"): 2,
+                    ("bg", "queue:ar1->bs1"): 816, ("bg", "queue:ar2->bs2"): 812,
+                    ("bg", "queue:ar3->bs3"): 816, ("bg", "queue:ar4->bs4"): 816},
+}
+
+# protocol -> (queue refusals, background packets lost): the totals of the
+# schedulers' per-class drop counts and of the record's background counter,
+# which the ledger replaced, so it must add up to them.
+LEDGER_TOTALS = {PROTO_NEMO_BS: (3339, 3211), PROTO_DIFF_NEMO: (3245, 3245),
+                 PROTO_DIFF_FH: (3260, 3260)}
+
 
 # Criterion 9's scenario, as ScenarioConfig fields and as a JSON scenario file.
 CRITERION_9 = {"dmr_speed_kmh": 60, "background_load_bps": 1_200_000, "seed": 77,
@@ -100,13 +123,38 @@ def test_criterion_9_scenario_matches_golden(protocol):
 
 @pytest.mark.parametrize("protocol", list(GOLDEN_DROPS))
 def test_criterion_9_drop_reasons_match_golden(protocol):
-    cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
-    cfg.cbr.stop_us = 60 * SEC
-    sim = Simulation(cfg)
-    report = sim.run()
+    report = Simulation(criterion_9(protocol)).run()
     reasons, signal_drops = GOLDEN_DROPS[protocol]
     assert Counter(d.where for d in report.drops_detail) == reasons
-    assert sim.metrics.signal_drops == signal_drops
+    ledger = report.drops
+    assert ledger == {**{("cbr", where): n for where, n in reasons.items()},
+                      **GOLDEN_LEDGER[protocol]}
+    queued, background = LEDGER_TOTALS[protocol]
+    assert sum(n for (_, where), n in ledger.items() if where.startswith("queue:")) == queued
+    assert sum(n for (what, _), n in ledger.items() if what in SIGNAL_KINDS) == signal_drops
+    assert sum(n for (what, _), n in ledger.items() if what == FLOW_BG) == background
+
+
+@pytest.mark.parametrize("trace", [None, []], ids=["untraced", "traced"])
+def test_ledger_queue_entries_are_the_schedulers_refusals(trace, monkeypatch):
+    """Each arrival `PriorityScheduler.admit` refuses is filed once in the
+    ledger, under its link's `queue:` label, whichever transmitter runs."""
+    sim = Simulation(criterion_9(PROTO_NEMO_BS), trace=trace)
+    labels = {id(q.scheduler): f"queue:{q.src}->{q.dst}" for q in sim.linkqueues.values()}
+    refused = Counter()
+    admit = PriorityScheduler.admit
+
+    def spy(self, pkt, rng):
+        backlog = admit(self, pkt, rng)
+        if backlog is None:
+            refused[labels[id(self)]] += 1
+        return backlog
+    monkeypatch.setattr(PriorityScheduler, "admit", spy)
+    queued = Counter()
+    for (_, where), n in sim.run().drops.items():
+        if where.startswith("queue:"):
+            queued[where] += n
+    assert queued == refused and refused.total() == LEDGER_TOTALS[PROTO_NEMO_BS][0]
 
 
 def run_counted(cfg, trace=None):
@@ -207,7 +255,7 @@ def test_untraced_background_source_sends_one_packet(monkeypatch):
 def outcome(cfg, trace):
     """What a run of `cfg` measured: its CSV row (or the exception that
     ended it, and when), the delivered seqs and instants, its drop records
-    as a multiset and its per-queue drops by class."""
+    as a multiset and its drop ledger."""
     sim = Simulation(cfg, trace=trace)
     try:
         row = sim.run().csv_row()
@@ -217,7 +265,7 @@ def outcome(cfg, trace):
     return (row,
             list(zip(m.seqs, m.delivered_at_us)),
             Counter((d.seq, d.at, d.where) for d in m.drops_detail),
-            {key: list(q.scheduler.drops_by_class) for key, q in sim.linkqueues.items()})
+            m.drops)
 
 
 def lead_cell(lead_ms, speed_kmh):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from census import cbr_held
+from census import SIGNAL_KINDS, cbr_held, signals_lost
 from nemosim.engine import MS, PACKET_ARRIVAL, SEC
 from nemosim.metrics import FLOW_CBR, MACRO, MICRO, MetricsCollector
-from nemosim.packets import DATA, Address, Packet
+from nemosim.packets import DATA, Address, Packet, SignalKind, encapsulate, make_signal
 from nemosim.scenario import PROTO_DIFF_FH, PROTOCOLS, CbrConfig, ScenarioConfig
 from nemosim.simulation import Simulation
 
@@ -142,12 +142,36 @@ def test_conservation_recounted_from_records():
 def test_signal_and_background_drops_not_counted_as_loss():
     m = collector()
     m.sent = 10
-    sig = Packet(src=CN, dst=MNN, size_bytes=64, kind="signal")
+    sig = make_signal(SignalKind.BU, MNN, CN, t=0)
     bg = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="bg")
     m.record_drop(sig, 0, "x")
     m.record_drop(bg, 0, "x")
     assert m.dropped == 0
-    assert m.signal_drops == 1 and m.bg_drops == 1
+    assert m.drops == {("BU", "x"): 1, ("bg", "x"): 1}
+
+
+def test_a_drop_is_filed_by_its_outermost_signal_else_its_innermost_flow():
+    m = collector()
+    fbu = make_signal(SignalKind.FBU, MNN, CN, t=0)
+    fna = make_signal(SignalKind.FNA, MNN, CN, t=0)
+    fna.inner = fbu
+    cbr = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="cbr", seq=7)
+    for pkt in (encapsulate(fbu, MNN, CN), fna, encapsulate(encapsulate(cbr, CN, MNN), CN, MNN)):
+        m.record_drop(pkt, 5, "x")
+    assert m.drops == {("FBU", "x"): 1, ("FNA", "x"): 1, ("cbr", "x"): 1}
+    assert [(d.seq, d.at, d.where) for d in m.drops_detail] == [(7, 5, "x")]
+
+
+def test_upstream_datagram_lost_before_registration_is_no_signal():
+    """An upstream datagram that the mobile router cannot send yet is filed
+    under its own flow, not counted as a lost signal."""
+    sim = Simulation(ScenarioConfig(protocol="nemo-bs"))
+    sim.engine.run_until(10 * MS)
+    assert sim.nodes["dmr"].upstream_coa() is None
+    sim.nodes["mnn"].send_to_cn(seq=1)
+    sim.engine.run_until(100 * MS)
+    assert sim.metrics.drops == {("up", "mr_not_registered"): 1}
+    assert signals_lost(sim.metrics) == 0
 
 
 @pytest.mark.parametrize("background_load_bps", [0, 1_200_000])
@@ -219,20 +243,24 @@ def test_report_columns_match_the_deliveries(protocol, background_load_bps):
                          [("nemo-bs", 13), ("diff-nemo", 0), ("diff-fh-nemo", 6)])
 def test_run_returns_the_record_with_the_counters_no_row_carries(protocol, signal_drops):
     """`Simulation.run` returns `sim.metrics` itself, so its counters and the
-    per-queue drops come with the figures."""
+    drop ledger come with the figures."""
     sim = Simulation(sixty_second_run(protocol, 1_200_000))
     report = sim.run()
     assert report is sim.metrics
-    assert report.unexpected_signals == 0 and report.nar_buffer_drops == 0
-    assert report.signal_drops == signal_drops
+    assert report.unexpected_signals == 0
+    assert not [where for _, where in report.drops if where.startswith("nar_overflow@")]
+    assert signals_lost(report) == signal_drops
     assert report.dropped == len(report.drops_detail) > 0
-    # Each CBR packet lost in a queue counts in that queue's drops by class,
-    # and so does each background packet.
-    queued = Counter(d.where.removeprefix("queue:") for d in report.drops_detail
-                     if d.where.startswith("queue:"))
-    assert all(n <= sum(report.queue_drops[queue]) for queue, n in queued.items())
-    assert sum(map(sum, report.queue_drops.values())) >= report.bg_drops + sum(queued.values())
-    assert report.bg_drops > 0
+    # The ledger's CBR entries are the rows of `drops_detail`, and every
+    # background packet is lost in a queue.
+    by_what = {}
+    for (what, where), n in report.drops.items():
+        by_what.setdefault(what, Counter())[where] = n
+    assert by_what.pop("cbr") == Counter(d.where for d in report.drops_detail)
+    background = by_what.pop("bg")
+    assert all(where.startswith("queue:") for where in background)
+    assert background.total() > 0
+    assert set(by_what) <= SIGNAL_KINDS
 
 
 def test_report_retains_few_bytes_per_delivered_packet():

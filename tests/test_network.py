@@ -292,7 +292,6 @@ def test_free_link_admission_matches_enqueue_then_dequeue(red, avg, since_drop, 
     def scheduler():
         sched = PriorityScheduler(red)
         sched._red_avg, sched._since_drop = list(avg), list(since_drop)
-        sched.drops_by_class = list(range(NUM_CLASSES))
         return sched
 
     def packet():
@@ -316,7 +315,6 @@ def test_free_link_admission_matches_enqueue_then_dequeue(red, avg, since_drop, 
     assert not queue.scheduler.backlogged()
     assert queue.scheduler._red_avg == model._red_avg
     assert queue.scheduler._since_drop == model._since_drop
-    assert queue.scheduler.drops_by_class == model.drops_by_class
     assert eng.rng.uniform() == rng.uniform()
 
 
@@ -329,8 +327,9 @@ def run_loaded_link(trace, seed, red, ef_capacity, bursts):
     """One link fed by `bursts`, each a gap since the burst before and the
     packets (size, dscp, flow, addressed to the background station) sent
     together, traced or untraced.  Returns the non-background arrivals and
-    the drops, each as (seq, time), in order; the scheduler's drop counts
-    and RED state; and the next draw of the engine."""
+    the refused packets, each as (seq, time), in order, which give every
+    packet's verdict; the scheduler's RED state; and the next draw of the
+    engine."""
     eng = Engine(seed=seed, trace=trace)
     arrivals, drops = [], []
     queue = LinkQueue(eng, Link("a", "b", 1_000_000, 2 * MS), "a", "b", red,
@@ -358,8 +357,7 @@ def run_loaded_link(trace, seed, red, ef_capacity, bursts):
     eng.schedule(SimEvent(bursts[0][0], "src", TIMER_EXPIRY, 0))
     eng.run_until(sum(gap for gap, _ in bursts) + SEC)
     sched = queue.scheduler
-    return (arrivals, drops, sched.drops_by_class, sched._red_avg, sched._since_drop,
-            eng.rng.uniform())
+    return (arrivals, drops, sched._red_avg, sched._since_drop, eng.rng.uniform())
 
 
 # Thresholds low enough, and averages quick enough, that bursts of a dozen
@@ -391,9 +389,9 @@ def test_traced_and_clocked_links_agree_under_load(seed, red, ef_capacity, burst
     spells, drops and idle gaps.  The traced transmitter, driven by
     completion events, and the untraced one, driven by its clock and woken
     only when a packet waits, deliver every packet but the station's
-    background at the same instants and in the same order, drop the same
-    packets at the same instants, leave the same per-class drop counts and
-    RED state, and leave the engine's stream at the same draw."""
+    background at the same instants and in the same order, refuse the same
+    packets at the same instants, leave the same RED state, and leave the
+    engine's stream at the same draw."""
     traced = run_loaded_link([], seed, red, ef_capacity, bursts)
     clocked = run_loaded_link(None, seed, red, ef_capacity, bursts)
     assert traced == clocked

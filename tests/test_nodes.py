@@ -124,15 +124,17 @@ def test_every_listed_signal_kind_is_dropped_at_its_exit(kind, monkeypatch):
     send = Simulation.send_signal_packet
 
     def spy(self, origin, pkt, via=None):
-        before = self.metrics.signal_drops
+        before = Counter(self.metrics.drops)
         send(self, origin, pkt, via)
-        if self.metrics.signal_drops != before:
-            dropped.append((pkt.signal.value, self.metrics.signal_drops - before))
+        lost = Counter(self.metrics.drops) - before
+        if lost:
+            dropped.append((pkt.signal.value, origin, lost))
     monkeypatch.setattr(Simulation, "send_signal_packet", spy)
     sim = Simulation(cfg)
     sim.run()
     assert sim._drop_faults == []
-    assert dropped == [(kind, 1)]
+    [(sent, origin, lost)] = dropped
+    assert sent == kind and lost == {(kind, f"fault@{origin}"): 1}
 
 
 @pytest.mark.parametrize("mode", ["predictive", "reactive"])
