@@ -77,6 +77,9 @@ class MapAgent(HomeAgent):
         info = pkt.info
         kind = fsm.EV_FBU_VIA_NAR if info.get("relayed_by_nar") else fsm.EV_FBU
         if self.fh_ctx is None or self.fh_ctx["nlcoa"] != info["nlcoa"]:
+            if self.fh_state is MapState.FORWARDING:
+                # A new handover replaces this one: its forwarding ends.
+                self.cache.pop(self.fh_ctx["plcoa"], None)
             self.fh_ctx = info
             self.fh_state = MapState.IDLE
         self.drive(ROLE_MAP, "fh_state", FsmEvent(kind))

@@ -178,9 +178,9 @@ _DMR_TABLE = {
         "ncoa_known",
         Guard("fbu_sent",
               (_D.SENT_FNA, (_RS, _FNA, StartTimer("fbu_retx"))),
-              (_D.SENT_FNA, (_RS, Do("send_fna_with_fbu")))),
+              (_D.SENT_FNA, (_RS, Do("send_fna_with_fbu"), StartTimer("fbu_retx")))),
         (_D.REACTIVE_ATTACH, (_RS,))),
-    (_D.REACTIVE_ATTACH, EV_RA): (_D.SENT_FNA, (Do("send_fna_with_fbu"),)),
+    (_D.REACTIVE_ATTACH, EV_RA): (_D.SENT_FNA, (Do("send_fna_with_fbu"), StartTimer("fbu_retx"))),
     (_D.REACTIVE_ATTACH, EV_FBACK): (_D.REACTIVE_ATTACH, ()),
     # An FBU timer armed before the link went down: the FBU now rides the FNA.
     (_D.REACTIVE_ATTACH, EV_FBU_TIMER): (_D.REACTIVE_ATTACH, ()),
@@ -220,6 +220,14 @@ _NAR_TABLE = {
     (_N.IDLE, EV_FNA_FBU): Guard("collision", (_N.IDLE, _NAACK),
                                  (_N.FLUSHED, (Do("forward_fbu"),))),
     (_N.DAD_RUNNING, EV_DAD_OK): (_N.TUNNEL_UP_BUFFERING, (Emit(SignalKind.HACK, DEST_OLD_MAP),)),
+    # An announcement before the check ends: the router is on the link, so
+    # the buffer is flushed at once (RFC 5568), and the check's end only
+    # answers the previous anchor.
+    (_N.DAD_RUNNING, EV_FNA_RS): (_N.FLUSHED, (Do("flush_buffer"),)),
+    (_N.DAD_RUNNING, EV_FNA_FBU): Guard(
+        "collision", (_N.DAD_RUNNING, _NAACK),
+        (_N.FLUSHED, (Do("flush_buffer"), Do("forward_fbu")))),
+    (_N.FLUSHED, EV_DAD_OK): (_N.FLUSHED, (Emit(SignalKind.HACK, DEST_OLD_MAP),)),
     (_N.TUNNEL_UP_BUFFERING, EV_FNA_RS): (_N.FLUSHED, (Do("flush_buffer"),)),
     (_N.TUNNEL_UP_BUFFERING, EV_FNA_FBU): Guard(
         "collision", (_N.TUNNEL_UP_BUFFERING, _NAACK),

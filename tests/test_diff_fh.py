@@ -10,8 +10,7 @@ from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState, RegState
 from nemosim.nemo_bs import BINDING_REFRESH_US, NEVER
 from nemosim.nodes import ArNode
-from nemosim.packets import (DATA, Address, DepthExceeded, Packet, Prefix,
-                             SignalKind, make_signal)
+from nemosim.packets import DATA, Address, Packet, Prefix, SignalKind, make_signal
 from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
 from nemosim.simulation import Simulation
 
@@ -521,13 +520,14 @@ def test_reactive_collision_completes_with_substituted_address():
     assert deliveries_after, "traffic never resumed after the collision"
 
 
-# The two anchors end up diverting one care-of address to each other, so a
-# packet loops between them, gaining a tunnel header per pass, until the
-# encapsulation limit aborts the run (t = 32,336,604 us).  See the FOUND: line
-# on `MapAgent.route_hook` (now the anchors' one `HomeAgent.intercept`) in
-# CHANGES.md; fixing the loop must flip this test.
-@pytest.mark.xfail(raises=DepthExceeded, strict=True,
-                   reason="anchors divert one care-of address to each other")
+# At a 50 ms lead the FBU leaves just before the link drops, and the router's
+# FNA reached the new access router during its address check, which ignored
+# it: the router never got its FBack, and the next handover's FBU to the old
+# anchor added a second forwarding binding, until the two anchors diverted one
+# care-of address to each other and a packet looped between them, gaining a
+# tunnel header per pass, and aborted the run with `DepthExceeded` (ROADMAP
+# item 1).  The new access router now flushes on that FNA, and an anchor drops
+# the forwarding binding of a handover that a new one replaces.
 def test_short_lead_handover_does_not_loop_between_anchors():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=60, lead_us=50 * MS,
                          sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
@@ -536,12 +536,10 @@ def test_short_lead_handover_does_not_loop_between_anchors():
     assert cbr_held(sim) == report.sent - report.delivered - report.dropped
 
 
-# A reactive router that loses its one announcement (the FNA carrying its
-# binding update) stays in SentFNA for the rest of the run: nothing re-sends
-# it, and every later signal is unexpected.  The same fault in predictive mode
-# delivers 492 of 500.  See the FOUND: line on the lost announcement in
-# CHANGES.md; fixing it changes the machine and must flip this test.
-@pytest.mark.xfail(strict=True, reason="a lost reactive announcement is never re-sent")
+# A reactive router that lost its one announcement (the FNA carrying its
+# binding update) stayed in SentFNA for the rest of the run: nothing re-sent
+# it, and every later signal was unexpected.  Both reactive rows that send the
+# announcement now arm the retransmission timer that the predictive one does.
 def test_reactive_router_recovers_from_a_lost_announcement():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", mode="reactive", dmr_speed_kmh=60,
                          sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
@@ -553,11 +551,8 @@ def test_reactive_router_recovers_from_a_lost_announcement():
 
 
 # At a 90 ms lead the router's FNA reaches the new access router while that
-# router's check of the new care-of address still runs (`DadRunning`), and
-# its machine counts the FNA as unexpected: 9 such signals at 60 km/h, with
-# 486 of 500 delivered.  See the FOUND: line on the FNA in `DadRunning` in
-# CHANGES.md; fixing it must flip this test.
-@pytest.mark.xfail(strict=True, reason="the new access router gets an FNA in DadRunning")
+# router's check of the new care-of address still runs (`DadRunning`); its
+# machine used to count the FNA as unexpected, 9 such signals at 60 km/h.
 def test_new_access_router_expects_an_fna_during_its_address_check():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", seed=1, dmr_speed_kmh=60, lead_us=90 * MS,
                          sim_end_us=60_000_000, cbr=CbrConfig(stop_us=60_000_000))
