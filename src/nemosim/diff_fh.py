@@ -19,7 +19,7 @@ from typing import Optional
 from . import fsm
 from .engine import MS
 from .diff_nemo import ReturnRoutability
-from .fsm import ROLE_DMR, ROLE_MAP, ROLE_NEW_MAP, DmrState, FsmEvent, MapState, NewMapState
+from .fsm import ROLE_DMR, ROLE_MAP, ROLE_NEW_MAP, DmrState, MapState, NewMapState
 from .nemo_bs import BINDING_REFRESH_US, DAD_DELAY_US, NEVER, HomeAgent
 from .packets import SIGNAL, Address, Packet, Prefix, SignalKind
 
@@ -41,7 +41,7 @@ class FhHandoverCtx:
     """The mobile router's addresses and progress for one handover."""
 
     handover_index: int
-    old_bs: Optional[str] = None
+    oar: Optional[str] = None
     new_bs: Optional[str] = None
     nar: Optional[str] = None
     old_map: Optional[str] = None
@@ -59,43 +59,40 @@ class MapAgent(HomeAgent):
     """Anchor point: a home agent for its own prefix (RFC 5380's local home
     agent).  An LBU binds the regional care-of address to the on-link one; a
     fast handover binds the previous on-link address to the next, with no
-    expiry, until it ends.  Only the fast scheme forms an anchored address."""
+    expiry, until it ends.  Only the fast scheme forms an anchored address.
+    As the new anchor of a macro move it checks the regional address."""
+
+    roles = {ROLE_MAP: ("fh_state", "fh_ctx"), ROLE_NEW_MAP: ("newmap_state", "newmap_pending")}
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.anchored = frozenset((sim.topo.map_prefix[node_id],))
-        self.signal_handlers = {SignalKind.FBU: self.on_fbu, SignalKind.HACK: self.on_hack,
-                                SignalKind.LBU: self.on_lbu, SignalKind.HI: self.on_hi_as_new_map}
-        self.timer_handlers = {"rcoa_dad": self._on_rcoa_dad}
+        self.receive_hooks = {SignalKind.FBU: self.on_fbu, SignalKind.LBU: self.on_lbu}
+        self.timer_handlers = {"rcoa_dad": lambda token: self.drive(ROLE_NEW_MAP, fsm.EV_DAD_OK)}
         self.fh_state: MapState = MapState.IDLE
         self.fh_ctx: Optional[dict] = None           # the FBU's info
         self.newmap_state: NewMapState = NewMapState.IDLE
         self.newmap_pending: Optional[dict] = None   # the relayed HI's info
 
     # -- signals -------------------------------------------------------------
-    def on_fbu(self, pkt: Packet) -> None:
+    def on_fbu(self, pkt: Packet) -> dict:
+        """An FBU for another next address opens a new handover, which ends
+        the forwarding of the one it replaces."""
         info = pkt.info
-        kind = fsm.EV_FBU_VIA_NAR if info.get("relayed_by_nar") else fsm.EV_FBU
         if self.fh_ctx is None or self.fh_ctx["nlcoa"] != info["nlcoa"]:
             if self.fh_state is MapState.FORWARDING:
-                # A new handover replaces this one: its forwarding ends.
                 self.cache.pop(self.fh_ctx["plcoa"], None)
             self.fh_ctx = info
             self.fh_state = MapState.IDLE
-        self.drive(ROLE_MAP, "fh_state", FsmEvent(kind))
+        return {}
 
-    def on_hack(self, pkt: Packet) -> None:
-        src = pkt.info.get("from_role", "nar")
-        kind = fsm.EV_HACK_NAR if src == "nar" else fsm.EV_HACK_NEW_MAP
-        macro = self.fh_ctx["macro"] if self.fh_ctx else False
-        self.drive(ROLE_MAP, "fh_state", FsmEvent(kind, macro=macro))
-
-    def on_lbu(self, pkt: Packet) -> None:
+    def on_lbu(self, pkt: Packet) -> Optional[dict]:
+        """Bind the regional address; a teardown, or a binding here that
+        follows a handover, cuts the handover's forwarding."""
         info = pkt.info
         if info.get("teardown"):
             self.cache.pop(info["old_rcoa"], None)
-            self.drive(ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
-            return
+            return {}
         self.bind(info["rcoa"], info["lcoa"])
         self.sim.send_signal(self.node_id, SignalKind.LBACK, self.address, info["lcoa"])
         old_map = info.get("old_map")
@@ -105,16 +102,15 @@ class MapAgent(HomeAgent):
             self.sim.send_signal(self.node_id, SignalKind.LBU, self.address,
                                  self.sim.topo.addresses[old_map],
                                  info={"teardown": True, "old_rcoa": info["old_rcoa"]})
-        elif self.fh_ctx is not None:
-            self.drive(ROLE_MAP, "fh_state", FsmEvent(fsm.EV_LBU_CUT))
+            return None
+        return None if self.fh_ctx is None else {}
 
-    def on_hi_as_new_map(self, pkt: Packet) -> None:
-        self.newmap_pending = pkt.info
-        self.drive(ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_HI))
-
-    def _on_rcoa_dad(self, token) -> None:
-        self.drive(ROLE_NEW_MAP, "newmap_state", FsmEvent(fsm.EV_DAD_OK))
-        self.newmap_pending = None
+    def _address(self, dest: str, ctx: dict) -> Address:
+        """Where the anchor's machines send: the `dest` field, an address or
+        a node, of the handover's context `ctx`, which is the FBU's info for
+        the anchor and the relayed HI's for the new anchor."""
+        value = ctx[dest]
+        return self.sim.topo.addresses.get(value, value)
 
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.fh_ctx
@@ -124,22 +120,20 @@ class MapAgent(HomeAgent):
             case fsm.Do("remove_forwarding"):
                 self.cache.pop(ctx["plcoa"], None)
                 self.fh_ctx = None
-            case fsm.Emit(SignalKind.HI):
+            case fsm.Emit(SignalKind.HI, dest):
                 sim.send_signal(self.node_id, SignalKind.HI, self.address,
-                                sim.topo.addresses[ctx["nar"]],
-                                info={**ctx, "old_map": self.node_id})
-            case fsm.Emit(SignalKind.FBACK):
-                # Acknowledge over both the previous and the prospective path.
-                for dst in (ctx["plcoa"], ctx["nlcoa"]):
-                    sim.send_signal(self.node_id, SignalKind.FBACK, self.address, dst)
+                                self._address(dest, ctx), info={**ctx, "old_map": self.node_id})
+            case fsm.Emit(SignalKind.FBACK, dest):
+                sim.send_signal(self.node_id, SignalKind.FBACK, self.address,
+                                self._address(dest, ctx))
             # The new-anchor machine: verify the regional address, then answer
             # the previous anchor and the new access router.
             case fsm.StartTimer():
                 sim.timer(self.node_id, DAD_RCOA_US, ("rcoa_dad",))
             case fsm.Emit(SignalKind.HACK, dest):
-                peer = self.newmap_pending["old_map" if dest == fsm.DEST_OLD_MAP else "nar"]
                 sim.send_signal(self.node_id, SignalKind.HACK, self.address,
-                                sim.topo.addresses[peer], info={"from_role": "new_map"})
+                                self._address(dest, self.newmap_pending),
+                                info={"from_role": "new_map"})
 
 
 class FhDmr(ReturnRoutability):
@@ -147,6 +141,7 @@ class FhDmr(ReturnRoutability):
     binds the regional care-of address, so return routability runs from it."""
 
     RR_TIMER = "fh_rr_timeout"
+    roles = {ROLE_DMR: ("fsm_state", None), **ReturnRoutability.roles}
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -159,14 +154,14 @@ class FhDmr(ReturnRoutability):
         self.fsm_state: DmrState = DmrState.IDLE
         self.ctx: Optional[FhHandoverCtx] = None
         self.epoch = 0
-        # NA is absent, so one counts as unexpected: initial DAD collisions are
-        # not exercised for this variant.
-        self.signal_handlers.update({SignalKind.RA: self.on_router_advertisement,
-                                     SignalKind.PR_RT_ADV: self.handle_prrtadv,
-                                     SignalKind.FBACK: self._on_fback,
-                                     SignalKind.LBACK: self._on_lback,
-                                     SignalKind.NAACK: self._on_naack,
-                                     SignalKind.BA: self._on_ba})
+        # No machine of this router takes an NA, so one counts as unexpected:
+        # initial DAD collisions are not exercised for this variant.
+        self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
+                                SignalKind.BA: self._on_ba}
+        self.receive_hooks.update({SignalKind.PR_RT_ADV: self.handle_prrtadv,
+                                   SignalKind.FBACK: self._note_fback,
+                                   SignalKind.NAACK: self._on_naack,
+                                   SignalKind.LBACK: self._on_lback})
         self.timer_handlers.update({"fh": self._on_fh_timer, "initial_dad": self._on_initial_dad,
                                     "reg_refresh": self._on_reg_refresh})
 
@@ -185,13 +180,13 @@ class FhDmr(ReturnRoutability):
     def on_l2_trigger(self, plan) -> None:
         if self.lcoa is None:
             return
+        bs_to_ar = self.sim.topo.bs_to_ar
         self.ctx = FhHandoverCtx(handover_index=plan.handover_index,
-                                 old_bs=plan.old_bs, new_bs=plan.new_bs,
-                                 nar=self.sim.topo.bs_to_ar[plan.new_bs],
-                                 old_map=self.serving_map,
+                                 oar=bs_to_ar[plan.old_bs], new_bs=plan.new_bs,
+                                 nar=bs_to_ar[plan.new_bs], old_map=self.serving_map,
                                  plcoa=self.lcoa)
         self.fsm_state = DmrState.IDLE
-        self._step(FsmEvent(fsm.EV_L2_TRIGGER))
+        self.drive(ROLE_DMR, fsm.EV_L2_TRIGGER)
 
     def on_link_down(self, plan) -> None:
         if self.lcoa is None:
@@ -199,7 +194,7 @@ class FhDmr(ReturnRoutability):
         if self.ctx is None:
             self.ctx = FhHandoverCtx(handover_index=plan.handover_index,
                                      old_map=self.serving_map, plcoa=self.lcoa)
-        self._step(FsmEvent(fsm.EV_L2_DOWN))
+        self.drive(ROLE_DMR, fsm.EV_L2_DOWN)
 
     def on_link_up(self, bs: str) -> None:
         self.epoch += 1
@@ -207,41 +202,42 @@ class FhDmr(ReturnRoutability):
             # A first attachment, or a new one during its address check: discover
             # the access router and anchor point afresh.
             self.serving_map = None
-            self.sim.send_signal("dmr", SignalKind.RS, self.hoa,
-                                 self.sim.topo.addresses[self.sim.topo.bs_to_ar[bs]])
+            self.sim.send_signal("dmr", SignalKind.RS, self.hoa, self._address(fsm.DEST_AR))
             return
         if self.ctx is None:
             return
-        self.ctx.new_bs = bs
         self.ctx.nar = self.sim.topo.bs_to_ar[bs]
         ncoa_known = self.ctx.nlcoa is not None
         if ncoa_known:
             self._promote_lcoa()
-        self._step(FsmEvent(fsm.EV_ATTACH_DONE, ncoa_known=ncoa_known, fbu_sent=self.ctx.fbu_sent))
+        self.drive(ROLE_DMR, fsm.EV_ATTACH_DONE, ncoa_known=ncoa_known, fbu_sent=self.ctx.fbu_sent)
 
     def _promote_lcoa(self) -> None:
         self.prev_lcoa = self.lcoa
         self.lcoa = self.ctx.nlcoa
 
     # -- machine interpretation ------------------------------------------------
-    def _step(self, event: FsmEvent) -> None:
-        self.drive(ROLE_DMR, "fsm_state", event)
+    def _address(self, dest: str) -> Address:
+        # A fast handover's destinations are nodes its context names, and the
+        # anchor the router registers with.
+        if dest == fsm.DEST_SERVING_MAP:
+            return self.sim.topo.addresses[self.serving_map]
+        if dest in (fsm.DEST_OAR, fsm.DEST_OLD_MAP, fsm.DEST_NAR):
+            return self.sim.topo.addresses[getattr(self.ctx, dest)]
+        return super()._address(dest)
 
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.ctx
         match action:
-            case fsm.Emit(SignalKind.RT_SOL_PR):
-                oar = sim.topo.bs_to_ar[ctx.old_bs]
-                sim.send_signal("dmr", SignalKind.RT_SOL_PR, self.lcoa,
-                                sim.topo.addresses[oar], info={"target_bs": ctx.new_bs})
-            case fsm.Emit(SignalKind.FBU):
+            case fsm.Emit(SignalKind.RT_SOL_PR, dest):
+                sim.send_signal("dmr", SignalKind.RT_SOL_PR, self.lcoa, self._address(dest),
+                                info={"target_bs": ctx.new_bs})
+            case fsm.Emit(SignalKind.FBU, dest):
                 ctx.fbu_sent = True
-                sim.send_signal("dmr", SignalKind.FBU, self.lcoa,
-                                sim.topo.addresses[ctx.old_map], info=self._fbu_info())
-            case fsm.Emit(SignalKind.RS):
-                sim.send_signal("dmr", SignalKind.RS, self.lcoa, sim.topo.addresses[ctx.nar])
-            case fsm.Emit(SignalKind.FNA):
-                sim.send_signal("dmr", SignalKind.FNA, self.lcoa, sim.topo.addresses[ctx.nar])
+                sim.send_signal("dmr", SignalKind.FBU, self.lcoa, self._address(dest),
+                                info=self._fbu_info())
+            case fsm.Emit(SignalKind.RS | SignalKind.FNA as kind, dest):
+                sim.send_signal("dmr", kind, self.lcoa, self._address(dest))
             case fsm.Emit(SignalKind.LBU):
                 old_rcoa = self.rcoa
                 if ctx.macro:
@@ -251,9 +247,9 @@ class FhDmr(ReturnRoutability):
                 sim.timer("dmr", FH_TIMERS[name][0], ("fh", name, self.epoch))
             case fsm.Do("send_fna_with_fbu"):
                 fbu = sim.make_signal(SignalKind.FBU, self.lcoa,
-                                      sim.topo.addresses[ctx.old_map], info=self._fbu_info())
+                                      self._address(fsm.DEST_OLD_MAP), info=self._fbu_info())
                 ctx.fbu_sent = True
-                fna = Packet(src=self.lcoa, dst=sim.topo.addresses[ctx.nar],
+                fna = Packet(src=self.lcoa, dst=self._address(fsm.DEST_NAR),
                              size_bytes=fbu.size_bytes + 40, kind=SIGNAL, dscp=fbu.dscp,
                              signal=SignalKind.FNA, inner=fbu, created_at=sim.now,
                              info={"handover": ctx.handover_index, "attempt": ctx.fna_attempt},
@@ -284,15 +280,12 @@ class FhDmr(ReturnRoutability):
             ctx.nrcoa = ra["map_prefix"].address(self.node_component)
 
     # -- signal handling -------------------------------------------------------
-    def handle_prrtadv(self, pkt: Packet) -> None:
+    def handle_prrtadv(self, pkt: Packet) -> Optional[dict]:
         """Anticipatory address configuration from the proxied advertisement."""
-        ctx = self.ctx
-        if ctx is None:
-            return
-        if pkt.info["prefix"].matches(self.lcoa):
-            return  # advertisement for the current attachment; nothing moves
+        if self.ctx is None or pkt.info["prefix"].matches(self.lcoa):
+            return None  # no handover, or the current attachment: nothing moves
         self._configure_ncoa(pkt.info)
-        self._step(FsmEvent(fsm.EV_PRRTADV))
+        return {}
 
     def on_router_advertisement(self, pkt: Packet) -> None:
         info = pkt.info
@@ -311,35 +304,39 @@ class FhDmr(ReturnRoutability):
         if self.ctx is not None and self.fsm_state == DmrState.REACTIVE_ATTACH:
             self._configure_ncoa(info)
             self._promote_lcoa()
-            self._step(FsmEvent(fsm.EV_RA))
+            self.drive(ROLE_DMR, fsm.EV_RA)
 
-    def _on_fback(self, pkt: Packet) -> None:
+    def _note_fback(self, pkt: Packet) -> dict:
+        """Mark the acknowledgement in, which lapses the FBU retransmission."""
         if self.ctx is not None:
             self.ctx.fback_received = True
-        self._step(FsmEvent(fsm.EV_FBACK))
+        return {}
 
-    def _on_naack(self, pkt: Packet) -> None:
+    def _on_naack(self, pkt: Packet) -> Optional[dict]:
+        """Adopt the alternative address the new access router offers."""
         if self.ctx is None:
-            return
+            return None
         self.ctx.nlcoa = pkt.info["alternative"]
         self.node_component = pkt.info["alternative"].node
         self._promote_lcoa()
-        self._step(FsmEvent(fsm.EV_NAACK))
+        return {}
 
     def _send_lbu_to_serving_map(self, old_map: Optional[str],
                                  old_rcoa: Optional[Address]) -> None:
         """Local binding update; a different `old_map` tears its tunnel down."""
         self.sim.send_signal("dmr", SignalKind.LBU, self.lcoa,
-                             self.sim.topo.addresses[self.serving_map],
+                             self._address(fsm.DEST_SERVING_MAP),
                              info={"rcoa": self.rcoa, "lcoa": self.lcoa,
                                    "old_map": old_map, "old_rcoa": old_rcoa})
 
-    def _on_lback(self, pkt: Packet) -> None:
+    def _on_lback(self, pkt: Packet) -> Optional[dict]:
+        """Outside a handover, the first local acknowledgement starts the
+        home registration."""
         if self.ctx is None:
             if self.reg_seq == 0:
                 self.send_home_bu()
-            return
-        self._step(FsmEvent(fsm.EV_LBACK, macro=self.ctx.macro))
+            return None
+        return {"macro": self.ctx.macro}
 
     def _on_ba(self, pkt: Packet) -> None:
         super()._on_ba(pkt)
@@ -349,7 +346,7 @@ class FhDmr(ReturnRoutability):
     def _on_fh_timer(self, token) -> None:
         # A retransmission timer lapses once the acknowledgement is in.
         if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx.fback_received):
-            self._step(FsmEvent(FH_TIMERS[token[1]][1]))
+            self.drive(ROLE_DMR, FH_TIMERS[token[1]][1])
 
     def _on_initial_dad(self, token) -> None:
         _, epoch, lcoa, rcoa = token

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import fsm
 from .engine import APP_START, SEC
-from .fsm import FsmEvent, RegState
+from .fsm import RegState
 from .metrics import FLOW_CBR
 from .nemo_bs import BaselineMr, BindingCacheAgent, MobileRouter
 from .packets import DATA, Address, Packet, SignalKind, apply_home_address_option
@@ -33,6 +33,8 @@ class CorrespondentAgent(BindingCacheAgent):
     Only a route-optimising router runs return routability, so under the
     baseline the cache stays empty and each packet is addressed to the
     mobile network node itself."""
+
+    roles = {fsm.ROLE_CN: (None, None)}
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -140,21 +142,18 @@ class ReturnRoutability(MobileRouter):
     from an earlier round or registration is ignored."""
 
     RR_TIMER = "rr_timeout"
+    roles = {fsm.ROLE_REG: ("reg_state", None)}
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.cn = sim.topo.addresses["cn"]
-        # A copy: until a subclass fills its own table this is `Node`'s shared one.
-        self.signal_handlers = {**self.signal_handlers, **dict.fromkeys(
-            (SignalKind.HOT, SignalKind.COT, SignalKind.NPT), self._on_token)}
+        self.receive_hooks = dict.fromkeys((SignalKind.HOT, SignalKind.COT, SignalKind.NPT),
+                                           self._on_token)
         self.timer_handlers[self.RR_TIMER] = self._on_rr_timeout
         self.reg_state = RegState.IDLE
         self.tokens: dict = {}   # "hot", "cot" or "npt" -> token tuple
         self.rr_retries = 0
         self.reg_seq = 0
-
-    def _step_reg(self, kind: str, complete: bool = False) -> None:
-        self.drive(fsm.ROLE_REG, "reg_state", FsmEvent(kind, complete=complete))
 
     def send_home_bu(self) -> None:
         self.reg_seq += 1
@@ -165,19 +164,20 @@ class ReturnRoutability(MobileRouter):
     def _on_ba(self, pkt: Packet) -> None:
         if pkt.src == self.cn:
             self.cn_bound_coa = self.care_of()
-            self._step_reg(fsm.EV_BA_CN)
+            self.drive(fsm.ROLE_REG, fsm.EV_BA_CN)
         else:
             super()._on_ba(pkt)
 
     def _on_home_ba(self, current: bool) -> None:
         super()._on_home_ba(current)
         if current:
-            self._step_reg(fsm.EV_BA_HA)
+            self.drive(fsm.ROLE_REG, fsm.EV_BA_HA)
 
-    def _on_token(self, pkt: Packet) -> None:
+    def _on_token(self, pkt: Packet) -> dict:
+        """Keep a token during return routability; the event says if all three are in."""
         if self.reg_state is RegState.RR:
             self.tokens[pkt.signal.value.lower()] = pkt.info["token"]
-        self._step_reg(fsm.EV_TOKEN, complete=len(self.tokens) == 3)
+        return {"complete": len(self.tokens) == 3}
 
     def _on_rr_timeout(self, token) -> None:
         _, seq, retries = token
@@ -185,22 +185,27 @@ class ReturnRoutability(MobileRouter):
             return
         if self.rr_retries < RR_RETRIES:
             self.rr_retries += 1
-            self._step_reg(fsm.EV_RR_TIMEOUT)
+            self.drive(fsm.ROLE_REG, fsm.EV_RR_TIMEOUT)
         else:
-            self._step_reg(fsm.EV_GIVE_UP)
+            self.drive(fsm.ROLE_REG, fsm.EV_GIVE_UP)
+
+    def _address(self, dest: str) -> Address:
+        # The home test reaches the correspondent through the home agent.
+        return self.cn if dest in (fsm.DEST_CN, fsm.DEST_CN_VIA_HA) else super()._address(dest)
 
     def _perform(self, action) -> None:
         sim, coa = self.sim, self.care_of()
         match action:
-            case fsm.Emit(SignalKind.HOTI):
+            case fsm.Emit(SignalKind.HOTI, dest):
                 self.tokens = {}
-                sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self.cn,
+                sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self._address(dest),
                                 encap_to=self.ha, encap_src=coa)
                 sim.timer("dmr", RR_TIMEOUT_US, (self.RR_TIMER, self.reg_seq, self.rr_retries))
-            case fsm.Emit(SignalKind.COTI):
-                sim.send_signal("dmr", SignalKind.COTI, coa, self.cn, info={"hoa": self.hoa})
-            case fsm.Emit(SignalKind.BU, fsm.DEST_CN):
-                sim.send_signal("dmr", SignalKind.BU, coa, self.cn,
+            case fsm.Emit(SignalKind.COTI, dest):
+                sim.send_signal("dmr", SignalKind.COTI, coa, self._address(dest),
+                                info={"hoa": self.hoa})
+            case fsm.Emit(SignalKind.BU, fsm.DEST_CN as dest):
+                sim.send_signal("dmr", SignalKind.BU, coa, self._address(dest),
                                 info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
                                       "tokens": dict(self.tokens)})
             case _:
@@ -211,3 +216,5 @@ class ProxyDmr(ReturnRoutability, BaselineMr):
     """Baseline registration plus proxied return routability and direct
     delivery: every home binding update, refreshes included, restarts return
     routability, which the acknowledgement of `coa` then runs."""
+
+    roles = {**BaselineMr.roles, **ReturnRoutability.roles}

@@ -189,9 +189,6 @@ class PriorityScheduler:
         backlog.append(pkt)
         return ACCEPT
 
-    def backlogged(self) -> bool:
-        return any(self._backlogs)
-
     def dequeue(self) -> Optional[Packet]:
         for backlog in self._backlogs:
             if backlog:

@@ -6,7 +6,10 @@ baseline mobile router's address check and home registration.
 Each machine is one table from (state, event kind) to the successor state and
 a tuple of actions for the caller to interpret, or to a `Guard` that picks one
 of two such rows on a flag of the event; `fsm_step` steps every table.  Being
-side-effect free, the machines' full transition graphs can be enumerated."""
+side-effect free, the machines' full transition graphs can be enumerated.
+
+`RECEIVE` is the signal plane: which machine a received signal steps, and as
+which event; `DEST_ROLES` names the role each `Emit` reaches."""
 
 from __future__ import annotations
 
@@ -21,6 +24,9 @@ ROLE_NAR = "NAR"
 ROLE_NEW_MAP = "NewMAP"
 ROLE_REG = "Registration"
 ROLE_MR = "MR"
+# Nodes that run no machine but are sent signals: a base station, the home
+# agent and the correspondent.
+ROLE_BS, ROLE_HA, ROLE_CN = "BS", "HA", "CN"
 
 
 class DmrState(Enum):
@@ -111,14 +117,23 @@ class FsmEvent:
     complete: bool = False
 
 
-# Symbolic signal destinations, resolved to addresses by the interpreter.
+# Symbolic signal destinations, each resolved by the sending node's
+# `_address`.  A fast handover's destination names the field of its context
+# that holds it: an access router, an anchor, or the router's next
+# (`DEST_DMR`) or previous on-link address.
 DEST_OAR = "oar"
 DEST_NAR = "nar"
-DEST_OLD_MAP = "old_map"
+DEST_OLD_MAP, DEST_NEW_MAP = "old_map", "new_map"
 DEST_SERVING_MAP = "serving_map"
-DEST_DMR = "dmr"
-DEST_DMR_BOTH_PATHS = "dmr_both_paths"
-DEST_AR, DEST_HA, DEST_CN, DEST_CN_VIA_HA = "ar", "ha", "cn", "cn_via_ha"
+DEST_DMR, DEST_DMR_PREVIOUS = "nlcoa", "plcoa"
+DEST_AR, DEST_STATION = "ar", "station"
+DEST_HA, DEST_CN, DEST_CN_VIA_HA = "ha", "cn", "cn_via_ha"
+# The role of the node each destination reaches, which takes the signal by
+# its `RECEIVE` row or else in a handler of its own.
+DEST_ROLES = {DEST_OAR: ROLE_NAR, DEST_NAR: ROLE_NAR, DEST_AR: ROLE_NAR, DEST_STATION: ROLE_BS,
+              DEST_OLD_MAP: ROLE_MAP, DEST_SERVING_MAP: ROLE_MAP, DEST_NEW_MAP: ROLE_NEW_MAP,
+              DEST_DMR: ROLE_DMR, DEST_DMR_PREVIOUS: ROLE_DMR, DEST_HA: ROLE_HA,
+              DEST_CN: ROLE_CN, DEST_CN_VIA_HA: ROLE_CN}
 
 
 @dataclass(frozen=True)
@@ -152,9 +167,11 @@ class Guard:
 
 _D, _M, _N, _W, _R, _B = DmrState, MapState, NarState, NewMapState, RegState, MrState
 _RS, _FNA = Emit(SignalKind.RS, DEST_NAR), Emit(SignalKind.FNA, DEST_NAR)
-_DAD_FAST = (Emit(SignalKind.NS, DEST_NAR), StartTimer("dad_fast"))
-_TO_FORWARDING = (_M.FORWARDING, (Do("install_forwarding"),
-                                  Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS)))
+_DAD_FAST = (Emit(SignalKind.NS, DEST_STATION), StartTimer("dad_fast"))
+_RELAY_HI = Emit(SignalKind.HI, DEST_NEW_MAP)
+# Acknowledge over both the previous and the prospective path.
+_FBACKS = (Emit(SignalKind.FBACK, DEST_DMR_PREVIOUS), Emit(SignalKind.FBACK, DEST_DMR))
+_TO_FORWARDING = (_M.FORWARDING, (Do("install_forwarding"),) + _FBACKS)
 _TO_IDLE = (_M.IDLE, (Do("remove_forwarding"),))
 _NAACK = (Emit(SignalKind.NAACK, DEST_DMR),)
 
@@ -206,16 +223,16 @@ _MAP_TABLE = {
     (_M.GOT_HACK, EV_HACK_NAR): _TO_FORWARDING,
     (_M.GOT_HACK, EV_HACK_NEW_MAP): _TO_FORWARDING,
     (_M.GOT_HACK, EV_FBU_VIA_NAR): (_M.GOT_HACK, ()),
-    (_M.FORWARDING, EV_FBU_VIA_NAR): (_M.FORWARDING,
-                                      (Emit(SignalKind.FBACK, DEST_DMR_BOTH_PATHS),)),
+    (_M.FORWARDING, EV_FBU_VIA_NAR): (_M.FORWARDING, _FBACKS),
     (_M.FORWARDING, EV_HACK_NAR): (_M.FORWARDING, ()),
     (_M.FORWARDING, EV_HACK_NEW_MAP): (_M.FORWARDING, ()),
     **{(state, EV_LBU_CUT): _TO_IDLE for state in (_M.SENT_HI, _M.GOT_HACK, _M.FORWARDING)},
 }
 
+# An HI opens a handover in whatever state the last one left the machine.
 _NAR_TABLE = {
-    (_N.IDLE, EV_HI): Guard("macro", (_N.DAD_RUNNING, _DAD_FAST + (Do("relay_hi"),)),
-                            (_N.DAD_RUNNING, _DAD_FAST)),
+    **{(state, EV_HI): Guard("macro", (_N.DAD_RUNNING, _DAD_FAST + (_RELAY_HI,)),
+                             (_N.DAD_RUNNING, _DAD_FAST)) for state in _N},
     (_N.IDLE, EV_FNA_RS): (_N.FLUSHED, ()),
     (_N.IDLE, EV_FNA_FBU): Guard("collision", (_N.IDLE, _NAACK),
                                  (_N.FLUSHED, (Do("forward_fbu"),))),
@@ -274,6 +291,44 @@ _MR_TABLE = {
 TABLES = {ROLE_DMR: _DMR_TABLE, ROLE_MAP: _MAP_TABLE, ROLE_NAR: _NAR_TABLE,
           ROLE_NEW_MAP: _NEW_MAP_TABLE, ROLE_REG: _REG_TABLE, ROLE_MR: _MR_TABLE}
 TERMINAL_STATES = frozenset((_R.DONE, _R.FALLBACK))
+
+# The flags of a received signal that the `Guard`s of `RECEIVE` read.
+SIGNAL_FLAGS = {"relayed_by_nar": lambda pkt: pkt.info.get("relayed_by_nar", False),
+                "from_new_map": lambda pkt: pkt.info["from_role"] != "nar",
+                "carries_fbu": lambda pkt: pkt.inner is not None}
+
+# The signal plane: (signal kind, receiving role) -> the event kind it steps
+# that role's machine with, or a `Guard` on one of `SIGNAL_FLAGS`.  None
+# declares a signal that reaches the role's node and steps nothing: the new
+# access router's NS to its own station, and the new anchor's HAck to the new
+# access router (ROADMAP item 1).  A node takes any other signal in its
+# `signal_handlers`; at a mobile router one it does not take is unexpected.
+RECEIVE = {
+    (SignalKind.PR_RT_ADV, ROLE_DMR): EV_PRRTADV,
+    (SignalKind.FBACK, ROLE_DMR): EV_FBACK,
+    (SignalKind.NAACK, ROLE_DMR): EV_NAACK,
+    (SignalKind.LBACK, ROLE_DMR): EV_LBACK,
+    (SignalKind.FBU, ROLE_MAP): Guard("relayed_by_nar", EV_FBU_VIA_NAR, EV_FBU),
+    (SignalKind.HACK, ROLE_MAP): Guard("from_new_map", EV_HACK_NEW_MAP, EV_HACK_NAR),
+    (SignalKind.LBU, ROLE_MAP): EV_LBU_CUT,
+    (SignalKind.HI, ROLE_NAR): EV_HI,
+    (SignalKind.FNA, ROLE_NAR): Guard("carries_fbu", EV_FNA_FBU, EV_FNA_RS),
+    (SignalKind.HI, ROLE_NEW_MAP): EV_HI,
+    **{(token, ROLE_REG): EV_TOKEN for token in (SignalKind.HOT, SignalKind.COT, SignalKind.NPT)},
+    (SignalKind.NA, ROLE_MR): EV_NA,
+    (SignalKind.NS, ROLE_BS): None,
+    (SignalKind.HACK, ROLE_NAR): None,
+}
+# The events whose signal opens a handover: its info becomes the context.
+OPENS = frozenset((EV_HI,))
+
+
+def received_event(role: str, pkt):
+    """The event kind of `pkt`'s row in `RECEIVE` for `role`."""
+    row = RECEIVE[pkt.signal, role]
+    while isinstance(row, Guard):
+        row = row.if_set if SIGNAL_FLAGS[row.flag](pkt) else row.if_clear
+    return row
 
 
 def fsm_step(role: str, state, event: FsmEvent):

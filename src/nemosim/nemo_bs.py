@@ -75,9 +75,12 @@ class HomeAgent(BindingCacheAgent):
     and mobile-network prefixes.  The home agent also takes binding updates
     and is the reverse-tunnel endpoint."""
 
+    roles = {fsm.ROLE_HA: (None, None)}
+
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.anchored = frozenset((sim.topo.home_prefix, sim.topo.mnp))
+        self._no_binding = f"no_binding@{node_id}"
         self.signal_handlers = {None: self.handle_tunneled,
                                 SignalKind.BU: self.handle_binding_update}
 
@@ -100,7 +103,7 @@ class HomeAgent(BindingCacheAgent):
         if dst[:2] in self.anchored:
             entry = self.lookup(dst)
             if entry is None:
-                self.sim.drop(pkt, f"no_binding@{self.node_id}")
+                self.sim.drop(pkt, self._no_binding)
                 return True
             coa = entry.coa
             onward = self.cache.get(coa)
@@ -179,10 +182,15 @@ class MobileRouter(Node):
             self.sim.metrics.unexpected_signals += 1
 
     def on_signal(self, pkt: Packet) -> None:
-        self.signal_handlers.get(pkt.signal, self._unexpected)(pkt)
+        if not self.take(pkt):
+            self.sim.metrics.unexpected_signals += 1
 
-    def _unexpected(self, pkt: Packet) -> None:
-        self.sim.metrics.unexpected_signals += 1
+    def _address(self, dest: str) -> Address:
+        """Where the router's machines send: here the access router it is
+        attached to (`fsm.DEST_AR`); a subclass adds its own destinations,
+        and `send_home_bu` sends to the home agent."""
+        topo = self.sim.topo
+        return topo.addresses[topo.bs_to_ar[self.sim.dmr_attached]]
 
     def on_packet(self, pkt: Packet) -> None:
         """Unwrap the tunnels and the type 2 routing header addressed to this
@@ -223,6 +231,8 @@ class BaselineMr(MobileRouter):
     its timer and the refresh timers after it carry, so a timer outlived by a
     later check is ignored."""
 
+    roles = {fsm.ROLE_MR: ("state", None)}
+
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.state = fsm.MrState.AWAIT_RA
@@ -231,7 +241,6 @@ class BaselineMr(MobileRouter):
         self.node_component = 100
         self.epoch = self.handover_count = self.dad_attempt = 0
         self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
-                                SignalKind.NA: lambda pkt: self._step(fsm.EV_NA),
                                 SignalKind.BA: self._on_ba}
         self.timer_handlers.update({"dad_done": self._on_dad_done,
                                     "bu_refresh": self._on_bu_refresh})
@@ -245,15 +254,11 @@ class BaselineMr(MobileRouter):
     def upstream_coa(self) -> Optional[Address]:
         return self.coa if self.state is fsm.MrState.REGISTERED else None
 
-    def _step(self, kind: str) -> None:
-        self.drive(fsm.ROLE_MR, "state", fsm.FsmEvent(kind))
-
     # -- layer 2 -----------------------------------------------------------
     def on_link_up(self, bs: str) -> None:
         if self.sim.config.solicited_detection():
-            ar = self.sim.topo.bs_to_ar[bs]
             self.sim.send_signal("dmr", SignalKind.RS, self.coa or self.hoa,
-                                 self.sim.topo.addresses[ar])
+                                 self._address(fsm.DEST_AR))
 
     def on_l2_trigger(self, plan) -> None:
         """Movement is detected from advertisements alone."""
@@ -269,19 +274,19 @@ class BaselineMr(MobileRouter):
             self.handover_count += 1
         self.prefix = prefix
         self.dad_attempt = 0
-        self._step(fsm.EV_RA)
+        self.drive(fsm.ROLE_MR, fsm.EV_RA)
 
     def _on_dad_done(self, token) -> None:
         if token[1] == self.epoch:
             self.coa = self.prefix.address(self.node_component)
-            self._step(fsm.EV_DAD_OK)
+            self.drive(fsm.ROLE_MR, fsm.EV_DAD_OK)
 
     def _on_bu_refresh(self, token) -> None:
         if token[1] == self.epoch:
-            self._step(fsm.EV_BU_REFRESH)
+            self.drive(fsm.ROLE_MR, fsm.EV_BU_REFRESH)
 
     def _on_home_ba(self, current: bool) -> None:
-        self._step(fsm.EV_BA_HA if current else fsm.EV_BA_STALE)
+        self.drive(fsm.ROLE_MR, fsm.EV_BA_HA if current else fsm.EV_BA_STALE)
 
     def _perform(self, action) -> None:
         sim = self.sim
@@ -290,10 +295,9 @@ class BaselineMr(MobileRouter):
                 # The tentative address is in use: check the next one.
                 self.dad_attempt += 1
                 self.node_component += 1
-            case fsm.Emit(SignalKind.NS):
+            case fsm.Emit(SignalKind.NS, dest):
                 tentative = self.prefix.address(self.node_component)
-                ar = sim.topo.bs_to_ar[sim.dmr_attached]
-                sim.send_signal("dmr", SignalKind.NS, tentative, sim.topo.addresses[ar],
+                sim.send_signal("dmr", SignalKind.NS, tentative, self._address(dest),
                                 info={"handover": self.handover_count, "attempt": self.dad_attempt})
             case fsm.StartTimer("dad_done"):
                 self.epoch += 1

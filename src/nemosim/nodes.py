@@ -37,13 +37,22 @@ def air_receiver(sim, bs: str, hop: str, deliver):
 class Node:
     """A node of the topology.  A packet addressed to it goes to the handler
     that its `signal_handlers` table holds for the packet's signal kind, where
-    the `None` key takes a tunnel or data packet; any other packet is offered
-    to `intercept`, then forwarded.  A timer goes to the handler that its
-    `timer_handlers` table holds for the token's first item, called with the
-    whole token.  A protocol agent steps its `fsm` machines through `drive`."""
+    the `None` key takes a tunnel or data packet, else to the machine of its
+    `roles` that `fsm.RECEIVE` gives the signal (`take`); any other packet
+    is offered to `intercept`, then forwarded.  A timer goes to the handler
+    that its `timer_handlers` table holds for the token's first item, called
+    with the whole token.  A protocol agent steps its `fsm` machines through
+    `drive`, and resolves each symbolic destination in one `_address`."""
 
     signal_handlers: dict = {}
     timer_handlers: dict = {}
+    # Each role the node plays (`fsm.ROLE_*`): role -> (the attribute holding
+    # its machine's state, the one keeping the info of the signal that opens
+    # a handover), either None where there is none.
+    roles: dict = {}
+    # signal kind -> bookkeeping before the signal steps a machine, which
+    # returns the event's flags, or None to take the signal with no step.
+    receive_hooks: dict = {}
 
     def __init__(self, sim, node_id: str):
         self.sim = sim
@@ -65,11 +74,37 @@ class Node:
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.dst == self.address:
-            handler = self.signal_handlers.get(pkt.signal)
-            if handler is not None:
-                handler(pkt)
+            self.take(pkt)
         elif not self.intercept(pkt):
             self.sim.forward(self.node_id, pkt)
+
+    def take(self, pkt: Packet) -> bool:
+        """Take a packet addressed to this node: by its handler, else by the
+        machine that `fsm.RECEIVE` gives the signal among the node's roles.
+        There the role keeps the info of a signal that opens a handover, the
+        kind's hook runs, and the event reads its `macro` flag from the
+        role's handover context and the others from the hook.  False when
+        nothing takes the packet."""
+        handler = self.signal_handlers.get(pkt.signal)
+        if handler is not None:
+            handler(pkt)
+            return True
+        for role, (_, context) in self.roles.items():
+            if (pkt.signal, role) not in fsm.RECEIVE:
+                continue
+            kind = fsm.received_event(role, pkt)
+            if kind is not None:
+                if kind in fsm.OPENS:
+                    setattr(self, context, pkt.info)
+                hook = self.receive_hooks.get(pkt.signal)
+                flags = hook(pkt) if hook else {}
+                if flags is not None:
+                    ctx = getattr(self, context) if context else None
+                    if ctx:
+                        flags = {"macro": ctx["macro"], **flags}
+                    self.drive(role, kind, **flags)
+            return True
+        return False
 
     def intercept(self, pkt: Packet) -> bool:
         """Take a packet in transit instead of forwarding it; True when taken."""
@@ -83,11 +118,12 @@ class Node:
     def on_app(self, kind: str) -> None:
         pass
 
-    def drive(self, role: str, attr: str, event: fsm.FsmEvent) -> None:
-        """Step the `role` machine whose state `self.<attr>` holds.  The new
-        state is stored first; each `Unexpected` is counted, every other
-        action goes to `self._perform`."""
-        state, actions = fsm.fsm_step(role, getattr(self, attr), event)
+    def drive(self, role: str, kind: str, **flags) -> None:
+        """Step the node's `role` machine with a `kind` event carrying
+        `flags`.  The new state is stored first; each `Unexpected` is
+        counted, every other action goes to `self._perform`."""
+        attr = self.roles[role][0]
+        state, actions = fsm.fsm_step(role, getattr(self, attr), fsm.FsmEvent(kind, **flags))
         setattr(self, attr, state)
         for action in actions:
             if isinstance(action, fsm.Unexpected):
@@ -104,6 +140,8 @@ class ArNode(Node):
     the router announces itself; those duties lie idle until an HI or an FNA
     arrives, which only the fast scheme sends."""
 
+    roles = {fsm.ROLE_NAR: ("state", "ctx")}
+
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.bs_id = sim.topo.bs_of_ar(node_id)
@@ -111,17 +149,17 @@ class ArNode(Node):
         self.map_id = sim.topo.ar_to_map[node_id]
         self.signal_handlers = {SignalKind.RS: lambda pkt: self.send_ra(pkt.src),
                                 SignalKind.RT_SOL_PR: self._proxy_advertisement,
-                                SignalKind.NS: self._dad_check,
-                                SignalKind.HI: self.on_hi, SignalKind.FNA: self.on_fna}
+                                SignalKind.NS: self._dad_check}
+        self.receive_hooks = {SignalKind.FNA: self.on_fna}
         self.timer_handlers = {"beacon": self._beacon,
-                               "nar_dad": lambda token: self.drive(
-                                   fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_DAD_OK))}
+                               "nar_dad": lambda token: self.drive(fsm.ROLE_NAR, fsm.EV_DAD_OK)}
         self._bg_seq = 0
         self._bg_packet: Optional[Packet] = None
         self.state: fsm.NarState = fsm.NarState.IDLE
         self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
         self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
         self.buffer: list[Packet] = []
+        self._overflow = f"nar_overflow@{node_id}"
 
     # -- control -------------------------------------------------------------
     def ra_info(self) -> dict:
@@ -151,36 +189,30 @@ class ArNode(Node):
         self.sim.timer(self.node_id, self.sim.config.beacon_interval_us, ("beacon",))
 
     # -- new access router of a fast handover -------------------------------
-    def on_hi(self, pkt: Packet) -> None:
-        self.ctx = pkt.info
-        self.state = fsm.NarState.IDLE
-        self.drive(fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_HI, macro=pkt.info["macro"]))
-
-    def on_fna(self, pkt: Packet) -> None:
+    def on_fna(self, pkt: Packet) -> dict:
+        """Keep the binding update an FNA carries; with no HI, its info opens
+        the handover's context."""
         self.fbu = pkt.inner
         if self.fbu is None:
-            self.drive(fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_FNA_RS))
-            return
+            return {}
         info = pkt.info or {}
-        collision = self.sim.fna_collides(info.get("handover", -1), info.get("attempt", 0))
         if self.ctx is None:
             self.ctx = self.fbu.info
-        self.drive(fsm.ROLE_NAR, "state", fsm.FsmEvent(fsm.EV_FNA_FBU, collision=collision))
+        return {"collision": self.sim.fna_collides(info.get("handover", -1),
+                                                   info.get("attempt", 0))}
+
+    def _address(self, dest: str) -> Address:
+        """Where the new access router's machine sends: the `dest` field of
+        the handover's context, an address or a node; the NS of its own
+        check goes to its station, where nothing takes it (ROADMAP item 1)."""
+        value = self.bs_id if dest == fsm.DEST_STATION else self.ctx[dest]
+        return self.sim.topo.addresses.get(value, value)
 
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.ctx
         match action:
             case fsm.StartTimer():
                 sim.timer(self.node_id, DAD_FAST_US, ("nar_dad",))
-            case fsm.Emit(SignalKind.NS):
-                sim.send_signal(self.node_id, SignalKind.NS, self.address,
-                                sim.topo.addresses[self.bs_id])
-            case fsm.Do("relay_hi"):
-                sim.send_signal(self.node_id, SignalKind.HI, self.address,
-                                sim.topo.addresses[ctx["new_map"]], info=ctx)
-            case fsm.Emit(SignalKind.HACK):
-                sim.send_signal(self.node_id, SignalKind.HACK, self.address,
-                                sim.topo.addresses[ctx["old_map"]], info={"from_role": "nar"})
             case fsm.Do("flush_buffer"):
                 for buffered in self.buffer:
                     sim.forward(self.node_id, buffered)
@@ -189,11 +221,16 @@ class ArNode(Node):
                 relayed = dataclasses.replace(self.fbu, info={**self.fbu.info,
                                                               "relayed_by_nar": True})
                 sim.forward(self.node_id, relayed)
-            case fsm.Emit(SignalKind.NAACK):
-                nlcoa = ctx["nlcoa"]
+            case fsm.Emit(SignalKind.NAACK, dest):
+                nlcoa = self._address(dest)
                 alternative = Address(nlcoa.domain, nlcoa.site, nlcoa.node + 1)
                 sim.send_signal(self.node_id, SignalKind.NAACK, self.address, nlcoa,
                                 info={"alternative": alternative})
+            case fsm.Emit(kind, dest):
+                # The NS of its check, the HI relayed to the new anchor, and
+                # the HAck to the old anchor.
+                info = {SignalKind.HI: ctx, SignalKind.HACK: {"from_role": "nar"}}.get(kind)
+                sim.send_signal(self.node_id, kind, self.address, self._address(dest), info=info)
 
     def intercept(self, pkt: Packet) -> bool:
         """Hold packets for the pre-configured address until the flush."""
@@ -203,7 +240,7 @@ class ArNode(Node):
             self.buffer.append(pkt)
             if len(self.buffer) > self.sim.config.nar_buffer_capacity:
                 oldest = self.buffer.pop(0)
-                self.sim.drop(oldest, f"nar_overflow@{self.node_id}")
+                self.sim.drop(oldest, self._overflow)
             return True
         return False
 
@@ -247,6 +284,8 @@ class ArNode(Node):
 
 class BsNode(Node):
     """Base station: layer-2 relay between its wired uplink and the air link."""
+
+    roles = {fsm.ROLE_BS: (None, None)}
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)

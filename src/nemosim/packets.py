@@ -135,12 +135,6 @@ class Packet:
             p = p.inner
         return d
 
-    def innermost(self) -> "Packet":
-        p = self
-        while p.inner is not None:
-            p = p.inner
-        return p
-
     def trace_str(self) -> str:
         text = self._trace_text
         if text is None:

@@ -4,6 +4,7 @@ losses its record's drop ledger counts."""
 from nemosim.metrics import FLOW_CBR
 from nemosim.nodes import ArNode
 from nemosim.packets import Packet, SignalKind
+from probes import innermost
 
 SIGNAL_KINDS = {kind.value for kind in SignalKind}
 
@@ -26,4 +27,4 @@ def cbr_held(sim) -> int:
              if isinstance(payload, Packet)]
     held += [pkt for node in sim.nodes.values() if isinstance(node, ArNode)
              for pkt in node.buffer]
-    return sum(pkt.innermost().flow == FLOW_CBR for pkt in held)
+    return sum(innermost(pkt).flow == FLOW_CBR for pkt in held)

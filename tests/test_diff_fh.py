@@ -51,7 +51,7 @@ def prrtadv(nar="ar2", nar_map="map1"):
 def test_prrtadv_micro_configures_only_on_link_address(fake_sim):
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan())
-    dmr.handle_prrtadv(prrtadv("ar2", "map1"))
+    dmr.on_packet(prrtadv("ar2", "map1"))
     assert dmr.ctx.nlcoa == LCOA2
     assert dmr.ctx.nrcoa is None
     assert not dmr.ctx.macro
@@ -62,7 +62,7 @@ def test_prrtadv_micro_configures_only_on_link_address(fake_sim):
 def test_prrtadv_macro_configures_both_addresses(fake_sim):
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan(new="bs3"))
-    dmr.handle_prrtadv(prrtadv("ar3", "map2"))
+    dmr.on_packet(prrtadv("ar3", "map2"))
     assert dmr.ctx.macro
     assert dmr.ctx.nlcoa == Prefix(3, 1).address(100)
     assert dmr.ctx.nrcoa == RCOA2
@@ -74,7 +74,7 @@ def test_prrtadv_for_current_attachment_is_noop(fake_sim):
     adv = make_signal(SignalKind.PR_RT_ADV, Address(2, 1, 1), LCOA1, t=0,
                       info={"prefix": Prefix(2, 1), "map_id": "map1",
                             "map_prefix": Prefix(2, 0)})
-    dmr.handle_prrtadv(adv)
+    dmr.on_packet(adv)
     assert dmr.ctx.nlcoa is None
     assert dmr.fsm_state == DmrState.SENT_RTSOLPR
 
@@ -82,7 +82,7 @@ def test_prrtadv_for_current_attachment_is_noop(fake_sim):
 def test_fbu_emitted_after_configured_delay(fake_sim):
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan())
-    dmr.handle_prrtadv(prrtadv())
+    dmr.on_packet(prrtadv())
     timers = [t for t in fake_sim.timers if t[2][0] == "fh"]
     assert timers and timers[0][1] == FBU_DELAY_US
     dmr.on_timer(timers[0][2])
@@ -139,8 +139,8 @@ def install_handover(fake_sim, agent):
     fbu = make_signal(SignalKind.FBU, LCOA1, agent.address, t=0,
                       info={"plcoa": LCOA1, "nlcoa": LCOA2, "nar": "ar2",
                             "macro": False, "new_map": None, "nrcoa": None})
-    agent.on_fbu(fbu)
-    agent.on_hack(make_signal(SignalKind.HACK, Address(2, 2, 1), agent.address,
+    agent.on_packet(fbu)
+    agent.on_packet(make_signal(SignalKind.HACK, Address(2, 2, 1), agent.address,
                               t=0, info={"from_role": "nar"}))
 
 
@@ -162,7 +162,7 @@ def test_map_forwarding_is_exclusive_after_cut(fake_sim):
     lbu = make_signal(SignalKind.LBU, LCOA2, agent.address, t=0,
                       info={"rcoa": RCOA1, "lcoa": LCOA2, "mnp": MNP,
                             "old_map": "map1", "old_rcoa": RCOA1})
-    agent.on_lbu(lbu)
+    agent.on_packet(lbu)
     assert agent.fh_state == MapState.IDLE and LCOA1 not in agent.cache
     pkt = Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA)
     assert agent.intercept(pkt)
@@ -204,7 +204,7 @@ def test_teardown_relay_clears_old_anchor(fake_sim):
     install_handover(fake_sim, agent)
     teardown = make_signal(SignalKind.LBU, Address(3, 0, 1), agent.address, t=0,
                            info={"teardown": True, "old_rcoa": RCOA1})
-    agent.on_lbu(teardown)
+    agent.on_packet(teardown)
     assert not agent.cache
 
 
@@ -224,7 +224,7 @@ def hi_signal(fake_sim, macro=False):
 
 def test_nar_buffers_until_announcement_then_flushes_in_order(fake_sim):
     nar = nar_agent(fake_sim)
-    nar.on_hi(hi_signal(fake_sim))
+    nar.on_packet(hi_signal(fake_sim))
     assert nar.state == NarState.DAD_RUNNING
     nar.on_timer(("nar_dad",))
     assert nar.state == NarState.TUNNEL_UP_BUFFERING
@@ -233,7 +233,7 @@ def test_nar_buffers_until_announcement_then_flushes_in_order(fake_sim):
     for p in packets:
         assert nar.intercept(p)
     assert not fake_sim.forwarded
-    nar.on_fna(make_signal(SignalKind.FNA, LCOA2, nar.address, t=0))
+    nar.on_packet(make_signal(SignalKind.FNA, LCOA2, nar.address, t=0))
     flushed = [pkt for _, pkt in fake_sim.forwarded]
     assert flushed == packets                      # order preserved
     assert nar.buffer == []                        # released exactly once
@@ -243,7 +243,7 @@ def test_nar_buffers_until_announcement_then_flushes_in_order(fake_sim):
 def test_nar_with_no_buffer_drops_each_held_packet(fake_sim):
     fake_sim.config.nar_buffer_capacity = 0
     nar = nar_agent(fake_sim)
-    nar.on_hi(hi_signal(fake_sim))
+    nar.on_packet(hi_signal(fake_sim))
     pkt = Packet(src=CN, dst=LCOA2, size_bytes=1000, kind=DATA, seq=0, flow="cbr")
     assert nar.intercept(pkt)
     assert nar.buffer == []
@@ -253,7 +253,7 @@ def test_nar_with_no_buffer_drops_each_held_packet(fake_sim):
 def test_nar_overflow_drops_oldest(fake_sim):
     fake_sim.config.nar_buffer_capacity = 2
     nar = nar_agent(fake_sim)
-    nar.on_hi(hi_signal(fake_sim))
+    nar.on_packet(hi_signal(fake_sim))
     nar.on_timer(("nar_dad",))
     packets = [Packet(src=CN, dst=LCOA2, size_bytes=1000, kind=DATA, seq=i, flow="cbr")
                for i in range(3)]
@@ -265,7 +265,7 @@ def test_nar_overflow_drops_oldest(fake_sim):
 
 def test_macro_hi_fans_out_to_new_anchor(fake_sim):
     nar = nar_agent(fake_sim)
-    nar.on_hi(hi_signal(fake_sim, macro=True))
+    nar.on_packet(hi_signal(fake_sim, macro=True))
     relayed = fake_sim.signals_of(SignalKind.HI)
     assert relayed and relayed[0][3] == fake_sim.topo.addresses["map2"]
 
@@ -280,7 +280,7 @@ def test_reactive_fna_collision_gets_alternative(fake_sim):
                  signal=SignalKind.FNA, inner=fbu,
                  info={"handover": 0, "attempt": 0})
     fake_sim.fna_collides = lambda h, a: a == 0
-    nar.on_fna(fna)
+    nar.on_packet(fna)
     naack = fake_sim.signals_of(SignalKind.NAACK)
     assert naack and naack[0][4]["alternative"] == Prefix(2, 2).address(101)
     assert not fake_sim.signals_of(SignalKind.FBU)   # inner discarded
@@ -295,7 +295,7 @@ def test_reactive_fna_forwards_binding_update(fake_sim):
     fna = Packet(src=LCOA2, dst=nar.address, size_bytes=104, kind="signal",
                  signal=SignalKind.FNA, inner=fbu,
                  info={"handover": 0, "attempt": 0})
-    nar.on_fna(fna)
+    nar.on_packet(fna)
     assert nar.state == NarState.FLUSHED
     forwarded = [pkt for _, pkt in fake_sim.forwarded]
     assert forwarded and forwarded[0].signal == SignalKind.FBU
@@ -306,7 +306,7 @@ def test_reactive_fna_forwards_binding_update(fake_sim):
 
 def unexpected_hack(sim):
     agent = map_agent(sim)
-    agent.on_hack(make_signal(SignalKind.HACK, Address(2, 2, 1), agent.address, t=0,
+    agent.on_packet(make_signal(SignalKind.HACK, Address(2, 2, 1), agent.address, t=0,
                               info={"from_role": "nar"}))
 
 

@@ -4,9 +4,10 @@ import pytest
 
 from nemosim.fsm import MrState, RegState
 from nemosim.diff_nemo import (RR_RETRIES, RR_TIMEOUT_US, TOKEN_LIFETIME_US, CorrespondentAgent,
-                               ProxyDmr, ReturnRoutability)
+                               ProxyDmr)
 from nemosim.engine import SEC
 from nemosim.metrics import MetricsCollector
+from nemosim.nemo_bs import MobileRouter
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              make_signal)
 from nemosim.scenario import FaultConfig, ScenarioConfig
@@ -253,7 +254,8 @@ def test_rr_probe_routing_home_leg_vs_direct_leg(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
     spy(CorrespondentAgent, "on_hoti", lambda p: "hoti")
     spy(CorrespondentAgent, "on_coti", lambda p: "coti")
-    spy(ReturnRoutability, "_on_token", lambda p: p.signal.value.lower())
+    # Every signal the router takes passes `on_signal`, the tokens among them.
+    spy(MobileRouter, "on_signal", lambda p: p.signal.value.lower())
 
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=25 * SEC)
     cfg.cbr.stop_us = 25 * SEC

@@ -1,9 +1,12 @@
-"""Unit transitions plus exhaustive enumeration of the handover machines."""
+"""Unit transitions, exhaustive enumeration of the handover machines, and the
+signal plane that connects them."""
 
 from nemosim import fsm
 from nemosim.fsm import (Do, DmrState, Emit, FsmEvent, Guard, MapState, MrState, NarState,
                          NewMapState, RegState, StartTimer, Unexpected, fsm_step)
 from nemosim.packets import SignalKind
+from nemosim.scenario import ScenarioConfig
+from nemosim.simulation import Simulation
 
 
 def emitted(actions):
@@ -304,3 +307,57 @@ def test_every_table_row_is_taken():
                  for state in results[role][0] - fsm.TERMINAL_STATES for ev in events
                  if (state, ev.kind) in table}
         assert rows == taken, f"{role}: rows never taken {rows - taken}"
+
+
+# -- the signal plane ------------------------------------------------------------
+
+def row_events(row):
+    """Every event kind a `RECEIVE` row can give, through its guards."""
+    if isinstance(row, Guard):
+        return row_events(row.if_set) | row_events(row.if_clear)
+    return {row}
+
+
+def emits():
+    """Every (role, Emit) of every table row and guard branch."""
+    def leaves(row):
+        return leaves(row.if_set) + leaves(row.if_clear) if isinstance(row, Guard) else [row]
+    return {(role, action) for role, table in fsm.TABLES.items() for row in table.values()
+            for _, actions in leaves(row) for action in actions if isinstance(action, Emit)}
+
+
+def test_every_receive_row_names_an_event_of_its_roles_table():
+    """A row that steps a machine names an event its role's table has rows
+    for; a row of None declares a signal that steps nothing."""
+    for (signal, role), row in fsm.RECEIVE.items():
+        kinds = row_events(row)
+        if kinds == {None}:
+            continue
+        assert None not in kinds, (signal, role)
+        table_kinds = {kind for _, kind in fsm.TABLES[role]}
+        assert kinds <= table_kinds, (signal, role, kinds - table_kinds)
+    for flag in {row.flag for row in fsm.RECEIVE.values() if isinstance(row, Guard)}:
+        assert flag in fsm.SIGNAL_FLAGS
+
+
+def test_every_emitted_signal_reaches_a_receive_row_or_a_node_handler():
+    """The plane's map from each `Emit(kind, dest)` to the role it reaches,
+    and there to its `RECEIVE` row, or else to a handler of that role's
+    node.  Nodes are taken from one built simulation of each scheme."""
+    nodes = {}
+    for protocol in ("nemo-bs", "diff-nemo", "diff-fh-nemo"):
+        for node in Simulation(ScenarioConfig(protocol=protocol)).nodes.values():
+            for role in node.roles:
+                nodes.setdefault(role, node)
+    reached = set()
+    for role, emit in emits():
+        target = fsm.DEST_ROLES[emit.dest]
+        reached.add((emit.signal, target))
+        assert ((emit.signal, target) in fsm.RECEIVE
+                or emit.signal in nodes[target].signal_handlers), (role, emit)
+    # Every row is reached by an emitted signal, or by one that only a node
+    # handler sends: the proxied advertisement, the local acknowledgement,
+    # the correspondent's tokens and a colliding address's NA.
+    handler_sent = {SignalKind.PR_RT_ADV, SignalKind.LBACK, SignalKind.HOT, SignalKind.COT,
+                    SignalKind.NPT, SignalKind.NA}
+    assert {key for key in fsm.RECEIVE if key[0] not in handler_sent} <= reached

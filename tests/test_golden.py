@@ -37,6 +37,7 @@ from nemosim.packets import DepthExceeded, Packet
 from nemosim.scenario import (MODE_REACTIVE, PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
                               CbrConfig, FaultConfig, ScenarioConfig, default_topology)
 from nemosim.simulation import Simulation
+from probes import backlogged
 
 # protocol -> (trace lines, SHA-256 of the trace, SHA-256 of the CSV row)
 GOLDEN = {
@@ -190,7 +191,7 @@ def test_untraced_run_skips_only_background_arrivals(protocol, monkeypatch):
     on_tx_done = LinkQueue._on_tx_done
 
     def counted(queue, event):
-        idle.append(not queue.scheduler.backlogged())
+        idle.append(not backlogged(queue.scheduler))
         on_tx_done(queue, event)
 
     monkeypatch.setattr(LinkQueue, "_on_tx_done", counted)

@@ -13,6 +13,7 @@ from nemosim.metrics import FLOW_CBR, MACRO, MICRO, MetricsCollector
 from nemosim.packets import DATA, Address, Packet, SignalKind, encapsulate, make_signal
 from nemosim.scenario import PROTO_DIFF_FH, PROTOCOLS, CbrConfig, ScenarioConfig
 from nemosim.simulation import Simulation
+from probes import innermost
 
 CN = Address(0, 0, 0)
 MNN = Address(1, 1, 2)
@@ -174,6 +175,22 @@ def test_upstream_datagram_lost_before_registration_is_no_signal():
     assert signals_lost(sim.metrics) == 0
 
 
+@pytest.mark.parametrize("run, site", [({"background_load_bps": 1_200_000}, "no_binding@map"),
+                                       ({"nar_buffer_capacity": 0}, "nar_overflow@ar")],
+                         ids=["congested", "no-buffer"])
+def test_drops_at_one_site_share_one_label(run, site):
+    """A drop site makes its label once, so every `drops_detail` row lost
+    there holds the same string, not a copy of its own."""
+    sim = Simulation(ScenarioConfig(protocol=PROTO_DIFF_FH, dmr_speed_kmh=60, **run))
+    report = sim.run()
+    rows = {}
+    for drop in report.drops_detail:
+        rows.setdefault(drop.where, []).append(drop.where)
+    at_site = [labels for where, labels in rows.items() if where.startswith(site)]
+    assert at_site and all(len(labels) > 1 for labels in at_site)
+    assert all(label is labels[0] for labels in at_site for label in labels)
+
+
 @pytest.mark.parametrize("background_load_bps", [0, 1_200_000])
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_cbr_census_accounts_for_every_packet_sent(protocol, background_load_bps):
@@ -195,7 +212,7 @@ def cbr_on_a_loaded_wire(sim) -> bool:
     arrivals = {(at, target): pkt for at, _, target, kind, pkt in sim.engine._heap
                 if kind == PACKET_ARRIVAL}
     return any(q._queued and arrivals.get((q.free_at + q.prop_delay_us, q.dst)) is not None
-               and arrivals[(q.free_at + q.prop_delay_us, q.dst)].innermost().flow == FLOW_CBR
+               and innermost(arrivals[(q.free_at + q.prop_delay_us, q.dst)]).flow == FLOW_CBR
                for q in sim.linkqueues.values())
 
 

@@ -15,6 +15,7 @@ from nemosim.diffserv import (ACCEPT, AF11, AF21, BE, EF, NUM_CLASSES, PriorityS
                               RedParams, af, service_class)
 from nemosim.scenario import ScenarioConfig, build_track, default_topology
 from nemosim.simulation import Simulation
+from probes import backlogged
 
 
 def test_transmit_serialization_plus_propagation():
@@ -312,7 +313,7 @@ def test_free_link_admission_matches_enqueue_then_dequeue(red, avg, since_drop, 
     accepted = model.enqueue(packet(), rng) == ACCEPT
     assert (model.dequeue() is not None) == accepted
     assert (sent, drops) == (([pkt], []) if accepted else ([], [pkt]))
-    assert not queue.scheduler.backlogged()
+    assert not backlogged(queue.scheduler)
     assert queue.scheduler._red_avg == model._red_avg
     assert queue.scheduler._since_drop == model._since_drop
     assert eng.rng.uniform() == rng.uniform()

@@ -5,11 +5,13 @@ from collections import Counter
 
 import pytest
 
+from nemosim import fsm
 from nemosim.engine import PACKET_ARRIVAL, SEC, TIMER_EXPIRY
 from nemosim.fsm import MapState, NarState, NewMapState
 from nemosim.nodes import BG_TICK, ArNode, Node
 from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
 from nemosim.simulation import Simulation
+from probes import innermost
 
 RUNS = {
     "nemo-bs": {"protocol": "nemo-bs"},
@@ -73,7 +75,7 @@ def test_every_arriving_tunnel_logs_into_its_innermost_packet(run):
         def deliver(ev):
             pkt = ev[4]
             if ev[3] == PACKET_ARRIVAL and pkt.inner is not None:
-                shared[pkt.path_log is pkt.innermost().path_log] += 1
+                shared[pkt.path_log is innermost(pkt).path_log] += 1
             handler(ev)
         return deliver
 
@@ -84,24 +86,33 @@ def test_every_arriving_tunnel_logs_into_its_innermost_packet(run):
 
 
 def test_signals_with_no_handler_are_the_known_two(monkeypatch):
-    """`Node.on_packet` ignores a signal addressed to its node that the
-    node's table has no handler for.  Over the runs above that happens only
-    to the new access router's NS, sent to its own station (ROADMAP item 1's
-    missing DAD), and to the new anchor's HAck to the new access router
-    (a FOUND: line in CHANGES.md)."""
-    ignored = Counter()
+    """`Node.on_packet` takes a signal addressed to its node by the node's
+    handler, else by the machine `fsm.RECEIVE` gives it among the node's
+    roles.  Over the runs above every other signal that arrives is one the
+    table declares as stepping nothing, and each declared one arrives: the
+    new access router's NS, sent to its own station (ROADMAP item 1's missing
+    DAD), and the new anchor's HAck to the new access router."""
+    untaken, undeclared = Counter(), Counter()
     on_packet = Node.on_packet
 
     def spy(self, pkt):
         if pkt.dst == self.address and pkt.signal is not None \
                 and pkt.signal not in self.signal_handlers:
-            ignored[type(self).__name__, pkt.signal.value] += 1
+            rows = [(role, fsm.RECEIVE[pkt.signal, role]) for role in self.roles
+                    if (pkt.signal, role) in fsm.RECEIVE]
+            if not rows:
+                undeclared[type(self).__name__, pkt.signal.value] += 1
+            for role, row in rows:
+                if row is None:
+                    untaken[pkt.signal, role] += 1
         on_packet(self, pkt)
     monkeypatch.setattr(Node, "on_packet", spy)
     for run in RUNS.values():
         Simulation(ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC,
                                   cbr=CbrConfig(stop_us=60 * SEC), **run)).run()
-    assert set(ignored) == {("BsNode", "NS"), ("ArNode", "HAck")}
+    assert not undeclared
+    assert set(untaken) == {key for key, row in fsm.RECEIVE.items() if row is None}
+    assert len(untaken) == 2
 
 
 # The access router's own signals, and an announcement that carries a binding

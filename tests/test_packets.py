@@ -11,6 +11,7 @@ from nemosim.packets import (DATA, Address, DepthExceeded,
                              NotTunneled, Packet, Prefix, SignalKind, add_home_address_option,
                              apply_home_address_option, apply_type2_routing,
                              decapsulate, encapsulate, make_signal)
+from probes import innermost
 
 CN = Address(0, 0, 0)
 HA = Address(1, 0, 1)
@@ -134,7 +135,7 @@ def test_every_wrapper_shares_its_inner_path_log():
     for pkt in [outer, encapsulate(outer, HA, CN), routed,
                 apply_type2_routing(routed), apply_home_address_option(routed),
                 add_home_address_option(outer, DMR_COA)]:
-        assert pkt.path_log is pkt.innermost().path_log is inner.path_log
+        assert pkt.path_log is innermost(pkt).path_log is inner.path_log
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nemosim"
