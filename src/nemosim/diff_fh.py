@@ -5,9 +5,10 @@ buffers until the mobile router announces itself on the new link.
 Every scheme runs its anchors as `MapAgent` and its access routers as
 `nodes.ArNode`; their fast-handover duties stay idle until the mobile router
 of this scheme, `FhDmr`, signals them.  The signal choreography lives in the
-pure machines of `fsm`.  `Node.drive` steps them, and each agent's `_perform`
-carries the emitted actions out against the topology and the mutable state
-(bindings, buffers, pending addresses).  The anchor and the new access router
+pure machines of `fsm`, and `fsm.RECEIVE` says which machine each received
+signal steps.  `Node.take` and `Node.drive` step them, and each agent's
+`_perform` carries the emitted actions out against the topology and the
+mutable state (bindings, buffers, pending addresses).  The anchor and the new access router
 keep the `info` of the signal that opened a handover as its context; the
 mobile router keeps an `FhHandoverCtx`."""
 

@@ -129,8 +129,9 @@ class MobileRouter(Node):
     network, and takes the layer-2 events.  A subclass names the addresses it
     answers for (`owns`), the care-of address it binds at the home agent
     (`care_of`) and the one upstream traffic leaves from (`upstream_coa`,
-    None until registered), fills `signal_handlers` and adds to
-    `timer_handlers`.  A signal kind with no handler counts as unexpected."""
+    None until registered), names its `roles`, fills `signal_handlers` and
+    `receive_hooks` and adds to `timer_handlers`.  A signal that neither a
+    handler nor a machine takes counts as unexpected."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -182,7 +183,10 @@ class MobileRouter(Node):
             self.sim.metrics.unexpected_signals += 1
 
     def on_signal(self, pkt: Packet) -> None:
-        if not self.take(pkt):
+        handler = self.signal_handlers.get(pkt.signal)
+        if handler is not None:
+            handler(pkt)
+        elif not self.receive(pkt):
             self.sim.metrics.unexpected_signals += 1
 
     def _address(self, dest: str) -> Address:

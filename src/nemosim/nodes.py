@@ -38,7 +38,7 @@ class Node:
     """A node of the topology.  A packet addressed to it goes to the handler
     that its `signal_handlers` table holds for the packet's signal kind, where
     the `None` key takes a tunnel or data packet, else to the machine of its
-    `roles` that `fsm.RECEIVE` gives the signal (`take`); any other packet
+    `roles` that `fsm.RECEIVE` gives the signal (`receive`); any other packet
     is offered to `intercept`, then forwarded.  A timer goes to the handler
     that its `timer_handlers` table holds for the token's first item, called
     with the whole token.  A protocol agent steps its `fsm` machines through
@@ -74,21 +74,20 @@ class Node:
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.dst == self.address:
-            self.take(pkt)
+            handler = self.signal_handlers.get(pkt.signal)
+            if handler is not None:
+                handler(pkt)
+            elif pkt.signal is not None:
+                self.receive(pkt)
         elif not self.intercept(pkt):
             self.sim.forward(self.node_id, pkt)
 
-    def take(self, pkt: Packet) -> bool:
-        """Take a packet addressed to this node: by its handler, else by the
-        machine that `fsm.RECEIVE` gives the signal among the node's roles.
-        There the role keeps the info of a signal that opens a handover, the
-        kind's hook runs, and the event reads its `macro` flag from the
-        role's handover context and the others from the hook.  False when
-        nothing takes the packet."""
-        handler = self.signal_handlers.get(pkt.signal)
-        if handler is not None:
-            handler(pkt)
-            return True
+    def receive(self, pkt: Packet) -> bool:
+        """Step the machine that `fsm.RECEIVE` gives `pkt`'s signal among the
+        node's roles.  The role keeps the info of a signal that opens a
+        handover, the kind's hook runs, and the event reads its `macro` flag
+        from the role's handover context and the others from the hook.
+        False when no role has a row for the signal."""
         for role, (_, context) in self.roles.items():
             if (pkt.signal, role) not in fsm.RECEIVE:
                 continue

@@ -211,26 +211,21 @@ def explore(step, initial, events, signals_seen=None):
     return states, edges
 
 
-# Signals implied by handing an event to a machine (receptions).
-EVENT_SIGNALS = {
-    fsm.EV_PRRTADV: (SignalKind.PR_RT_ADV,),
-    fsm.EV_FBACK: (SignalKind.FBACK,),
-    fsm.EV_RA: (SignalKind.RA,),
-    fsm.EV_NAACK: (SignalKind.NAACK,),
-    fsm.EV_LBACK: (SignalKind.LBACK,),
-    fsm.EV_FBU: (SignalKind.FBU,),
-    fsm.EV_FBU_VIA_NAR: (SignalKind.FBU,),
-    fsm.EV_HACK_NAR: (SignalKind.HACK,),
-    fsm.EV_HACK_NEW_MAP: (SignalKind.HACK,),
-    fsm.EV_LBU_CUT: (SignalKind.LBU,),
-    fsm.EV_HI: (SignalKind.HI,),
-    fsm.EV_FNA_RS: (SignalKind.FNA, SignalKind.RS),
-    fsm.EV_FNA_FBU: (SignalKind.FNA,),
-    fsm.EV_BA_HA: (SignalKind.BA,),
-    fsm.EV_BA_CN: (SignalKind.BA,),
-    fsm.EV_TOKEN: (SignalKind.HOT, SignalKind.COT, SignalKind.NPT),
-    fsm.EV_NA: (SignalKind.NA,),
-}
+def row_events(row):
+    """Every event kind a `RECEIVE` row can give, through its guards."""
+    if isinstance(row, Guard):
+        return row_events(row.if_set) | row_events(row.if_clear)
+    return {row}
+
+
+# Signals implied by handing an event to a machine (receptions): the signal
+# plane's rows, and the two signals whose handlers pick the event from the
+# router's own state, RA and BA.
+EVENT_SIGNALS = {fsm.EV_RA: {SignalKind.RA}, fsm.EV_BA_HA: {SignalKind.BA},
+                 fsm.EV_BA_CN: {SignalKind.BA}}
+for (_signal, _role), _row in fsm.RECEIVE.items():
+    for _kind in row_events(_row) - {None}:
+        EVENT_SIGNALS.setdefault(_kind, set()).add(_signal)
 
 
 def reaches(edges, start, goals):
@@ -310,13 +305,6 @@ def test_every_table_row_is_taken():
 
 
 # -- the signal plane ------------------------------------------------------------
-
-def row_events(row):
-    """Every event kind a `RECEIVE` row can give, through its guards."""
-    if isinstance(row, Guard):
-        return row_events(row.if_set) | row_events(row.if_clear)
-    return {row}
-
 
 def emits():
     """Every (role, Emit) of every table row and guard branch."""
