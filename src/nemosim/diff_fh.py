@@ -6,23 +6,23 @@ Every scheme runs its anchors as `MapAgent` and its access routers as
 `nodes.ArNode`; their fast-handover duties stay idle until the mobile router
 of this scheme, `FhDmr`, signals them.  The signal choreography lives in the
 pure machines of `fsm`, and `fsm.RECEIVE` says which machine each received
-signal steps.  `Node.take` and `Node.drive` step them, and each agent's
+signal steps.  `Node.receive` and `Node.drive` step them, and each agent's
 `_perform` carries the emitted actions out against the topology and the
-mutable state (bindings, buffers, pending addresses).  The anchor and the new access router
-keep the `info` of the signal that opened a handover as its context; the
-mobile router keeps an `FhHandoverCtx`."""
+mutable state (bindings, buffers, pending addresses).  One record, a dict,
+describes a handover in all four roles: the mobile router keeps it as
+`FhDmr.ctx`, each FBU and FNA carries a copy, and the anchors and the new
+access router keep the copy that opened the handover there."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import fsm
 from .engine import MS
 from .diff_nemo import ReturnRoutability
 from .fsm import ROLE_DMR, ROLE_MAP, ROLE_NEW_MAP, DmrState, MapState, NewMapState
-from .nemo_bs import BINDING_REFRESH_US, DAD_DELAY_US, NEVER, HomeAgent
-from .packets import SIGNAL, Address, Packet, Prefix, SignalKind
+from .nemo_bs import BINDING_REFRESH_US, DAD_DELAY_US, HomeAgent
+from .packets import Address, Packet, Prefix, SignalKind, encapsulate
 
 # The scheme's timings: the address check at the new anchor (the new access
 # router's is `nodes.DAD_FAST_US`), and the mobile router's fast and local
@@ -37,31 +37,13 @@ FH_TIMERS = {"fbu_delay": (FBU_DELAY_US, fsm.EV_FBU_TIMER),
              "fbu_retx": (FBU_RETX_US, fsm.EV_FBU_RETX_TIMER)}
 
 
-@dataclass
-class FhHandoverCtx:
-    """The mobile router's addresses and progress for one handover."""
-
-    handover_index: int
-    oar: Optional[str] = None
-    new_bs: Optional[str] = None
-    nar: Optional[str] = None
-    old_map: Optional[str] = None
-    new_map: Optional[str] = None
-    macro: bool = False
-    plcoa: Optional[Address] = None
-    nlcoa: Optional[Address] = None
-    nrcoa: Optional[Address] = None
-    fbu_sent: bool = False
-    fback_received: bool = False
-    fna_attempt: int = 0
-
-
 class MapAgent(HomeAgent):
     """Anchor point: a home agent for its own prefix (RFC 5380's local home
     agent).  An LBU binds the regional care-of address to the on-link one; a
-    fast handover binds the previous on-link address to the next, with no
-    expiry, until it ends.  Only the fast scheme forms an anchored address.
-    As the new anchor of a macro move it checks the regional address."""
+    fast handover binds the previous on-link address to the next until it
+    ends, for a binding's lifetime at most.  Only the fast scheme forms an
+    anchored address.  As the new anchor of a macro move it checks the
+    regional address."""
 
     roles = {ROLE_MAP: ("fh_state", "fh_ctx"), ROLE_NEW_MAP: ("newmap_state", "newmap_pending")}
 
@@ -71,9 +53,9 @@ class MapAgent(HomeAgent):
         self.receive_hooks = {SignalKind.FBU: self.on_fbu, SignalKind.LBU: self.on_lbu}
         self.timer_handlers = {"rcoa_dad": lambda token: self.drive(ROLE_NEW_MAP, fsm.EV_DAD_OK)}
         self.fh_state: MapState = MapState.IDLE
-        self.fh_ctx: Optional[dict] = None           # the FBU's info
+        self.fh_ctx: Optional[dict] = None           # the FBU's handover record
         self.newmap_state: NewMapState = NewMapState.IDLE
-        self.newmap_pending: Optional[dict] = None   # the relayed HI's info
+        self.newmap_pending: Optional[dict] = None   # the relayed HI's handover record
 
     # -- signals -------------------------------------------------------------
     def on_fbu(self, pkt: Packet) -> dict:
@@ -106,43 +88,42 @@ class MapAgent(HomeAgent):
             return None
         return None if self.fh_ctx is None else {}
 
-    def _address(self, dest: str, ctx: dict) -> Address:
-        """Where the anchor's machines send: the `dest` field, an address or
-        a node, of the handover's context `ctx`, which is the FBU's info for
-        the anchor and the relayed HI's for the new anchor."""
-        value = ctx[dest]
-        return self.sim.topo.addresses.get(value, value)
-
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.fh_ctx
         match action:
             case fsm.Do("install_forwarding"):
-                self.bind(ctx["plcoa"], ctx["nlcoa"], lifetime=NEVER)
+                self.bind(ctx["plcoa"], ctx["nlcoa"])
             case fsm.Do("remove_forwarding"):
                 self.cache.pop(ctx["plcoa"], None)
                 self.fh_ctx = None
             case fsm.Emit(SignalKind.HI, dest):
                 sim.send_signal(self.node_id, SignalKind.HI, self.address,
-                                self._address(dest, ctx), info={**ctx, "old_map": self.node_id})
+                                self._resolve(ctx[dest]), info=ctx)
             case fsm.Emit(SignalKind.FBACK, dest):
                 sim.send_signal(self.node_id, SignalKind.FBACK, self.address,
-                                self._address(dest, ctx))
+                                self._resolve(ctx[dest]))
             # The new-anchor machine: verify the regional address, then answer
             # the previous anchor and the new access router.
             case fsm.StartTimer():
                 sim.timer(self.node_id, DAD_RCOA_US, ("rcoa_dad",))
             case fsm.Emit(SignalKind.HACK, dest):
                 sim.send_signal(self.node_id, SignalKind.HACK, self.address,
-                                self._address(dest, self.newmap_pending),
+                                self._resolve(self.newmap_pending[dest]),
                                 info={"from_role": "new_map"})
 
 
 class FhDmr(ReturnRoutability):
     """Mobile-router side of the fast hierarchical scheme.  The home agent
-    binds the regional care-of address, so return routability runs from it."""
+    binds the regional care-of address, so return routability runs from it.
+
+    `ctx` is the record of the open handover, None between handovers: the
+    fields its machine's destinations name (`fsm.DEST_*`), `macro`, the next
+    regional address `nrcoa`, the new station `new_bs`, the handover's index
+    and address attempt, and the router's progress (`fbu_sent`, `fback`).
+    Each FBU, and the FNA around it, carries a copy."""
 
     RR_TIMER = "fh_rr_timeout"
-    roles = {ROLE_DMR: ("fsm_state", None), **ReturnRoutability.roles}
+    roles = {ROLE_DMR: ("fsm_state", "ctx"), **ReturnRoutability.roles}
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -153,7 +134,7 @@ class FhDmr(ReturnRoutability):
         self.prev_rcoa: Optional[Address] = None
         self.serving_map: Optional[str] = None
         self.fsm_state: DmrState = DmrState.IDLE
-        self.ctx: Optional[FhHandoverCtx] = None
+        self.ctx: Optional[dict] = None
         self.epoch = 0
         # No machine of this router takes an NA, so one counts as unexpected:
         # initial DAD collisions are not exercised for this variant.
@@ -168,9 +149,9 @@ class FhDmr(ReturnRoutability):
 
     # -- address bookkeeping -------------------------------------------------
     def owns(self, addr: Address) -> bool:
-        ctx = self.ctx
-        return (addr in (self.hoa, self.lcoa, self.rcoa, self.prev_lcoa, self.prev_rcoa)
-                or (ctx is not None and addr in (ctx.nlcoa, ctx.nrcoa)))
+        # A handover's next addresses become `lcoa` (at attachment) and
+        # `rcoa` (as the LBU leaves) before anything sent to them arrives.
+        return addr in (self.hoa, self.lcoa, self.rcoa, self.prev_lcoa, self.prev_rcoa)
 
     def care_of(self) -> Optional[Address]:
         return self.rcoa
@@ -182,10 +163,8 @@ class FhDmr(ReturnRoutability):
         if self.lcoa is None:
             return
         bs_to_ar = self.sim.topo.bs_to_ar
-        self.ctx = FhHandoverCtx(handover_index=plan.handover_index,
-                                 oar=bs_to_ar[plan.old_bs], new_bs=plan.new_bs,
-                                 nar=bs_to_ar[plan.new_bs], old_map=self.serving_map,
-                                 plcoa=self.lcoa)
+        self._open_handover(plan, oar=bs_to_ar[plan.old_bs], nar=bs_to_ar[plan.new_bs],
+                            new_bs=plan.new_bs)
         self.fsm_state = DmrState.IDLE
         self.drive(ROLE_DMR, fsm.EV_L2_TRIGGER)
 
@@ -193,38 +172,45 @@ class FhDmr(ReturnRoutability):
         if self.lcoa is None:
             return
         if self.ctx is None:
-            self.ctx = FhHandoverCtx(handover_index=plan.handover_index,
-                                     old_map=self.serving_map, plcoa=self.lcoa)
+            self._open_handover(plan)
         self.drive(ROLE_DMR, fsm.EV_L2_DOWN)
+
+    def _open_handover(self, plan, oar=None, nar=None, new_bs=None) -> None:
+        """Open the record of `plan`'s handover; a trigger names the stations."""
+        self.ctx = {"oar": oar, "nar": nar, "old_map": self.serving_map, "new_map": None,
+                    "plcoa": self.lcoa, "nlcoa": None, "macro": False, "nrcoa": None,
+                    "new_bs": new_bs, "handover": plan.handover_index, "attempt": 0,
+                    "fbu_sent": False, "fback": False}
 
     def on_link_up(self, bs: str) -> None:
         self.epoch += 1
-        if self.lcoa is None and self.ctx is None:
+        ctx = self.ctx
+        if self.lcoa is None and ctx is None:
             # A first attachment, or a new one during its address check: discover
             # the access router and anchor point afresh.
             self.serving_map = None
             self.sim.send_signal("dmr", SignalKind.RS, self.hoa, self._address(fsm.DEST_AR))
             return
-        if self.ctx is None:
+        if ctx is None:
             return
-        self.ctx.nar = self.sim.topo.bs_to_ar[bs]
-        ncoa_known = self.ctx.nlcoa is not None
+        ctx["nar"] = self.sim.topo.bs_to_ar[bs]
+        ncoa_known = ctx["nlcoa"] is not None
         if ncoa_known:
             self._promote_lcoa()
-        self.drive(ROLE_DMR, fsm.EV_ATTACH_DONE, ncoa_known=ncoa_known, fbu_sent=self.ctx.fbu_sent)
+        self.drive(ROLE_DMR, fsm.EV_ATTACH_DONE, ncoa_known=ncoa_known, fbu_sent=ctx["fbu_sent"])
 
     def _promote_lcoa(self) -> None:
         self.prev_lcoa = self.lcoa
-        self.lcoa = self.ctx.nlcoa
+        self.lcoa = self.ctx["nlcoa"]
 
     # -- machine interpretation ------------------------------------------------
     def _address(self, dest: str) -> Address:
-        # A fast handover's destinations are nodes its context names, and the
+        # A fast handover's destinations are nodes its record names, and the
         # anchor the router registers with.
         if dest == fsm.DEST_SERVING_MAP:
-            return self.sim.topo.addresses[self.serving_map]
+            return self._resolve(self.serving_map)
         if dest in (fsm.DEST_OAR, fsm.DEST_OLD_MAP, fsm.DEST_NAR):
-            return self.sim.topo.addresses[getattr(self.ctx, dest)]
+            return self._resolve(self.ctx[dest])
         return super()._address(dest)
 
     def _perform(self, action) -> None:
@@ -232,32 +218,30 @@ class FhDmr(ReturnRoutability):
         match action:
             case fsm.Emit(SignalKind.RT_SOL_PR, dest):
                 sim.send_signal("dmr", SignalKind.RT_SOL_PR, self.lcoa, self._address(dest),
-                                info={"target_bs": ctx.new_bs})
+                                info={"target_bs": ctx["new_bs"]})
             case fsm.Emit(SignalKind.FBU, dest):
-                ctx.fbu_sent = True
+                ctx["fbu_sent"] = True
                 sim.send_signal("dmr", SignalKind.FBU, self.lcoa, self._address(dest),
-                                info=self._fbu_info())
+                                info=dict(ctx))
             case fsm.Emit(SignalKind.RS | SignalKind.FNA as kind, dest):
                 sim.send_signal("dmr", kind, self.lcoa, self._address(dest))
             case fsm.Emit(SignalKind.LBU):
                 old_rcoa = self.rcoa
-                if ctx.macro:
-                    self.prev_rcoa, self.rcoa, self.serving_map = self.rcoa, ctx.nrcoa, ctx.new_map
-                self._send_lbu_to_serving_map(ctx.old_map, old_rcoa)
-            case fsm.StartTimer(name):
+                if ctx["macro"]:
+                    self.prev_rcoa, self.rcoa = self.rcoa, ctx["nrcoa"]
+                    self.serving_map = ctx["new_map"]
+                self._send_lbu_to_serving_map(ctx["old_map"], old_rcoa)
+            case fsm.StartTimer(name) if name in FH_TIMERS:
                 sim.timer("dmr", FH_TIMERS[name][0], ("fh", name, self.epoch))
             case fsm.Do("send_fna_with_fbu"):
+                ctx["fbu_sent"] = True
                 fbu = sim.make_signal(SignalKind.FBU, self.lcoa,
-                                      self._address(fsm.DEST_OLD_MAP), info=self._fbu_info())
-                ctx.fbu_sent = True
-                fna = Packet(src=self.lcoa, dst=self._address(fsm.DEST_NAR),
-                             size_bytes=fbu.size_bytes + 40, kind=SIGNAL, dscp=fbu.dscp,
-                             signal=SignalKind.FNA, inner=fbu, created_at=sim.now,
-                             info={"handover": ctx.handover_index, "attempt": ctx.fna_attempt},
-                             path_log=fbu.path_log)
+                                      self._address(fsm.DEST_OLD_MAP), info=dict(ctx))
+                fna = encapsulate(fbu, self.lcoa, self._address(fsm.DEST_NAR))
+                fna.signal, fna.info = SignalKind.FNA, fbu.info
                 sim.send_signal_packet("dmr", fna)
             case fsm.Do("adopt_alternative"):
-                ctx.fna_attempt += 1
+                ctx["attempt"] += 1
             case fsm.Do("start_macro_registration"):
                 self.send_home_bu()
             case fsm.Do("end_handover"):
@@ -265,20 +249,15 @@ class FhDmr(ReturnRoutability):
             case _:
                 super()._perform(action)
 
-    def _fbu_info(self) -> dict:
-        ctx = self.ctx
-        return {"plcoa": ctx.plcoa, "nlcoa": ctx.nlcoa, "nar": ctx.nar,
-                "macro": ctx.macro, "new_map": ctx.new_map}
-
     def _configure_ncoa(self, ra: dict) -> None:
         """Pre-configure the next addresses from the new access router's
         advertisement (`ArNode.ra_info`); a different anchor makes the move macro."""
         ctx = self.ctx
-        ctx.macro = ra["map_id"] != self.serving_map
-        ctx.new_map = ra["map_id"] if ctx.macro else None
-        ctx.nlcoa = ra["prefix"].address(self.node_component)
-        if ctx.macro:
-            ctx.nrcoa = ra["map_prefix"].address(self.node_component)
+        ctx["macro"] = macro = ra["map_id"] != self.serving_map
+        ctx["new_map"] = ra["map_id"] if macro else None
+        ctx["nlcoa"] = ra["prefix"].address(self.node_component)
+        if macro:
+            ctx["nrcoa"] = ra["map_prefix"].address(self.node_component)
 
     # -- signal handling -------------------------------------------------------
     def handle_prrtadv(self, pkt: Packet) -> Optional[dict]:
@@ -310,14 +289,14 @@ class FhDmr(ReturnRoutability):
     def _note_fback(self, pkt: Packet) -> dict:
         """Mark the acknowledgement in, which lapses the FBU retransmission."""
         if self.ctx is not None:
-            self.ctx.fback_received = True
+            self.ctx["fback"] = True
         return {}
 
     def _on_naack(self, pkt: Packet) -> Optional[dict]:
         """Adopt the alternative address the new access router offers."""
         if self.ctx is None:
             return None
-        self.ctx.nlcoa = pkt.info["alternative"]
+        self.ctx["nlcoa"] = pkt.info["alternative"]
         self.node_component = pkt.info["alternative"].node
         self._promote_lcoa()
         return {}
@@ -337,7 +316,7 @@ class FhDmr(ReturnRoutability):
             if self.reg_seq == 0:
                 self.send_home_bu()
             return None
-        return {"macro": self.ctx.macro}
+        return {}
 
     def _on_ba(self, pkt: Packet) -> None:
         super()._on_ba(pkt)
@@ -346,7 +325,7 @@ class FhDmr(ReturnRoutability):
 
     def _on_fh_timer(self, token) -> None:
         # A retransmission timer lapses once the acknowledgement is in.
-        if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx.fback_received):
+        if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx["fback"]):
             self.drive(ROLE_DMR, FH_TIMERS[token[1]][1])
 
     def _on_initial_dad(self, token) -> None:

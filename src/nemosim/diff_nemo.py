@@ -64,8 +64,6 @@ class CorrespondentAgent(BindingCacheAgent):
         sim = self.sim
         cbr = sim.config.cbr
         now = sim.engine.now
-        if now >= cbr.stop_us:
-            return
         mnn = sim.topo.mnn_addr
         pkt = Packet(src=self.address, dst=mnn, size_bytes=cbr.packet_bytes,
                      kind=DATA, seq=self.seq, flow=FLOW_CBR,
@@ -200,6 +198,7 @@ class ReturnRoutability(MobileRouter):
                 self.tokens = {}
                 sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self._address(dest),
                                 encap_to=self.ha, encap_src=coa)
+            case fsm.StartTimer("rr_timeout"):
                 sim.timer("dmr", RR_TIMEOUT_US, (self.RR_TIMER, self.reg_seq, self.rr_retries))
             case fsm.Emit(SignalKind.COTI, dest):
                 sim.send_signal("dmr", SignalKind.COTI, coa, self._address(dest),

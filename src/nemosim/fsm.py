@@ -262,9 +262,10 @@ _NEW_MAP_TABLE = {
 
 # Return routability (RFC 6275 5.2, plus the prefix token) from the home
 # agent's acknowledgement, then the correspondent binding update.  Each home
-# binding update leaves the machine Idle.  A token event says if all three
-# are in.
-_PROBE = (Emit(SignalKind.HOTI, DEST_CN_VIA_HA), Emit(SignalKind.COTI, DEST_CN))
+# binding update leaves the machine Idle.  Each probe round arms the wait for
+# its tokens; a token event says if all three are in.
+_PROBE = (Emit(SignalKind.HOTI, DEST_CN_VIA_HA), StartTimer("rr_timeout"),
+          Emit(SignalKind.COTI, DEST_CN))
 _REG_TABLE = {
     (_R.IDLE, EV_BA_HA): (_R.RR, _PROBE),
     (_R.RR, EV_TOKEN): Guard("complete", (_R.SENT_BU_CN, (Emit(SignalKind.BU, DEST_CN),)),

@@ -9,7 +9,6 @@ plain binding update after movement detection and duplicate address detection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +24,6 @@ from .packets import (SIGNAL, Address, Packet, Prefix, SignalKind, add_home_addr
 DAD_DELAY_US = 500 * MS
 BINDING_LIFETIME_US = 60 * SEC
 BINDING_REFRESH_US = BINDING_LIFETIME_US // 2
-# The lifetime of a binding that stays until it is removed.
-NEVER = math.inf
 
 
 @dataclass

@@ -47,8 +47,8 @@ class Node:
     signal_handlers: dict = {}
     timer_handlers: dict = {}
     # Each role the node plays (`fsm.ROLE_*`): role -> (the attribute holding
-    # its machine's state, the one keeping the info of the signal that opens
-    # a handover), either None where there is none.
+    # its machine's state, the one holding its handover record, a dict),
+    # either None where there is none.
     roles: dict = {}
     # signal kind -> bookkeeping before the signal steps a machine, which
     # returns the event's flags, or None to take the signal with no step.
@@ -84,9 +84,9 @@ class Node:
 
     def receive(self, pkt: Packet) -> bool:
         """Step the machine that `fsm.RECEIVE` gives `pkt`'s signal among the
-        node's roles.  The role keeps the info of a signal that opens a
-        handover, the kind's hook runs, and the event reads its `macro` flag
-        from the role's handover context and the others from the hook.
+        node's roles.  The role keeps the handover record a signal that opens
+        a handover carries, the kind's hook runs, and the event reads its
+        `macro` flag from the role's record and the others from the hook.
         False when no role has a row for the signal."""
         for role, (_, context) in self.roles.items():
             if (pkt.signal, role) not in fsm.RECEIVE:
@@ -108,6 +108,11 @@ class Node:
     def intercept(self, pkt: Packet) -> bool:
         """Take a packet in transit instead of forwarding it; True when taken."""
         return False
+
+    def _resolve(self, value) -> Address:
+        """The address of `value`, which names a node or is an address: a
+        handover record holds both."""
+        return self.sim.topo.addresses.get(value, value)
 
     def on_timer(self, token) -> None:
         handler = self.timer_handlers.get(token[0])
@@ -155,7 +160,7 @@ class ArNode(Node):
         self._bg_seq = 0
         self._bg_packet: Optional[Packet] = None
         self.state: fsm.NarState = fsm.NarState.IDLE
-        self.ctx: Optional[dict] = None      # the HI's or the relayed FBU's info
+        self.ctx: Optional[dict] = None      # the handover record of the HI or the FNA's FBU
         self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
         self.buffer: list[Packet] = []
         self._overflow = f"nar_overflow@{node_id}"
@@ -189,23 +194,21 @@ class ArNode(Node):
 
     # -- new access router of a fast handover -------------------------------
     def on_fna(self, pkt: Packet) -> dict:
-        """Keep the binding update an FNA carries; with no HI, its info opens
-        the handover's context."""
+        """Keep the binding update an FNA carries; with no HI, its handover
+        record opens the handover."""
         self.fbu = pkt.inner
         if self.fbu is None:
             return {}
-        info = pkt.info or {}
+        record = pkt.info
         if self.ctx is None:
-            self.ctx = self.fbu.info
-        return {"collision": self.sim.fna_collides(info.get("handover", -1),
-                                                   info.get("attempt", 0))}
+            self.ctx = record
+        return {"collision": self.sim.fna_collides(record["handover"], record["attempt"])}
 
     def _address(self, dest: str) -> Address:
         """Where the new access router's machine sends: the `dest` field of
-        the handover's context, an address or a node; the NS of its own
-        check goes to its station, where nothing takes it (ROADMAP item 1)."""
-        value = self.bs_id if dest == fsm.DEST_STATION else self.ctx[dest]
-        return self.sim.topo.addresses.get(value, value)
+        the handover's record; the NS of its own check goes to its station,
+        where nothing takes it (ROADMAP item 1)."""
+        return self._resolve(self.bs_id if dest == fsm.DEST_STATION else self.ctx[dest])
 
     def _perform(self, action) -> None:
         sim, ctx = self.sim, self.ctx

@@ -8,7 +8,7 @@ from census import SIGNAL_KINDS, cbr_held
 from nemosim.diff_fh import FBU_DELAY_US, FhDmr, MapAgent
 from nemosim.engine import MS, SEC
 from nemosim.fsm import DmrState, MapState, NarState, RegState
-from nemosim.nemo_bs import BINDING_REFRESH_US, NEVER
+from nemosim.nemo_bs import BINDING_LIFETIME_US, BINDING_REFRESH_US
 from nemosim.nodes import ArNode
 from nemosim.packets import DATA, Address, Packet, Prefix, SignalKind, make_signal
 from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
@@ -52,9 +52,9 @@ def test_prrtadv_micro_configures_only_on_link_address(fake_sim):
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan())
     dmr.on_packet(prrtadv("ar2", "map1"))
-    assert dmr.ctx.nlcoa == LCOA2
-    assert dmr.ctx.nrcoa is None
-    assert not dmr.ctx.macro
+    assert dmr.ctx["nlcoa"] == LCOA2
+    assert dmr.ctx["nrcoa"] is None
+    assert not dmr.ctx["macro"]
     assert dmr.rcoa == RCOA1          # regional address untouched
     assert dmr.fsm_state == DmrState.CONFIGURED_NCOA
 
@@ -63,9 +63,9 @@ def test_prrtadv_macro_configures_both_addresses(fake_sim):
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan(new="bs3"))
     dmr.on_packet(prrtadv("ar3", "map2"))
-    assert dmr.ctx.macro
-    assert dmr.ctx.nlcoa == Prefix(3, 1).address(100)
-    assert dmr.ctx.nrcoa == RCOA2
+    assert dmr.ctx["macro"]
+    assert dmr.ctx["nlcoa"] == Prefix(3, 1).address(100)
+    assert dmr.ctx["nrcoa"] == RCOA2
 
 
 def test_prrtadv_for_current_attachment_is_noop(fake_sim):
@@ -75,7 +75,7 @@ def test_prrtadv_for_current_attachment_is_noop(fake_sim):
                       info={"prefix": Prefix(2, 1), "map_id": "map1",
                             "map_prefix": Prefix(2, 0)})
     dmr.on_packet(adv)
-    assert dmr.ctx.nlcoa is None
+    assert dmr.ctx["nlcoa"] is None
     assert dmr.fsm_state == DmrState.SENT_RTSOLPR
 
 
@@ -99,7 +99,7 @@ def test_local_acknowledgement_ends_the_handover(fake_sim, macro):
     macro move also sends the home binding update."""
     dmr = make_fh(fake_sim)
     dmr.on_l2_trigger(trigger_plan())
-    dmr.ctx.macro = macro
+    dmr.ctx["macro"] = macro
     dmr.fsm_state = DmrState.LOCAL_REGISTERED
     dmr.on_signal(make_signal(SignalKind.LBACK, RCOA1, LCOA1, t=0))
     assert dmr.fsm_state is DmrState.IDLE and dmr.ctx is None
@@ -190,12 +190,43 @@ def test_map_diverts_a_forwarded_address_only_once(fake_sim):
     # A packet for a forwarded address takes that one binding; only a
     # regional address follows its care-of address into a forwarding binding.
     agent = map_agent(fake_sim)
-    agent.bind(LCOA1, LCOA2, lifetime=NEVER)
-    agent.bind(LCOA2, LCOA1, lifetime=NEVER)
+    agent.bind(LCOA1, LCOA2)
+    agent.bind(LCOA2, LCOA1)
     pkt = Packet(src=CN, dst=LCOA1, size_bytes=1000, kind=DATA)
     assert agent.intercept(pkt)
     assert fake_sim.forwarded[-1][1].dst == LCOA2
     assert not agent.intercept(Packet(src=CN, dst=Address(2, 3, 100), size_bytes=1000))
+
+
+def test_forwarding_binding_left_behind_expires(fake_sim):
+    """A forwarding binding that no LBU ends lapses with a binding's
+    lifetime: then neither the previous on-link address nor the regional
+    address that follows it is tunnelled into the new access router."""
+    agent = map_agent(fake_sim)
+    agent.bind(RCOA1, LCOA1, lifetime=2 * BINDING_LIFETIME_US)
+    install_handover(fake_sim, agent)
+    assert agent.fh_state is MapState.FORWARDING
+    for dst in (LCOA1, RCOA1):
+        assert agent.intercept(Packet(src=CN, dst=dst, size_bytes=1000, kind=DATA))
+        assert fake_sim.forwarded[-1][1].dst == LCOA2
+    fake_sim.now = BINDING_LIFETIME_US
+    assert not agent.intercept(Packet(src=CN, dst=LCOA1, size_bytes=1000, kind=DATA))
+    assert agent.intercept(Packet(src=CN, dst=RCOA1, size_bytes=1000, kind=DATA))
+    assert fake_sim.forwarded[-1][1].dst == LCOA1
+
+
+def test_new_handover_ends_the_forwarding_of_the_one_it_replaces(fake_sim):
+    """An FBU for another next address, from another previous one, opens a
+    handover afresh and removes the forwarding binding the first one left."""
+    agent = map_agent(fake_sim)
+    install_handover(fake_sim, agent)
+    assert agent.fh_state is MapState.FORWARDING and LCOA1 in agent.cache
+    fbu = make_signal(SignalKind.FBU, LCOA2, agent.address, t=0,
+                      info={"plcoa": LCOA2, "nlcoa": LCOA1, "nar": "ar1",
+                            "macro": False, "new_map": None, "nrcoa": None})
+    agent.on_packet(fbu)
+    assert agent.fh_state is MapState.SENT_HI and agent.fh_ctx["plcoa"] == LCOA2
+    assert LCOA1 not in agent.cache
 
 
 def test_teardown_relay_clears_old_anchor(fake_sim):
@@ -278,7 +309,7 @@ def test_reactive_fna_collision_gets_alternative(fake_sim):
                             "handover": 0, "attempt": 0})
     fna = Packet(src=LCOA2, dst=nar.address, size_bytes=104, kind="signal",
                  signal=SignalKind.FNA, inner=fbu,
-                 info={"handover": 0, "attempt": 0})
+                 info=fbu.info)
     fake_sim.fna_collides = lambda h, a: a == 0
     nar.on_packet(fna)
     naack = fake_sim.signals_of(SignalKind.NAACK)
@@ -294,7 +325,7 @@ def test_reactive_fna_forwards_binding_update(fake_sim):
                             "handover": 0, "attempt": 0})
     fna = Packet(src=LCOA2, dst=nar.address, size_bytes=104, kind="signal",
                  signal=SignalKind.FNA, inner=fbu,
-                 info={"handover": 0, "attempt": 0})
+                 info=fbu.info)
     nar.on_packet(fna)
     assert nar.state == NarState.FLUSHED
     forwarded = [pkt for _, pkt in fake_sim.forwarded]

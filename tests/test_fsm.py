@@ -94,6 +94,15 @@ def test_registration_timeout_reprobes():
     assert emitted(actions) == [SignalKind.HOTI, SignalKind.COTI]
 
 
+def test_each_probe_round_arms_the_wait_for_its_tokens():
+    """The registration table declares its timer: the home acknowledgement
+    and each timeout send both probes and start `rr_timeout` between them."""
+    probe = (Emit(SignalKind.HOTI, fsm.DEST_CN_VIA_HA), StartTimer("rr_timeout"),
+             Emit(SignalKind.COTI, fsm.DEST_CN))
+    assert step_reg(RegState.IDLE, fsm.EV_BA_HA) == (RegState.RR, probe)
+    assert step_reg(RegState.RR, fsm.EV_RR_TIMEOUT) == (RegState.RR, probe)
+
+
 def test_registration_token_outside_return_routability_is_unexpected():
     for state in (RegState.IDLE, RegState.SENT_BU_CN):
         nxt, actions = step_reg(state, fsm.EV_TOKEN, complete=True)

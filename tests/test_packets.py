@@ -160,8 +160,8 @@ def test_every_packet_built_around_another_takes_its_log():
                 assert args.get("path_log") == f"{wrapped}.path_log", \
                     f"{path.name}:{node.lineno}"
                 built.append(path.name)
-    # encapsulate, _readdressed and the fast router's FNA around its FBU.
-    assert sorted(built) == ["diff_fh.py", "packets.py", "packets.py"]
+    # encapsulate and _readdressed; the fast router's FNA is an encapsulated FBU.
+    assert sorted(built) == ["packets.py", "packets.py"]
 
 
 def test_signal_kinds_cover_all_protocol_messages():
