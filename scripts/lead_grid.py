@@ -5,7 +5,8 @@ delivery at each speed, the grid's floor.
 
 Each cell is packets delivered out of those sent, then the count of
 unexpected signals, or the name of the exception that ended the run.  Exits 1
-when a cell raised or delivered fewer packets than `diff-nemo` at its speed.
+when a cell raised, counted an unexpected signal, or delivered fewer packets
+than `diff-nemo` at its speed.
 """
 
 import sys
@@ -50,10 +51,11 @@ def floors() -> dict:
 
 
 def shortfalls(cells: dict, floor: dict) -> list:
-    """The cells that raised or delivered fewer packets than `floor` at their speed."""
+    """The cells that raised, counted an unexpected signal, or delivered
+    fewer packets than `floor` at their speed."""
     return [f"{lead} ms, {speed} km/h: {text(result)}"
             for (lead, speed), result in cells.items()
-            if isinstance(result, str) or result[0] < floor[speed]]
+            if isinstance(result, str) or result[0] < floor[speed] or result[2] > 0]
 
 
 def main() -> int:
@@ -67,7 +69,7 @@ def main() -> int:
     print("floor: packets diff-nemo delivers at that speed")
     below = shortfalls(cells, floor)
     for line in below:
-        print(f"below the floor: {line}")
+        print(f"fails the check: {line}")
     return 1 if below else 0
 
 

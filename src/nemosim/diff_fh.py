@@ -6,7 +6,7 @@ Every scheme runs its anchors as `MapAgent` and its access routers as
 `nodes.ArNode`; their fast-handover duties stay idle until the mobile router
 of this scheme, `FhDmr`, signals them.  The signal choreography lives in the
 pure machines of `fsm`, and `fsm.RECEIVE` says which machine each received
-signal steps.  `Node.receive` and `Node.drive` step them, and each agent's
+signal steps.  `Node.on_signal` and `Node.drive` step them, and each agent's
 `_perform` carries the emitted actions out against the topology and the
 mutable state (bindings, buffers, pending addresses).  One record, a dict,
 describes a handover in all four roles: the mobile router keeps it as
@@ -50,7 +50,8 @@ class MapAgent(HomeAgent):
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.anchored = frozenset((sim.topo.map_prefix[node_id],))
-        self.receive_hooks = {SignalKind.FBU: self.on_fbu, SignalKind.LBU: self.on_lbu}
+        self.signal_handlers = {**self.signal_handlers, SignalKind.FBU: self.on_fbu,
+                                SignalKind.LBU: self.on_lbu}
         self.timer_handlers = {"rcoa_dad": lambda token: self.drive(ROLE_NEW_MAP, fsm.EV_DAD_OK)}
         self.fh_state: MapState = MapState.IDLE
         self.fh_ctx: Optional[dict] = None           # the FBU's handover record
@@ -88,28 +89,23 @@ class MapAgent(HomeAgent):
             return None
         return None if self.fh_ctx is None else {}
 
-    def _perform(self, action) -> None:
-        sim, ctx = self.sim, self.fh_ctx
+    def _perform(self, action, record: dict) -> None:
         match action:
             case fsm.Do("install_forwarding"):
-                self.bind(ctx["plcoa"], ctx["nlcoa"])
+                self.bind(record["plcoa"], record["nlcoa"])
             case fsm.Do("remove_forwarding"):
-                self.cache.pop(ctx["plcoa"], None)
+                self.cache.pop(record["plcoa"], None)
                 self.fh_ctx = None
-            case fsm.Emit(SignalKind.HI, dest):
-                sim.send_signal(self.node_id, SignalKind.HI, self.address,
-                                self._resolve(ctx[dest]), info=ctx)
-            case fsm.Emit(SignalKind.FBACK, dest):
-                sim.send_signal(self.node_id, SignalKind.FBACK, self.address,
-                                self._resolve(ctx[dest]))
-            # The new-anchor machine: verify the regional address, then answer
-            # the previous anchor and the new access router.
+            # The new-anchor machine verifies the regional address.
             case fsm.StartTimer():
-                sim.timer(self.node_id, DAD_RCOA_US, ("rcoa_dad",))
-            case fsm.Emit(SignalKind.HACK, dest):
-                sim.send_signal(self.node_id, SignalKind.HACK, self.address,
-                                self._resolve(self.newmap_pending[dest]),
-                                info={"from_role": "new_map"})
+                self.sim.timer(self.node_id, DAD_RCOA_US, ("rcoa_dad",))
+            case fsm.Emit(kind, dest):
+                # The HI to the new access router and the FBacks, then the
+                # new anchor's HAcks to the previous anchor and the new
+                # access router.
+                info = {SignalKind.HI: record, SignalKind.HACK: {"from_role": "new_map"}}.get(kind)
+                self.sim.send_signal(self.node_id, kind, self.address, self._resolve(record[dest]),
+                                     info=info)
 
 
 class FhDmr(ReturnRoutability):
@@ -138,12 +134,13 @@ class FhDmr(ReturnRoutability):
         self.epoch = 0
         # No machine of this router takes an NA, so one counts as unexpected:
         # initial DAD collisions are not exercised for this variant.
-        self.signal_handlers = {SignalKind.RA: self.on_router_advertisement,
-                                SignalKind.BA: self._on_ba}
-        self.receive_hooks.update({SignalKind.PR_RT_ADV: self.handle_prrtadv,
-                                   SignalKind.FBACK: self._note_fback,
-                                   SignalKind.NAACK: self._on_naack,
-                                   SignalKind.LBACK: self._on_lback})
+        self.signal_handlers = {**self.signal_handlers,
+                                SignalKind.RA: self.on_router_advertisement,
+                                SignalKind.BA: self._on_ba,
+                                SignalKind.PR_RT_ADV: self.handle_prrtadv,
+                                SignalKind.FBACK: self._note_fback,
+                                SignalKind.NAACK: self._on_naack,
+                                SignalKind.LBACK: self._on_lback}
         self.timer_handlers.update({"fh": self._on_fh_timer, "initial_dad": self._on_initial_dad,
                                     "reg_refresh": self._on_reg_refresh})
 
@@ -204,27 +201,18 @@ class FhDmr(ReturnRoutability):
         self.lcoa = self.ctx["nlcoa"]
 
     # -- machine interpretation ------------------------------------------------
-    def _address(self, dest: str) -> Address:
-        # A fast handover's destinations are nodes its record names, and the
-        # anchor the router registers with.
-        if dest == fsm.DEST_SERVING_MAP:
-            return self._resolve(self.serving_map)
-        if dest in (fsm.DEST_OAR, fsm.DEST_OLD_MAP, fsm.DEST_NAR):
-            return self._resolve(self.ctx[dest])
-        return super()._address(dest)
-
-    def _perform(self, action) -> None:
-        sim, ctx = self.sim, self.ctx
+    def _perform(self, action, ctx: Optional[dict]) -> None:
+        sim = self.sim
         match action:
             case fsm.Emit(SignalKind.RT_SOL_PR, dest):
-                sim.send_signal("dmr", SignalKind.RT_SOL_PR, self.lcoa, self._address(dest),
+                sim.send_signal("dmr", SignalKind.RT_SOL_PR, self.lcoa, self._resolve(ctx[dest]),
                                 info={"target_bs": ctx["new_bs"]})
             case fsm.Emit(SignalKind.FBU, dest):
                 ctx["fbu_sent"] = True
-                sim.send_signal("dmr", SignalKind.FBU, self.lcoa, self._address(dest),
+                sim.send_signal("dmr", SignalKind.FBU, self.lcoa, self._resolve(ctx[dest]),
                                 info=dict(ctx))
             case fsm.Emit(SignalKind.RS | SignalKind.FNA as kind, dest):
-                sim.send_signal("dmr", kind, self.lcoa, self._address(dest))
+                sim.send_signal("dmr", kind, self.lcoa, self._resolve(ctx[dest]))
             case fsm.Emit(SignalKind.LBU):
                 old_rcoa = self.rcoa
                 if ctx["macro"]:
@@ -236,8 +224,8 @@ class FhDmr(ReturnRoutability):
             case fsm.Do("send_fna_with_fbu"):
                 ctx["fbu_sent"] = True
                 fbu = sim.make_signal(SignalKind.FBU, self.lcoa,
-                                      self._address(fsm.DEST_OLD_MAP), info=dict(ctx))
-                fna = encapsulate(fbu, self.lcoa, self._address(fsm.DEST_NAR))
+                                      self._resolve(ctx[fsm.DEST_OLD_MAP]), info=dict(ctx))
+                fna = encapsulate(fbu, self.lcoa, self._resolve(ctx[fsm.DEST_NAR]))
                 fna.signal, fna.info = SignalKind.FNA, fbu.info
                 sim.send_signal_packet("dmr", fna)
             case fsm.Do("adopt_alternative"):
@@ -247,7 +235,7 @@ class FhDmr(ReturnRoutability):
             case fsm.Do("end_handover"):
                 self.ctx = None
             case _:
-                super()._perform(action)
+                super()._perform(action, ctx)
 
     def _configure_ncoa(self, ra: dict) -> None:
         """Pre-configure the next addresses from the new access router's
@@ -304,8 +292,7 @@ class FhDmr(ReturnRoutability):
     def _send_lbu_to_serving_map(self, old_map: Optional[str],
                                  old_rcoa: Optional[Address]) -> None:
         """Local binding update; a different `old_map` tears its tunnel down."""
-        self.sim.send_signal("dmr", SignalKind.LBU, self.lcoa,
-                             self._address(fsm.DEST_SERVING_MAP),
+        self.sim.send_signal("dmr", SignalKind.LBU, self.lcoa, self._resolve(self.serving_map),
                              info={"rcoa": self.rcoa, "lcoa": self.lcoa,
                                    "old_map": old_map, "old_rcoa": old_rcoa})
 
@@ -324,9 +311,12 @@ class FhDmr(ReturnRoutability):
             self.sim.timer("dmr", BINDING_REFRESH_US, ("reg_refresh", self.reg_seq))
 
     def _on_fh_timer(self, token) -> None:
+        _, name, epoch = token
+        if epoch != self.epoch:
+            return  # armed before the last attachment
         # A retransmission timer lapses once the acknowledgement is in.
-        if token[1] != "fbu_retx" or (self.ctx is not None and not self.ctx["fback"]):
-            self.drive(ROLE_DMR, FH_TIMERS[token[1]][1])
+        if name != "fbu_retx" or (self.ctx is not None and not self.ctx["fback"]):
+            self.drive(ROLE_DMR, FH_TIMERS[name][1])
 
     def _on_initial_dad(self, token) -> None:
         _, epoch, lcoa, rcoa = token

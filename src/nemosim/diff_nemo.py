@@ -18,7 +18,7 @@ from .engine import APP_START, SEC
 from .fsm import RegState
 from .metrics import FLOW_CBR
 from .nemo_bs import BaselineMr, BindingCacheAgent, MobileRouter
-from .packets import DATA, Address, Packet, SignalKind, apply_home_address_option
+from .packets import DATA, Address, Packet, SignalKind, apply_home_address_option, encapsulate
 
 # Return routability: a token's lifetime, the wait for tokens, and the probe
 # rounds re-sent before giving up.
@@ -145,8 +145,8 @@ class ReturnRoutability(MobileRouter):
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
         self.cn = sim.topo.addresses["cn"]
-        self.receive_hooks = dict.fromkeys((SignalKind.HOT, SignalKind.COT, SignalKind.NPT),
-                                           self._on_token)
+        self.signal_handlers = {**self.signal_handlers, **dict.fromkeys(
+            (SignalKind.HOT, SignalKind.COT, SignalKind.NPT), self._on_token)}
         self.timer_handlers[self.RR_TIMER] = self._on_rr_timeout
         self.reg_state = RegState.IDLE
         self.tokens: dict = {}   # "hot", "cot" or "npt" -> token tuple
@@ -166,10 +166,9 @@ class ReturnRoutability(MobileRouter):
         else:
             super()._on_ba(pkt)
 
-    def _on_home_ba(self, current: bool) -> None:
-        super()._on_home_ba(current)
-        if current:
-            self.drive(fsm.ROLE_REG, fsm.EV_BA_HA)
+    def _on_home_ba(self) -> None:
+        super()._on_home_ba()
+        self.drive(fsm.ROLE_REG, fsm.EV_BA_HA)
 
     def _on_token(self, pkt: Packet) -> dict:
         """Keep a token during return routability; the event says if all three are in."""
@@ -187,28 +186,24 @@ class ReturnRoutability(MobileRouter):
         else:
             self.drive(fsm.ROLE_REG, fsm.EV_GIVE_UP)
 
-    def _address(self, dest: str) -> Address:
-        # The home test reaches the correspondent through the home agent.
-        return self.cn if dest in (fsm.DEST_CN, fsm.DEST_CN_VIA_HA) else super()._address(dest)
-
-    def _perform(self, action) -> None:
+    def _perform(self, action, record: Optional[dict]) -> None:
         sim, coa = self.sim, self.care_of()
         match action:
-            case fsm.Emit(SignalKind.HOTI, dest):
+            case fsm.Emit(SignalKind.HOTI):
+                # The home test reaches the correspondent through the home agent.
                 self.tokens = {}
-                sim.send_signal("dmr", SignalKind.HOTI, self.hoa, self._address(dest),
-                                encap_to=self.ha, encap_src=coa)
+                hoti = sim.make_signal(SignalKind.HOTI, self.hoa, self.cn)
+                sim.send_signal_packet("dmr", encapsulate(hoti, coa, self.ha))
             case fsm.StartTimer("rr_timeout"):
                 sim.timer("dmr", RR_TIMEOUT_US, (self.RR_TIMER, self.reg_seq, self.rr_retries))
-            case fsm.Emit(SignalKind.COTI, dest):
-                sim.send_signal("dmr", SignalKind.COTI, coa, self._address(dest),
-                                info={"hoa": self.hoa})
-            case fsm.Emit(SignalKind.BU, fsm.DEST_CN as dest):
-                sim.send_signal("dmr", SignalKind.BU, coa, self._address(dest),
+            case fsm.Emit(SignalKind.COTI):
+                sim.send_signal("dmr", SignalKind.COTI, coa, self.cn, info={"hoa": self.hoa})
+            case fsm.Emit(SignalKind.BU, fsm.DEST_CN):
+                sim.send_signal("dmr", SignalKind.BU, coa, self.cn,
                                 info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp],
                                       "tokens": dict(self.tokens)})
             case _:
-                super()._perform(action)
+                super()._perform(action, record)
 
 
 class ProxyDmr(ReturnRoutability, BaselineMr):

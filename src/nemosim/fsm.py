@@ -103,8 +103,6 @@ EV_RR_TIMEOUT = "rr_timeout"
 EV_GIVE_UP = "give_up"
 EV_NA = "na"
 EV_BU_REFRESH = "bu_refresh"
-# A home agent's BA for an earlier care-of address: no table has a row for it.
-EV_BA_STALE = "ba_stale"
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,10 @@ class FsmEvent:
     complete: bool = False
 
 
-# Symbolic signal destinations, each resolved by the sending node's
-# `_address`.  A fast handover's destination names the field of its context
-# that holds it: an access router, an anchor, or the router's next
-# (`DEST_DMR`) or previous on-link address.
+# Symbolic signal destinations, each resolved by the sending node.  A fast
+# handover's destination names the field of its record that holds it: an
+# access router, an anchor, or the router's next (`DEST_DMR`) or previous
+# on-link address.
 DEST_OAR = "oar"
 DEST_NAR = "nar"
 DEST_OLD_MAP, DEST_NEW_MAP = "old_map", "new_map"
@@ -303,7 +301,7 @@ SIGNAL_FLAGS = {"relayed_by_nar": lambda pkt: pkt.info.get("relayed_by_nar", Fal
 # declares a signal that reaches the role's node and steps nothing: the new
 # access router's NS to its own station, and the new anchor's HAck to the new
 # access router (ROADMAP item 1).  A node takes any other signal in its
-# `signal_handlers`; at a mobile router one it does not take is unexpected.
+# `signal_handlers`, or counts it as unexpected.
 RECEIVE = {
     (SignalKind.PR_RT_ADV, ROLE_DMR): EV_PRRTADV,
     (SignalKind.FBACK, ROLE_DMR): EV_FBACK,

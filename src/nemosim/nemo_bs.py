@@ -28,17 +28,11 @@ BINDING_REFRESH_US = BINDING_LIFETIME_US // 2
 
 @dataclass
 class BindingCacheEntry:
-    hoa: Address
     coa: Address
-    mnps: list[Prefix]
     expires_at: SimTime
 
     def live(self, t: SimTime) -> bool:
         return t < self.expires_at
-
-    def covers(self, dst: Address) -> bool:
-        # A prefix is a (domain, site) tuple, so an address's first two fields find it.
-        return dst == self.hoa or dst[:2] in self.mnps
 
 
 class BindingCacheAgent(Node):
@@ -46,21 +40,24 @@ class BindingCacheAgent(Node):
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
-        self.cache: dict[Address, BindingCacheEntry] = {}
+        # An address or a prefix -> its binding.
+        self.cache: dict[Address | Prefix, BindingCacheEntry] = {}
 
     def bind(self, hoa: Address, coa: Address, mnps=(), lifetime=BINDING_LIFETIME_US) -> None:
-        """Bind `hoa`, and every address under `mnps`, to `coa` for `lifetime`."""
-        self.cache[hoa] = BindingCacheEntry(hoa, coa, list(mnps), self.sim.now + lifetime)
+        """Bind `hoa`, and every address under `mnps`, to `coa` for `lifetime`:
+        one entry, kept under the address and under each prefix."""
+        entry = BindingCacheEntry(coa, self.sim.now + lifetime)
+        for key in (hoa, *mnps):
+            self.cache[key] = entry
 
     def lookup(self, dst: Address) -> Optional[BindingCacheEntry]:
-        """The live binding of `dst`: its own entry, else the first whose
-        prefixes cover it.  An expired entry counts as unbound."""
+        """The live binding of `dst`: its own entry, else its prefix's.  An
+        expired entry counts as unbound."""
         now = self.sim.now
-        entry = self.cache.get(dst)
-        if entry is not None and entry.live(now):
-            return entry
-        for entry in self.cache.values():
-            if entry.covers(dst) and entry.live(now):
+        for key in (dst, dst[:2]):
+            # A prefix is a (domain, site) tuple, so an address's first two fields find it.
+            entry = self.cache.get(key)
+            if entry is not None and entry.live(now):
                 return entry
         return None
 
@@ -126,9 +123,8 @@ class MobileRouter(Node):
     network, and takes the layer-2 events.  A subclass names the addresses it
     answers for (`owns`), the care-of address it binds at the home agent
     (`care_of`) and the one upstream traffic leaves from (`upstream_coa`,
-    None until registered), names its `roles`, fills `signal_handlers` and
-    `receive_hooks` and adds to `timer_handlers`.  A signal that neither a
-    handler nor a machine takes counts as unexpected."""
+    None until registered), names its `roles`, and adds to
+    `signal_handlers` and `timer_handlers`."""
 
     def __init__(self, sim, node_id: str):
         super().__init__(sim, node_id)
@@ -170,26 +166,19 @@ class MobileRouter(Node):
                              info={"hoa": self.hoa, "coa": coa, "mnps": [self.mnp]})
 
     def _on_ba(self, pkt: Packet) -> None:
-        """A home agent's acknowledgement is stale unless it is for `care_of()`."""
-        self._on_home_ba(pkt.info["coa"] == self.care_of())
-
-    def _on_home_ba(self, current: bool) -> None:
-        """With no home machine to step, a stale acknowledgement only counts
-        as unexpected."""
-        if not current:
+        """A home agent's acknowledgement is stale, and unexpected, unless it
+        is for `care_of()`."""
+        if pkt.info["coa"] == self.care_of():
+            self._on_home_ba()
+        else:
             self.sim.metrics.unexpected_signals += 1
 
-    def on_signal(self, pkt: Packet) -> None:
-        handler = self.signal_handlers.get(pkt.signal)
-        if handler is not None:
-            handler(pkt)
-        elif not self.receive(pkt):
-            self.sim.metrics.unexpected_signals += 1
+    def _on_home_ba(self) -> None:
+        """The home agent acknowledged `care_of()`; a subclass steps its machines."""
 
     def _address(self, dest: str) -> Address:
-        """Where the router's machines send: here the access router it is
-        attached to (`fsm.DEST_AR`); a subclass adds its own destinations,
-        and `send_home_bu` sends to the home agent."""
+        """Where the router's machines send `fsm.DEST_AR`: the access router
+        it is attached to."""
         topo = self.sim.topo
         return topo.addresses[topo.bs_to_ar[self.sim.dmr_attached]]
 
@@ -286,10 +275,10 @@ class BaselineMr(MobileRouter):
         if token[1] == self.epoch:
             self.drive(fsm.ROLE_MR, fsm.EV_BU_REFRESH)
 
-    def _on_home_ba(self, current: bool) -> None:
-        self.drive(fsm.ROLE_MR, fsm.EV_BA_HA if current else fsm.EV_BA_STALE)
+    def _on_home_ba(self) -> None:
+        self.drive(fsm.ROLE_MR, fsm.EV_BA_HA)
 
-    def _perform(self, action) -> None:
+    def _perform(self, action, record: Optional[dict]) -> None:
         sim = self.sim
         match action:
             case fsm.Do("next_address"):

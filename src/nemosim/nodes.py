@@ -22,7 +22,7 @@ def air_receiver(sim, bs: str, hop: str, deliver):
     """The handler of packets arriving over `bs`'s air link: each is lost
     unless the router is attached to `bs`, else logged at `hop` and delivered."""
     lost = f"air_lost@{bs}"
-    def receive(ev: Entry) -> None:
+    def arrive(ev: Entry) -> None:
         pkt: Packet = ev[4]
         if sim.dmr_attached != bs:
             sim.drop(pkt, lost)
@@ -31,28 +31,28 @@ def air_receiver(sim, bs: str, hop: str, deliver):
         if log is not None:
             log.append(hop)
         deliver(pkt)
-    return receive
+    return arrive
 
 
 class Node:
-    """A node of the topology.  A packet addressed to it goes to the handler
-    that its `signal_handlers` table holds for the packet's signal kind, where
-    the `None` key takes a tunnel or data packet, else to the machine of its
-    `roles` that `fsm.RECEIVE` gives the signal (`receive`); any other packet
-    is offered to `intercept`, then forwarded.  A timer goes to the handler
-    that its `timer_handlers` table holds for the token's first item, called
-    with the whole token.  A protocol agent steps its `fsm` machines through
-    `drive`, and resolves each symbolic destination in one `_address`."""
+    """A node of the topology.  A signal addressed to it goes to `on_signal`,
+    a tunnel or data packet to the handler under the `None` key of its
+    `signal_handlers` table; any other packet is offered to `intercept`, then
+    forwarded.  A timer goes to the handler that its `timer_handlers` table
+    holds for the token's first item, called with the whole token.  A
+    protocol agent steps its `fsm` machines through `drive`, which hands each
+    action the handover record of the role that emitted it."""
 
+    # signal kind -> its handler.  For a kind that `fsm.RECEIVE` gives one of
+    # the node's roles, the handler is the bookkeeping before the step, and
+    # returns the event's flags, or None to take the signal with no step.  A
+    # subclass that extends the table copies it, since this one is shared.
     signal_handlers: dict = {}
     timer_handlers: dict = {}
     # Each role the node plays (`fsm.ROLE_*`): role -> (the attribute holding
     # its machine's state, the one holding its handover record, a dict),
     # either None where there is none.
     roles: dict = {}
-    # signal kind -> bookkeeping before the signal steps a machine, which
-    # returns the event's flags, or None to take the signal with no step.
-    receive_hooks: dict = {}
 
     def __init__(self, sim, node_id: str):
         self.sim = sim
@@ -73,21 +73,24 @@ class Node:
             self.on_app(kind)
 
     def on_packet(self, pkt: Packet) -> None:
-        if pkt.dst == self.address:
-            handler = self.signal_handlers.get(pkt.signal)
+        if pkt.dst != self.address:
+            if not self.intercept(pkt):
+                self.sim.forward(self.node_id, pkt)
+        elif pkt.signal is not None:
+            self.on_signal(pkt)
+        else:
+            handler = self.signal_handlers.get(None)
             if handler is not None:
                 handler(pkt)
-            elif pkt.signal is not None:
-                self.receive(pkt)
-        elif not self.intercept(pkt):
-            self.sim.forward(self.node_id, pkt)
 
-    def receive(self, pkt: Packet) -> bool:
-        """Step the machine that `fsm.RECEIVE` gives `pkt`'s signal among the
-        node's roles.  The role keeps the handover record a signal that opens
-        a handover carries, the kind's hook runs, and the event reads its
-        `macro` flag from the role's record and the others from the hook.
-        False when no role has a row for the signal."""
+    def on_signal(self, pkt: Packet) -> None:
+        """Take a signal: step the machine that `fsm.RECEIVE` gives it among
+        the node's roles, else pass it to the kind's handler, else count it
+        as unexpected.  Before a step, the role keeps the handover record a
+        signal that opens a handover carries, the kind's handler runs, and
+        the event reads its `macro` flag from the role's record and the
+        others from the handler."""
+        handler = self.signal_handlers.get(pkt.signal)
         for role, (_, context) in self.roles.items():
             if (pkt.signal, role) not in fsm.RECEIVE:
                 continue
@@ -95,15 +98,17 @@ class Node:
             if kind is not None:
                 if kind in fsm.OPENS:
                     setattr(self, context, pkt.info)
-                hook = self.receive_hooks.get(pkt.signal)
-                flags = hook(pkt) if hook else {}
+                flags = handler(pkt) if handler else {}
                 if flags is not None:
                     ctx = getattr(self, context) if context else None
                     if ctx:
                         flags = {"macro": ctx["macro"], **flags}
                     self.drive(role, kind, **flags)
-            return True
-        return False
+            return
+        if handler is not None:
+            handler(pkt)
+        else:
+            self.sim.metrics.unexpected_signals += 1
 
     def intercept(self, pkt: Packet) -> bool:
         """Take a packet in transit instead of forwarding it; True when taken."""
@@ -125,15 +130,18 @@ class Node:
     def drive(self, role: str, kind: str, **flags) -> None:
         """Step the node's `role` machine with a `kind` event carrying
         `flags`.  The new state is stored first; each `Unexpected` is
-        counted, every other action goes to `self._perform`."""
-        attr = self.roles[role][0]
+        counted, every other action goes to `self._perform` with the role's
+        handover record (None for a role that keeps none), whose fields
+        name the destinations of its `Emit`s."""
+        attr, context = self.roles[role]
         state, actions = fsm.fsm_step(role, getattr(self, attr), fsm.FsmEvent(kind, **flags))
         setattr(self, attr, state)
+        record = getattr(self, context) if context else None
         for action in actions:
             if isinstance(action, fsm.Unexpected):
                 self.sim.metrics.unexpected_signals += 1
             else:
-                self._perform(action)
+                self._perform(action, record)
 
 
 class ArNode(Node):
@@ -153,8 +161,8 @@ class ArNode(Node):
         self.map_id = sim.topo.ar_to_map[node_id]
         self.signal_handlers = {SignalKind.RS: lambda pkt: self.send_ra(pkt.src),
                                 SignalKind.RT_SOL_PR: self._proxy_advertisement,
-                                SignalKind.NS: self._dad_check}
-        self.receive_hooks = {SignalKind.FNA: self.on_fna}
+                                SignalKind.NS: self._dad_check,
+                                SignalKind.FNA: self.on_fna}
         self.timer_handlers = {"beacon": self._beacon,
                                "nar_dad": lambda token: self.drive(fsm.ROLE_NAR, fsm.EV_DAD_OK)}
         self._bg_seq = 0
@@ -171,21 +179,20 @@ class ArNode(Node):
                 "map_prefix": self.sim.topo.map_prefix[self.map_id]}
 
     def send_ra(self, dst) -> None:
-        ra = self.sim.make_signal(SignalKind.RA, self.address, dst, info=self.ra_info())
-        self.sim.send_signal_packet(self.node_id, ra, via=self.bs_id)
+        self.sim.send_signal(self.node_id, SignalKind.RA, self.address, dst,
+                             info=self.ra_info(), via=self.bs_id)
 
     def _proxy_advertisement(self, pkt: Packet) -> None:
         """Answer a proxy solicitation with the target access router's advertisement."""
         nar = self.sim.topo.bs_to_ar[pkt.info["target_bs"]]
-        adv = self.sim.make_signal(SignalKind.PR_RT_ADV, self.address, pkt.src,
-                                   info=self.sim.nodes[nar].ra_info())
-        self.sim.send_signal_packet(self.node_id, adv, via=self.bs_id)
+        self.sim.send_signal(self.node_id, SignalKind.PR_RT_ADV, self.address, pkt.src,
+                             info=self.sim.nodes[nar].ra_info(), via=self.bs_id)
 
     def _dad_check(self, pkt: Packet) -> None:
         info = pkt.info or {}
         if self.sim.dad_collides(info.get("handover", -1), info.get("attempt", 0)):
-            na = self.sim.make_signal(SignalKind.NA, self.address, pkt.src)
-            self.sim.send_signal_packet(self.node_id, na, via=self.bs_id)
+            self.sim.send_signal(self.node_id, SignalKind.NA, self.address, pkt.src,
+                                 via=self.bs_id)
 
     def _beacon(self, token) -> None:
         if self.sim.dmr_attached == self.bs_id:
@@ -204,14 +211,8 @@ class ArNode(Node):
             self.ctx = record
         return {"collision": self.sim.fna_collides(record["handover"], record["attempt"])}
 
-    def _address(self, dest: str) -> Address:
-        """Where the new access router's machine sends: the `dest` field of
-        the handover's record; the NS of its own check goes to its station,
-        where nothing takes it (ROADMAP item 1)."""
-        return self._resolve(self.bs_id if dest == fsm.DEST_STATION else self.ctx[dest])
-
-    def _perform(self, action) -> None:
-        sim, ctx = self.sim, self.ctx
+    def _perform(self, action, record: dict) -> None:
+        sim = self.sim
         match action:
             case fsm.StartTimer():
                 sim.timer(self.node_id, DAD_FAST_US, ("nar_dad",))
@@ -224,15 +225,17 @@ class ArNode(Node):
                                                               "relayed_by_nar": True})
                 sim.forward(self.node_id, relayed)
             case fsm.Emit(SignalKind.NAACK, dest):
-                nlcoa = self._address(dest)
+                nlcoa = self._resolve(record[dest])
                 alternative = Address(nlcoa.domain, nlcoa.site, nlcoa.node + 1)
                 sim.send_signal(self.node_id, SignalKind.NAACK, self.address, nlcoa,
                                 info={"alternative": alternative})
             case fsm.Emit(kind, dest):
-                # The NS of its check, the HI relayed to the new anchor, and
-                # the HAck to the old anchor.
-                info = {SignalKind.HI: ctx, SignalKind.HACK: {"from_role": "nar"}}.get(kind)
-                sim.send_signal(self.node_id, kind, self.address, self._address(dest), info=info)
+                # The HI relayed to the new anchor, the HAck to the old
+                # anchor, and the NS of its check, which goes to its station,
+                # where nothing takes it (ROADMAP item 1).
+                info = {SignalKind.HI: record, SignalKind.HACK: {"from_role": "nar"}}.get(kind)
+                to = self.bs_id if dest == fsm.DEST_STATION else record[dest]
+                sim.send_signal(self.node_id, kind, self.address, self._resolve(to), info=info)
 
     def intercept(self, pkt: Packet) -> bool:
         """Hold packets for the pre-configured address until the flush."""

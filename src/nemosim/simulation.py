@@ -13,7 +13,7 @@ from .metrics import MetricsCollector
 from .nemo_bs import BaselineMr, HomeAgent
 from .network import Link, LinkQueue, build_l2_plan
 from .nodes import ArNode, BsNode, MnnNode, Node
-from .packets import Address, Packet, SignalKind, encapsulate
+from .packets import Address, Packet, SignalKind
 from .packets import make_signal as new_signal
 from .scenario import (AIR_DELAY_US, AIR_RATE_BPS, BEACON_PHASE_US, MODE_PREDICTIVE,
                        PROTO_DIFF_FH, PROTO_DIFF_NEMO, ScenarioConfig, Topology,
@@ -219,12 +219,8 @@ class Simulation:
         return pkt
 
     def send_signal(self, origin: str, kind: SignalKind, src: Address, dst: Address,
-                    info: Optional[dict] = None, encap_to: Optional[Address] = None,
-                    encap_src: Optional[Address] = None) -> None:
-        pkt = self.make_signal(kind, src, dst, info=info)
-        if encap_to is not None:
-            pkt = encapsulate(pkt, encap_src or src, encap_to)
-        self.send_signal_packet(origin, pkt)
+                    info: Optional[dict] = None, via: Optional[str] = None) -> None:
+        self.send_signal_packet(origin, self.make_signal(kind, src, dst, info=info), via)
 
     def send_signal_packet(self, origin: str, pkt: Packet, via: Optional[str] = None) -> None:
         """The exit of every signal a node sends, to neighbour `via` or forwarded,

@@ -13,7 +13,8 @@ class FakeSim:
     """Captures everything a node asks the simulation to do.  Every signal,
     whether built by `send_signal` or handed whole to `send_signal_packet`
     (the one exit, with its optional `via` neighbour), lands in
-    `sent_signals`; no fault drops one."""
+    `sent_signals`, a tunnelled one under its outermost signal layer with
+    the tunnel's far end; no fault drops one."""
 
     def __init__(self, config=None):
         self.config = config or ScenarioConfig()
@@ -22,7 +23,7 @@ class FakeSim:
                                         self.config.dmr_speed_kmh, self.config.seed, {})
         self.engine = SimpleNamespace(register=lambda node_id, handler: None)
         self.now = 0
-        self.sent_signals = []      # (origin, kind, src, dst, info, encap_to)
+        self.sent_signals = []      # (origin, kind, src, dst, info, tunnel end or None)
         self.forwarded = []         # (origin, packet)
         self.timers = []            # (node, delay, token)
         self.mnn_inbox = []
@@ -33,15 +34,18 @@ class FakeSim:
     def timer(self, node_id, delay, token):
         self.timers.append((node_id, delay, token))
 
-    def send_signal(self, origin, kind, src, dst, info=None, encap_to=None,
-                    encap_src=None):
-        self.sent_signals.append((origin, kind, src, dst, info, encap_to))
+    def send_signal(self, origin, kind, src, dst, info=None, via=None):
+        self.send_signal_packet(origin, self.make_signal(kind, src, dst, info=info), via)
 
     def make_signal(self, kind, src, dst, info=None):
         return make_signal(kind, src, dst, self.now, info=info)
 
     def send_signal_packet(self, origin, pkt, via=None):
-        self.sent_signals.append((origin, pkt.signal, pkt.src, pkt.dst, pkt.info, None))
+        layer = pkt
+        while layer.signal is None:
+            layer = layer.inner
+        tunnel = None if layer is pkt else pkt.dst
+        self.sent_signals.append((origin, layer.signal, layer.src, layer.dst, layer.info, tunnel))
 
     def forward(self, origin, pkt):
         self.forwarded.append((origin, pkt))

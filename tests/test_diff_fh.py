@@ -402,6 +402,19 @@ def test_fast_binding_update_timer_after_link_down_is_ignored():
     assert report.delivered == 489
 
 
+def test_fast_binding_update_timer_after_reattachment_is_ignored():
+    # At a 10 ms lead and a 1 ms switch the router is on the new link before
+    # the FBU timer armed by PrRtAdv fires.  The timer carries the epoch of the
+    # attachment that armed it, so it now lapses; it used to step the machine
+    # in SentFNA or LocalRegistered, 9 unexpected signals in this run.
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", lead_us=10 * MS, l2_switch_us=1 * MS,
+                         dmr_speed_kmh=60, sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert sim.metrics.unexpected_signals == 0
+    assert report.delivered == 492
+
+
 def test_zero_loss_predictive_micro_handover_no_duplicates():
     cfg = ScenarioConfig(protocol="diff-fh-nemo",
                          waypoints=[(60.0, 0.0), (220.0, 0.0)])

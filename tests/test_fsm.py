@@ -122,11 +122,6 @@ def test_baseline_router_checks_then_registers():
     assert state == MrState.REGISTERED and not actions
 
 
-def test_baseline_router_stale_acknowledgement_has_no_row():
-    for state in MrState:
-        assert step_mr(state, fsm.EV_BA_STALE) == (state, (Unexpected(fsm.EV_BA_STALE),))
-
-
 # -- exhaustive enumeration ------------------------------------------------------
 # Fault-free event alphabets per role: every event a fault-free run can hand
 # the machine, including both the predictive and reactive branches.

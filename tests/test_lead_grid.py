@@ -50,6 +50,8 @@ def test_lead_grid_matches_roadmap_item_1():
 
 def test_shortfalls_names_a_raised_cell_and_one_below_the_floor():
     lead_grid = load_script()
-    cells = {(50, 60): "DepthExceeded", (90, 30): (51, 500, 7), (200, 90): (488, 500, 0)}
+    cells = {(50, 60): "DepthExceeded", (90, 30): (51, 500, 7), (200, 90): (488, 500, 0),
+             (10, 60): (489, 500, 2)}
     assert lead_grid.shortfalls(cells, FLOOR) == ["50 ms, 60 km/h: DepthExceeded",
-                                                  "90 ms, 30 km/h: 51/500 u7"]
+                                                  "90 ms, 30 km/h: 51/500 u7",
+                                                  "10 ms, 60 km/h: 489/500 u2"]

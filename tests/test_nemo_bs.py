@@ -4,7 +4,7 @@ import pytest
 
 from nemosim.engine import SEC
 from nemosim.fsm import MrState
-from nemosim.nemo_bs import DAD_DELAY_US, BaselineMr, BindingCacheEntry, HomeAgent
+from nemosim.nemo_bs import DAD_DELAY_US, BaselineMr, HomeAgent
 from nemosim.packets import (DATA, Address, Packet, Prefix, SignalKind,
                              encapsulate, make_signal)
 
@@ -88,15 +88,14 @@ def test_home_agent_installs_binding_and_acknowledges(fake_sim):
     bu = make_signal(SignalKind.BU, COA1, HA_ADDR, t=0,
                      info={"hoa": HOA, "coa": COA1, "mnps": [MNP]})
     agent.handle_binding_update(bu)
-    entry = agent.cache[HOA]
-    assert entry.coa == COA1 and entry.mnps == [MNP]
+    assert agent.cache[HOA].coa == COA1 and agent.cache[MNP] is agent.cache[HOA]
     ba = fake_sim.signals_of(SignalKind.BA)
     assert ba and ba[0][3] == COA1
 
 
 def test_intercept_tunnels_to_registered_care_of(fake_sim):
     agent = HomeAgent(fake_sim, "ha")
-    agent.cache[HOA] = BindingCacheEntry(HOA, COA1, [MNP], expires_at=60 * SEC)
+    agent.bind(HOA, COA1, [MNP], 60 * SEC)
     pkt = Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA)
     agent.intercept(pkt)
     origin, outer = fake_sim.forwarded[0]
@@ -113,10 +112,13 @@ def test_intercept_without_binding_counts_loss(fake_sim):
 
 def test_intercept_expired_binding_counts_loss(fake_sim):
     agent = HomeAgent(fake_sim, "ha")
-    agent.cache[HOA] = BindingCacheEntry(HOA, COA1, [MNP], expires_at=10)
-    fake_sim.now = 20
+    agent.bind(HOA, COA1, [MNP], lifetime=10)
+    fake_sim.now = 9
     agent.intercept(Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="cbr"))
-    assert fake_sim.dropped
+    assert fake_sim.forwarded and not fake_sim.dropped
+    fake_sim.now = 10
+    agent.intercept(Packet(src=CN, dst=MNN, size_bytes=1000, kind=DATA, flow="cbr"))
+    assert len(fake_sim.forwarded) == 1 and fake_sim.dropped[0][1] == "no_binding@ha"
 
 
 def test_reverse_tunnel_endpoint_unwraps(fake_sim):

@@ -8,7 +8,9 @@ import pytest
 from nemosim import fsm
 from nemosim.engine import PACKET_ARRIVAL, SEC, TIMER_EXPIRY
 from nemosim.fsm import MapState, NarState, NewMapState
+from nemosim.nemo_bs import HomeAgent
 from nemosim.nodes import BG_TICK, ArNode, Node
+from nemosim.packets import Address, SignalKind, make_signal
 from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
 from nemosim.simulation import Simulation
 from probes import innermost
@@ -86,12 +88,13 @@ def test_every_arriving_tunnel_logs_into_its_innermost_packet(run):
 
 
 def test_signals_with_no_handler_are_the_known_two(monkeypatch):
-    """`Node.on_packet` takes a signal addressed to its node by the node's
-    handler, else by the machine `fsm.RECEIVE` gives it among the node's
-    roles.  Over the runs above every other signal that arrives is one the
-    table declares as stepping nothing, and each declared one arrives: the
-    new access router's NS, sent to its own station (ROADMAP item 1's missing
-    DAD), and the new anchor's HAck to the new access router."""
+    """`Node.on_signal` takes a signal addressed to its node by the machine
+    `fsm.RECEIVE` gives it among the node's roles, else by the node's
+    handler.  Over the runs above every signal that arrives with no handler
+    is one the table declares as stepping nothing, and each declared one
+    arrives: the new access router's NS, sent to its own station (ROADMAP
+    item 1's missing DAD), and the new anchor's HAck to the new access
+    router."""
     untaken, undeclared = Counter(), Counter()
     on_packet = Node.on_packet
 
@@ -113,6 +116,14 @@ def test_signals_with_no_handler_are_the_known_two(monkeypatch):
     assert not undeclared
     assert set(untaken) == {key for key, row in fsm.RECEIVE.items() if row is None}
     assert len(untaken) == 2
+
+
+def test_a_signal_no_row_or_handler_takes_is_unexpected_at_any_node(fake_sim):
+    # The home agent has neither a `fsm.RECEIVE` row nor a handler for an FBack.
+    ha = HomeAgent(fake_sim, "ha")
+    ha.on_packet(make_signal(SignalKind.FBACK, Address(2, 0, 1), ha.address, t=0))
+    assert fake_sim.metrics.unexpected_signals == 1
+    assert not fake_sim.sent_signals and not fake_sim.forwarded and not fake_sim.dropped
 
 
 # The access router's own signals, and an announcement that carries a binding
