@@ -12,7 +12,7 @@ than `diff-nemo` at its speed.
 import sys
 
 from nemosim.engine import MS, SEC
-from nemosim.scenario import PROTO_DIFF_FH, PROTO_DIFF_NEMO, CbrConfig, ScenarioConfig
+from nemosim.scenario import PROTO_DIFF_FH, PROTO_DIFF_NEMO, ScenarioConfig
 from nemosim.simulation import Simulation
 
 LEADS_MS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 150, 200)
@@ -23,8 +23,7 @@ def outcome(protocol: str, speed_kmh: int, lead_ms: int = 200):
     """(delivered, sent, unexpected signals) of one run, or the name of the
     exception that ended it."""
     config = ScenarioConfig(protocol=protocol, seed=1, lead_us=lead_ms * MS,
-                            dmr_speed_kmh=speed_kmh, sim_end_us=60 * SEC,
-                            cbr=CbrConfig(stop_us=60 * SEC))
+                            dmr_speed_kmh=speed_kmh, sim_end_us=60 * SEC)
     sim = Simulation(config)
     try:
         report = sim.run()

@@ -132,8 +132,9 @@ class FhDmr(ReturnRoutability):
         self.fsm_state: DmrState = DmrState.IDLE
         self.ctx: Optional[dict] = None
         self.epoch = 0
-        # No machine of this router takes an NA, so one counts as unexpected:
-        # initial DAD collisions are not exercised for this variant.
+        # No machine of this router takes an NA, so one counts as unexpected.
+        # None comes: its first check's NS names no handover, and a collision
+        # of a handover is answered at the FNA, with a NAACK.
         self.signal_handlers = {**self.signal_handlers,
                                 SignalKind.RA: self.on_router_advertisement,
                                 SignalKind.BA: self._on_ba,
@@ -162,7 +163,6 @@ class FhDmr(ReturnRoutability):
         bs_to_ar = self.sim.topo.bs_to_ar
         self._open_handover(plan, oar=bs_to_ar[plan.old_bs], nar=bs_to_ar[plan.new_bs],
                             new_bs=plan.new_bs)
-        self.fsm_state = DmrState.IDLE
         self.drive(ROLE_DMR, fsm.EV_L2_TRIGGER)
 
     def on_link_down(self, plan) -> None:
@@ -234,6 +234,8 @@ class FhDmr(ReturnRoutability):
                 self.send_home_bu()
             case fsm.Do("end_handover"):
                 self.ctx = None
+            case fsm.Do("abandon_handover"):
+                sim.metrics.abandoned_handovers += 1
             case _:
                 super()._perform(action, ctx)
 

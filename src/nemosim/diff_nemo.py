@@ -76,7 +76,7 @@ class CorrespondentAgent(BindingCacheAgent):
         sim.metrics.record_sent(pkt)
         sim.condition_data(self.node_id, pkt)
         sim.forward(self.node_id, pkt)
-        if now + self._cbr_interval_us < cbr.stop_us:
+        if now + self._cbr_interval_us < sim.config.sim_end_us:
             sim.timer(self.node_id, self._cbr_interval_us, ("cbr",))
 
     # -- return routability ------------------------------------------------

@@ -172,9 +172,13 @@ _FBACKS = (Emit(SignalKind.FBACK, DEST_DMR_PREVIOUS), Emit(SignalKind.FBACK, DES
 _TO_FORWARDING = (_M.FORWARDING, (Do("install_forwarding"),) + _FBACKS)
 _TO_IDLE = (_M.IDLE, (Do("remove_forwarding"),))
 _NAACK = (Emit(SignalKind.NAACK, DEST_DMR),)
+_RTSOLPR = Emit(SignalKind.RT_SOL_PR, DEST_OAR)
 
 _DMR_TABLE = {
-    (_D.IDLE, EV_L2_TRIGGER): (_D.SENT_RTSOLPR, (Emit(SignalKind.RT_SOL_PR, DEST_OAR),)),
+    (_D.IDLE, EV_L2_TRIGGER): (_D.SENT_RTSOLPR, (_RTSOLPR,)),
+    # A trigger that finds a handover still open abandons it and opens the next.
+    **{(state, EV_L2_TRIGGER): (_D.SENT_RTSOLPR, (Do("abandon_handover"), _RTSOLPR))
+       for state in _D if state is not _D.IDLE},
     # A duplicate acknowledgement flushed from the new link buffer may trail
     # the completed handover; idempotent by design.
     (_D.IDLE, EV_FBACK): (_D.IDLE, ()),

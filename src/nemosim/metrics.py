@@ -67,6 +67,8 @@ class MetricsCollector:
         self.drops_detail: list[Drop] = []
         self.drops: dict[tuple[str, str], int] = {}
         self.unexpected_signals = 0
+        # Fast handovers that a new trigger found still open.
+        self.abandoned_handovers = 0
         self.handover_latencies_us: list[int] = []
         self.handover_kinds: list[str] = []
         # The serving station of the last delivery that had one, and its instant.

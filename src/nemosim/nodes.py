@@ -209,7 +209,7 @@ class ArNode(Node):
         record = pkt.info
         if self.ctx is None:
             self.ctx = record
-        return {"collision": self.sim.fna_collides(record["handover"], record["attempt"])}
+        return {"collision": self.sim.dad_collides(record["handover"], record["attempt"])}
 
     def _perform(self, action, record: dict) -> None:
         sim = self.sim

@@ -33,7 +33,6 @@ class CbrConfig:
     packet_bytes: int = 1000
     rate_bps: float = 100_000
     start_us: SimTime = 20 * SEC
-    stop_us: SimTime = 200 * SEC
 
     @property
     def interval_us(self) -> SimTime:
@@ -42,10 +41,12 @@ class CbrConfig:
 
 @dataclass
 class FaultConfig:
-    """Deterministic fault injection for exercising recovery paths."""
+    """Deterministic fault injection for exercising recovery paths.  A
+    collision handover's first address is already in use: the access router
+    answers the router's address check with an NA, or, in the fast scheme,
+    the new access router answers its FNA with a NAACK."""
 
     dad_collision_handovers: tuple[int, ...] = ()
-    fna_collision_handovers: tuple[int, ...] = ()
     drop_first_signals: tuple[str, ...] = ()
 
 
@@ -89,14 +90,7 @@ class ScenarioConfig:
                 blamed = b if values[a] == _DEFAULTS[a] else a
                 raise ConfigError(f"{blamed} breaks {a} {relation} {b}: "
                                   f"{values[a]!r} {relation} {values[b]!r}")
-        # A fault the scheme never applies: the fast scheme's router has no DAD
-        # check after its first attachment; only its routers read FNA.
-        fh, faults = self.protocol == PROTO_DIFF_FH, self.faults
-        for key, unused in (("faults.dad_collision_handovers", fh and faults.dad_collision_handovers),
-                            ("faults.fna_collision_handovers", not fh and faults.fna_collision_handovers)):
-            if unused:
-                raise ConfigError(f"{key} is never applied under {self.protocol}: {values[key]!r}")
-        unsent = sorted(set(faults.drop_first_signals) - self.sent_signals())
+        unsent = sorted(set(self.faults.drop_first_signals) - self.sent_signals())
         if unsent:
             raise ConfigError(f"faults.drop_first_signals lists {', '.join(unsent)}, which a "
                               f"{self.protocol} {self.mode} run never sends: "
@@ -132,8 +126,8 @@ class ScenarioConfig:
         cbr, end = self.cbr, self.sim_end_us
         per = lambda span, interval: span / interval if interval > 0 else math.inf
         return [
-            (("cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "cbr.stop_us"),
-             per(cbr.stop_us - cbr.start_us, cbr.interval_us)),
+            (("cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "sim_end_us"),
+             per(end - cbr.start_us, cbr.interval_us)),
             (("background_load_bps", "sim_end_us"),
              self.background_load_bps and 4 * per(end, self.bg_interval_us)),
             (("beacon_interval_us", "sim_end_us"),
@@ -198,34 +192,36 @@ _RANGES = {
         ("faults.drop_first_signals", tuple(kind.value for kind in SignalKind)))},
     **dict.fromkeys(("dmr_speed_kmh", "cbr.packet_bytes", "cbr.rate_bps", "red.capacity"),
                     (lambda v: v > 0, "positive")),
-    **dict.fromkeys(("background_load_bps", "nar_buffer_capacity", "red.min_th"),
+    **dict.fromkeys(("background_load_bps", "nar_buffer_capacity", "red.min_th",
+                     "faults.dad_collision_handovers"),
                     (lambda v: v >= 0, "non-negative")),
     "red.max_p": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "red.w_q": (lambda v: 0 < v <= 1, "in (0, 1]"),
 }
 
-# Rules between keys, as (a, relation, b): the CBR window fits the run, RED
+# Rules between keys, as (a, relation, b): the CBR starts inside the run, RED
 # is not a tail drop, and the beacon interval fits the run (the baseline
 # router waits for a beacon, so a longer interval silently loses every packet;
 # 0, no beacons, passes).  A broken rule names a, unless a holds its default
 # and so b is the key that moved.
 _RELATIONS = {"<": operator.lt, "<=": operator.le}
-_RULES = (("cbr.start_us", "<", "cbr.stop_us"), ("cbr.stop_us", "<=", "sim_end_us"),
-          ("red.min_th", "<", "red.max_th"), ("beacon_interval_us", "<=", "sim_end_us"))
+_RULES = (("cbr.start_us", "<", "sim_end_us"), ("red.min_th", "<", "red.max_th"),
+          ("beacon_interval_us", "<=", "sim_end_us"))
 
 # The signal kinds each scheme sends, as (kinds, when), so the kinds that
 # `faults.drop_first_signals` can use up.  Measured on seed 1 at 15-90 km/h in
 # both modes, with and without load: only the fast scheme's routers announce
 # and bind locally, and only its predictive handovers anticipate; RS goes out
-# under solicited detection, and NA and NAACK only answer a collision.
+# under solicited detection, and a collision is answered by an NA outside
+# the fast scheme and by a NAACK under it.
 _SENT_SIGNALS = (
     ("BA BU NS RA", lambda c: True),
     ("CoT CoTI HoT HoTI NPT", lambda c: c.protocol != PROTO_NEMO_BS),
     ("FBack FBU FNA LBAck LBU RS", lambda c: c.protocol == PROTO_DIFF_FH),
     ("HAck HI PrRtAdv RtSolPr", lambda c: c.protocol == PROTO_DIFF_FH and c.mode == MODE_PREDICTIVE),
     ("RS", lambda c: c.solicited_detection()),
-    ("NA", lambda c: c.faults.dad_collision_handovers),
-    ("NAACK", lambda c: c.faults.fna_collision_handovers),
+    ("NA", lambda c: c.faults.dad_collision_handovers and c.protocol != PROTO_DIFF_FH),
+    ("NAACK", lambda c: c.faults.dad_collision_handovers and c.protocol == PROTO_DIFF_FH),
 )
 
 # The most source events (CBR packets, background ticks, beacons, binding
@@ -263,7 +259,7 @@ def _apply_keys(obj, data: dict, context: str = "") -> None:
     kinds = {f.name: f.type for f in fields(obj)}
     for key, value in data.items():
         if key not in kinds:
-            raise ConfigError(f"unknown config key {context}{key!r}")
+            raise ConfigError(f"unknown config key {context + key!r}")
         if is_dataclass(getattr(obj, key)):
             if not isinstance(value, dict):
                 raise ConfigError(f"{context}{key} must be an object, not {value!r}")

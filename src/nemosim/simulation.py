@@ -138,7 +138,7 @@ class Simulation:
         cfg = self.config
         sched = self.engine.schedule
         sched(SimEvent(cfg.cbr.start_us, "cn", APP_START))
-        sched(SimEvent(cfg.cbr.stop_us, "cn", APP_STOP))
+        sched(SimEvent(cfg.sim_end_us, "cn", APP_STOP))
         if cfg.background_load_bps > 0:
             for ar in self.topo.ar_prefix:
                 sched(SimEvent(0, ar, APP_START))
@@ -241,9 +241,6 @@ class Simulation:
     # -- fault queries -------------------------------------------------------------
     def dad_collides(self, handover: int, attempt: int) -> bool:
         return attempt == 0 and handover in self.config.faults.dad_collision_handovers
-
-    def fna_collides(self, handover: int, attempt: int) -> bool:
-        return attempt == 0 and handover in self.config.faults.fna_collision_handovers
 
     # -- run -------------------------------------------------------------------
     def run(self) -> MetricsCollector:

@@ -65,9 +65,6 @@ class FakeSim:
     def dad_collides(self, handover, attempt):
         return False
 
-    def fna_collides(self, handover, attempt):
-        return False
-
     def signals_of(self, kind):
         return [s for s in self.sent_signals if s[1] == kind]
 

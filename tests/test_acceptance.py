@@ -94,7 +94,6 @@ def test_criterion_1_delay_oracle():
     for proto, expected in oracles.items():
         cfg = ScenarioConfig(protocol=proto, sim_end_us=30 * SEC,
                              beacon_interval_us=0, waypoints=[(100.0, 0.0)])
-        cfg.cbr.stop_us = 30 * SEC
         report = run_scenario(cfg)
         delays = {d for _, _, d in report.per_packet_delay}
         ok = ok and report.delivered > 0 and delays == {expected}
@@ -333,13 +332,11 @@ def test_criterion_9_determinism():
         cfg = ScenarioConfig(protocol=proto, dmr_speed_kmh=60,
                              background_load_bps=CONGESTION_BPS, seed=77,
                              sim_end_us=60 * SEC)
-        cfg.cbr.stop_us = 60 * SEC
         t1 = []
         r1 = run_scenario(cfg, trace=t1)
         cfg2 = ScenarioConfig(protocol=proto, dmr_speed_kmh=60,
                               background_load_bps=CONGESTION_BPS, seed=77,
                               sim_end_us=60 * SEC)
-        cfg2.cbr.stop_us = 60 * SEC
         t2 = []
         r2 = run_scenario(cfg2, trace=t2)
         same_trace = "\n".join(t1).encode() == "\n".join(t2).encode()

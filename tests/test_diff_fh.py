@@ -310,7 +310,7 @@ def test_reactive_fna_collision_gets_alternative(fake_sim):
     fna = Packet(src=LCOA2, dst=nar.address, size_bytes=104, kind="signal",
                  signal=SignalKind.FNA, inner=fbu,
                  info=fbu.info)
-    fake_sim.fna_collides = lambda h, a: a == 0
+    fake_sim.dad_collides = lambda h, a: a == 0
     nar.on_packet(fna)
     naack = fake_sim.signals_of(SignalKind.NAACK)
     assert naack and naack[0][4]["alternative"] == Prefix(2, 2).address(101)
@@ -381,7 +381,7 @@ def test_reattachment_during_first_address_check_starts_discovery_afresh():
     # acknowledgement went out through bs1 and was lost, and every RA from
     # ar2 was then ignored: not one packet was delivered.
     cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=100, sim_end_us=30 * SEC,
-                         cbr=CbrConfig(start_us=2 * SEC, stop_us=30 * SEC),
+                         cbr=CbrConfig(start_us=2 * SEC),
                          waypoints=[(140.0, 0.0), (200.0, 0.0)])
     sim = Simulation(cfg)
     report = sim.run()
@@ -395,7 +395,7 @@ def test_fast_binding_update_timer_after_link_down_is_ignored():
     # fires.  The FBU then rides the FNA, so the timer has nothing to do; it
     # used to count 9 unexpected signals in this run.
     cfg = ScenarioConfig(protocol="diff-fh-nemo", lead_us=40 * MS, dmr_speed_kmh=60,
-                         sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
+                         sim_end_us=60 * SEC)
     sim = Simulation(cfg)
     report = sim.run()
     assert sim.metrics.unexpected_signals == 0
@@ -408,11 +408,24 @@ def test_fast_binding_update_timer_after_reattachment_is_ignored():
     # attachment that armed it, so it now lapses; it used to step the machine
     # in SentFNA or LocalRegistered, 9 unexpected signals in this run.
     cfg = ScenarioConfig(protocol="diff-fh-nemo", lead_us=10 * MS, l2_switch_us=1 * MS,
-                         dmr_speed_kmh=60, sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
+                         dmr_speed_kmh=60, sim_end_us=60 * SEC)
     sim = Simulation(cfg)
     report = sim.run()
     assert sim.metrics.unexpected_signals == 0
     assert report.delivered == 492
+
+
+def test_a_lost_handover_initiation_is_abandoned_at_the_next_trigger():
+    # With the first HI lost, the first handover never gets its FBack and the
+    # router is still outside Idle when the next trigger comes; it used to be
+    # reset there without a trace.
+    cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=60, sim_end_us=60 * SEC,
+                         faults=FaultConfig(drop_first_signals=("HI",)))
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert sim.metrics.abandoned_handovers == 1
+    assert sim.metrics.unexpected_signals == 0
+    assert (report.delivered, report.sent) == (492, 500)
 
 
 def test_zero_loss_predictive_micro_handover_no_duplicates():
@@ -496,7 +509,6 @@ def test_forced_reactive_single_handover():
 def test_upstream_goes_direct_once_correspondent_bound():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", sim_end_us=30 * SEC,
                          waypoints=[(100.0, 0.0)])
-    cfg.cbr.stop_us = 30 * SEC
     sim = Simulation(cfg)
     sim.engine.run_until(25 * SEC)
     sim.nodes["mnn"].send_to_cn(seq=9)
@@ -554,7 +566,7 @@ def test_signaling_rides_expedited_class_and_survives_congestion():
 def test_reactive_collision_completes_with_substituted_address():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", mode="reactive",
                          waypoints=[(60.0, 0.0), (220.0, 0.0)],
-                         faults=FaultConfig(fna_collision_handovers=(0,)))
+                         faults=FaultConfig(dad_collision_handovers=(0,)))
     sim = Simulation(cfg)
     report = sim.run()
     proto = sim.nodes["dmr"]
@@ -574,7 +586,7 @@ def test_reactive_collision_completes_with_substituted_address():
 # the forwarding binding of a handover that a new one replaces.
 def test_short_lead_handover_does_not_loop_between_anchors():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", dmr_speed_kmh=60, lead_us=50 * MS,
-                         sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC))
+                         sim_end_us=60 * SEC)
     sim = Simulation(cfg)
     report = sim.run()
     assert cbr_held(sim) == report.sent - report.delivered - report.dropped
@@ -586,7 +598,7 @@ def test_short_lead_handover_does_not_loop_between_anchors():
 # announcement now arm the retransmission timer that the predictive one does.
 def test_reactive_router_recovers_from_a_lost_announcement():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", mode="reactive", dmr_speed_kmh=60,
-                         sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
+                         sim_end_us=60 * SEC,
                          faults=FaultConfig(drop_first_signals=("FBU",)))
     sim = Simulation(cfg)
     report = sim.run()
@@ -599,7 +611,7 @@ def test_reactive_router_recovers_from_a_lost_announcement():
 # machine used to count the FNA as unexpected, 9 such signals at 60 km/h.
 def test_new_access_router_expects_an_fna_during_its_address_check():
     cfg = ScenarioConfig(protocol="diff-fh-nemo", seed=1, dmr_speed_kmh=60, lead_us=90 * MS,
-                         sim_end_us=60_000_000, cbr=CbrConfig(stop_us=60_000_000))
+                         sim_end_us=60_000_000)
     sim = Simulation(cfg)
     sim.run()
     assert sim.metrics.unexpected_signals == 0

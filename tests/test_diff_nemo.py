@@ -201,7 +201,6 @@ def test_upstream_falls_back_to_home_tunnel_without_cn_binding(fake_sim):
 def test_lost_care_of_test_retries_and_recovers():
     cfg = ScenarioConfig(protocol="diff-nemo", dmr_speed_kmh=30, sim_end_us=30 * SEC,
                          faults=FaultConfig(drop_first_signals=("CoT",)))
-    cfg.cbr.stop_us = 30 * SEC
     sim = Simulation(cfg)
     sim.run()
     agent = sim.nodes["cn"]
@@ -218,7 +217,6 @@ def test_delivered_packets_keep_application_addresses(monkeypatch):
         record(self, pkt, t)
     monkeypatch.setattr(MetricsCollector, "record_delivery", spy)
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=40 * SEC)
-    cfg.cbr.stop_us = 40 * SEC
     sim = Simulation(cfg)
     report = sim.run()
     assert report.delivered > 0 and len(addresses) == report.delivered
@@ -230,7 +228,6 @@ def test_delivered_packets_keep_application_addresses(monkeypatch):
 def test_tunnel_overhead_disappears_after_registration():
     """Pre-registration deliveries ride the anchored tunnel and pay for it."""
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=40 * SEC)
-    cfg.cbr.stop_us = 40 * SEC
     sim = Simulation(cfg)
     report = sim.run()
     t_bind = sim.nodes["cn"].bound_at[0]
@@ -258,7 +255,6 @@ def test_rr_probe_routing_home_leg_vs_direct_leg(monkeypatch):
     spy(MobileRouter, "on_signal", lambda p: p.signal.value.lower())
 
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=25 * SEC)
-    cfg.cbr.stop_us = 25 * SEC
     Simulation(cfg).run()
     assert "ha" in paths["hoti"]
     assert "ha" not in paths["coti"]
@@ -268,7 +264,6 @@ def test_rr_probe_routing_home_leg_vs_direct_leg(monkeypatch):
 
 def test_upstream_direct_and_transparent_once_bound():
     cfg = ScenarioConfig(protocol="diff-nemo", sim_end_us=30 * SEC)
-    cfg.cbr.stop_us = 30 * SEC
     sim = Simulation(cfg)
     sim.engine.run_until(25 * SEC)
     sim.nodes["mnn"].send_to_cn(seq=5)

@@ -17,7 +17,6 @@ from nemosim.simulation import Simulation
 
 def short_config(**kw):
     cfg = ScenarioConfig(sim_end_us=40 * SEC, **kw)
-    cfg.cbr.stop_us = 40 * SEC
     return cfg
 
 
@@ -64,7 +63,6 @@ def test_every_scheme_delivers_with_beacons_off(protocol):
     # none of its 500 packets.
     cfg = ScenarioConfig(protocol=protocol, dmr_speed_kmh=60, sim_end_us=60 * SEC,
                          beacon_interval_us=0)
-    cfg.cbr.stop_us = 60 * SEC
     report = run_scenario(cfg)
     assert report.sent == 500
     assert report.delivered > report.sent // 2
@@ -130,8 +128,7 @@ def run_cli(*args):
 
 def test_cli_run_writes_csv_and_trace(tmp_path):
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"sim_end_us": 40 * SEC,
-                                  "cbr": {"stop_us": 40 * SEC}}))
+    config.write_text(json.dumps({"sim_end_us": 40 * SEC}))
     out = tmp_path / "results.csv"
     trace = tmp_path / "trace.tsv"
     res = run_cli("run", "--config", str(config), "--protocol", "nemo-bs",
@@ -145,8 +142,7 @@ def test_cli_run_writes_csv_and_trace(tmp_path):
 
 def test_cli_run_is_repeatable(tmp_path):
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"sim_end_us": 40 * SEC,
-                                  "cbr": {"stop_us": 40 * SEC}}))
+    config.write_text(json.dumps({"sim_end_us": 40 * SEC}))
     outputs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
@@ -159,8 +155,7 @@ def test_cli_run_is_repeatable(tmp_path):
 
 def test_cli_sweep_to_stdout(tmp_path):
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({"sim_end_us": 30 * SEC,
-                                  "cbr": {"stop_us": 30 * SEC}}))
+    config.write_text(json.dumps({"sim_end_us": 30 * SEC}))
     res = run_cli("sweep", "--config", str(config), "--speeds", "30,60",
                   "--protocol", "diff-nemo")
     assert res.returncode == 0, res.stderr
@@ -272,8 +267,8 @@ def test_cli_sweep_checks_speeds_against_its_own_config(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("protocol, faults", [
-    ("nemo-bs", '{"dad_collision_handovers": [0]}'),
-    ("diff-fh-nemo", '{"fna_collision_handovers": [0]}'),
+    ("diff-nemo", '{"drop_first_signals": ["HoTI"]}'),
+    ("diff-fh-nemo", '{"drop_first_signals": ["FBU"]}'),
 ])
 def test_cli_sweep_checks_every_scheme_before_running(protocol, faults, tmp_path,
                                                       monkeypatch, capsys):
@@ -288,3 +283,13 @@ def test_cli_sweep_checks_every_scheme_before_running(protocol, faults, tmp_path
     assert exc.value.code == 2
     assert "error: faults." in capsys.readouterr().err
     assert runs == []
+
+
+def test_cli_sweep_runs_a_collision_fault_in_every_scheme(tmp_path, monkeypatch):
+    # One collision fault applies to all three schemes, so the sweep runs.
+    path = tmp_path / "fault.json"
+    path.write_text('{"faults": {"dad_collision_handovers": [0]}}')
+    runs = []
+    monkeypatch.setattr(cli, "sweep", lambda *a, **kw: runs.append(a) or ("", []))
+    assert cli.main(["sweep", "--config", str(path), "--speeds", "15,30"]) == 0
+    assert len(runs) == 1 and runs[0][0].faults.dad_collision_handovers == (0,)

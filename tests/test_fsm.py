@@ -21,6 +21,14 @@ def test_trigger_starts_proxy_discovery():
     assert emitted(actions) == [SignalKind.RT_SOL_PR]
 
 
+def test_trigger_outside_idle_abandons_the_open_handover():
+    for state in DmrState:
+        if state is not DmrState.IDLE:
+            nxt, actions = fsm_step(fsm.ROLE_DMR, state, FsmEvent(fsm.EV_L2_TRIGGER))
+            assert nxt == DmrState.SENT_RTSOLPR
+            assert actions == (Do("abandon_handover"), Emit(SignalKind.RT_SOL_PR, fsm.DEST_OAR))
+
+
 def test_map_starts_handover_on_binding_update():
     state, actions = fsm_step(fsm.ROLE_MAP, MapState.IDLE, FsmEvent(fsm.EV_FBU))
     assert state == MapState.SENT_HI

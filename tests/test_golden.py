@@ -35,7 +35,7 @@ from nemosim.network import LinkQueue
 from nemosim.nodes import MnnNode
 from nemosim.packets import DepthExceeded, Packet
 from nemosim.scenario import (MODE_REACTIVE, PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
-                              CbrConfig, FaultConfig, ScenarioConfig, default_topology)
+                              FaultConfig, ScenarioConfig, default_topology)
 from nemosim.simulation import Simulation
 from probes import backlogged
 
@@ -102,8 +102,7 @@ def cli_run(tmp_path, protocol):
     """`nemosim run` on criterion 9's scenario with the trace streamed to a
     file; returns the paths of the trace and of the CSV."""
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps({**CRITERION_9, "protocol": protocol,
-                                  "cbr": {"stop_us": 60 * SEC}}))
+    config.write_text(json.dumps({**CRITERION_9, "protocol": protocol}))
     trace, out = tmp_path / "trace.tsv", tmp_path / "row.csv"
     cli.main(["run", "--config", str(config), "--trace", str(trace),
               "--out", str(out)])
@@ -113,7 +112,6 @@ def cli_run(tmp_path, protocol):
 @pytest.mark.parametrize("protocol", list(GOLDEN))
 def test_criterion_9_scenario_matches_golden(protocol):
     cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
-    cfg.cbr.stop_us = 60 * SEC
     trace = []
     report = run_scenario(cfg, trace=trace)
     lines, trace_digest, row_digest = GOLDEN[protocol]
@@ -185,7 +183,6 @@ def test_untraced_run_skips_only_background_arrivals(protocol, monkeypatch):
     completions of links with nothing queued behind the packet, which a
     link's clock replaces."""
     cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
-    cfg.cbr.stop_us = 60 * SEC
     report, events = run_counted(cfg)
     idle = []
     on_tx_done = LinkQueue._on_tx_done
@@ -271,14 +268,11 @@ def outcome(cfg, trace):
 
 def lead_cell(lead_ms, speed_kmh):
     return ScenarioConfig(protocol=PROTO_DIFF_FH, seed=1, lead_us=lead_ms * MS,
-                          dmr_speed_kmh=speed_kmh, sim_end_us=60 * SEC,
-                          cbr=CbrConfig(stop_us=60 * SEC))
+                          dmr_speed_kmh=speed_kmh, sim_end_us=60 * SEC)
 
 
 def criterion_9(protocol):
-    cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
-    cfg.cbr.stop_us = 60 * SEC
-    return cfg
+    return ScenarioConfig(protocol=protocol, **CRITERION_9)
 
 
 # Runs where a link's clock and the event transmitter could part: criterion
@@ -293,8 +287,28 @@ EQUIVALENCE_RUNS = {
                                        dmr_speed_kmh=60),
     "fna-collision": lambda: ScenarioConfig(
         protocol=PROTO_DIFF_FH, mode=MODE_REACTIVE, waypoints=[(60.0, 0.0), (220.0, 0.0)],
-        faults=FaultConfig(fna_collision_handovers=(0,))),
+        faults=FaultConfig(dad_collision_handovers=(0,))),
 }
+
+
+def test_reactive_collision_run_matches_its_pin(tmp_path):
+    """The reactive collision run under `nemosim run`: the new access router
+    answers the first handover's FNA with a NAACK, and the router moves to
+    the alternative address it offers."""
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({"protocol": PROTO_DIFF_FH, "mode": MODE_REACTIVE,
+                                  "waypoints": [[60.0, 0.0], [220.0, 0.0]],
+                                  "faults": {"dad_collision_handovers": [0]}}))
+    trace, out = tmp_path / "trace.tsv", tmp_path / "row.csv"
+    assert cli.main(["run", "--config", str(config), "--trace", str(trace),
+                     "--out", str(out)]) == 0
+    data = trace.read_bytes()
+    assert data.count(b"\n") == 31719
+    assert hashlib.sha256(data).hexdigest() == (
+        "091efbad6363e76829b8bc6a2b06e7d9ac5e00b971e29134f6f8df08be9d609a")
+    assert out.read_text().split("\n")[1] == (
+        "diff-fh-nemo,reactive,3.6,1,2250,2249,1,0.044,99.956,160.000,160.000,44.552")
+    assert b"NAACK" in data
 
 
 @pytest.mark.parametrize("name", list(EQUIVALENCE_RUNS))
@@ -310,7 +324,6 @@ def test_stepped_runs_keep_the_same_clock_traced_and_untraced():
     earlier; so code acting between steps acts at the same instant in both."""
     def stepped(trace):
         return Simulation(ScenarioConfig(protocol=PROTO_DIFF_FH, sim_end_us=30 * SEC,
-                                         cbr=CbrConfig(stop_us=30 * SEC),
                                          waypoints=[(100.0, 0.0)]), trace=trace)
 
     untraced, traced = stepped(None), stepped([])
@@ -357,7 +370,6 @@ def test_failed_run_keeps_trace_up_to_failing_event(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MnnNode, "on_packet", on_packet)
     cfg = ScenarioConfig(protocol=PROTO_DIFF_FH, **CRITERION_9)
-    cfg.cbr.stop_us = 60 * SEC
     in_memory = []
     with pytest.raises(Boom):
         run_scenario(cfg, trace=in_memory)

@@ -227,7 +227,7 @@ def test_cbr_census_holds_when_a_run_ends_mid_serialization():
     while not cbr_on_a_loaded_wire(probe):
         end += MS
         probe.engine.run_until(end)
-    cfg.sim_end_us = cfg.cbr.stop_us = end
+    cfg.sim_end_us = end
     for trace in (None, []):
         sim = Simulation(cfg, trace=trace)
         report = sim.run()
@@ -237,7 +237,6 @@ def test_cbr_census_holds_when_a_run_ends_mid_serialization():
 
 def sixty_second_run(protocol, background_load_bps=0):
     return ScenarioConfig(protocol=protocol, dmr_speed_kmh=60, sim_end_us=60 * SEC,
-                          cbr=CbrConfig(stop_us=60 * SEC),
                           background_load_bps=background_load_bps)
 
 

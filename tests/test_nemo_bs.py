@@ -154,7 +154,6 @@ def test_every_baseline_delivery_traverses_the_home_agent():
     from nemosim.scenario import ScenarioConfig
     from nemosim.simulation import Simulation
     cfg = ScenarioConfig(protocol="nemo-bs", sim_end_us=40 * SEC)
-    cfg.cbr.stop_us = 40 * SEC
     sim = Simulation(cfg)
     report = sim.run()
     assert report.delivered > 0
@@ -168,7 +167,6 @@ def test_access_router_answers_colliding_dad_probe():
     from nemosim.simulation import Simulation
     cfg = ScenarioConfig(protocol="nemo-bs", sim_end_us=25 * SEC,
                          faults=FaultConfig(dad_collision_handovers=(0,)))
-    cfg.cbr.stop_us = 25 * SEC
     sim = Simulation(cfg)
     sim.run()
     mr = sim.nodes["dmr"]
@@ -192,7 +190,6 @@ def test_baseline_upstream_also_rides_the_home_tunnel():
     from nemosim.scenario import ScenarioConfig
     from nemosim.simulation import Simulation
     cfg = ScenarioConfig(protocol="nemo-bs", sim_end_us=30 * SEC)
-    cfg.cbr.stop_us = 30 * SEC
     sim = Simulation(cfg)
     sim.engine.run_until(25 * SEC)
     sim.nodes["mnn"].send_to_cn(seq=1)

@@ -11,7 +11,7 @@ from nemosim.fsm import MapState, NarState, NewMapState
 from nemosim.nemo_bs import HomeAgent
 from nemosim.nodes import BG_TICK, ArNode, Node
 from nemosim.packets import Address, SignalKind, make_signal
-from nemosim.scenario import CbrConfig, FaultConfig, ScenarioConfig
+from nemosim.scenario import FaultConfig, ScenarioConfig
 from nemosim.simulation import Simulation
 from probes import innermost
 
@@ -29,8 +29,8 @@ RUNS = {
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_every_fired_timer_reaches_a_handler(run, background_bps):
     # 60 s at 60 km/h crosses cells under both anchors.
-    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
-                         background_load_bps=background_bps, **RUNS[run])
+    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, background_load_bps=background_bps,
+                         **RUNS[run])
     sim = Simulation(cfg)
     fired, unhandled, bg_ticks = Counter(), Counter(), Counter()
 
@@ -68,8 +68,7 @@ def test_every_arriving_tunnel_logs_into_its_innermost_packet(run):
     """`Node.dispatch` and the air receivers log each hop in the arriving
     packet's own `path_log`; for a tunnelled packet that is the list of its
     innermost packet, where the sink reads the route."""
-    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
-                         **RUNS[run])
+    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, **RUNS[run])
     sim = Simulation(cfg)
     shared = Counter()
 
@@ -111,8 +110,7 @@ def test_signals_with_no_handler_are_the_known_two(monkeypatch):
         on_packet(self, pkt)
     monkeypatch.setattr(Node, "on_packet", spy)
     for run in RUNS.values():
-        Simulation(ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC,
-                                  cbr=CbrConfig(stop_us=60 * SEC), **run)).run()
+        Simulation(ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, **run)).run()
     assert not undeclared
     assert set(untaken) == {key for key, row in fsm.RECEIVE.items() if row is None}
     assert len(untaken) == 2
@@ -127,21 +125,23 @@ def test_a_signal_no_row_or_handler_takes_is_unexpected_at_any_node(fake_sim):
 
 
 # The access router's own signals, and an announcement that carries a binding
-# update, each in the one run that sends it.
+# update, each in the one run that sends it; one collision fault makes the
+# access router answer with an NA, or the fast scheme's with a NAACK.
 DROPS = {
     "RA": {},
     "PrRtAdv": {},
     "NA": {"protocol": "nemo-bs", "faults": FaultConfig(drop_first_signals=("NA",),
                                                        dad_collision_handovers=(0,))},
     "FNA": {"mode": "reactive"},
+    "NAACK": {"mode": "reactive", "faults": FaultConfig(drop_first_signals=("NAACK",),
+                                                       dad_collision_handovers=(0,))},
 }
 
 
 @pytest.mark.parametrize("kind", sorted(DROPS))
 def test_every_listed_signal_kind_is_dropped_at_its_exit(kind, monkeypatch):
     run = {"faults": FaultConfig(drop_first_signals=(kind,)), **DROPS[kind]}
-    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, cbr=CbrConfig(stop_us=60 * SEC),
-                         **run)
+    cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=60 * SEC, **run)
     dropped = []
     send = Simulation.send_signal_packet
 
@@ -165,8 +165,7 @@ def test_sent_signal_kinds_match_the_table(protocol, mode, monkeypatch):
     # `validate` rejects a drop fault for a kind outside
     # `ScenarioConfig.sent_signals`, so the table must hold every kind the
     # scheme sends, inner layers included, and no kind it never sends.
-    cfg = ScenarioConfig(protocol=protocol, mode=mode, dmr_speed_kmh=60, sim_end_us=60 * SEC,
-                         cbr=CbrConfig(stop_us=60 * SEC))
+    cfg = ScenarioConfig(protocol=protocol, mode=mode, dmr_speed_kmh=60, sim_end_us=60 * SEC)
     sent = set()
     send = Simulation.send_signal_packet
 
@@ -198,7 +197,7 @@ def test_fast_handover_duties_stay_idle_without_the_fast_router(protocol, backgr
     # scheme, but only the fast router signals them; nor does any other
     # router form an address in an anchor's prefix.
     cfg = ScenarioConfig(protocol=protocol, dmr_speed_kmh=60, sim_end_us=60 * SEC,
-                         cbr=CbrConfig(stop_us=60 * SEC), background_load_bps=background_bps)
+                         background_load_bps=background_bps)
     wheres = []
     drop = Simulation.drop
 

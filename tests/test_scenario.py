@@ -35,7 +35,7 @@ def test_unknown_top_level_key_rejected():
 
 
 def test_unknown_nested_key_rejected():
-    with pytest.raises(ConfigError, match="burst"):
+    with pytest.raises(ConfigError, match=r"^unknown config key 'cbr\.burst'$"):
         config_from_dict({"cbr": {"burst": 3}})
 
 
@@ -50,10 +50,12 @@ def test_bad_speed_rejected():
 
 
 def test_cbr_window_must_fit_run():
-    with pytest.raises(ConfigError):
-        config_from_dict({"cbr": {"start_us": 10, "stop_us": 5}})
-    with pytest.raises(ConfigError):
-        config_from_dict({"sim_end_us": 30 * SEC})   # default stop at 200 s
+    # The flow runs from cbr.start_us to the end of the run.
+    with pytest.raises(ConfigError, match=r"^cbr\.start_us breaks cbr\.start_us < sim_end_us"):
+        config_from_dict({"sim_end_us": 30 * SEC, "cbr": {"start_us": 30 * SEC}})
+    with pytest.raises(ConfigError, match=r"^sim_end_us breaks cbr\.start_us < sim_end_us"):
+        config_from_dict({"sim_end_us": 10 * SEC})   # default start at 20 s
+    assert config_from_dict({"sim_end_us": 60 * SEC}).sim_end_us == 60 * SEC
 
 
 # Model values that are constants of the module that owns them, not settings.
@@ -64,8 +66,11 @@ FIXED_VALUES = ["air_rate_bps", "air_delay_us", "bg_packet_bytes", "start_x_m",
 
 # Keys that are worked out instead: the binding refresh is the constant
 # `nemo_bs.BINDING_REFRESH_US`, a router solicits unless it is the baseline's
-# and the access routers beacon, and `mode` makes a handover reactive.
-REMOVED_KEYS = ["binding_refresh_us", "movement_detection", "force_reactive_at"]
+# and the access routers beacon, `mode` makes a handover reactive, the CBR
+# flow stops at the end of the run, and `faults.dad_collision_handovers` is
+# the one collision fault of every scheme.
+REMOVED_KEYS = ["binding_refresh_us", "movement_detection", "force_reactive_at",
+                "cbr.stop_us", "faults.fna_collision_handovers"]
 
 
 # Each of these would hang (a source re-arming itself at +0 us), divide by
@@ -168,10 +173,10 @@ REMOVED_KEYS = ["binding_refresh_us", "movement_detection", "force_reactive_at"]
     ({"air_rate_bps": 1e-300}, "air_rate_bps"),
     ({"cbr": {"packet_bytes": 10 ** 400}}, "cbr.packet_bytes"),
     ({"bg_packet_bytes": 10 ** 400, "background_load_bps": 1_200_000}, "bg_packet_bytes"),
-    ({"sim_end_us": 10 ** 400, "cbr": {"stop_us": 10 ** 400}}, "sim_end_us"),
+    ({"sim_end_us": 10 ** 400}, "sim_end_us"),
     ({"sim_end_us": 10 ** 15, "cbr": {"stop_us": 10 ** 15}}, "cbr.stop_us"),
     ({"dmr_speed_kmh": 60, "bounce_near_x_m": 0, "bounce_far_x_m": 1e-300}, "bounce_near_x_m"),
-    ({"faults": {"dad_collision_handovers": [0]}}, "faults.dad_collision_handovers"),
+    ({"faults": {"dad_collision_handovers": [-1]}}, "faults.dad_collision_handovers"),
     ({"faults": {"drop_first_signals": ["NA"]}}, "faults.drop_first_signals"),
     ({"mode": "proactive"}, "mode"),
     ({"red": []}, "red"),
@@ -193,8 +198,13 @@ REMOVED_KEYS = ["binding_refresh_us", "movement_detection", "force_reactive_at"]
      "faults.drop_first_signals"),
     ({"mode": "reactive", "faults": {"drop_first_signals": ["HI"]}}, "faults.drop_first_signals"),
     ({"protocol": "nemo-bs", "dmr_speed_kmh": 60, "sim_end_us": 60 * SEC,
-      "cbr": {"stop_us": 60 * SEC}, "beacon_interval_us": 100 * SEC}, "beacon_interval_us"),
-    ({"sim_end_us": 500_000, "cbr": {"start_us": 0, "stop_us": 400_000}}, "sim_end_us"),
+      "beacon_interval_us": 100 * SEC}, "beacon_interval_us"),
+    ({"sim_end_us": 500_000, "cbr": {"start_us": 0}}, "sim_end_us"),
+    ({"sim_end_us": 10 ** 15}, "sim_end_us"),
+    ({"protocol": "nemo-bs", "faults": {"dad_collision_handovers": [0, -2]}},
+     "faults.dad_collision_handovers"),
+    ({"faults": {"dad_collision_handovers": [0], "drop_first_signals": ["NA"]}},
+     "faults.drop_first_signals"),
 ])
 def test_config_that_cannot_run_names_bad_key(data, key):
     unknown = key in FIXED_VALUES + REMOVED_KEYS
@@ -211,19 +221,23 @@ def test_fixed_model_value_is_an_unknown_key(key):
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_key_is_an_unknown_key(key):
-    with pytest.raises(ConfigError, match=rf"^unknown config key '{key}'$"):
-        config_from_dict({key: 1})
+    *outer, leaf = key.split(".")
+    data = {leaf: 1}
+    for part in reversed(outer):
+        data = {part: data}
+    with pytest.raises(ConfigError, match=rf"^unknown config key '{re.escape(key)}'$"):
+        config_from_dict(data)
 
 
 def test_leaf_keys_are_exactly_the_settings():
     # A new setting is a visible diff here.
     assert [key for key, _, value in _walk(ScenarioConfig()) if not is_dataclass(value)] == [
         "protocol", "mode", "dmr_speed_kmh", "seed", "sim_end_us",
-        "cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us", "cbr.stop_us",
+        "cbr.packet_bytes", "cbr.rate_bps", "cbr.start_us",
         "background_load_bps", "lead_us", "l2_switch_us", "beacon_interval_us",
         "nar_buffer_capacity", "red.min_th", "red.max_th", "red.max_p", "red.w_q",
-        "red.capacity", "faults.dad_collision_handovers",
-        "faults.fna_collision_handovers", "faults.drop_first_signals", "waypoints"]
+        "red.capacity", "faults.dad_collision_handovers", "faults.drop_first_signals",
+        "waypoints"]
 
 
 def test_json_round_trip(tmp_path):
@@ -294,7 +308,7 @@ POOL = [0, -1, 0.5, 2, 1e9, 1e-300, 10 ** 400, float("nan"), "x", True, []]
 @settings(max_examples=500, deadline=None)
 @given(st.dictionaries(st.sampled_from(LEAF_KEYS), st.sampled_from(POOL),
                        min_size=1, max_size=2))
-@example({"cbr.start_us": 0, "cbr.stop_us": 2})
+@example({"cbr.start_us": 0, "sim_end_us": 2})
 def test_every_config_runs_or_names_a_drawn_key(drawn):
     data = {"dmr_speed_kmh": 60}    # fast enough to cross cells in 25 s
     for key, value in drawn.items():
@@ -308,8 +322,6 @@ def test_every_config_runs_or_names_a_drawn_key(drawn):
     except ConfigError as exc:
         assert str(exc).split(" ", 1)[0] in drawn, str(exc)
         return
-    # A drawn sim_end_us or cbr.stop_us can pass validation (a CBR window of
-    # [0, 2 us]), so the run is cut to at most its first 25 s.
+    # The default run lasts 200 s, so each is cut to at most its first 25 s.
     cfg.sim_end_us = min(cfg.sim_end_us, 25 * SEC)
-    cfg.cbr.stop_us = min(cfg.cbr.stop_us, 25 * SEC)
     run_scenario(cfg)

@@ -74,7 +74,6 @@ class CountingSink:
 
 def short_config(**kw):
     cfg = ScenarioConfig(dmr_speed_kmh=60, sim_end_us=40 * SEC, **kw)
-    cfg.cbr.stop_us = 40 * SEC
     return cfg
 
 
@@ -87,7 +86,7 @@ RUNS.update({
     "dad-collision": dict(protocol=PROTO_NEMO_BS,
                           faults=FaultConfig(dad_collision_handovers=(0,))),
     "fna-collision": dict(protocol=PROTO_DIFF_FH,
-                          faults=FaultConfig(fna_collision_handovers=(0,))),
+                          faults=FaultConfig(dad_collision_handovers=(0,))),
 })
 
 
