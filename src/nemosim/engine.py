@@ -121,9 +121,23 @@ class Engine:
     which a link tells whether its transmission has ended at `now`.  An
     arrival, though, takes its number when serialization starts, so it can
     pop before an event at the same microsecond that the traced run would
-    process first.  When `run_until` returns, the clock sits at its `end`,
-    not at the last event it ran, so a run stepped from outside stands at
-    the same instant traced and untraced.
+    process first.
+
+    Events that fall at one instant, one after another, can share one heap
+    entry as lanes: each lane reserves the number its event would take
+    (`reserve_seq`) where it would be scheduled, only the first lane's
+    entry goes on the heap, and its handler runs the later lanes in order.
+    Before each later lane it asks `run_reserved`: the lane runs inline,
+    under its own number as `now_seq`, only when the run is untraced and no
+    pending event at `now` holds a smaller number; else the lane and those
+    after it go back on the heap under that number.  Every lane thus runs
+    at the same (time, insertion number) as its own event would, and a
+    traced run prints a line for each.  The background source's ticks
+    (`ArNode.dispatch`) are the one such batch.
+
+    When `run_until` returns, the clock sits at its `end`, not at the last
+    event it ran, so a run stepped from outside stands at the same instant
+    traced and untraced.
     """
 
     def __init__(self, seed: int = 0, trace: Optional[list[str] | TraceWriter] = None):
@@ -171,6 +185,20 @@ class Engine:
         if fire_at < self.now:
             raise PastEvent(f"fire_at {fire_at} < clock {self.now}")
         heappush(self._heap, (fire_at, seq, target, kind, payload))
+
+    def run_reserved(self, seq: int, target: str, kind: str, payload: object = None) -> bool:
+        """Whether the running handler may run, inside its own event, the
+        event it reserved as `seq` for `now`.  Yes, with `now_seq` set to
+        `seq`, when the run is untraced and no pending event at `now` has a
+        smaller number, so that the event would pop next.  Otherwise it is
+        scheduled at `now` under `seq`, to pop in its turn, and the handler
+        must leave it to that entry."""
+        heap = self._heap
+        if self.trace is None and not (heap and heap[0][0] == self.now and heap[0][1] < seq):
+            self.now_seq = seq
+            return True
+        heappush(heap, (self.now, seq, target, kind, payload))
+        return False
 
     def pending(self) -> int:
         return len(self._heap)

@@ -23,11 +23,6 @@ class Link:
     prop_delay_us: SimTime
 
 
-def transmit(link: Link, pkt: Packet, depart: SimTime) -> SimTime:
-    """Arrival instant for a packet leaving an idle link at `depart`."""
-    return depart + serialization_us(pkt.size_bytes, link.bandwidth_bps) + link.prop_delay_us
-
-
 @dataclass(frozen=True, slots=True)
 class WirelessCell:
     bs: str

@@ -147,10 +147,15 @@ class Node:
 class ArNode(Node):
     """Access router: advertisements, proxied discovery, duplicate address
     checks, and the optional best-effort background source on its downlink.
-    As the new access router of a fast handover it also verifies the
-    pre-configured address, anchors the forwarding tunnel, and buffers until
-    the router announces itself; those duties lie idle until an HI or an FNA
-    arrives, which only the fast scheme sends."""
+    The background sources of all access routers tick at the same instants,
+    as lanes of one batch (see `Engine`), in the order they started: one
+    heap entry per instant, the first router's, runs every later router's
+    tick inside it unless the run is traced or an event falls due between
+    two ticks, and each tick keeps the insertion number that its own event
+    would have had.  As the new access router of a fast handover it also
+    verifies the pre-configured address, anchors the forwarding tunnel, and
+    buffers until the router announces itself; those duties lie idle until
+    an HI or an FNA arrives, which only the fast scheme sends."""
 
     roles = {fsm.ROLE_NAR: ("state", "ctx")}
 
@@ -254,8 +259,9 @@ class ArNode(Node):
         if ev[4] is not BG_TICK:
             super().dispatch(ev)
             return
-        # A background tick, a third of a congested run's events, is handled
-        # here rather than in a method of its own, to save a call per tick.
+        # A background tick is handled here rather than in a method of its
+        # own, to save a call per tick.  It runs this router's lane, then the
+        # later lanes inside this event while `run_reserved` lets it.
         engine = self._bg_engine
         pkt = self._bg_packet
         if pkt is None:
@@ -266,7 +272,18 @@ class ArNode(Node):
                          FLOW_BG, 0, None, None, None, None, engine.now)
             self._bg_seq += 1
         self._bg_queue.send(pkt)
-        engine.schedule_in(self._bg_interval_us, self.node_id, TIMER_EXPIRY, BG_TICK)
+        # Each lane takes its next tick's insertion number here, where its
+        # own timer would be scheduled, so every other event keeps its number.
+        if self._bg_lead:
+            engine.schedule_in(self._bg_interval_us, self.node_id, TIMER_EXPIRY, BG_TICK)
+        else:
+            self._bg_next = engine.reserve_seq()
+        for lane in self._bg_later:
+            # Only an untraced run goes on, so the lane sends its one packet.
+            if not engine.run_reserved(lane._bg_next, lane.node_id, TIMER_EXPIRY, BG_TICK):
+                return
+            lane._bg_queue.send(lane._bg_packet)
+            lane._bg_next = engine.reserve_seq()
 
     def on_app(self, kind: str) -> None:
         cfg = self.sim.config
@@ -282,6 +299,16 @@ class ArNode(Node):
             if engine.trace is None:
                 self._bg_packet = Packet(self.address, self._bg_dst, BG_PACKET_BYTES,
                                          DATA, 0, FLOW_BG, created_at=engine.now)
+            # The lanes, in the order their starts run: every start is a boot
+            # event at 0, so every router ticks at the same instants.  The
+            # first keeps the batch's heap entry; each later one joins the
+            # batch of every lane before it.
+            lanes = self.sim.bg_lanes
+            self._bg_lead = not lanes
+            self._bg_later = []
+            for lane in lanes:
+                lane._bg_later.append(self)
+            lanes.append(self)
             # The first tick runs inside the start event, as if its timer
             # fired now.
             self.dispatch((engine.now, engine.now_seq, self.node_id, TIMER_EXPIRY, BG_TICK))

@@ -38,6 +38,9 @@ class Simulation:
         self.linkqueues: dict[tuple[str, str], LinkQueue] = {}
         self._sla_tables: dict[str, SlaTable] = {}
         self._drop_faults = list(config.faults.drop_first_signals)
+        # The access routers whose background source runs, as lanes of one
+        # batch of ticks, in the order they started (`ArNode.dispatch`).
+        self.bg_lanes: list[ArNode] = []
         self._build()
 
     # -- construction ----------------------------------------------------------

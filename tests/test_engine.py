@@ -197,3 +197,83 @@ def test_processing_order_is_stable_sort(entries):
     eng.run_until(10 ** 7)
     assert seen == sorted(seen, key=lambda p: (p[0], p[1]))
     assert len(seen) == len(entries)
+
+
+
+def lane_engine(trace=None, before_lane=False):
+    """An engine whose event "A" at 5 ms is followed by a reserved lane
+    number, as a batch's first lane is; with `before_lane`, an event "B" at
+    the same instant takes the number between them.  An event "C" at that
+    instant is scheduled after the reservation.  Returns the engine and the
+    lane's number."""
+    eng = Engine(trace=trace)
+    eng.schedule_in(5 * MS, "n", "timer_expiry", "A")
+    if before_lane:
+        eng.schedule_in(5 * MS, "n", "timer_expiry", "B")
+    lane = eng.reserve_seq()
+    eng.schedule_in(5 * MS, "n", "timer_expiry", "C")
+    return eng, lane
+
+
+def run_lane_after_a(eng, lane):
+    """Run `eng` to 1 s; at "A" the handler asks to run the lane inline.
+    Returns the events processed, the payloads in the order they ran, the
+    entries popped, and (now, now_seq) wherever the lane ran."""
+    seen, popped, ran = [], [], []
+
+    def handler(ev):
+        popped.append(ev)
+        seen.append(ev[4])
+        if ev[4] == "lane":
+            ran.append((eng.now, eng.now_seq))
+        elif ev[4] == "A" and eng.run_reserved(lane, "n", "timer_expiry", "lane"):
+            seen.append("lane")
+            ran.append((eng.now, eng.now_seq))
+    eng.register("n", handler)
+    return eng.run_until(SEC), seen, popped, ran
+
+
+def test_reserved_lane_runs_inline_when_nothing_precedes_it():
+    eng, lane = lane_engine()
+    processed, seen, popped, ran = run_lane_after_a(eng, lane)
+    # The lane is no event of its own, but runs in its turn, under its number.
+    assert processed == len(popped) == 2
+    assert seen == ["A", "lane", "C"]
+    assert ran == [(5 * MS, lane)]
+
+
+def test_reserved_lane_yields_to_an_earlier_entry_at_the_same_instant():
+    eng, lane = lane_engine(before_lane=True)
+    processed, seen, popped, ran = run_lane_after_a(eng, lane)
+    assert processed == 4
+    assert seen == ["A", "B", "lane", "C"]
+    assert popped[2] == (5 * MS, lane, "n", "timer_expiry", "lane")
+    assert ran == [(5 * MS, lane)]
+
+
+def test_reserved_lane_never_runs_inline_under_a_trace_sink():
+    trace = []
+    eng, lane = lane_engine(trace=trace)
+    processed, seen, popped, ran = run_lane_after_a(eng, lane)
+    assert processed == 3
+    assert seen == ["A", "lane", "C"]
+    assert ran == [(5 * MS, lane)]
+    assert trace == [f"{5 * MS}\tn\ttimer_expiry\t{tag}" for tag in ("A", "lane", "C")]
+
+
+def test_reserved_lane_keeps_its_number_while_it_sends():
+    # What an inline lane schedules takes fresh numbers, past its own, so it
+    # pops after every event already due at `now`.
+    eng, lane = lane_engine()
+    numbers, seen = [], []
+
+    def handler(ev):
+        seen.append(ev[4])
+        if ev[4] == "A" and eng.run_reserved(lane, "n", "timer_expiry", "lane"):
+            numbers.append(eng.now_seq)
+            eng.schedule_in(0, "n", "timer_expiry", "sent")
+            numbers.append(eng.now_seq)
+    eng.register("n", handler)
+    eng.run_until(SEC)
+    assert numbers == [lane, lane]
+    assert seen == ["A", "C", "sent"]

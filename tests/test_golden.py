@@ -12,10 +12,11 @@ which must also stay small in memory and survive a run that raises.
 The digests pin the traced run, whose links are driven by transmit-completion
 events.  An untraced run's links keep time with a clock instead, so it skips
 the completions of links with nothing queued, and the background arrivals
-that the stations discard unheard.  It must give the same row, deliveries and
-drops.  One difference is allowed: an arrival takes its insertion number when
-serialization starts, so two events at one microsecond can swap.  No run
-checked here moves for it.
+that the stations discard unheard, and it runs the access routers' background
+ticks at one instant as lanes of one event where nothing comes between them.
+It must give the same row, deliveries and drops.  One difference is allowed:
+an arrival takes its insertion number when serialization starts, so two
+events at one microsecond can swap.  No run checked here moves for it.
 """
 
 import hashlib
@@ -24,18 +25,20 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from census import SIGNAL_KINDS
 from nemosim import cli, nodes
 from nemosim.diffserv import PriorityScheduler
-from nemosim.engine import MS, SEC
+from nemosim.engine import MS, SEC, Engine
 from nemosim.experiment import run_scenario
 from nemosim.metrics import FLOW_BG
 from nemosim.network import LinkQueue
 from nemosim.nodes import MnnNode
 from nemosim.packets import DepthExceeded, Packet
 from nemosim.scenario import (MODE_REACTIVE, PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
-                              FaultConfig, ScenarioConfig, default_topology)
+                              CbrConfig, FaultConfig, ScenarioConfig, default_topology)
 from nemosim.simulation import Simulation
 from probes import backlogged
 
@@ -176,14 +179,30 @@ def background_arrivals(trace, topo) -> int:
     return count
 
 
+def count_inline_lanes(monkeypatch) -> list[bool]:
+    """Spy on `Engine.run_reserved`: the list of its answers, True for each
+    lane that ran inside another lane's event."""
+    answers = []
+    run_reserved = Engine.run_reserved
+
+    def counted(engine, *args):
+        answers.append(run_reserved(engine, *args))
+        return answers[-1]
+    monkeypatch.setattr(Engine, "run_reserved", counted)
+    return answers
+
+
 @pytest.mark.parametrize("protocol", list(GOLDEN))
 def test_untraced_run_skips_only_background_arrivals(protocol, monkeypatch):
-    """An untraced run processes the traced run's events less two kinds: the
-    background arrivals that the stations discard, and the transmit
+    """An untraced run processes the traced run's events less three kinds:
+    the background arrivals that the stations discard, the transmit
     completions of links with nothing queued behind the packet, which a
-    link's clock replaces."""
+    link's clock replaces, and the background ticks that ran inside another
+    tick's event."""
     cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
+    answers = count_inline_lanes(monkeypatch)
     report, events = run_counted(cfg)
+    inline = sum(answers)
     idle = []
     on_tx_done = LinkQueue._on_tx_done
 
@@ -197,8 +216,8 @@ def test_untraced_run_skips_only_background_arrivals(protocol, monkeypatch):
     skipped = background_arrivals(trace, default_topology(cfg))
     assert sha256(report.csv_row()) == sha256(traced_report.csv_row()) == GOLDEN[protocol][2]
     assert traced_events == len(trace) == GOLDEN[protocol][0]
-    assert skipped > 10_000 and sum(idle) > 1_000
-    assert events == len(trace) - skipped - sum(idle)
+    assert skipped > 10_000 and sum(idle) > 1_000 and inline > 10_000
+    assert events == len(trace) - skipped - sum(idle) - inline
 
 
 def test_untraced_background_source_sends_one_packet(monkeypatch):
@@ -278,9 +297,15 @@ def criterion_9(protocol):
 # Runs where a link's clock and the event transmitter could part: criterion
 # 9's congested runs, the lead grid's failing cells (at 50 ms and 30 km/h a
 # buffer flush lands on the microsecond a transmission ends, and at 50 ms
-# and 60 km/h the run aborts), a reactive run and an address collision.
+# and 60 km/h the run aborts), a reactive run and an address collision.  And
+# criterion 9's scenario at 1 Mb/s of background: a tick every 16 ms, the
+# time a background packet takes on an access downlink, so a link's wake-up
+# reserved by one router's tick can fall due between two routers' ticks at
+# one instant, and the later lanes yield to it.
 EQUIVALENCE_RUNS = {
     **{f"criterion-9-{protocol}": lambda p=protocol: criterion_9(p) for protocol in GOLDEN},
+    "background-1mbps": lambda: ScenarioConfig(
+        protocol=PROTO_NEMO_BS, **{**CRITERION_9, "background_load_bps": 1_000_000}),
     **{f"lead-{lead}ms-{speed}kmh": lambda l=lead, s=speed: lead_cell(l, s)
        for lead in (50, 90) for speed in (30, 60)},
     "reactive": lambda: ScenarioConfig(protocol=PROTO_DIFF_FH, mode=MODE_REACTIVE,
@@ -316,6 +341,55 @@ def test_traced_and_untraced_runs_measure_the_same(name):
     untraced = outcome(EQUIVALENCE_RUNS[name](), None)
     traced = outcome(EQUIVALENCE_RUNS[name](), [])
     assert untraced[1] and untraced == traced
+
+
+def test_background_lanes_tick_where_their_own_events_would(monkeypatch):
+    """The access routers' ticks at one instant are lanes of one event.
+    Whether the later lanes run inside it, or each tick pops as an event of
+    its own (an engine that never lets a lane run inline), every background
+    packet is sent at the same (time, insertion number), and the run
+    measures the same.  At 1 Mb/s the lanes yield at least once to an event
+    that falls due between them."""
+    sends = []
+    send = LinkQueue.send
+
+    def counted(queue, pkt):
+        if pkt.flow == FLOW_BG:
+            sends.append((queue.engine.now, queue.engine.now_seq, queue.src))
+        send(queue, pkt)
+    monkeypatch.setattr(LinkQueue, "send", counted)
+
+    cfg = EQUIVALENCE_RUNS["background-1mbps"]()
+    answers = count_inline_lanes(monkeypatch)
+    batched = outcome(cfg, None)
+    batched_sends = sends[:]
+    assert answers.count(False) >= 1 and answers.count(True) > 10_000
+
+    def one_event_per_tick(engine, seq, target, kind, payload=None):
+        engine.schedule_reserved(engine.now, seq, target, kind, payload)
+        return False
+    monkeypatch.setattr(Engine, "run_reserved", one_event_per_tick)
+    sends.clear()
+    assert outcome(cfg, None) == batched
+    assert len(batched_sends) > 10_000 and batched_sends == sends
+
+
+@settings(max_examples=12, deadline=None)
+@example(background_bps=1_000_000, seed=3, protocol=PROTO_NEMO_BS, end_s=20)
+@given(background_bps=st.one_of(st.sampled_from([1_000_000, 1_200_000]),
+                                st.integers(min_value=800_000, max_value=2_000_000)),
+       seed=st.integers(min_value=1, max_value=100),
+       protocol=st.sampled_from(list(GOLDEN)),
+       end_s=st.integers(min_value=10, max_value=20))
+def test_any_background_measures_the_same_traced_and_untraced(background_bps, seed, protocol,
+                                                              end_s):
+    """Over background rates, seeds and schemes, the untraced run, whose
+    background lanes share events, measures what the traced run does, where
+    every tick is its own event."""
+    cfg = ScenarioConfig(protocol=protocol, seed=seed, background_load_bps=background_bps,
+                         dmr_speed_kmh=90, sim_end_us=end_s * SEC, cbr=CbrConfig(start_us=SEC))
+    untraced = outcome(cfg, None)
+    assert untraced[1] and untraced == outcome(cfg, [])
 
 
 def test_stepped_runs_keep_the_same_clock_traced_and_untraced():

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from nemosim.engine import MS, SEC, TIMER_EXPIRY, Engine, RngStream, SimEvent
 from nemosim.network import (Link, LinkQueue, MobilityTrack, WirelessCell,
                              build_l2_plan, cell_crossings, position_at,
-                             serialization_us, strongest_bs, transmit)
+                             serialization_us, strongest_bs)
 from nemosim.metrics import FLOW_BG
 from nemosim.packets import DATA, SIGNAL, Address, Packet
 from nemosim.diffserv import (ACCEPT, AF11, AF21, BE, EF, NUM_CLASSES, PriorityScheduler,
                               RedParams, af, service_class)
 from nemosim.scenario import ScenarioConfig, build_track, default_topology
 from nemosim.simulation import Simulation
-from probes import backlogged
+from probes import backlogged, transmit
 
 
 def test_transmit_serialization_plus_propagation():

@@ -39,8 +39,8 @@ def test_every_fired_timer_reaches_a_handler(run, background_bps):
             _, _, target, kind, token = ev
             node = sim.nodes.get(target)
             if kind == TIMER_EXPIRY and node is not None:
-                if token is BG_TICK:   # `ArNode.dispatch`'s fast path
-                    bg_ticks[isinstance(node, ArNode)] += 1
+                if token is BG_TICK:   # a batch of background lanes (`ArNode.dispatch`)
+                    bg_ticks[target] += 1
                 else:
                     fired[target, token[0]] += 1
                     if token[0] not in node.timer_handlers:
@@ -53,7 +53,9 @@ def test_every_fired_timer_reaches_a_handler(run, background_bps):
     sim.run()
 
     assert not unhandled, f"timers with no handler: {dict(unhandled)}"
-    assert set(bg_ticks) == ({True} if background_bps else set())
+    # The access routers' ticks are one batch, whose event is the first
+    # router's: at 1.2 Mb/s no event ever falls due between two lanes.
+    assert set(bg_ticks) == ({"ar1"} if background_bps else set())
     # Every table entry is reached too, except the address checks of the new
     # access router and anchor: every scheme registers them, but only a
     # predictive fast handover anticipates an address for them to verify.
