@@ -71,7 +71,9 @@ class TraceWriter:
         self._written = 0
 
     def extend(self, lines: list[str]) -> None:
-        self._fh.write("\n".join(lines) + "\n")
+        # Two writes, so the block is not copied once more to end it.
+        self._fh.write("\n".join(lines))
+        self._fh.write("\n")
         self._written += len(lines)
 
     def __len__(self) -> int:
@@ -128,11 +130,13 @@ class Engine:
     (`reserve_seq`) where it would be scheduled, only the first lane's
     entry goes on the heap, and its handler runs the later lanes in order.
     Before each later lane it asks `run_reserved`: the lane runs inline,
-    under its own number as `now_seq`, only when the run is untraced and no
-    pending event at `now` holds a smaller number; else the lane and those
-    after it go back on the heap under that number.  Every lane thus runs
-    at the same (time, insertion number) as its own event would, and a
-    traced run prints a line for each.  The background source's ticks
+    under its own number as `now_seq`, unless a pending event at `now` holds
+    a smaller number; then the lane and those after it go back on the heap
+    under that number.  Every lane thus runs at the same (time, insertion
+    number) as its own event would, traced or not.  A traced run renders an
+    inline lane's line into the running block, in its turn, as if the lane
+    had popped, so the trace is the same line for line; `run_until` counts
+    only the events it pops.  The background source's ticks
     (`ArNode.dispatch`) are the one such batch.
 
     When `run_until` returns, the clock sits at its `end`, not at the last
@@ -149,6 +153,9 @@ class Engine:
         # has run.
         self.now_seq = -1
         self._heap: list[Entry] = []
+        # The trace lines not yet handed to the sink, rendered by `run_until`
+        # and by `run_reserved`.
+        self._block: list[str] = []
         self._seq = 0
         self._handlers: dict[str, Callable[[Entry], None]] = {}
 
@@ -189,16 +196,24 @@ class Engine:
     def run_reserved(self, seq: int, target: str, kind: str, payload: object = None) -> bool:
         """Whether the running handler may run, inside its own event, the
         event it reserved as `seq` for `now`.  Yes, with `now_seq` set to
-        `seq`, when the run is untraced and no pending event at `now` has a
-        smaller number, so that the event would pop next.  Otherwise it is
-        scheduled at `now` under `seq`, to pop in its turn, and the handler
-        must leave it to that entry."""
+        `seq`, when no pending event at `now` has a smaller number, so that
+        the event would pop next; a traced run then renders its line, as
+        `run_until` would, and hands the block to the sink if the line fills
+        it.  Otherwise it is scheduled at `now` under `seq`, to pop in its
+        turn, and the handler must leave it to that entry."""
         heap = self._heap
-        if self.trace is None and not (heap and heap[0][0] == self.now and heap[0][1] < seq):
-            self.now_seq = seq
-            return True
-        heappush(heap, (self.now, seq, target, kind, payload))
-        return False
+        if heap and heap[0][0] == self.now and heap[0][1] < seq:
+            heappush(heap, (self.now, seq, target, kind, payload))
+            return False
+        self.now_seq = seq
+        sink = self.trace
+        if sink is not None:
+            block = self._block
+            block.append(f"{self.now}\t{target}\t{kind}\t{trace_detail(payload)}")
+            if len(block) >= TRACE_BLOCK_LINES:
+                sink.extend(block)
+                block.clear()
+        return True
 
     def pending(self) -> int:
         return len(self._heap)
@@ -216,14 +231,16 @@ class Engine:
         # Read once per call, so that a test that swaps the module's
         # renderer sees every payload.
         detail = trace_detail
-        block: list[str] = []
+        block = self._block
         append = block.append
         processed = 0
         stuck = 0
         try:
             # Events run in blocks of TRACE_BLOCK_LINES, so the full block
             # goes to the sink without a length test per event, and the clock
-            # is tested for a livelock once per block.
+            # is tested for a livelock once per block.  The lines of inline
+            # lanes join the block too; `run_reserved` hands it over early
+            # when one fills it, so no block is longer.
             while heap and heap[0][0] <= end:
                 start = heap[0][0]
                 if start != self.now:
@@ -254,6 +271,7 @@ class Engine:
         finally:
             if block:
                 sink.extend(block)
+                block.clear()
         if end > self.now:
             self.now = end
         self.now_seq = self._seq

@@ -150,12 +150,13 @@ class ArNode(Node):
     The background sources of all access routers tick at the same instants,
     as lanes of one batch (see `Engine`), in the order they started: one
     heap entry per instant, the first router's, runs every later router's
-    tick inside it unless the run is traced or an event falls due between
-    two ticks, and each tick keeps the insertion number that its own event
-    would have had.  As the new access router of a fast handover it also
-    verifies the pre-configured address, anchors the forwarding tunnel, and
-    buffers until the router announces itself; those duties lie idle until
-    an HI or an FNA arrives, which only the fast scheme sends."""
+    tick inside it unless an event falls due between two ticks, and each
+    tick keeps the insertion number, and in a traced run the trace line,
+    that its own event would have had.  As the new access router of a fast
+    handover it also verifies the pre-configured address, anchors the
+    forwarding tunnel, and buffers until the router announces itself; those
+    duties lie idle until an HI or an FNA arrives, which only the fast
+    scheme sends."""
 
     roles = {fsm.ROLE_NAR: ("state", "ctx")}
 
@@ -172,6 +173,7 @@ class ArNode(Node):
                                "nar_dad": lambda token: self.drive(fsm.ROLE_NAR, fsm.EV_DAD_OK)}
         self._bg_seq = 0
         self._bg_packet: Optional[Packet] = None
+        self._bg_suffix: Optional[str] = None
         self.state: fsm.NarState = fsm.NarState.IDLE
         self.ctx: Optional[dict] = None      # the handover record of the HI or the FNA's FBU
         self.fbu: Optional[Packet] = None    # the FBU the last FNA carried
@@ -263,15 +265,7 @@ class ArNode(Node):
         # own, to save a call per tick.  It runs this router's lane, then the
         # later lanes inside this event while `run_reserved` lets it.
         engine = self._bg_engine
-        pkt = self._bg_packet
-        if pkt is None:
-            # Traced: the trace numbers each packet, so each tick builds one,
-            # every field up to `created_at` by position (a keyword argument
-            # costs about half as much again as the whole positional call).
-            pkt = Packet(self.address, self._bg_dst, BG_PACKET_BYTES, DATA, self._bg_seq,
-                         FLOW_BG, 0, None, None, None, None, engine.now)
-            self._bg_seq += 1
-        self._bg_queue.send(pkt)
+        self._bg_queue.send(self._bg_packet or self._bg_numbered())
         # Each lane takes its next tick's insertion number here, where its
         # own timer would be scheduled, so every other event keeps its number.
         if self._bg_lead:
@@ -279,11 +273,26 @@ class ArNode(Node):
         else:
             self._bg_next = engine.reserve_seq()
         for lane in self._bg_later:
-            # Only an untraced run goes on, so the lane sends its one packet.
             if not engine.run_reserved(lane._bg_next, lane.node_id, TIMER_EXPIRY, BG_TICK):
                 return
-            lane._bg_queue.send(lane._bg_packet)
+            lane._bg_queue.send(lane._bg_packet or lane._bg_numbered())
             lane._bg_next = engine.reserve_seq()
+
+    def _bg_numbered(self) -> Packet:
+        """A traced tick's packet: the trace numbers each one, so each tick
+        builds its own, every field up to `created_at` by position (a
+        keyword argument costs about half as much again as the whole
+        positional call).  Its text is its number and this router's suffix,
+        which the first packet's `Packet.trace_str` gives."""
+        seq = self._bg_seq
+        self._bg_seq = seq + 1
+        pkt = Packet(self.address, self._bg_dst, BG_PACKET_BYTES, DATA, seq,
+                     FLOW_BG, 0, None, None, None, None, self._bg_engine.now)
+        if self._bg_suffix is None:
+            self._bg_suffix = pkt.trace_str().removeprefix(f"seq{seq}")
+        else:
+            pkt._trace_text = f"seq{seq}{self._bg_suffix}"
+        return pkt
 
     def on_app(self, kind: str) -> None:
         cfg = self.sim.config

@@ -109,7 +109,9 @@ class Packet:
     `src`, `dst`, `dscp`, the `inner` chain) are set before the packet is
     first scheduled and never written after; a rewrite makes a new packet
     (`encapsulate`, `apply_type2_routing` and the home address option
-    functions), which starts with no text.
+    functions), which starts with no text.  A traced background tick's
+    packet is built with its text, from its number and the text of its
+    router's first one (`ArNode._bg_numbered`).
     """
 
     src: Address

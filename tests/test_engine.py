@@ -163,6 +163,33 @@ def test_trace_writer_holds_at_most_one_block():
     assert fh.getvalue() == "\n".join(lines) + "\n"
 
 
+def test_inline_lanes_never_grow_a_block_past_its_size():
+    # An inline lane's line joins the block being filled, in its turn; the
+    # line that fills the block sends it to the sink at once.
+    blocks = []
+
+    class Sink:
+        def extend(self, lines):
+            blocks.append(list(lines))
+
+    eng = Engine(trace=Sink())
+    count = TRACE_BLOCK_LINES
+    lanes = {}
+    for i in range(count):
+        eng.schedule_in(i, "n", "timer_expiry", (i,))
+        lanes[i] = [eng.reserve_seq() for _ in range(3)]
+
+    def handler(ev):
+        for lane in lanes[ev[0]]:
+            assert eng.run_reserved(lane, "n", "timer_expiry", "lane")
+
+    eng.register("n", handler)
+    assert eng.run_until(count) == count
+    assert max(map(len, blocks)) == TRACE_BLOCK_LINES and len(blocks) == 4
+    assert [line for block in blocks for line in block] == [
+        f"{i}\tn\ttimer_expiry\t{tag}" for i in range(count) for tag in (f"({i},)", *["lane"] * 3)]
+
+
 def test_handler_that_reschedules_itself_at_once_raises_livelock():
     trace = []
     eng = Engine(trace=trace)
@@ -251,11 +278,12 @@ def test_reserved_lane_yields_to_an_earlier_entry_at_the_same_instant():
     assert ran == [(5 * MS, lane)]
 
 
-def test_reserved_lane_never_runs_inline_under_a_trace_sink():
+def test_reserved_lane_runs_inline_and_prints_its_line_in_its_turn_under_a_trace_sink():
     trace = []
     eng, lane = lane_engine(trace=trace)
     processed, seen, popped, ran = run_lane_after_a(eng, lane)
-    assert processed == 3
+    # The lane pops no entry of its own, yet its line stands where it would.
+    assert processed == len(popped) == 2
     assert seen == ["A", "lane", "C"]
     assert ran == [(5 * MS, lane)]
     assert trace == [f"{5 * MS}\tn\ttimer_expiry\t{tag}" for tag in ("A", "lane", "C")]

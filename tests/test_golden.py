@@ -12,17 +12,22 @@ which must also stay small in memory and survive a run that raises.
 The digests pin the traced run, whose links are driven by transmit-completion
 events.  An untraced run's links keep time with a clock instead, so it skips
 the completions of links with nothing queued, and the background arrivals
-that the stations discard unheard, and it runs the access routers' background
-ticks at one instant as lanes of one event where nothing comes between them.
-It must give the same row, deliveries and drops.  One difference is allowed:
-an arrival takes its insertion number when serialization starts, so two
-events at one microsecond can swap.  No run checked here moves for it.
+that the stations discard unheard.  It must give the same row, deliveries
+and drops.  One difference is allowed: an arrival takes its insertion number
+when serialization starts, so two events at one microsecond can swap.  No
+run checked here moves for it.
+
+Both run the access routers' background ticks at one instant as lanes of one
+event where nothing comes between them.  A traced run prints each tick that
+runs inside another's event in its turn, so its trace holds a line per tick,
+and the digests pin the lanes too.
 """
 
 import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,14 +36,15 @@ from hypothesis import strategies as st
 from census import SIGNAL_KINDS
 from nemosim import cli, nodes
 from nemosim.diffserv import PriorityScheduler
-from nemosim.engine import MS, SEC, Engine
+from nemosim.engine import MS, SEC, Engine, TraceWriter
 from nemosim.experiment import run_scenario
 from nemosim.metrics import FLOW_BG
 from nemosim.network import LinkQueue
 from nemosim.nodes import MnnNode
 from nemosim.packets import DepthExceeded, Packet
 from nemosim.scenario import (MODE_REACTIVE, PROTO_DIFF_FH, PROTO_DIFF_NEMO, PROTO_NEMO_BS,
-                              CbrConfig, FaultConfig, ScenarioConfig, default_topology)
+                              CbrConfig, FaultConfig, ScenarioConfig, default_topology,
+                              load_config)
 from nemosim.simulation import Simulation
 from probes import backlogged
 
@@ -91,6 +97,9 @@ GOLDEN_LEDGER = {
 LEDGER_TOTALS = {PROTO_NEMO_BS: (3339, 3211), PROTO_DIFF_NEMO: (3245, 3245),
                  PROTO_DIFF_FH: (3260, 3260)}
 
+
+# The congested 60 km/h run of `nemosim run`'s example, at 1.2 Mb/s of background.
+EXAMPLE_SCENARIO = Path(__file__).resolve().parents[1] / "scripts" / "scenario.example.json"
 
 # Criterion 9's scenario, as ScenarioConfig fields and as a JSON scenario file.
 CRITERION_9 = {"dmr_speed_kmh": 60, "background_load_bps": 1_200_000, "seed": 77,
@@ -192,17 +201,26 @@ def count_inline_lanes(monkeypatch) -> list[bool]:
     return answers
 
 
+def one_event_per_tick(engine, seq, target, kind, payload=None):
+    """`Engine.run_reserved` for an engine that never runs a lane inline:
+    each lane pops as an event of its own."""
+    engine.schedule_reserved(engine.now, seq, target, kind, payload)
+    return False
+
+
 @pytest.mark.parametrize("protocol", list(GOLDEN))
 def test_untraced_run_skips_only_background_arrivals(protocol, monkeypatch):
-    """An untraced run processes the traced run's events less three kinds:
+    """An untraced run processes the traced run's lines less three kinds:
     the background arrivals that the stations discard, the transmit
     completions of links with nothing queued behind the packet, which a
     link's clock replaces, and the background ticks that ran inside another
-    tick's event."""
+    tick's event.  A traced run prints a line for every event it processes
+    and for every tick that ran inside another."""
     cfg = ScenarioConfig(protocol=protocol, **CRITERION_9)
     answers = count_inline_lanes(monkeypatch)
     report, events = run_counted(cfg)
     inline = sum(answers)
+    answers.clear()
     idle = []
     on_tx_done = LinkQueue._on_tx_done
 
@@ -213,10 +231,11 @@ def test_untraced_run_skips_only_background_arrivals(protocol, monkeypatch):
     monkeypatch.setattr(LinkQueue, "_on_tx_done", counted)
     trace = []
     traced_report, traced_events = run_counted(cfg, trace)
+    traced_inline = sum(answers)
     skipped = background_arrivals(trace, default_topology(cfg))
     assert sha256(report.csv_row()) == sha256(traced_report.csv_row()) == GOLDEN[protocol][2]
-    assert traced_events == len(trace) == GOLDEN[protocol][0]
-    assert skipped > 10_000 and sum(idle) > 1_000 and inline > 10_000
+    assert traced_events + traced_inline == len(trace) == GOLDEN[protocol][0]
+    assert skipped > 10_000 and sum(idle) > 1_000 and inline > 10_000 and traced_inline > 1_000
     assert events == len(trace) - skipped - sum(idle) - inline
 
 
@@ -365,13 +384,48 @@ def test_background_lanes_tick_where_their_own_events_would(monkeypatch):
     batched_sends = sends[:]
     assert answers.count(False) >= 1 and answers.count(True) > 10_000
 
-    def one_event_per_tick(engine, seq, target, kind, payload=None):
-        engine.schedule_reserved(engine.now, seq, target, kind, payload)
-        return False
     monkeypatch.setattr(Engine, "run_reserved", one_event_per_tick)
     sends.clear()
     assert outcome(cfg, None) == batched
     assert len(batched_sends) > 10_000 and batched_sends == sends
+
+
+class DigestFile:
+    """A write-only text file that keeps only the SHA-256 of what it is given."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.hash.update(text.encode())
+
+
+@pytest.mark.parametrize("name", ["background-1mbps", "example"])
+def test_traced_lanes_write_the_trace_of_one_event_per_tick(name, monkeypatch):
+    """In a traced run too, the access routers' later ticks run inside the
+    first one's event where nothing comes between them, and each prints its
+    line in its turn.  The trace file is the same, byte for byte, and the
+    run measures the same, as when every tick pops as an event of its own.
+    At 1 Mb/s a tick takes as long as a background packet on the downlink,
+    and a traced link schedules a completion per packet, so there the lanes
+    both yield and run inline, each thousands of times."""
+    if name == "example":
+        cfg = load_config(str(EXAMPLE_SCENARIO))
+    else:
+        cfg = EQUIVALENCE_RUNS[name]()
+
+    def traced():
+        out = DigestFile()
+        return outcome(cfg, TraceWriter(out)), out.hash.hexdigest()
+
+    answers = count_inline_lanes(monkeypatch)
+    batched = traced()
+    assert answers.count(True) > 1_000
+    if name == "background-1mbps":
+        assert answers.count(False) > 1_000
+
+    monkeypatch.setattr(Engine, "run_reserved", one_event_per_tick)
+    assert traced() == batched
 
 
 @settings(max_examples=12, deadline=None)
